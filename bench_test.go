@@ -15,6 +15,8 @@ package bench
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"testing"
 
 	"ibvsim/internal/cdg"
@@ -29,6 +31,24 @@ import (
 	"ibvsim/internal/sriov"
 	"ibvsim/internal/topology"
 )
+
+// TestBenchModuleVets makes tier-1 see bench/. The control-plane benchmark
+// is its own module (ibvsim/bench, replace ibvsim => ../), so `go test ./...`
+// here never compiles it, and a change to a type bench/traced.go imports
+// from internal/ would break the repository's yardstick unnoticed. go vet
+// type-checks every package of that module, tests included.
+func TestBenchModuleVets(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	cmd := exec.Command(goTool, "vet", "./...")
+	cmd.Dir = "bench"
+	cmd.Env = append(os.Environ(), "GOWORK=off", "GOTOOLCHAIN=local")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in bench/: %v\n%s", err, out)
+	}
+}
 
 // fig7Combos lists the Fig. 7 combinations benchmarked by default. The
 // dfsssp/lash runs on 5832/11664 nodes are the ones the paper measured at
@@ -335,9 +355,10 @@ func BenchmarkAblationIncrementalCDG(b *testing.B) {
 			}
 		}
 	}
+	ix := cdg.NewIndex(topo)
 	b.Run("pearce-kelly", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			o := cdg.NewOrdered()
+			o := cdg.NewOrdered(ix)
 			for _, p := range paths {
 				for j := 0; j+1 < len(p); j++ {
 					o.AddDepChecked(p[j], p[j+1])
@@ -347,7 +368,7 @@ func BenchmarkAblationIncrementalCDG(b *testing.B) {
 	})
 	b.Run("full-dfs-per-path", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			g := cdg.NewGraph()
+			g := cdg.NewGraph(ix)
 			for _, p := range paths {
 				for j := 0; j+1 < len(p); j++ {
 					g.AddDep(p[j], p[j+1])

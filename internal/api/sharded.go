@@ -3,6 +3,7 @@ package api
 import (
 	"errors"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -87,12 +88,24 @@ func (s *Server) snapshot() *Snapshot {
 // compose builds (or returns the cached) fabric-wide snapshot from the
 // shards' snapshots. Shards publish O(zone) snapshots per mutation; the
 // O(fabric) composition cost is paid lazily, only when a read arrives after
-// a generation change. The LFT "clones" are the SM's atomically published
+// one of them changed. The LFT "clones" are the SM's atomically published
 // immutable active tables — captured by pointer, never copied.
+//
+// The cache key is the identity of the shard snapshots the composition was
+// built from, not the coordinator's generation counter: a shard bumps that
+// counter before it publishes, so a generation-keyed cache filled in
+// between would hold the pre-mutation state under the post-mutation
+// generation and serve it until the next mutation. Every publish installs
+// a fresh *shard.Snap, so pointer equality is exact; the composed
+// generation is the newest one a composed-from snapshot carries.
 func (s *Server) compose() *Snapshot {
-	gen := s.co.Gen()
-	if sn := s.snap.Load(); sn != nil && sn.Gen == gen {
+	snaps := s.co.Snaps()
+	if sn := s.snap.Load(); sn != nil && slices.Equal(sn.from, snaps) {
 		return sn
+	}
+	var gen uint64
+	for _, ss := range snaps {
+		gen = max(gen, ss.Gen)
 	}
 	start := time.Now()
 	defer func() {
@@ -103,6 +116,7 @@ func (s *Server) compose() *Snapshot {
 	topo := s.c.SM.Topo
 	sn := &Snapshot{
 		Gen:       gen,
+		from:      snaps,
 		Fabric:    topo.String(),
 		Model:     s.c.Model.String(),
 		SMNode:    s.c.SM.SMNode,
@@ -124,7 +138,7 @@ func (s *Server) compose() *Snapshot {
 			sn.lidOf[id] = lid
 		}
 	}
-	for _, ss := range s.co.Snaps() {
+	for _, ss := range snaps {
 		zone := ss.Shard
 		for _, h := range ss.Hyps {
 			sn.Hyps = append(sn.Hyps, HypInfo{

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"ibvsim/internal/ib"
+	"ibvsim/internal/shard"
 	"ibvsim/internal/topology"
 )
 
@@ -48,6 +49,9 @@ type Snapshot struct {
 	lidOf     map[topology.NodeID]ib.LID
 	nodeOfLID map[ib.LID]topology.NodeID
 	lfts      map[topology.NodeID]*ib.LFT // immutable clones
+	// from is compose's cache key in sharded mode: the shard snapshots this
+	// one was built from (nil in single-actor mode).
+	from []*shard.Snap
 }
 
 // lftIdentity is the copy-on-write cache key for one switch's programmed

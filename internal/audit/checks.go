@@ -33,8 +33,9 @@ type View struct {
 	VMs []VMBinding
 }
 
-// lft resolves one switch's table through LFTOf or the LFTs map.
-func (v *View) lft(sw topology.NodeID) *ib.LFT {
+// LFT resolves one switch's table through LFTOf or the LFTs map (nil when
+// the switch forwards nothing). With NodeOf it makes a View a cdg.Routes.
+func (v *View) LFT(sw topology.NodeID) *ib.LFT {
 	if v.LFTOf != nil {
 		return v.LFTOf(sw)
 	}
@@ -44,28 +45,19 @@ func (v *View) lft(sw topology.NodeID) *ib.LFT {
 // provenanceOf returns the write stamp of the LFT block holding (sw, dlid),
 // or nil when the switch has no table or the block was never stamped.
 func (v *View) provenanceOf(sw topology.NodeID, dlid ib.LID) *ib.Provenance {
-	lft := v.lft(sw)
+	lft := v.LFT(sw)
 	if lft == nil {
 		return nil
 	}
 	return lft.ProvenanceOf(dlid)
 }
 
-// NodeOf implements cdg.LFTRoutes for the view's LID map.
+// NodeOf returns the node that owns a LID in the view's LID map.
 func (v *View) NodeOf(l ib.LID) topology.NodeID {
 	if n, ok := v.NodeOfLID[l]; ok {
 		return n
 	}
 	return topology.NoNode
-}
-
-// SwitchRoute implements cdg.LFTRoutes over the view's LFT clones.
-func (v *View) SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum {
-	lft := v.lft(sw)
-	if lft == nil {
-		return ib.DropPort
-	}
-	return lft.Get(dlid)
 }
 
 // describe labels a node for violation detail.
@@ -163,7 +155,7 @@ func classify(v *View, dlid ib.LID, dst, sw topology.NodeID, state map[topology.
 	state[sw] = swState{kind: stateVisiting}
 
 	st := func() swState {
-		lft := v.lft(sw)
+		lft := v.LFT(sw)
 		if lft == nil {
 			return swState{kind: KindBlackhole, origin: sw, msg: "switch has no programmed LFT"}
 		}
@@ -202,7 +194,7 @@ func classify(v *View, dlid ib.LID, dst, sw topology.NodeID, state map[topology.
 // map — op-scoped (ScopeReach) passes skip it.
 func checkStaleEntries(v *View, c *collector) {
 	for _, sw := range v.Topo.Switches() {
-		lft := v.lft(sw)
+		lft := v.LFT(sw)
 		if lft == nil {
 			continue
 		}

@@ -10,24 +10,6 @@ import (
 	"ibvsim/internal/topology"
 )
 
-// mapRoutes adapts a plain LFT map to cdg.LFTRoutes so the transition check
-// can build CDGs for the old and new routing functions independently of the
-// subnet manager's live resolver (which always answers from programmed).
-type mapRoutes struct {
-	lfts   map[topology.NodeID]*ib.LFT
-	nodeOf func(ib.LID) topology.NodeID
-}
-
-func (m mapRoutes) SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum {
-	lft := m.lfts[sw]
-	if lft == nil {
-		return ib.DropPort
-	}
-	return lft.Get(dlid)
-}
-
-func (m mapRoutes) NodeOf(l ib.LID) topology.NodeID { return m.nodeOf(l) }
-
 // CheckTransition proves invariant family (c) for an in-flight LFT
 // distribution: while switches are being reprogrammed the fabric holds an
 // arbitrary mixture of the old routing function (the programmed tables) and
@@ -50,24 +32,19 @@ func (a *Auditor) CheckTransition(t *topology.Topology, old, target map[topology
 	c.max = a.cfg.MaxViolations
 
 	dlids = dataLIDs(t, dlids, nodeOf)
-	// The switch-only builder: cycle verdicts are identical (CA injection
-	// channels are sources) and this check runs on every distribution
-	// fan-out, so its cost matters at scale.
-	gOld := cdg.BuildSwitchCDG(t, mapRoutes{old, nodeOf}, dlids)
-	gNew := cdg.BuildSwitchCDG(t, mapRoutes{target, nodeOf}, dlids)
-	union := cdg.Union(gOld, gNew)
-	span.SetAttr("old_edges", gOld.NumEdges())
-	span.SetAttr("new_edges", gNew.NumEdges())
-	span.SetAttr("union_edges", union.NumEdges())
+	tables := func(m map[topology.NodeID]*ib.LFT) cdg.Routes {
+		return cdg.Tables{Table: func(sw topology.NodeID) *ib.LFT { return m[sw] }, Owner: nodeOf}
+	}
+	tr := cdg.CheckTransition(t, tables(old), tables(target), dlids)
+	span.SetAttr("old_edges", tr.OldEdges)
+	span.SetAttr("union_edges", tr.UnionEdges)
 
-	if cyc := union.FindCycle(); cyc != nil {
-		oldCyclic := gOld.HasCycle()
-		newCyclic := gNew.HasCycle()
+	if !tr.UnionAcyclic {
 		c.add(Violation{
 			Kind: KindTransientCDG,
 			Detail: fmt.Sprintf(
 				"union CDG of in-flight distribution has a cycle (old cyclic=%v, new cyclic=%v): %s",
-				oldCyclic, newCyclic, cycleString(cyc)),
+				!tr.OldAcyclic, !tr.NewAcyclic, cycleString(tr.Cycle)),
 		})
 	}
 

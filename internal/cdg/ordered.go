@@ -1,5 +1,7 @@
 package cdg
 
+import "slices"
+
 // Ordered is an incrementally maintained acyclic channel dependency graph
 // using the Pearce-Kelly dynamic topological-order algorithm. AddDepChecked
 // rejects (and does not apply) any edge that would close a cycle, in
@@ -8,35 +10,30 @@ package cdg
 // LASH uses this to test, per source-destination switch pair, whether a
 // path's dependencies fit into an existing virtual-lane layer: millions of
 // trial insertions that would be hopeless with full-graph DFS per check.
+//
+// Storage is the package's one adjacency, twice: successors, and the
+// mirrored predecessors the backward search needs. Construct with
+// NewOrdered. An Ordered is not safe for concurrent use.
 type Ordered struct {
-	ids   map[Channel]int
-	chans []Channel
-	out   []map[int]int // adjacency with edge multiplicity
-	in    []map[int]int
-	ord   []int // topological index per node
-	pos   []int // node at each topological index
+	ix      *Index
+	out, in adjacency
+	ord     []int32 // topological index per channel id
+
+	// reorder's scratch: mark[n] == epoch means n was reached in this call.
+	mark                  []uint32
+	epoch                 uint32
+	fwd, bwd, stack, idxs []int32
 }
 
-// NewOrdered returns an empty incremental CDG.
-func NewOrdered() *Ordered {
-	return &Ordered{ids: map[Channel]int{}}
-}
-
-// NumChannels returns the number of channels seen so far.
-func (o *Ordered) NumChannels() int { return len(o.chans) }
-
-func (o *Ordered) id(c Channel) int {
-	if i, ok := o.ids[c]; ok {
-		return i
+// NewOrdered returns an empty incremental CDG over the channels of ix.
+func NewOrdered(ix *Index) *Ordered {
+	n := ix.NumIDs()
+	o := &Ordered{ix: ix, out: newAdjacency(n), in: newAdjacency(n),
+		ord: make([]int32, n), mark: make([]uint32, n)}
+	for i := range o.ord {
+		o.ord[i] = int32(i) // any order is topological for an empty graph
 	}
-	i := len(o.chans)
-	o.ids[c] = i
-	o.chans = append(o.chans, c)
-	o.out = append(o.out, map[int]int{})
-	o.in = append(o.in, map[int]int{})
-	o.ord = append(o.ord, i) // new nodes go last in the order
-	o.pos = append(o.pos, i)
-	return i
+	return o
 }
 
 // AddDepChecked inserts the dependency a -> b unless it would create a
@@ -44,24 +41,22 @@ func (o *Ordered) id(c Channel) int {
 // (false, true) if the edge already existed (multiplicity bumped),
 // (false, false) if insertion was refused because it closes a cycle.
 func (o *Ordered) AddDepChecked(a, b Channel) (inserted, acyclic bool) {
-	ai, bi := o.id(a), o.id(b)
+	ai, bi := o.ix.ID(a), o.ix.ID(b)
 	if ai == bi {
 		return false, false // self-dependency is an immediate cycle
 	}
-	if o.out[ai][bi] > 0 {
-		o.out[ai][bi]++
-		o.in[bi][ai]++
+	if !o.out.add(ai, bi) {
+		o.in.add(bi, ai)
 		return false, true
 	}
-	if o.ord[ai] > o.ord[bi] {
-		// Edge goes against the current order: discover the affected
-		// region and try to reorder.
-		if !o.reorder(ai, bi) {
-			return false, false
-		}
+	// The edge is new. If it goes against the current order, discover the
+	// affected region and try to reorder; reorder never walks out of ai, so
+	// the arc just added does not disturb it.
+	if o.ord[ai] > o.ord[bi] && !o.reorder(ai, bi) {
+		o.out.remove(ai, bi)
+		return false, false
 	}
-	o.out[ai][bi] = 1
-	o.in[bi][ai] = 1
+	o.in.add(bi, ai)
 	return true, true
 }
 
@@ -69,93 +64,85 @@ func (o *Ordered) AddDepChecked(a, b Channel) (inserted, acyclic bool) {
 // a path does not fit a layer). The topological order stays valid: removing
 // edges never invalidates it.
 func (o *Ordered) RemoveDepChecked(a, b Channel) {
-	ai, ok := o.ids[a]
-	if !ok {
-		return
-	}
-	bi, ok := o.ids[b]
-	if !ok {
-		return
-	}
-	if o.out[ai][bi] == 0 {
-		return
-	}
-	o.out[ai][bi]--
-	o.in[bi][ai]--
-	if o.out[ai][bi] == 0 {
-		delete(o.out[ai], bi)
-		delete(o.in[bi], ai)
-	}
+	ai, bi := o.ix.ID(a), o.ix.ID(b)
+	o.out.remove(ai, bi)
+	o.in.remove(bi, ai)
 }
 
 // reorder implements the Pearce-Kelly affected-region discovery for a new
 // edge x -> y with ord[x] > ord[y]. It returns false when x is reachable
 // from y (the new edge would close a cycle), true after reindexing.
-func (o *Ordered) reorder(x, y int) bool {
+func (o *Ordered) reorder(x, y int32) bool {
 	lb, ub := o.ord[y], o.ord[x]
+	if o.epoch++; o.epoch == 0 { // wrapped: stale marks could alias
+		clear(o.mark)
+		o.epoch = 1
+	}
 	// Forward DFS from y within (lb, ub]; if we hit x there is a cycle.
-	deltaF := []int{}
-	visited := map[int]bool{y: true}
-	stack := []int{y}
+	fwd := o.fwd[:0]
+	stack := append(o.stack[:0], y)
+	o.mark[y] = o.epoch
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		deltaF = append(deltaF, n)
-		for m := range o.out[n] {
+		fwd = append(fwd, n)
+		for i := o.out.head[n]; i >= 0; i = o.out.arcs[i].next {
+			m := o.out.arcs[i].to
 			if m == x {
+				o.fwd, o.stack = fwd, stack
 				return false
 			}
-			if !visited[m] && o.ord[m] <= ub {
-				visited[m] = true
+			if o.mark[m] != o.epoch && o.ord[m] <= ub {
+				o.mark[m] = o.epoch
 				stack = append(stack, m)
 			}
 		}
 	}
 	// Backward DFS from x within [lb, ub).
-	deltaB := []int{}
-	bvis := map[int]bool{x: true}
-	stack = append(stack[:0], x)
+	bwd := o.bwd[:0]
+	stack = append(stack, x)
+	o.mark[x] = o.epoch
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		deltaB = append(deltaB, n)
-		for m := range o.in[n] {
-			if !bvis[m] && !visited[m] && o.ord[m] >= lb {
-				bvis[m] = true
+		bwd = append(bwd, n)
+		for i := o.in.head[n]; i >= 0; i = o.in.arcs[i].next {
+			m := o.in.arcs[i].to
+			if o.mark[m] != o.epoch && o.ord[m] >= lb {
+				o.mark[m] = o.epoch
 				stack = append(stack, m)
 			}
 		}
 	}
-	// Reassign the indices used by deltaB ++ deltaF, sorted, to the nodes
-	// in that combined sequence (deltaB first preserves relative order).
-	sortByOrd(o.ord, deltaB)
-	sortByOrd(o.ord, deltaF)
-	nodes := append(deltaB, deltaF...)
-	idxs := make([]int, 0, len(nodes))
-	for _, n := range nodes {
+	// Hand the indices the two regions occupy, in ascending order, to the
+	// backward region first and the forward region after it, each keeping
+	// its internal relative order.
+	sortByOrd(bwd, o.ord)
+	sortByOrd(fwd, o.ord)
+	idxs := o.idxs[:0]
+	for _, n := range bwd {
 		idxs = append(idxs, o.ord[n])
 	}
-	sortInts(idxs)
-	for i, n := range nodes {
-		o.ord[n] = idxs[i]
-		o.pos[idxs[i]] = n
+	for _, n := range fwd {
+		idxs = append(idxs, o.ord[n])
 	}
+	slices.Sort(idxs)
+	for i, n := range bwd {
+		o.ord[n] = idxs[i]
+	}
+	for i, n := range fwd {
+		o.ord[n] = idxs[len(bwd)+i]
+	}
+	o.fwd, o.bwd, o.stack, o.idxs = fwd, bwd, stack, idxs
 	return true
 }
 
-func sortByOrd(ord []int, nodes []int) {
-	// insertion sort: affected regions are small in practice
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && ord[nodes[j-1]] > ord[nodes[j]]; j-- {
-			nodes[j-1], nodes[j] = nodes[j], nodes[j-1]
-		}
-	}
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
+// sortByOrd sorts channel ids ascending by topological index. Insertion
+// sort: affected regions are small in practice.
+func sortByOrd(ids, ord []int32) {
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && ord[ids[j-1]] > ord[ids[j]]; j-- {
+			ids[j-1], ids[j] = ids[j], ids[j-1]
 		}
 	}
 }

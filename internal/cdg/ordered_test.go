@@ -3,15 +3,10 @@ package cdg
 import (
 	"math/rand"
 	"testing"
-
-	"ibvsim/internal/ib"
-	"ibvsim/internal/topology"
 )
 
-func ch(n, p int) Channel { return Channel{Node: topology.NodeID(n), Port: ib.PortNum(p)} }
-
 func TestOrderedBasic(t *testing.T) {
-	o := NewOrdered()
+	o := NewOrdered(bareIndex(4, 2))
 	a, b, c := ch(1, 1), ch(2, 1), ch(3, 1)
 	if ins, ok := o.AddDepChecked(a, b); !ins || !ok {
 		t.Fatal("first insert should succeed")
@@ -26,13 +21,13 @@ func TestOrderedBasic(t *testing.T) {
 	if ins, ok := o.AddDepChecked(c, a); ins || ok {
 		t.Fatal("cycle-closing edge must be refused")
 	}
-	if o.NumChannels() != 3 {
-		t.Errorf("NumChannels = %d", o.NumChannels())
+	if o.out.edges != 2 || o.in.edges != 2 {
+		t.Errorf("edges out=%d in=%d, want 2/2 (the refused edge must leave no trace)", o.out.edges, o.in.edges)
 	}
 }
 
 func TestOrderedSelfLoop(t *testing.T) {
-	o := NewOrdered()
+	o := NewOrdered(bareIndex(4, 2))
 	a := ch(1, 1)
 	if ins, ok := o.AddDepChecked(a, a); ins || ok {
 		t.Fatal("self loop must be refused")
@@ -40,7 +35,7 @@ func TestOrderedSelfLoop(t *testing.T) {
 }
 
 func TestOrderedRemoveAllowsReinsert(t *testing.T) {
-	o := NewOrdered()
+	o := NewOrdered(bareIndex(10, 9))
 	a, b, c := ch(1, 1), ch(2, 1), ch(3, 1)
 	o.AddDepChecked(a, b)
 	o.AddDepChecked(b, c)
@@ -63,14 +58,25 @@ func TestOrderedRemoveAllowsReinsert(t *testing.T) {
 
 func TestOrderedAgainstReference(t *testing.T) {
 	// Randomised differential test: Ordered must accept exactly the edges
-	// that keep the reference Graph acyclic.
+	// that keep the reference Graph (full DFS per insertion) acyclic. The
+	// edges are random two-hop walks over a full mesh, the shape real
+	// dependencies have.
 	rng := rand.New(rand.NewSource(7))
+	const n = 6
 	for trial := 0; trial < 20; trial++ {
-		o := NewOrdered()
-		g := NewGraph()
-		const n = 12
+		ix, hop := fullMesh(t, n)
+		o := NewOrdered(ix)
+		g := NewGraph(ix)
 		for i := 0; i < 150; i++ {
-			a, b := ch(rng.Intn(n), 1), ch(rng.Intn(n), 1)
+			s, via := rng.Intn(n), rng.Intn(n-1)
+			if via >= s {
+				via++
+			}
+			d := rng.Intn(n - 1)
+			if d >= via {
+				d++
+			}
+			a, b := hop(s, via), hop(via, d)
 			_, ok := o.AddDepChecked(a, b)
 			if ok {
 				g.AddDep(a, b)
@@ -91,8 +97,8 @@ func TestOrderedAgainstReference(t *testing.T) {
 
 func TestOrderedLargeChain(t *testing.T) {
 	// A long chain inserted in reverse order exercises the reorder path.
-	o := NewOrdered()
 	const n = 500
+	o := NewOrdered(bareIndex(n+1, 1))
 	for i := n - 1; i > 0; i-- {
 		if _, ok := o.AddDepChecked(ch(i, 1), ch(i+1, 1)); !ok {
 			t.Fatalf("chain edge %d refused", i)

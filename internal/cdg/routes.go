@@ -1,0 +1,168 @@
+package cdg
+
+import (
+	"ibvsim/internal/ib"
+	"ibvsim/internal/topology"
+)
+
+// Routes is what the dependency walk reads of a routed subnet: one
+// forwarding table per switch and the location of each LID.
+type Routes interface {
+	// LFT returns the forwarding table of switch sw; nil means the switch
+	// forwards nothing.
+	LFT(sw topology.NodeID) *ib.LFT
+	// NodeOf returns the node that owns a LID, or topology.NoNode.
+	NodeOf(l ib.LID) topology.NodeID
+}
+
+// Tables is the Routes of any holder of forwarding state that can name a
+// table per switch and an owner per LID: the subnet manager's programmed or
+// target tables, an engine's result, a plan overlaid on either.
+type Tables struct {
+	Table func(sw topology.NodeID) *ib.LFT
+	Owner func(l ib.LID) topology.NodeID
+}
+
+// LFT implements Routes.
+func (t Tables) LFT(sw topology.NodeID) *ib.LFT { return t.Table(sw) }
+
+// NodeOf implements Routes.
+func (t Tables) NodeOf(l ib.LID) topology.NodeID { return t.Owner(l) }
+
+// Walk enumerates, destination by destination, the switch-to-switch channel
+// dependencies one routing function induces. It is the only such
+// enumeration in the tree: the auditor's installed-routing CDG, the
+// transition check and DFSSSP's per-tree dependency lists all come from
+// Deps. Every switch's table and every link's state is read once, at
+// construction; Deps only reads, so one Walk may serve concurrent callers.
+type Walk struct {
+	ix     *Index
+	lfts   []*ib.LFT // per dense switch index
+	nodeOf func(ib.LID) topology.NodeID
+	// Per channel id, the link as the walk sees it: hop is the dense index
+	// of the switch an up link leads to (-1: down, unconnected or to a CA),
+	// wired whether the port has a peer at all.
+	hop   []int32
+	wired []bool
+}
+
+// NewWalk freezes r's tables and the link state for the switches of ix.
+func NewWalk(ix *Index, r Routes) *Walk {
+	w := &Walk{ix: ix, lfts: make([]*ib.LFT, len(ix.nodes)), nodeOf: r.NodeOf,
+		hop: make([]int32, ix.NumIDs()), wired: make([]bool, ix.NumIDs())}
+	for i, n := range ix.nodes {
+		w.lfts[i] = r.LFT(n.ID)
+		for p := int32(0); p < ix.stride; p++ {
+			id := int32(i)*ix.stride + p
+			w.hop[id] = -1
+			if int(p) < len(n.Ports) && n.Ports[p].Peer != topology.NoNode {
+				w.wired[id] = true
+				if n.Ports[p].Up {
+					w.hop[id] = ix.dense[n.Ports[p].Peer]
+				}
+			}
+		}
+	}
+	return w
+}
+
+// Deps appends to buf the dependencies of destination dlid's forwarding
+// tree, in ascending switch order, and returns the extended slice. Each
+// switch that forwards dlid over an up link to another switch contributes
+// one dependency: from its egress channel to the egress channel the next
+// switch forwards dlid on (which may be the delivery link to a CA — a
+// terminal channel). An unowned dlid, a switch without a table, the
+// destination itself, and entries that are DropPort, the management port
+// or no connected port contribute nothing.
+//
+// Injection channels (CA to leaf switch) are deliberately absent: nothing
+// depends on them, so they cannot lie on a cycle, and any caller that only
+// asks for cycles gets the verdict of the complete CDG.
+func (w *Walk) Deps(buf []Dep, dlid ib.LID) []Dep {
+	dst := w.nodeOf(dlid)
+	if dst == topology.NoNode {
+		return buf
+	}
+	stride := w.ix.stride
+	dstSw := w.ix.dense[dst] // -1 for a CA: no switch is the destination
+	for i, lft := range w.lfts {
+		if lft == nil || int32(i) == dstSw {
+			continue
+		}
+		out := int32(lft.Get(dlid))
+		if out == int32(ib.DropPort) || out == 0 || out >= stride {
+			continue
+		}
+		a := int32(i)*stride + out
+		j := w.hop[a]
+		if j < 0 || j == dstSw || w.lfts[j] == nil {
+			continue
+		}
+		out2 := int32(w.lfts[j].Get(dlid))
+		if out2 == int32(ib.DropPort) || out2 == 0 || out2 >= stride || !w.wired[j*stride+out2] {
+			continue
+		}
+		buf = append(buf, Dep{A: a, B: j*stride + out2})
+	}
+	return buf
+}
+
+// addRoutes adds the dependencies r induces for the given destinations.
+func (g *Graph) addRoutes(r Routes, dlids []ib.LID) {
+	w := NewWalk(g.ix, r)
+	var buf []Dep
+	for _, dlid := range dlids {
+		buf = w.Deps(buf[:0], dlid)
+		g.AddDeps(buf)
+	}
+}
+
+// BuildSwitchCDG constructs the CDG the routing of the given destination
+// LIDs induces among switch egress channels (see Walk.Deps for exactly
+// which dependencies that is).
+func BuildSwitchCDG(t *topology.Topology, r Routes, dlids []ib.LID) *Graph {
+	g := NewGraph(NewIndex(t))
+	g.addRoutes(r, dlids)
+	return g
+}
+
+// Transition is the outcome of a section VI-C analysis: whether the union
+// of an old and a new routing function is deadlock free while the fabric is
+// reprogrammed switch by switch and holds a mixture of both.
+type Transition struct {
+	OldAcyclic   bool
+	NewAcyclic   bool
+	UnionAcyclic bool
+	// Cycle holds one dependency cycle of the union when UnionAcyclic is
+	// false (first channel repeated at the end).
+	Cycle []Channel
+	// OldEdges and UnionEdges count the distinct dependencies of Rold and
+	// of Rold ∪ Rnew; their difference is what the new routing adds.
+	OldEdges, UnionEdges int
+}
+
+// Deadlocks reports whether the transition itself is hazardous: both
+// endpoint routings are safe but their coexistence is not.
+func (t Transition) Deadlocks() bool {
+	return t.OldAcyclic && t.NewAcyclic && !t.UnionAcyclic
+}
+
+// CheckTransition walks both routing functions into one graph — a packet in
+// flight may hold channels granted under Rold while requesting channels
+// under Rnew, so the union of the two CDGs over-approximates the reachable
+// transition states (the Duato safety condition the paper invokes) — and
+// searches it once. An acyclic union proves both subgraphs acyclic; only a
+// cyclic one pays for separate verdicts on Rold and Rnew.
+func CheckTransition(t *topology.Topology, old, next Routes, dlids []ib.LID) Transition {
+	g := NewGraph(NewIndex(t))
+	g.addRoutes(old, dlids)
+	tr := Transition{OldAcyclic: true, NewAcyclic: true, UnionAcyclic: true, OldEdges: g.NumEdges()}
+	g.addRoutes(next, dlids)
+	tr.UnionEdges = g.NumEdges()
+	if tr.Cycle = g.FindCycle(); tr.Cycle != nil {
+		tr.UnionAcyclic = false
+		tr.OldAcyclic = !BuildSwitchCDG(t, old, dlids).HasCycle()
+		tr.NewAcyclic = !BuildSwitchCDG(t, next, dlids).HasCycle()
+	}
+	return tr
+}

@@ -6,100 +6,58 @@ import (
 	"ibvsim/internal/topology"
 )
 
-// TransitionReport is the outcome of a section VI-C analysis: whether the
-// union of old and new routing functions is deadlock free while a plan is
-// being applied switch by switch.
-type TransitionReport struct {
-	OldAcyclic   bool
-	NewAcyclic   bool
-	UnionAcyclic bool
-	// Cycle holds one dependency cycle of the union when UnionAcyclic is
-	// false (first channel repeated at the end).
-	Cycle []cdg.Channel
-}
-
-// Deadlocks reports whether the transition itself is hazardous: both
-// endpoint routings are safe but their coexistence is not.
-func (t TransitionReport) Deadlocks() bool {
-	return t.OldAcyclic && t.NewAcyclic && !t.UnionAcyclic
-}
-
-// RoutesView is the narrow subnet-manager surface the transition analysis
-// needs; *sm.SubnetManager satisfies it.
-type RoutesView interface {
-	SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum
-	NodeOfLID(l ib.LID) topology.NodeID
-}
-
-// overlayRoutes exposes programmed LFTs with a plan's updates overlaid.
-type overlayRoutes struct {
-	mgr     RoutesView
-	updates map[topology.NodeID]map[ib.LID]ib.PortNum
-	moved   map[ib.LID]topology.NodeID // post-plan LID locations
-}
-
-func (o *overlayRoutes) SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum {
-	if o.updates != nil {
-		if m, ok := o.updates[sw]; ok {
-			if p, ok := m[dlid]; ok {
-				return p
-			}
-		}
-	}
-	return o.mgr.SwitchRoute(sw, dlid)
-}
-
-func (o *overlayRoutes) NodeOf(l ib.LID) topology.NodeID {
-	if o.moved != nil {
-		if n, ok := o.moved[l]; ok {
-			return n
-		}
-	}
-	return o.mgr.NodeOfLID(l)
-}
-
-// AnalyzeTransition builds three CDGs — the current routing, the routing
-// after the plan, and their union (the state mid-reconfiguration, when some
-// switches hold Rold and others Rnew) — over the given destination LIDs and
-// reports acyclicity of each. The union captures exactly the hazard of
-// section VI-C: a moved node ID can close a dependency cycle even when both
-// endpoint routings are individually deadlock free.
-func (r *Reconfigurator) AnalyzeTransition(plan *MigrationPlan, dlids []ib.LID) TransitionReport {
+// AnalyzeTransition runs the section VI-C analysis for a plan against the
+// live fabric: is the current routing, the routing after the plan, and
+// their union (the state mid-reconfiguration, when some switches hold Rold
+// and others Rnew) deadlock free over the given destination LIDs? The
+// union captures exactly the hazard of section VI-C: a moved node ID can
+// close a dependency cycle even when both endpoint routings are
+// individually deadlock free.
+func (r *Reconfigurator) AnalyzeTransition(plan *MigrationPlan, dlids []ib.LID) cdg.Transition {
 	return AnalyzeTransition(r.SM.Topo, r.SM, plan, dlids)
 }
 
 // AnalyzeTransition is the standalone form of the section VI-C analysis,
-// usable against any routing state.
-func AnalyzeTransition(topo *topology.Topology, view RoutesView, plan *MigrationPlan, dlids []ib.LID) TransitionReport {
+// usable against any routing state: Rold is the view, Rnew the view with
+// the plan's updates overlaid, and cdg.CheckTransition — the same check the
+// auditor runs on every distribution — judges the pair.
+func AnalyzeTransition(topo *topology.Topology, view PlanView, plan *MigrationPlan, dlids []ib.LID) cdg.Transition {
+	// Rnew's tables: copy-on-write clones of the touched switches' tables
+	// with the plan's entries written in.
+	edited := make(map[topology.NodeID]*ib.LFT, len(plan.Updates))
+	for sw, entries := range plan.Updates {
+		lft := view.ProgrammedLFT(sw)
+		if lft == nil {
+			lft = ib.NewLFT(0)
+		} else {
+			lft = lft.Clone()
+		}
+		for l, p := range entries {
+			lft.Set(l, p)
+		}
+		edited[sw] = lft
+	}
 	// Post-plan LID locations: the VM LID moves to the peer's node, and
 	// for a swap the peer LID moves back to the VM's node.
-	moved := map[ib.LID]topology.NodeID{
-		plan.VMLID: view.NodeOfLID(plan.PeerLID),
-	}
-	if plan.Kind == PlanSwap {
-		moved[plan.PeerLID] = view.NodeOfLID(plan.VMLID)
-	}
+	vmNode, peerNode := view.NodeOfLID(plan.VMLID), view.NodeOfLID(plan.PeerLID)
 
-	oldR := &overlayRoutes{mgr: view}
-	newR := &overlayRoutes{mgr: view, updates: plan.Updates, moved: moved}
-
-	gOld := cdg.BuildFromLFTs(topo, oldR, dlids)
-	gNew := cdg.BuildFromLFTs(topo, newR, dlids)
-
-	// A packet in flight may hold channels granted under Rold while
-	// requesting channels under Rnew, so the union of the two CDGs
-	// over-approximates the reachable transition states — the standard
-	// Duato safety condition the paper invokes.
-	union := cdg.Union(gOld, gNew)
-
-	rep := TransitionReport{
-		OldAcyclic:   !gOld.HasCycle(),
-		NewAcyclic:   !gNew.HasCycle(),
-		UnionAcyclic: true,
+	old := cdg.Tables{Table: view.ProgrammedLFT, Owner: view.NodeOfLID}
+	next := cdg.Tables{
+		Table: func(sw topology.NodeID) *ib.LFT {
+			if lft, ok := edited[sw]; ok {
+				return lft
+			}
+			return view.ProgrammedLFT(sw)
+		},
+		Owner: func(l ib.LID) topology.NodeID {
+			switch {
+			case l == plan.VMLID:
+				return peerNode
+			case l == plan.PeerLID && plan.Kind == PlanSwap:
+				return vmNode
+			}
+			return view.NodeOfLID(l)
+		},
 	}
-	if cyc := union.FindCycle(); cyc != nil {
-		rep.UnionAcyclic = false
-		rep.Cycle = cyc
-	}
-	return rep
+	return cdg.CheckTransition(topo, old, next, dlids)
 }

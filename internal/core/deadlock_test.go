@@ -1,25 +1,35 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"ibvsim/internal/audit"
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/ib"
+	"ibvsim/internal/routing"
+	"ibvsim/internal/sm"
 	"ibvsim/internal/topology"
 )
 
-// stubRoutes implements RoutesView from explicit maps.
+// stubRoutes implements PlanView from explicit maps.
 type stubRoutes struct {
 	routes map[topology.NodeID]map[ib.LID]ib.PortNum
 	owner  map[ib.LID]topology.NodeID
 }
 
-func (s *stubRoutes) SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum {
-	if m, ok := s.routes[sw]; ok {
-		if p, ok := m[dlid]; ok {
-			return p
-		}
+func (s *stubRoutes) ProgrammedLFT(sw topology.NodeID) *ib.LFT {
+	m, ok := s.routes[sw]
+	if !ok {
+		return nil
 	}
-	return ib.DropPort
+	lft := ib.NewLFT(8)
+	for l, p := range m {
+		lft.Set(l, p)
+	}
+	return lft
 }
 
 func (s *stubRoutes) NodeOfLID(l ib.LID) topology.NodeID {
@@ -86,7 +96,7 @@ func TestTransitionDeadlockOnRing(t *testing.T) {
 		},
 	}
 
-	rep := AnalyzeTransition(topo, routes, plan, []ib.LID{1, 2, 3})
+	rep := bothTransitionChecks(t, topo, routes, plan, []ib.LID{1, 2, 3})
 	if !rep.OldAcyclic {
 		t.Error("old routing should be deadlock free")
 	}
@@ -123,5 +133,144 @@ func TestTransitionSafeOnFatTree(t *testing.T) {
 	}
 	if rep.Deadlocks() {
 		t.Error("no deadlock expected")
+	}
+}
+
+// caLIDs lists the CA-owned LIDs — the data destinations the auditor's
+// transition check restricts itself to.
+func caLIDs(mgr *sm.SubnetManager) []ib.LID {
+	var out []ib.LID
+	for _, tg := range mgr.Targets() {
+		if !mgr.Topo.Node(tg.Node).IsSwitch() {
+			out = append(out, tg.LID)
+		}
+	}
+	return out
+}
+
+// bothTransitionChecks runs one plan through both entry points of the one
+// section VI-C check — AnalyzeTransition (a plan overlaid on a view) and
+// audit.CheckTransition (the old and target table maps the SM's
+// OnDistribute hook hands over) — fails unless they agree on all three
+// verdicts, and returns AnalyzeTransition's. dlids must be CA-owned: the
+// auditor drops switch-owned LIDs itself, AnalyzeTransition takes what it is
+// given.
+func bothTransitionChecks(t *testing.T, topo *topology.Topology, view PlanView, plan *MigrationPlan, dlids []ib.LID) cdg.Transition {
+	t.Helper()
+	tr := AnalyzeTransition(topo, view, plan, dlids)
+
+	old, target := map[topology.NodeID]*ib.LFT{}, map[topology.NodeID]*ib.LFT{}
+	for _, sw := range topo.Switches() {
+		lft := view.ProgrammedLFT(sw)
+		if lft == nil {
+			continue
+		}
+		old[sw], target[sw] = lft, lft.Clone()
+		for l, p := range plan.Updates[sw] {
+			target[sw].Set(l, p)
+		}
+	}
+	rep := audit.New(nil, nil, audit.Config{}).CheckTransition(topo, old, target, view.NodeOfLID, dlids)
+	if cyclic := rep.ByKind[string(audit.KindTransientCDG)] == 1; cyclic == tr.UnionAcyclic {
+		t.Fatalf("auditor says union cyclic=%v, AnalyzeTransition %+v", cyclic, tr)
+	}
+	if !tr.UnionAcyclic {
+		want := fmt.Sprintf("old cyclic=%v, new cyclic=%v", !tr.OldAcyclic, !tr.NewAcyclic)
+		if !strings.Contains(rep.Violations[0].Detail, want) {
+			t.Fatalf("auditor: %s; AnalyzeTransition: %s", rep.Violations[0].Detail, want)
+		}
+	}
+	return tr
+}
+
+// TestTransitionChecksAgree holds the two wrappers of cdg.CheckTransition
+// to one verdict: on the auditor's own section VI-C fixture (the square of
+// audit.TestTransientCDGCycle: Rold routes LIDs 12 and 13 clockwise, Rnew
+// LIDs 10 and 11, each acyclic, the union a ring) recast as a plan, and on
+// 50 seeded swap and copy plans against a routed fat tree, where up/down
+// routing admits no cycle at all.
+func TestTransitionChecksAgree(t *testing.T) {
+	square := topology.New("square")
+	var sw, ca [4]topology.NodeID
+	for i := range sw {
+		sw[i] = square.AddSwitch(4, "")
+	}
+	owner := map[ib.LID]topology.NodeID{}
+	for i := range sw {
+		ca[i] = square.AddCA("")
+		owner[ib.LID(10+i)] = ca[i]
+		if err := square.Connect(sw[i], 1, sw[(i+1)%4], 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := square.Connect(ca[i], 1, sw[i], 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drop := ib.DropPort
+	view := &stubRoutes{owner: owner, routes: map[topology.NodeID]map[ib.LID]ib.PortNum{
+		sw[0]: {12: 1}, sw[1]: {12: 1, 13: 1}, sw[2]: {12: 3, 13: 1}, sw[3]: {13: 3},
+	}}
+	plan := &MigrationPlan{Kind: PlanCopy, VMLID: 1, PeerLID: 2, // no LID of the scenario moves
+		Updates: map[topology.NodeID]map[ib.LID]ib.PortNum{
+			sw[0]: {10: 3, 11: 1, 12: drop}, sw[1]: {11: 3, 12: drop, 13: drop},
+			sw[2]: {10: 1, 12: drop, 13: drop}, sw[3]: {10: 1, 11: 1, 13: drop},
+		}}
+	tr := bothTransitionChecks(t, square, view, plan, []ib.LID{10, 11, 12, 13})
+	if !tr.Deadlocks() || len(tr.Cycle) != 5 {
+		t.Fatalf("square: want the four-channel ring as a transition-only cycle, got %+v", tr)
+	}
+
+	topo, err := topology.BuildXGFT(topology.XGFTSpec{M: []int{4, 4}, W: []int{1, 4}}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hyps := topo.CAs()
+	mgr, err := sm.New(topo, hyps[0], routing.NewMinHop())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.AssignLIDs(); err != nil {
+		t.Fatal(err)
+	}
+	var vfs []ib.LID
+	for i, h := range hyps {
+		for k := 0; k < 2; k++ {
+			vfs = append(vfs, ib.LID(100+2*i+k))
+			if err := mgr.ReserveExtraLID(vfs[len(vfs)-1], h); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := mgr.ComputeRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.DistributeDiff(); err != nil {
+		t.Fatal(err)
+	}
+	dlids := caLIDs(mgr)
+	rc := NewReconfigurator(mgr)
+	rng := rand.New(rand.NewSource(3))
+	checked := 0
+	for i := 0; i < 50; i++ {
+		vm := vfs[rng.Intn(len(vfs))]
+		var plan *MigrationPlan
+		if i%2 == 0 {
+			plan, err = rc.PlanSwap(vm, vfs[rng.Intn(len(vfs))])
+		} else {
+			plan, err = rc.PlanCopy(vm, mgr.LIDOf(hyps[rng.Intn(len(hyps))]))
+		}
+		if err != nil {
+			continue // the pair named one LID twice
+		}
+		if tr := bothTransitionChecks(t, topo, mgr, plan, dlids); !tr.UnionAcyclic {
+			t.Fatalf("plan %d (%v %d->%d): fat-tree transition has a cycle: %v", i, plan.Kind, plan.VMLID, plan.PeerLID, tr.Cycle)
+		}
+		checked++
+	}
+	if checked < 45 {
+		t.Fatalf("only %d of 50 plans were checkable", checked)
 	}
 }

@@ -74,7 +74,7 @@ func Deadlock() ([]DeadlockRow, error) {
 		for _, tg := range req.Targets {
 			dlids = append(dlids, tg.LID)
 		}
-		g := cdg.BuildFromLFTs(topo, &smRoutes{mgr}, dlids)
+		g := cdg.BuildSwitchCDG(topo, cdg.Tables{Table: mgr.ProgrammedLFT, Owner: mgr.NodeOfLID}, dlids)
 
 		cfg := fabric.Config{BufferCredits: 1, NumVLs: 1, TimeoutRounds: sc.timeout}
 		if sc.useVLs {
@@ -111,14 +111,6 @@ func Deadlock() ([]DeadlockRow, error) {
 	}
 	return rows, nil
 }
-
-// smRoutes adapts the SM to cdg.LFTRoutes.
-type smRoutes struct{ mgr *sm.SubnetManager }
-
-func (r *smRoutes) SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum {
-	return r.mgr.SwitchRoute(sw, dlid)
-}
-func (r *smRoutes) NodeOf(l ib.LID) topology.NodeID { return r.mgr.NodeOfLID(l) }
 
 // RenderDeadlock formats the scenarios.
 func RenderDeadlock(rows []DeadlockRow) string {

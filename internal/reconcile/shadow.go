@@ -7,6 +7,7 @@ import (
 	"ibvsim/internal/cloud"
 	"ibvsim/internal/core"
 	"ibvsim/internal/ib"
+	"ibvsim/internal/sm"
 	"ibvsim/internal/sriov"
 	"ibvsim/internal/topology"
 )
@@ -102,27 +103,6 @@ func (s *shadow) attached(hn topology.NodeID) int {
 
 func (s *shadow) capacity(hn topology.NodeID) int { return len(s.vfs[hn]) }
 
-// countRuns replicates the distribution engine's SMP packing: ascending
-// dirty blocks, adjacent blocks share one SMP up to max per run (max < 1
-// means one block per SMP — the engine default).
-func countRuns(blocks []int, max int) int {
-	if max < 1 {
-		max = 1
-	}
-	runs, runLen, prev := 0, 0, -2
-	for _, b := range blocks {
-		if runs > 0 && b == prev+1 && runLen < max {
-			runLen++
-			prev = b
-			continue
-		}
-		runs++
-		runLen = 1
-		prev = b
-	}
-	return runs
-}
-
 // simulateWave plans every move of the wave against the shadow state,
 // merges the plans, predicts the merged distribution's cost exactly as
 // ApplyEdits+SetLFTEntries would account it, and then applies the wave's
@@ -196,7 +176,7 @@ func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (StepCost, error) 
 				blocks = append(blocks, b)
 			}
 			sort.Ints(blocks)
-			cost.LFTSMPs += countRuns(blocks, maxRun)
+			cost.LFTSMPs += sm.CoalescedSMPs(blocks, maxRun)
 			if rc.Mitigation == core.MitigationInvalidate {
 				if lft := sh.ProgrammedLFT(sw); lft != nil && lft.Get(merged.VMLID) != ib.DropPort {
 					cost.InvalidationSMPs++

@@ -2,8 +2,10 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/topology"
 )
@@ -174,7 +176,7 @@ func (e *DFSSSP) Compute(req *Request) (*Result, error) {
 		clock.lap("fold")
 	}
 
-	destVL, vls, err := e.assignVLs(req, fv, lfts, maxVLs, pool)
+	destVL, vls, err := e.assignVLs(req, lfts, maxVLs, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -188,148 +190,38 @@ func (e *DFSSSP) Compute(req *Request) (*Result, error) {
 	}, nil
 }
 
-// flatDep is one switch-to-switch channel dependency of a destination tree,
-// with both channels encoded as dense integers: dense switch index times the
-// port stride plus the egress port. The encoding is what keeps the serial
-// layering loop free of hash maps — the general cdg.Graph pays three map
-// operations per AddDep, which used to be the engine's dominant serial cost
-// once the SSSPs were fanned out.
-type flatDep struct {
-	a, b int32
-}
-
-// layerGraph is a flat multigraph over dense channel ids, rebuilt per
-// ejection round with a counting sort. Rebuilding is cheaper than
-// incremental removal here: the channel universe is tiny (switches times
-// ports) and the member dependency lists are already extracted.
-type layerGraph struct {
-	outDeg []int32
-	start  []int32 // CSR offsets, len(outDeg)+1
-	cursor []int32
-	edgeTo []int32
-	color  []uint8
-	parent []int32
-}
-
-func newLayerGraph(nchan int) *layerGraph {
-	return &layerGraph{
-		outDeg: make([]int32, nchan),
-		start:  make([]int32, nchan+1),
-		cursor: make([]int32, nchan),
-		color:  make([]uint8, nchan),
-		parent: make([]int32, nchan),
-	}
-}
-
-// build populates the CSR adjacency from the dependency lists of the given
-// member trees, in member order (deterministic for any worker count).
-func (g *layerGraph) build(deps [][]flatDep, members []int) {
-	for i := range g.outDeg {
-		g.outDeg[i] = 0
-	}
-	total := 0
-	for _, ti := range members {
-		for _, d := range deps[ti] {
-			g.outDeg[d.a]++
-			total++
-		}
-	}
-	g.start[0] = 0
-	for i, d := range g.outDeg {
-		g.start[i+1] = g.start[i] + d
-	}
-	if cap(g.edgeTo) < total {
-		g.edgeTo = make([]int32, total)
-	}
-	g.edgeTo = g.edgeTo[:total]
-	copy(g.cursor, g.start[:len(g.cursor)])
-	for _, ti := range members {
-		for _, d := range deps[ti] {
-			g.edgeTo[g.cursor[d.a]] = d.b
-			g.cursor[d.a]++
-		}
-	}
-}
-
-// findCycle returns one directed cycle as a channel-id sequence (edges run
-// between consecutive elements and from the last back to the first), or nil
-// when the graph is acyclic. Iterative white/grey/black DFS, channels
-// visited in ascending id order — deterministic for any worker count.
-func (g *layerGraph) findCycle() []int32 {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	for i := range g.color {
-		g.color[i] = white
-		g.parent[i] = -1
-	}
-	type frame struct {
-		node int32
-		next int32
-	}
-	var stack []frame
-	for start := range g.color {
-		if g.color[start] != white {
-			continue
-		}
-		stack = append(stack[:0], frame{node: int32(start)})
-		g.color[start] = grey
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < g.outDeg[f.node] {
-				to := g.edgeTo[g.start[f.node]+f.next]
-				f.next++
-				switch g.color[to] {
-				case white:
-					g.color[to] = grey
-					g.parent[to] = f.node
-					stack = append(stack, frame{node: to})
-				case grey:
-					// The cycle runs to -> ... -> f.node -> to: collect the
-					// parent chain and reverse it into forward order.
-					cyc := []int32{}
-					for x := f.node; x != to; x = g.parent[x] {
-						cyc = append(cyc, x)
-					}
-					cyc = append(cyc, to)
-					for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-						cyc[i], cyc[j] = cyc[j], cyc[i]
-					}
-					return cyc
-				}
-			} else {
-				g.color[f.node] = black
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return nil
-}
-
 // assignVLs moves whole destination trees between virtual-lane layers until
 // every layer's switch-to-switch channel dependency graph is acyclic,
 // mirroring the iterative cycle-ejection of the reference DFSSSP. Each
-// tree's dependency list is extracted once (in parallel — it only reads the
-// finished LFTs); each layer's graph is then rebuilt per ejection round by
-// counting sort over the surviving members, which involves no hashing and
-// runs in linear time in the layer's dependency count.
-func (e *DFSSSP) assignVLs(req *Request, fv *fabricView, lfts map[topology.NodeID]*ib.LFT, maxVLs int, pool *workerPool[*dijkstraState]) (map[ib.LID]uint8, int, error) {
-	stride := 0
-	for _, id := range fv.switches {
-		if n := len(fv.topo.Node(id).Ports); n > stride {
-			stride = n
-		}
+// tree's dependency list is extracted once (in parallel — cdg.Walk only
+// reads the finished LFTs) as dense channel-id pairs; each layer's graph is
+// then rebuilt per ejection round from the surviving members' lists, in
+// member order, into one reused cdg.Graph — no hashing, no allocation once
+// warm. Rebuilding beats incremental removal here: which cycle FindCycle
+// reports depends on insertion order, and a rebuild keeps that order a
+// function of the surviving members alone.
+func (e *DFSSSP) assignVLs(req *Request, lfts map[topology.NodeID]*ib.LFT, maxVLs int, pool *workerPool[*dijkstraState]) (map[ib.LID]uint8, int, error) {
+	ix := cdg.NewIndex(req.Topo)
+	nodeOf := make(map[ib.LID]topology.NodeID, len(req.Targets))
+	for _, t := range req.Targets {
+		nodeOf[t.LID] = t.Node
 	}
-	deps := make([][]flatDep, len(req.Targets))
+	walk := cdg.NewWalk(ix, cdg.Tables{
+		Table: func(sw topology.NodeID) *ib.LFT { return lfts[sw] },
+		Owner: func(l ib.LID) topology.NodeID { return nodeOf[l] },
+	})
+	// A tree has at most one dependency per switch: carve every list out
+	// of one slab.
+	nsw := req.Topo.NumSwitches()
+	slab := make([]cdg.Dep, len(req.Targets)*nsw)
+	deps := make([][]cdg.Dep, len(req.Targets))
 	pool.run(len(req.Targets), func(ti int, _ *dijkstraState) {
-		deps[ti] = destTreeDeps(fv, lfts, req.Targets[ti].LID, stride)
+		deps[ti] = walk.Deps(slab[ti*nsw:ti*nsw:(ti+1)*nsw], req.Targets[ti].LID)
 	})
 
 	layerOf := make([]uint8, len(req.Targets))
 	vls := 1
-	g := newLayerGraph(len(fv.switches) * stride)
+	g := cdg.NewGraph(ix)
 
 	cur := make([]int, len(req.Targets))
 	for i := range cur {
@@ -344,8 +236,11 @@ func (e *DFSSSP) assignVLs(req *Request, fv *fabricView, lfts map[topology.NodeI
 			if iter > len(req.Targets) {
 				return nil, 0, fmt.Errorf("routing: dfsssp VL assignment did not converge on layer %d", layer)
 			}
-			g.build(deps, cur)
-			cyc := g.findCycle()
+			g.Reset()
+			for _, ti := range cur {
+				g.AddDeps(deps[ti])
+			}
+			cyc := g.FindCycle()
 			if cyc == nil {
 				break
 			}
@@ -357,11 +252,15 @@ func (e *DFSSSP) assignVLs(req *Request, fv *fabricView, lfts map[topology.NodeI
 			// choice — ejecting by an arbitrary edge can move most of the
 			// layer at once and cascades into VL exhaustion at scale).
 			// First minimal edge wins ties, keeping the choice deterministic.
-			counts := make([]int, len(cyc))
+			edges := make([]cdg.Dep, len(cyc)-1) // cyc repeats its first channel at the end
+			for ei := range edges {
+				edges[ei] = cdg.Dep{A: ix.ID(cyc[ei]), B: ix.ID(cyc[ei+1])}
+			}
+			counts := make([]int, len(edges))
 			for _, ti := range cur {
 				for _, d := range deps[ti] {
-					for ei := range cyc {
-						if d.a == cyc[ei] && d.b == cyc[(ei+1)%len(cyc)] {
+					for ei, ce := range edges {
+						if d == ce {
 							counts[ei]++
 						}
 					}
@@ -373,11 +272,10 @@ func (e *DFSSSP) assignVLs(req *Request, fv *fabricView, lfts map[topology.NodeI
 					best = ei
 				}
 			}
-			a, b := cyc[best], cyc[(best+1)%len(cyc)]
 			moved := 0
 			keep := cur[:0]
 			for _, ti := range cur {
-				if usesDep(deps[ti], a, b) {
+				if slices.Contains(deps[ti], edges[best]) {
 					layerOf[ti] = uint8(layer + 1)
 					nxt = append(nxt, ti)
 					moved++
@@ -400,42 +298,4 @@ func (e *DFSSSP) assignVLs(req *Request, fv *fabricView, lfts map[topology.NodeI
 		destVL[t.LID] = layerOf[ti]
 	}
 	return destVL, vls, nil
-}
-
-// destTreeDeps extracts the switch-to-switch dependencies of one
-// destination's forwarding tree as dense channel-id pairs. Injection (CA)
-// channels cannot take part in cycles and are skipped on the a-side; the
-// b-side may be a delivery channel, which is a terminal graph node.
-func destTreeDeps(fv *fabricView, lfts map[topology.NodeID]*ib.LFT, dlid ib.LID, stride int) []flatDep {
-	var out []flatDep
-	for i, id := range fv.switches {
-		op := lfts[id].Get(dlid)
-		if op == ib.DropPort || op == 0 {
-			continue
-		}
-		k := fv.portSlot[i][op]
-		if k < 0 {
-			continue // next hop is a CA, not a switch-switch dependency
-		}
-		next := fv.adj[i][k].peer
-		nout := lfts[fv.switches[next]].Get(dlid)
-		if nout == ib.DropPort || nout == 0 {
-			continue
-		}
-		out = append(out, flatDep{
-			a: int32(i*stride) + int32(op),
-			b: int32(next*stride) + int32(nout),
-		})
-	}
-	return out
-}
-
-// usesDep reports whether the tree's dependency list contains a -> b.
-func usesDep(deps []flatDep, a, b int32) bool {
-	for _, d := range deps {
-		if d.a == a && d.b == b {
-			return true
-		}
-	}
-	return false
 }

@@ -129,8 +129,9 @@ func (e *LASH) Compute(req *Request) (*Result, error) {
 		}
 	}
 
+	ix := cdg.NewIndex(req.Topo)
 	layers := make([]*cdg.Ordered, 1, maxVLs)
-	layers[0] = cdg.NewOrdered()
+	layers[0] = cdg.NewOrdered(ix)
 	pairVL := map[[2]topology.NodeID]uint8{}
 
 	// Pair paths are reconstructed in parallel windows ahead of the serial
@@ -176,7 +177,7 @@ func (e *LASH) Compute(req *Request) (*Result, error) {
 				return nil, err
 			}
 			if vl == len(layers) {
-				layers = append(layers, cdg.NewOrdered())
+				layers = append(layers, cdg.NewOrdered(ix))
 				if vl2, err := placePath(layers, path, maxVLs); err != nil || vl2 != vl {
 					return nil, fmt.Errorf("routing: lash: fresh layer rejected a path (%v)", err)
 				}

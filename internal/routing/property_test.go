@@ -35,7 +35,7 @@ func TestAgnosticEnginesOnRandomFabricsProperty(t *testing.T) {
 				for _, tg := range req.Targets {
 					dlids = append(dlids, tg.LID)
 				}
-				g := cdg.BuildFromLFTs(topo, newLFTRoutes(req, res), dlids)
+				g := cdg.BuildSwitchCDG(topo, newLFTRoutes(req, res), dlids)
 				if cyc := g.FindCycle(); cyc != nil {
 					t.Fatalf("seed %d: updn CDG cyclic: %v", seed, cyc)
 				}
@@ -46,7 +46,7 @@ func TestAgnosticEnginesOnRandomFabricsProperty(t *testing.T) {
 					byVL[res.DestVL[tg.LID]] = append(byVL[res.DestVL[tg.LID]], tg.LID)
 				}
 				for vl, dlids := range byVL {
-					g := cdg.BuildFromLFTs(topo, newLFTRoutes(req, res), dlids)
+					g := cdg.BuildSwitchCDG(topo, newLFTRoutes(req, res), dlids)
 					if cyc := g.FindCycle(); cyc != nil {
 						t.Fatalf("seed %d: dfsssp VL %d cyclic: %v", seed, vl, cyc)
 					}

@@ -26,33 +26,21 @@ func reqFor(t *testing.T, topo *topology.Topology) *Request {
 	return req
 }
 
-// lftRoutes adapts a Result to cdg.LFTRoutes for deadlock analysis.
-type lftRoutes struct {
-	res  *Result
-	node map[ib.LID]topology.NodeID
-}
-
-func newLFTRoutes(req *Request, res *Result) *lftRoutes {
+// newLFTRoutes presents a Result as cdg.Routes for deadlock analysis.
+func newLFTRoutes(req *Request, res *Result) cdg.Routes {
 	m := map[ib.LID]topology.NodeID{}
 	for _, t := range req.Targets {
 		m[t.LID] = t.Node
 	}
-	return &lftRoutes{res: res, node: m}
-}
-
-func (r *lftRoutes) SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum {
-	lft := r.res.LFTs[sw]
-	if lft == nil {
-		return ib.DropPort
+	return cdg.Tables{
+		Table: func(sw topology.NodeID) *ib.LFT { return res.LFTs[sw] },
+		Owner: func(l ib.LID) topology.NodeID {
+			if n, ok := m[l]; ok {
+				return n
+			}
+			return topology.NoNode
+		},
 	}
-	return lft.Get(dlid)
-}
-
-func (r *lftRoutes) NodeOf(l ib.LID) topology.NodeID {
-	if n, ok := r.node[l]; ok {
-		return n
-	}
-	return topology.NoNode
 }
 
 func engines() []Engine {
@@ -292,7 +280,7 @@ func TestMinHopRingCDGHasCycle(t *testing.T) {
 	for _, tg := range req.Targets {
 		dlids = append(dlids, tg.LID)
 	}
-	g := cdg.BuildFromLFTs(topo, newLFTRoutes(req, res), dlids)
+	g := cdg.BuildSwitchCDG(topo, newLFTRoutes(req, res), dlids)
 	if !g.HasCycle() {
 		t.Error("min-hop on a 6-ring should have a cyclic CDG")
 	}
@@ -320,7 +308,7 @@ func TestUpDownCDGAcyclic(t *testing.T) {
 		for _, tg := range req.Targets {
 			dlids = append(dlids, tg.LID)
 		}
-		g := cdg.BuildFromLFTs(topo, newLFTRoutes(req, res), dlids)
+		g := cdg.BuildSwitchCDG(topo, newLFTRoutes(req, res), dlids)
 		if cyc := g.FindCycle(); cyc != nil {
 			t.Errorf("up*/down* CDG on %s has a cycle: %v", topo.Name, cyc)
 		}
@@ -347,7 +335,7 @@ func TestDFSSSPLayersAcyclic(t *testing.T) {
 		byVL[res.DestVL[tg.LID]] = append(byVL[res.DestVL[tg.LID]], tg.LID)
 	}
 	for vl, dlids := range byVL {
-		g := cdg.BuildFromLFTs(topo, routes, dlids)
+		g := cdg.BuildSwitchCDG(topo, routes, dlids)
 		if cyc := g.FindCycle(); cyc != nil {
 			t.Errorf("dfsssp VL %d has a cycle: %v", vl, cyc)
 		}

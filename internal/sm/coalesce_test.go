@@ -27,7 +27,7 @@ func TestPlanRuns(t *testing.T) {
 	}
 	for _, c := range cases {
 		got := planRuns(c.blocks, c.max)
-		if len(got) != len(c.want) {
+		if len(got) != len(c.want) || CoalescedSMPs(c.blocks, c.max) != len(c.want) {
 			t.Fatalf("planRuns(%v, %d) = %v, want %v", c.blocks, c.max, got, c.want)
 		}
 		for i := range got {
@@ -128,10 +128,10 @@ func TestSetLFTEntriesCoalescing(t *testing.T) {
 	}
 }
 
-// TestProgrammedBufferSwap checks the double-buffer contract at the SM
-// level: the programmed table object observed before a distribution is
-// untouched by it (readers holding the old active keep a complete table),
-// and the new active is published as a different object.
+// TestProgrammedBufferSwap checks the publish-by-pointer-swap contract at
+// the SM level: the programmed table object observed before a distribution
+// is untouched by it (readers holding the old active keep a complete
+// table), and the new active is published as a different object.
 func TestProgrammedBufferSwap(t *testing.T) {
 	topo := smallFT(t)
 	s := newSM(t, topo, routing.NewMinHop())
@@ -158,7 +158,7 @@ func TestProgrammedBufferSwap(t *testing.T) {
 	}
 
 	if !before.Equal(snapshot) {
-		t.Fatal("old active table mutated in place; double buffering must swap, not patch")
+		t.Fatal("old active table mutated in place; a commit must swap, not patch")
 	}
 	after := s.ProgrammedLFT(sw)
 	if after == before {

@@ -173,6 +173,12 @@ func planRuns(blocks []int, max int) []blockRun {
 	return runs
 }
 
+// CoalescedSMPs returns how many SMPs the distribution engine sends for an
+// ascending dirty-block list under MaxBlocksPerSMP = max: the one packing
+// rule, exported so a dry run (the reconciler's shadow coster) predicts
+// applied SMP counts with the planner that will produce them.
+func CoalescedSMPs(blocks []int, max int) int { return len(planRuns(blocks, max)) }
+
 // distJob is one switch's share of a distribution: the block runs to push
 // (one SMP each) and the target table they come from.
 type distJob struct {

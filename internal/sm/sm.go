@@ -14,6 +14,7 @@ package sm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ibvsim/internal/ib"
@@ -81,12 +82,12 @@ type SubnetManager struct {
 	lftMu [lftStripes]sync.Mutex
 
 	target map[topology.NodeID]*ib.LFT
-	// programmed double-buffers the per-switch view of what the physical
-	// switch holds: readers (the SMP router, the auditor, the API snapshot
-	// layer) always see a complete table through the buffer's atomic active
-	// pointer, and a distribution publishes its outcome with one pointer
-	// swap per switch — never an in-place, half-merged mutation.
-	programmed map[topology.NodeID]*ib.LFTBuffer
+	// programmed is the per-switch view of what the physical switch holds,
+	// one atomic pointer each: readers (the SMP router, the auditor, the API
+	// snapshot layer) always see a complete, immutable-by-convention table,
+	// and a distribution publishes its outcome with one pointer swap per
+	// switch — never an in-place, half-merged mutation.
+	programmed map[topology.NodeID]*atomic.Pointer[ib.LFT]
 	reachable  map[topology.NodeID]bool
 	portState  map[topology.NodeID][]bool // Up per port, as of the last (light) sweep
 
@@ -133,7 +134,7 @@ func New(topo *topology.Topology, smNode topology.NodeID, engine routing.Engine)
 		extra:      map[ib.LID]topology.NodeID{},
 		dirPath:    map[topology.NodeID][]ib.PortNum{},
 		target:     map[topology.NodeID]*ib.LFT{},
-		programmed: map[topology.NodeID]*ib.LFTBuffer{},
+		programmed: map[topology.NodeID]*atomic.Pointer[ib.LFT]{},
 		reachable:  map[topology.NodeID]bool{},
 		portState:  map[topology.NodeID][]bool{},
 		tel:        hub,
@@ -597,26 +598,26 @@ func (s *SubnetManager) SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum 
 }
 
 // ProgrammedLFT returns the LFT the SM believes the switch holds (nil
-// before first distribution): the active side of the switch's double
-// buffer, published atomically by the last distribution commit.
+// before first distribution), as published atomically by the last
+// distribution commit.
 func (s *SubnetManager) ProgrammedLFT(sw topology.NodeID) *ib.LFT { return s.programmedActive(sw) }
 
-// programmedActive reads one switch's active programmed table (nil when the
-// switch was never programmed).
+// programmedActive reads one switch's programmed table (nil when the switch
+// was never programmed).
 func (s *SubnetManager) programmedActive(sw topology.NodeID) *ib.LFT {
-	if buf := s.programmed[sw]; buf != nil {
-		return buf.Active()
+	if p := s.programmed[sw]; p != nil {
+		return p.Load()
 	}
 	return nil
 }
 
-// programmedView materialises the active side of every switch's buffer into
-// a plain table map — the read-only shape the OnDistribute transient-CDG
-// hook and the handover reconciliation consume.
+// programmedView materialises every switch's programmed table into a plain
+// table map — the read-only shape the OnDistribute transient-CDG hook and
+// the handover reconciliation consume.
 func (s *SubnetManager) programmedView() map[topology.NodeID]*ib.LFT {
 	out := make(map[topology.NodeID]*ib.LFT, len(s.programmed))
-	for sw, buf := range s.programmed {
-		if lft := buf.Active(); lft != nil {
+	for sw, p := range s.programmed {
+		if lft := p.Load(); lft != nil {
 			out[sw] = lft
 		}
 	}
@@ -629,15 +630,14 @@ func (s *SubnetManager) lftLock(sw topology.NodeID) *sync.Mutex {
 }
 
 // commitProgrammed publishes t as the switch's programmed table with one
-// atomic swap (creating the buffer on first programming).
+// atomic swap (creating the slot on first programming).
 func (s *SubnetManager) commitProgrammed(sw topology.NodeID, t *ib.LFT) {
-	buf := s.programmed[sw]
-	if buf == nil {
-		buf = ib.NewLFTBuffer(nil)
-		s.programmed[sw] = buf
+	p := s.programmed[sw]
+	if p == nil {
+		p = new(atomic.Pointer[ib.LFT])
+		s.programmed[sw] = p
 	}
-	buf.Stage(t)
-	buf.Commit()
+	p.Store(t)
 }
 
 // TargetLFT returns the routing engine's most recent table for a switch.
