@@ -10,9 +10,9 @@
 // 429 with a Retry-After header rather than an unbounded goroutine pile-up.
 //
 // Reads never touch the cloud. After every mutation the loop publishes an
-// immutable Snapshot (copy-on-write: LFT clones are reused across
-// generations while their revision counters stand still), and the read
-// endpoints — topology, VM listings, path walks — serve from whatever
+// immutable Snapshot (it captures the SM's published forwarding tables by
+// pointer, so generations share every table no mutation touched), and the
+// read endpoints — topology, VM listings, path walks — serve from whatever
 // snapshot is current. Telemetry endpoints (/metrics, /v1/trace,
 // /v1/events) read the registry and tracer directly; both are safe for
 // concurrent use.
@@ -21,6 +21,9 @@
 // switches updated, m' SMPs per switch (section VI), host SMPs, and the
 // modelled reconfiguration time, cross-referenced to the telemetry span
 // tree by root span ID so a client can audit the report against /v1/trace.
+// Every finished command — in this mode or the sharded one (sharded.go) —
+// reaches its client through one epilogue (finish): publish, flight record,
+// log, audit what the command says it touched.
 package api
 
 import (
@@ -66,9 +69,8 @@ type Config struct {
 	Logger *slog.Logger
 	// Shards selects the sharded control plane: 0 or 1 runs the classic
 	// single-actor loop (one shard IS one actor owning the whole fabric —
-	// a 1-zone coordinator would add dispatch overhead and change the
-	// per-mutation audit scope without buying any isolation, so sharding
-	// begins at 2), ShardsAuto partitions one shard per pod (or leaf
+	// a 1-zone coordinator would add dispatch overhead without buying any
+	// isolation, so sharding begins at 2), ShardsAuto partitions one shard per pod (or leaf
 	// group on 2-level fabrics), any positive count folds the pods into
 	// that many zones. See internal/shard.
 	Shards int
@@ -118,9 +120,9 @@ type Server struct {
 	// request goroutines, and s.snap caches the lazily composed snapshot.
 	co *shard.Coordinator
 
-	// Loop-owned state (never touched by handlers).
-	gen     uint64
-	lftRevs map[topology.NodeID]lftIdentity
+	// gen is the single-actor generation counter, loop-owned (never touched
+	// by handlers).
+	gen uint64
 
 	// execGate is a test seam: when non-nil the loop rendezvouses twice
 	// around every command (announce, then wait for release), letting tests
@@ -154,7 +156,6 @@ func NewServer(c *cloud.Cloud, cfg Config) *Server {
 		cmds:       make(chan *command, cfg.QueueDepth),
 		retryAfter: cfg.RetryAfter,
 		loopDone:   make(chan struct{}),
-		lftRevs:    map[topology.NodeID]lftIdentity{},
 		log:        cfg.Logger,
 	}
 	s.rec = audit.NewRecorder(hub.Tracer(), cfg.FlightDir, cfg.FlightEntries)
@@ -169,7 +170,7 @@ func NewServer(c *cloud.Cloud, cfg Config) *Server {
 		close(s.loopDone) // no loop in sharded mode
 		s.compose()
 	} else {
-		s.snap.Store(s.buildSnapshot(nil))
+		s.publish()
 		go s.loop()
 	}
 	if cfg.AuditInterval > 0 {
@@ -398,25 +399,15 @@ func (s *Server) handleCreateVM(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing VM name")
 		return
 	}
-	if s.co != nil {
-		s.shardCreate(w, r, req)
-		return
-	}
-	cmd := &command{kind: opCreateVM, name: req.Name}
+	cmd := &command{kind: opCreateVM, name: req.Name, hyp: topology.NoNode}
 	if req.Hypervisor != nil {
 		cmd.hyp = *req.Hypervisor
-	} else {
-		cmd.hyp = topology.NoNode
 	}
-	s.enqueue(w, r, cmd)
+	s.dispatch(w, r, cmd)
 }
 
 func (s *Server) handleDestroyVM(w http.ResponseWriter, r *http.Request) {
-	if s.co != nil {
-		s.shardDestroy(w, r, r.PathValue("name"))
-		return
-	}
-	s.enqueue(w, r, &command{kind: opDestroyVM, name: r.PathValue("name")})
+	s.dispatch(w, r, &command{kind: opDestroyVM, name: r.PathValue("name")})
 }
 
 // MigrateVMRequest is the body of POST /v1/vms/{name}/migrate.
@@ -430,30 +421,29 @@ func (s *Server) handleMigrateVM(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if s.co != nil {
-		s.shardMigrate(w, r, r.PathValue("name"), req.Destination)
-		return
-	}
-	s.enqueue(w, r, &command{kind: opMigrateVM, name: r.PathValue("name"), hyp: req.Destination})
+	s.dispatch(w, r, &command{kind: opMigrateVM, name: r.PathValue("name"), hyp: req.Destination})
 }
 
 func (s *Server) handleReconfigure(w http.ResponseWriter, r *http.Request) {
+	s.dispatch(w, r, &command{kind: opReconfigure})
+}
+
+// dispatch hands a command to whichever control plane is running and writes
+// its reply.
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, cmd *command) {
+	cmd.reqID = requestID(r)
 	if s.co != nil {
-		// Full rerouting needs the whole fabric quiesced: freeze every
-		// shard, reroute, resync (a reroute does not move VMs, but the
-		// composed snapshot must pick up the new tables via a fresh gen).
-		s.runFrozen(w, &command{kind: opReconfigure, reqID: requestID(r)}, true)
+		s.dispatchSharded(w, cmd)
 		return
 	}
-	s.enqueue(w, r, &command{kind: opReconfigure})
+	s.enqueue(w, cmd)
 }
 
 // enqueue admits a command to the loop (or rejects with backpressure) and
 // relays the loop's reply. The reply channel is buffered so the loop never
 // blocks on a handler, even one whose client has disconnected.
-func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, cmd *command) {
-	cmd.reqID = requestID(r)
-	cmd.reply = make(chan cmdReply, 1)
+func (s *Server) enqueue(w http.ResponseWriter, cmd *command) {
+	cmd.reply = make(chan done, 1)
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"ibvsim/internal/cloud"
+	"ibvsim/internal/shard"
 	"ibvsim/internal/sriov"
 	"ibvsim/internal/topology"
 )
@@ -180,6 +182,42 @@ func TestLifecycleAndErrors(t *testing.T) {
 	}
 	if st := doJSON(t, cl, "GET", ts.URL+"/v1/trace", nil, &struct{}{}); st != http.StatusOK {
 		t.Fatalf("trace: status %d", st)
+	}
+}
+
+// TestClassifyErrTyped pins the status of every error class the cloud
+// exports, however deeply it is wrapped, on both paths a failure takes to a
+// client: the reply a command renders (the single-actor loop and the sharded
+// dispatcher share lifecycle) and the flight-recorder entry the shard hook
+// writes. An unclassified error is a 500 on both.
+func TestClassifyErrTyped(t *testing.T) {
+	srv, _ := newShardedServer(t, Config{Shards: 2})
+	for _, tc := range []struct {
+		class error
+		want  int
+	}{
+		{cloud.ErrExists, http.StatusConflict},
+		{cloud.ErrSameNode, http.StatusConflict},
+		{cloud.ErrBusy, http.StatusConflict},
+		{cloud.ErrNoFreeVF, http.StatusConflict},
+		{cloud.ErrNoVM, http.StatusNotFound},
+		{cloud.ErrNotHypervisor, http.StatusBadRequest},
+		{errors.New("sm: switch not yet programmed"), http.StatusInternalServerError},
+	} {
+		once := fmt.Errorf("cloud: node 7 %w", tc.class)
+		twice := &cloud.BatchError{Err: fmt.Errorf("reconcile: wave 2: %w", once)}
+		for _, err := range []error{tc.class, once, twice} {
+			d := done{op: opMigrateVM}
+			srv.lifecycle(&d, shard.Result{}, err)
+			if d.status != tc.want || d.body.(map[string]string)["error"] != err.Error() {
+				t.Errorf("reply for %q: status %d body %v, want %d", err, d.status, d.body, tc.want)
+			}
+			srv.shardDone(shard.Mutation{Op: "migrate_vm", Name: "vm", Gen: 1, Err: err})
+			entries := srv.rec.Entries()
+			if last := entries[len(entries)-1]; last.Kind != "mutation" || last.Status != tc.want {
+				t.Errorf("flight entry for %q: %+v, want status %d", err, last, tc.want)
+			}
+		}
 	}
 }
 
@@ -455,8 +493,9 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestSnapshotCOW pins the copy-on-write contract: a migration re-clones
-// only the LFTs it touched, published snapshots are immutable, and the
+// TestSnapshotCOW pins the copy-on-write contract: snapshots capture the
+// SM's published tables, so across a migration only the switches it touched
+// hold a different table, published snapshots are immutable, and the
 // generation advances.
 func TestSnapshotCOW(t *testing.T) {
 	srv, ts := newTestServer(t, 8, 2, 2, sriov.VSwitchDynamic, Config{})
@@ -478,22 +517,22 @@ func TestSnapshotCOW(t *testing.T) {
 	if after.Gen <= before.Gen {
 		t.Fatalf("generation did not advance: %d -> %d", before.Gen, after.Gen)
 	}
-	recloned, shared := 0, 0
+	replaced, shared := 0, 0
 	for sw, lft := range after.lfts {
 		if before.lfts[sw] == lft {
 			shared++
 		} else {
-			recloned++
+			replaced++
 		}
 	}
-	if recloned == 0 {
-		t.Fatal("migration re-cloned no LFTs")
+	if replaced == 0 {
+		t.Fatal("migration replaced no LFTs")
 	}
-	if recloned > mig.Cost.SwitchesUpdated {
-		t.Fatalf("re-cloned %d LFTs, but migration touched only %d switches", recloned, mig.Cost.SwitchesUpdated)
+	if replaced > mig.Cost.SwitchesUpdated {
+		t.Fatalf("%d LFTs differ, but migration touched only %d switches", replaced, mig.Cost.SwitchesUpdated)
 	}
 	if shared == 0 {
-		t.Fatal("no LFT clones were shared across generations (COW not working)")
+		t.Fatal("no LFTs were shared across generations (COW not working)")
 	}
 	// The pre-migration snapshot still resolves the old placement.
 	for _, vm := range before.VMs {

@@ -10,8 +10,9 @@ import (
 )
 
 // AuditView adapts the snapshot for the auditor. Everything handed over is
-// immutable (the snapshot's own maps and LFT clones are never written after
-// publication), so views may be audited concurrently with mutations.
+// immutable (the snapshot's own maps and the published tables are never
+// written after publication), so views may be audited concurrently with
+// mutations.
 func (sn *Snapshot) AuditView() *audit.View {
 	lids := make([]ib.LID, 0, len(sn.nodeOfLID))
 	for l := range sn.nodeOfLID {
@@ -35,24 +36,18 @@ func (sn *Snapshot) AuditView() *audit.View {
 // Auditor exposes the server's auditor (for tests and embedding daemons).
 func (s *Server) Auditor() *audit.Auditor { return s.aud }
 
-// auditOpScoped runs the op-scoped reachability audit shared by both
-// control planes: prove the LID columns a mutation touched still route to
-// their owners from the SM's leaf, and that the new binding (if any)
-// agrees with the address map. O(touched LIDs x path length), not
-// O(fabric) — the per-mutation audit discipline that lets the control
-// plane scale (DESIGN.md section 14). The classic single-actor loop
-// adopted it from the sharded mode, so the two architectures differ only
-// in snapshot-publish and queue structure, not in audit cost; fabric-wide
-// invariant passes remain on the audit cadence, the reconciler's waves and
-// GET /v1/audit?run=full.
-func (s *Server) auditOpScoped(gen uint64, lids []ib.LID, vms []audit.VMBinding) {
-	if len(lids) == 0 {
-		return
-	}
+// opScopedView is the view the op-scoped reachability audit runs on: prove
+// the LID columns a mutation touched still route to their owners from the
+// SM's leaf, and that the new bindings (if any) agree with the address map.
+// O(touched LIDs x path length), not O(fabric) — the per-mutation audit
+// discipline that lets the control plane scale (DESIGN.md section 10). It
+// reads the SM's published tables and address map directly, so it is valid
+// on the goroutine that just finished the mutation and nowhere else.
+func (s *Server) opScopedView(gen uint64, lids []ib.LID, vms []audit.VMBinding) *audit.View {
 	if smLID := s.c.SM.LIDOf(s.c.SM.SMNode); smLID != ib.LIDUnassigned {
 		lids = append(append(make([]ib.LID, 0, len(lids)+1), lids...), smLID)
 	}
-	v := &audit.View{
+	return &audit.View{
 		Topo:       s.c.SM.Topo,
 		Gen:        gen,
 		LFTOf:      s.c.SM.ProgrammedLFT,
@@ -60,32 +55,29 @@ func (s *Server) auditOpScoped(gen uint64, lids []ib.LID, vms []audit.VMBinding)
 		ActiveLIDs: lids,
 		VMs:        vms,
 	}
-	if rep := s.aud.Run(v, audit.ScopeReach); rep.Total > 0 {
-		s.log.Warn("audit violations after mutation",
-			"generation", rep.Gen, "violations", rep.Total, "by_kind", rep.ByKind)
-	}
 }
 
-// auditAfterMutation runs the fast invariant families against the snapshot
-// the loop just published. It runs on the actor goroutine — before the
-// client gets its reply — so a response to a corrupting mutation is always
-// preceded by the violation being counted and flight-recorded. Fabric-wide
-// commands (reconfigure, reconcile) and the reconciler's waves use it; VM
-// lifecycle mutations audit op-scoped instead (auditOpScoped). It returns
-// the violation count so multi-step operations (the reconciler's waves) can
-// gate each step on a clean fabric.
-func (s *Server) auditAfterMutation(sn *Snapshot) int {
-	rep := s.aud.Run(sn.AuditView(), audit.ScopeFast)
-	if rep.Total > 0 {
-		s.log.Warn("audit violations after mutation",
-			"generation", rep.Gen, "violations", rep.Total, "by_kind", rep.ByKind)
+// fullAudit runs one full-scope pass (reachability + hygiene +
+// installed-routing CDG) over a consistent fabric-wide view: whatever
+// snapshot is current in single-actor mode; in sharded mode one only exists
+// with the shards quiesced, so freeze, compose, audit.
+func (s *Server) fullAudit() {
+	run := func() {
+		rep := s.aud.Run(s.snapshot().AuditView(), audit.ScopeFull)
+		if rep.Total > 0 {
+			s.log.Warn("full audit violations",
+				"generation", rep.Gen, "violations", rep.Total, "by_kind", rep.ByKind)
+		}
 	}
-	return rep.Total
+	if s.co != nil {
+		s.co.Freeze(run) //nolint:errcheck // freeze fails only at shutdown
+		return
+	}
+	run()
 }
 
-// auditLoop is the cadence goroutine: a full-scope audit (reachability +
-// hygiene + installed-routing CDG) of whatever snapshot is current, every
-// interval, until Shutdown.
+// auditLoop is the cadence goroutine: one fullAudit every interval, until
+// Shutdown.
 func (s *Server) auditLoop(interval time.Duration) {
 	defer close(s.auditDone)
 	tick := time.NewTicker(interval)
@@ -95,17 +87,7 @@ func (s *Server) auditLoop(interval time.Duration) {
 		case <-s.auditStop:
 			return
 		case <-tick.C:
-			if s.co != nil {
-				// Sharded: a consistent fabric-wide view only exists with
-				// the shards quiesced; freeze, compose, audit.
-				s.frozenFullAudit()
-				continue
-			}
-			rep := s.aud.Run(s.snap.Load().AuditView(), audit.ScopeFull)
-			if rep.Total > 0 {
-				s.log.Warn("cadence audit violations",
-					"generation", rep.Gen, "violations", rep.Total, "by_kind", rep.ByKind)
-			}
+			s.fullAudit()
 		}
 	}
 }
@@ -116,11 +98,7 @@ func (s *Server) auditLoop(interval time.Duration) {
 // smoke test calls after its load run.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("run") == "full" {
-		if s.co != nil {
-			s.frozenFullAudit()
-		} else {
-			s.aud.Run(s.snap.Load().AuditView(), audit.ScopeFull)
-		}
+		s.fullAudit()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"runs":             s.aud.Runs(),

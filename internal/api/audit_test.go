@@ -183,6 +183,47 @@ func TestAuditCatchesInjectedCorruption(t *testing.T) {
 	srv.c.SM.Dist.Retry.MaxAttempts = 1
 	srv.c.SM.InjectFaults(smp.FaultConfig{Drop: 0.5, Seed: 7})
 
+	probeCorruption(t, ts, flightDir, dst)
+}
+
+// TestAuditCatchesInjectedCorruptionSharded is the same probe through the
+// sharded control plane, once zone-local (the owning actor runs the
+// epilogue) and once cross-zone (the coordinator does, mid two-phase
+// commit). On the parent of the change that unified the epilogue both rows
+// failed with "auditor missed the stranded DropPort entries": the shard hook
+// returned early on an error, so a failed sharded migration was recorded but
+// never audited and the black hole sat there until the next full audit.
+func TestAuditCatchesInjectedCorruptionSharded(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cross bool
+	}{{"local", false}, {"cross-zone", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			flightDir := t.TempDir()
+			srv, ts, ft := newPinServer(t, sriov.VSwitchDynamic, 2, Config{FlightDir: flightDir})
+			hyps := srv.c.Hypervisors()
+			home, dst := hyps[0], hyps[1]
+			if tc.cross {
+				dst = hyps[len(hyps)-1]
+			}
+			if st := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/vms", CreateVMRequest{Name: "victim", Hypervisor: &home}, nil); st != http.StatusCreated {
+				t.Fatalf("create: status %d", st)
+			}
+			// The invalidation pre-pass is on (newPinServer); from here every
+			// SMP is lost, so it strands the column on its first switch.
+			ft.SetProfile(smp.FaultProfile{Drop: 1})
+			probeCorruption(t, ts, flightDir, dst)
+		})
+	}
+}
+
+// probeCorruption migrates "victim" to dst on a fabric rigged to abandon the
+// reconfiguration half-way, and checks the whole observability chain: the
+// post-mutation audit flagged the black hole before the client saw the
+// error, and the flight dump carries the corrupting mutation and its spans.
+func probeCorruption(t *testing.T, ts *httptest.Server, flightDir string, dst topology.NodeID) {
+	t.Helper()
+	cl := ts.Client()
 	body, err := json.Marshal(MigrateVMRequest{Destination: dst})
 	if err != nil {
 		t.Fatal(err)

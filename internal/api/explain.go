@@ -2,6 +2,7 @@ package api
 
 import (
 	"net/http"
+	"slices"
 
 	"ibvsim/internal/ib"
 	"ibvsim/internal/topology"
@@ -88,23 +89,21 @@ func (sn *Snapshot) Explain(src, dst string) (ExplainResponse, error) {
 // attachSpans resolves the distinct span IDs the hops' provenance names
 // into ExplainSpan records (?format=trace).
 func (s *Server) attachSpans(resp *ExplainResponse) {
-	want := map[int]bool{}
+	var ids []int
 	for _, h := range resp.Hops {
 		if h.Provenance != nil && h.Provenance.Span > 0 {
-			want[h.Provenance.Span] = true
+			ids = append(ids, h.Provenance.Span)
 		}
 	}
-	if len(want) == 0 {
-		return
-	}
-	for _, sv := range s.tr.SpansSince(0) {
-		if !want[sv.ID] {
-			continue
+	slices.Sort(ids)
+	for _, id := range slices.Compact(ids) {
+		// A stamp outlives the span it names once the ring has wrapped.
+		if sv, ok := s.tr.SpanByID(id); ok {
+			resp.Spans = append(resp.Spans, ExplainSpan{
+				ID: sv.ID, Kind: string(sv.Kind), Name: sv.Name,
+				Attrs: sv.Attrs, ModelledNS: sv.Modelled.Nanoseconds(),
+			})
 		}
-		resp.Spans = append(resp.Spans, ExplainSpan{
-			ID: sv.ID, Kind: string(sv.Kind), Name: sv.Name,
-			Attrs: sv.Attrs, ModelledNS: sv.Modelled.Nanoseconds(),
-		})
 	}
 }
 

@@ -4,30 +4,34 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"strings"
 	"time"
 
 	"ibvsim/internal/audit"
+	"ibvsim/internal/cloud"
+	"ibvsim/internal/core"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/reconcile"
+	"ibvsim/internal/shard"
 	"ibvsim/internal/sriov"
-	"ibvsim/internal/telemetry"
 	"ibvsim/internal/topology"
 )
 
-// opKind identifies a command for the single-writer loop.
-type opKind uint8
+// opKind names a command, in the spelling logs and flight-recorder entries
+// use (and the shard layer reports its own commands under).
+type opKind string
 
 const (
-	opCreateVM opKind = iota + 1
-	opDestroyVM
-	opMigrateVM
-	opReconfigure
-	opReconcile
+	opCreateVM    opKind = "create_vm"
+	opDestroyVM   opKind = "destroy_vm"
+	opMigrateVM   opKind = "migrate_vm"
+	opReconfigure opKind = "reconfigure"
+	opReconcile   opKind = "reconcile"
+	// opReconcileWave is not a command of its own: each wave of an applied
+	// reconcile passes through the epilogue under it.
+	opReconcileWave opKind = "reconcile_wave"
 )
 
-// command is one admitted mutation. The loop executes it, publishes a new
-// snapshot, and delivers exactly one cmdReply on the buffered reply channel.
+// command is one admitted mutation request.
 type command struct {
 	kind   opKind
 	name   string          // VM name (create/destroy/migrate) or goal (reconcile)
@@ -35,47 +39,45 @@ type command struct {
 	spec   reconcile.Spec  // desired placement (reconcile)
 	dryRun bool            // plan only, mutate nothing (reconcile)
 	reqID  string          // request ID assigned by the handler chain
-	reply  chan cmdReply
+	reply  chan done       // single-actor mode: the loop delivers exactly one
 }
 
-// opName labels commands for logs and flight-recorder entries.
-func (k opKind) opName() string {
-	switch k {
-	case opCreateVM:
-		return "create_vm"
-	case opDestroyVM:
-		return "destroy_vm"
-	case opMigrateVM:
-		return "migrate_vm"
-	case opReconfigure:
-		return "reconfigure"
-	case opReconcile:
-		return "reconcile"
-	}
-	return "unknown"
-}
-
-type cmdReply struct {
+// done is a finished command on its way through the epilogue (finish) to
+// its client: what it was, what to answer, and which of three sets it says
+// it touched —
+//
+//   - nothing (read): a dry run or an already-converged plan. No generation,
+//     no snapshot, no flight entry, no audit.
+//   - LID columns and bindings (lids, vms): create, destroy, migrate — failed
+//     ones included, a half-applied migration strands exactly its columns —
+//     and every reconcile wave. Empty when the command was refused before it
+//     changed anything or its column is gone (a destroy under dynamic LIDs):
+//     still published and recorded, nothing to audit.
+//   - the fabric: reconfigure, and the close of an applied reconcile.
+type done struct {
+	op     opKind
+	name   string
+	reqID  string
 	status int
 	body   any
-	// auditLIDs are the LID columns the command touched; the loop audits
-	// exactly these after the mutation (auditOpScoped) instead of walking
-	// the whole fabric. Failed migrations still carry the VM's LID — a
-	// half-applied reconfiguration strands precisely that column, and the
-	// audit must flag it before the client sees the error.
-	auditLIDs []ib.LID
-	auditVMs  []audit.VMBinding
-	// auditFull asks for the fabric-wide fast pass instead: set by the
-	// fabric-wide commands (reconfigure, reconcile), whose touched set is
-	// the whole fabric.
-	auditFull bool
+	shard  int // the shard actor that ran it; ib.ShardNone for every other goroutine
+	// spanFrom is the first span ID the command can have emitted.
+	spanFrom int
+	// gen is the generation the command's state is already published at (a
+	// shard actor publishes its own rows); 0 leaves publishing to the epilogue.
+	gen uint64
+
+	read   bool
+	fabric bool
+	lids   []ib.LID
+	vms    []audit.VMBinding
 }
 
 // CostReport states what one operation cost the fabric, in the paper's
 // vocabulary: n' switches had LFT entries updated with a total of LFTSMPs
 // block-write SMPs (section VI's n' x m'), plus per-hypervisor address SMPs.
 // SpanSMPs is the number of smp spans the operation emitted into the
-// telemetry trace — in fault-free operation it equals LFTSMPs, and
+// telemetry trace — LFTSMPs + InvalidationSMPs, one span per SMP — and
 // TraceSpan lets a client verify that against /v1/trace independently.
 type CostReport struct {
 	SwitchesUpdated  int   `json:"switches_updated"`
@@ -129,151 +131,58 @@ type ReconfigureResponse struct {
 
 // loop is the actor goroutine: the only code that calls into the cloud
 // after NewServer returns. Commands are executed strictly in admission
-// order; after each one a fresh snapshot is published *before* the reply is
-// sent, so a client that saw its response also sees its write in reads.
+// order, each through the epilogue *before* the reply is sent, so a client
+// that saw its response also sees its write in reads.
 func (s *Server) loop() {
 	defer close(s.loopDone)
 	depth := s.reg.Gauge("api.queue_depth")
-	exec := s.reg.WallHistogram("api.op_exec_us", nil)
 	for cmd := range s.cmds {
 		if s.execGate != nil {
 			s.execGate <- struct{}{} // announce: about to execute
 			<-s.execGate             // wait for release
 		}
 		depth.Set(int64(len(s.cmds)))
-		start := time.Now()
-		spanBefore := s.tr.LastSpanID()
-		rep := s.execute(cmd)
-		exec.ObserveDuration(time.Since(start))
-		sn := s.buildSnapshot(s.snap.Load())
-		s.snap.Store(sn)
-		// Black box first, then audit, then the reply: if the mutation
-		// corrupted the fabric, the violation is counted and the dump
-		// already holds this mutation by the time the client hears back.
-		s.rec.RecordMutation(audit.Mutation{
-			Op: cmd.kind.opName(), Name: cmd.name, RequestID: cmd.reqID,
-			Status: rep.status, Gen: sn.Gen,
-			SpanFrom: spanBefore + 1, SpanTo: s.tr.LastSpanID(),
-		})
-		s.log.Info("mutation",
-			"op", cmd.kind.opName(), "name", cmd.name, "request_id", cmd.reqID,
-			"status", rep.status, "generation", sn.Gen,
-			"duration", time.Since(start).Round(time.Microsecond))
-		if rep.auditFull {
-			s.auditAfterMutation(sn)
-		} else {
-			s.auditOpScoped(sn.Gen, rep.auditLIDs, rep.auditVMs)
-		}
-		cmd.reply <- rep
+		cmd.reply <- s.execute(cmd)
 	}
 	depth.Set(0)
 }
 
-func (s *Server) execute(cmd *command) cmdReply {
-	before := s.tr.LastSpanID()
+// execute runs one command and takes it through the epilogue, on whichever
+// goroutine owns the whole cloud right now: the loop, or a request goroutine
+// holding the coordinator freeze.
+func (s *Server) execute(cmd *command) done {
+	start := time.Now()
+	d := done{op: cmd.kind, name: cmd.name, reqID: cmd.reqID,
+		shard: ib.ShardNone, spanFrom: s.tr.LastSpanID() + 1}
+	var res shard.Result
+	var err error
 	switch cmd.kind {
 	case opCreateVM:
-		var err error
-		if cmd.hyp == topology.NoNode {
-			_, err = s.c.CreateVM(cmd.name)
-		} else {
-			_, err = s.c.CreateVMOn(cmd.name, cmd.hyp)
+		hyp := cmd.hyp
+		if hyp == topology.NoNode {
+			hyp, err = s.c.Place()
 		}
-		if err != nil {
-			return errReply(err)
+		if err == nil {
+			var vm *cloud.VM
+			if vm, res.Boot, err = s.c.CreateVMOnVF(cmd.name, hyp, -1); err == nil {
+				res.VM = *vm
+			}
 		}
-		vm := s.c.VM(cmd.name)
-		hypDesc := ""
-		if n := s.c.SM.Topo.Node(vm.Hyp); n != nil {
-			hypDesc = n.Desc
-		}
-		return cmdReply{
-			status: http.StatusCreated,
-			body: VMResponse{
-				VMInfo: VMInfo{
-					Name:    vm.Name,
-					Node:    vm.Hyp,
-					HypDesc: hypDesc,
-					VF:      vm.VF,
-					LID:     uint16(vm.Addr.LID),
-					GUID:    vm.Addr.GUID.String(),
-					GID:     vm.Addr.GID.String(),
-				},
-				Cost: s.costFromWindow(before),
-			},
-			auditLIDs: []ib.LID{vm.Addr.LID},
-			auditVMs:  []audit.VMBinding{{Name: vm.Name, LID: vm.Addr.LID, Hyp: vm.Hyp}},
-		}
+		s.lifecycle(&d, res, err)
 
 	case opDestroyVM:
-		var freedLID ib.LID
 		if vm := s.c.VM(cmd.name); vm != nil {
-			freedLID = vm.Addr.LID
+			res.VM = *vm // as it was: lifecycle audits the freed VF's column
 		}
-		if err := s.c.DestroyVM(cmd.name); err != nil {
-			return errReply(err)
-		}
-		r := cmdReply{status: http.StatusOK, body: DestroyResponse{
-			Name: cmd.name,
-			Cost: s.costFromWindow(before),
-		}}
-		// Under prepopulated LIDs the VF keeps its LID after teardown, so
-		// the freed column is still auditable; under dynamic assignment the
-		// LID is gone and there is no column left to check.
-		if s.c.Model == sriov.VSwitchPrepopulated && freedLID != ib.LIDUnassigned {
-			r.auditLIDs = []ib.LID{freedLID}
-		}
-		return r
+		res.Boot, err = s.c.DestroyVMStats(cmd.name)
+		s.lifecycle(&d, res, err)
 
 	case opMigrateVM:
-		var vmLID ib.LID
-		var srcHyp topology.NodeID
-		srcVF := -1
+		res.Rep, err = s.c.MigrateVM(cmd.name, cmd.hyp)
 		if vm := s.c.VM(cmd.name); vm != nil {
-			vmLID, srcHyp, srcVF = vm.Addr.LID, vm.Hyp, vm.VF
+			res.VM = *vm
 		}
-		rep, err := s.c.MigrateVM(cmd.name, cmd.hyp)
-		if err != nil {
-			r := errReply(err)
-			// A failed migration may have half-applied its plan (e.g. the
-			// invalidation pre-pass landed and the updates died), stranding
-			// exactly the VM's column — audit it before the client hears.
-			if vmLID != ib.LIDUnassigned {
-				r.auditLIDs = []ib.LID{vmLID}
-			}
-			return r
-		}
-		cost := s.costFromWindow(before)
-		// The migration report is authoritative; the span window fills in
-		// the cross-reference (root span ID, observed smp span count).
-		cost.SwitchesUpdated = rep.Plan.SwitchesUpdated
-		cost.LFTSMPs = rep.Plan.SMPs
-		cost.InvalidationSMPs = rep.Plan.InvalidationSMPs
-		cost.HostSMPs = rep.HostSMPs
-		cost.ModelledUS = rep.Plan.ModelledTime.Microseconds()
-		vm := s.c.VM(cmd.name)
-		lids := []ib.LID{vm.Addr.LID}
-		// Under the prepopulated swap the source VF now holds the partner
-		// column of the exchange — both changed, audit both.
-		if s.c.Model == sriov.VSwitchPrepopulated && srcVF >= 0 {
-			if h := s.c.Hypervisor(srcHyp); h != nil && srcVF < len(h.HCA.VFs) {
-				lids = append(lids, h.HCA.VFs[srcVF].LID)
-			}
-		}
-		return cmdReply{
-			status: http.StatusOK,
-			body: MigrateResponse{
-				Name:             cmd.name,
-				From:             rep.From,
-				To:               rep.To,
-				LID:              uint16(vm.Addr.LID),
-				AddressesChanged: rep.AddressesChanged,
-				DowntimeUS:       rep.Downtime.Microseconds(),
-				Cost:             cost,
-			},
-			auditLIDs: lids,
-			auditVMs:  []audit.VMBinding{{Name: vm.Name, LID: vm.Addr.LID, Hyp: vm.Hyp}},
-		}
+		s.lifecycle(&d, res, err)
 
 	case opReconfigure:
 		rs, ds, err := s.c.SM.ReconfigureCtx(s.opCtx)
@@ -290,70 +199,162 @@ func (s *Server) execute(cmd *command) cmdReply {
 		if rs.Incremental.Applied {
 			resp.DestsRecomputed = rs.Incremental.DestsRecomputed
 		}
-		if errors.Is(err, context.Canceled) {
+		d.fabric = true
+		switch {
+		case errors.Is(err, context.Canceled):
 			resp.Cancelled = true
-			return cmdReply{status: http.StatusServiceUnavailable, body: resp, auditFull: true}
+			d.status, d.body = http.StatusServiceUnavailable, resp
+		case err != nil:
+			d.fail(err)
+		default:
+			d.status, d.body = http.StatusOK, resp
 		}
-		if err != nil {
-			r := errReply(err)
-			r.auditFull = true
-			return r
-		}
-		return cmdReply{status: http.StatusOK, body: resp, auditFull: true}
 
 	case opReconcile:
-		r := s.execReconcile(cmd)
-		r.auditFull = true
-		return r
+		s.execReconcile(cmd, &d)
 	}
-	return cmdReply{status: http.StatusInternalServerError, body: map[string]string{"error": "unknown command"}}
+	s.reg.WallHistogram("api.op_exec_us", nil).ObserveDuration(time.Since(start))
+	s.finish(&d)
+	return d
 }
 
-// costFromWindow derives a cost report from the spans the operation just
-// emitted (span IDs are allocated in order and the loop is the only span
-// producer, so (before, LastSpanID] is exactly this operation's window).
-// For operations without an orchestrator-level report — VM boot and
-// teardown under dynamic LID assignment — the smp spans are the record.
-func (s *Server) costFromWindow(before int) CostReport {
-	var c CostReport
-	switches := map[string]struct{}{}
-	for _, sp := range s.tr.SpansSince(before) {
-		switch sp.Kind {
-		case telemetry.SpanSMP:
-			c.SpanSMPs++
-			c.LFTSMPs++
-			c.ModelledUS += sp.Modelled.Microseconds()
-			if sw, ok := sp.Attrs["switch"].(string); ok {
-				switches[sw] = struct{}{}
-			}
-		case telemetry.SpanMigration:
-			c.TraceSpan = sp.ID
+// lifecycle fills in what a finished create, destroy or migrate — run by the
+// loop or by a shard, succeeded or not — answers its client and says it
+// touched.
+func (s *Server) lifecycle(d *done, res shard.Result, err error) {
+	// A migration's report names the columns it rewrote even when it died
+	// half-way, stranding exactly those: audit them before the client hears.
+	d.lids = res.Rep.LIDs
+	if err != nil {
+		d.fail(err)
+		return
+	}
+	vm := &res.VM
+	boot := core.PlanStats{SwitchesUpdated: res.Boot.SwitchesUpdated, SMPs: res.Boot.SMPs, ModelledTime: res.Boot.ModelledTime}
+	d.status = http.StatusOK
+	switch d.op {
+	case opCreateVM:
+		d.status = http.StatusCreated
+		d.body = VMResponse{VMInfo: s.vmInfo(vm), Cost: costOf(boot, 0, 0)}
+		d.lids = []ib.LID{vm.Addr.LID}
+	case opDestroyVM:
+		d.body = DestroyResponse{Name: d.name, Cost: costOf(boot, 0, 0)}
+		// Under prepopulated LIDs the VF keeps its LID after teardown, so
+		// the freed column is still auditable; under dynamic assignment the
+		// LID is gone and there is no column left to check.
+		if s.c.Model == sriov.VSwitchPrepopulated {
+			d.lids = []ib.LID{vm.Addr.LID}
+		}
+		return
+	case opMigrateVM:
+		rep := res.Rep
+		d.body = MigrateResponse{
+			Name:             d.name,
+			From:             rep.From,
+			To:               rep.To,
+			LID:              uint16(vm.Addr.LID),
+			AddressesChanged: rep.AddressesChanged,
+			DowntimeUS:       rep.Downtime.Microseconds(),
+			Cost:             costOf(rep.Plan, rep.HostSMPs, rep.Span),
 		}
 	}
-	c.SwitchesUpdated = len(switches)
-	return c
+	d.vms = []audit.VMBinding{{Name: vm.Name, LID: vm.Addr.LID, Hyp: vm.Hyp}}
 }
 
-func errReply(err error) cmdReply {
-	return cmdReply{status: classifyErr(err), body: map[string]string{"error": err.Error()}}
+// costOf is the one place an operation's own statistics — boot stats, a
+// migration or wave report, a planner prediction — become a CostReport. The
+// trace agrees by construction: the SM emits one smp span per LFT block
+// write and one per invalidation write.
+func costOf(st core.PlanStats, hostSMPs, span int) CostReport {
+	return CostReport{
+		SwitchesUpdated:  st.SwitchesUpdated,
+		LFTSMPs:          st.SMPs,
+		InvalidationSMPs: st.InvalidationSMPs,
+		HostSMPs:         hostSMPs,
+		SpanSMPs:         st.SMPs + st.InvalidationSMPs,
+		TraceSpan:        span,
+		ModelledUS:       st.ModelledTime.Microseconds(),
+	}
 }
 
-// classifyErr maps the cloud's error vocabulary onto HTTP statuses. The
-// cloud reports errors as formatted strings (it predates this layer), so
-// the mapping is textual; anything unrecognised is a 500.
+// fail answers with the error, under the status its class maps to.
+func (d *done) fail(err error) {
+	d.status, d.body = classifyErr(err), map[string]string{"error": err.Error()}
+}
+
+// classifyErr maps the cloud's error classes onto HTTP statuses; anything
+// unrecognised is a 500.
 func classifyErr(err error) int {
-	msg := err.Error()
 	switch {
-	case strings.Contains(msg, "already exists"),
-		strings.Contains(msg, "is already on node"),
-		strings.Contains(msg, "is busy"),
-		strings.Contains(msg, "free VF"):
+	case errors.Is(err, cloud.ErrExists),
+		errors.Is(err, cloud.ErrSameNode),
+		errors.Is(err, cloud.ErrBusy),
+		errors.Is(err, cloud.ErrNoFreeVF):
 		return http.StatusConflict
-	case strings.Contains(msg, "no VM "):
+	case errors.Is(err, cloud.ErrNoVM):
 		return http.StatusNotFound
-	case strings.Contains(msg, "not a hypervisor"):
+	case errors.Is(err, cloud.ErrNotHypervisor):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
 	}
+}
+
+// finish is the mutation epilogue: the one path every finished command takes
+// between doing its work and answering its client — the loop's commands, a
+// shard actor's, a cross-shard commit, a frozen fabric-wide command and each
+// reconcile wave alike. Publish what the command left behind, put it in the
+// black box, log it, then audit what it says it touched: if the mutation
+// corrupted the fabric, the violation is counted and the dump already holds
+// this mutation by the time the client hears back. Returns the generation
+// published and the violations found, for callers that gate on them.
+func (s *Server) finish(d *done) (gen uint64, violations int) {
+	if d.read {
+		return 0, 0
+	}
+	if gen = d.gen; gen == 0 {
+		gen = s.publish()
+	}
+	s.rec.RecordMutation(audit.Mutation{
+		Op: string(d.op), Name: d.name, RequestID: d.reqID,
+		Status: d.status, Gen: gen,
+		SpanFrom: d.spanFrom, SpanTo: s.tr.LastSpanID(),
+	})
+	s.log.Info("mutation",
+		"op", d.op, "name", d.name, "request_id", d.reqID,
+		"status", d.status, "generation", gen, "shard", d.shard)
+
+	var v *audit.View
+	scope := audit.ScopeReach
+	switch {
+	case d.fabric:
+		v, scope = s.snapshot().AuditView(), audit.ScopeFast
+	case len(d.lids) > 0:
+		v = s.opScopedView(gen, d.lids, d.vms)
+	default:
+		return gen, 0
+	}
+	rep := s.aud.Run(v, scope)
+	if rep.Total > 0 {
+		s.log.Warn("audit violations after mutation",
+			"generation", rep.Gen, "violations", rep.Total, "by_kind", rep.ByKind)
+	}
+	return gen, rep.Total
+}
+
+// publish makes the state a command left behind visible to reads and returns
+// its generation — where the two modes differ: the single actor builds and
+// stores the next fabric snapshot, a frozen sharded control plane has every
+// shard republish its rows from the cloud (compose picks them up on the next
+// read).
+func (s *Server) publish() uint64 {
+	if s.co != nil {
+		if err := s.co.Resync(); err != nil {
+			s.log.Warn("shard resync failed", "err", err)
+		}
+		return s.co.Gen()
+	}
+	s.gen++
+	s.snap.Store(s.buildSnapshot(s.gen, nil, s.cloudRows))
+	return s.gen
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 
+	"ibvsim/internal/audit"
+	"ibvsim/internal/core"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/reconcile"
 	"ibvsim/internal/telemetry"
@@ -84,38 +86,29 @@ func (s *Server) handleReconcile(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	cmd := &command{kind: opReconcile, name: string(spec.Goal), spec: spec, dryRun: req.DryRun}
-	if s.co != nil {
-		// Reconciliation waves move VMs without going through the shards, so
-		// the whole run executes under a coordinator freeze; each wave
-		// resyncs the shards itself (see snapAudit), so no final resync.
-		cmd.reqID = requestID(r)
-		s.runFrozen(w, cmd, false)
-		return
-	}
-	s.enqueue(w, r, cmd)
+	s.dispatch(w, r, &command{kind: opReconcile, name: string(spec.Goal), spec: spec, dryRun: req.DryRun})
 }
 
 // costFromStep converts a predicted StepCost into the wire vocabulary.
-// SpanSMPs is what the wave will emit into the trace: one smp span per LFT
-// block-write plus one per invalidation write.
 func costFromStep(c reconcile.StepCost) CostReport {
-	return CostReport{
+	return costOf(core.PlanStats{
 		SwitchesUpdated:  c.SwitchesUpdated,
-		LFTSMPs:          c.LFTSMPs,
+		SMPs:             c.LFTSMPs,
 		InvalidationSMPs: c.InvalidationSMPs,
-		HostSMPs:         c.HostSMPs,
-		SpanSMPs:         c.LFTSMPs + c.InvalidationSMPs,
-		ModelledUS:       c.Modelled.Microseconds(),
-	}
+		ModelledTime:     c.Modelled,
+	}, c.HostSMPs, 0)
 }
 
-// execReconcile runs on the actor goroutine: plan against live state, and —
-// unless the client asked for a dry run — execute the waves in order. Each
-// wave publishes a fresh snapshot and must pass the fast audit before the
-// next wave is released; a violation (or wave error) aborts the remainder,
-// with everything already applied reported faithfully.
-func (s *Server) execReconcile(cmd *command) cmdReply {
+// execReconcile plans against live state and — unless the client asked for
+// a dry run — executes the waves in order. A dry run, like a plan that is
+// already converged, is a read: it touches nothing and skips the epilogue.
+// Each applied wave is a mutation of its own and takes the epilogue itself
+// (publish, flight record, op-scoped audit of the columns it moved) before
+// the next wave is released; a violation (or wave error) aborts the
+// remainder, with everything already applied reported faithfully. The
+// command then closes with the fabric as its touched set, so every applied
+// batch is audited fabric-wide once before its reply.
+func (s *Server) execReconcile(cmd *command, d *done) {
 	span := s.tr.Start(telemetry.SpanReconcile, string(cmd.spec.Goal))
 	s.tr.PushScope(span)
 	defer func() {
@@ -126,7 +119,9 @@ func (s *Server) execReconcile(cmd *command) cmdReply {
 	p := &reconcile.Planner{C: s.c}
 	plan, err := p.Plan(cmd.spec)
 	if err != nil {
-		return errReply(err)
+		d.read = cmd.dryRun
+		d.fail(err)
+		return
 	}
 
 	resp := ReconcileResponse{
@@ -150,13 +145,19 @@ func (s *Server) execReconcile(cmd *command) cmdReply {
 	span.SetAttr("dry_run", cmd.dryRun)
 	span.SetModelled(plan.Total.Modelled)
 
+	d.status = http.StatusOK
 	if cmd.dryRun || plan.Converged {
-		return cmdReply{status: http.StatusOK, body: resp}
+		d.read, d.body = true, resp
+		return
 	}
 
+	d.fabric = true
 	var total CostReport
+	resp.AppliedTotal = &total
 	for wi, wave := range plan.Waves {
-		before := s.tr.LastSpanID()
+		wd := done{op: opReconcileWave, reqID: cmd.reqID, status: http.StatusOK, shard: ib.ShardNone,
+			name:     fmt.Sprintf("%s %d/%d", plan.Goal, wi+1, len(plan.Waves)),
+			spanFrom: s.tr.LastSpanID() + 1}
 		// Each wave's merged distribution gets its own provenance epoch, so
 		// /v1/explain attributes a hop to "which wave of which goal" rather
 		// than a generic migration.
@@ -164,28 +165,29 @@ func (s *Server) execReconcile(cmd *command) cmdReply {
 			Mutation: ib.NextMutationID(),
 			Span:     span.ID(),
 			Engine:   "reconcile",
-			Reason: fmt.Sprintf("reconcile %s wave %d/%d (%d moves)",
-				plan.Goal, wi+1, len(plan.Waves), len(wave)),
-			Shard: ib.ShardCoordinator,
+			Reason:   fmt.Sprintf("reconcile %s wave %d/%d (%d moves)", plan.Goal, wi+1, len(plan.Waves), len(wave)),
+			Shard:    ib.ShardCoordinator,
 		}
 		wr, werr := s.c.MigrateWaveProv(wave, prov)
-		// Publish what the wave did (even a failed wave may have moved VMs
-		// before erroring) and gate on the fast audit before continuing.
-		gen, viol := s.snapAudit()
+		// Even a failed wave may have moved VMs or stranded columns before
+		// erroring: publish and audit what it names either way.
+		wd.lids = wr.LIDs
+		for _, mr := range wr.Reports {
+			vm := s.c.VM(mr.VM)
+			wd.vms = append(wd.vms, audit.VMBinding{Name: vm.Name, LID: vm.Addr.LID, Hyp: vm.Hyp})
+		}
+		if werr != nil {
+			wd.status = classifyErr(werr)
+		}
+		gen, viol := s.finish(&wd)
 		resp.Generation = gen
 		resp.AuditViolations += viol
 		if werr != nil {
-			resp.Aborted = true
-			resp.Error = werr.Error()
-			resp.AppliedTotal = &total
-			return cmdReply{status: classifyErr(werr), body: resp}
+			resp.Aborted, resp.Error = true, werr.Error()
+			d.status, d.body = wd.status, resp
+			return
 		}
-		applied := s.costFromWindow(before)
-		applied.SwitchesUpdated = wr.Plan.SwitchesUpdated
-		applied.LFTSMPs = wr.Plan.SMPs
-		applied.InvalidationSMPs = wr.Plan.InvalidationSMPs
-		applied.HostSMPs = wr.HostSMPs
-		applied.ModelledUS = wr.Plan.ModelledTime.Microseconds()
+		applied := costOf(wr.Plan, wr.HostSMPs, 0)
 		resp.Applied = append(resp.Applied, applied)
 		total.SwitchesUpdated += applied.SwitchesUpdated
 		total.LFTSMPs += applied.LFTSMPs
@@ -196,15 +198,14 @@ func (s *Server) execReconcile(cmd *command) cmdReply {
 		if viol > 0 {
 			resp.Aborted = true
 			resp.Error = "fast audit found violations; remaining waves aborted"
-			resp.AppliedTotal = &total
-			return cmdReply{status: http.StatusInternalServerError, body: resp}
+			d.status, d.body = http.StatusInternalServerError, resp
+			return
 		}
 	}
-	resp.AppliedTotal = &total
 
 	// Confirm convergence: re-planning the achieved state must be a no-op.
 	if again, err := p.Plan(cmd.spec); err == nil {
 		resp.Converged = again.Converged
 	}
-	return cmdReply{status: http.StatusOK, body: resp}
+	d.body = resp
 }

@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"ibvsim/internal/cloud"
+	"ibvsim/internal/ib"
 	"ibvsim/internal/routing"
 	"ibvsim/internal/sriov"
+	"ibvsim/internal/telemetry"
 	"ibvsim/internal/topology"
 )
 
@@ -235,4 +237,132 @@ func TestReconcileFatTreeAcceptance(t *testing.T) {
 	}
 	t.Logf("defrag: %d moves in %d waves, %d SMPs batched vs %d one-by-one",
 		len(rec.Moves), rec.Waves, batchedSMPs, baselineSMPs)
+}
+
+// fragment puts one VM on each of the first n hypervisors of a pin server.
+func fragment(t *testing.T, srv *Server, ts *httptest.Server, n int) {
+	t.Helper()
+	for i, node := range srv.c.Hypervisors()[:n] {
+		st := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/vms",
+			CreateVMRequest{Name: fmt.Sprintf("fr-%d", i), Hypervisor: &node}, nil)
+		if st != http.StatusCreated {
+			t.Fatalf("create fr-%d: status %d", i, st)
+		}
+	}
+}
+
+// auditSpans counts the audit passes run since span ID after, by scope.
+func auditSpans(srv *Server, after int) map[string]int {
+	n := map[string]int{}
+	for _, sp := range srv.tr.SpansSince(after) {
+		if sp.Kind == telemetry.SpanAudit {
+			n[sp.Name]++
+		}
+	}
+	return n
+}
+
+// TestReconcileDryRunIsARead pins "a dry run is a read" in both control
+// planes: it plans against live state and leaves no trace in it — no new
+// generation, no new snapshot, no table edit, no audit pass, no
+// flight-recorder entry. (It used to bump the generation, rebuild the
+// snapshot, record a "mutation" and pay a fabric-wide audit.)
+func TestReconcileDryRunIsARead(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		srv, ts, _ := newPinServer(t, sriov.VSwitchDynamic, shards, Config{})
+		cl := ts.Client()
+		fragment(t, srv, ts, 6)
+
+		type state struct {
+			gen     any
+			snap    *Snapshot
+			lfts    string
+			audits  int64
+			entries int
+		}
+		observe := func() state {
+			var health map[string]any
+			doJSON(t, cl, "GET", ts.URL+"/healthz", nil, &health)
+			doJSON(t, cl, "GET", ts.URL+"/v1/vms", nil, nil) // sharded: compose now, not between the observations
+			return state{health["generation"], srv.Snapshot(), lftDigest(srv),
+				srv.Auditor().Runs(), len(srv.rec.Entries())}
+		}
+		before := observe()
+		var dry ReconcileResponse
+		if st := doJSON(t, cl, "POST", ts.URL+"/v1/reconcile?goal=defrag&dry_run=1", nil, &dry); st != http.StatusOK {
+			t.Fatalf("shards=%d dry run: status %d", shards, st)
+		}
+		if !dry.DryRun || len(dry.Moves) == 0 || dry.Generation != 0 {
+			t.Fatalf("shards=%d dry run response: %+v", shards, dry)
+		}
+		if after := observe(); after != before {
+			t.Errorf("shards=%d: a dry run changed state:\n  before %+v\n  after  %+v", shards, before, after)
+		}
+	}
+}
+
+// TestReconcileAuditsWhatItMoved pins which audit runs when, in both control
+// planes: an applied N-wave reconcile runs exactly N op-scoped reach passes
+// (one per wave, over the columns that wave moved) and one fabric-wide fast
+// pass before its reply; the dry run before it runs none.
+func TestReconcileAuditsWhatItMoved(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		// The invalidation pre-pass forces single-move waves: N moves, N waves.
+		srv, ts, _ := newPinServer(t, sriov.VSwitchDynamic, shards, Config{})
+		cl := ts.Client()
+		fragment(t, srv, ts, 6)
+
+		mark := srv.tr.LastSpanID()
+		doJSON(t, cl, "POST", ts.URL+"/v1/reconcile?goal=defrag&dry_run=1", nil, nil)
+		if n := auditSpans(srv, mark); len(n) != 0 {
+			t.Errorf("shards=%d: dry run audited: %v", shards, n)
+		}
+
+		mark = srv.tr.LastSpanID()
+		var app ReconcileResponse
+		if st := doJSON(t, cl, "POST", ts.URL+"/v1/reconcile?goal=defrag", nil, &app); st != http.StatusOK {
+			t.Fatalf("shards=%d apply: status %d: %+v", shards, st, app)
+		}
+		if app.Waves < 2 || len(app.Applied) != app.Waves || app.AuditViolations != 0 {
+			t.Fatalf("shards=%d apply response: %+v", shards, app)
+		}
+		n := auditSpans(srv, mark)
+		if n["reach"] != app.Waves || n["fast"] != 1 || len(n) != 2 {
+			t.Errorf("shards=%d: %d-wave apply ran audits %v, want %d reach + 1 fast", shards, app.Waves, n, app.Waves)
+		}
+	}
+}
+
+// TestReconcileWaveAuditGatesTheNext strands a moved LID at port 255 on the
+// SM's leaf switch behind the first wave's back: the wave itself succeeds,
+// its op-scoped audit must find the black hole, and the remaining waves must
+// not run.
+func TestReconcileWaveAuditGatesTheNext(t *testing.T) {
+	srv, ts, _ := newPinServer(t, sriov.VSwitchDynamic, 0, Config{})
+	cl := ts.Client()
+	fragment(t, srv, ts, 6)
+	var dry ReconcileResponse
+	doJSON(t, cl, "POST", ts.URL+"/v1/reconcile?goal=defrag&dry_run=1", nil, &dry)
+	if dry.Waves < 2 {
+		t.Fatalf("need at least two waves, planned %d", dry.Waves)
+	}
+	var moved VMInfo
+	doJSON(t, cl, "GET", ts.URL+"/v1/vms/"+dry.Moves[0].VM, nil, &moved)
+
+	// The loop is idle between replies, so installing the seam here is race
+	// free. It re-strands the column after every switch the wave programs,
+	// so the last write before the audit is the corruption.
+	smLeaf := srv.c.SM.Topo.LeafSwitchOf(srv.c.SM.SMNode)
+	srv.c.RC.AfterUpdate = func() {
+		srv.c.SM.SetLFTEntries(smLeaf, map[ib.LID]ib.PortNum{ib.LID(moved.LID): ib.DropPort}, srv.c.RC.Mode) //nolint:errcheck
+	}
+	var app ReconcileResponse
+	st := doJSON(t, cl, "POST", ts.URL+"/v1/reconcile?goal=defrag", nil, &app)
+	srv.c.RC.AfterUpdate = nil
+	if st != http.StatusInternalServerError || !app.Aborted || app.AuditViolations == 0 {
+		t.Fatalf("status %d, response %+v; want 500, aborted, audit_violations > 0", st, app)
+	}
+	if len(app.Applied) != 1 {
+		t.Fatalf("%d waves applied after the first one failed its audit", len(app.Applied))
+	}
 }

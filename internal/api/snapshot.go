@@ -1,9 +1,12 @@
 package api
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 
+	"ibvsim/internal/cloud"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/shard"
 	"ibvsim/internal/topology"
@@ -31,115 +34,108 @@ type HypInfo struct {
 	Zone     int             `json:"zone,omitempty"`
 }
 
-// Snapshot is an immutable view of the fabric at one generation, published
-// by the command loop after every mutation and read lock-free by every GET
-// handler. The LFT clones are copy-on-write: a table whose revision counter
-// (ib.LFT.Rev) did not move between generations is shared with the previous
-// snapshot rather than re-cloned, so steady-state snapshots after a one-LID
-// migration clone only the switches that migration touched.
+// Snapshot is an immutable view of the fabric at one generation, read
+// lock-free by every GET handler. The forwarding tables are the SM's
+// published ones captured by pointer, never copied: a published table is
+// immutable (every writer is clone, edit, commit — one pointer swap per
+// switch), so two generations share every table no mutation in between
+// touched.
 type Snapshot struct {
 	Gen    uint64
 	Fabric string
 	Model  string
 	SMNode topology.NodeID
-	VMs    []VMInfo
-	Hyps   []HypInfo
+	VMs    []VMInfo  // sorted by name
+	Hyps   []HypInfo // sorted by node
 
 	topo      *topology.Topology // static after build; safe to share
 	lidOf     map[topology.NodeID]ib.LID
 	nodeOfLID map[ib.LID]topology.NodeID
-	lfts      map[topology.NodeID]*ib.LFT // immutable clones
+	lfts      map[topology.NodeID]*ib.LFT // published tables, shared with the SM
 	// from is compose's cache key in sharded mode: the shard snapshots this
 	// one was built from (nil in single-actor mode).
 	from []*shard.Snap
 }
 
-// lftIdentity is the copy-on-write cache key for one switch's programmed
-// table. The revision alone is not enough: the SM *replaces* the programmed
-// LFT object on every fully-successful distribution (with a clone of the
-// target, which carries the target's own revision counter) and on SM
-// handover adoption — a fresh object can coincidentally repeat the last
-// recorded revision while holding different routes. Keying on (object,
-// revision) re-clones whenever either moves.
-type lftIdentity struct {
-	src *ib.LFT
-	rev uint64
+// vmInfo renders one VM for the wire: snapshot rows and create replies.
+func (s *Server) vmInfo(vm *cloud.VM) VMInfo {
+	desc := ""
+	if n := s.c.SM.Topo.Node(vm.Hyp); n != nil {
+		desc = n.Desc
+	}
+	return VMInfo{
+		Name:    vm.Name,
+		Node:    vm.Hyp,
+		HypDesc: desc,
+		VF:      vm.VF,
+		LID:     uint16(vm.Addr.LID),
+		GUID:    vm.Addr.GUID.String(),
+		GID:     vm.Addr.GID.String(),
+	}
 }
 
-// buildSnapshot runs on the command loop (or in NewServer before the loop
-// starts) — it reads the cloud directly, which no published snapshot ever
-// does.
-func (s *Server) buildSnapshot(prev *Snapshot) *Snapshot {
-	s.gen++
-	topo := s.c.SM.Topo
+// buildSnapshot is the one Snapshot constructor. Fabric-level state (LID
+// maps, published tables) is read from the SM; the hypervisor and VM rows
+// are fed by the caller — from the cloud by the single-actor loop, from the
+// shards' own snapshots by compose — so the caller must own, or hold
+// immutable copies of, whatever rows reads.
+func (s *Server) buildSnapshot(gen uint64, from []*shard.Snap,
+	rows func(hyp func(h shard.HypState, zone int), vm func(*cloud.VM))) *Snapshot {
+	mgr, topo := s.c.SM, s.c.SM.Topo
 	sn := &Snapshot{
-		Gen:    s.gen,
+		Gen:    gen,
+		from:   from,
 		Fabric: topo.String(),
 		Model:  s.c.Model.String(),
-		SMNode: s.c.SM.SMNode,
+		SMNode: mgr.SMNode,
 		topo:   topo,
 		lidOf:  map[topology.NodeID]ib.LID{},
 		// One pass over the SM's address maps. The per-node alternative
 		// (ExtraLIDsOf for every CA) rescans the whole extra-LID map per
 		// node — O(CAs x LIDs) per snapshot, which at 10^4 nodes turned
 		// every mutation into seconds of map iteration.
-		nodeOfLID: s.c.SM.AddressView(),
-		lfts:      map[topology.NodeID]*ib.LFT{},
+		nodeOfLID: mgr.AddressView(),
+		lfts:      make(map[topology.NodeID]*ib.LFT, len(topo.Switches())),
 	}
-
 	for _, id := range topo.Switches() {
-		if lid := s.c.SM.LIDOf(id); lid != ib.LIDUnassigned {
+		if lid := mgr.LIDOf(id); lid != ib.LIDUnassigned {
 			sn.lidOf[id] = lid
+		}
+		if lft := mgr.ProgrammedLFT(id); lft != nil {
+			sn.lfts[id] = lft
 		}
 	}
 	for _, id := range topo.CAs() {
-		if lid := s.c.SM.LIDOf(id); lid != ib.LIDUnassigned {
+		if lid := mgr.LIDOf(id); lid != ib.LIDUnassigned {
 			sn.lidOf[id] = lid
 		}
 	}
-
-	for _, hn := range s.c.Hypervisors() {
-		h := s.c.Hypervisor(hn)
+	rows(func(h shard.HypState, zone int) {
 		sn.Hyps = append(sn.Hyps, HypInfo{
-			Node:     hn,
-			Desc:     topo.Node(hn).Desc,
-			LID:      uint16(s.c.SM.LIDOf(hn)),
-			VFs:      h.HCA.NumVFs(),
-			Attached: len(h.HCA.AttachedVFs()),
+			Node:     h.Node,
+			Desc:     topo.Node(h.Node).Desc,
+			LID:      uint16(mgr.LIDOf(h.Node)),
+			VFs:      h.VFs,
+			Attached: h.Attached,
+			Zone:     zone,
 		})
-	}
-
-	for _, name := range s.c.VMs() {
-		vm := s.c.VM(name)
-		sn.VMs = append(sn.VMs, VMInfo{
-			Name:    vm.Name,
-			Node:    vm.Hyp,
-			HypDesc: topo.Node(vm.Hyp).Desc,
-			VF:      vm.VF,
-			LID:     uint16(vm.Addr.LID),
-			GUID:    vm.Addr.GUID.String(),
-			GID:     vm.Addr.GID.String(),
-		})
-	}
-
-	clones := 0
-	for _, sw := range topo.Switches() {
-		cur := s.c.SM.ProgrammedLFT(sw)
-		if cur == nil {
-			continue
-		}
-		id := lftIdentity{src: cur, rev: cur.Rev()}
-		if prev != nil && prev.lfts[sw] != nil && s.lftRevs[sw] == id {
-			sn.lfts[sw] = prev.lfts[sw]
-		} else {
-			sn.lfts[sw] = cur.Clone()
-			s.lftRevs[sw] = id
-			clones++
-		}
-	}
-	s.reg.Counter("api.snapshot.lft_clones").Add(int64(clones))
-	s.reg.Gauge("api.snapshot.generation").Set(int64(s.gen))
+	}, func(vm *cloud.VM) { sn.VMs = append(sn.VMs, s.vmInfo(vm)) })
+	slices.SortFunc(sn.Hyps, func(a, b HypInfo) int { return cmp.Compare(a.Node, b.Node) })
+	slices.SortFunc(sn.VMs, func(a, b VMInfo) int { return cmp.Compare(a.Name, b.Name) })
+	s.reg.Gauge("api.snapshot.generation").Set(int64(gen))
 	return sn
+}
+
+// cloudRows feeds buildSnapshot straight from the cloud. Only the goroutine
+// that owns the cloud — the command loop — may call it.
+func (s *Server) cloudRows(hyp func(shard.HypState, int), vm func(*cloud.VM)) {
+	for _, hn := range s.c.Hypervisors() {
+		hca := s.c.Hypervisor(hn).HCA
+		hyp(shard.HypState{Node: hn, VFs: hca.NumVFs(), Attached: hca.AttachedCount()}, 0)
+	}
+	for _, name := range s.c.VMs() {
+		vm(s.c.VM(name))
+	}
 }
 
 // PathHop is one switch traversal of a walked path.
@@ -188,7 +184,7 @@ func (sn *Snapshot) resolve(token string) (topology.NodeID, ib.LID, error) {
 // so hitting it means the programmed tables loop.
 const maxPathHops = 64
 
-// Path walks dst's LID through the snapshot's LFT clones starting at src's
+// Path walks dst's LID through the snapshot's tables starting at src's
 // leaf switch — the same walk routing.Verify does, but against the
 // *programmed* (distributed) tables and served concurrently with mutations.
 func (sn *Snapshot) Path(src, dst string) (PathResponse, error) {

@@ -11,18 +11,18 @@ import (
 )
 
 // TestSnapshotFollowsProgrammedObjectSwap is the regression test for a
-// copy-on-write staleness bug the chaos campaigns caught: the SM *replaces*
-// the programmed LFT object on every fully-successful distribution (with a
-// clone of the target, carrying the target's own revision counter), so a
-// snapshot cache keyed on revision alone can keep serving the pre-reroute
-// clone when the fresh object's revision coincides with the recorded one.
-// After a link failure + reconfigure, the published snapshot then walks
-// paths out the dead port while the SM itself is healthy.
+// copy-on-write staleness bug the chaos campaigns caught when snapshots
+// still cloned tables and cached the clones by revision counter: the SM
+// *replaces* the programmed LFT object on every fully-successful
+// distribution, so such a cache could keep serving the pre-reroute clone.
+// After a link failure + reconfigure, the published snapshot then walked
+// paths out the dead port while the SM itself was healthy. Snapshots now
+// capture the published objects themselves; the test stays as the pin.
 //
 // The sequence below reproduces the hazard: reconfigure (programmed objects
 // swapped once), fail a trunk link and resweep directly on the SM, then
-// reconfigure again (swapped again, revisions frequently colliding on a
-// symmetric fabric). The snapshot must track the programmed tables exactly.
+// reconfigure again (swapped again). The snapshot must track the programmed
+// tables exactly.
 func TestSnapshotFollowsProgrammedObjectSwap(t *testing.T) {
 	spec := topology.XGFTSpec{M: []int{3, 3}, W: []int{1, 3}}
 	srv, ts := newFatTreeServer(t, spec, 2, sriov.VSwitchDynamic, Config{})
@@ -65,10 +65,10 @@ func TestSnapshotFollowsProgrammedObjectSwap(t *testing.T) {
 			t.Fatalf("switch %d has no programmed LFT", sw)
 		}
 		if sn.lfts[sw] == nil {
-			t.Fatalf("snapshot has no LFT clone for switch %d", sw)
+			t.Fatalf("snapshot has no LFT for switch %d", sw)
 		}
 		if !sn.lfts[sw].Equal(prog) {
-			t.Errorf("switch %d: snapshot LFT diverges from programmed table (stale COW clone)", sw)
+			t.Errorf("switch %d: snapshot LFT diverges from programmed table", sw)
 		}
 		if before.lfts[sw] != nil && !before.lfts[sw].Equal(prog) {
 			moved = true

@@ -60,8 +60,7 @@ type Dump struct {
 // DefaultRecorderCap is the default ring size (entries retained).
 const DefaultRecorderCap = 512
 
-// maxDumpSpans bounds the span window attached to one dump when no
-// mutation bracket is available.
+// maxDumpSpans bounds the span window attached to one dump.
 const maxDumpSpans = 1024
 
 // dumpFileSeq numbers dump files process-wide. Per-recorder counters are
@@ -200,28 +199,18 @@ func (r *Recorder) Dump(reason *Report) (*Dump, error) {
 	entries := r.entries()
 
 	// Span window: from the first span of the oldest retained mutation
-	// through the newest span. With no retained mutation (e.g. a cadence
-	// audit before any traffic) fall back to the last maxDumpSpans spans.
+	// through the newest span.
 	var spans []telemetry.SpanView
 	if r.tr != nil {
-		from := -1
+		// Never older than the last maxDumpSpans spans.
+		from := max(r.tr.LastSpanID()-maxDumpSpans, 0) + 1
 		for _, e := range entries {
 			if e.Kind == "mutation" && e.SpanFrom > 0 {
-				from = e.SpanFrom
+				from = max(from, e.SpanFrom)
 				break
 			}
 		}
-		if from < 0 {
-			if last := r.tr.LastSpanID(); last > maxDumpSpans {
-				from = last - maxDumpSpans + 1
-			} else {
-				from = 1
-			}
-		}
 		spans = r.tr.SpansSince(from - 1)
-		if len(spans) > maxDumpSpans {
-			spans = spans[len(spans)-maxDumpSpans:]
-		}
 	}
 
 	r.dumps++

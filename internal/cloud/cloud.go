@@ -14,6 +14,7 @@
 package cloud
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -28,6 +29,19 @@ import (
 	"ibvsim/internal/sriov"
 	"ibvsim/internal/telemetry"
 	"ibvsim/internal/topology"
+)
+
+// The failures a control plane answers with a status of their own. Each is
+// spliced into its message with %w — the sentinel's text is the phrase it
+// replaces, so every message reads as it always has (clients and scenario
+// logs print them) while errors.Is survives any further wrapping.
+var (
+	ErrExists        = errors.New("already exists")
+	ErrNoVM          = errors.New("no VM")
+	ErrBusy          = errors.New("is busy")
+	ErrNoFreeVF      = errors.New("free VF")
+	ErrNotHypervisor = errors.New("is not a hypervisor")
+	ErrSameNode      = errors.New("is already on node")
 )
 
 // Hypervisor is one compute node.
@@ -214,9 +228,13 @@ func (c *Cloud) VMCountOn(n topology.NodeID) int {
 	return len(h.HCA.AttachedVFs())
 }
 
+// Place asks the configured scheduler for the hypervisor to host the next
+// VM.
+func (c *Cloud) Place() (topology.NodeID, error) { return c.sched.Place(c) }
+
 // CreateVM schedules a VM through the configured scheduler.
 func (c *Cloud) CreateVM(name string) (*VM, error) {
-	hyp, err := c.sched.Place(c)
+	hyp, err := c.Place()
 	if err != nil {
 		return nil, err
 	}
@@ -246,17 +264,17 @@ func (c *Cloud) CreateVMOnVFShard(name string, hyp topology.NodeID, vf int, shar
 	_, exists := c.vms[name]
 	c.mu.RUnlock()
 	if exists {
-		return nil, boot, fmt.Errorf("cloud: VM %q already exists", name)
+		return nil, boot, fmt.Errorf("cloud: VM %q %w", name, ErrExists)
 	}
 	h := c.hyps[hyp]
 	if h == nil {
-		return nil, boot, fmt.Errorf("cloud: node %d is not a hypervisor", hyp)
+		return nil, boot, fmt.Errorf("cloud: node %d %w", hyp, ErrNotHypervisor)
 	}
 	if vf < 0 {
 		vf = h.HCA.FreeVF()
 	}
 	if vf < 0 {
-		return nil, boot, fmt.Errorf("cloud: hypervisor %d has no free VF", hyp)
+		return nil, boot, fmt.Errorf("cloud: hypervisor %d has no %w", hyp, ErrNoFreeVF)
 	}
 	if c.Model == sriov.VSwitchDynamic {
 		var err error
@@ -311,7 +329,7 @@ func (c *Cloud) DestroyVMStatsShard(name string, shard int) (core.BootStats, err
 	var boot core.BootStats
 	vm := c.VM(name)
 	if vm == nil {
-		return boot, fmt.Errorf("cloud: no VM %q", name)
+		return boot, fmt.Errorf("cloud: %w %q", ErrNoVM, name)
 	}
 	h := c.hyps[vm.Hyp]
 	if err := h.HCA.Detach(vm.VF); err != nil {
@@ -355,6 +373,25 @@ type MigrationReport struct {
 	// Span is the root migration span's trace ID, so a client can audit the
 	// report against the telemetry trace without scanning span windows.
 	Span int
+	// LIDs are the LID columns the migration rewrites (MovedLIDs). A failed
+	// migration's report carries them too: a reconfiguration that died
+	// half-way strands exactly these.
+	LIDs []ib.LID
+}
+
+// MovedLIDs names the LID columns that migrating the VM addressed by vmLID
+// onto VF dstVF of dst rewrites — what an op-scoped audit must re-prove
+// afterwards. Under the prepopulated swap the VM's column and the
+// destination VF's exchange; under dynamic assignment only the VM's moves;
+// under Shared Port no column moves and the VM answers on dst's PF LID.
+func (c *Cloud) MovedLIDs(vmLID ib.LID, dst topology.NodeID, dstVF int) []ib.LID {
+	switch c.Model {
+	case sriov.VSwitchPrepopulated:
+		return []ib.LID{vmLID, c.hyps[dst].HCA.VFs[dstVF].LID}
+	case sriov.VSwitchDynamic:
+		return []ib.LID{vmLID}
+	}
+	return []ib.LID{c.hyps[dst].HCA.PFLID}
 }
 
 // MigrateVM performs the four-step workflow of section VII-B.
@@ -375,23 +412,24 @@ func (c *Cloud) MigrateVMVFShard(name string, dst topology.NodeID, dstVF int, sh
 	var rep MigrationReport
 	vm := c.VM(name)
 	if vm == nil {
-		return rep, fmt.Errorf("cloud: no VM %q", name)
+		return rep, fmt.Errorf("cloud: %w %q", ErrNoVM, name)
 	}
 	dstH := c.hyps[dst]
 	if dstH == nil {
-		return rep, fmt.Errorf("cloud: destination %d is not a hypervisor", dst)
+		return rep, fmt.Errorf("cloud: destination %d %w", dst, ErrNotHypervisor)
 	}
 	if dst == vm.Hyp {
-		return rep, fmt.Errorf("cloud: VM %q is already on node %d", name, dst)
+		return rep, fmt.Errorf("cloud: VM %q %w %d", name, ErrSameNode, dst)
 	}
 	srcH := c.hyps[vm.Hyp]
 	if dstVF < 0 {
 		dstVF = dstH.HCA.FreeVF()
 	}
 	if dstVF < 0 {
-		return rep, fmt.Errorf("cloud: destination %d has no free VF", dst)
+		return rep, fmt.Errorf("cloud: destination %d has no %w", dst, ErrNoFreeVF)
 	}
 	rep.VM, rep.From, rep.To = name, vm.Hyp, dst
+	rep.LIDs = c.MovedLIDs(vm.Addr.LID, dst, dstVF)
 
 	tr := c.SM.Telemetry().Tracer()
 	span := tr.Start(telemetry.SpanMigration, name)

@@ -25,7 +25,7 @@ func (FirstFit) Place(c *Cloud) (topology.NodeID, error) {
 			return hn, nil
 		}
 	}
-	return topology.NoNode, fmt.Errorf("cloud: no hypervisor has a free VF")
+	return topology.NoNode, fmt.Errorf("cloud: no hypervisor has a %w", ErrNoFreeVF)
 }
 
 // Spread picks the hypervisor with the fewest VMs (ties to the lowest node
@@ -46,7 +46,7 @@ func (Spread) Place(c *Cloud) (topology.NodeID, error) {
 		}
 	}
 	if best == topology.NoNode {
-		return best, fmt.Errorf("cloud: no hypervisor has a free VF")
+		return best, fmt.Errorf("cloud: no hypervisor has a %w", ErrNoFreeVF)
 	}
 	return best, nil
 }
@@ -69,7 +69,7 @@ func (Pack) Place(c *Cloud) (topology.NodeID, error) {
 		}
 	}
 	if best == topology.NoNode {
-		return best, fmt.Errorf("cloud: no hypervisor has a free VF")
+		return best, fmt.Errorf("cloud: no hypervisor has a %w", ErrNoFreeVF)
 	}
 	return best, nil
 }
@@ -233,17 +233,17 @@ func (c *Cloud) ExecuteMoves(moves []Move) (BatchReport, error) {
 	for _, mv := range moves {
 		vm := c.vms[mv.VM]
 		if vm == nil {
-			return rep, fmt.Errorf("cloud: no VM %q", mv.VM)
+			return rep, fmt.Errorf("cloud: %w %q", ErrNoVM, mv.VM)
 		}
 		if seen[mv.VM] {
 			return rep, fmt.Errorf("cloud: VM %q appears twice in one batch", mv.VM)
 		}
 		seen[mv.VM] = true
 		if c.hyps[mv.To] == nil {
-			return rep, fmt.Errorf("cloud: destination %d is not a hypervisor", mv.To)
+			return rep, fmt.Errorf("cloud: destination %d %w", mv.To, ErrNotHypervisor)
 		}
 		if mv.To == vm.Hyp {
-			return rep, fmt.Errorf("cloud: VM %q is already on node %d", mv.VM, mv.To)
+			return rep, fmt.Errorf("cloud: VM %q %w %d", mv.VM, ErrSameNode, mv.To)
 		}
 	}
 	pending := append([]Move(nil), moves...)
@@ -268,7 +268,7 @@ func (c *Cloud) ExecuteMoves(moves []Move) (BatchReport, error) {
 		}
 		if len(wave) == 0 {
 			return rep, &BatchError{Completed: rep, Pending: pending,
-				Err: fmt.Errorf("no pending destination has a free VF")}
+				Err: fmt.Errorf("no pending destination has a %w", ErrNoFreeVF)}
 		}
 		wr, err := c.MigrateWave(wave)
 		rep.Reports = append(rep.Reports, wr.Reports...)

@@ -20,6 +20,10 @@ type WaveReport struct {
 	Plan core.PlanStats
 	// HostSMPs totals the per-hypervisor address SMPs across the wave.
 	HostSMPs int
+	// LIDs are the LID columns the wave rewrites (MovedLIDs of every member),
+	// set before the first edit: a wave that fails mid-distribution still
+	// names what it may have stranded.
+	LIDs []ib.LID
 }
 
 // wavePlanned is one validated wave member with its reserved destination VF.
@@ -41,7 +45,7 @@ func (c *Cloud) planWave(moves []Move) ([]wavePlanned, error) {
 	for _, mv := range moves {
 		vm := c.vms[mv.VM]
 		if vm == nil {
-			return nil, fmt.Errorf("cloud: no VM %q", mv.VM)
+			return nil, fmt.Errorf("cloud: %w %q", ErrNoVM, mv.VM)
 		}
 		if seen[mv.VM] {
 			return nil, fmt.Errorf("cloud: VM %q appears twice in one wave", mv.VM)
@@ -49,10 +53,10 @@ func (c *Cloud) planWave(moves []Move) ([]wavePlanned, error) {
 		seen[mv.VM] = true
 		dstH := c.hyps[mv.To]
 		if dstH == nil {
-			return nil, fmt.Errorf("cloud: destination %d is not a hypervisor", mv.To)
+			return nil, fmt.Errorf("cloud: destination %d %w", mv.To, ErrNotHypervisor)
 		}
 		if mv.To == vm.Hyp {
-			return nil, fmt.Errorf("cloud: VM %q is already on node %d", mv.VM, mv.To)
+			return nil, fmt.Errorf("cloud: VM %q %w %d", mv.VM, ErrSameNode, mv.To)
 		}
 		if reserved[mv.To] == nil {
 			reserved[mv.To] = map[int]bool{}
@@ -65,7 +69,7 @@ func (c *Cloud) planWave(moves []Move) ([]wavePlanned, error) {
 			}
 		}
 		if dstVF < 0 {
-			return nil, fmt.Errorf("cloud: destination %d has no free VF", mv.To)
+			return nil, fmt.Errorf("cloud: destination %d has no %w", mv.To, ErrNoFreeVF)
 		}
 		reserved[mv.To][dstVF] = true
 		var plan *core.MigrationPlan
@@ -134,6 +138,9 @@ func (c *Cloud) MigrateWaveProv(moves []Move, prov *ib.Provenance) (WaveReport, 
 	planned, err := c.planWave(moves)
 	if err != nil {
 		return rep, err
+	}
+	for _, p := range planned {
+		rep.LIDs = append(rep.LIDs, c.MovedLIDs(p.vm.Addr.LID, p.mv.To, p.dstVF)...)
 	}
 
 	// Step 1 for every member: detach the source VFs; the (modelled)

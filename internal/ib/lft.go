@@ -58,10 +58,10 @@ type lftSuper struct {
 // tables allocate almost nothing.
 //
 // Concurrency: Get is safe against concurrent Clone of the same table, and
-// concurrent Clones of one table are safe against each other (snapshot
-// builders clone live published tables). Set must not race with any other
-// method on the same table — callers serialise writers per switch exactly
-// as they did when Clone was a deep copy.
+// concurrent Clones of one table are safe against each other (writers clone
+// the live published table that readers are walking). Set must not race
+// with any other method on the same table — callers serialise writers per
+// switch exactly as they did when Clone was a deep copy.
 //
 // The zero value is not usable; construct with NewLFT. A port value of 255
 // (DropPort) or an entry outside the populated range means "drop".
@@ -69,7 +69,6 @@ type LFT struct {
 	supers  []*lftSuper
 	nblocks int      // logical geometry in 64-entry blocks (supers over-cover)
 	dirty   []uint64 // bitmap over block indices, set by Set since last ClearDirty
-	rev     uint64   // bumped on every effective Set; never reset (unlike dirty)
 	gen     atomic.Uint64
 	// prov is the table's current write epoch: every Set that changes an
 	// entry stamps the touched block with this pointer. Writers open an
@@ -111,7 +110,6 @@ func (t *LFT) Clone() *LFT {
 		supers:  make([]*lftSuper, len(t.supers)),
 		nblocks: t.nblocks,
 		dirty:   make([]uint64, len(t.dirty)),
-		rev:     t.rev,
 		prov:    t.prov,
 	}
 	copy(c.supers, t.supers)
@@ -120,12 +118,6 @@ func (t *LFT) Clone() *LFT {
 	t.gen.Store(lftGen.Add(1))
 	return c
 }
-
-// Rev returns the table's revision: a counter bumped every time Set changes
-// an entry, and never reset. Two reads of an unchanged table return the
-// same revision, which lets snapshot layers (the control-plane daemon's
-// copy-on-write fabric views) re-clone only tables that actually moved.
-func (t *LFT) Rev() uint64 { return t.rev }
 
 // NumBlocks returns the number of 64-entry blocks backing the table.
 func (t *LFT) NumBlocks() int { return t.nblocks }
@@ -279,7 +271,6 @@ func (t *LFT) Set(l LID, p PortNum) {
 	blk := t.mutableBlock(b)
 	blk.ports[int(l)%LFTBlockSize] = p
 	blk.prov = t.prov
-	t.rev++
 	t.dirty[b/64] |= 1 << (uint(b) % 64)
 }
 
@@ -317,12 +308,16 @@ func (t *LFT) ensure(l LID) {
 // work, so attribution follows them.
 func (t *LFT) CopyBlockFrom(other *LFT, block int) {
 	base := block * LFTBlockSize
-	before := t.rev
+	t.ensure(LID(base + LFTBlockSize - 1))
+	changed := false
 	for i := 0; i < LFTBlockSize; i++ {
 		l := LID(base + i)
-		t.Set(l, other.Get(l))
+		if p := other.Get(l); p != t.Get(l) {
+			t.Set(l, p)
+			changed = true
+		}
 	}
-	if t.rev != before && provEnabled.Load() {
+	if changed && provEnabled.Load() {
 		// Set materialised the block under t's generation; re-stamp it with
 		// the source epoch without another copy.
 		t.mutableBlock(block).prov = other.ProvenanceOf(LID(base))

@@ -142,7 +142,7 @@ func (p *Planner) Plan(spec Spec) (*Plan, error) {
 	for _, mv := range moves {
 		vm := p.C.VM(mv.VM)
 		if vm == nil {
-			return nil, fmt.Errorf("reconcile: no VM %q", mv.VM)
+			return nil, fmt.Errorf("reconcile: %w %q", cloud.ErrNoVM, mv.VM)
 		}
 		ann = append(ann, Move{
 			VM:        mv.VM,
@@ -183,7 +183,19 @@ func (p *Planner) Plan(spec Spec) (*Plan, error) {
 			}
 		}
 		if len(wave) == 0 {
-			return nil, fmt.Errorf("reconcile: placement infeasible: no pending destination has a free VF (%d moves stuck)", len(pending))
+			// Every pending destination is full and its occupants are
+			// waiting too: the moves wait on each other in a cycle (a pure
+			// swap is the smallest). Park one VM of a cycle on a spare VF
+			// — a wave of its own — and let it move on once its slot frees.
+			i := onCycle(pending)
+			spare, ok := p.spareVF(sh, pending[i].From)
+			if !ok {
+				return nil, fmt.Errorf("reconcile: placement infeasible: no pending destination has a %w (%d moves stuck)", cloud.ErrNoFreeVF, len(pending))
+			}
+			park := pending[i]
+			park.To, park.LeafLocal = spare, leaf(park.From) == leaf(spare)
+			wave = []Move{park}
+			rest[i].From, rest[i].LeafLocal = spare, leaf(spare) == leaf(rest[i].To) // rest holds all of pending, in order
 		}
 		cm := make([]cloud.Move, len(wave))
 		for i, mv := range wave {
@@ -203,6 +215,48 @@ func (p *Planner) Plan(spec Spec) (*Plan, error) {
 		pending = rest
 	}
 	return plan, nil
+}
+
+// onCycle returns the index of a stuck move that lies on a cycle of moves
+// each waiting for the next one's VF. The caller guarantees every pending
+// destination is full; the final placement fits, so each such host has a
+// pending leaver, and following leavers must revisit a move.
+func onCycle(pending []Move) int {
+	leaver := map[topology.NodeID]int{}
+	for i := len(pending) - 1; i >= 0; i-- {
+		leaver[pending[i].From] = i
+	}
+	seen := map[int]bool{}
+	i := 0
+	for !seen[i] {
+		seen[i] = true
+		next, ok := leaver[pending[i].To]
+		if !ok {
+			break
+		}
+		i = next
+	}
+	return i
+}
+
+// spareVF picks a hypervisor with a free VF in the shadow state to park a
+// VM from src on: under src's leaf if there is one (the cheapest move),
+// else the lowest-numbered.
+func (p *Planner) spareVF(sh *shadow, src topology.NodeID) (topology.NodeID, bool) {
+	best := topology.NoNode
+	srcLeaf := p.C.SM.Topo.LeafSwitchOf(src)
+	for _, hn := range p.C.Hypervisors() {
+		if sh.attached(hn) >= sh.capacity(hn) {
+			continue
+		}
+		if p.C.SM.Topo.LeafSwitchOf(hn) == srcLeaf {
+			return hn, true
+		}
+		if best == topology.NoNode {
+			best = hn
+		}
+	}
+	return best, best != topology.NoNode
 }
 
 // desired computes the move list that realises the spec.
@@ -225,7 +279,7 @@ func (p *Planner) desired(spec Spec) ([]cloud.Move, error) {
 // hosts: same-leaf receivers first, then the most loaded host with space.
 func (p *Planner) drainMoves(host topology.NodeID) ([]cloud.Move, error) {
 	if p.C.Hypervisor(host) == nil {
-		return nil, fmt.Errorf("reconcile: drain target %d is not a hypervisor", host)
+		return nil, fmt.Errorf("reconcile: drain target %d %w", host, cloud.ErrNotHypervisor)
 	}
 	hostLeaf := p.C.SM.Topo.LeafSwitchOf(host)
 	load := map[topology.NodeID]int{}
@@ -257,7 +311,7 @@ func (p *Planner) drainMoves(host topology.NodeID) ([]cloud.Move, error) {
 			}
 		}
 		if recv == topology.NoNode {
-			return nil, fmt.Errorf("reconcile: draining %d is infeasible: no free VF for VM %q", host, name)
+			return nil, fmt.Errorf("reconcile: draining %d is infeasible: no %w for VM %q", host, cloud.ErrNoFreeVF, name)
 		}
 		moves = append(moves, cloud.Move{VM: name, To: recv})
 		free[recv]--
@@ -333,11 +387,11 @@ func (p *Planner) placementMoves(want map[string]topology.NodeID) ([]cloud.Move,
 	for _, name := range names {
 		vm := p.C.VM(name)
 		if vm == nil {
-			return nil, fmt.Errorf("reconcile: no VM %q", name)
+			return nil, fmt.Errorf("reconcile: %w %q", cloud.ErrNoVM, name)
 		}
 		dst := want[name]
 		if p.C.Hypervisor(dst) == nil {
-			return nil, fmt.Errorf("reconcile: placement of %q: %d is not a hypervisor", name, dst)
+			return nil, fmt.Errorf("reconcile: placement of %q: %d %w", name, dst, cloud.ErrNotHypervisor)
 		}
 		if dst == vm.Hyp {
 			continue

@@ -1,6 +1,7 @@
 package reconcile
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -318,5 +319,66 @@ func TestPlacementGoal(t *testing.T) {
 	// hyps[5] already hosts pl-a; 3 more arrivals overflow its 3 VFs.
 	if _, err := p.Plan(Spec{Goal: GoalPlacement, Placement: over}); err == nil {
 		t.Error("overfilling placement must fail")
+	}
+}
+
+// TestPlacementSwapCycle: two full hosts exchange one VM each, so every
+// move's destination is full and only the other move can free it. The
+// planner used to refuse ("placement infeasible ... moves stuck"); it must
+// park one VM per cycle on a spare VF, predict every wave exactly, and
+// converge — here for a 2-cycle and a 3-cycle at once. With no spare VF
+// anywhere the refusal stands.
+func TestPlacementSwapCycle(t *testing.T) {
+	for _, model := range []sriov.Model{sriov.VSwitchPrepopulated, sriov.VSwitchDynamic} {
+		c := testCloud(t, model)
+		hyps := c.Hypervisors()
+		// Fill hosts 0..3 (3 VFs each); every other host is empty.
+		for h := 0; h < 4; h++ {
+			for i := 0; i < 3; i++ {
+				if _, err := c.CreateVMOn(string(rune('a'+h))+string(rune('0'+i)), hyps[h]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := map[string]topology.NodeID{
+			"a0": hyps[1], "b0": hyps[0], // 2-cycle between hosts 0 and 1
+			"b1": hyps[2], "c0": hyps[3], "d0": hyps[1], // 3-cycle 1 -> 2 -> 3 -> 1
+		}
+		p := &Planner{C: c}
+		plan, err := p.Plan(Spec{Goal: GoalPlacement, Placement: want})
+		if err != nil {
+			t.Fatalf("%v: %v", model, err)
+		}
+		if len(plan.Moves) != len(want)+2 {
+			t.Fatalf("%v: %d moves for %d placements in two cycles, want one parking move per cycle: %+v", model, len(plan.Moves), len(want), plan.Moves)
+		}
+		for i, wr := range applyPlan(t, c, plan) {
+			if pr := plan.Predicted[i]; pr.SwitchesUpdated != wr.Plan.SwitchesUpdated || pr.LFTSMPs != wr.Plan.SMPs || pr.HostSMPs != wr.HostSMPs {
+				t.Errorf("%v wave %d: predicted %+v, applied %+v host %d", model, i, pr, wr.Plan, wr.HostSMPs)
+			}
+		}
+		for name, hn := range want {
+			if got := c.VM(name).Hyp; got != hn {
+				t.Errorf("%v: %s on %d, want %d", model, name, got, hn)
+			}
+		}
+		if again, err := p.Plan(Spec{Goal: GoalPlacement, Placement: want}); err != nil || !again.Converged {
+			t.Errorf("%v: achieved placement must be a fixpoint: %+v, %v", model, again, err)
+		}
+
+		// Fill every remaining VF: the same kind of swap now has nowhere to park.
+		n := 0
+		for _, hn := range hyps {
+			for c.VMCountOn(hn) < 3 {
+				if _, err := c.CreateVMOn("fill-"+string(rune('A'+n/26))+string(rune('a'+n%26)), hn); err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+		}
+		_, err = p.Plan(Spec{Goal: GoalPlacement, Placement: map[string]topology.NodeID{"a1": hyps[1], "b2": hyps[0]}})
+		if !errors.Is(err, cloud.ErrNoFreeVF) {
+			t.Errorf("%v: swap on a full cloud: err = %v, want ErrNoFreeVF", model, err)
+		}
 	}
 }

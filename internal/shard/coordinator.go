@@ -21,10 +21,9 @@ type Config struct {
 	// QueueDepth bounds each shard's admission queue. 0 means 64 (the same
 	// default as the single-actor admission queue).
 	QueueDepth int
-	// AfterMutation, when non-nil, runs after every completed mutation (on
-	// the owning actor for zone-local operations, on the coordinator's
-	// request goroutine for cross-shard migrations). The API layer hooks the
-	// flight recorder and the op-scoped audit here.
+	// AfterMutation, when non-nil, runs after every finished command,
+	// failed and refused ones included (see Mutation for the goroutine). The
+	// API layer runs its mutation epilogue here: flight record, log, audit.
 	AfterMutation func(Mutation)
 }
 
@@ -142,14 +141,14 @@ func (co *Coordinator) claim(name string, mustExist bool) (int, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if co.busy[name] {
-		return 0, fmt.Errorf("cloud: VM %q is busy (another operation is in flight)", name)
+		return 0, fmt.Errorf("cloud: VM %q %w (another operation is in flight)", name, cloud.ErrBusy)
 	}
 	z, ok := co.vmZone[name]
 	if mustExist && !ok {
-		return 0, fmt.Errorf("cloud: no VM %q", name)
+		return 0, fmt.Errorf("cloud: %w %q", cloud.ErrNoVM, name)
 	}
 	if !mustExist && ok {
-		return 0, fmt.Errorf("cloud: VM %q already exists", name)
+		return 0, fmt.Errorf("cloud: VM %q %w", name, cloud.ErrExists)
 	}
 	co.busy[name] = true
 	return z, nil
@@ -174,18 +173,59 @@ const keepZone = -1
 // dropZone removes the VM from the routing table when settling.
 const dropZone = -2
 
+// begin opens the record of one command: what it is and where its span
+// window starts.
+func (co *Coordinator) begin(op, reqID, name string) Mutation {
+	return Mutation{Op: op, Name: name, ReqID: reqID,
+		SpanFrom: co.C.SM.Telemetry().Tracer().LastSpanID() + 1}
+}
+
+// done hands a finished command to the AfterMutation hook.
+func (co *Coordinator) done(m Mutation) {
+	if f := co.cfg.AfterMutation; f != nil {
+		f(m)
+	}
+}
+
+// refuse finishes a command the coordinator turned down before any shard
+// saw it; nothing changed, so it reports at the current generation.
+func (co *Coordinator) refuse(m Mutation, err error) error {
+	m.Shard, m.Gen, m.Err = ib.ShardNone, co.gen.Load(), err
+	co.done(m)
+	return err
+}
+
+// call runs fn on the shard's actor and waits for its result; a full queue
+// is ErrBackpressure and fn never runs.
+func call[T any](sh *Shard, fn func() (T, error)) (T, error) {
+	type reply struct {
+		res T
+		err error
+	}
+	ch := make(chan reply, 1)
+	if err := sh.trySubmit(func() {
+		r, e := fn()
+		ch <- reply{r, e}
+	}); err != nil {
+		var zero T
+		return zero, err
+	}
+	r := <-ch
+	return r.res, r.err
+}
+
 // CreateVM places a VM: on hyp's zone when pinned (hyp != NoNode), else on
 // the zone with the most free VFs, with spread placement inside the zone.
-func (co *Coordinator) CreateVM(reqID, name string, hyp topology.NodeID) (CreateResult, error) {
-	var res CreateResult
+func (co *Coordinator) CreateVM(reqID, name string, hyp topology.NodeID) (Result, error) {
+	m := co.begin("create_vm", reqID, name)
 	if _, err := co.claim(name, false); err != nil {
-		return res, err
+		return Result{}, co.refuse(m, err)
 	}
 	z := -1
 	if hyp != topology.NoNode {
 		if z = co.Part.ZoneOfHyp(hyp); z < 0 {
 			co.settle(name, keepZone)
-			return res, fmt.Errorf("cloud: node %d is not a hypervisor", hyp)
+			return Result{}, co.refuse(m, fmt.Errorf("cloud: node %d %w", hyp, cloud.ErrNotHypervisor))
 		}
 	} else {
 		best := -1
@@ -196,94 +236,56 @@ func (co *Coordinator) CreateVM(reqID, name string, hyp topology.NodeID) (Create
 		}
 	}
 	sh := co.shards[z]
-	type reply struct {
-		res CreateResult
-		err error
-	}
-	ch := make(chan reply, 1)
-	if err := sh.trySubmit(func() {
-		r, e := sh.execCreate(reqID, name, hyp)
-		ch <- reply{r, e}
-	}); err != nil {
-		co.settle(name, keepZone)
-		return res, err
-	}
-	r := <-ch
-	if r.err != nil {
-		co.settle(name, keepZone)
-		return res, r.err
+	res, err := call(sh, func() (Result, error) { return sh.execCreate(m, hyp) })
+	if err != nil {
+		z = keepZone
 	}
 	co.settle(name, z)
-	return r.res, nil
+	return res, err
 }
 
 // DestroyVM removes a VM through its owning shard.
-func (co *Coordinator) DestroyVM(reqID, name string) (DestroyResult, error) {
-	var res DestroyResult
+func (co *Coordinator) DestroyVM(reqID, name string) (Result, error) {
+	m := co.begin("destroy_vm", reqID, name)
 	z, err := co.claim(name, true)
 	if err != nil {
-		return res, err
+		return Result{}, co.refuse(m, err)
 	}
 	sh := co.shards[z]
-	type reply struct {
-		res DestroyResult
-		err error
-	}
-	ch := make(chan reply, 1)
-	if err := sh.trySubmit(func() {
-		r, e := sh.execDestroy(reqID, name)
-		ch <- reply{r, e}
-	}); err != nil {
+	res, err := call(sh, func() (Result, error) { return sh.execDestroy(m) })
+	if err != nil {
 		co.settle(name, keepZone)
-		return res, err
+	} else {
+		co.settle(name, dropZone)
 	}
-	r := <-ch
-	if r.err != nil {
-		co.settle(name, keepZone)
-		return res, r.err
-	}
-	co.settle(name, dropZone)
-	return r.res, nil
+	return res, err
 }
 
 // MigrateVM routes a migration: zone-local when source and destination
 // share a shard, the two-phase cross-shard plan otherwise.
-func (co *Coordinator) MigrateVM(reqID, name string, dst topology.NodeID) (MigrateResult, error) {
-	var res MigrateResult
+func (co *Coordinator) MigrateVM(reqID, name string, dst topology.NodeID) (Result, error) {
+	m := co.begin("migrate_vm", reqID, name)
 	srcZone, err := co.claim(name, true)
 	if err != nil {
-		return res, err
+		return Result{}, co.refuse(m, err)
 	}
 	dstZone := co.Part.ZoneOfHyp(dst)
 	if dstZone < 0 {
 		co.settle(name, keepZone)
-		return res, fmt.Errorf("cloud: destination %d is not a hypervisor", dst)
+		return Result{}, co.refuse(m, fmt.Errorf("cloud: destination %d %w", dst, cloud.ErrNotHypervisor))
 	}
 	if dstZone == srcZone {
 		sh := co.shards[srcZone]
-		type reply struct {
-			res MigrateResult
-			err error
-		}
-		ch := make(chan reply, 1)
-		if err := sh.trySubmit(func() {
-			r, e := sh.execMigrate(reqID, name, dst)
-			ch <- reply{r, e}
-		}); err != nil {
-			co.settle(name, keepZone)
-			return res, err
-		}
-		r := <-ch
-		co.settle(name, keepZone)
-		return r.res, r.err
-	}
-	res, err = co.migrateCross(reqID, name, srcZone, dstZone, dst)
-	if err != nil {
+		res, err := call(sh, func() (Result, error) { return sh.execMigrate(m, dst) })
 		co.settle(name, keepZone)
 		return res, err
 	}
+	res, err := co.migrateCross(m, srcZone, dstZone, dst)
+	if err != nil {
+		dstZone = keepZone
+	}
 	co.settle(name, dstZone)
-	return res, nil
+	return res, err
 }
 
 // XMigration describes an in-flight cross-shard migration at its commit
@@ -327,8 +329,9 @@ func (co *Coordinator) commitGate() func(XMigration) error {
 // the source actor and adopts the VM on the destination actor. Either
 // side's phase-1 failure (or a commit-gate veto) aborts by re-attaching the
 // source VF and releasing the reservation.
-func (co *Coordinator) migrateCross(reqID, name string, srcZone, dstZone int, dst topology.NodeID) (MigrateResult, error) {
-	var res MigrateResult
+func (co *Coordinator) migrateCross(m Mutation, srcZone, dstZone int, dst topology.NodeID) (Result, error) {
+	var res Result
+	name := m.Name
 	src, dstSh := co.shards[srcZone], co.shards[dstZone]
 	co.xmu.RLock()
 	defer co.xmu.RUnlock()
@@ -341,11 +344,9 @@ func (co *Coordinator) migrateCross(reqID, name string, srcZone, dstZone int, ds
 			ObserveDuration(time.Since(start))
 	}
 
-	fail := func(err error) (MigrateResult, error) {
-		if f := co.cfg.AfterMutation; f != nil {
-			f(Mutation{Op: "migrate_vm", Name: name, ReqID: reqID, Shard: srcZone,
-				Gen: co.gen.Load(), Err: err})
-		}
+	fail := func(err error) (Result, error) {
+		m.Shard, m.Gen, m.Err = srcZone, co.gen.Load(), err
+		co.done(m)
 		return res, err
 	}
 
@@ -361,7 +362,7 @@ func (co *Coordinator) migrateCross(reqID, name string, srcZone, dstZone int, ds
 		h := co.C.Hypervisor(dst)
 		vf := dstSh.pickVF(h)
 		if vf < 0 {
-			ch1 <- p1a{err: fmt.Errorf("cloud: destination %d has no free VF", dst)}
+			ch1 <- p1a{err: fmt.Errorf("cloud: destination %d has no %w", dst, cloud.ErrNoFreeVF)}
 			return
 		}
 		dstSh.reserve(dst, vf)
@@ -389,7 +390,7 @@ func (co *Coordinator) migrateCross(reqID, name string, srcZone, dstZone int, ds
 	if err := src.submit(func() {
 		vm := co.C.VM(name)
 		if vm == nil {
-			ch2 <- p1b{err: fmt.Errorf("cloud: no VM %q", name)}
+			ch2 <- p1b{err: fmt.Errorf("cloud: %w %q", cloud.ErrNoVM, name)}
 			return
 		}
 		var plan *core.MigrationPlan
@@ -470,6 +471,7 @@ func (co *Coordinator) migrateCross(reqID, name string, srcZone, dstZone int, ds
 	// stamped here, at the commit point: every LFT block this migration
 	// rewrites attributes to the coordinator's commit phase and this span.
 	commitStart := time.Now()
+	m.Rep.LIDs = co.C.MovedLIDs(oldLID, dst, r1.vf) // from here on a failure may strand them
 	var st core.PlanStats
 	if plan != nil {
 		plan.Prov = &ib.Provenance{
@@ -585,28 +587,15 @@ func (co *Coordinator) migrateCross(reqID, name string, srcZone, dstZone int, ds
 		"migrated %q to node %d (LID %d, cross-shard %d -> %d, addresses changed: %v)",
 		name, dst, r4.addr.LID, srcZone, dstZone, changed)
 
-	res = MigrateResult{
-		VM: VMState{Name: name, Hyp: dst, VF: r1.vf, Addr: r4.addr},
-		Rep: cloud.MigrationReport{
-			VM: name, From: oldHyp, To: dst, Plan: st, HostSMPs: hostSMPs,
-			AddressesChanged: changed, Downtime: st.ModelledTime, Span: span.ID(),
-		},
+	m.Shard, m.Gen = dstZone, co.gen.Load()
+	m.VM = VMState{Name: name, Hyp: dst, VF: r1.vf, Addr: r4.addr}
+	m.Rep = cloud.MigrationReport{
+		VM: name, From: oldHyp, To: dst, Plan: st, HostSMPs: hostSMPs,
+		AddressesChanged: changed, Downtime: st.ModelledTime, Span: span.ID(),
+		LIDs: m.Rep.LIDs,
 	}
-	var lids []ib.LID
-	switch co.C.Model {
-	case sriov.VSwitchPrepopulated:
-		lids = []ib.LID{oldLID, r1.lid}
-	case sriov.VSwitchDynamic:
-		lids = []ib.LID{oldLID}
-	default:
-		lids = []ib.LID{r4.addr.LID}
-	}
-	if f := co.cfg.AfterMutation; f != nil {
-		f(Mutation{Op: "migrate_vm", Name: name, ReqID: reqID, Shard: dstZone,
-			Gen: co.gen.Load(), AuditLIDs: lids,
-			Binding: &Binding{Name: name, LID: r4.addr.LID, Hyp: dst}})
-	}
-	return res, nil
+	co.done(m)
+	return m.Result, nil
 }
 
 // Resync rebuilds the routing table, every shard's name set and every

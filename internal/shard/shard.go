@@ -10,8 +10,6 @@ import (
 
 	"ibvsim/internal/cloud"
 	"ibvsim/internal/core"
-	"ibvsim/internal/ib"
-	"ibvsim/internal/sriov"
 	"ibvsim/internal/telemetry"
 	"ibvsim/internal/topology"
 )
@@ -55,13 +53,8 @@ type Shard struct {
 	mOps        *telemetry.Counter
 }
 
-// VMState is one VM in a shard snapshot.
-type VMState struct {
-	Name string
-	Hyp  topology.NodeID
-	VF   int
-	Addr sriov.Addresses
-}
+// VMState is one VM in a shard snapshot: a copy of the cloud's record.
+type VMState = cloud.VM
 
 // HypState is one hypervisor in a shard snapshot.
 type HypState struct {
@@ -227,178 +220,116 @@ func (s *Shard) publish(gen uint64) {
 		if vm == nil {
 			continue
 		}
-		sn.VMs = append(sn.VMs, VMState{Name: vm.Name, Hyp: vm.Hyp, VF: vm.VF, Addr: vm.Addr})
+		sn.VMs = append(sn.VMs, *vm)
 	}
 	sort.Slice(sn.VMs, func(i, j int) bool { return sn.VMs[i].Name < sn.VMs[j].Name })
 	s.snap.Store(sn)
 }
 
-// finish closes out one zone-local mutation on the actor: bump the op
-// counter, publish a fresh snapshot on success, and run the coordinator's
-// after-mutation hook (flight recorder + op-scoped audit in the API layer).
-func (s *Shard) finish(op, name, reqID string, err error, lids []ib.LID, b *Binding) {
+// finish closes out one zone-local command on the actor: bump the op
+// counter, publish a fresh snapshot unless the command was refused before it
+// touched anything (a migration that died half-way did: its report names the
+// columns), and hand the outcome to the coordinator's hook before the caller
+// sees it.
+func (s *Shard) finish(m Mutation) (Result, error) {
 	s.ops.Add(1)
 	s.mOps.Inc()
-	gen := s.co.gen.Load()
-	if err == nil {
-		gen = s.co.gen.Add(1)
-		s.publish(gen)
+	m.Shard, m.Gen = s.id, s.co.gen.Load()
+	if m.Err == nil || len(m.Rep.LIDs) > 0 {
+		m.Gen = s.co.gen.Add(1)
+		s.publish(m.Gen)
 	}
-	if f := s.co.cfg.AfterMutation; f != nil {
-		f(Mutation{Op: op, Name: name, ReqID: reqID, Shard: s.id, Gen: gen,
-			Err: err, AuditLIDs: lids, Binding: b})
-	}
+	s.co.done(m)
+	return m.Result, m.Err
 }
 
 // execCreate runs a zone-local VM create on the actor. hyp == NoNode means
 // the coordinator delegated placement to the zone.
-func (s *Shard) execCreate(reqID, name string, hyp topology.NodeID) (CreateResult, error) {
-	var res CreateResult
-	var vf int
+func (s *Shard) execCreate(m Mutation, hyp topology.NodeID) (Result, error) {
+	vf := -1
 	if hyp == topology.NoNode {
-		hyp, vf = s.placeLocal()
-		if hyp == topology.NoNode {
-			err := fmt.Errorf("cloud: zone %d has no free VF", s.id)
-			s.finish("create_vm", name, reqID, err, nil, nil)
-			return res, err
+		if hyp, vf = s.placeLocal(); hyp == topology.NoNode {
+			m.Err = fmt.Errorf("cloud: zone %d has no %w", s.id, cloud.ErrNoFreeVF)
 		}
-	} else {
-		h := s.co.C.Hypervisor(hyp)
-		if h == nil {
-			err := fmt.Errorf("cloud: node %d is not a hypervisor", hyp)
-			s.finish("create_vm", name, reqID, err, nil, nil)
-			return res, err
-		}
-		if vf = s.pickVF(h); vf < 0 {
-			err := fmt.Errorf("cloud: hypervisor %d has no free VF", hyp)
-			s.finish("create_vm", name, reqID, err, nil, nil)
-			return res, err
+	} else if h := s.co.C.Hypervisor(hyp); h == nil {
+		m.Err = fmt.Errorf("cloud: node %d %w", hyp, cloud.ErrNotHypervisor)
+	} else if vf = s.pickVF(h); vf < 0 {
+		m.Err = fmt.Errorf("cloud: hypervisor %d has no %w", hyp, cloud.ErrNoFreeVF)
+	}
+	if m.Err == nil {
+		var vm *cloud.VM
+		if vm, m.Boot, m.Err = s.co.C.CreateVMOnVFShard(m.Name, hyp, vf, s.id); m.Err == nil {
+			s.names[m.Name] = struct{}{}
+			m.VM = *vm
 		}
 	}
-	vm, boot, err := s.co.C.CreateVMOnVFShard(name, hyp, vf, s.id)
-	if err != nil {
-		s.finish("create_vm", name, reqID, err, nil, nil)
-		return res, err
-	}
-	s.names[name] = struct{}{}
-	res = CreateResult{VM: VMState{Name: vm.Name, Hyp: vm.Hyp, VF: vm.VF, Addr: vm.Addr}, Boot: boot}
-	s.finish("create_vm", name, reqID, nil,
-		[]ib.LID{vm.Addr.LID}, &Binding{Name: name, LID: vm.Addr.LID, Hyp: vm.Hyp})
-	return res, nil
+	return s.finish(m)
 }
 
-// execDestroy runs a zone-local VM destroy on the actor.
-func (s *Shard) execDestroy(reqID, name string) (DestroyResult, error) {
-	var res DestroyResult
-	vm := s.co.C.VM(name)
-	if vm == nil {
-		err := fmt.Errorf("cloud: no VM %q", name)
-		s.finish("destroy_vm", name, reqID, err, nil, nil)
-		return res, err
+// execDestroy runs a zone-local VM destroy on the actor. The mutation
+// carries the VM as it was: the freed VF's LID is what the API layer audits
+// on a fabric that keeps routing it.
+func (s *Shard) execDestroy(m Mutation) (Result, error) {
+	if vm := s.co.C.VM(m.Name); vm != nil {
+		m.VM = *vm
 	}
-	vfLID := vm.Addr.LID
-	boot, err := s.co.C.DestroyVMStatsShard(name, s.id)
-	if err != nil {
-		s.finish("destroy_vm", name, reqID, err, nil, nil)
-		return res, err
+	if m.Boot, m.Err = s.co.C.DestroyVMStatsShard(m.Name, s.id); m.Err == nil {
+		delete(s.names, m.Name)
 	}
-	delete(s.names, name)
-	res = DestroyResult{Boot: boot}
-	// Under prepopulated LIDs the VF keeps its LID after teardown, so the
-	// freed column is still auditable; under dynamic assignment the LID is
-	// gone and there is no column left to check.
-	var lids []ib.LID
-	if s.co.C.Model == sriov.VSwitchPrepopulated {
-		lids = []ib.LID{vfLID}
-	}
-	s.finish("destroy_vm", name, reqID, nil, lids, nil)
-	return res, nil
+	return s.finish(m)
 }
 
 // execMigrate runs a zone-local migration (source and destination in this
-// shard's zone) on the actor.
-func (s *Shard) execMigrate(reqID, name string, dst topology.NodeID) (MigrateResult, error) {
-	var res MigrateResult
-	fail := func(err error) (MigrateResult, error) {
-		s.finish("migrate_vm", name, reqID, err, nil, nil)
-		return res, err
+// shard's zone) on the actor. Only the destination VF is chosen here, from
+// the shard's reservation ledger; an unknown VM, a non-hypervisor and a
+// same-node move are the cloud's to refuse.
+func (s *Shard) execMigrate(m Mutation, dst topology.NodeID) (Result, error) {
+	h, vm := s.co.C.Hypervisor(dst), s.co.C.VM(m.Name)
+	dstVF := -1
+	if h != nil && vm != nil && dst != vm.Hyp {
+		if dstVF = s.pickVF(h); dstVF < 0 {
+			m.Err = fmt.Errorf("cloud: destination %d has no %w", dst, cloud.ErrNoFreeVF)
+		}
 	}
-	h := s.co.C.Hypervisor(dst)
-	if h == nil {
-		return fail(fmt.Errorf("cloud: destination %d is not a hypervisor", dst))
+	if m.Err == nil {
+		m.Rep, m.Err = s.co.C.MigrateVMVFShard(m.Name, dst, dstVF, s.id)
 	}
-	vm := s.co.C.VM(name)
-	if vm == nil {
-		return fail(fmt.Errorf("cloud: no VM %q", name))
+	if vm != nil {
+		m.VM = *vm
 	}
-	if dst == vm.Hyp {
-		return fail(fmt.Errorf("cloud: VM %q is already on node %d", name, dst))
-	}
-	dstVF := s.pickVF(h)
-	if dstVF < 0 {
-		return fail(fmt.Errorf("cloud: destination %d has no free VF", dst))
-	}
-	vmLID, destLID := vm.Addr.LID, h.HCA.VFs[dstVF].LID
-	rep, err := s.co.C.MigrateVMVFShard(name, dst, dstVF, s.id)
-	if err != nil {
-		return fail(err)
-	}
-	res = MigrateResult{VM: VMState{Name: vm.Name, Hyp: vm.Hyp, VF: vm.VF, Addr: vm.Addr}, Rep: rep}
-	var lids []ib.LID
-	switch s.co.C.Model {
-	case sriov.VSwitchPrepopulated:
-		lids = []ib.LID{vmLID, destLID} // the swapped pair: both columns changed
-	case sriov.VSwitchDynamic:
-		lids = []ib.LID{vmLID}
-	default:
-		lids = []ib.LID{vm.Addr.LID}
-	}
-	s.finish("migrate_vm", name, reqID, nil, lids,
-		&Binding{Name: name, LID: vm.Addr.LID, Hyp: vm.Hyp})
-	return res, nil
+	return s.finish(m)
 }
 
-// CreateResult answers a create operation.
-type CreateResult struct {
+// Result is what a lifecycle command did, in the cloud's own terms. VM is
+// the VM after a create or migrate and as it was before a destroy (zero when
+// the name never resolved); Boot is the LFT cost of a create or destroy; Rep
+// the migration report, whose LIDs name the columns a migration rewrote even
+// when it failed half-way.
+type Result struct {
 	VM   VMState
 	Boot core.BootStats
+	Rep  cloud.MigrationReport
 }
 
-// DestroyResult answers a destroy operation.
-type DestroyResult struct {
-	Boot core.BootStats
-}
-
-// MigrateResult answers a migrate operation.
-type MigrateResult struct {
-	VM  VMState
-	Rep cloud.MigrationReport
-}
-
-// Binding is the VM→(LID, hypervisor) claim a mutation establishes; the
-// API layer feeds it to the op-scoped audit.
-type Binding struct {
-	Name string
-	LID  ib.LID
-	Hyp  topology.NodeID
-}
-
-// Mutation describes one completed control-plane mutation to the
-// coordinator's AfterMutation hook. For zone-local operations the hook runs
-// on the owning shard's actor goroutine (before the reply, like the
-// single-actor loop); for cross-shard migrations it runs once on the
-// coordinator's request goroutine after phase 2 completes.
+// Mutation describes one finished control-plane command — what it was and
+// what it did — to the coordinator's AfterMutation hook. For zone-local
+// operations the hook runs on the owning shard's actor goroutine (before the
+// reply, like the single-actor loop); for cross-shard migrations it runs
+// once on the coordinator's request goroutine while the VM is still claimed;
+// a command the coordinator refuses outright (unknown VM, duplicate name,
+// busy) reports from the request goroutine with Shard = ib.ShardNone.
 type Mutation struct {
-	Op     string
-	Name   string
-	ReqID  string
-	Shard  int
-	Gen    uint64
-	Err    error
-	Status int // HTTP-ish status the API layer assigns; 0 until then
-	// AuditLIDs are the LID columns this mutation touched — the op-scoped
-	// audit proves exactly these reach their owners, instead of re-walking
-	// the whole fabric per mutation.
-	AuditLIDs []ib.LID
-	Binding   *Binding
+	Op    string
+	Name  string
+	ReqID string
+	Shard int
+	// Gen is the generation the command's state is published at: a fresh one
+	// when it changed anything, the current one when it was refused.
+	Gen uint64
+	Err error
+	// SpanFrom is the first span ID the command can have emitted. With
+	// several shards tracing at once the window [SpanFrom, now] is an upper
+	// bound: it also holds what the other actors emitted meanwhile.
+	SpanFrom int
+	Result
 }

@@ -41,7 +41,7 @@ type chromeTrace struct {
 // events on the wall timeline (events carry no modelled time, so they are
 // only exported in wall mode).
 func (t *Tracer) WriteChromeTrace(w io.Writer, opts Options) error {
-	spans := t.snapshot()
+	spans := t.retained(0)
 
 	type rec struct {
 		id, parent int

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -199,6 +201,102 @@ func TestTracerEventCap(t *testing.T) {
 	}
 }
 
+// TestTracerRings pins retention: exactly the newest cap spans and events
+// are kept (the pre-ring span list ran to 2 x cap), IDs and sequence numbers
+// keep counting, suffix reads return exactly the retained (after, last], and
+// shrinking a cap keeps the newest n in order.
+func TestTracerRings(t *testing.T) {
+	for _, tc := range []struct{ cap, pushed, shrink int }{
+		{cap: 3, pushed: 10, shrink: 2},  // wrapped several times
+		{cap: 8, pushed: 5, shrink: 3},   // never wrapped
+		{cap: 4, pushed: 4, shrink: 4},   // exactly full
+		{cap: 5, pushed: 12, shrink: 50}, // "shrink" that grows a wrapped ring
+	} {
+		tr := NewTracer()
+		tr.SetSpanCap(tc.cap)
+		tr.SetEventCap(tc.cap)
+		for i := 1; i <= tc.pushed; i++ {
+			if i%2 == 0 {
+				tr.Start(SpanSMP, "x").End()
+			} else {
+				tr.Emit(SpanSMP, "x", 0, 0)
+			}
+			tr.Eventf("note", "msg %d", i)
+		}
+		check := func(stage string, keep int) {
+			t.Helper()
+			oldest := tc.pushed - keep + 1
+			spans, evs := tr.SpansSince(0), tr.Events()
+			if len(spans) != keep || len(evs) != keep {
+				t.Fatalf("%+v %s: retained %d spans, %d events, want %d", tc, stage, len(spans), len(evs), keep)
+			}
+			for i := 0; i < keep; i++ {
+				if spans[i].ID != oldest+i || evs[i].Seq != oldest+i || evs[i].Msg != "msg "+strconv.Itoa(oldest+i) {
+					t.Fatalf("%+v %s: slot %d holds span %d / event %d %q, want %d", tc, stage, i, spans[i].ID, evs[i].Seq, evs[i].Msg, oldest+i)
+				}
+			}
+			if tr.LastSpanID() != tc.pushed {
+				t.Errorf("%+v %s: LastSpanID = %d, want %d", tc, stage, tr.LastSpanID(), tc.pushed)
+			}
+			for after := -1; after <= tc.pushed+1; after++ {
+				want := max(min(tc.pushed-after, keep), 0)
+				got, gotEvs := tr.SpansSince(after), tr.EventsSince(after)
+				if len(got) != want || len(gotEvs) != want {
+					t.Fatalf("%+v %s: since(%d) = %d spans, %d events, want %d", tc, stage, after, len(got), len(gotEvs), want)
+				}
+				if want > 0 && (got[0].ID != tc.pushed-want+1 || gotEvs[want-1].Seq != tc.pushed) {
+					t.Fatalf("%+v %s: since(%d) spans %d.., events ..%d", tc, stage, after, got[0].ID, gotEvs[want-1].Seq)
+				}
+			}
+			for id := 0; id <= tc.pushed+1; id++ {
+				sv, ok := tr.SpanByID(id)
+				if want := id >= oldest && id <= tc.pushed; ok != want || (ok && sv.ID != id) {
+					t.Fatalf("%+v %s: SpanByID(%d) = %d, %v", tc, stage, id, sv.ID, ok)
+				}
+			}
+		}
+		keep := min(tc.cap, tc.pushed)
+		check("filled", keep)
+		tr.SetSpanCap(tc.shrink)
+		tr.SetEventCap(tc.shrink)
+		check("resized", min(keep, tc.shrink))
+	}
+}
+
+// TestTracerAppendCostIndependentOfCap is the regression test for the event
+// window cliff: past its cap, Eventf used to re-allocate and copy the whole
+// retained window on every event (4 MiB per event at the default cap), so
+// bytes per event scaled with the cap. A ring overwrites in place.
+func TestTracerAppendCostIndependentOfCap(t *testing.T) {
+	bytesPerOp := func(cap int, op func(*Tracer)) (allocs float64, bytes uint64) {
+		tr := NewTracer()
+		tr.SetSpanCap(cap)
+		tr.SetEventCap(cap)
+		for i := 0; i < cap+1; i++ { // run past the cap
+			op(tr)
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() { op(tr) })
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	for name, op := range map[string]func(*Tracer){
+		"Eventf": func(tr *Tracer) { tr.Eventf("note", "flap %d", 7) },
+		"Emit":   func(tr *Tracer) { tr.Emit(SpanSMP, "", 0, time.Microsecond, "switch", "leaf-1", "block", 3) },
+	} {
+		smallAllocs, small := bytesPerOp(1<<6, op)
+		largeAllocs, large := bytesPerOp(1<<14, op)
+		if largeAllocs > smallAllocs || largeAllocs > 4 {
+			t.Errorf("%s past the cap: %.0f allocs/op at cap 2^14, %.0f at cap 2^6; want O(1)", name, largeAllocs, smallAllocs)
+		}
+		if large > 2*small+64 {
+			t.Errorf("%s past the cap: %d B/op at cap 2^14 vs %d B/op at cap 2^6; cost must not scale with the cap", name, large, small)
+		}
+	}
+}
+
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	tr := NewTracer()
@@ -222,7 +320,7 @@ func TestConcurrentUse(t *testing.T) {
 	if r.Counter("c").Value() != 1600 {
 		t.Errorf("counter = %d, want 1600", r.Counter("c").Value())
 	}
-	if got := len(tr.snapshot()); got != 1600 {
+	if got := len(tr.retained(0)); got != 1600 {
 		t.Errorf("spans = %d, want 1600", got)
 	}
 	var sb strings.Builder

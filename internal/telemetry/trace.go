@@ -185,14 +185,10 @@ type Event struct {
 // Tracer collects spans and events. All methods are safe for concurrent
 // use and nil-safe, so a component without a tracer simply records nothing.
 type Tracer struct {
-	mu       sync.Mutex
-	spans    []*Span
-	events   []Event
-	eventCap int
-	spanCap  int
-	nextSeq  int
-	nextID   int
-	scope    []int // span-ID stack; Start parents new spans to the top
+	mu     sync.Mutex
+	spans  ring[*Span] // numbered by span ID
+	events ring[Event] // numbered by Seq
+	scope  []int       // span-ID stack; Start parents new spans to the top
 }
 
 // DefaultEventCap bounds the event stream when no cap is set explicitly.
@@ -200,51 +196,40 @@ const DefaultEventCap = 65536
 
 // DefaultSpanCap bounds the retained span list when no cap is set
 // explicitly. Span IDs keep growing past the cap; only retention is
-// bounded, oldest first — the same sliding-window model as the event
-// stream. The default is sized so one fabric-wide operation on an O(10^4)
-// node fabric (a migration emits one smp span per touched switch block
-// run) always fits, while a long-running daemon cannot grow without bound.
+// bounded, oldest first — the same ring as the event stream: exactly the
+// newest cap spans are kept, and nothing is allocated until they exist. The
+// default is sized so one fabric-wide operation on an O(10^4) node fabric (a
+// migration emits one smp span per touched switch block run) always fits,
+// while a long-running daemon cannot grow without bound.
 const DefaultSpanCap = 1 << 19
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer {
-	return &Tracer{eventCap: DefaultEventCap, spanCap: DefaultSpanCap}
+	return &Tracer{spans: newRing[*Span](DefaultSpanCap), events: newRing[Event](DefaultEventCap)}
 }
 
-// SetSpanCap bounds the retained span list (oldest dropped first). Values
-// below 1 clamp to 1. Consumers that bracket an operation with LastSpanID +
+// SetSpanCap bounds the retained span list to the newest n (values below 1
+// clamp to 1). Consumers that bracket an operation with LastSpanID +
 // SpansSince are unaffected as long as the window they read back fits the
 // cap.
 func (t *Tracer) SetSpanCap(n int) {
 	if t == nil {
 		return
 	}
-	if n < 1 {
-		n = 1
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.spanCap = n
-	if len(t.spans) > n {
-		t.spans = append([]*Span(nil), t.spans[len(t.spans)-n:]...)
-	}
+	t.spans.resize(max(n, 1))
 }
 
-// SetEventCap bounds the retained event stream (oldest dropped first).
-// Values below 1 clamp to 1.
+// SetEventCap bounds the retained event stream to the newest n (values
+// below 1 clamp to 1).
 func (t *Tracer) SetEventCap(n int) {
 	if t == nil {
 		return
 	}
-	if n < 1 {
-		n = 1
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.eventCap = n
-	if len(t.events) > n {
-		t.events = append([]Event(nil), t.events[len(t.events)-n:]...)
-	}
+	t.events.resize(max(n, 1))
 }
 
 // Start begins a span. If a scope is pushed (PushScope), the new span is
@@ -268,15 +253,7 @@ func (t *Tracer) start(kind SpanKind, name string, parent int) *Span {
 	}
 	sp := &Span{tr: t, kind: kind, name: name, parent: parent, started: time.Now()}
 	t.mu.Lock()
-	t.nextID++
-	sp.id = t.nextID
-	t.spans = append(t.spans, sp)
-	// Amortised sliding window: let the slice run to twice the cap, then
-	// drop the oldest half in one copy, so the per-span cost stays O(1)
-	// instead of O(cap) on every append past the cap.
-	if t.spanCap > 0 && len(t.spans) > 2*t.spanCap {
-		t.spans = append([]*Span(nil), t.spans[len(t.spans)-t.spanCap:]...)
-	}
+	sp.id = t.spans.push(sp)
 	t.mu.Unlock()
 	return sp
 }
@@ -317,12 +294,7 @@ func (t *Tracer) Emit(kind SpanKind, name string, wall, modelled time.Duration, 
 	if len(t.scope) > 0 {
 		sp.parent = t.scope[len(t.scope)-1]
 	}
-	t.nextID++
-	sp.id = t.nextID
-	t.spans = append(t.spans, sp)
-	if t.spanCap > 0 && len(t.spans) > 2*t.spanCap {
-		t.spans = append([]*Span(nil), t.spans[len(t.spans)-t.spanCap:]...)
-	}
+	sp.id = t.spans.push(sp)
 	t.mu.Unlock()
 	return sp.id
 }
@@ -359,22 +331,11 @@ func (t *Tracer) Eventf(category, format string, args ...interface{}) {
 	msg := fmt.Sprintf(format, args...)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.nextSeq++
-	t.events = append(t.events, Event{Seq: t.nextSeq, At: time.Now(), Category: category, Msg: msg})
-	if len(t.events) > t.eventCap {
-		t.events = append([]Event(nil), t.events[len(t.events)-t.eventCap:]...)
-	}
+	t.events.push(Event{Seq: t.events.last + 1, At: time.Now(), Category: category, Msg: msg})
 }
 
 // Events returns a copy of the retained event stream, oldest first.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
-}
+func (t *Tracer) Events() []Event { return t.EventsSince(0) }
 
 // EventsSince returns a copy of the retained events with Seq > afterSeq,
 // oldest first. Streaming consumers (the daemon's SSE endpoint) tail the
@@ -386,27 +347,22 @@ func (t *Tracer) EventsSince(afterSeq int) []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i := sort.Search(len(t.events), func(i int) bool { return t.events[i].Seq > afterSeq })
-	if i == len(t.events) {
-		return nil
-	}
-	return append([]Event(nil), t.events[i:]...)
+	return t.events.since(afterSeq)
 }
 
-// snapshot copies the span list under the lock; span fields are then read
-// under each span's own mutex.
-func (t *Tracer) snapshot() []*Span {
+// retained copies the retained spans with ID > afterID under the lock, in ID
+// order; span fields are then read under each span's own mutex.
+func (t *Tracer) retained(afterID int) []*Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]*Span(nil), t.spans...)
+	return t.spans.since(afterID)
 }
 
 // SpanView is a read-only copy of one span's state, for programmatic
-// consumers (the control-plane daemon derives per-operation cost reports
-// from the span window an operation produced). Attrs is a fresh map.
+// consumers (flight-recorder dumps, /v1/explain). Attrs is a fresh map.
 type SpanView struct {
 	ID       int
 	Parent   int
@@ -426,36 +382,56 @@ func (t *Tracer) LastSpanID() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.nextID
+	return t.spans.last
 }
 
-// SpansSince returns copies of every span with ID > afterID, in ID order.
-// Pass 0 for all spans.
+// SpansSince returns copies of every retained span with ID > afterID, in ID
+// order; only that suffix of the ring is touched. Pass 0 for all spans.
 func (t *Tracer) SpansSince(afterID int) []SpanView {
-	var out []SpanView
-	for _, sp := range t.snapshot() {
-		if sp.id <= afterID {
-			continue
-		}
-		sp.mu.Lock()
-		v := SpanView{
-			ID:       sp.id,
-			Parent:   sp.parent,
-			Kind:     sp.kind,
-			Name:     sp.name,
-			Modelled: sp.modelled,
-			Wall:     sp.wall,
-		}
-		if len(sp.attrs) > 0 {
-			v.Attrs = make(map[string]any, len(sp.attrs))
-			for k, a := range sp.attrs {
-				v.Attrs[k] = a
-			}
-		}
-		sp.mu.Unlock()
-		out = append(out, v)
+	spans := t.retained(afterID)
+	if len(spans) == 0 {
+		return nil
+	}
+	out := make([]SpanView, len(spans))
+	for i, sp := range spans {
+		out[i] = sp.view()
 	}
 	return out
+}
+
+// SpanByID returns a copy of one span in O(1), or false when the ID was
+// never allocated or the span has been evicted from the ring.
+func (t *Tracer) SpanByID(id int) (SpanView, bool) {
+	if t == nil {
+		return SpanView{}, false
+	}
+	t.mu.Lock()
+	sp, ok := t.spans.at(id)
+	t.mu.Unlock()
+	if !ok {
+		return SpanView{}, false
+	}
+	return sp.view(), true
+}
+
+func (s *Span) view() SpanView {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v := SpanView{
+		ID:       s.id,
+		Parent:   s.parent,
+		Kind:     s.kind,
+		Name:     s.name,
+		Modelled: s.modelled,
+		Wall:     s.wall,
+	}
+	if len(s.attrs) > 0 {
+		v.Attrs = make(map[string]any, len(s.attrs))
+		for k, a := range s.attrs {
+			v.Attrs[k] = a
+		}
+	}
+	return v
 }
 
 // spanJSON fixes the trace export schema and its field order.
@@ -486,7 +462,7 @@ type traceJSON struct {
 // event stream only with opts.IncludeEvents.
 func (t *Tracer) WriteJSON(w io.Writer, opts Options) error {
 	out := traceJSON{Spans: []spanJSON{}}
-	for _, sp := range t.snapshot() {
+	for _, sp := range t.retained(0) {
 		sp.mu.Lock()
 		sj := spanJSON{
 			ID:         sp.id,
@@ -521,7 +497,7 @@ func (t *Tracer) WriteJSON(w io.Writer, opts Options) error {
 // RenderTree formats the span forest as an indented human summary: kind,
 // name, sorted attributes and the modelled duration of every span.
 func (t *Tracer) RenderTree() string {
-	spans := t.snapshot()
+	spans := t.retained(0)
 	children := map[int][]*Span{}
 	for _, sp := range spans {
 		children[sp.parent] = append(children[sp.parent], sp)
