@@ -194,7 +194,7 @@ func runPinSequence(t *testing.T, model sriov.Model, shards int) pinRun {
 	create("e", next, 201, "")                                                         // next is now full
 	migrate("b", next, 409, fmt.Sprintf("cloud: destination %d has no free VF", next)) // local, full
 	migrate("c", next, 409, fmt.Sprintf("cloud: destination %d has no free VF", next)) // cross-zone, full
-	migrate("c", near, 200, "")                                                        // cross-zone
+	cross := migrate("c", near, 200, "")                                               // cross-zone
 	migrate("ghost", near, 404, `cloud: no VM "ghost"`)
 	migrate("a", next, 409, fmt.Sprintf("cloud: VM \"a\" is already on node %d", next))
 	migrate("a", smNode, 400, fmt.Sprintf("cloud: destination %d is not a hypervisor", smNode))
@@ -213,20 +213,21 @@ func runPinSequence(t *testing.T, model sriov.Model, shards int) pinRun {
 	}
 
 	// The cost report's span_smps is, in every mode, the operation's own
-	// count of LFT plus invalidation SMPs — and where one actor owns the
-	// tracer scope, the trace under trace_span holds exactly that many.
-	cost := first["cost"].(map[string]any)
-	num := func(k string) int { f, _ := cost[k].(float64); return int(f) }
-	if num("lft_smps") == 0 || num("invalidation_smps") == 0 || num("span_smps") != num("lft_smps")+num("invalidation_smps") {
-		t.Errorf("shards=%d: span_smps is not lft_smps + invalidation_smps: %v", shards, cost)
+	// count of LFT plus invalidation SMPs — and the trace under trace_span
+	// holds exactly that many: a migration's spans hang under its own span
+	// whichever actor ran it.
+	var dump struct {
+		Spans []traceSpan `json:"spans"`
 	}
-	if shards == 0 {
-		var dump struct {
-			Spans []traceSpan `json:"spans"`
+	doJSON(t, cl, "GET", ts.URL+"/v1/trace", nil, &dump)
+	for _, reply := range []map[string]any{first, cross} {
+		cost := reply["cost"].(map[string]any)
+		num := func(k string) int { f, _ := cost[k].(float64); return int(f) }
+		if num("lft_smps") == 0 || num("invalidation_smps") == 0 || num("span_smps") != num("lft_smps")+num("invalidation_smps") {
+			t.Errorf("shards=%d: span_smps is not lft_smps + invalidation_smps: %v", shards, cost)
 		}
-		doJSON(t, cl, "GET", ts.URL+"/v1/trace", nil, &dump)
 		if got := smpDescendants(dump.Spans, num("trace_span")); got != num("span_smps") {
-			t.Errorf("%d smp spans under trace_span %d, cost report says %d", got, num("trace_span"), num("span_smps"))
+			t.Errorf("shards=%d: %d smp spans under trace_span %d, cost report says %d", shards, got, num("trace_span"), num("span_smps"))
 		}
 	}
 

@@ -51,6 +51,10 @@ type ExplainResponse struct {
 	// provenance names, so the answer to "who routed me this way" links
 	// straight into the /v1/trace tree.
 	Spans []ExplainSpan `json:"spans,omitempty"`
+	// SpansEvicted lists the span IDs the hops' provenance names that the
+	// tracer no longer retains: a stamp outlives the span it names once the
+	// span ring has wrapped, and the loss is reported, not skipped.
+	SpansEvicted []int `json:"spans_evicted,omitempty"`
 }
 
 // Explain walks dst's LID through the snapshot exactly like Path and
@@ -87,7 +91,7 @@ func (sn *Snapshot) Explain(src, dst string) (ExplainResponse, error) {
 }
 
 // attachSpans resolves the distinct span IDs the hops' provenance names
-// into ExplainSpan records (?format=trace).
+// into ExplainSpan records (?format=trace), and names the ones it cannot.
 func (s *Server) attachSpans(resp *ExplainResponse) {
 	var ids []int
 	for _, h := range resp.Hops {
@@ -97,13 +101,15 @@ func (s *Server) attachSpans(resp *ExplainResponse) {
 	}
 	slices.Sort(ids)
 	for _, id := range slices.Compact(ids) {
-		// A stamp outlives the span it names once the ring has wrapped.
-		if sv, ok := s.tr.SpanByID(id); ok {
-			resp.Spans = append(resp.Spans, ExplainSpan{
-				ID: sv.ID, Kind: string(sv.Kind), Name: sv.Name,
-				Attrs: sv.Attrs, ModelledNS: sv.Modelled.Nanoseconds(),
-			})
+		sv, ok := s.tr.SpanByID(id)
+		if !ok {
+			resp.SpansEvicted = append(resp.SpansEvicted, id)
+			continue
 		}
+		resp.Spans = append(resp.Spans, ExplainSpan{
+			ID: sv.ID, Kind: string(sv.Kind), Name: sv.Name,
+			Attrs: sv.Attrs, ModelledNS: sv.Modelled.Nanoseconds(),
+		})
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ibvsim/internal/core"
 	"ibvsim/internal/ib"
@@ -83,7 +82,8 @@ type Cloud struct {
 	hyps     map[topology.NodeID]*Hypervisor
 	hypOrder []topology.NodeID
 	sched    Scheduler
-	nextGUID uint64 // atomically bumped: shard actors create VMs concurrently
+	zoneOf   func(topology.NodeID) int // nil without a partition
+	nextGUID uint64                    // atomically bumped: shard actors create VMs concurrently
 
 	// mu guards the vms registry map. VM *contents* are owned by whoever
 	// owns the VM's zone (in sharded mode: its shard actor, or, mid
@@ -98,6 +98,20 @@ type Cloud struct {
 // VMs reuse the freed VF.
 func (c *Cloud) allocGUID() ib.GUID {
 	return ib.GUID(atomic.AddUint64(&c.nextGUID, 1))
+}
+
+// SetZones tells the cloud which zone of a sharded control plane owns each
+// hypervisor. The provenance stamp of an LFT write names the zone of the
+// hypervisor it was made for — a fact of the partition, told once, not a
+// parameter every caller threads.
+func (c *Cloud) SetZones(zoneOf func(topology.NodeID) int) { c.zoneOf = zoneOf }
+
+// shardOf is the Provenance.Shard of writes made on behalf of a hypervisor.
+func (c *Cloud) shardOf(hyp topology.NodeID) int {
+	if c.zoneOf == nil {
+		return ib.ShardNone
+	}
+	return c.zoneOf(hyp)
 }
 
 // BootstrapReport carries the subnet bring-up statistics.
@@ -249,16 +263,8 @@ func (c *Cloud) CreateVMOn(name string, hyp topology.NodeID) (*VM, error) {
 
 // CreateVMOnVF places a VM on a specific hypervisor and VF (vf < 0 picks
 // the first free one), returning the LFT-boot cost (non-zero only under
-// dynamic LID assignment). Sharded control planes pass an explicit VF so
-// the shard's reservation ledger — not FreeVF — decides placement.
+// dynamic LID assignment).
 func (c *Cloud) CreateVMOnVF(name string, hyp topology.NodeID, vf int) (*VM, core.BootStats, error) {
-	return c.CreateVMOnVFShard(name, hyp, vf, ib.ShardNone)
-}
-
-// CreateVMOnVFShard is CreateVMOnVF with the calling shard recorded in the
-// provenance stamp of every LFT write the boot performs (ib.ShardNone for
-// the single-actor control plane).
-func (c *Cloud) CreateVMOnVFShard(name string, hyp topology.NodeID, vf int, shard int) (*VM, core.BootStats, error) {
 	var boot core.BootStats
 	c.mu.RLock()
 	_, exists := c.vms[name]
@@ -282,7 +288,7 @@ func (c *Cloud) CreateVMOnVFShard(name string, hyp topology.NodeID, vf int, shar
 			Mutation: ib.NextMutationID(),
 			Engine:   "boot",
 			Reason:   "create_vm " + name,
-			Shard:    shard,
+			Shard:    c.shardOf(hyp),
 		}
 		if boot, err = c.RC.BootVMLIDProv(hyp, prov); err != nil {
 			return nil, boot, err
@@ -320,12 +326,6 @@ func (c *Cloud) DestroyVM(name string) error {
 // DestroyVMStats is DestroyVM returning the LFT-invalidation cost (non-zero
 // only under dynamic LID assignment).
 func (c *Cloud) DestroyVMStats(name string) (core.BootStats, error) {
-	return c.DestroyVMStatsShard(name, ib.ShardNone)
-}
-
-// DestroyVMStatsShard is DestroyVMStats with the calling shard recorded in
-// the provenance stamp of every invalidated LFT block.
-func (c *Cloud) DestroyVMStatsShard(name string, shard int) (core.BootStats, error) {
 	var boot core.BootStats
 	vm := c.VM(name)
 	if vm == nil {
@@ -341,7 +341,7 @@ func (c *Cloud) DestroyVMStatsShard(name string, shard int) (core.BootStats, err
 			Mutation: ib.NextMutationID(),
 			Engine:   "boot",
 			Reason:   "destroy_vm " + name,
-			Shard:    shard,
+			Shard:    c.shardOf(vm.Hyp),
 		}
 		if boot, err = c.RC.DestroyVMLIDProv(vm.Addr.LID, prov); err != nil {
 			return boot, err
@@ -356,187 +356,4 @@ func (c *Cloud) DestroyVMStatsShard(name string, shard int) (core.BootStats, err
 	c.mu.Unlock()
 	c.SM.Log().Addf(sm.EvVM, "destroyed VM %q", name)
 	return boot, nil
-}
-
-// MigrationReport describes one live migration.
-type MigrationReport struct {
-	VM       string
-	From, To topology.NodeID
-	Plan     core.PlanStats
-	HostSMPs int
-	// AddressesChanged is true when the VM's LID differs after migration
-	// (always the case under Shared Port, never under vSwitch).
-	AddressesChanged bool
-	// Downtime is the modelled network downtime: the reconfiguration time
-	// (the VM memory copy overlaps it and is not modelled here).
-	Downtime time.Duration
-	// Span is the root migration span's trace ID, so a client can audit the
-	// report against the telemetry trace without scanning span windows.
-	Span int
-	// LIDs are the LID columns the migration rewrites (MovedLIDs). A failed
-	// migration's report carries them too: a reconfiguration that died
-	// half-way strands exactly these.
-	LIDs []ib.LID
-}
-
-// MovedLIDs names the LID columns that migrating the VM addressed by vmLID
-// onto VF dstVF of dst rewrites — what an op-scoped audit must re-prove
-// afterwards. Under the prepopulated swap the VM's column and the
-// destination VF's exchange; under dynamic assignment only the VM's moves;
-// under Shared Port no column moves and the VM answers on dst's PF LID.
-func (c *Cloud) MovedLIDs(vmLID ib.LID, dst topology.NodeID, dstVF int) []ib.LID {
-	switch c.Model {
-	case sriov.VSwitchPrepopulated:
-		return []ib.LID{vmLID, c.hyps[dst].HCA.VFs[dstVF].LID}
-	case sriov.VSwitchDynamic:
-		return []ib.LID{vmLID}
-	}
-	return []ib.LID{c.hyps[dst].HCA.PFLID}
-}
-
-// MigrateVM performs the four-step workflow of section VII-B.
-func (c *Cloud) MigrateVM(name string, dst topology.NodeID) (MigrationReport, error) {
-	return c.MigrateVMVF(name, dst, -1)
-}
-
-// MigrateVMVF is MigrateVM with an explicit destination VF (dstVF < 0 picks
-// the first free one). Shard actors choose the VF themselves so in-flight
-// cross-shard reservations on the destination HCA are respected.
-func (c *Cloud) MigrateVMVF(name string, dst topology.NodeID, dstVF int) (MigrationReport, error) {
-	return c.MigrateVMVFShard(name, dst, dstVF, ib.ShardNone)
-}
-
-// MigrateVMVFShard is MigrateVMVF with the calling shard recorded in the
-// provenance stamp of every LFT write the reconfiguration performs.
-func (c *Cloud) MigrateVMVFShard(name string, dst topology.NodeID, dstVF int, shard int) (MigrationReport, error) {
-	var rep MigrationReport
-	vm := c.VM(name)
-	if vm == nil {
-		return rep, fmt.Errorf("cloud: %w %q", ErrNoVM, name)
-	}
-	dstH := c.hyps[dst]
-	if dstH == nil {
-		return rep, fmt.Errorf("cloud: destination %d %w", dst, ErrNotHypervisor)
-	}
-	if dst == vm.Hyp {
-		return rep, fmt.Errorf("cloud: VM %q %w %d", name, ErrSameNode, dst)
-	}
-	srcH := c.hyps[vm.Hyp]
-	if dstVF < 0 {
-		dstVF = dstH.HCA.FreeVF()
-	}
-	if dstVF < 0 {
-		return rep, fmt.Errorf("cloud: destination %d has no %w", dst, ErrNoFreeVF)
-	}
-	rep.VM, rep.From, rep.To = name, vm.Hyp, dst
-	rep.LIDs = c.MovedLIDs(vm.Addr.LID, dst, dstVF)
-
-	tr := c.SM.Telemetry().Tracer()
-	span := tr.Start(telemetry.SpanMigration, name)
-	rep.Span = span.ID()
-	tr.PushScope(span)
-	defer func() {
-		tr.PopScope()
-		span.SetAttr("vm", name)
-		span.SetAttr("from", int64(rep.From))
-		span.SetAttr("to", int64(rep.To))
-		span.SetAttr("model", c.Model)
-		span.SetAttr("switches", rep.Plan.SwitchesUpdated)
-		span.SetAttr("smps", rep.Plan.SMPs)
-		span.SetAttr("host_smps", rep.HostSMPs)
-		span.SetAttr("addresses_changed", rep.AddressesChanged)
-		span.SetModelled(rep.Downtime)
-		span.End()
-	}()
-	c.SM.Telemetry().Registry().Counter("cloud.migrations").Inc()
-
-	// Step 1: detach the VF; the (modelled) memory copy begins.
-	if err := srcH.HCA.Detach(vm.VF); err != nil {
-		return rep, err
-	}
-	// Step 2: signal the SM (the OpenStack -> OpenSM side channel).
-	c.SM.Log().Addf(sm.EvMigration, "signal: migrate %q from %d to %d", name, vm.Hyp, dst)
-
-	// Step 3: reconfigure the fabric.
-	prov := &ib.Provenance{
-		Mutation: ib.NextMutationID(),
-		Span:     span.ID(),
-		Engine:   "migrate",
-		Reason:   fmt.Sprintf("migrate_vm %s %d->%d", name, vm.Hyp, dst),
-		Shard:    shard,
-	}
-	switch c.Model {
-	case sriov.VSwitchPrepopulated:
-		destLID := dstH.HCA.VFs[dstVF].LID
-		plan, err := c.RC.PlanSwap(vm.Addr.LID, destLID)
-		if err != nil {
-			return rep, err
-		}
-		plan.Prov = prov
-		if rep.Plan, err = c.RC.Apply(plan); err != nil {
-			return rep, err
-		}
-		// The LIDs physically swap between the two VFs.
-		if err := srcH.HCA.SetVFLID(vm.VF, destLID); err != nil {
-			return rep, err
-		}
-		if err := dstH.HCA.SetVFLID(dstVF, vm.Addr.LID); err != nil {
-			return rep, err
-		}
-	case sriov.VSwitchDynamic:
-		plan, err := c.RC.PlanCopy(vm.Addr.LID, c.SM.LIDOf(dst))
-		if err != nil {
-			return rep, err
-		}
-		plan.Prov = prov
-		if rep.Plan, err = c.RC.Apply(plan); err != nil {
-			return rep, err
-		}
-		if err := srcH.HCA.SetVFLID(vm.VF, ib.LIDUnassigned); err != nil {
-			return rep, err
-		}
-		if err := dstH.HCA.SetVFLID(dstVF, vm.Addr.LID); err != nil {
-			return rep, err
-		}
-	case sriov.SharedPort:
-		// No LFT change: the VM adopts the destination PF's LID, breaking
-		// its address stability (the architecture's core limitation).
-		rep.AddressesChanged = true
-	default:
-		return rep, fmt.Errorf("cloud: unknown SR-IOV model %v", c.Model)
-	}
-
-	// The vGUID travels with the VM in every model.
-	hostSMPs, err := c.RC.MigrateAddresses(vm.Hyp, dst, vm.Addr.GUID)
-	if err != nil {
-		return rep, err
-	}
-	rep.HostSMPs = hostSMPs
-	if err := srcH.HCA.SetVFGUID(vm.VF, srcH.HCA.PFGUID+ib.GUID(vm.VF+1)); err != nil {
-		return rep, err
-	}
-	if err := dstH.HCA.SetVFGUID(dstVF, vm.Addr.GUID); err != nil {
-		return rep, err
-	}
-
-	// Step 4: attach the VF at the destination.
-	if err := dstH.HCA.Attach(dstVF); err != nil {
-		return rep, err
-	}
-	vm.Hyp, vm.VF = dst, dstVF
-	newAddr, err := dstH.HCA.VFAddresses(dstVF)
-	if err != nil {
-		return rep, err
-	}
-	if newAddr.LID != vm.Addr.LID {
-		rep.AddressesChanged = true
-		if err := c.SA.Rebind(vm.Addr.GID, newAddr.LID); err != nil {
-			return rep, err
-		}
-	}
-	vm.Addr = newAddr
-	rep.Downtime = rep.Plan.ModelledTime
-	c.SM.Log().Addf(sm.EvMigration, "migrated %q to node %d (LID %d, addresses changed: %v)",
-		name, dst, vm.Addr.LID, rep.AddressesChanged)
-	return rep, nil
 }

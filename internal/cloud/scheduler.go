@@ -251,8 +251,7 @@ func (c *Cloud) ExecuteMoves(moves []Move) (BatchReport, error) {
 		reserved := map[topology.NodeID]int{}
 		var wave, rest []Move
 		for _, mv := range pending {
-			dstH := c.hyps[mv.To]
-			if len(dstH.HCA.AttachedVFs())+reserved[mv.To] >= dstH.HCA.NumVFs() {
+			if reserved[mv.To] >= c.hyps[mv.To].HCA.FreeCount() {
 				rest = append(rest, mv) // full now; may free up this wave
 				continue
 			}

@@ -164,6 +164,12 @@ type MigrationPlan struct {
 	// derived epoch with Phase="invalidate" so a flight dump can tell a
 	// deliberately dropped entry from the final routes.
 	Prov *ib.Provenance
+	// Under, when set, is the span ApplyEdits hangs its lft-swap span (and
+	// through it every smp span) under. It travels with the plan like Prov
+	// does, because shard actors apply plans side by side; nil leaves the
+	// lft-swap span to the tracer's scope (a root, or a reconcile command's
+	// child under the freeze).
+	Under *telemetry.Span
 }
 
 // planEntries builds a plan from a per-switch editing rule, reading fabric
@@ -389,11 +395,8 @@ func (r *Reconfigurator) ApplyEdits(plan *MigrationPlan) (PlanStats, error) {
 	start := time.Now()
 	var st PlanStats
 
-	tr := r.SM.Telemetry().Tracer()
-	span := tr.Start(telemetry.SpanLFTSwap, plan.Kind.String())
-	tr.PushScope(span)
+	span := r.spanUnder(plan.Under, telemetry.SpanLFTSwap, plan.Kind.String())
 	defer func() {
-		tr.PopScope()
 		span.SetAttr("mode", r.Mode)
 		span.SetAttr("switches", st.SwitchesUpdated)
 		span.SetAttr("smps", st.SMPs)
@@ -411,7 +414,7 @@ func (r *Reconfigurator) ApplyEdits(plan *MigrationPlan) (PlanStats, error) {
 	if r.Mitigation == MitigationInvalidate {
 		invProv := plan.Prov.WithPhase("invalidate")
 		for _, sw := range switches {
-			n, err := r.SM.SetLFTEntriesProv(sw, map[ib.LID]ib.PortNum{plan.VMLID: ib.DropPort}, r.Mode, invProv)
+			n, err := r.SM.SetLFTEntriesProv(sw, map[ib.LID]ib.PortNum{plan.VMLID: ib.DropPort}, r.Mode, invProv, span)
 			if err != nil {
 				return st, fmt.Errorf("core: invalidation pre-pass on %q: %w",
 					r.SM.Topo.Node(sw).Desc, err)
@@ -424,7 +427,7 @@ func (r *Reconfigurator) ApplyEdits(plan *MigrationPlan) (PlanStats, error) {
 	}
 
 	for _, sw := range switches {
-		n, err := r.SM.SetLFTEntriesProv(sw, plan.Updates[sw], r.Mode, plan.Prov)
+		n, err := r.SM.SetLFTEntriesProv(sw, plan.Updates[sw], r.Mode, plan.Prov, span)
 		if err != nil {
 			return st, fmt.Errorf("core: applying plan on %q: %w", r.SM.Topo.Node(sw).Desc, err)
 		}
@@ -445,12 +448,22 @@ func (r *Reconfigurator) ApplyEdits(plan *MigrationPlan) (PlanStats, error) {
 	return st, nil
 }
 
+// spanUnder starts a span under an explicit parent, or, without one, under
+// the tracer's scope.
+func (r *Reconfigurator) spanUnder(parent *telemetry.Span, kind telemetry.SpanKind, name string) *telemetry.Span {
+	if parent != nil {
+		return parent.Child(kind, name)
+	}
+	return r.SM.Telemetry().Tracer().Start(kind, name)
+}
+
 // MigrateAddresses performs step (a) of Algorithm 1: one SMP to each
 // participating hypervisor to set/unset the VF LID, plus the vGUID transfer
 // to the destination (section V-C). Returns the number of host SMPs sent.
-func (r *Reconfigurator) MigrateAddresses(srcHyp, dstHyp topology.NodeID, vguid ib.GUID) (int, error) {
+// The guid-migrate span hangs under the given span (the migration's).
+func (r *Reconfigurator) MigrateAddresses(srcHyp, dstHyp topology.NodeID, vguid ib.GUID, under *telemetry.Span) (int, error) {
 	n := 0
-	span := r.SM.Telemetry().Tracer().Start(telemetry.SpanGUIDMigrate, "")
+	span := r.spanUnder(under, telemetry.SpanGUIDMigrate, "")
 	defer func() {
 		span.SetAttr("host_smps", n)
 		span.SetModelled(r.SM.Cost.SMPTime(smp.DestinationRouted) * time.Duration(n))

@@ -169,7 +169,7 @@ func (p *Planner) Plan(spec Spec) (*Plan, error) {
 		var wave []Move
 		var rest []Move
 		for i, mv := range pending {
-			if sh.attached(mv.To)+reserved[mv.To] >= sh.capacity(mv.To) {
+			if reserved[mv.To] >= sh.hcas[mv.To].FreeCount() {
 				rest = append(rest, mv)
 				continue
 			}
@@ -246,7 +246,7 @@ func (p *Planner) spareVF(sh *shadow, src topology.NodeID) (topology.NodeID, boo
 	best := topology.NoNode
 	srcLeaf := p.C.SM.Topo.LeafSwitchOf(src)
 	for _, hn := range p.C.Hypervisors() {
-		if sh.attached(hn) >= sh.capacity(hn) {
+		if sh.hcas[hn].FreeCount() == 0 {
 			continue
 		}
 		if p.C.SM.Topo.LeafSwitchOf(hn) == srcLeaf {

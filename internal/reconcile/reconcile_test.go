@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"ibvsim/internal/cloud"
+	"ibvsim/internal/core"
 	"ibvsim/internal/sriov"
 	"ibvsim/internal/topology"
 )
@@ -84,50 +86,60 @@ func TestParseGoal(t *testing.T) {
 // TestDryRunMatchesApplied is the fidelity contract: the shadow-simulated
 // per-wave costs of a plan must equal, field for field, what actually hits
 // the wire when the same waves are applied — switches updated, LFT SMPs
-// (including block-run coalescing), host SMPs and modelled time — for every
-// SR-IOV model.
+// (including block-run coalescing), invalidation SMPs, host SMPs and
+// modelled time — for every SR-IOV model, for one merged wave and (under the
+// port-255 pre-pass, where every move is a wave of its own) for a multi-wave
+// defrag whose later waves are planned on the shadow the earlier ones left.
 func TestDryRunMatchesApplied(t *testing.T) {
 	for _, model := range []sriov.Model{sriov.VSwitchPrepopulated, sriov.VSwitchDynamic, sriov.SharedPort} {
 		t.Run(model.String(), func(t *testing.T) {
-			c := testCloud(t, model)
-			hyps := c.Hypervisors()
-			// Fragment: 2 VMs on each of 6 hosts = 12 VMs, minimal is 4.
-			for i := 0; i < 6; i++ {
-				for j := 0; j < 2; j++ {
-					name := "fr-" + string(rune('a'+i)) + string(rune('0'+j))
-					if _, err := c.CreateVMOn(name, hyps[i*2]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			p := &Planner{C: c}
-			plan, err := p.Plan(Spec{Goal: GoalDefrag})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plan.Converged || len(plan.Waves) == 0 {
-				t.Fatalf("fragmented cloud must plan waves, got %+v", plan)
-			}
-			reps := applyPlan(t, c, plan)
-			for i, wr := range reps {
-				pred := plan.Predicted[i]
-				if wr.Plan.SwitchesUpdated != pred.SwitchesUpdated {
-					t.Errorf("wave %d: switches applied %d != predicted %d", i, wr.Plan.SwitchesUpdated, pred.SwitchesUpdated)
-				}
-				if wr.Plan.SMPs != pred.LFTSMPs {
-					t.Errorf("wave %d: LFT SMPs applied %d != predicted %d", i, wr.Plan.SMPs, pred.LFTSMPs)
-				}
-				if wr.Plan.InvalidationSMPs != pred.InvalidationSMPs {
-					t.Errorf("wave %d: invalidation SMPs applied %d != predicted %d", i, wr.Plan.InvalidationSMPs, pred.InvalidationSMPs)
-				}
-				if wr.HostSMPs != pred.HostSMPs {
-					t.Errorf("wave %d: host SMPs applied %d != predicted %d", i, wr.HostSMPs, pred.HostSMPs)
-				}
-				if wr.Plan.ModelledTime != pred.Modelled {
-					t.Errorf("wave %d: modelled applied %v != predicted %v", i, wr.Plan.ModelledTime, pred.Modelled)
-				}
+			for _, mit := range []core.Mitigation{core.MitigationNone, core.MitigationInvalidate, core.MitigationDrain} {
+				t.Run(mit.String(), func(t *testing.T) { dryRunMatchesApplied(t, model, mit) })
 			}
 		})
+	}
+}
+
+func dryRunMatchesApplied(t *testing.T, model sriov.Model, mit core.Mitigation) {
+	c := testCloud(t, model)
+	c.RC.Mitigation, c.RC.DrainTime = mit, 2*time.Millisecond
+	hyps := c.Hypervisors()
+	// Fragment: 2 VMs on each of 6 hosts = 12 VMs, minimal is 4.
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 2; j++ {
+			name := "fr-" + string(rune('a'+i)) + string(rune('0'+j))
+			if _, err := c.CreateVMOn(name, hyps[i*2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	p := &Planner{C: c}
+	plan, err := p.Plan(Spec{Goal: GoalDefrag})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Converged || len(plan.Waves) == 0 {
+		t.Fatalf("fragmented cloud must plan waves, got %+v", plan)
+	}
+	if mit == core.MitigationInvalidate && len(plan.Waves) < 2 {
+		t.Fatalf("single-move waves expected under %v, got %d waves", mit, len(plan.Waves))
+	}
+	var total StepCost
+	for i, wr := range applyPlan(t, c, plan) {
+		applied := StepCost{
+			SwitchesUpdated:  wr.Plan.SwitchesUpdated,
+			LFTSMPs:          wr.Plan.SMPs,
+			InvalidationSMPs: wr.Plan.InvalidationSMPs,
+			HostSMPs:         wr.HostSMPs,
+			Modelled:         wr.Plan.ModelledTime,
+		}
+		if applied != plan.Predicted[i] {
+			t.Errorf("wave %d: applied %+v != predicted %+v", i, applied, plan.Predicted[i])
+		}
+		total.add(applied)
+	}
+	if total != plan.Total {
+		t.Errorf("applied total %+v != predicted total %+v", total, plan.Total)
 	}
 }
 

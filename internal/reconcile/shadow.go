@@ -2,6 +2,7 @@ package reconcile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ibvsim/internal/cloud"
@@ -13,8 +14,8 @@ import (
 )
 
 // shadow is a copy-on-write overlay of the fabric state a migration wave
-// reads and writes: programmed LFTs, LID ownership, per-hypervisor VF
-// occupancy and per-VM placement. It satisfies core.PlanView, so wave N+1's
+// reads and writes: programmed LFTs, LID ownership, every hypervisor's VF
+// table and per-VM placement. It satisfies core.PlanView, so wave N+1's
 // plans are computed on the exact state wave N's merged distribution will
 // leave behind — the prediction a dry run reports is byte-for-byte the cost
 // an apply pays.
@@ -22,19 +23,13 @@ type shadow struct {
 	c     *cloud.Cloud
 	lfts  map[topology.NodeID]*ib.LFT    // written switches only
 	owner map[ib.LID]topology.NodeID     // rebound LIDs only
-	vfs   map[topology.NodeID][]vfShadow // every hypervisor
+	hcas  map[topology.NodeID]*sriov.HCA // every hypervisor: a private copy
 	vm    map[string]*vmShadow           // every VM
-}
-
-type vfShadow struct {
-	lid      ib.LID
-	attached bool
 }
 
 type vmShadow struct {
 	hyp topology.NodeID
 	vf  int
-	lid ib.LID
 }
 
 func newShadow(c *cloud.Cloud) *shadow {
@@ -42,20 +37,17 @@ func newShadow(c *cloud.Cloud) *shadow {
 		c:     c,
 		lfts:  map[topology.NodeID]*ib.LFT{},
 		owner: map[ib.LID]topology.NodeID{},
-		vfs:   map[topology.NodeID][]vfShadow{},
+		hcas:  map[topology.NodeID]*sriov.HCA{},
 		vm:    map[string]*vmShadow{},
 	}
 	for _, hn := range c.Hypervisors() {
-		h := c.Hypervisor(hn)
-		list := make([]vfShadow, len(h.HCA.VFs))
-		for i := range h.HCA.VFs {
-			list[i] = vfShadow{h.HCA.VFs[i].LID, h.HCA.VFs[i].Attached}
-		}
-		sh.vfs[hn] = list
+		hca := *c.Hypervisor(hn).HCA
+		hca.VFs = slices.Clone(hca.VFs)
+		sh.hcas[hn] = &hca
 	}
 	for _, name := range c.VMs() {
 		v := c.VM(name)
-		sh.vm[name] = &vmShadow{v.Hyp, v.VF, v.Addr.LID}
+		sh.vm[name] = &vmShadow{v.Hyp, v.VF}
 	}
 	return sh
 }
@@ -91,71 +83,34 @@ func (s *shadow) writableLFT(sw topology.NodeID) *ib.LFT {
 	return cl
 }
 
-func (s *shadow) attached(hn topology.NodeID) int {
-	n := 0
-	for _, vf := range s.vfs[hn] {
-		if vf.attached {
-			n++
-		}
-	}
-	return n
-}
-
-func (s *shadow) capacity(hn topology.NodeID) int { return len(s.vfs[hn]) }
-
-// simulateWave plans every move of the wave against the shadow state,
-// merges the plans, predicts the merged distribution's cost exactly as
+// simulateWave stages every move of the wave against the shadow state —
+// the same cloud.Stage an apply runs against the live fabric — merges the
+// plans, predicts the merged distribution's cost exactly as
 // ApplyEdits+SetLFTEntries would account it, and then applies the wave's
-// effects to the shadow: LFT edits, LID rebinds, VF detach/attach.
+// declared effects to the shadow: LFT edits, LID rebinds, both VFs' states.
 func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (StepCost, error) {
 	rc := p.C.RC
-	type planned struct {
-		mv   cloud.Move
-		st   *vmShadow
-		vf   int
-		plan *core.MigrationPlan
-	}
-	reserved := map[topology.NodeID]map[int]bool{}
-	var pms []planned
+	var ms []*cloud.Migration
 	var plans []*core.MigrationPlan
 	for _, mv := range wave {
 		st := sh.vm[mv.VM]
 		if st == nil {
 			return StepCost{}, fmt.Errorf("reconcile: %w %q", cloud.ErrNoVM, mv.VM)
 		}
-		if reserved[mv.To] == nil {
-			reserved[mv.To] = map[int]bool{}
-		}
-		dstVF := -1
-		for i, vf := range sh.vfs[mv.To] {
-			if !vf.attached && !reserved[mv.To][i] {
-				dstVF = i
-				break
-			}
-		}
+		dst := sh.hcas[mv.To]
+		dstVF := dst.FreeVF()
 		if dstVF < 0 {
 			return StepCost{}, fmt.Errorf("reconcile: destination %d has no %w for %q", mv.To, cloud.ErrNoFreeVF, mv.VM)
 		}
-		reserved[mv.To][dstVF] = true
-		var plan *core.MigrationPlan
-		var err error
-		switch p.C.Model {
-		case sriov.VSwitchPrepopulated:
-			plan, err = rc.PlanSwapOn(sh, st.lid, sh.vfs[mv.To][dstVF].lid)
-		case sriov.VSwitchDynamic:
-			plan, err = rc.PlanCopyOn(sh, st.lid, p.C.SM.LIDOf(mv.To))
-		case sriov.SharedPort:
-			// no LFT updates
-		default:
-			err = fmt.Errorf("reconcile: unknown SR-IOV model %v", p.C.Model)
-		}
+		m, err := cloud.Stage(rc, sh, mv.VM, sh.hcas[st.hyp], st.vf, dst, dstVF)
 		if err != nil {
 			return StepCost{}, err
 		}
-		if plan != nil {
-			plans = append(plans, plan)
+		dst.Hold(dstVF) // the wave's next member must pick another
+		if m.Plan != nil {
+			plans = append(plans, m.Plan)
 		}
-		pms = append(pms, planned{mv, st, dstVF, plan})
+		ms = append(ms, m)
 	}
 
 	cost := StepCost{HostSMPs: 2 * len(wave)}
@@ -199,27 +154,13 @@ func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (StepCost, error) 
 		}
 	}
 
-	// Per-move shadow bookkeeping, mirroring finishWaveMove.
-	for _, m := range pms {
-		src, dst := m.st.hyp, m.mv.To
-		switch p.C.Model {
-		case sriov.VSwitchPrepopulated:
-			destLID := sh.vfs[dst][m.vf].lid
-			sh.owner[m.st.lid] = dst
-			sh.owner[destLID] = src
-			// The LIDs physically swap between the two VFs.
-			sh.vfs[src][m.st.vf] = vfShadow{lid: destLID, attached: false}
-			sh.vfs[dst][m.vf] = vfShadow{lid: m.st.lid, attached: true}
-		case sriov.VSwitchDynamic:
-			sh.owner[m.st.lid] = dst
-			sh.vfs[src][m.st.vf] = vfShadow{lid: ib.LIDUnassigned, attached: false}
-			sh.vfs[dst][m.vf] = vfShadow{lid: m.st.lid, attached: true}
-		case sriov.SharedPort:
-			sh.vfs[src][m.st.vf].attached = false
-			sh.vfs[dst][m.vf].attached = true
-			m.st.lid = p.C.Hypervisor(dst).HCA.PFLID // the VM adopts the PF's LID
+	for _, m := range ms {
+		sh.hcas[m.From].VFs[m.SrcAfter.Index] = m.SrcAfter
+		sh.hcas[m.To].VFs[m.DstAfter.Index] = m.DstAfter
+		for _, rb := range m.Rebinds {
+			sh.owner[rb.LID] = rb.Node
 		}
-		m.st.hyp, m.st.vf = dst, m.vf
+		*sh.vm[m.VM] = vmShadow{m.To, m.DstAfter.Index}
 	}
 	return cost, nil
 }

@@ -8,10 +8,7 @@ import (
 	"time"
 
 	"ibvsim/internal/cloud"
-	"ibvsim/internal/core"
 	"ibvsim/internal/ib"
-	"ibvsim/internal/sm"
-	"ibvsim/internal/sriov"
 	"ibvsim/internal/telemetry"
 	"ibvsim/internal/topology"
 )
@@ -70,6 +67,7 @@ func New(c *cloud.Cloud, n int, cfg Config) (*Coordinator, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
+	c.SetZones(part.ZoneOfHyp)
 	co := &Coordinator{
 		C:      c,
 		Part:   part,
@@ -197,21 +195,11 @@ func (co *Coordinator) refuse(m Mutation, err error) error {
 
 // call runs fn on the shard's actor and waits for its result; a full queue
 // is ErrBackpressure and fn never runs.
-func call[T any](sh *Shard, fn func() (T, error)) (T, error) {
-	type reply struct {
-		res T
-		err error
+func call[T any](sh *Shard, fn func() (T, error)) (res T, err error) {
+	if full := sh.exec(sh.trySubmit, func() { res, err = fn() }); full != nil {
+		return res, full
 	}
-	ch := make(chan reply, 1)
-	if err := sh.trySubmit(func() {
-		r, e := fn()
-		ch <- reply{r, e}
-	}); err != nil {
-		var zero T
-		return zero, err
-	}
-	r := <-ch
-	return r.res, r.err
+	return res, err
 }
 
 // CreateVM places a VM: on hyp's zone when pinned (hyp != NoNode), else on
@@ -289,25 +277,21 @@ func (co *Coordinator) MigrateVM(reqID, name string, dst topology.NodeID) (Resul
 }
 
 // XMigration describes an in-flight cross-shard migration at its commit
-// point: phase 1 is complete (destination VF reserved, source VF detached,
-// LFT diff staged) and no fabric edit has happened yet.
+// point: staged and detached (both VFs held), no fabric edit made yet.
 type XMigration struct {
 	VM                 string
 	From, To           topology.NodeID
 	FromShard, ToShard int
-	VMLID              ib.LID
-	DestVF             int
-	DestVFLID          ib.LID
 }
 
-// SetCommitGate installs a hook that runs between phase 1 and phase 2 of
-// every cross-shard migration, on the coordinator's request goroutine.
-// Returning an error aborts the migration: the source VF is re-attached and
-// the destination reservation released, with no LFT rollback needed (the
-// gate fires before any edit is applied). The chaos engine uses the gate to
-// stall a commit mid-flight while mutating both shards. The gate runs
-// inside the cross-shard critical section: it must not call Freeze or
-// Shutdown; zone-local mutations are allowed.
+// SetCommitGate installs a hook that runs between Detach and Commit of every
+// cross-shard migration, on the coordinator's request goroutine. Returning an
+// error aborts the migration: the source VF is re-attached and the
+// destination VF released, with no LFT rollback needed (the gate fires before
+// any edit is applied). The chaos engine uses the gate to stall a commit
+// mid-flight while mutating both shards. The gate runs inside the cross-shard
+// critical section: it must not call Freeze or Shutdown; zone-local mutations
+// are allowed.
 func (co *Coordinator) SetCommitGate(fn func(XMigration) error) {
 	co.gateMu.Lock()
 	co.gate = fn
@@ -320,282 +304,119 @@ func (co *Coordinator) commitGate() func(XMigration) error {
 	return co.gate
 }
 
-// migrateCross is the two-phase cross-shard migration. Phase 1 reserves the
-// destination VF (dst actor) and stages the LFT diff + detaches the source
-// VF (src actor). The commit applies the staged edits from the coordinator
+// migrateCross drives one cloud.Migration across two zones, each step on the
+// actor that owns what it touches: Stage on the destination actor (it holds a
+// VF there), Detach on the source actor, Commit and Transfer on this
 // goroutine — safe alongside concurrent zone-local mutations because every
 // LID column involved is exclusively owned by this operation and LFT writes
-// go through the SM's per-switch stripe locks. Phase 2 hands the VF back on
-// the source actor and adopts the VM on the destination actor. Either
-// side's phase-1 failure (or a commit-gate veto) aborts by re-attaching the
-// source VF and releasing the reservation.
-func (co *Coordinator) migrateCross(m Mutation, srcZone, dstZone int, dst topology.NodeID) (Result, error) {
-	var res Result
-	name := m.Name
+// go through the SM's per-switch stripe locks — then Vacate on the source
+// actor and Adopt on the destination actor. What is this function's own: the
+// actors, the commit gate, the abort and the xphase timings. A failure before
+// Commit (or a gate veto) aborts with the fabric untouched; one after it
+// leaves the source VF held, as in every driver.
+func (co *Coordinator) migrateCross(mut Mutation, srcZone, dstZone int, dst topology.NodeID) (Result, error) {
+	name := mut.Name
 	src, dstSh := co.shards[srcZone], co.shards[dstZone]
 	co.xmu.RLock()
 	defer co.xmu.RUnlock()
 
-	// Each two-phase stage reports its wall latency as one labelled series:
+	// Each stage reports its wall latency as one labelled series:
 	// shard.xphase_wall_us{phase="reserve"|"stage"|"commit"|"abort"}.
 	reg := co.C.SM.Telemetry().Registry()
 	phaseDone := func(phase string, start time.Time) {
 		reg.WallHistogram(telemetry.Labeled("shard.xphase_wall_us", "phase", phase), nil).
 			ObserveDuration(time.Since(start))
 	}
-
 	fail := func(err error) (Result, error) {
-		m.Shard, m.Gen, m.Err = srcZone, co.gen.Load(), err
-		co.done(m)
-		return res, err
+		mut.Shard, mut.Gen, mut.Err = srcZone, co.gen.Load(), err
+		co.done(mut)
+		return Result{}, err
 	}
 
-	// Phase 1a: reserve a destination VF on the destination shard.
-	type p1a struct {
-		vf  int
-		lid ib.LID
-		err error
+	var m *cloud.Migration
+	var err error
+	start := time.Now()
+	if full := dstSh.exec(dstSh.trySubmit, func() { m, err = co.C.Stage(name, dst, -1) }); full != nil {
+		return Result{}, full // backpressure before anything was staged: plain 429
 	}
-	reserveStart := time.Now()
-	ch1 := make(chan p1a, 1)
-	if err := dstSh.trySubmit(func() {
-		h := co.C.Hypervisor(dst)
-		vf := dstSh.pickVF(h)
-		if vf < 0 {
-			ch1 <- p1a{err: fmt.Errorf("cloud: destination %d has no %w", dst, cloud.ErrNoFreeVF)}
-			return
-		}
-		dstSh.reserve(dst, vf)
-		ch1 <- p1a{vf: vf, lid: h.HCA.VFs[vf].LID}
-	}); err != nil {
-		return res, err // backpressure before anything was staged: plain 429
-	}
-	r1 := <-ch1
-	phaseDone("reserve", reserveStart)
-	if r1.err != nil {
-		return fail(r1.err)
-	}
-	release := func() {
-		dstSh.submit(func() { dstSh.unreserve(dst, r1.vf) }) //nolint:errcheck // shutdown drops the ledger anyway
-	}
-
-	// Phase 1b: stage the LFT diff and detach the source VF.
-	type p1b struct {
-		vm   *cloud.VM
-		plan *core.MigrationPlan
-		err  error
-	}
-	stageStart := time.Now()
-	ch2 := make(chan p1b, 1)
-	if err := src.submit(func() {
-		vm := co.C.VM(name)
-		if vm == nil {
-			ch2 <- p1b{err: fmt.Errorf("cloud: %w %q", cloud.ErrNoVM, name)}
-			return
-		}
-		var plan *core.MigrationPlan
-		var err error
-		switch co.C.Model {
-		case sriov.VSwitchPrepopulated:
-			plan, err = co.C.RC.PlanSwap(vm.Addr.LID, r1.lid)
-		case sriov.VSwitchDynamic:
-			plan, err = co.C.RC.PlanCopy(vm.Addr.LID, co.C.SM.LIDOf(dst))
-		case sriov.SharedPort:
-			// No LFT work: the VM adopts the destination PF's LID.
-		default:
-			err = fmt.Errorf("cloud: unknown SR-IOV model %v", co.C.Model)
-		}
-		if err == nil {
-			err = co.C.Hypervisor(vm.Hyp).HCA.Detach(vm.VF)
-		}
-		if err != nil {
-			ch2 <- p1b{err: err}
-			return
-		}
-		// The detached VF stays reserved until phase 2a hands it back:
-		// without this, zone-local placement on the source shard would see
-		// an unattached VF and double-book it mid-commit.
-		src.reserve(vm.Hyp, vm.VF)
-		co.C.SM.Log().Addf(sm.EvMigration,
-			"signal: migrate %q from %d to %d (cross-shard %d -> %d)",
-			name, vm.Hyp, dst, srcZone, dstZone)
-		ch2 <- p1b{vm: vm, plan: plan}
-	}); err != nil {
-		release()
+	phaseDone("reserve", start)
+	if err != nil {
 		return fail(err)
 	}
-	r2 := <-ch2
-	phaseDone("stage", stageStart)
-	if r2.err != nil {
-		release()
-		return fail(r2.err)
+	release := func() {
+		dstSh.submit(m.Release) //nolint:errcheck // shutdown drops the hold anyway
 	}
-	vm, plan := r2.vm, r2.plan
-	oldHyp, oldVF, oldLID := vm.Hyp, vm.VF, vm.Addr.LID
-	guid, gid := vm.Addr.GUID, vm.Addr.GID
+	m.Via = fmt.Sprintf("cross-shard %d -> %d", srcZone, dstZone)
 
-	abort := func() {
-		abortStart := time.Now()
-		done := make(chan struct{}, 1)
-		if err := src.submit(func() {
-			co.C.Hypervisor(oldHyp).HCA.Attach(oldVF) //nolint:errcheck // VF state untouched since detach
-			src.unreserve(oldHyp, oldVF)
-			done <- struct{}{}
-		}); err == nil {
-			<-done
-		}
+	start = time.Now()
+	if down := src.exec(src.submit, func() { err = m.Detach() }); down != nil {
+		err = down
+	}
+	phaseDone("stage", start)
+	if err != nil {
 		release()
-		phaseDone("abort", abortStart)
+		return fail(err)
 	}
 
 	// Commit gate (chaos/test seam): fires before any fabric edit, so an
 	// abort needs no LFT rollback.
 	if g := co.commitGate(); g != nil {
-		if err := g(XMigration{VM: name, From: oldHyp, To: dst,
-			FromShard: srcZone, ToShard: dstZone,
-			VMLID: oldLID, DestVF: r1.vf, DestVFLID: r1.lid}); err != nil {
-			abort()
+		if err := g(XMigration{VM: name, From: m.From, To: dst, FromShard: srcZone, ToShard: dstZone}); err != nil {
+			start = time.Now()
+			src.exec(src.submit, m.Reattach) //nolint:errcheck // shutdown drops the hold anyway
+			release()
+			phaseDone("abort", start)
 			return fail(fmt.Errorf("cloud: cross-shard migration of %q aborted: %w", name, err))
 		}
 	}
 
-	tr := co.C.SM.Telemetry().Tracer()
-	span := tr.Start(telemetry.SpanMigration, name)
-	reg.Counter("cloud.migrations").Inc()
+	// From here on a failure may strand the columns the report names. The
+	// edits are stamped here, at the commit point: every LFT block this
+	// migration rewrites attributes to the coordinator's commit phase and
+	// this span.
+	m.Begin()
 	reg.Counter("shard.cross_migrations").Inc()
-
-	// Commit: apply the staged edits (Apply also rebinds the moved LIDs in
-	// the SM's address map) and transfer the vGUID. Failures here are
-	// transport-level: like the single actor, we surface them without
-	// attempting a rollback of partially applied edits. The staged plan is
-	// stamped here, at the commit point: every LFT block this migration
-	// rewrites attributes to the coordinator's commit phase and this span.
-	commitStart := time.Now()
-	m.Rep.LIDs = co.C.MovedLIDs(oldLID, dst, r1.vf) // from here on a failure may strand them
-	var st core.PlanStats
-	if plan != nil {
-		plan.Prov = &ib.Provenance{
-			Mutation: ib.NextMutationID(),
-			Span:     span.ID(),
-			Engine:   "migrate",
-			Reason: fmt.Sprintf("cross_shard %s %d->%d (shard %d->%d)",
-				name, oldHyp, dst, srcZone, dstZone),
-			Phase: "commit",
-			Shard: ib.ShardCoordinator,
-		}
-		var err error
-		if st, err = co.C.RC.Apply(plan); err != nil {
-			release()
-			span.End()
-			return fail(err)
-		}
+	start = time.Now()
+	_, err = co.C.Commit(&ib.Provenance{
+		Mutation: ib.NextMutationID(),
+		Span:     m.Span().ID(),
+		Engine:   "migrate",
+		Reason:   fmt.Sprintf("cross_shard %s %d->%d (shard %d->%d)", name, m.From, dst, srcZone, dstZone),
+		Phase:    "commit",
+		Shard:    ib.ShardCoordinator,
+	}, m)
+	if err == nil {
+		err = m.Transfer()
 	}
-	hostSMPs, err := co.C.RC.MigrateAddresses(oldHyp, dst, guid)
 	if err != nil {
 		release()
-		span.End()
+	} else {
+		// Post-commit steps cannot be refused; see submit.
+		src.exec(src.submit, func() { //nolint:errcheck
+			m.Vacate()
+			delete(src.names, name)
+			src.ops.Add(1)
+			src.publish(co.gen.Add(1))
+		})
+		dstSh.exec(dstSh.submit, func() { //nolint:errcheck
+			if err = m.Adopt(); err == nil {
+				dstSh.names[name] = struct{}{}
+				dstSh.ops.Add(1)
+				dstSh.publish(co.gen.Add(1))
+			}
+		})
+	}
+	m.Span().SetAttr("cross_shard", fmt.Sprintf("%d->%d", srcZone, dstZone))
+	m.End()
+	mut.Rep = m.Report()
+	if err != nil {
 		return fail(err)
 	}
+	phaseDone("commit", start)
 
-	// Phase 2a: the source shard hands the VF back to its pool.
-	ch3 := make(chan error, 1)
-	src.submit(func() { //nolint:errcheck // post-commit phases cannot be refused; see submit
-		h := co.C.Hypervisor(oldHyp)
-		var err error
-		switch co.C.Model {
-		case sriov.VSwitchPrepopulated:
-			err = h.HCA.SetVFLID(oldVF, r1.lid) // the LIDs physically swap
-		case sriov.VSwitchDynamic:
-			err = h.HCA.SetVFLID(oldVF, ib.LIDUnassigned)
-		}
-		if err == nil {
-			err = h.HCA.SetVFGUID(oldVF, h.HCA.PFGUID+ib.GUID(oldVF+1))
-		}
-		src.unreserve(oldHyp, oldVF)
-		delete(src.names, name)
-		src.ops.Add(1)
-		src.publish(co.gen.Add(1))
-		ch3 <- err
-	})
-	if err := <-ch3; err != nil {
-		release()
-		span.End()
-		return fail(err)
-	}
-
-	// Phase 2b: the destination shard adopts the VM.
-	type p2b struct {
-		addr sriov.Addresses
-		err  error
-	}
-	ch4 := make(chan p2b, 1)
-	dstSh.submit(func() { //nolint:errcheck
-		h := co.C.Hypervisor(dst)
-		var err error
-		if co.C.Model != sriov.SharedPort {
-			err = h.HCA.SetVFLID(r1.vf, oldLID)
-		}
-		if err == nil {
-			err = h.HCA.SetVFGUID(r1.vf, guid)
-		}
-		if err == nil {
-			err = h.HCA.Attach(r1.vf)
-		}
-		dstSh.unreserve(dst, r1.vf)
-		if err != nil {
-			ch4 <- p2b{err: err}
-			return
-		}
-		addr, err := h.HCA.VFAddresses(r1.vf)
-		if err != nil {
-			ch4 <- p2b{err: err}
-			return
-		}
-		vm.Hyp, vm.VF, vm.Addr = dst, r1.vf, addr
-		dstSh.names[name] = struct{}{}
-		dstSh.ops.Add(1)
-		dstSh.publish(co.gen.Add(1))
-		ch4 <- p2b{addr: addr}
-	})
-	r4 := <-ch4
-	if r4.err != nil {
-		span.End()
-		return fail(r4.err)
-	}
-
-	changed := r4.addr.LID != oldLID
-	if changed {
-		if err := co.C.SA.Rebind(gid, r4.addr.LID); err != nil {
-			span.End()
-			return fail(err)
-		}
-	}
-	phaseDone("commit", commitStart)
-
-	span.SetAttr("vm", name)
-	span.SetAttr("from", int64(oldHyp))
-	span.SetAttr("to", int64(dst))
-	span.SetAttr("model", co.C.Model)
-	span.SetAttr("cross_shard", fmt.Sprintf("%d->%d", srcZone, dstZone))
-	span.SetAttr("switches", st.SwitchesUpdated)
-	span.SetAttr("smps", st.SMPs)
-	span.SetAttr("host_smps", hostSMPs)
-	span.SetAttr("addresses_changed", changed)
-	span.SetModelled(st.ModelledTime)
-	span.End()
-	co.C.SM.Log().Addf(sm.EvMigration,
-		"migrated %q to node %d (LID %d, cross-shard %d -> %d, addresses changed: %v)",
-		name, dst, r4.addr.LID, srcZone, dstZone, changed)
-
-	m.Shard, m.Gen = dstZone, co.gen.Load()
-	m.VM = VMState{Name: name, Hyp: dst, VF: r1.vf, Addr: r4.addr}
-	m.Rep = cloud.MigrationReport{
-		VM: name, From: oldHyp, To: dst, Plan: st, HostSMPs: hostSMPs,
-		AddressesChanged: changed, Downtime: st.ModelledTime, Span: span.ID(),
-		LIDs: m.Rep.LIDs,
-	}
-	co.done(m)
-	return m.Result, nil
+	mut.Shard, mut.Gen, mut.VM = dstZone, co.gen.Load(), *co.C.VM(name)
+	co.done(mut)
+	return mut.Result, nil
 }
 
 // Resync rebuilds the routing table, every shard's name set and every

@@ -15,10 +15,11 @@
 //
 // Zone-local mutations — the common case: VM create/destroy and
 // migrations within a zone — go straight to the owning shard's bounded
-// queue. Cross-shard migrations run a two-phase plan through the
-// coordinator: reserve a destination VF on the target shard and stage the
-// LFT diff on the source shard, then commit with one merged distribution,
-// aborting by releasing the reservation if either side fails. Each shard
+// queue. A cross-shard migration is the same cloud.Migration with its steps
+// run on the actors that own what they touch: staged (destination VF held)
+// on the target shard, detached on the source shard, committed by the
+// coordinator, aborted by releasing both holds if either side fails before
+// the commit. Each shard
 // publishes its own copy-on-write snapshot after every mutation, and the
 // API layer composes a fabric-wide read view lazily, so reads never block
 // on or cross shards.
@@ -60,7 +61,8 @@ func (p *Partition) ZoneOfHyp(n topology.NodeID) int {
 
 // NewPartition derives a partition of the given hypervisors into n zones
 // (n <= 0: one zone per pod / leaf group, the "auto" mode). n is clamped
-// to the number of leaf groups, so every zone owns at least one leaf.
+// to the number of leaf groups, so every zone owns at least one leaf, and
+// exactly n zones come back.
 func NewPartition(topo *topology.Topology, hyps []topology.NodeID, n int) (*Partition, error) {
 	if len(hyps) == 0 {
 		return nil, fmt.Errorf("shard: no hypervisors to partition")
@@ -119,23 +121,15 @@ func NewPartition(topo *topology.Topology, hyps []topology.NodeID, n int) (*Part
 		}
 	}
 
-	// Fold the groups into n zones (contiguous chunks keep pod locality).
+	// Fold the groups into n zones: contiguous chunks (pod locality) whose
+	// sizes differ by at most one group.
 	if n <= 0 || n > len(groups) {
 		n = len(groups)
 	}
 	p := &Partition{zoneOfHyp: map[topology.NodeID]int{}}
-	per := (len(groups) + n - 1) / n
 	for z := 0; z < n; z++ {
-		lo := z * per
-		hi := lo + per
-		if lo >= len(groups) {
-			break
-		}
-		if hi > len(groups) {
-			hi = len(groups)
-		}
-		zone := &Zone{ID: len(p.Zones)}
-		for _, g := range groups[lo:hi] {
+		zone := &Zone{ID: z}
+		for _, g := range groups[z*len(groups)/n : (z+1)*len(groups)/n] {
 			for _, leaf := range g {
 				zone.Leaves = append(zone.Leaves, leaf)
 				zone.Hyps = append(zone.Hyps, hypsOfLeaf[leaf]...)

@@ -26,10 +26,10 @@ var ErrShutdown = errors.New("shard: control plane is shutting down")
 type task func()
 
 // Shard is one zone's actor: the only goroutine that touches the zone's
-// HCAs (attach/detach, VF LIDs and GUIDs), its VM name set and its VF
-// reservation ledger. LFT columns of the zone's VM LIDs are written through
-// the SM's striped per-switch locks, so two shards editing their own
-// columns on a shared spine merge correctly.
+// HCAs (attach/detach/hold, VF LIDs and GUIDs) and its VM name set. LFT
+// columns of the zone's VM LIDs are written through the SM's striped
+// per-switch locks, so two shards editing their own columns on a shared
+// spine merge correctly.
 type Shard struct {
 	id   int
 	zone *Zone
@@ -41,8 +41,7 @@ type Shard struct {
 
 	// Actor-owned state: only tasks running on this shard's goroutine (or
 	// the constructor, before the actor starts) read or write these.
-	names    map[string]struct{}
-	reserved map[topology.NodeID]map[int]bool
+	names map[string]struct{}
 
 	snap atomic.Pointer[Snap]
 
@@ -73,7 +72,7 @@ type Snap struct {
 	Gen     uint64
 	VMs     []VMState  // sorted by name
 	Hyps    []HypState // sorted by node
-	FreeVFs int        // unattached, unreserved VFs across the zone
+	FreeVFs int        // unattached, unheld VFs across the zone
 }
 
 // Stats is one shard's live load figures, served by the topology endpoint
@@ -92,13 +91,12 @@ func newShard(id int, zone *Zone, co *Coordinator, depth int) *Shard {
 	reg := co.C.SM.Telemetry().Registry()
 	lbl := strconv.Itoa(id)
 	return &Shard{
-		id:       id,
-		zone:     zone,
-		co:       co,
-		cmds:     make(chan task, depth),
-		done:     make(chan struct{}),
-		names:    map[string]struct{}{},
-		reserved: map[topology.NodeID]map[int]bool{},
+		id:    id,
+		zone:  zone,
+		co:    co,
+		cmds:  make(chan task, depth),
+		done:  make(chan struct{}),
+		names: map[string]struct{}{},
 
 		mQueueDepth: reg.Gauge(telemetry.Labeled("shard.queue_depth", "shard", lbl)),
 		mAdmitUS:    reg.WallHistogram(telemetry.Labeled("shard.admit_wall_us", "shard", lbl), nil),
@@ -143,9 +141,9 @@ func (s *Shard) trySubmit(t task) error {
 	}
 }
 
-// submit blocks until the task is queued. Only later phases of an already
-// admitted operation use it: once phase 1 of a cross-shard migration has
-// reserved state, the remaining phases must run, not bounce.
+// submit blocks until the task is queued. Only later steps of an already
+// admitted operation use it: once a cross-shard migration holds its
+// destination VF, the remaining steps must run, not bounce.
 func (s *Shard) submit(t task) error {
 	s.co.life.RLock()
 	defer s.co.life.RUnlock()
@@ -157,52 +155,33 @@ func (s *Shard) submit(t task) error {
 	return nil
 }
 
-// reserve marks a destination VF held for an in-flight cross-shard
-// migration. Actor-owned: called from tasks on this shard only.
-func (s *Shard) reserve(hyp topology.NodeID, vf int) {
-	m := s.reserved[hyp]
-	if m == nil {
-		m = map[int]bool{}
-		s.reserved[hyp] = m
+// exec runs fn on the actor, admitted by submit or trySubmit, and waits for
+// it to finish.
+func (s *Shard) exec(admit func(task) error, fn func()) error {
+	done := make(chan struct{})
+	if err := admit(func() { fn(); close(done) }); err != nil {
+		return err
 	}
-	m[vf] = true
-}
-
-func (s *Shard) unreserve(hyp topology.NodeID, vf int) {
-	delete(s.reserved[hyp], vf)
-}
-
-// pickVF returns the lowest unattached, unreserved VF on h (-1 if none).
-// The reservation check is what lets zone-local placement run concurrently
-// with cross-shard migrations targeting the same HCA: both go through this
-// shard's actor, which sees its own reservations.
-func (s *Shard) pickVF(h *cloud.Hypervisor) int {
-	res := s.reserved[h.Node]
-	for vf := range h.HCA.VFs {
-		if !h.HCA.VFs[vf].Attached && !res[vf] {
-			return vf
-		}
-	}
-	return -1
+	<-done
+	return nil
 }
 
 // placeLocal picks the zone's least-loaded hypervisor with a free VF
 // (spread placement; ties to the lowest node ID, matching the cloud's
 // Spread scheduler within the zone).
-func (s *Shard) placeLocal() (topology.NodeID, int) {
-	bestNode, bestVF := topology.NoNode, -1
+func (s *Shard) placeLocal() topology.NodeID {
+	best := topology.NoNode
 	bestAttached := int(^uint(0) >> 1)
 	for _, hn := range s.zone.Hyps {
 		h := s.co.C.Hypervisor(hn)
-		vf := s.pickVF(h)
-		if vf < 0 {
+		if h.HCA.FreeVF() < 0 {
 			continue
 		}
 		if att := h.HCA.AttachedCount(); att < bestAttached {
-			bestNode, bestVF, bestAttached = hn, vf, att
+			best, bestAttached = hn, att
 		}
 	}
-	return bestNode, bestVF
+	return best
 }
 
 // publish rebuilds and atomically swaps this shard's snapshot.
@@ -210,9 +189,8 @@ func (s *Shard) publish(gen uint64) {
 	sn := &Snap{Shard: s.id, Gen: gen}
 	for _, hn := range s.zone.Hyps {
 		h := s.co.C.Hypervisor(hn)
-		att := h.HCA.AttachedCount()
-		sn.Hyps = append(sn.Hyps, HypState{Node: hn, VFs: h.HCA.NumVFs(), Attached: att})
-		sn.FreeVFs += h.HCA.NumVFs() - att - len(s.reserved[hn])
+		sn.Hyps = append(sn.Hyps, HypState{Node: hn, VFs: h.HCA.NumVFs(), Attached: h.HCA.AttachedCount()})
+		sn.FreeVFs += h.HCA.FreeCount()
 	}
 	sn.VMs = make([]VMState, 0, len(s.names))
 	for name := range s.names {
@@ -246,19 +224,14 @@ func (s *Shard) finish(m Mutation) (Result, error) {
 // execCreate runs a zone-local VM create on the actor. hyp == NoNode means
 // the coordinator delegated placement to the zone.
 func (s *Shard) execCreate(m Mutation, hyp topology.NodeID) (Result, error) {
-	vf := -1
 	if hyp == topology.NoNode {
-		if hyp, vf = s.placeLocal(); hyp == topology.NoNode {
+		if hyp = s.placeLocal(); hyp == topology.NoNode {
 			m.Err = fmt.Errorf("cloud: zone %d has no %w", s.id, cloud.ErrNoFreeVF)
 		}
-	} else if h := s.co.C.Hypervisor(hyp); h == nil {
-		m.Err = fmt.Errorf("cloud: node %d %w", hyp, cloud.ErrNotHypervisor)
-	} else if vf = s.pickVF(h); vf < 0 {
-		m.Err = fmt.Errorf("cloud: hypervisor %d has no %w", hyp, cloud.ErrNoFreeVF)
 	}
 	if m.Err == nil {
 		var vm *cloud.VM
-		if vm, m.Boot, m.Err = s.co.C.CreateVMOnVFShard(m.Name, hyp, vf, s.id); m.Err == nil {
+		if vm, m.Boot, m.Err = s.co.C.CreateVMOnVF(m.Name, hyp, -1); m.Err == nil {
 			s.names[m.Name] = struct{}{}
 			m.VM = *vm
 		}
@@ -273,28 +246,17 @@ func (s *Shard) execDestroy(m Mutation) (Result, error) {
 	if vm := s.co.C.VM(m.Name); vm != nil {
 		m.VM = *vm
 	}
-	if m.Boot, m.Err = s.co.C.DestroyVMStatsShard(m.Name, s.id); m.Err == nil {
+	if m.Boot, m.Err = s.co.C.DestroyVMStats(m.Name); m.Err == nil {
 		delete(s.names, m.Name)
 	}
 	return s.finish(m)
 }
 
 // execMigrate runs a zone-local migration (source and destination in this
-// shard's zone) on the actor. Only the destination VF is chosen here, from
-// the shard's reservation ledger; an unknown VM, a non-hypervisor and a
-// same-node move are the cloud's to refuse.
+// shard's zone) on the actor: the cloud's five steps inline.
 func (s *Shard) execMigrate(m Mutation, dst topology.NodeID) (Result, error) {
-	h, vm := s.co.C.Hypervisor(dst), s.co.C.VM(m.Name)
-	dstVF := -1
-	if h != nil && vm != nil && dst != vm.Hyp {
-		if dstVF = s.pickVF(h); dstVF < 0 {
-			m.Err = fmt.Errorf("cloud: destination %d has no %w", dst, cloud.ErrNoFreeVF)
-		}
-	}
-	if m.Err == nil {
-		m.Rep, m.Err = s.co.C.MigrateVMVFShard(m.Name, dst, dstVF, s.id)
-	}
-	if vm != nil {
+	m.Rep, m.Err = s.co.C.MigrateVMVF(m.Name, dst, -1)
+	if vm := s.co.C.VM(m.Name); vm != nil {
 		m.VM = *vm
 	}
 	return s.finish(m)

@@ -15,9 +15,9 @@ import (
 	"ibvsim/internal/topology"
 )
 
-// newTestCoordinator boots a 324-node paper fat tree under the prepopulated
-// model (2 VFs per hypervisor) and shards it n ways.
-func newTestCoordinator(t *testing.T, n int, cfg Config) (*cloud.Cloud, *Coordinator) {
+// newTestCloud boots a 324-node paper fat tree under the prepopulated model
+// (2 VFs per hypervisor).
+func newTestCloud(t *testing.T) *cloud.Cloud {
 	t.Helper()
 	topo, err := topology.BuildPaperFatTree(324)
 	if err != nil {
@@ -38,18 +38,27 @@ func newTestCoordinator(t *testing.T, n int, cfg Config) (*cloud.Cloud, *Coordin
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// newTestCoordinator shards a fresh test cloud n ways.
+func newTestCoordinator(t *testing.T, n int, cfg Config) (*cloud.Cloud, *Coordinator) {
+	t.Helper()
+	c := newTestCloud(t)
 	co, err := New(c, n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := co.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
+	t.Cleanup(func() { shutdown(t, co) })
 	return c, co
+}
+
+func shutdown(t *testing.T, co *Coordinator) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := co.Shutdown(ctx); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
 }
 
 // checkBinding asserts the cloud's VM record agrees with the HCA: the VF is

@@ -549,16 +549,17 @@ func (s *SubnetManager) sendLFTRun(sw topology.NodeID, run blockRun, mode smp.Mo
 // different LID columns of the same switch merge rather than lose entries,
 // and each switch's SMPs stay strictly ordered.
 func (s *SubnetManager) SetLFTEntries(sw topology.NodeID, entries map[ib.LID]ib.PortNum, mode smp.Mode) (int, error) {
-	return s.SetLFTEntriesProv(sw, entries, mode, nil)
+	return s.SetLFTEntriesProv(sw, entries, mode, nil, nil)
 }
 
 // SetLFTEntriesProv is SetLFTEntries with a provenance stamp: every LFT
 // block the edit touches (shadow and target view alike) is attributed to
 // prov, and the per-SMP trace spans carry the writing shard so the Chrome
-// export can lane them per actor. The stamp is a per-call argument — not SM
-// state — because concurrent shard actors drive this path in parallel and
-// each write epoch must carry its own attribution.
-func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries map[ib.LID]ib.PortNum, mode smp.Mode, prov *ib.Provenance) (int, error) {
+// export can lane them per actor; the spans hang under the given span (nil:
+// roots). Stamp and parent are per-call arguments — not SM or tracer state —
+// because concurrent shard actors drive this path in parallel and each write
+// epoch must carry its own attribution.
+func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries map[ib.LID]ib.PortNum, mode smp.Mode, prov *ib.Provenance, under *telemetry.Span) (int, error) {
 	mu := s.lftLock(sw)
 	mu.Lock()
 	defer mu.Unlock()
@@ -577,7 +578,7 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries map[ib.LID
 	s.commitProgrammed(sw, next)
 	desc := s.Topo.Node(sw).Desc
 	for _, run := range runs {
-		// One SpanSMP per SMP: under an active migration scope these are
+		// One SpanSMP per SMP: under a migration's lft-swap span these are
 		// the n' x m' spans of the paper's equations 4/5. This loop runs
 		// once per touched switch of every reconfiguration, so the span is
 		// emitted fully formed in one tracer call — no Start/End lock
@@ -592,7 +593,7 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries map[ib.LID
 			// depend on test execution order.
 			attrs = append(attrs, "shard", prov.Shard)
 		}
-		s.tel.Tracer().Emit(telemetry.SpanSMP, desc, 0,
+		s.tel.Tracer().Emit(telemetry.SpanSMP, desc, under, 0,
 			s.attemptCost(mode, run.n, attempts, err), attrs...)
 		if err != nil {
 			return 0, err

@@ -64,7 +64,15 @@ type VF struct {
 	GUID     ib.GUID // the vGUID currently programmed (migrates with a VM)
 	LID      ib.LID  // own LID in vSwitch models; 0 under Shared Port
 	Attached bool    // attached to a running VM
+	// Held marks a VF that is spoken for without being attached: the
+	// destination a staged migration will land on, the source of one in
+	// flight — and the source of one that died mid-commit, which stays held
+	// (quarantined) rather than re-advertising a half-moved LID.
+	Held bool
 }
+
+// Free reports whether the VF can take a new VM.
+func (v VF) Free() bool { return !v.Attached && !v.Held }
 
 // HCA is an SR-IOV capable adapter on a hypervisor.
 type HCA struct {
@@ -108,15 +116,32 @@ func NewHCA(model Model, node topology.NodeID, pfGUID ib.GUID, pfLID ib.LID, num
 // NumVFs returns the number of virtual functions.
 func (h *HCA) NumVFs() int { return len(h.VFs) }
 
-// FreeVF returns the index of the lowest unattached VF, or -1.
+// FreeVF returns the index of the lowest free (unattached, unheld) VF, or -1.
 func (h *HCA) FreeVF() int {
 	for i := range h.VFs {
-		if !h.VFs[i].Attached {
+		if h.VFs[i].Free() {
 			return i
 		}
 	}
 	return -1
 }
+
+// FreeCount returns how many VFs are free.
+func (h *HCA) FreeCount() int {
+	n := 0
+	for i := range h.VFs {
+		if h.VFs[i].Free() {
+			n++
+		}
+	}
+	return n
+}
+
+// Hold takes a VF out of the free pool without attaching it.
+func (h *HCA) Hold(vf int) { h.VFs[vf].Held = true }
+
+// Release returns a held VF to the free pool.
+func (h *HCA) Release(vf int) { h.VFs[vf].Held = false }
 
 // AttachedCount returns how many VFs are bound to VMs, without allocating.
 // Shard snapshots call it per hypervisor after every mutation.
@@ -148,16 +173,17 @@ func (h *HCA) VFAddresses(vf int) (Addresses, error) {
 	if vf < 0 || vf >= len(h.VFs) {
 		return Addresses{}, fmt.Errorf("sriov: no VF %d on HCA %d", vf, h.Node)
 	}
-	v := &h.VFs[vf]
+	return h.Addresses(h.VFs[vf]), nil
+}
+
+// Addresses returns the triple a VM would see through a VF of this HCA in
+// the given state — the VF as it is, or as a staged migration will leave it.
+func (h *HCA) Addresses(v VF) Addresses {
 	lid := v.LID
 	if h.Model == SharedPort {
 		lid = h.PFLID
 	}
-	return Addresses{
-		LID:  lid,
-		GUID: v.GUID,
-		GID:  ib.MakeGID(h.Prefix, v.GUID),
-	}, nil
+	return Addresses{LID: lid, GUID: v.GUID, GID: ib.MakeGID(h.Prefix, v.GUID)}
 }
 
 // PFAddresses returns the physical function's address triple.
@@ -185,6 +211,9 @@ func (h *HCA) Attach(vf int) error {
 	}
 	if h.VFs[vf].Attached {
 		return fmt.Errorf("sriov: VF %d already attached", vf)
+	}
+	if h.VFs[vf].Held {
+		return fmt.Errorf("sriov: VF %d is held", vf)
 	}
 	if h.Model.IsVSwitch() && h.VFs[vf].LID == ib.LIDUnassigned {
 		return fmt.Errorf("sriov: vSwitch VF %d has no LID", vf)

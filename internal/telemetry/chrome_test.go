@@ -134,7 +134,7 @@ func TestChromeTraceWallMode(t *testing.T) {
 func TestChromeTraceShardLanes(t *testing.T) {
 	tr := NewTracer()
 	for _, shard := range []int{2, 0} {
-		id := tr.Emit(SpanSMP, "sw", 0, time.Microsecond, "shard", shard)
+		id := tr.Emit(SpanSMP, "sw", nil, 0, time.Microsecond, "shard", shard)
 		if id == 0 {
 			t.Fatal("emit failed")
 		}
@@ -143,7 +143,7 @@ func TestChromeTraceShardLanes(t *testing.T) {
 	x.SetAttr("cross_shard", "0->2")
 	x.SetModelled(time.Microsecond)
 	x.End()
-	tr.Emit(SpanSMP, "sw", 0, time.Microsecond, "shard", -1) // single-actor: no lane
+	tr.Emit(SpanSMP, "sw", nil, 0, time.Microsecond, "shard", -1) // single-actor: no lane
 	plain := tr.Start(SpanSweep, "")
 	plain.SetModelled(time.Microsecond)
 	plain.End()

@@ -219,7 +219,7 @@ func TestTracerRings(t *testing.T) {
 			if i%2 == 0 {
 				tr.Start(SpanSMP, "x").End()
 			} else {
-				tr.Emit(SpanSMP, "x", 0, 0)
+				tr.Emit(SpanSMP, "x", nil, 0, 0)
 			}
 			tr.Eventf("note", "msg %d", i)
 		}
@@ -284,7 +284,7 @@ func TestTracerAppendCostIndependentOfCap(t *testing.T) {
 	}
 	for name, op := range map[string]func(*Tracer){
 		"Eventf": func(tr *Tracer) { tr.Eventf("note", "flap %d", 7) },
-		"Emit":   func(tr *Tracer) { tr.Emit(SpanSMP, "", 0, time.Microsecond, "switch", "leaf-1", "block", 3) },
+		"Emit":   func(tr *Tracer) { tr.Emit(SpanSMP, "", nil, 0, time.Microsecond, "switch", "leaf-1", "block", 3) },
 	} {
 		smallAllocs, small := bytesPerOp(1<<6, op)
 		largeAllocs, large := bytesPerOp(1<<14, op)

@@ -263,13 +263,14 @@ func (t *Tracer) start(kind SpanKind, name string, parent int) *Span {
 // duration), so hot paths that emit tens of thousands of leaf spans per
 // operation — the SM's one-smp-span-per-block-run — skip the lock and
 // map churn of Start/SetAttrs/SetModelled/End. The kv pairs follow the
-// SetAttrs contract; the span parents to the current scope exactly as
-// Start does. Returns the allocated span ID.
-func (t *Tracer) Emit(kind SpanKind, name string, wall, modelled time.Duration, kv ...any) int {
+// SetAttrs contract. The span hangs under parent (nil: a root) and never
+// under the scope: its callers run on several actors at once, so the parent
+// travels with the call. Returns the allocated span ID.
+func (t *Tracer) Emit(kind SpanKind, name string, parent *Span, wall, modelled time.Duration, kv ...any) int {
 	if t == nil {
 		return 0
 	}
-	sp := &Span{tr: t, kind: kind, name: name, wall: wall, modelled: modelled, ended: true}
+	sp := &Span{tr: t, kind: kind, name: name, parent: parent.ID(), wall: wall, modelled: modelled, ended: true}
 	if len(kv) > 0 {
 		attrs := make(map[string]any, len(kv)/2)
 		for i := 0; i+1 < len(kv); i += 2 {
@@ -291,17 +292,16 @@ func (t *Tracer) Emit(kind SpanKind, name string, wall, modelled time.Duration, 
 		sp.attrs = attrs
 	}
 	t.mu.Lock()
-	if len(t.scope) > 0 {
-		sp.parent = t.scope[len(t.scope)-1]
-	}
 	sp.id = t.spans.push(sp)
 	t.mu.Unlock()
 	return sp.id
 }
 
 // PushScope makes sp the implicit parent of spans started until the
-// matching PopScope. Scopes are only pushed on serial control paths (the
-// SM's operations are single-threaded); worker goroutines never push.
+// matching PopScope. The stack is process-wide: only a path that has the
+// whole control plane to itself may push (a reconcile command under the
+// freeze, an SM handover). Anything an actor can run beside another actor
+// passes its parent explicitly (Span.Child, Emit).
 func (t *Tracer) PushScope(sp *Span) {
 	if t == nil || sp == nil {
 		return
