@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-incremental bench-incremental-short bench-shards bench-all fuzz chaos experiments experiments-full fmt vet clean
+.PHONY: all build test test-short race cover bench bench-pairs bench-incremental bench-incremental-short bench-shards bench-all fuzz chaos experiments experiments-full fmt vet clean
 
 all: build test
 
@@ -54,6 +54,15 @@ bench-incremental-short:
 # failed requests and a clean post-run full audit.
 bench-shards:
 	$(GO) run ./cmd/ibsimload -nodes 11664 -c 256 -duration 8s -create 4 -migrate 1 -destroy 4 -sweep 1,2,4,8 -prov-overhead -bench-out BENCH_controlplane.json
+
+# Alternating parent/change pairs of one ibvbench workload, judged by the
+# rule every performance PR is held to (medians, quartile ranges, wins, and
+# "unresolved" when the parent's own spread exceeds the BENCHMARK.json bound):
+#   make bench-pairs PARENT=<rev> WORKLOAD=migrate-classic PAIRS=10 [ARGS=-small]
+# The change is the working tree; results land under bench/out/pairs/.
+PAIRS ?= 10
+bench-pairs:
+	scripts/ibvbench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(ARGS)
 
 # Every benchmark in the repo, including reconfiguration and fabric-sim ones.
 bench-all:

@@ -124,6 +124,11 @@ type Server struct {
 	// by handlers).
 	gen uint64
 
+	// fabric and switches describe the topology, which never changes under a
+	// server: its name, and its switches in ascending node order.
+	fabric   string
+	switches []topology.NodeID
+
 	// execGate is a test seam: when non-nil the loop rendezvouses twice
 	// around every command (announce, then wait for release), letting tests
 	// hold the loop mid-drain to fill the admission queue deterministically.
@@ -157,6 +162,8 @@ func NewServer(c *cloud.Cloud, cfg Config) *Server {
 		retryAfter: cfg.RetryAfter,
 		loopDone:   make(chan struct{}),
 		log:        cfg.Logger,
+		fabric:     c.SM.Topo.String(),
+		switches:   c.SM.Topo.Switches(),
 	}
 	s.rec = audit.NewRecorder(hub.Tracer(), cfg.FlightDir, cfg.FlightEntries)
 	s.aud = audit.New(hub, s.rec, audit.Config{})
@@ -170,7 +177,7 @@ func NewServer(c *cloud.Cloud, cfg Config) *Server {
 		close(s.loopDone) // no loop in sharded mode
 		s.compose()
 	} else {
-		s.publish()
+		s.publish(&done{fabric: true})
 		go s.loop()
 	}
 	if cfg.AuditInterval > 0 {
@@ -278,7 +285,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.co != nil {
 		vms := 0
 		for _, sn := range s.co.Snaps() {
-			vms += len(sn.VMs)
+			vms += sn.NumVMs()
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status":     "ok",
@@ -294,7 +301,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":     "ok",
 		"generation": sn.Gen,
 		"queue":      len(s.cmds),
-		"vms":        len(sn.VMs),
+		"vms":        sn.NumVMs(),
 	})
 }
 
@@ -341,7 +348,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		Model:       sn.Model,
 		SMNode:      sn.SMNode,
 		Generation:  sn.Gen,
-		Hypervisors: sn.Hyps,
+		Hypervisors: sn.Hyps(),
 	}
 	if s.co != nil {
 		resp.Shards = s.co.Shards()
@@ -354,18 +361,16 @@ func (s *Server) handleListVMs(w http.ResponseWriter, r *http.Request) {
 	sn := s.snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"generation": sn.Gen,
-		"vms":        sn.VMs,
+		"vms":        sn.VMs(),
 	})
 }
 
 func (s *Server) handleGetVM(w http.ResponseWriter, r *http.Request) {
 	sn := s.snapshot()
 	name := r.PathValue("name")
-	for i := range sn.VMs {
-		if sn.VMs[i].Name == name {
-			writeJSON(w, http.StatusOK, sn.VMs[i])
-			return
-		}
+	if vm := sn.vm(name); vm != nil {
+		writeJSON(w, http.StatusOK, vmInfo(sn.topo, vm))
+		return
 	}
 	writeErr(w, http.StatusNotFound, "no VM %q", name)
 }

@@ -90,7 +90,7 @@ func doJSON(t *testing.T, client *http.Client, method, url string, body, out any
 func TestLifecycleAndErrors(t *testing.T) {
 	srv, ts := newTestServer(t, 6, 2, 2, sriov.VSwitchDynamic, Config{})
 	cl := ts.Client()
-	hyps := srv.Snapshot().Hyps
+	hyps := srv.Snapshot().Hyps()
 
 	// Create (scheduler placement), then a pinned create.
 	var created VMResponse
@@ -265,7 +265,7 @@ func TestConcurrentMutatorsAndReaders(t *testing.T) {
 	// 6 switches x 3 CAs = 18 CAs: 1 SM + 17 hypervisors >= 2 per mutator.
 	srv, ts := newTestServer(t, 6, 3, 2, sriov.VSwitchDynamic, Config{QueueDepth: 4})
 	cl := ts.Client()
-	hyps := srv.Snapshot().Hyps
+	hyps := srv.Snapshot().Hyps()
 	if len(hyps) < 2*mutators {
 		t.Fatalf("need %d hypervisors, have %d", 2*mutators, len(hyps))
 	}
@@ -500,7 +500,7 @@ func TestBackpressure(t *testing.T) {
 func TestSnapshotCOW(t *testing.T) {
 	srv, ts := newTestServer(t, 8, 2, 2, sriov.VSwitchDynamic, Config{})
 	cl := ts.Client()
-	hyps := srv.Snapshot().Hyps
+	hyps := srv.Snapshot().Hyps()
 
 	home, away := hyps[0].Node, hyps[len(hyps)-1].Node
 	if st := doJSON(t, cl, "POST", ts.URL+"/v1/vms", CreateVMRequest{Name: "cow", Hypervisor: &home}, nil); st != http.StatusCreated {
@@ -535,7 +535,7 @@ func TestSnapshotCOW(t *testing.T) {
 		t.Fatal("no LFTs were shared across generations (COW not working)")
 	}
 	// The pre-migration snapshot still resolves the old placement.
-	for _, vm := range before.VMs {
+	for _, vm := range before.VMs() {
 		if vm.Name == "cow" && vm.Node != home {
 			t.Fatalf("published snapshot mutated: VM on %d, want %d", vm.Node, home)
 		}

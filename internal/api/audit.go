@@ -1,33 +1,39 @@
 package api
 
 import (
+	"cmp"
 	"net/http"
-	"sort"
+	"slices"
 	"time"
 
 	"ibvsim/internal/audit"
+	"ibvsim/internal/cloud"
 	"ibvsim/internal/ib"
+	"ibvsim/internal/topology"
 )
 
-// AuditView adapts the snapshot for the auditor. Everything handed over is
-// immutable (the snapshot's own maps and the published tables are never
-// written after publication), so views may be audited concurrently with
-// mutations.
+// AuditView adapts the snapshot for the auditor: the fabric-scope view, whose
+// checks want a LID map and a list — materialised here, from the snapshot's
+// address table, only when a fabric-wide audit asks. Everything handed over
+// is immutable (the view's own map and the published tables are never written
+// after publication), so views may be audited concurrently with mutations.
 func (sn *Snapshot) AuditView() *audit.View {
-	lids := make([]ib.LID, 0, len(sn.nodeOfLID))
-	for l := range sn.nodeOfLID {
-		lids = append(lids, l)
+	lids := make([]ib.LID, 0, sn.addrs.Len())
+	sn.addrs.Each(func(l ib.LID, _ topology.NodeID, _ bool) { lids = append(lids, l) })
+	vms := make([]audit.VMBinding, 0, sn.NumVMs())
+	for _, p := range sn.parts {
+		p.EachVM(func(vm *cloud.VM) {
+			vms = append(vms, audit.VMBinding{Name: vm.Name, LID: vm.Addr.LID, Hyp: vm.Hyp})
+		})
 	}
-	sort.Slice(lids, func(i, j int) bool { return lids[i] < lids[j] })
-	vms := make([]audit.VMBinding, len(sn.VMs))
-	for i, vm := range sn.VMs {
-		vms[i] = audit.VMBinding{Name: vm.Name, LID: ib.LID(vm.LID), Hyp: vm.Node}
+	if len(sn.parts) > 1 {
+		slices.SortFunc(vms, func(a, b audit.VMBinding) int { return cmp.Compare(a.Name, b.Name) })
 	}
 	return &audit.View{
 		Topo:       sn.topo,
 		Gen:        sn.Gen,
-		LFTs:       sn.lfts,
-		NodeOfLID:  sn.nodeOfLID,
+		LFTOf:      func(sw topology.NodeID) *ib.LFT { return sn.lfts[sw] },
+		NodeOfLID:  sn.addrs.Map(),
 		ActiveLIDs: lids,
 		VMs:        vms,
 	}

@@ -98,7 +98,7 @@ func TestAuditCleanLifecycle(t *testing.T) {
 			// 9 compute nodes under 3 leaf switches, 3 spines.
 			srv, ts := newFatTreeServer(t, topology.XGFTSpec{M: []int{3, 3}, W: []int{1, 3}}, 2, model, Config{})
 			cl := ts.Client()
-			hyps := srv.Snapshot().Hyps
+			hyps := srv.Snapshot().Hyps()
 
 			doJSON(t, cl, "POST", ts.URL+"/v1/vms", CreateVMRequest{Name: "vm-a"}, nil)
 			doJSON(t, cl, "POST", ts.URL+"/v1/vms", CreateVMRequest{Name: "vm-b"}, nil)
@@ -165,7 +165,7 @@ func TestAuditCatchesInjectedCorruption(t *testing.T) {
 	flightDir := t.TempDir()
 	srv, ts := newTestServer(t, 6, 2, 2, sriov.VSwitchDynamic, Config{FlightDir: flightDir})
 	cl := ts.Client()
-	hyps := srv.Snapshot().Hyps
+	hyps := srv.Snapshot().Hyps()
 
 	doJSON(t, cl, "POST", ts.URL+"/v1/vms", CreateVMRequest{Name: "victim"}, nil)
 	var vm VMInfo
@@ -347,7 +347,7 @@ func TestAuditorRacesWithMutators(t *testing.T) {
 			QueueDepth:    256,
 		})
 	cl := ts.Client()
-	hyps := srv.Snapshot().Hyps
+	hyps := srv.Snapshot().Hyps()
 	if len(hyps) < 16 {
 		t.Fatalf("need 16 hypervisors, got %d", len(hyps))
 	}

@@ -13,7 +13,7 @@ import (
 func TestExplainReportsEvictedSpans(t *testing.T) {
 	srv, ts := newTestServer(t, 6, 2, 2, sriov.VSwitchDynamic, Config{})
 	cl := ts.Client()
-	hyps := srv.Snapshot().Hyps
+	hyps := srv.Snapshot().Hyps()
 	a, b, c := hyps[0].Node, hyps[2].Node, hyps[4].Node
 	if st := doJSON(t, cl, "POST", ts.URL+"/v1/vms", CreateVMRequest{Name: "peer", Hypervisor: &a}, nil); st != http.StatusCreated {
 		t.Fatalf("create peer: status %d", st)

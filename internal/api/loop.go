@@ -48,12 +48,15 @@ type command struct {
 //
 //   - nothing (read): a dry run or an already-converged plan. No generation,
 //     no snapshot, no flight entry, no audit.
-//   - LID columns and bindings (lids, vms): create, destroy, migrate — failed
-//     ones included, a half-applied migration strands exactly its columns —
-//     and every reconcile wave. Empty when the command was refused before it
-//     changed anything or its column is gone (a destroy under dynamic LIDs):
-//     still published and recorded, nothing to audit.
-//   - the fabric: reconfigure, and the close of an applied reconcile.
+//   - LID columns and bindings (lids, vms) and snapshot rows (rowVMs,
+//     rowHyps): create, destroy, migrate — failed ones included, a
+//     half-applied migration strands exactly its columns — and every
+//     reconcile wave. The columns are empty when the command was refused
+//     before it changed anything or its column is gone (a destroy under
+//     dynamic LIDs): still published and recorded, nothing to audit. The rows
+//     are what publish reads again; naming a row that did not change is free.
+//   - the fabric: reconfigure, and the close of an applied reconcile. Every
+//     row is read again and the audit is fabric-wide.
 type done struct {
 	op     opKind
 	name   string
@@ -67,10 +70,12 @@ type done struct {
 	// shard actor publishes its own rows); 0 leaves publishing to the epilogue.
 	gen uint64
 
-	read   bool
-	fabric bool
-	lids   []ib.LID
-	vms    []audit.VMBinding
+	read    bool
+	fabric  bool
+	lids    []ib.LID
+	vms     []audit.VMBinding
+	rowVMs  []string
+	rowHyps []topology.NodeID
 }
 
 // CostReport states what one operation cost the fabric, in the paper's
@@ -168,6 +173,7 @@ func (s *Server) execute(cmd *command) done {
 				res.VM = *vm
 			}
 		}
+		d.rowVMs, d.rowHyps = []string{cmd.name}, []topology.NodeID{hyp}
 		s.lifecycle(&d, res, err)
 
 	case opDestroyVM:
@@ -175,9 +181,14 @@ func (s *Server) execute(cmd *command) done {
 			res.VM = *vm // as it was: lifecycle audits the freed VF's column
 		}
 		res.Boot, err = s.c.DestroyVMStats(cmd.name)
+		d.rowVMs, d.rowHyps = []string{cmd.name}, []topology.NodeID{res.VM.Hyp}
 		s.lifecycle(&d, res, err)
 
 	case opMigrateVM:
+		d.rowVMs, d.rowHyps = []string{cmd.name}, []topology.NodeID{cmd.hyp}
+		if vm := s.c.VM(cmd.name); vm != nil {
+			d.rowHyps = append(d.rowHyps, vm.Hyp)
+		}
 		res.Rep, err = s.c.MigrateVM(cmd.name, cmd.hyp)
 		if vm := s.c.VM(cmd.name); vm != nil {
 			res.VM = *vm
@@ -235,7 +246,7 @@ func (s *Server) lifecycle(d *done, res shard.Result, err error) {
 	switch d.op {
 	case opCreateVM:
 		d.status = http.StatusCreated
-		d.body = VMResponse{VMInfo: s.vmInfo(vm), Cost: costOf(boot, 0, 0)}
+		d.body = VMResponse{VMInfo: vmInfo(s.c.SM.Topo, vm), Cost: costOf(boot, 0, 0)}
 		d.lids = []ib.LID{vm.Addr.LID}
 	case opDestroyVM:
 		d.body = DestroyResponse{Name: d.name, Cost: costOf(boot, 0, 0)}
@@ -313,7 +324,7 @@ func (s *Server) finish(d *done) (gen uint64, violations int) {
 		return 0, 0
 	}
 	if gen = d.gen; gen == 0 {
-		gen = s.publish()
+		gen = s.publish(d)
 	}
 	s.rec.RecordMutation(audit.Mutation{
 		Op: string(d.op), Name: d.name, RequestID: d.reqID,
@@ -343,18 +354,46 @@ func (s *Server) finish(d *done) (gen uint64, violations int) {
 }
 
 // publish makes the state a command left behind visible to reads and returns
-// its generation — where the two modes differ: the single actor builds and
-// stores the next fabric snapshot, a frozen sharded control plane has every
-// shard republish its rows from the cloud (compose picks them up on the next
-// read).
-func (s *Server) publish() uint64 {
+// its generation — where the two modes differ. The single actor derives the
+// next fabric snapshot from the current one: the rows the command names are
+// read again, every other row is shared, and the fabric-level state is the
+// SM's own immutable values (next). A fabric-wide command, boot, and a
+// subnet manager swapped in since the last publish (an SM handover happens
+// between two commands) are the same derivation from the empty snapshot with
+// every row named. A frozen sharded control plane has every shard do that
+// for its zone (compose picks the new parts up on the next read).
+func (s *Server) publish(d *done) uint64 {
 	if s.co != nil {
 		if err := s.co.Resync(); err != nil {
 			s.log.Warn("shard resync failed", "err", err)
 		}
 		return s.co.Gen()
 	}
+	start := time.Now()
 	s.gen++
-	s.snap.Store(s.buildSnapshot(s.gen, nil, s.cloudRows))
+	prev := s.snap.Load()
+	var part *shard.Snap
+	vms, hyps := d.rowVMs, d.rowHyps
+	rebuild := d.fabric || prev.mgr != s.c.SM
+	if rebuild {
+		hyps = s.c.Hypervisors()
+		part, vms = shard.Empty(0, hyps), s.c.VMs()
+	} else {
+		part = prev.parts[0]
+	}
+	part, rows := part.Next(s.c, s.c.VM, s.gen, vms, hyps)
+	s.snap.Store(s.next(prev, s.gen, []*shard.Snap{part}))
+	s.published(rows, rebuild)
+	s.reg.WallHistogram("api.publish_wall_us", nil).ObserveDuration(time.Since(start))
 	return s.gen
+}
+
+// published counts one stored set of rows — the single actor's, or a shard's
+// (shard.Config.Published): the rows read again for it, and whether it was a
+// full rebuild.
+func (s *Server) published(rows int, rebuild bool) {
+	s.reg.Counter("api.snapshot.rows_patched").Add(int64(rows))
+	if rebuild {
+		s.reg.Counter("api.snapshot.full_rebuilds").Inc()
+	}
 }

@@ -168,6 +168,15 @@ func (s *Server) execReconcile(cmd *command, d *done) {
 			Reason:   fmt.Sprintf("reconcile %s wave %d/%d (%d moves)", plan.Goal, wi+1, len(plan.Waves), len(wave)),
 			Shard:    ib.ShardCoordinator,
 		}
+		// The rows a wave touches are its members' and their hypervisors',
+		// before and after — whether or not the wave gets that far.
+		for _, mv := range wave {
+			wd.rowVMs = append(wd.rowVMs, mv.VM)
+			wd.rowHyps = append(wd.rowHyps, mv.To)
+			if vm := s.c.VM(mv.VM); vm != nil {
+				wd.rowHyps = append(wd.rowHyps, vm.Hyp)
+			}
+		}
 		wr, werr := s.c.MigrateWaveProv(wave, prov)
 		// Even a failed wave may have moved VMs or stranded columns before
 		// erroring: publish and audit what it names either way.

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"ibvsim/internal/cloud"
 	"ibvsim/internal/shard"
 )
 
@@ -32,6 +31,7 @@ func (s *Server) startSharded(shards, queueDepth int) error {
 	co, err := shard.New(s.c, shards, shard.Config{
 		QueueDepth:    queueDepth,
 		AfterMutation: s.shardDone,
+		Published:     s.published,
 	})
 	if err != nil {
 		return err
@@ -59,10 +59,12 @@ func (s *Server) snapshot() *Snapshot {
 	return s.compose()
 }
 
-// compose builds (or returns the cached) fabric-wide snapshot from the
-// shards' snapshots. Shards publish O(zone) snapshots per mutation; the
-// O(fabric) composition cost is paid lazily, only when a read arrives after
-// one of them changed.
+// compose returns the fabric-wide snapshot over the shards' current
+// snapshots: the cached one while none of them changed, else the next one —
+// the new parts as they are (a shard derives its own rows when it finishes a
+// command; the parts that did not change are the cached snapshot's, by
+// pointer) plus the fabric-level state next captures. A merge of roots, paid
+// by the first read after a mutation.
 //
 // The cache key is the identity of the shard snapshots the composition was
 // built from, not the coordinator's generation counter: a shard bumps that
@@ -70,27 +72,21 @@ func (s *Server) snapshot() *Snapshot {
 // between would hold the pre-mutation state under the post-mutation
 // generation and serve it until the next mutation. Every publish installs
 // a fresh *shard.Snap, so pointer equality is exact; the composed
-// generation is the newest one a composed-from snapshot carries.
+// generation is the newest one a composed-from snapshot carries. A subnet
+// manager swapped in since (an SM handover publishes nothing) also ends the
+// cached snapshot's life: its fabric-level state was the old manager's.
 func (s *Server) compose() *Snapshot {
 	snaps := s.co.Snaps()
-	if sn := s.snap.Load(); sn != nil && slices.Equal(sn.from, snaps) {
-		return sn
+	prev := s.snap.Load()
+	if prev != nil && prev.mgr == s.c.SM && slices.Equal(prev.parts, snaps) {
+		return prev
 	}
 	var gen uint64
 	for _, ss := range snaps {
 		gen = max(gen, ss.Gen)
 	}
 	start := time.Now()
-	sn := s.buildSnapshot(gen, snaps, func(hyp func(shard.HypState, int), vm func(*cloud.VM)) {
-		for _, ss := range snaps {
-			for _, h := range ss.Hyps {
-				hyp(h, ss.Shard)
-			}
-			for i := range ss.VMs {
-				vm(&ss.VMs[i])
-			}
-		}
-	})
+	sn := s.next(prev, gen, snaps)
 	s.reg.WallHistogram("api.compose_wall_us", nil).ObserveDuration(time.Since(start))
 	s.snap.Store(sn)
 	return sn

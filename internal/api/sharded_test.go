@@ -373,3 +373,79 @@ func TestShardedReadAfterWriteNeverStale(t *testing.T) {
 		t.Fatalf("%d of %d reads issued after a 200 missed the write (%d concurrent reads)", stale, migrations, reads)
 	}
 }
+
+// TestShardedReadsSeeWholeZonesDuringResync: a freeze parks mutations, not
+// reads, so a GET served while a frozen command republishes every zone must
+// compose whole zones — the one from before or the one from after, never a
+// zone caught between the two. Readers list the fleet through a run of
+// reconfigures and miss no VM and no attached VF.
+func TestShardedReadsSeeWholeZonesDuringResync(t *testing.T) {
+	if testing.Short() {
+		t.Skip("40 reconfigures against hammering readers")
+	}
+	srv, ts := newShardedServer(t, Config{Shards: 4})
+	cl := ts.Client()
+	const fleet = 240
+	hyps := srv.c.Hypervisors()
+	for i := 0; i < fleet; i++ {
+		req := CreateVMRequest{Name: fmt.Sprintf("vm%03d", i), Hypervisor: ptr(hyps[i%len(hyps)])}
+		if st := doJSON(t, cl, "POST", ts.URL+"/v1/vms", req, nil); st != http.StatusCreated {
+			t.Fatalf("create %s: status %d", req.Name, st)
+		}
+	}
+
+	stop := make(chan struct{})
+	done := make(chan int)
+	// One reader goes through the handler, one straight to the snapshot (many
+	// more reads per republish).
+	go func() {
+		reads := 0
+		defer func() { done <- reads }()
+		for ; ; reads++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/vms", nil))
+			var list struct {
+				VMs []VMInfo `json:"vms"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &list); err != nil || len(list.VMs) != fleet {
+				t.Errorf("GET /v1/vms during a reconfigure lists %d VMs (err %v), want %d", len(list.VMs), err, fleet)
+				return
+			}
+		}
+	}()
+	go func() {
+		reads := 0
+		defer func() { done <- reads }()
+		for ; ; reads++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sn := srv.snapshot()
+			attached := 0
+			for _, h := range sn.Hyps() {
+				attached += h.Attached
+			}
+			if sn.NumVMs() != fleet || attached != fleet || sn.vm("vm000") == nil {
+				t.Errorf("snapshot gen %d during a reconfigure: %d VMs, %d attached VFs, want %d of each",
+					sn.Gen, sn.NumVMs(), attached, fleet)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		if st := doJSON(t, cl, "POST", ts.URL+"/v1/reconfigure", nil, nil); st != http.StatusOK {
+			t.Fatalf("reconfigure %d: status %d", i, st)
+		}
+	}
+	close(stop)
+	if reads := <-done + <-done; reads < 100 {
+		t.Fatalf("only %d reads ran beside the reconfigures", reads)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"ibvsim/internal/cloud"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/shard"
+	"ibvsim/internal/sm"
 	"ibvsim/internal/topology"
 )
 
@@ -35,32 +36,83 @@ type HypInfo struct {
 }
 
 // Snapshot is an immutable view of the fabric at one generation, read
-// lock-free by every GET handler. The forwarding tables are the SM's
-// published ones captured by pointer, never copied: a published table is
-// immutable (every writer is clone, edit, commit — one pointer swap per
-// switch), so two generations share every table no mutation in between
-// touched.
+// lock-free by every GET handler. It is a persistent value: the one after a
+// command shares with the one before it everything the command did not touch.
+// The rows are the zones' own snapshots (shard.Snap: a published row is never
+// written, and a command re-reads only the rows it names); the forwarding
+// tables are the SM's published ones captured by pointer, never copied (every
+// writer is clone, edit, commit — one pointer swap per switch); the LID maps
+// are the SM's own immutable values. Rows keep the cloud's types: the wire
+// forms (VMInfo, HypInfo) are rendered when a row is served.
 type Snapshot struct {
 	Gen    uint64
 	Fabric string
 	Model  string
 	SMNode topology.NodeID
-	VMs    []VMInfo  // sorted by name
-	Hyps   []HypInfo // sorted by node
 
-	topo      *topology.Topology // static after build; safe to share
-	lidOf     map[topology.NodeID]ib.LID
-	nodeOfLID map[ib.LID]topology.NodeID
-	lfts      map[topology.NodeID]*ib.LFT // published tables, shared with the SM
-	// from is compose's cache key in sharded mode: the shard snapshots this
-	// one was built from (nil in single-actor mode).
-	from []*shard.Snap
+	topo *topology.Topology // static after build; safe to share
+	// mgr is the subnet manager the fabric state was read from: a handover
+	// swaps it under the server between two commands.
+	mgr *sm.SubnetManager
+	// parts are the rows, one zone each, in shard order: the shards' current
+	// snapshots in sharded mode (their identity is also compose's cache key),
+	// the server's own single part in single-actor mode.
+	parts []*shard.Snap
+	lidOf []ib.LID         // base LID by node ID (0: none); the SM's slice
+	addrs *sm.AddressTable // LID -> node, base and VF LIDs alike
+	lfts  []*ib.LFT        // published table by node ID (nil for a CA)
 }
 
-// vmInfo renders one VM for the wire: snapshot rows and create replies.
-func (s *Server) vmInfo(vm *cloud.VM) VMInfo {
+// next is the one Snapshot constructor: the snapshot at gen over the given
+// parts, derived from prev (nil: from nothing). Fabric-level state is read
+// from the SM in O(1) — its address table and base-LID slice are immutable
+// values — except the tables, one pointer per switch. In sharded mode any
+// request goroutine may call it; in single-actor mode only the loop.
+func (s *Server) next(prev *Snapshot, gen uint64, parts []*shard.Snap) *Snapshot {
+	mgr, topo := s.c.SM, s.c.SM.Topo
+	sn := &Snapshot{
+		Gen:    gen,
+		Fabric: s.fabric,
+		Model:  s.c.Model.String(),
+		SMNode: mgr.SMNode,
+		topo:   topo,
+		mgr:    mgr,
+		parts:  parts,
+		lidOf:  mgr.BaseLIDs(),
+		addrs:  mgr.Addresses(),
+	}
+	if prev != nil {
+		sn.lfts = prev.lfts
+	}
+	sn.lfts = s.tables(sn.lfts)
+	s.reg.Gauge("api.snapshot.generation").Set(int64(gen))
+	return sn
+}
+
+// tables captures every switch's published table, by node ID: prev itself
+// when no table moved since it was captured, else a patched copy.
+func (s *Server) tables(prev []*ib.LFT) []*ib.LFT {
+	out, own := prev, false // own: out is a copy, ours to write
+	if n := s.c.SM.Topo.NumNodes(); len(prev) != n {
+		out, own = make([]*ib.LFT, n), true
+	}
+	for _, sw := range s.switches {
+		lft := s.c.SM.ProgrammedLFT(sw)
+		if out[sw] == lft {
+			continue
+		}
+		if !own {
+			out, own = slices.Clone(prev), true
+		}
+		out[sw] = lft
+	}
+	return out
+}
+
+// vmInfo renders one VM for the wire: listings and create replies.
+func vmInfo(topo *topology.Topology, vm *cloud.VM) VMInfo {
 	desc := ""
-	if n := s.c.SM.Topo.Node(vm.Hyp); n != nil {
+	if n := topo.Node(vm.Hyp); n != nil {
 		desc = n.Desc
 	}
 	return VMInfo{
@@ -74,68 +126,60 @@ func (s *Server) vmInfo(vm *cloud.VM) VMInfo {
 	}
 }
 
-// buildSnapshot is the one Snapshot constructor. Fabric-level state (LID
-// maps, published tables) is read from the SM; the hypervisor and VM rows
-// are fed by the caller — from the cloud by the single-actor loop, from the
-// shards' own snapshots by compose — so the caller must own, or hold
-// immutable copies of, whatever rows reads.
-func (s *Server) buildSnapshot(gen uint64, from []*shard.Snap,
-	rows func(hyp func(h shard.HypState, zone int), vm func(*cloud.VM))) *Snapshot {
-	mgr, topo := s.c.SM, s.c.SM.Topo
-	sn := &Snapshot{
-		Gen:    gen,
-		from:   from,
-		Fabric: topo.String(),
-		Model:  s.c.Model.String(),
-		SMNode: mgr.SMNode,
-		topo:   topo,
-		lidOf:  map[topology.NodeID]ib.LID{},
-		// One pass over the SM's address maps. The per-node alternative
-		// (ExtraLIDsOf for every CA) rescans the whole extra-LID map per
-		// node — O(CAs x LIDs) per snapshot, which at 10^4 nodes turned
-		// every mutation into seconds of map iteration.
-		nodeOfLID: mgr.AddressView(),
-		lfts:      make(map[topology.NodeID]*ib.LFT, len(topo.Switches())),
-	}
-	for _, id := range topo.Switches() {
-		if lid := mgr.LIDOf(id); lid != ib.LIDUnassigned {
-			sn.lidOf[id] = lid
-		}
-		if lft := mgr.ProgrammedLFT(id); lft != nil {
-			sn.lfts[id] = lft
+// vm finds a VM's row by name: a binary search in each part.
+func (sn *Snapshot) vm(name string) *cloud.VM {
+	for _, p := range sn.parts {
+		if vm := p.VM(name); vm != nil {
+			return vm
 		}
 	}
-	for _, id := range topo.CAs() {
-		if lid := mgr.LIDOf(id); lid != ib.LIDUnassigned {
-			sn.lidOf[id] = lid
-		}
-	}
-	rows(func(h shard.HypState, zone int) {
-		sn.Hyps = append(sn.Hyps, HypInfo{
-			Node:     h.Node,
-			Desc:     topo.Node(h.Node).Desc,
-			LID:      uint16(mgr.LIDOf(h.Node)),
-			VFs:      h.VFs,
-			Attached: h.Attached,
-			Zone:     zone,
-		})
-	}, func(vm *cloud.VM) { sn.VMs = append(sn.VMs, s.vmInfo(vm)) })
-	slices.SortFunc(sn.Hyps, func(a, b HypInfo) int { return cmp.Compare(a.Node, b.Node) })
-	slices.SortFunc(sn.VMs, func(a, b VMInfo) int { return cmp.Compare(a.Name, b.Name) })
-	s.reg.Gauge("api.snapshot.generation").Set(int64(gen))
-	return sn
+	return nil
 }
 
-// cloudRows feeds buildSnapshot straight from the cloud. Only the goroutine
-// that owns the cloud — the command loop — may call it.
-func (s *Server) cloudRows(hyp func(shard.HypState, int), vm func(*cloud.VM)) {
-	for _, hn := range s.c.Hypervisors() {
-		hca := s.c.Hypervisor(hn).HCA
-		hyp(shard.HypState{Node: hn, VFs: hca.NumVFs(), Attached: hca.AttachedCount()}, 0)
+// NumVMs returns the number of VMs in the snapshot.
+func (sn *Snapshot) NumVMs() int {
+	n := 0
+	for _, p := range sn.parts {
+		n += p.NumVMs()
 	}
-	for _, name := range s.c.VMs() {
-		vm(s.c.VM(name))
+	return n
+}
+
+// VMs renders every VM, sorted by name.
+func (sn *Snapshot) VMs() []VMInfo {
+	out := make([]VMInfo, 0, sn.NumVMs())
+	for _, p := range sn.parts {
+		p.EachVM(func(vm *cloud.VM) { out = append(out, vmInfo(sn.topo, vm)) })
 	}
+	if len(sn.parts) > 1 { // a part is sorted; several are not, end to end
+		slices.SortFunc(out, func(a, b VMInfo) int { return cmp.Compare(a.Name, b.Name) })
+	}
+	return out
+}
+
+// Hyps renders every hypervisor, sorted by node.
+func (sn *Snapshot) Hyps() []HypInfo {
+	n := 0
+	for _, p := range sn.parts {
+		n += p.NumHyps()
+	}
+	out := make([]HypInfo, 0, n)
+	for _, p := range sn.parts {
+		p.EachHyp(func(h *shard.HypState) {
+			out = append(out, HypInfo{
+				Node:     h.Node,
+				Desc:     sn.topo.Node(h.Node).Desc,
+				LID:      uint16(sn.lidOf[h.Node]),
+				VFs:      h.VFs,
+				Attached: h.Attached,
+				Zone:     p.Shard,
+			})
+		})
+	}
+	if len(sn.parts) > 1 {
+		slices.SortFunc(out, func(a, b HypInfo) int { return cmp.Compare(a.Node, b.Node) })
+	}
+	return out
 }
 
 // PathHop is one switch traversal of a walked path.
@@ -160,10 +204,8 @@ type PathResponse struct {
 // resolve maps a path endpoint token — a VM name or a numeric node ID — to
 // the node traffic enters/leaves the fabric at and the LID addressing it.
 func (sn *Snapshot) resolve(token string) (topology.NodeID, ib.LID, error) {
-	for i := range sn.VMs {
-		if sn.VMs[i].Name == token {
-			return sn.VMs[i].Node, ib.LID(sn.VMs[i].LID), nil
-		}
+	if vm := sn.vm(token); vm != nil {
+		return vm.Hyp, vm.Addr.LID, nil
 	}
 	id, err := strconv.Atoi(token)
 	if err != nil {
@@ -173,8 +215,8 @@ func (sn *Snapshot) resolve(token string) (topology.NodeID, ib.LID, error) {
 	if sn.topo.Node(node) == nil {
 		return topology.NoNode, 0, fmt.Errorf("no node %d", node)
 	}
-	lid, ok := sn.lidOf[node]
-	if !ok {
+	lid := sn.lidOf[node]
+	if lid == ib.LIDUnassigned {
 		return topology.NoNode, 0, fmt.Errorf("node %d has no LID", node)
 	}
 	return node, lid, nil

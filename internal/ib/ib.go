@@ -10,10 +10,7 @@
 // tracking is kept as a bitmap.
 package ib
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // LID is a 16-bit InfiniBand local identifier. LID 0 is reserved
 // ("unassigned"), 0x0001-0xBFFF are unicast, 0xC000-0xFFFE are multicast and
@@ -50,8 +47,17 @@ func (l LID) String() string { return fmt.Sprintf("%d", uint16(l)) }
 // which is how SR-IOV VFs obtain their vGUIDs.
 type GUID uint64
 
+// hexDigits indexes the lower-case digit of a nibble.
+const hexDigits = "0123456789abcdef"
+
 // String renders the GUID in the canonical 0x%016x form.
-func (g GUID) String() string { return fmt.Sprintf("0x%016x", uint64(g)) }
+func (g GUID) String() string {
+	buf := [18]byte{0: '0', 1: 'x'}
+	for i := 0; i < 16; i++ {
+		buf[2+i] = hexDigits[(uint64(g)>>(60-4*i))&0xf]
+	}
+	return string(buf[:])
+}
 
 // GIDPrefix is the 64-bit subnet prefix configured by the fabric
 // administrator. The default prefix from the IBTA spec is used when none is
@@ -74,17 +80,23 @@ func MakeGID(prefix GIDPrefix, guid GUID) GID { return GID{Prefix: prefix, GUID:
 // String renders the GID as an IPv6-style string, e.g.
 // fe80:0000:0000:0000:0002:c903:00a1:beef.
 func (g GID) String() string {
-	var sb strings.Builder
-	p := uint64(g.Prefix)
-	q := uint64(g.GUID)
-	for i := 3; i >= 0; i-- {
-		fmt.Fprintf(&sb, "%04x:", (p>>(16*i))&0xffff)
+	var buf [39]byte // eight groups of four digits, seven colons
+	for grp, at := 0, 0; grp < 8; grp++ {
+		half := uint64(g.Prefix)
+		if grp >= 4 {
+			half = uint64(g.GUID)
+		}
+		word := half >> (48 - 16*(grp%4))
+		for d := 0; d < 4; d++ {
+			buf[at] = hexDigits[(word>>(12-4*d))&0xf]
+			at++
+		}
+		if grp < 7 {
+			buf[at] = ':'
+			at++
+		}
 	}
-	for i := 3; i >= 1; i-- {
-		fmt.Fprintf(&sb, "%04x:", (q>>(16*i))&0xffff)
-	}
-	fmt.Fprintf(&sb, "%04x", q&0xffff)
-	return sb.String()
+	return string(buf[:])
 }
 
 // NodeType discriminates the kinds of nodes visible to the subnet manager.

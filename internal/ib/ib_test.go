@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -36,11 +37,24 @@ func TestUnicastLIDCount(t *testing.T) {
 	}
 }
 
+// TestGIDString and TestGUIDString hold the fmt-free renderings to the fmt
+// spelling they replaced, and to one allocation (the returned string).
 func TestGIDString(t *testing.T) {
 	g := MakeGID(DefaultGIDPrefix, 0x0002c90300a1beef)
 	want := "fe80:0000:0000:0000:0002:c903:00a1:beef"
 	if got := g.String(); got != want {
 		t.Errorf("GID.String() = %q, want %q", got, want)
+	}
+	for _, g := range []GID{{}, {^GIDPrefix(0), ^GUID(0)}, {0x0123456789abcdef, 0xfedcba9876543210}, g} {
+		p, q := uint64(g.Prefix), uint64(g.GUID)
+		want := fmt.Sprintf("%04x:%04x:%04x:%04x:%04x:%04x:%04x:%04x",
+			p>>48, p>>32&0xffff, p>>16&0xffff, p&0xffff, q>>48, q>>32&0xffff, q>>16&0xffff, q&0xffff)
+		if got := g.String(); got != want {
+			t.Errorf("GID.String() = %q, want %q", got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = g.String() }); n != 1 {
+		t.Errorf("GID.String allocates %v times, want 1", n)
 	}
 }
 
@@ -48,7 +62,19 @@ func TestGUIDString(t *testing.T) {
 	if got := GUID(0xdeadbeef).String(); got != "0x00000000deadbeef" {
 		t.Errorf("GUID.String() = %q", got)
 	}
+	for _, g := range []GUID{0, ^GUID(0), 0x0002c90300a1beef, 0x0123456789abcdef} {
+		if got, want := g.String(), fmt.Sprintf("0x%016x", uint64(g)); got != want {
+			t.Errorf("GUID.String() = %q, want %q", got, want)
+		}
+	}
+	g := GUID(0x0002c90300a1beef)
+	if n := testing.AllocsPerRun(100, func() { sink = g.String() }); n != 1 {
+		t.Errorf("GUID.String allocates %v times, want 1", n)
+	}
 }
+
+// sink keeps a measured result alive.
+var sink string
 
 func TestNodeTypeString(t *testing.T) {
 	if NodeCA.String() != "CA" || NodeSwitch.String() != "Switch" || NodeRouter.String() != "Router" {

@@ -22,6 +22,10 @@ type Config struct {
 	// failed and refused ones included (see Mutation for the goroutine). The
 	// API layer runs its mutation epilogue here: flight record, log, audit.
 	AfterMutation func(Mutation)
+	// Published, when non-nil, runs each time a shard stores a snapshot, on
+	// the goroutine that stored it: the rows read again for it, and whether
+	// it was derived from the empty snapshot (a full rebuild).
+	Published func(rows int, rebuild bool)
 }
 
 // Coordinator is the thin routing layer over the shard actors: zone-local
@@ -89,7 +93,7 @@ func New(c *cloud.Cloud, n int, cfg Config) (*Coordinator, error) {
 	}
 	gen := co.gen.Add(1)
 	for _, sh := range co.shards {
-		sh.publish(gen)
+		sh.republish(gen)
 		go sh.run()
 	}
 	return co, nil
@@ -117,7 +121,7 @@ func (co *Coordinator) Stats() []Stats {
 	for i, sh := range co.shards {
 		sn := sh.snap.Load()
 		out[i] = Stats{
-			Shard: i, Hyps: len(sh.zone.Hyps), VMs: len(sn.VMs), FreeVFs: sn.FreeVFs,
+			Shard: i, Hyps: len(sh.zone.Hyps), VMs: sn.NumVMs(), FreeVFs: sn.FreeVFs,
 			Ops: sh.ops.Load(), QueueLen: len(sh.cmds), QueueCap: cap(sh.cmds),
 		}
 	}
@@ -343,8 +347,13 @@ func (co *Coordinator) migrateCross(mut Mutation, srcZone, dstZone int, dst topo
 	if err != nil {
 		return fail(err)
 	}
+	// A step that changes a VF outside a finished command republishes that
+	// hypervisor's row, at the generation in force: nothing else will name it.
 	release := func() {
-		dstSh.submit(m.Release) //nolint:errcheck // shutdown drops the hold anyway
+		dstSh.submit(func() { //nolint:errcheck // shutdown drops the hold anyway
+			m.Release()
+			dstSh.publish(co.gen.Load(), nil, dst)
+		})
 	}
 	m.Via = fmt.Sprintf("cross-shard %d -> %d", srcZone, dstZone)
 
@@ -363,7 +372,10 @@ func (co *Coordinator) migrateCross(mut Mutation, srcZone, dstZone int, dst topo
 	if g := co.commitGate(); g != nil {
 		if err := g(XMigration{VM: name, From: m.From, To: dst, FromShard: srcZone, ToShard: dstZone}); err != nil {
 			start = time.Now()
-			src.exec(src.submit, m.Reattach) //nolint:errcheck // shutdown drops the hold anyway
+			src.exec(src.submit, func() { //nolint:errcheck // shutdown drops the hold anyway
+				m.Reattach()
+				src.publish(co.gen.Load(), nil, m.From)
+			})
 			release()
 			phaseDone("abort", start)
 			return fail(fmt.Errorf("cloud: cross-shard migration of %q aborted: %w", name, err))
@@ -390,19 +402,20 @@ func (co *Coordinator) migrateCross(mut Mutation, srcZone, dstZone int, dst topo
 	}
 	if err != nil {
 		release()
+		src.exec(src.submit, func() { src.publish(co.gen.Load(), nil, m.From) }) //nolint:errcheck
 	} else {
 		// Post-commit steps cannot be refused; see submit.
 		src.exec(src.submit, func() { //nolint:errcheck
 			m.Vacate()
 			delete(src.names, name)
 			src.ops.Add(1)
-			src.publish(co.gen.Add(1))
+			src.publish(co.gen.Add(1), []string{name}, m.From)
 		})
 		dstSh.exec(dstSh.submit, func() { //nolint:errcheck
 			if err = m.Adopt(); err == nil {
 				dstSh.names[name] = struct{}{}
 				dstSh.ops.Add(1)
-				dstSh.publish(co.gen.Add(1))
+				dstSh.publish(co.gen.Add(1), []string{name}, dst)
 			}
 		})
 	}
@@ -443,7 +456,7 @@ func (co *Coordinator) Resync() error {
 	}
 	gen := co.gen.Add(1)
 	for _, sh := range co.shards {
-		sh.publish(gen)
+		sh.republish(gen)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -40,7 +39,9 @@ type Shard struct {
 	ops  atomic.Uint64
 
 	// Actor-owned state: only tasks running on this shard's goroutine (or
-	// the constructor, before the actor starts) read or write these.
+	// the constructor, before the actor starts) read or write these. names is
+	// the zone's VMs: a VM in the middle of a cross-shard migration belongs
+	// to neither zone, so neither actor reads its record.
 	names map[string]struct{}
 
 	snap atomic.Pointer[Snap]
@@ -50,29 +51,6 @@ type Shard struct {
 	mQueueDepth *telemetry.Gauge
 	mAdmitUS    *telemetry.Histogram
 	mOps        *telemetry.Counter
-}
-
-// VMState is one VM in a shard snapshot: a copy of the cloud's record.
-type VMState = cloud.VM
-
-// HypState is one hypervisor in a shard snapshot.
-type HypState struct {
-	Node     topology.NodeID
-	VFs      int
-	Attached int
-}
-
-// Snap is one shard's published copy-on-write snapshot: rebuilt by the
-// owning actor after every mutation, read lock-free by the coordinator's
-// composed fabric view. Its cost is O(zone), not O(fabric) — the reason a
-// sharded control plane scales where the single actor's per-mutation
-// fabric-wide snapshot does not.
-type Snap struct {
-	Shard   int
-	Gen     uint64
-	VMs     []VMState  // sorted by name
-	Hyps    []HypState // sorted by node
-	FreeVFs int        // unattached, unheld VFs across the zone
 }
 
 // Stats is one shard's live load figures, served by the topology endpoint
@@ -184,38 +162,54 @@ func (s *Shard) placeLocal() topology.NodeID {
 	return best
 }
 
-// publish rebuilds and atomically swaps this shard's snapshot.
-func (s *Shard) publish(gen uint64) {
-	sn := &Snap{Shard: s.id, Gen: gen}
-	for _, hn := range s.zone.Hyps {
-		h := s.co.C.Hypervisor(hn)
-		sn.Hyps = append(sn.Hyps, HypState{Node: hn, VFs: h.HCA.NumVFs(), Attached: h.HCA.AttachedCount()})
-		sn.FreeVFs += h.HCA.FreeCount()
+// vm reads a VM's record for the zone's snapshot: nil unless the VM is this
+// zone's.
+func (s *Shard) vm(name string) *cloud.VM {
+	if _, ok := s.names[name]; !ok {
+		return nil
 	}
-	sn.VMs = make([]VMState, 0, len(s.names))
+	return s.co.C.VM(name)
+}
+
+// publish derives and atomically swaps in this shard's snapshot after a
+// command that touched the named VMs and hypervisors.
+func (s *Shard) publish(gen uint64, vms []string, hyps ...topology.NodeID) {
+	s.derive(s.snap.Load(), false, gen, vms, hyps)
+}
+
+// republish publishes with everything touched: the same derivation, from the
+// zone's empty snapshot. Readers keep the current snapshot until the new one
+// is whole.
+func (s *Shard) republish(gen uint64) {
+	names := make([]string, 0, len(s.names))
 	for name := range s.names {
-		vm := s.co.C.VM(name)
-		if vm == nil {
-			continue
-		}
-		sn.VMs = append(sn.VMs, *vm)
+		names = append(names, name)
 	}
-	sort.Slice(sn.VMs, func(i, j int) bool { return sn.VMs[i].Name < sn.VMs[j].Name })
+	s.derive(Empty(s.id, s.zone.Hyps), true, gen, names, s.zone.Hyps)
+}
+
+// derive stores — once — the snapshot at gen derived from from, and reports
+// the rows it read to the coordinator's Published hook.
+func (s *Shard) derive(from *Snap, rebuild bool, gen uint64, vms []string, hyps []topology.NodeID) {
+	sn, rows := from.Next(s.co.C, s.vm, gen, vms, hyps)
 	s.snap.Store(sn)
+	if hook := s.co.cfg.Published; hook != nil {
+		hook(rows, rebuild)
+	}
 }
 
 // finish closes out one zone-local command on the actor: bump the op
-// counter, publish a fresh snapshot unless the command was refused before it
-// touched anything (a migration that died half-way did: its report names the
-// columns), and hand the outcome to the coordinator's hook before the caller
-// sees it.
-func (s *Shard) finish(m Mutation) (Result, error) {
+// counter, publish the rows it touched — the VM's and the given hypervisors'
+// — unless the command was refused before it touched anything (a migration
+// that died half-way did: its report names the columns), and hand the
+// outcome to the coordinator's hook before the caller sees it.
+func (s *Shard) finish(m Mutation, hyps ...topology.NodeID) (Result, error) {
 	s.ops.Add(1)
 	s.mOps.Inc()
 	m.Shard, m.Gen = s.id, s.co.gen.Load()
 	if m.Err == nil || len(m.Rep.LIDs) > 0 {
 		m.Gen = s.co.gen.Add(1)
-		s.publish(m.Gen)
+		s.publish(m.Gen, []string{m.Name}, hyps...)
 	}
 	s.co.done(m)
 	return m.Result, m.Err
@@ -236,7 +230,7 @@ func (s *Shard) execCreate(m Mutation, hyp topology.NodeID) (Result, error) {
 			m.VM = *vm
 		}
 	}
-	return s.finish(m)
+	return s.finish(m, hyp)
 }
 
 // execDestroy runs a zone-local VM destroy on the actor. The mutation
@@ -249,17 +243,21 @@ func (s *Shard) execDestroy(m Mutation) (Result, error) {
 	if m.Boot, m.Err = s.co.C.DestroyVMStats(m.Name); m.Err == nil {
 		delete(s.names, m.Name)
 	}
-	return s.finish(m)
+	return s.finish(m, m.VM.Hyp)
 }
 
 // execMigrate runs a zone-local migration (source and destination in this
 // shard's zone) on the actor: the cloud's five steps inline.
 func (s *Shard) execMigrate(m Mutation, dst topology.NodeID) (Result, error) {
+	src := dst
+	if vm := s.co.C.VM(m.Name); vm != nil {
+		src = vm.Hyp
+	}
 	m.Rep, m.Err = s.co.C.MigrateVMVF(m.Name, dst, -1)
 	if vm := s.co.C.VM(m.Name); vm != nil {
 		m.VM = *vm
 	}
-	return s.finish(m)
+	return s.finish(m, src, dst)
 }
 
 // Result is what a lifecycle command did, in the cloud's own terms. VM is

@@ -120,12 +120,7 @@ func TestCrossShardCommit(t *testing.T) {
 	// and a follow-up zone-local migration inside the new zone succeeds.
 	snaps := co.Snaps()
 	for _, sn := range snaps {
-		has := false
-		for _, v := range sn.VMs {
-			if v.Name == "a" {
-				has = true
-			}
-		}
+		has := sn.VM("a") != nil
 		if want := sn.Shard == 1; has != want {
 			t.Fatalf("shard %d snapshot has VM = %v, want %v", sn.Shard, has, want)
 		}

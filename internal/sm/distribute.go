@@ -584,17 +584,20 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries map[ib.LID
 		// emitted fully formed in one tracer call — no Start/End lock
 		// churn, no name assembly (the block lives in the attrs).
 		attempts, err := s.sendRunReliably(sw, run, mode, s.Dist.Retry)
-		attrs := []any{"switch", desc, "block", run.start, "blocks", run.n,
-			"mode", mode.String(), "attempts", attempts}
+		// A fixed array, sliced to what applies: appending the optional pair
+		// to a ten-element literal doubled it on the heap, once per SMP.
+		attrs := [...]any{"switch", desc, "block", run.start, "blocks", run.n,
+			"mode", mode.String(), "attempts", attempts, "shard", nil}
+		n := len(attrs) - 2
 		if prov != nil {
 			// The shard attr is what the Chrome export lanes SMP spans by.
 			// The mutation ID deliberately stays out: it is a process-global
 			// counter, and stamping it into spans would make trace goldens
 			// depend on test execution order.
-			attrs = append(attrs, "shard", prov.Shard)
+			attrs[n+1], n = prov.Shard, len(attrs)
 		}
 		s.tel.Tracer().Emit(telemetry.SpanSMP, desc, under, 0,
-			s.attemptCost(mode, run.n, attempts, err), attrs...)
+			s.attemptCost(mode, run.n, attempts, err), attrs[:n]...)
 		if err != nil {
 			return 0, err
 		}

@@ -7,6 +7,7 @@ import (
 	"ibvsim/internal/ib"
 	"ibvsim/internal/smp"
 	"ibvsim/internal/telemetry"
+	"ibvsim/internal/topology"
 )
 
 // SMState is the subnet-manager role state (a subset of the IBA SM state
@@ -114,25 +115,31 @@ func (s *SubnetManager) AdoptFabricState(prev *SubnetManager) (AdoptStats, error
 	if _, err := s.Sweep(); err != nil {
 		return st, err
 	}
-	// Learn LID assignments: one PortInfo Get per node.
+	// Learn LID assignments: one PortInfo Get per node. Extra LIDs (VM/VF
+	// LIDs) are management state replicated out of band (the OpenStack
+	// database in the paper's emulation).
 	for node, lid := range prev.lidOf {
-		p := &smp.SMP{Attr: smp.AttrPortInfo, Path: append([]ib.PortNum(nil), s.dirPath[node]...)}
+		if lid == ib.LIDUnassigned {
+			continue
+		}
+		p := &smp.SMP{Attr: smp.AttrPortInfo, Path: append([]ib.PortNum(nil), s.dirPath[topology.NodeID(node)]...)}
 		if _, err := s.Transport.SendDirected(s.SMNode, p); err != nil {
 			return st, err
 		}
 		st.PortInfoReads++
-		s.lidOf[node] = lid
-		if err := s.pool.Reserve(lid); err != nil {
-			return st, fmt.Errorf("sm: adopting LID %d: %w", lid, err)
-		}
-		s.nodeOf[lid] = node
 	}
-	// Extra LIDs (VM/VF LIDs) are management state replicated out of band
-	// (the OpenStack database in the paper's emulation).
-	for lid, node := range prev.extra {
-		if err := s.ReserveExtraLID(lid, node); err != nil {
-			return st, err
+	s.addrMu.Lock()
+	var adoptErr error
+	prev.addr.Load().Each(func(lid ib.LID, _ topology.NodeID, _ bool) {
+		if err := s.pool.Reserve(lid); err != nil && adoptErr == nil {
+			adoptErr = fmt.Errorf("sm: adopting LID %d: %w", lid, err)
 		}
+	})
+	s.lidOf = prev.lidOf
+	s.addr.Store(prev.addr.Load())
+	s.addrMu.Unlock()
+	if adoptErr != nil {
+		return st, adoptErr
 	}
 	// Read back every switch's programmed LFT, one Get per populated block.
 	for _, sw := range s.Topo.Switches() {

@@ -23,7 +23,7 @@ func TestNegotiateByPriorityAndGUID(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.lidOf = a.lidOf
-	b.nodeOf = a.nodeOf
+	b.addr.Store(a.addr.Load())
 	b.programmed = a.programmed
 
 	// Higher priority wins.

@@ -64,17 +64,22 @@ type SubnetManager struct {
 	// and must only read the maps.
 	OnDistribute func(programmed, target map[topology.NodeID]*ib.LFT)
 
-	pool    *ib.LIDPool
-	lidOf   map[topology.NodeID]ib.LID
-	nodeOf  map[ib.LID]topology.NodeID
-	extra   map[ib.LID]topology.NodeID // additional (e.g. VF) LIDs per node
+	pool *ib.LIDPool
+	// lidOf is each node's base LID, dense by node ID. A slice once installed
+	// is never written again — AssignLIDs and AdoptFabricState install a new
+	// one — so BaseLIDs hands it out as is.
+	lidOf []ib.LID
+	// addr is the LID → node table, base and additional (VF) LIDs alike, as
+	// a persistent value: a writer installs a new table, a reader loads the
+	// current one and needs no lock.
+	addr    atomic.Pointer[AddressTable]
 	dirPath map[topology.NodeID][]ib.PortNum
 
-	// addrMu guards the LID state that concurrent shard actors mutate
-	// after bootstrap: the allocation pool and the extra (VF) LID
-	// bindings. The base maps (lidOf, nodeOf, dirPath) are static once
-	// AssignLIDs/Sweep complete and are read without it; sweeps and full
-	// reconfigurations only run with the control plane quiesced.
+	// addrMu serializes the writers of the LID state that concurrent shard
+	// actors mutate after bootstrap: the allocation pool and the address
+	// table. lidOf and dirPath are static once AssignLIDs/Sweep complete;
+	// sweeps and full reconfigurations only run with the control plane
+	// quiesced.
 	addrMu sync.Mutex
 	// lftMu stripes per-switch locks over SetLFTEntries so concurrent
 	// actors updating different LID columns of one switch serialize their
@@ -129,9 +134,6 @@ func New(topo *topology.Topology, smNode topology.NodeID, engine routing.Engine)
 		Cost:       smp.DefaultCostModel(),
 		Dist:       DefaultDistributionConfig(),
 		pool:       ib.NewLIDPool(),
-		lidOf:      map[topology.NodeID]ib.LID{},
-		nodeOf:     map[ib.LID]topology.NodeID{},
-		extra:      map[ib.LID]topology.NodeID{},
 		dirPath:    map[topology.NodeID][]ib.PortNum{},
 		target:     map[topology.NodeID]*ib.LFT{},
 		programmed: map[topology.NodeID]*atomic.Pointer[ib.LFT]{},
@@ -312,17 +314,23 @@ func (s *SubnetManager) AssignLIDs() error {
 	if !s.swept {
 		return fmt.Errorf("sm: AssignLIDs before Sweep")
 	}
+	s.addrMu.Lock()
+	defer s.addrMu.Unlock()
+	lidOf := make([]ib.LID, s.Topo.NumNodes())
+	copy(lidOf, s.lidOf)
+	addr := s.addr.Load()
+	defer func() { s.lidOf = lidOf; s.addr.Store(addr) }()
 	assign := func(id topology.NodeID, lmc uint8) error {
-		if _, ok := s.lidOf[id]; ok {
+		if lidOf[id] != ib.LIDUnassigned {
 			return nil
 		}
 		base, err := s.pool.AllocAligned(lmc)
 		if err != nil {
 			return err
 		}
-		s.lidOf[id] = base
+		lidOf[id] = base
 		for l := base; l < base+(ib.LID(1)<<lmc); l++ {
-			s.nodeOf[l] = id
+			addr = addr.with(l, id, false)
 		}
 		p := &smp.SMP{Attr: smp.AttrPortInfo, IsSet: true, Path: append([]ib.PortNum(nil), s.dirPath[id]...)}
 		if _, err := s.Transport.SendDirected(s.SMNode, p); err != nil {
@@ -346,52 +354,42 @@ func (s *SubnetManager) AssignLIDs() error {
 }
 
 // LIDOf returns the base LID of a node (0 if unassigned).
-func (s *SubnetManager) LIDOf(n topology.NodeID) ib.LID { return s.lidOf[n] }
-
-// NodeOfLID resolves any LID — base or extra — to its owning node.
-func (s *SubnetManager) NodeOfLID(l ib.LID) topology.NodeID {
-	if n, ok := s.nodeOf[l]; ok {
-		return n
+func (s *SubnetManager) LIDOf(n topology.NodeID) ib.LID {
+	if n < 0 || int(n) >= len(s.lidOf) {
+		return ib.LIDUnassigned
 	}
-	s.addrMu.Lock()
-	defer s.addrMu.Unlock()
-	if n, ok := s.extra[l]; ok {
-		return n
-	}
-	return topology.NoNode
+	return s.lidOf[n]
 }
 
-// ResolveLIDs resolves a small set of LIDs to their owning nodes in one
-// lock acquisition — the shape an op-scoped audit view needs.
+// BaseLIDs returns every node's base LID, dense by node ID (0: unassigned).
+// The slice is the SM's own and immutable: the SM installs a new one rather
+// than reassign a base LID in place, so holders compare it by identity.
+func (s *SubnetManager) BaseLIDs() []ib.LID { return s.lidOf }
+
+// Addresses returns the current LID → node table: an immutable value, O(1)
+// to take, that later address changes do not touch.
+func (s *SubnetManager) Addresses() *AddressTable { return s.addr.Load() }
+
+// NodeOfLID resolves any LID — base or extra — to its owning node.
+func (s *SubnetManager) NodeOfLID(l ib.LID) topology.NodeID { return s.addr.Load().NodeOf(l) }
+
+// ResolveLIDs resolves a small set of LIDs to their owning nodes against one
+// table — the shape an op-scoped audit view needs.
 func (s *SubnetManager) ResolveLIDs(lids []ib.LID) map[ib.LID]topology.NodeID {
 	out := make(map[ib.LID]topology.NodeID, len(lids))
-	s.addrMu.Lock()
-	defer s.addrMu.Unlock()
+	addr := s.addr.Load()
 	for _, l := range lids {
-		if n, ok := s.nodeOf[l]; ok {
-			out[l] = n
-		} else if n, ok := s.extra[l]; ok {
+		if n := addr.NodeOf(l); n != topology.NoNode {
 			out[l] = n
 		}
 	}
 	return out
 }
 
-// AddressView copies the complete LID→node map (base + extra) under the
-// address lock: the consistent, immutable shape composed fabric-wide
-// snapshots and full audit views are built from.
-func (s *SubnetManager) AddressView() map[ib.LID]topology.NodeID {
-	s.addrMu.Lock()
-	defer s.addrMu.Unlock()
-	out := make(map[ib.LID]topology.NodeID, len(s.nodeOf)+len(s.extra))
-	for l, n := range s.nodeOf {
-		out[l] = n
-	}
-	for l, n := range s.extra {
-		out[l] = n
-	}
-	return out
-}
+// AddressView materialises the complete LID→node map (base + extra) of the
+// current table, for consumers that need a map: fabric-scope audit views and
+// the benchmark. Nothing on a per-mutation path calls it.
+func (s *SubnetManager) AddressView() map[ib.LID]topology.NodeID { return s.addr.Load().Map() }
 
 // AllocExtraLID allocates and binds an additional LID (a vSwitch VF LID) to
 // an existing CA node, returning it. Used by the dynamic-assignment model.
@@ -405,7 +403,7 @@ func (s *SubnetManager) AllocExtraLID(node topology.NodeID) (ib.LID, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.extra[lid] = node
+	s.addr.Store(s.addr.Load().with(lid, node, true))
 	return lid, nil
 }
 
@@ -420,7 +418,7 @@ func (s *SubnetManager) ReserveExtraLID(lid ib.LID, node topology.NodeID) error 
 	if err := s.pool.Reserve(lid); err != nil {
 		return err
 	}
-	s.extra[lid] = node
+	s.addr.Store(s.addr.Load().with(lid, node, true))
 	return nil
 }
 
@@ -428,10 +426,11 @@ func (s *SubnetManager) ReserveExtraLID(lid ib.LID, node topology.NodeID) error 
 func (s *SubnetManager) ReleaseExtraLID(lid ib.LID) {
 	s.addrMu.Lock()
 	defer s.addrMu.Unlock()
-	if _, ok := s.extra[lid]; !ok {
+	addr := s.addr.Load()
+	if !addr.isExtra(lid) {
 		return
 	}
-	delete(s.extra, lid)
+	s.addr.Store(addr.with(lid, topology.NoNode, false))
 	s.pool.Release(lid)
 }
 
@@ -443,28 +442,22 @@ func (s *SubnetManager) RebindExtraLID(lid ib.LID, node topology.NodeID) error {
 	}
 	s.addrMu.Lock()
 	defer s.addrMu.Unlock()
-	if _, ok := s.extra[lid]; !ok {
+	addr := s.addr.Load()
+	if !addr.isExtra(lid) {
 		return fmt.Errorf("sm: LID %d is not an extra LID", lid)
 	}
-	s.extra[lid] = node
+	s.addr.Store(addr.with(lid, node, true))
 	return nil
 }
 
 // ExtraLIDsOf lists the extra LIDs currently bound to a node, ascending.
 func (s *SubnetManager) ExtraLIDsOf(node topology.NodeID) []ib.LID {
 	var out []ib.LID
-	s.addrMu.Lock()
-	for l, n := range s.extra {
-		if n == node {
+	s.addr.Load().Each(func(l ib.LID, n topology.NodeID, extra bool) {
+		if extra && n == node {
 			out = append(out, l)
 		}
-	}
-	s.addrMu.Unlock()
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	})
 	return out
 }
 
@@ -485,25 +478,14 @@ func (s *SubnetManager) TopLID() ib.LID {
 // Targets builds the routing-engine target list from the current LID
 // state, excluding nodes the latest sweep could not reach.
 func (s *SubnetManager) Targets() []routing.Target {
-	s.addrMu.Lock()
-	defer s.addrMu.Unlock()
-	out := make([]routing.Target, 0, len(s.nodeOf)+len(s.extra))
-	for l, n := range s.nodeOf {
+	addr := s.addr.Load()
+	out := make([]routing.Target, 0, addr.Len())
+	// Ascending LID order keeps engines reproducible.
+	addr.Each(func(l ib.LID, n topology.NodeID, _ bool) {
 		if s.reachable[n] {
 			out = append(out, routing.Target{LID: l, Node: n})
 		}
-	}
-	for l, n := range s.extra {
-		if s.reachable[n] {
-			out = append(out, routing.Target{LID: l, Node: n})
-		}
-	}
-	// Deterministic order (ascending LID) keeps engines reproducible.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].LID > out[j].LID; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	})
 	return out
 }
 

@@ -59,13 +59,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, opts Options) error {
 		r := rec{
 			id: sp.id, parent: sp.parent,
 			kind: string(sp.kind), name: sp.name,
+			attrs:    attrMap(sp.attrs),
 			modelled: sp.modelled, wall: sp.wall, started: sp.started,
-		}
-		if len(sp.attrs) > 0 {
-			r.attrs = make(map[string]any, len(sp.attrs))
-			for k, v := range sp.attrs {
-				r.attrs[k] = v
-			}
 		}
 		sp.mu.Unlock()
 		index[r.id] = len(recs)

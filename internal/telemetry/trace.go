@@ -45,11 +45,69 @@ type Span struct {
 	name string
 
 	mu       sync.Mutex
-	attrs    map[string]any
+	attrs    []attr
 	started  time.Time
 	wall     time.Duration
 	modelled time.Duration
 	ended    bool
+}
+
+// attr is one span attribute. A span keeps its handful of attributes in a
+// slice, in first-write order: the retained-span ring holds tens of
+// thousands of spans, and a map per span was most of its heap. Exports build
+// the map (attrMap).
+type attr struct {
+	key string
+	val any
+}
+
+// setAttr records key = value, the last write to a key winning. Ints are
+// widened to int64, durations become nanosecond int64s and Stringers their
+// text, so the JSON export is type-stable.
+func setAttr(attrs []attr, key string, value any) []attr {
+	switch v := value.(type) {
+	case int:
+		value = int64(v)
+	case time.Duration:
+		value = int64(v)
+	case fmt.Stringer:
+		value = v.String()
+	}
+	for i := range attrs {
+		if attrs[i].key == key {
+			attrs[i].val = value
+			return attrs
+		}
+	}
+	return append(attrs, attr{key, value})
+}
+
+// setAttrs is setAttr over alternating key/value pairs, growing the slice
+// once, to exactly what the pairs need; a pair whose key is not a string is
+// skipped.
+func setAttrs(attrs []attr, kv []any) []attr {
+	if attrs == nil {
+		attrs = make([]attr, 0, len(kv)/2)
+	}
+	for i := 0; i+1 < len(kv); i += 2 {
+		if key, ok := kv[i].(string); ok {
+			attrs = setAttr(attrs, key, kv[i+1])
+		}
+	}
+	return attrs
+}
+
+// attrMap is the exported shape of a span's attributes: a fresh map, nil
+// when there are none.
+func attrMap(attrs []attr) map[string]any {
+	if len(attrs) == 0 {
+		return nil
+	}
+	m := make(map[string]any, len(attrs))
+	for _, a := range attrs {
+		m[a.key] = a.val
+	}
+	return m
 }
 
 // ID returns the span's sequential identifier (1-based; 0 for nil).
@@ -66,20 +124,9 @@ func (s *Span) SetAttr(key string, value any) {
 	if s == nil {
 		return
 	}
-	switch v := value.(type) {
-	case int:
-		value = int64(v)
-	case time.Duration:
-		value = int64(v)
-	case fmt.Stringer:
-		value = v.String()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.attrs == nil {
-		s.attrs = map[string]any{}
-	}
-	s.attrs[key] = value
+	s.attrs = setAttr(s.attrs, key, value)
 }
 
 // SetAttrs records attributes from alternating key/value pairs under one
@@ -93,25 +140,7 @@ func (s *Span) SetAttrs(kv ...any) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.attrs == nil {
-		s.attrs = make(map[string]any, len(kv)/2)
-	}
-	for i := 0; i+1 < len(kv); i += 2 {
-		key, ok := kv[i].(string)
-		if !ok {
-			continue
-		}
-		value := kv[i+1]
-		switch v := value.(type) {
-		case int:
-			value = int64(v)
-		case time.Duration:
-			value = int64(v)
-		case fmt.Stringer:
-			value = v.String()
-		}
-		s.attrs[key] = value
-	}
+	s.attrs = setAttrs(s.attrs, kv)
 }
 
 // SetModelled sets the span's modelled duration (cost-model time, exactly
@@ -272,24 +301,7 @@ func (t *Tracer) Emit(kind SpanKind, name string, parent *Span, wall, modelled t
 	}
 	sp := &Span{tr: t, kind: kind, name: name, parent: parent.ID(), wall: wall, modelled: modelled, ended: true}
 	if len(kv) > 0 {
-		attrs := make(map[string]any, len(kv)/2)
-		for i := 0; i+1 < len(kv); i += 2 {
-			key, ok := kv[i].(string)
-			if !ok {
-				continue
-			}
-			value := kv[i+1]
-			switch v := value.(type) {
-			case int:
-				value = int64(v)
-			case time.Duration:
-				value = int64(v)
-			case fmt.Stringer:
-				value = v.String()
-			}
-			attrs[key] = value
-		}
-		sp.attrs = attrs
+		sp.attrs = setAttrs(nil, kv)
 	}
 	t.mu.Lock()
 	sp.id = t.spans.push(sp)
@@ -417,21 +429,15 @@ func (t *Tracer) SpanByID(id int) (SpanView, bool) {
 func (s *Span) view() SpanView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := SpanView{
+	return SpanView{
 		ID:       s.id,
 		Parent:   s.parent,
 		Kind:     s.kind,
 		Name:     s.name,
+		Attrs:    attrMap(s.attrs),
 		Modelled: s.modelled,
 		Wall:     s.wall,
 	}
-	if len(s.attrs) > 0 {
-		v.Attrs = make(map[string]any, len(s.attrs))
-		for k, a := range s.attrs {
-			v.Attrs[k] = a
-		}
-	}
-	return v
 }
 
 // spanJSON fixes the trace export schema and its field order.
@@ -469,14 +475,8 @@ func (t *Tracer) WriteJSON(w io.Writer, opts Options) error {
 			Parent:     sp.parent,
 			Kind:       string(sp.kind),
 			Name:       sp.name,
+			Attrs:      attrMap(sp.attrs),
 			ModelledNS: int64(sp.modelled),
-		}
-		if len(sp.attrs) > 0 {
-			attrs := make(map[string]any, len(sp.attrs))
-			for k, v := range sp.attrs {
-				attrs[k] = v
-			}
-			sj.Attrs = attrs
 		}
 		if opts.IncludeWall {
 			sj.WallNS = int64(sp.wall)
@@ -511,13 +511,10 @@ func (t *Tracer) RenderTree() string {
 			if sp.name != "" {
 				fmt.Fprintf(&sb, " %s", sp.name)
 			}
-			keys := make([]string, 0, len(sp.attrs))
-			for k := range sp.attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(&sb, " %s=%v", k, sp.attrs[k])
+			sorted := append([]attr(nil), sp.attrs...)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i].key < sorted[j].key })
+			for _, a := range sorted {
+				fmt.Fprintf(&sb, " %s=%v", a.key, a.val)
 			}
 			if sp.modelled > 0 {
 				fmt.Fprintf(&sb, " [modelled %v]", sp.modelled)
