@@ -21,12 +21,15 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Fuzz the LFT block-diff and the migration swap primitive (10s each; Go
-# allows one fuzz target per invocation).
+# Fuzz the LFT block-diff, the migration swap primitive, the incremental
+# router, the auditor against its reference checker and the trace record
+# codec (10s each; Go allows one fuzz target per invocation).
 fuzz:
 	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzLFTDiff$$' -fuzztime 10s
 	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzLFTSwap$$' -fuzztime 10s
 	$(GO) test ./internal/routing -run '^$$' -fuzz '^FuzzDeltaRecompute$$' -fuzztime 10s
+	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzReachabilityAgrees$$' -fuzztime 10s
+	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzSpanRoundTrip$$' -fuzztime 10s
 
 # The benchmark-regression harness: the Fig. 7 path-computation and Table I
 # SMP benchmarks, teed into BENCH_fig7.json (the artifact CI uploads and the

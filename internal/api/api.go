@@ -281,7 +281,26 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 
 // --- read endpoints -------------------------------------------------------
 
+// traceStats reads the tracer's own account of what it retains and what it
+// has evicted, and refreshes the trace.* gauges from it: loss of trace is
+// reported, never silent.
+func (s *Server) traceStats() telemetry.TraceStats {
+	st := s.tr.Stats()
+	s.reg.Gauge("trace.retained_bytes").Set(int64(st.RetainedBytes))
+	s.reg.Gauge("trace.retained_spans").Set(int64(st.RetainedSpans))
+	s.reg.Gauge("trace.spans_evicted_total").Set(st.SpansEvicted)
+	s.reg.Gauge("trace.events_evicted_total").Set(st.EventsEvicted)
+	return st
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	st := s.traceStats()
+	trace := map[string]int64{
+		"retained_bytes":       int64(st.RetainedBytes),
+		"retained_spans":       int64(st.RetainedSpans),
+		"spans_evicted_total":  st.SpansEvicted,
+		"events_evicted_total": st.EventsEvicted,
+	}
 	if s.co != nil {
 		vms := 0
 		for _, sn := range s.co.Snaps() {
@@ -293,6 +312,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"queue":      s.co.QueueLen(),
 			"vms":        vms,
 			"shards":     s.co.Shards(),
+			"trace":      trace,
 		})
 		return
 	}
@@ -302,10 +322,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"generation": sn.Gen,
 		"queue":      len(s.cmds),
 		"vms":        sn.NumVMs(),
+		"trace":      trace,
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.traceStats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.reg.WritePrometheus(w) //nolint:errcheck
 }

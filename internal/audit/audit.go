@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/telemetry"
 	"ibvsim/internal/topology"
@@ -130,6 +131,15 @@ type Auditor struct {
 
 	mu   sync.Mutex
 	last *Report
+	idle []*scratch // walk scratch of finished passes, reused by the next
+
+	// One channel index and dependency graph per fabric, emptied and
+	// refilled by every CDG check: building them anew regrew the arc arena
+	// by doubling on every distribution and every full pass.
+	cdgMu    sync.Mutex
+	cdgTopo  *topology.Topology
+	cdgNodes int
+	cdgGraph *cdg.Graph
 }
 
 // New returns an auditor reporting into the hub's registry and tracer.
@@ -174,20 +184,22 @@ func (a *Auditor) Run(v *View, scope Scope) *Report {
 	var c collector
 	c.max = a.cfg.MaxViolations
 
-	checkReachability(v, &c)
+	s := a.acquire(v.Topo.NumNodes())
+	checkReachability(v, &c, s)
 	checkBindings(v, &c)
 	if scope != ScopeReach {
-		checkStaleEntries(v, &c)
+		checkStaleEntries(v, &c, s)
 	}
+	a.release(s)
 	if scope == ScopeFull {
-		checkInstalledCDG(v, &c)
+		a.checkInstalledCDG(v, &c)
 	}
 
 	rep := &Report{
 		Gen:             v.Gen,
 		Scope:           scope.String(),
 		LIDsChecked:     len(v.ActiveLIDs),
-		SwitchesChecked: len(v.Topo.Switches()),
+		SwitchesChecked: v.Topo.NumSwitches(),
 		Total:           c.total,
 		ByKind:          c.byKind,
 		Violations:      c.kept,
@@ -196,6 +208,42 @@ func (a *Auditor) Run(v *View, scope Scope) *Report {
 	}
 	a.finish(span, rep)
 	return rep
+}
+
+// acquire hands out walk scratch for a pass over n nodes: an idle one when
+// there is one (passes may run concurrently, each needs its own), else new.
+func (a *Auditor) acquire(n int) *scratch {
+	a.mu.Lock()
+	var s *scratch
+	if k := len(a.idle); k > 0 {
+		s, a.idle = a.idle[k-1], a.idle[:k-1]
+	}
+	a.mu.Unlock()
+	if s == nil {
+		s = &scratch{}
+	}
+	s.begin(n)
+	return s
+}
+
+// release returns a pass's scratch for reuse.
+func (a *Auditor) release(s *scratch) {
+	s.end()
+	a.mu.Lock()
+	a.idle = append(a.idle, s)
+	a.mu.Unlock()
+}
+
+// withGraph runs fn on the auditor's dependency graph over t's channels,
+// one caller at a time. The graph is rebuilt when t is another topology or
+// has grown; link state does not enter the channel numbering.
+func (a *Auditor) withGraph(t *topology.Topology, fn func(g *cdg.Graph)) {
+	a.cdgMu.Lock()
+	defer a.cdgMu.Unlock()
+	if a.cdgTopo != t || a.cdgNodes != t.NumNodes() {
+		a.cdgTopo, a.cdgNodes, a.cdgGraph = t, t.NumNodes(), cdg.NewGraph(cdg.NewIndex(t))
+	}
+	fn(a.cdgGraph)
 }
 
 // finish publishes a report: counters, span attributes, the last-report

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"fmt"
+	"slices"
 
 	"ibvsim/internal/cdg"
 	"ibvsim/internal/ib"
@@ -68,15 +69,132 @@ func describe(t *topology.Topology, id topology.NodeID) string {
 	return fmt.Sprintf("node(%d)", id)
 }
 
-// swState classifies what happens to a packet for one destination LID once
-// it is inside a given switch, following the programmed next hops.
-type swState struct {
-	kind   Kind            // KindBlackhole / KindLoop / KindMisroute, or "" for delivers
+// fault says what happens to a packet for one destination once it is
+// inside a given switch, following the programmed next hops. The text of a
+// violation is a function of (fault, origin switch, aux) and is only built
+// when one is reported.
+type fault uint8
+
+const (
+	delivers      fault = iota
+	visiting            // on the walk's current path, never reported
+	faultNoLFT          // switch has no programmed table
+	faultDrop           // entry is DropPort
+	faultNoPort         // entry names a port the switch does not have (aux)
+	faultDownPort       // entry names a down or unconnected port (aux)
+	faultWrongCA        // delivered to a CA that is not the destination (aux)
+	faultLoop           // the walk re-entered origin
+)
+
+// outcome is the terminal classification of a switch for one destination.
+type outcome struct {
+	fault  fault
 	origin topology.NodeID // switch where the fault originates
-	msg    string          // detail recorded at the originating switch
+	aux    int32           // port number or misdelivery peer
 }
 
-const stateVisiting = Kind("__visiting") // DFS grey marker, never reported
+func (o outcome) kind() Kind {
+	switch o.fault {
+	case faultWrongCA:
+		return KindMisroute
+	case faultLoop:
+		return KindLoop
+	}
+	return KindBlackhole
+}
+
+func (o outcome) msg(t *topology.Topology) string {
+	switch o.fault {
+	case faultNoLFT:
+		return "switch has no programmed LFT"
+	case faultDrop:
+		return "LFT entry is DropPort"
+	case faultNoPort:
+		return fmt.Sprintf("LFT routes out nonexistent port %d", o.aux)
+	case faultDownPort:
+		return fmt.Sprintf("LFT routes out down/unconnected port %d", o.aux)
+	case faultWrongCA:
+		return fmt.Sprintf("delivered to wrong CA %s", describe(t, topology.NodeID(o.aux)))
+	}
+	return fmt.Sprintf("forwarding loop through switch %s", describe(t, o.origin))
+}
+
+// nodeState is one node's slot of the walk's scratch. Each group of fields
+// is valid only while its stamp equals the scratch's current one, so
+// nothing is ever cleared: starting the next destination or the next pass
+// is one increment.
+type nodeState struct {
+	// What the pass has read of this switch: its table, and the 64-LID
+	// block of it the current destinations fall in.
+	pass  uint32
+	block int32
+	lft   *ib.LFT
+	col   *[ib.LFTBlockSize]ib.PortNum
+	// Whether the pass enters the fabric here.
+	entry uint32
+	// How this switch forwards the current destination, and whether a
+	// violation originating here was already reported for it.
+	dest     uint32
+	reported uint32
+	outcome
+}
+
+// scratch is the working memory of one pass, kept by the Auditor between
+// passes. It is indexed by node and sized by the fabric, which is exactly
+// why a pass must not initialise it: the op-scoped pass after a migration
+// checks two LIDs from three switches.
+type scratch struct {
+	nodes   []nodeState
+	pass    uint32 // stamp of the running pass
+	dest    uint32 // stamp of the destination being walked
+	entries []topology.NodeID
+	dsts    []topology.NodeID // owner of each active LID, NoNode if none
+	path    []topology.NodeID
+	held    []topology.NodeID    // switches whose tables this pass resolved
+	owned   [1 << 16 / 64]uint64 // checkStaleEntries: the LIDs somebody owns
+}
+
+// begin readies s for a pass over a fabric of n nodes.
+func (s *scratch) begin(n int) {
+	if len(s.nodes) < n {
+		s.nodes = make([]nodeState, n)
+	}
+	s.pass = s.nextStamp(s.pass)
+}
+
+// end drops the table pointers the pass resolved, so a pooled scratch does
+// not keep a past snapshot's forwarding tables alive.
+func (s *scratch) end() {
+	for _, sw := range s.held {
+		s.nodes[sw].lft, s.nodes[sw].col = nil, nil
+	}
+	s.held = s.held[:0]
+}
+
+// nextStamp increments a stamp; on wrap-around it clears every slot once,
+// so a stale slot can never match.
+func (s *scratch) nextStamp(stamp uint32) uint32 {
+	if stamp++; stamp == 0 {
+		clear(s.nodes)
+		s.pass, s.dest, stamp = 1, 1, 1
+	}
+	return stamp
+}
+
+// column returns switch sw's table and its block b, resolving the table on
+// the pass's first visit to sw and the block on the first visit since the
+// destinations moved to b — one radix descent per switch per 64 LIDs.
+func (s *scratch) column(v *View, sw topology.NodeID, b int32) (*ib.LFT, *[ib.LFTBlockSize]ib.PortNum) {
+	ns := &s.nodes[sw]
+	if ns.pass != s.pass {
+		ns.pass, ns.block, ns.lft, ns.col = s.pass, -1, v.LFT(sw), nil
+		s.held = append(s.held, sw)
+	}
+	if ns.block != b && ns.lft != nil {
+		ns.block, ns.col = b, ns.lft.Block(int(b))
+	}
+	return ns.lft, ns.col
+}
 
 // checkReachability proves invariant family (a): for every active
 // destination LID, every switch a packet can enter the fabric at forwards
@@ -84,132 +202,149 @@ const stateVisiting = Kind("__visiting") // DFS grey marker, never reported
 // loops, no delivery to the wrong CA (misroute).
 //
 // Per destination the switch graph is functional (one next hop per switch),
-// so a memoised DFS classifies all switches in O(#switches) and the pass
-// overall is O(#LIDs × #switches).
-func checkReachability(v *View, c *collector) {
+// so a memoised walk classifies all switches in O(#switches) and the pass
+// overall is O(#LIDs × #switches). Nothing is built per view: the walk
+// reads tables and ports in place and keeps its state in s.
+func checkReachability(v *View, c *collector, s *scratch) {
 	// The fabric entry switches of the nodes that source traffic: a CA
 	// injects at its leaf switch, a switch sources SMPs at itself. Distinct
-	// entry switches are what the DFS classifies, so deduplicating here
+	// entry switches are what the walk classifies, so deduplicating here
 	// (many CAs share one leaf) shrinks the per-destination loop from
 	// O(#nodes) to O(#switches) without changing the violation set — every
 	// path to a CA destination transits its leaf, so the destination's own
-	// entry switch is classified either way.
-	entrySet := map[topology.NodeID]bool{}
+	// entry switch is classified either way. Ascending order makes the
+	// violations of one destination, and so which of them a capped report
+	// keeps, the same on every run.
+	s.entries, s.dsts = s.entries[:0], s.dsts[:0]
 	for _, dlid := range v.ActiveLIDs {
 		node, ok := v.NodeOfLID[dlid]
-		if !ok || v.Topo.Node(node) == nil {
+		n := v.Topo.Node(node)
+		if !ok || n == nil {
+			s.dsts = append(s.dsts, topology.NoNode)
 			continue
 		}
-		if v.Topo.Node(node).IsSwitch() {
-			entrySet[node] = true
-		} else if leaf := v.Topo.LeafSwitchOf(node); leaf != topology.NoNode {
-			entrySet[leaf] = true
+		s.dsts = append(s.dsts, node)
+		if !n.IsSwitch() {
+			if node = v.Topo.LeafSwitchOf(node); node == topology.NoNode {
+				continue
+			}
+		}
+		if ns := &s.nodes[node]; ns.entry != s.pass {
+			ns.entry = s.pass
+			s.entries = append(s.entries, node)
 		}
 	}
-	entries := make([]topology.NodeID, 0, len(entrySet))
-	for e := range entrySet {
-		entries = append(entries, e)
-	}
+	slices.Sort(s.entries)
 
-	state := map[topology.NodeID]swState{}
-	for _, dlid := range v.ActiveLIDs {
-		dst, ok := v.NodeOfLID[dlid]
-		if !ok || v.Topo.Node(dst) == nil {
+	for i, dlid := range v.ActiveLIDs {
+		dst := s.dsts[i]
+		if dst == topology.NoNode {
 			c.addf(KindStaleEntry, dlid, "", "active LID %d owned by no node", dlid)
 			continue
 		}
-		clear(state)
-		reported := map[topology.NodeID]bool{} // one violation per (dlid, origin)
-		for _, entry := range entries {
-			st := classify(v, dlid, dst, entry, state)
-			if st.kind == "" || reported[st.origin] {
+		s.dest = s.nextStamp(s.dest)
+		for _, entry := range s.entries {
+			o := s.classify(v, dlid, dst, entry)
+			if o.fault == delivers {
 				continue
 			}
-			reported[st.origin] = true
-			c.add(Violation{
-				Kind:       st.kind,
-				LID:        uint16(dlid),
-				Node:       describe(v.Topo, st.origin),
-				Detail:     fmt.Sprintf("LID %d (dst %s): %s", dlid, describe(v.Topo, dst), st.msg),
-				Provenance: v.provenanceOf(st.origin, dlid),
-			})
+			if ns := &s.nodes[o.origin]; ns.reported != s.dest { // one violation per (dlid, origin)
+				ns.reported = s.dest
+				c.add(Violation{
+					Kind:       o.kind(),
+					LID:        uint16(dlid),
+					Node:       describe(v.Topo, o.origin),
+					Detail:     fmt.Sprintf("LID %d (dst %s): %s", dlid, describe(v.Topo, dst), o.msg(v.Topo)),
+					Provenance: v.provenanceOf(o.origin, dlid),
+				})
+			}
 		}
 	}
 }
 
-// classify walks one switch's forwarding of dlid with memoisation. The
-// returned state is terminal (never stateVisiting): a back edge into a grey
-// switch classifies the whole tail as a forwarding loop.
-func classify(v *View, dlid ib.LID, dst, sw topology.NodeID, state map[topology.NodeID]swState) swState {
-	if sw == dst {
-		return swState{}
-	}
-	if st, ok := state[sw]; ok {
-		if st.kind == stateVisiting {
-			st = swState{kind: KindLoop, origin: sw,
-				msg: fmt.Sprintf("forwarding loop through switch %s", describe(v.Topo, sw))}
-			state[sw] = st
+// classify follows dlid's next hops from switch sw until the packet is
+// delivered, a fault stops it, or it reaches a switch already classified
+// for this destination; every switch on the way then shares that outcome.
+// Re-entering a switch of the current path is a forwarding loop originating
+// at that switch.
+func (s *scratch) classify(v *View, dlid ib.LID, dst, sw topology.NodeID) outcome {
+	block, off := int32(ib.BlockOf(dlid)), int(dlid)%ib.LFTBlockSize
+	path := s.path[:0]
+	var o outcome
+	for sw != dst {
+		ns := &s.nodes[sw]
+		if ns.dest == s.dest {
+			if o = ns.outcome; o.fault == visiting {
+				o = outcome{fault: faultLoop, origin: sw}
+			}
+			break
 		}
-		return st
-	}
-	state[sw] = swState{kind: stateVisiting}
+		ns.dest, ns.fault = s.dest, visiting
+		path = append(path, sw)
 
-	st := func() swState {
-		lft := v.LFT(sw)
-		if lft == nil {
-			return swState{kind: KindBlackhole, origin: sw, msg: "switch has no programmed LFT"}
+		lft, col := s.column(v, sw, block)
+		out := ib.DropPort
+		if col != nil {
+			out = col[off]
 		}
-		out := lft.Get(dlid)
-		if out == ib.DropPort {
-			return swState{kind: KindBlackhole, origin: sw, msg: "LFT entry is DropPort"}
+		ports := v.Topo.Node(sw).Ports
+		switch {
+		case lft == nil:
+			o = outcome{fault: faultNoLFT, origin: sw}
+		case out == ib.DropPort:
+			o = outcome{fault: faultDrop, origin: sw}
+		case int(out) >= len(ports):
+			o = outcome{fault: faultNoPort, origin: sw, aux: int32(out)}
+		case ports[out].Peer == topology.NoNode || !ports[out].Up:
+			o = outcome{fault: faultDownPort, origin: sw, aux: int32(out)}
+		case ports[out].Peer == dst:
+			// delivered
+		case !v.Topo.Node(ports[out].Peer).IsSwitch():
+			o = outcome{fault: faultWrongCA, origin: sw, aux: int32(ports[out].Peer)}
+		default:
+			sw = ports[out].Peer
+			continue
 		}
-		node := v.Topo.Node(sw)
-		if int(out) >= len(node.Ports) {
-			return swState{kind: KindBlackhole, origin: sw,
-				msg: fmt.Sprintf("LFT routes out nonexistent port %d", out)}
-		}
-		port := node.Ports[out]
-		if port.Peer == topology.NoNode || !port.Up {
-			return swState{kind: KindBlackhole, origin: sw,
-				msg: fmt.Sprintf("LFT routes out down/unconnected port %d", out)}
-		}
-		if port.Peer == dst {
-			return swState{}
-		}
-		peer := v.Topo.Node(port.Peer)
-		if !peer.IsSwitch() {
-			return swState{kind: KindMisroute, origin: sw,
-				msg: fmt.Sprintf("delivered to wrong CA %s", describe(v.Topo, port.Peer))}
-		}
-		return classify(v, dlid, dst, port.Peer, state)
-	}()
-	state[sw] = st
-	return st
+		break
+	}
+	for _, n := range path {
+		s.nodes[n].outcome = o
+	}
+	s.path = path
+	return o
 }
 
 // checkStaleEntries proves the forwarding half of invariant family (b):
 // every non-drop forwarding entry must point at a LID somebody owns;
 // anything else is a leaked route (e.g. left behind by a migration). It
-// walks every switch × every LID and therefore needs a complete NodeOfLID
-// map — op-scoped (ScopeReach) passes skip it.
-func checkStaleEntries(v *View, c *collector) {
-	for _, sw := range v.Topo.Switches() {
-		lft := v.LFT(sw)
+// sweeps every materialised block of every switch against a bitmap of the
+// owned LIDs and therefore needs a complete NodeOfLID map — op-scoped
+// (ScopeReach) passes skip it.
+func checkStaleEntries(v *View, c *collector, s *scratch) {
+	clear(s.owned[:])
+	for l := range v.NodeOfLID {
+		s.owned[l/64] |= 1 << (l % 64)
+	}
+	for _, n := range v.Topo.Nodes() {
+		if !n.IsSwitch() {
+			continue
+		}
+		lft := v.LFT(n.ID)
 		if lft == nil {
 			continue
 		}
-		top := ib.LID(lft.NumBlocks() * ib.LFTBlockSize)
-		for l := ib.LID(0); l < top; l++ {
-			if lft.Get(l) == ib.DropPort {
-				continue
-			}
-			if _, ok := v.NodeOfLID[l]; !ok {
+		for b, ports := lft.NextBlock(0); ports != nil; b, ports = lft.NextBlock(b + 1) {
+			for i, p := range ports {
+				l := ib.LID(b*ib.LFTBlockSize + i)
+				if p == ib.DropPort || s.owned[l/64]&(1<<(l%64)) != 0 {
+					continue
+				}
 				c.add(Violation{
 					Kind: KindStaleEntry,
 					LID:  uint16(l),
-					Node: describe(v.Topo, sw),
+					Node: describe(v.Topo, n.ID),
 					Detail: fmt.Sprintf("switch %s forwards LID %d, which no node owns",
-						describe(v.Topo, sw), l),
+						describe(v.Topo, n.ID), l),
 					Provenance: lft.ProvenanceOf(l),
 				})
 			}
@@ -252,9 +387,14 @@ func checkBindings(v *View, c *collector) {
 // exempt from data-VL credit deadlock — and routes to switch LIDs (e.g.
 // spine to spine through a leaf) legally violate up/down ordering, so
 // including them would flag every fat-tree as deadlocked.
-func checkInstalledCDG(v *View, c *collector) {
-	g := cdg.BuildSwitchCDG(v.Topo, v, dataLIDs(v.Topo, v.ActiveLIDs, v.NodeOf))
-	if cyc := g.FindCycle(); cyc != nil {
+func (a *Auditor) checkInstalledCDG(v *View, c *collector) {
+	var cyc []cdg.Channel
+	a.withGraph(v.Topo, func(g *cdg.Graph) {
+		g.Reset()
+		g.AddRoutes(v, dataLIDs(v.Topo, v.ActiveLIDs, v.NodeOf))
+		cyc = g.FindCycle()
+	})
+	if cyc != nil {
 		c.add(Violation{
 			Kind:   KindDeadlock,
 			Detail: fmt.Sprintf("installed routing CDG has a cycle: %s", cycleString(cyc)),

@@ -35,7 +35,8 @@ func (a *Auditor) CheckTransition(t *topology.Topology, old, target map[topology
 	tables := func(m map[topology.NodeID]*ib.LFT) cdg.Routes {
 		return cdg.Tables{Table: func(sw topology.NodeID) *ib.LFT { return m[sw] }, Owner: nodeOf}
 	}
-	tr := cdg.CheckTransition(t, tables(old), tables(target), dlids)
+	var tr cdg.Transition
+	a.withGraph(t, func(g *cdg.Graph) { tr = g.CheckTransition(tables(old), tables(target), dlids) })
 	span.SetAttr("old_edges", tr.OldEdges)
 	span.SetAttr("union_edges", tr.UnionEdges)
 
@@ -51,7 +52,7 @@ func (a *Auditor) CheckTransition(t *topology.Topology, old, target map[topology
 	rep := &Report{
 		Scope:           "transition",
 		LIDsChecked:     len(dlids),
-		SwitchesChecked: len(t.Switches()),
+		SwitchesChecked: t.NumSwitches(),
 		Total:           c.total,
 		ByKind:          c.byKind,
 		Violations:      c.kept,

@@ -3,6 +3,7 @@ package cdg
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ibvsim/internal/ib"
@@ -587,6 +588,15 @@ func TestCheckTransitionMatchesSeparateGraphs(t *testing.T) {
 			union[e] = true
 		}
 		tr := CheckTransition(topo, old, next, dlids)
+		// A caller's long-lived graph gives the same answer, whatever an
+		// earlier check left in it.
+		kept := NewGraph(NewIndex(topo))
+		kept.AddRoutes(next, dlids)
+		for round := 0; round < 2; round++ {
+			if again := kept.CheckTransition(old, next, dlids); !reflect.DeepEqual(again, tr) {
+				t.Errorf("seed %d: reused graph, round %d: %+v, fresh graph %+v", seed, round, again, tr)
+			}
+		}
 		if tr.OldAcyclic == gOld.hasCycle() || tr.NewAcyclic == gNew.hasCycle() || tr.UnionAcyclic == union.hasCycle() {
 			t.Errorf("seed %d: got old/new/union acyclic %v/%v/%v, oracle cyclic %v/%v/%v", seed,
 				tr.OldAcyclic, tr.NewAcyclic, tr.UnionAcyclic, gOld.hasCycle(), gNew.hasCycle(), union.hasCycle())

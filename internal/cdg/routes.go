@@ -78,18 +78,54 @@ func NewWalk(ix *Index, r Routes) *Walk {
 // Injection channels (CA to leaf switch) are deliberately absent: nothing
 // depends on them, so they cannot lie on a cycle, and any caller that only
 // asks for cycles gets the verdict of the complete CDG.
-func (w *Walk) Deps(buf []Dep, dlid ib.LID) []Dep {
+func (w *Walk) Deps(buf []Dep, dlid ib.LID) []Dep { return w.deps(buf, dlid, nil) }
+
+// columns is every switch's block of forwarding entries for one 64-LID
+// block: what 64 consecutive destinations read of the tables, resolved with
+// one radix descent per switch instead of two per (destination, switch).
+type columns struct {
+	block int
+	of    []*[ib.LFTBlockSize]ib.PortNum // per dense switch index; nil: all DropPort
+}
+
+// resolve points c at block b of every table.
+func (w *Walk) resolve(c *columns, b int) {
+	if c.of == nil {
+		c.of = make([]*[ib.LFTBlockSize]ib.PortNum, len(w.lfts))
+	}
+	c.block = b
+	for i, lft := range w.lfts {
+		c.of[i] = nil
+		if lft != nil {
+			c.of[i] = lft.Block(b)
+		}
+	}
+}
+
+// deps is Deps reading through cols when the caller resolved dlid's block
+// (one goroutine, many destinations), and through the tables otherwise.
+func (w *Walk) deps(buf []Dep, dlid ib.LID, cols *columns) []Dep {
 	dst := w.nodeOf(dlid)
 	if dst == topology.NoNode {
 		return buf
 	}
 	stride := w.ix.stride
 	dstSw := w.ix.dense[dst] // -1 for a CA: no switch is the destination
+	off := int(dlid) % ib.LFTBlockSize
+	entry := func(i int32) int32 {
+		if cols == nil {
+			return int32(w.lfts[i].Get(dlid))
+		}
+		if col := cols.of[i]; col != nil {
+			return int32(col[off])
+		}
+		return int32(ib.DropPort)
+	}
 	for i, lft := range w.lfts {
 		if lft == nil || int32(i) == dstSw {
 			continue
 		}
-		out := int32(lft.Get(dlid))
+		out := entry(int32(i))
 		if out == int32(ib.DropPort) || out == 0 || out >= stride {
 			continue
 		}
@@ -98,7 +134,7 @@ func (w *Walk) Deps(buf []Dep, dlid ib.LID) []Dep {
 		if j < 0 || j == dstSw || w.lfts[j] == nil {
 			continue
 		}
-		out2 := int32(w.lfts[j].Get(dlid))
+		out2 := entry(j)
 		if out2 == int32(ib.DropPort) || out2 == 0 || out2 >= stride || !w.wired[j*stride+out2] {
 			continue
 		}
@@ -107,12 +143,16 @@ func (w *Walk) Deps(buf []Dep, dlid ib.LID) []Dep {
 	return buf
 }
 
-// addRoutes adds the dependencies r induces for the given destinations.
-func (g *Graph) addRoutes(r Routes, dlids []ib.LID) {
+// AddRoutes adds the dependencies r induces for the given destinations.
+func (g *Graph) AddRoutes(r Routes, dlids []ib.LID) {
 	w := NewWalk(g.ix, r)
+	cols := columns{block: -1}
 	var buf []Dep
 	for _, dlid := range dlids {
-		buf = w.Deps(buf[:0], dlid)
+		if b := ib.BlockOf(dlid); b != cols.block {
+			w.resolve(&cols, b)
+		}
+		buf = w.deps(buf[:0], dlid, &cols)
 		g.AddDeps(buf)
 	}
 }
@@ -122,7 +162,7 @@ func (g *Graph) addRoutes(r Routes, dlids []ib.LID) {
 // which dependencies that is).
 func BuildSwitchCDG(t *topology.Topology, r Routes, dlids []ib.LID) *Graph {
 	g := NewGraph(NewIndex(t))
-	g.addRoutes(r, dlids)
+	g.AddRoutes(r, dlids)
 	return g
 }
 
@@ -154,15 +194,27 @@ func (t Transition) Deadlocks() bool {
 // searches it once. An acyclic union proves both subgraphs acyclic; only a
 // cyclic one pays for separate verdicts on Rold and Rnew.
 func CheckTransition(t *topology.Topology, old, next Routes, dlids []ib.LID) Transition {
-	g := NewGraph(NewIndex(t))
-	g.addRoutes(old, dlids)
+	return NewGraph(NewIndex(t)).CheckTransition(old, next, dlids)
+}
+
+// CheckTransition is the package function run in g's storage: g is emptied
+// first and holds the union afterwards. A caller that checks one fabric
+// over and over (the auditor, on every distribution) keeps one Graph and
+// grows the arc arena once.
+func (g *Graph) CheckTransition(old, next Routes, dlids []ib.LID) Transition {
+	g.Reset()
+	g.AddRoutes(old, dlids)
 	tr := Transition{OldAcyclic: true, NewAcyclic: true, UnionAcyclic: true, OldEdges: g.NumEdges()}
-	g.addRoutes(next, dlids)
+	g.AddRoutes(next, dlids)
 	tr.UnionEdges = g.NumEdges()
 	if tr.Cycle = g.FindCycle(); tr.Cycle != nil {
 		tr.UnionAcyclic = false
-		tr.OldAcyclic = !BuildSwitchCDG(t, old, dlids).HasCycle()
-		tr.NewAcyclic = !BuildSwitchCDG(t, next, dlids).HasCycle()
+		alone := NewGraph(g.ix)
+		alone.AddRoutes(old, dlids)
+		tr.OldAcyclic = !alone.HasCycle()
+		alone.Reset()
+		alone.AddRoutes(next, dlids)
+		tr.NewAcyclic = !alone.HasCycle()
 	}
 	return tr
 }

@@ -313,3 +313,53 @@ func TestLFTDirtyMatchesDiffProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLFTBlockIteration pins the block accessor every block-wise reader
+// (Diff, Equal, Bytes, PopulatedBlocks, the auditor, the CDG walk) is built
+// on: Block agrees with Get entry for entry, NextBlock visits exactly the
+// materialised blocks across superblock boundaries, and NextDiff visits a
+// clone's written blocks and nothing else.
+func TestLFTBlockIteration(t *testing.T) {
+	lft := NewLFT(300 * LFTBlockSize) // five superblocks of 64 blocks
+	written := []int{0, 1, 63, 64, 130, 299}
+	for _, b := range written {
+		lft.Set(LID(b*LFTBlockSize+b%LFTBlockSize), PortNum(b%200+1))
+	}
+	for b := 0; b <= lft.NumBlocks(); b++ { // one past the end reads as DropPort too
+		ports := lft.Block(b)
+		for i := 0; i < LFTBlockSize; i++ {
+			want := lft.Get(LID(b*LFTBlockSize + i))
+			if got := entries(ports)[i]; got != want {
+				t.Fatalf("Block(%d)[%d] = %d, Get says %d", b, i, got, want)
+			}
+		}
+	}
+	var visited []int
+	for b, ports := lft.NextBlock(0); ports != nil; b, ports = lft.NextBlock(b + 1) {
+		visited = append(visited, b)
+	}
+	if !sameInts(visited, written) {
+		t.Fatalf("NextBlock visited %v, want %v", visited, written)
+	}
+	if b, ports := lft.NextBlock(300); ports != nil || b != lft.NumBlocks() {
+		t.Fatalf("NextBlock past the end = %d, %v", b, ports)
+	}
+
+	clone := lft.Clone()
+	clone.Set(LID(64*LFTBlockSize), 9)  // rewrites a shared block
+	clone.Set(LID(200*LFTBlockSize), 9) // materialises a new one
+	clone.Set(LID(320*LFTBlockSize), 9) // grows the clone past the original
+	var diff []int
+	for b, mine, theirs, ok := lft.NextDiff(clone, 0); ok; b, mine, theirs, ok = lft.NextDiff(clone, b+1) {
+		if (mine == nil) != (lft.Block(b) == nil) || (theirs == nil) != (clone.Block(b) == nil) {
+			t.Fatalf("NextDiff block %d: sides do not match Block", b)
+		}
+		diff = append(diff, b)
+	}
+	if want := []int{64, 200, 320}; !sameInts(diff, want) || !sameInts(lft.Diff(clone), want) || !sameInts(clone.Diff(lft), want) {
+		t.Fatalf("NextDiff visited %v, Diff %v / %v, want %v", diff, lft.Diff(clone), clone.Diff(lft), want)
+	}
+	if lft.Equal(clone) || !lft.Equal(lft.Clone()) {
+		t.Fatal("Equal disagrees with Diff")
+	}
+}

@@ -135,12 +135,87 @@ func (t *LFT) blockAt(b int) *lftBlock {
 	return sp.blocks[b%lftFanout]
 }
 
-// blockEntry reads one entry of a possibly-nil block.
-func blockEntry(blk *lftBlock, i int) PortNum {
-	if blk == nil {
-		return DropPort
+// dropBlock is what a nil block reads as.
+var dropBlock = func() (b [LFTBlockSize]PortNum) {
+	for i := range b {
+		b[i] = DropPort
 	}
-	return blk.ports[i]
+	return b
+}()
+
+// entries returns a block's ports, or the all-DropPort block for nil.
+func entries(ports *[LFTBlockSize]PortNum) *[LFTBlockSize]PortNum {
+	if ports == nil {
+		return &dropBlock
+	}
+	return ports
+}
+
+// Block returns the 64 entries of block b for reading, or nil when the block
+// is out of range or unmaterialised (every entry DropPort). The array is the
+// table's own storage, shared with its clones: callers must not write
+// through it. One call is the whole radix descent, so a reader that needs
+// many LIDs of one block (the auditor checks 64 consecutive destinations
+// against the same block of every switch) pays it once.
+func (t *LFT) Block(b int) *[LFTBlockSize]PortNum {
+	if blk := t.blockAt(b); blk != nil {
+		return &blk.ports
+	}
+	return nil
+}
+
+// NextBlock returns the first materialised block with index >= from and its
+// entries, or (NumBlocks(), nil) when there is none; unmaterialised
+// superblocks are skipped whole. It is the one way to visit a table block by
+// block:
+//
+//	for b, ports := t.NextBlock(0); ports != nil; b, ports = t.NextBlock(b + 1) {
+func (t *LFT) NextBlock(from int) (int, *[LFTBlockSize]PortNum) {
+	for b := max(from, 0); b < t.nblocks; {
+		sp := t.supers[b/lftFanout]
+		if sp == nil {
+			b = (b/lftFanout + 1) * lftFanout
+			continue
+		}
+		for end := min((b/lftFanout+1)*lftFanout, t.nblocks); b < end; b++ {
+			if blk := sp.blocks[b%lftFanout]; blk != nil {
+				return b, &blk.ports
+			}
+		}
+	}
+	return t.nblocks, nil
+}
+
+// NextDiff returns the first block index >= from at which t and other hold
+// different storage — one side may be nil, i.e. all DropPort — together
+// with both sides' entries; ok is false when there is none. Superblocks the
+// two tables share are skipped whole, so a clone that took k writes is
+// compared in O(k). Different storage may still hold equal entries: the
+// caller compares what it cares about.
+func (t *LFT) NextDiff(other *LFT, from int) (b int, mine, theirs *[LFTBlockSize]PortNum, ok bool) {
+	nb := max(t.nblocks, other.nblocks)
+	for b = max(from, 0); b < nb; {
+		si := b / lftFanout
+		end := min((si+1)*lftFanout, nb)
+		if end <= t.nblocks && end <= other.nblocks && t.supers[si] == other.supers[si] {
+			b = end // one shared (or doubly absent) superblock
+			continue
+		}
+		for ; b < end; b++ {
+			tb, ob := t.blockAt(b), other.blockAt(b)
+			if tb == ob {
+				continue
+			}
+			if tb != nil {
+				mine = &tb.ports
+			}
+			if ob != nil {
+				theirs = &ob.ports
+			}
+			return b, mine, theirs, true
+		}
+	}
+	return nb, nil, nil, false
 }
 
 // Bytes returns a copy of the dense port array — a canonical byte
@@ -148,10 +223,8 @@ func blockEntry(blk *lftBlock, i int) PortNum {
 func (t *LFT) Bytes() []byte {
 	out := make([]byte, t.nblocks*LFTBlockSize)
 	for b := 0; b < t.nblocks; b++ {
-		base := b * LFTBlockSize
-		blk := t.blockAt(b)
-		for i := 0; i < LFTBlockSize; i++ {
-			out[base+i] = byte(blockEntry(blk, i))
+		for i, p := range entries(t.Block(b)) {
+			out[b*LFTBlockSize+i] = byte(p)
 		}
 	}
 	return out
@@ -161,20 +234,9 @@ func (t *LFT) Bytes() []byte {
 // different lengths are compared as if the shorter were padded with
 // DropPort (which is exactly how Get treats out-of-range LIDs).
 func (t *LFT) Equal(o *LFT) bool {
-	nb := t.nblocks
-	if o.nblocks > nb {
-		nb = o.nblocks
-	}
-	for b := 0; b < nb; b++ {
-		tb := t.blockAt(b)
-		ob := o.blockAt(b)
-		if tb == ob { // same shared block, or both nil
-			continue
-		}
-		for i := 0; i < LFTBlockSize; i++ {
-			if blockEntry(tb, i) != blockEntry(ob, i) {
-				return false
-			}
+	for b, mine, theirs, ok := t.NextDiff(o, 0); ok; b, mine, theirs, ok = t.NextDiff(o, b+1) {
+		if *entries(mine) != *entries(theirs) {
+			return false
 		}
 	}
 	return true
@@ -218,10 +280,7 @@ func (t *LFT) mutableBlock(b int) *lftBlock {
 	blk := sp.blocks[bi]
 	switch {
 	case blk == nil:
-		blk = &lftBlock{gen: g}
-		for i := range blk.ports {
-			blk.ports[i] = DropPort
-		}
+		blk = &lftBlock{gen: g, ports: dropBlock}
 		sp.blocks[bi] = blk
 	case blk.gen != g:
 		cp := &lftBlock{gen: g, prov: blk.prov, ports: blk.ports}
@@ -265,7 +324,7 @@ func (t *LFT) ProvenanceOf(l LID) *Provenance {
 func (t *LFT) Set(l LID, p PortNum) {
 	t.ensure(l)
 	b := BlockOf(l)
-	if blockEntry(t.blockAt(b), int(l)%LFTBlockSize) == p {
+	if entries(t.Block(b))[int(l)%LFTBlockSize] == p {
 		return
 	}
 	blk := t.mutableBlock(b)
@@ -361,24 +420,12 @@ func (t *LFT) ClearDirty() {
 // which is what Table I's "Min SMPs Full RC" counts per switch.
 func (t *LFT) PopulatedBlocks() []int {
 	var out []int
-	for b := 0; b < t.nblocks; b++ {
-		if blockPopulated(t.blockAt(b)) {
+	for b, ports := t.NextBlock(0); ports != nil; b, ports = t.NextBlock(b + 1) {
+		if *ports != dropBlock {
 			out = append(out, b)
 		}
 	}
 	return out
-}
-
-func blockPopulated(blk *lftBlock) bool {
-	if blk == nil {
-		return false
-	}
-	for _, p := range blk.ports {
-		if p != DropPort {
-			return true
-		}
-	}
-	return false
 }
 
 // TopPopulatedBlock returns the highest block index containing a non-drop
@@ -389,7 +436,7 @@ func blockPopulated(blk *lftBlock) bool {
 // forces 768 blocks onto every switch.
 func (t *LFT) TopPopulatedBlock() int {
 	for b := t.nblocks - 1; b >= 0; b-- {
-		if blockPopulated(t.blockAt(b)) {
+		if ports := t.Block(b); ports != nil && *ports != dropBlock {
 			return b
 		}
 	}
@@ -400,22 +447,10 @@ func (t *LFT) TopPopulatedBlock() int {
 // shrinking counts: blocks present in one table and populated are compared
 // against implicit drop-filled blocks in the other.
 func (t *LFT) Diff(other *LFT) []int {
-	nb := t.NumBlocks()
-	if ob := other.NumBlocks(); ob > nb {
-		nb = ob
-	}
 	var out []int
-	for b := 0; b < nb; b++ {
-		tb := t.blockAt(b)
-		ob := other.blockAt(b)
-		if tb == ob {
-			continue
-		}
-		for i := 0; i < LFTBlockSize; i++ {
-			if blockEntry(tb, i) != blockEntry(ob, i) {
-				out = append(out, b)
-				break
-			}
+	for b, mine, theirs, ok := t.NextDiff(other, 0); ok; b, mine, theirs, ok = t.NextDiff(other, b+1) {
+		if *entries(mine) != *entries(theirs) {
+			out = append(out, b)
 		}
 	}
 	return out

@@ -41,8 +41,6 @@ type chromeTrace struct {
 // events on the wall timeline (events carry no modelled time, so they are
 // only exported in wall mode).
 func (t *Tracer) WriteChromeTrace(w io.Writer, opts Options) error {
-	spans := t.retained(0)
-
 	type rec struct {
 		id, parent int
 		kind, name string
@@ -51,18 +49,17 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, opts Options) error {
 		wall       time.Duration
 		started    time.Time
 	}
+	spans := t.retained(0)
 	recs := make([]rec, 0, len(spans))
 	index := map[int]int{} // span ID -> recs index
 	children := map[int][]int{}
-	for _, sp := range spans {
-		sp.mu.Lock()
+	for _, sd := range spans {
 		r := rec{
-			id: sp.id, parent: sp.parent,
-			kind: string(sp.kind), name: sp.name,
-			attrs:    attrMap(sp.attrs),
-			modelled: sp.modelled, wall: sp.wall, started: sp.started,
+			id: sd.id, parent: sd.parent,
+			kind: string(sd.kind), name: sd.name,
+			attrs:    attrMap(sd.attrs),
+			modelled: sd.modelled, wall: sd.wall, started: sd.started,
 		}
-		sp.mu.Unlock()
 		index[r.id] = len(recs)
 		recs = append(recs, r)
 		children[r.parent] = append(children[r.parent], r.id)

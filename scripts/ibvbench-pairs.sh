@@ -14,12 +14,14 @@
 # change's wins and the ties, and a verdict: "unresolved" when the parent's
 # own quartile range is wider than the metric's bound, so a regression of that
 # size could not be told from noise; "better" needs ten pairs, nine wins and
-# medians further apart than the parent's quartile range. Every run's JSON line is kept beside the
-# summary. Writes only under the ignored bench/out/.
+# medians further apart than the parent's quartile range. Under the table it
+# prints each side's median `attempted` (operations completed), so a memory
+# delta that is really a run-length delta shows. Every run's JSON line is kept
+# beside the summary. Writes only under the ignored bench/out/.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,18p' "$0" >&2
+	sed -n '2,20p' "$0" >&2
 	exit 2
 fi
 parent=$1 workload=$2 pairs=${3:-10}
@@ -109,4 +111,11 @@ for m in bench["end_to_end"]:
         verdict = "no worse than the bound"
     print(f"{name:<12} {pm:>12.4f} [{pq1:>9.4f}..{pq3:>9.4f}] {cm:>12.4f} [{cq1:>9.4f}..{cq3:>9.4f}] "
           f"{delta:>+7.1%} {wins:>5} {ties:>5}  {verdict}")
+# How far each side got: memory that grows with the run (retained spans and
+# events) reads higher on the side that completed more operations.
+done = {side: [r["attempted"] for r in runs if r and "attempted" in r]
+        for side, runs in (("parent", parent), ("change", change))}
+if all(done.values()):
+    print("operations completed (median `attempted`): " +
+          ", ".join(f"{side} {statistics.median(xs):g}" for side, xs in done.items()))
 PY
