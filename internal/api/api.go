@@ -365,8 +365,8 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	sn := s.snapshot()
 	resp := TopologyResponse{
 		Fabric:      sn.Fabric,
-		Switches:    len(sn.topo.Switches()),
-		CAs:         len(sn.topo.CAs()),
+		Switches:    sn.topo.NumSwitches(),
+		CAs:         sn.topo.NumCAs(),
 		Model:       sn.Model,
 		SMNode:      sn.SMNode,
 		Generation:  sn.Gen,

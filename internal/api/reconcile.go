@@ -116,8 +116,15 @@ func (s *Server) execReconcile(cmd *command, d *done) {
 		span.End()
 	}()
 
+	// Planning is a phase of its own: on a large batch it is where a dry run's
+	// whole time, and a good part of an apply's, goes.
 	p := &reconcile.Planner{C: s.c}
+	ps := span.Child(telemetry.SpanPhase, "plan")
 	plan, err := p.Plan(cmd.spec)
+	if err == nil {
+		ps.SetAttrs("moves", len(plan.Moves), "waves", len(plan.Waves), "edits", plan.Edits)
+	}
+	ps.End()
 	if err != nil {
 		d.read = cmd.dryRun
 		d.fail(err)
@@ -177,6 +184,12 @@ func (s *Server) execReconcile(cmd *command, d *done) {
 				wd.rowHyps = append(wd.rowHyps, vm.Hyp)
 			}
 		}
+		// A wave is a phase too, epilogue included: its staging and merge
+		// emit no span of their own, and with them under one the reconcile
+		// span's children account for its wall time.
+		ws := span.Child(telemetry.SpanPhase, "wave")
+		ws.SetAttrs("wave", wi+1, "moves", len(wave))
+		s.tr.PushScope(ws)
 		wr, werr := s.c.MigrateWaveProv(wave, prov)
 		// Even a failed wave may have moved VMs or stranded columns before
 		// erroring: publish and audit what it names either way.
@@ -189,6 +202,8 @@ func (s *Server) execReconcile(cmd *command, d *done) {
 			wd.status = classifyErr(werr)
 		}
 		gen, viol := s.finish(&wd)
+		s.tr.PopScope()
+		ws.End()
 		resp.Generation = gen
 		resp.AuditViolations += viol
 		if werr != nil {

@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"ibvsim/internal/cloud"
+	"ibvsim/internal/core"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/routing"
 	"ibvsim/internal/sriov"
@@ -354,7 +356,7 @@ func TestReconcileWaveAuditGatesTheNext(t *testing.T) {
 	// so the last write before the audit is the corruption.
 	smLeaf := srv.c.SM.Topo.LeafSwitchOf(srv.c.SM.SMNode)
 	srv.c.RC.AfterUpdate = func() {
-		srv.c.SM.SetLFTEntries(smLeaf, map[ib.LID]ib.PortNum{ib.LID(moved.LID): ib.DropPort}, srv.c.RC.Mode) //nolint:errcheck
+		srv.c.SM.SetLFTEntriesProv(smLeaf, []ib.LFTEntry{{LID: ib.LID(moved.LID), Port: ib.DropPort}}, srv.c.RC.Mode, nil, nil) //nolint:errcheck
 	}
 	var app ReconcileResponse
 	st := doJSON(t, cl, "POST", ts.URL+"/v1/reconcile?goal=defrag", nil, &app)
@@ -365,4 +367,89 @@ func TestReconcileWaveAuditGatesTheNext(t *testing.T) {
 	if len(app.Applied) != 1 {
 		t.Fatalf("%d waves applied after the first one failed its audit", len(app.Applied))
 	}
+}
+
+// TestReconcileSpanAccountsForItsTime: where a reconcile's time goes is in
+// its trace, not in a profiler. A dry run's tree is reconcile -> plan and
+// nothing else; an applied batch's reconcile span is covered, within 10 %,
+// by its children — the plan phase, then one wave phase each holding that
+// wave's staging, distribution, migrations and op-scoped audit — and the
+// closing fabric-wide audit is the root span that follows it.
+func TestReconcileSpanAccountsForItsTime(t *testing.T) {
+	const fleet = 48
+	srv, ts, _ := newPinServer(t, sriov.VSwitchDynamic, 0, Config{})
+	srv.c.RC.Mitigation = core.MitigationNone // merged waves: the work, not the per-wave epilogue, is the batch
+	cl := ts.Client()
+	fragment(t, srv, ts, fleet)
+
+	// tree returns the last reconcile span since mark, its direct children
+	// and the root spans after it.
+	tree := func(mark int) (rec telemetry.SpanView, kids, after []telemetry.SpanView) {
+		for _, sp := range srv.tr.SpansSince(mark) {
+			switch {
+			case sp.Kind == telemetry.SpanReconcile:
+				rec, kids, after = sp, nil, nil
+			case sp.Parent == rec.ID && rec.ID != 0:
+				kids = append(kids, sp)
+			case sp.Parent == 0 && rec.ID != 0:
+				after = append(after, sp)
+			}
+		}
+		return rec, kids, after
+	}
+
+	mark := srv.tr.LastSpanID()
+	var dry ReconcileResponse
+	if st := doJSON(t, cl, "POST", ts.URL+"/v1/reconcile?goal=defrag&dry_run=1", nil, &dry); st != http.StatusOK {
+		t.Fatalf("dry run: status %d", st)
+	}
+	rec, kids, after := tree(mark)
+	if got := srv.tr.LastSpanID() - mark; got != 2 || len(kids) != 1 || len(after) != 0 ||
+		kids[0].Kind != telemetry.SpanPhase || kids[0].Name != "plan" {
+		t.Fatalf("dry run emitted %d spans, children %+v, roots after %+v; want reconcile -> plan only", got, kids, after)
+	}
+	if a, want := fmt.Sprint(kids[0].Attrs["moves"], kids[0].Attrs["waves"]), fmt.Sprint(len(dry.Moves), dry.Waves); a != want || fmt.Sprint(kids[0].Attrs["edits"]) == "0" {
+		t.Errorf("plan span attrs %v, want moves, waves = %s and edits > 0", kids[0].Attrs, want)
+	}
+	if kids[0].Wall > rec.Wall {
+		t.Errorf("plan took %v of a %v reconcile", kids[0].Wall, rec.Wall)
+	}
+
+	// Wall clocks on a shared box: the accounting has to hold once in a few
+	// batches, not in every one (a GC cycle between two spans is not a layer).
+	var gap float64
+	for attempt := 0; attempt < 4; attempt++ {
+		if attempt > 0 { // fragment again: move every VM back to a host of its own
+			placement := map[string]topology.NodeID{}
+			for i, node := range srv.c.Hypervisors()[:fleet] {
+				placement[fmt.Sprintf("fr-%d", i)] = node
+			}
+			if st := doJSON(t, cl, "POST", ts.URL+"/v1/reconcile", ReconcileRequest{Placement: placement}, nil); st != http.StatusOK {
+				t.Fatalf("re-fragment: status %d", st)
+			}
+		}
+		mark = srv.tr.LastSpanID()
+		var app ReconcileResponse
+		if st := doJSON(t, cl, "POST", ts.URL+"/v1/reconcile?goal=defrag", nil, &app); st != http.StatusOK || len(app.Applied) == 0 {
+			t.Fatalf("apply: status %d: %+v", st, app)
+		}
+		rec, kids, after = tree(mark)
+		if len(kids) != 1+app.Waves || kids[0].Name != "plan" || kids[1].Kind != telemetry.SpanPhase || kids[1].Name != "wave" {
+			t.Fatalf("applied %d-wave reconcile's children are %+v, want the plan phase and one wave phase each", app.Waves, kids)
+		}
+		if len(after) != 1 || after[0].Kind != telemetry.SpanAudit || after[0].Name != "fast" {
+			t.Fatalf("roots after an applied reconcile: %+v, want the closing fast audit", after)
+		}
+		var sum time.Duration
+		for _, k := range kids {
+			sum += k.Wall
+		}
+		gap = 1 - float64(sum)/float64(rec.Wall)
+		t.Logf("attempt %d: reconcile %v = plan %v + %d waves %v + %.1f%% unaccounted; closing audit %v",
+			attempt, rec.Wall, kids[0].Wall, len(kids)-1, sum-kids[0].Wall, 100*gap, after[0].Wall)
+		if gap >= 0 && gap <= 0.10 {
+			return
+		}
+	}
+	t.Errorf("a reconcile span's children leave %.1f%% of its wall time unaccounted, want <= 10%%", 100*gap)
 }

@@ -108,9 +108,9 @@ func (c *Cloud) DefragPlan() []Move {
 	hosts := make([]host, 0, len(c.hypOrder))
 	for _, hn := range c.hypOrder {
 		h := c.hyps[hn]
-		n := len(h.HCA.AttachedVFs())
+		n := h.HCA.AttachedCount()
 		total += n
-		hosts = append(hosts, host{hn, n, h.HCA.NumVFs()})
+		hosts = append(hosts, host{hn, n, n + h.HCA.FreeCount()}) // a held VF is not room
 	}
 	if total == 0 {
 		return nil

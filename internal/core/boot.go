@@ -58,7 +58,7 @@ func (r *Reconfigurator) BootVMLIDProv(hypervisor topology.NodeID, prov *ib.Prov
 		if egress == ib.DropPort {
 			continue // switch cannot reach the hypervisor; keep dropping
 		}
-		n, err := r.SM.SetLFTEntriesProv(sw, map[ib.LID]ib.PortNum{lid: egress}, r.Mode, prov, nil)
+		n, err := r.SM.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: lid, Port: egress}}, r.Mode, prov, nil)
 		if err != nil {
 			return st, err
 		}
@@ -92,7 +92,7 @@ func (r *Reconfigurator) DestroyVMLIDProv(lid ib.LID, prov *ib.Provenance) (Boot
 		if lft == nil || lft.Get(lid) == ib.DropPort {
 			continue
 		}
-		n, err := r.SM.SetLFTEntriesProv(sw, map[ib.LID]ib.PortNum{lid: ib.DropPort}, r.Mode, prov, nil)
+		n, err := r.SM.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: lid, Port: ib.DropPort}}, r.Mode, prov, nil)
 		if err != nil {
 			return st, err
 		}

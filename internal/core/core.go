@@ -22,7 +22,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ibvsim/internal/ib"
@@ -143,15 +143,20 @@ type PlanView interface {
 	NodeOfLID(l ib.LID) topology.NodeID
 }
 
-// MigrationPlan is the exact set of LFT edits one migration needs.
+// MigrationPlan is the exact set of LFT edits one migration needs, held as
+// the paper counts them: a table of (switch, LID) -> port, sorted. A plan is
+// three slices sized once, a count one pass over them, a merge a merge of
+// sorted runs, and Apply hands each switch's run to the SM as it lies.
 type MigrationPlan struct {
 	Kind    PlanKind
 	VMLID   ib.LID
 	PeerLID ib.LID // destination VF LID (swap) or destination PF LID (copy)
 
-	// Updates lists the entries to program, per switch. Only switches with
-	// at least one change appear.
-	Updates map[topology.NodeID]map[ib.LID]ib.PortNum
+	// Switches lists the switches with an edit, ascending; Entries holds
+	// their runs back to back, each ascending by LID (Run). Read-only.
+	Switches []topology.NodeID
+	Entries  []ib.LFTEntry
+	offs     []int32 // Switches[i]'s run is Entries[offs[i]:offs[i+1]]; offs[0] is 0
 
 	// SwitchesTouched and SMPs are the plan-time predictions (SMPs counts
 	// distinct 64-LID blocks across all updates); Apply reports the same
@@ -172,44 +177,106 @@ type MigrationPlan struct {
 	Under *telemetry.Span
 }
 
-// planEntries builds a plan from a per-switch editing rule, reading fabric
-// state through v.
-func (r *Reconfigurator) planEntries(v PlanView, kind PlanKind, vmLID, peerLID ib.LID,
-	edit func(lft *ib.LFT) map[ib.LID]ib.PortNum) (*MigrationPlan, error) {
+// Run returns the edits for Switches[i], ascending by LID.
+func (p *MigrationPlan) Run(i int) []ib.LFTEntry { return p.Entries[p.offs[i]:p.offs[i+1]] }
 
-	if vmLID == peerLID {
-		return nil, fmt.Errorf("core: VM LID and peer LID are both %d", vmLID)
-	}
-	plan := &MigrationPlan{
-		Kind:    kind,
-		VMLID:   vmLID,
-		PeerLID: peerLID,
-		Updates: map[topology.NodeID]map[ib.LID]ib.PortNum{},
-	}
-	for _, sw := range r.SM.Topo.Switches() {
-		lft := v.ProgrammedLFT(sw)
-		if lft == nil {
-			return nil, fmt.Errorf("core: switch %q not programmed; bootstrap the SM first",
-				r.SM.Topo.Node(sw).Desc)
-		}
-		changes := edit(lft)
-		for l, p := range changes {
-			if lft.Get(l) == p {
-				delete(changes, l)
+// closeRun records the entries appended since the last run as sw's.
+func (p *MigrationPlan) closeRun(sw topology.NodeID) {
+	p.Switches = append(p.Switches, sw)
+	p.offs = append(p.offs, int32(len(p.Entries)))
+}
+
+// count derives SwitchesTouched and SMPs — distinct (switch, block) pairs.
+func (p *MigrationPlan) count() {
+	p.SwitchesTouched, p.SMPs = len(p.Switches), 0
+	for i := range p.Switches {
+		last := -1
+		for _, e := range p.Run(i) {
+			if b := ib.BlockOf(e.LID); b != last {
+				p.SMPs++
+				last = b
 			}
 		}
-		if len(changes) == 0 {
+	}
+}
+
+// plan builds a swap or copy plan reading fabric state through v: one walk
+// over the nodes, two entries read off each switch's table, at most two edits
+// appended. A switch whose two entries agree needs no edit under either
+// method (the n' < n case of section VI-B). Under ScopeMinimal a switch whose
+// old forwarding of the VM LID already reaches the destination's leaf is
+// skipped too, and a swap keeps only the VM LID's edit: the peer LID, a free
+// VF afterwards, can wait — the balance of the initial routing traded for
+// fewer SMPs (section VI-D).
+func (r *Reconfigurator) plan(v PlanView, kind PlanKind, vmLID, peerLID ib.LID) (*MigrationPlan, error) {
+	switch {
+	case v.NodeOfLID(vmLID) == topology.NoNode:
+		return nil, fmt.Errorf("core: VM LID %d is not assigned", vmLID)
+	case v.NodeOfLID(peerLID) == topology.NoNode:
+		return nil, fmt.Errorf("core: peer LID %d is not assigned", peerLID)
+	case vmLID == peerLID:
+		return nil, fmt.Errorf("core: VM LID and peer LID are both %d", vmLID)
+	}
+	topo, minimal := r.SM.Topo, r.Scope == ScopeMinimal
+	destLeaf := topo.LeafSwitchOf(v.NodeOfLID(peerLID))
+	both := kind == PlanSwap && !minimal // the peer LID is edited too
+	n, most := topo.NumSwitches(), topo.NumSwitches()
+	if both {
+		most *= 2
+	}
+	plan := &MigrationPlan{
+		Kind: kind, VMLID: vmLID, PeerLID: peerLID,
+		Switches: make([]topology.NodeID, 0, n),
+		Entries:  make([]ib.LFTEntry, 0, most),
+		offs:     make([]int32, 1, n+1),
+	}
+	for _, node := range topo.Nodes() {
+		if !node.IsSwitch() {
 			continue
 		}
-		plan.Updates[sw] = changes
-		plan.SwitchesTouched++
-		blocks := map[int]bool{}
-		for l := range changes {
-			blocks[ib.BlockOf(l)] = true
+		lft := v.ProgrammedLFT(node.ID)
+		if lft == nil {
+			return nil, fmt.Errorf("core: switch %q not programmed; bootstrap the SM first", node.Desc)
 		}
-		plan.SMPs += len(blocks)
+		pv, pp := lft.Get(vmLID), lft.Get(peerLID)
+		if pv == pp || (minimal && node.ID != destLeaf && r.reaches(v, node.ID, destLeaf, vmLID)) {
+			continue
+		}
+		switch {
+		case !both:
+			plan.Entries = append(plan.Entries, ib.LFTEntry{LID: vmLID, Port: pp})
+		case vmLID < peerLID:
+			plan.Entries = append(plan.Entries, ib.LFTEntry{LID: vmLID, Port: pp}, ib.LFTEntry{LID: peerLID, Port: pv})
+		default:
+			plan.Entries = append(plan.Entries, ib.LFTEntry{LID: peerLID, Port: pv}, ib.LFTEntry{LID: vmLID, Port: pp})
+		}
+		plan.closeRun(node.ID)
 	}
+	plan.count()
 	return plan, nil
+}
+
+// reaches reports whether the programmed forwarding of lid from switch sw
+// crosses leaf. Once the destination's leaf is reprogrammed, traffic arriving
+// there is delivered, so a switch upstream of it can keep its entry; for an
+// intra-leaf migration every old chain ends at that very leaf, so exactly one
+// switch is updated, whatever the topology. The walk is one next hop per
+// switch, bounded against a looping table.
+func (r *Reconfigurator) reaches(v PlanView, sw, leaf topology.NodeID, lid ib.LID) bool {
+	for hops := 0; sw != leaf; hops++ {
+		lft, n := v.ProgrammedLFT(sw), r.SM.Topo.Node(sw)
+		if lft == nil || hops > 64 {
+			return false
+		}
+		out := lft.Get(lid)
+		if out == ib.DropPort || out == 0 || int(out) >= len(n.Ports) {
+			return false
+		}
+		if sw = n.Ports[out].Peer; sw == topology.NoNode || !r.SM.Topo.Node(sw).IsSwitch() {
+			return false
+		}
+	}
+	return true
 }
 
 // PlanSwap builds the prepopulated-LID reconfiguration: on every switch,
@@ -218,27 +285,14 @@ func (r *Reconfigurator) planEntries(v PlanView, kind PlanKind, vmLID, peerLID i
 // (the n' < n case of section VI-B). With ScopeMinimal only switches whose
 // VM-LID forwarding must change for correctness are touched.
 func (r *Reconfigurator) PlanSwap(vmLID, destVFLID ib.LID) (*MigrationPlan, error) {
-	return r.PlanSwapOn(r.SM, vmLID, destVFLID)
+	return r.plan(r.SM, PlanSwap, vmLID, destVFLID)
 }
 
 // PlanSwapOn is PlanSwap computed against an arbitrary fabric view instead
 // of the live SM state. Batch planners use it to plan wave N+1 against the
 // shadow state wave N leaves behind.
 func (r *Reconfigurator) PlanSwapOn(v PlanView, vmLID, destVFLID ib.LID) (*MigrationPlan, error) {
-	if err := r.checkLIDs(v, vmLID, destVFLID); err != nil {
-		return nil, err
-	}
-	plan, err := r.planEntries(v, PlanSwap, vmLID, destVFLID, func(lft *ib.LFT) map[ib.LID]ib.PortNum {
-		pv, pd := lft.Get(vmLID), lft.Get(destVFLID)
-		return map[ib.LID]ib.PortNum{vmLID: pd, destVFLID: pv}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if r.Scope == ScopeMinimal {
-		r.restrictToCorrectness(v, plan)
-	}
-	return plan, nil
+	return r.plan(v, PlanSwap, vmLID, destVFLID)
 }
 
 // PlanCopy builds the dynamic-assignment reconfiguration: on every switch,
@@ -246,107 +300,13 @@ func (r *Reconfigurator) PlanSwapOn(v PlanView, vmLID, destVFLID ib.LID) (*Migra
 // entry (section V-C2). At most one LID changes per switch, so at most one
 // SMP per switch is ever needed.
 func (r *Reconfigurator) PlanCopy(vmLID, destPFLID ib.LID) (*MigrationPlan, error) {
-	return r.PlanCopyOn(r.SM, vmLID, destPFLID)
+	return r.plan(r.SM, PlanCopy, vmLID, destPFLID)
 }
 
 // PlanCopyOn is PlanCopy computed against an arbitrary fabric view instead
 // of the live SM state.
 func (r *Reconfigurator) PlanCopyOn(v PlanView, vmLID, destPFLID ib.LID) (*MigrationPlan, error) {
-	if err := r.checkLIDs(v, vmLID, destPFLID); err != nil {
-		return nil, err
-	}
-	plan, err := r.planEntries(v, PlanCopy, vmLID, destPFLID, func(lft *ib.LFT) map[ib.LID]ib.PortNum {
-		return map[ib.LID]ib.PortNum{vmLID: lft.Get(destPFLID)}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if r.Scope == ScopeMinimal {
-		r.restrictToCorrectness(v, plan)
-	}
-	return plan, nil
-}
-
-func (r *Reconfigurator) checkLIDs(v PlanView, vmLID, peerLID ib.LID) error {
-	if v.NodeOfLID(vmLID) == topology.NoNode {
-		return fmt.Errorf("core: VM LID %d is not assigned", vmLID)
-	}
-	if v.NodeOfLID(peerLID) == topology.NoNode {
-		return fmt.Errorf("core: peer LID %d is not assigned", peerLID)
-	}
-	return nil
-}
-
-// restrictToCorrectness prunes the plan to the switches whose forwarding of
-// the VM's LID actually has to change (section VI-D). A switch is dropped
-// when the VM LID's *old* forwarding chain already passes through the
-// destination's leaf switch — once that leaf is reprogrammed, traffic
-// arriving there is delivered, so upstream switches can keep their entries.
-// For an intra-leaf migration every old chain terminates at that very leaf,
-// so exactly one switch is updated, regardless of topology. For a swap the
-// paired VF-LID edit is also dropped (the freed VF has no VM to reach),
-// trading the balance of the initial routing for fewer SMPs.
-func (r *Reconfigurator) restrictToCorrectness(v PlanView, plan *MigrationPlan) {
-	dstNode := v.NodeOfLID(plan.PeerLID)
-	destLeaf := r.SM.Topo.LeafSwitchOf(dstNode)
-
-	// oldChainReachesLeaf follows the programmed (pre-plan) forwarding of
-	// the VM LID from sw and reports whether it crosses destLeaf.
-	reach := map[topology.NodeID]int8{} // 0 unknown, 1 yes, -1 no
-	var chase func(sw topology.NodeID, depth int) bool
-	chase = func(sw topology.NodeID, depth int) bool {
-		if sw == destLeaf {
-			return true
-		}
-		if v := reach[sw]; v != 0 {
-			return v > 0
-		}
-		if depth > 64 {
-			return false
-		}
-		reach[sw] = -1 // cycle guard; confirmed below
-		ok := false
-		lft := v.ProgrammedLFT(sw)
-		if lft != nil {
-			out := lft.Get(plan.VMLID)
-			n := r.SM.Topo.Node(sw)
-			if out != ib.DropPort && out != 0 && int(out) < len(n.Ports) {
-				peer := n.Ports[out].Peer
-				if peer != topology.NoNode && r.SM.Topo.Node(peer).IsSwitch() {
-					ok = chase(peer, depth+1)
-				}
-			}
-		}
-		if ok {
-			reach[sw] = 1
-		}
-		return ok
-	}
-
-	plan.SwitchesTouched = 0
-	plan.SMPs = 0
-	for sw, changes := range plan.Updates {
-		newVM, hasVM := changes[plan.VMLID]
-		if !hasVM {
-			delete(plan.Updates, sw)
-			continue
-		}
-		if sw != destLeaf && chase(sw, 0) {
-			delete(plan.Updates, sw)
-			continue
-		}
-		// Keep only the VM LID edit: the peer LID (a free VF after the
-		// migration) does not need correct routing immediately.
-		if plan.Kind == PlanSwap {
-			plan.Updates[sw] = map[ib.LID]ib.PortNum{plan.VMLID: newVM}
-		}
-		plan.SwitchesTouched++
-		blocks := map[int]bool{}
-		for l := range plan.Updates[sw] {
-			blocks[ib.BlockOf(l)] = true
-		}
-		plan.SMPs += len(blocks)
-	}
+	return r.plan(v, PlanCopy, vmLID, destPFLID)
 }
 
 // PlanStats reports what Apply did.
@@ -405,16 +365,11 @@ func (r *Reconfigurator) ApplyEdits(plan *MigrationPlan) (PlanStats, error) {
 		span.EndWithWall(st.Duration)
 	}()
 
-	switches := make([]topology.NodeID, 0, len(plan.Updates))
-	for sw := range plan.Updates {
-		switches = append(switches, sw)
-	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-
 	if r.Mitigation == MitigationInvalidate {
 		invProv := plan.Prov.WithPhase("invalidate")
-		for _, sw := range switches {
-			n, err := r.SM.SetLFTEntriesProv(sw, map[ib.LID]ib.PortNum{plan.VMLID: ib.DropPort}, r.Mode, invProv, span)
+		inv := []ib.LFTEntry{{LID: plan.VMLID, Port: ib.DropPort}}
+		for _, sw := range plan.Switches {
+			n, err := r.SM.SetLFTEntriesProv(sw, inv, r.Mode, invProv, span)
 			if err != nil {
 				return st, fmt.Errorf("core: invalidation pre-pass on %q: %w",
 					r.SM.Topo.Node(sw).Desc, err)
@@ -426,8 +381,8 @@ func (r *Reconfigurator) ApplyEdits(plan *MigrationPlan) (PlanStats, error) {
 		}
 	}
 
-	for _, sw := range switches {
-		n, err := r.SM.SetLFTEntriesProv(sw, plan.Updates[sw], r.Mode, plan.Prov, span)
+	for i, sw := range plan.Switches {
+		n, err := r.SM.SetLFTEntriesProv(sw, plan.Run(i), r.Mode, plan.Prov, span)
 		if err != nil {
 			return st, fmt.Errorf("core: applying plan on %q: %w", r.SM.Topo.Node(sw).Desc, err)
 		}
@@ -486,42 +441,68 @@ func (r *Reconfigurator) MigrateAddresses(srcHyp, dstHyp topology.NodeID, vguid 
 // edits, so that concurrent migrations whose LID entries share a 64-LID
 // block cost a single SMP for that block instead of one each. Merging is
 // only valid for plans computed against the same fabric state and applied
-// together; conflicting edits to the same LID are rejected.
+// together; conflicting edits to the same LID are rejected (the first in
+// (switch, LID) order is reported), agreeing ones kept once. Every input
+// ascends by switch: a counting sort by switch, then each switch's few LIDs.
 func MergePlans(plans ...*MigrationPlan) (*MigrationPlan, error) {
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("core: nothing to merge")
 	}
-	merged := &MigrationPlan{
-		Kind:    plans[0].Kind,
-		VMLID:   plans[0].VMLID,
-		PeerLID: plans[0].PeerLID,
-		Prov:    plans[0].Prov,
-		Updates: map[topology.NodeID]map[ib.LID]ib.PortNum{},
-	}
+	top := topology.NodeID(-1)
 	for _, p := range plans {
-		for sw, changes := range p.Updates {
-			dst := merged.Updates[sw]
-			if dst == nil {
-				dst = map[ib.LID]ib.PortNum{}
-				merged.Updates[sw] = dst
-			}
-			for l, port := range changes {
-				if prev, ok := dst[l]; ok && prev != port {
+		if n := len(p.Switches); n > 0 {
+			top = max(top, p.Switches[n-1])
+		}
+	}
+	// at[sw+1] counts sw's edits; prefix sums make at[sw] the start of sw's
+	// run; copying each input run there and advancing leaves it the run's end.
+	at := make([]int32, int(top)+2)
+	for _, p := range plans {
+		for i, sw := range p.Switches {
+			at[sw+1] += int32(len(p.Run(i)))
+		}
+	}
+	touched := 0
+	for k := 1; k < len(at); k++ {
+		if at[k] > 0 {
+			touched++
+		}
+		at[k] += at[k-1]
+	}
+	entries := make([]ib.LFTEntry, at[top+1])
+	for _, p := range plans {
+		for i, sw := range p.Switches {
+			at[sw] += int32(copy(entries[at[sw]:], p.Run(i)))
+		}
+	}
+	merged := &MigrationPlan{
+		Kind: plans[0].Kind, VMLID: plans[0].VMLID, PeerLID: plans[0].PeerLID, Prov: plans[0].Prov,
+		Switches: make([]topology.NodeID, 0, touched),
+		Entries:  entries[:0], // deduplicated in place, behind the read cursor
+		offs:     make([]int32, 1, touched+1),
+	}
+	start := int32(0)
+	for sw := topology.NodeID(0); sw <= top; sw++ {
+		run := entries[start:at[sw]]
+		start = at[sw]
+		if len(run) == 0 {
+			continue
+		}
+		// Stable: of two edits to one LID the earlier plan's stays first.
+		slices.SortStableFunc(run, func(a, b ib.LFTEntry) int { return int(a.LID) - int(b.LID) })
+		for j, e := range run {
+			if j > 0 && run[j-1].LID == e.LID {
+				if run[j-1].Port != e.Port {
 					return nil, fmt.Errorf("core: conflicting edits for LID %d on switch %d (%d vs %d)",
-						l, sw, prev, port)
+						e.LID, sw, run[j-1].Port, e.Port)
 				}
-				dst[l] = port
+				continue
 			}
+			merged.Entries = append(merged.Entries, e)
 		}
+		merged.closeRun(sw)
 	}
-	for _, changes := range merged.Updates {
-		blocks := map[int]bool{}
-		for l := range changes {
-			blocks[ib.BlockOf(l)] = true
-		}
-		merged.SwitchesTouched++
-		merged.SMPs += len(blocks)
-	}
+	merged.count()
 	return merged, nil
 }
 
@@ -529,12 +510,14 @@ func MergePlans(plans ...*MigrationPlan) (*MigrationPlan, error) {
 // plans can run concurrently (section VI-D: as many concurrent migrations
 // as leaf switches when they are all intra-leaf).
 func Interferes(a, b *MigrationPlan) bool {
-	if len(a.Updates) > len(b.Updates) {
-		a, b = b, a
-	}
-	for sw := range a.Updates {
-		if _, ok := b.Updates[sw]; ok {
+	for i, j := 0, 0; i < len(a.Switches) && j < len(b.Switches); {
+		switch {
+		case a.Switches[i] == b.Switches[j]:
 			return true
+		case a.Switches[i] < b.Switches[j]:
+			i++
+		default:
+			j++
 		}
 	}
 	return false

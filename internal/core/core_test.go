@@ -146,7 +146,7 @@ func TestPlanSwapCrossBlockCostsTwoSMPs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every switch where both entries change needs two SMPs.
-	for sw, changes := range plan.Updates {
+	for sw, changes := range updatesOf(plan) {
 		if len(changes) == 2 {
 			blocks := map[int]bool{}
 			for l := range changes {
@@ -212,7 +212,7 @@ func TestPlanCopyDynamic(t *testing.T) {
 	if plan.SMPs != plan.SwitchesTouched {
 		t.Errorf("copy: %d SMPs for %d switches", plan.SMPs, plan.SwitchesTouched)
 	}
-	for _, changes := range plan.Updates {
+	for _, changes := range updatesOf(plan) {
 		if len(changes) != 1 {
 			t.Errorf("copy plan must edit exactly one LID per switch, got %v", changes)
 		}
@@ -304,7 +304,7 @@ func TestScopeMinimalSwapDropsPeerEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for sw, changes := range plan.Updates {
+	for sw, changes := range updatesOf(plan) {
 		if len(changes) != 1 {
 			t.Errorf("minimal swap on switch %d edits %d LIDs, want 1", sw, len(changes))
 		}
@@ -389,7 +389,7 @@ func TestInterferes(t *testing.T) {
 	if !Interferes(intra, cross) {
 		t.Error("plans sharing leaf0 should interfere")
 	}
-	if Interferes(intra, &MigrationPlan{Updates: map[topology.NodeID]map[ib.LID]ib.PortNum{}}) {
+	if Interferes(intra, &MigrationPlan{}) {
 		t.Error("empty plan interferes with nothing")
 	}
 }

@@ -24,16 +24,16 @@ func (r *Reconfigurator) AnalyzeTransition(plan *MigrationPlan, dlids []ib.LID) 
 func AnalyzeTransition(topo *topology.Topology, view PlanView, plan *MigrationPlan, dlids []ib.LID) cdg.Transition {
 	// Rnew's tables: copy-on-write clones of the touched switches' tables
 	// with the plan's entries written in.
-	edited := make(map[topology.NodeID]*ib.LFT, len(plan.Updates))
-	for sw, entries := range plan.Updates {
+	edited := make(map[topology.NodeID]*ib.LFT, len(plan.Switches))
+	for i, sw := range plan.Switches {
 		lft := view.ProgrammedLFT(sw)
 		if lft == nil {
 			lft = ib.NewLFT(0)
 		} else {
 			lft = lft.Clone()
 		}
-		for l, p := range entries {
-			lft.Set(l, p)
+		for _, e := range plan.Run(i) {
+			lft.Set(e.LID, e.Port)
 		}
 		edited[sw] = lft
 	}

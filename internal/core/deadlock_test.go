@@ -84,17 +84,12 @@ func TestTransitionDeadlockOnRing(t *testing.T) {
 	}
 
 	// The copy-style plan: LID1 follows LID4's routes to ca4 on s0.
-	plan := &MigrationPlan{
-		Kind:    PlanCopy,
-		VMLID:   1,
-		PeerLID: 4,
-		Updates: map[topology.NodeID]map[ib.LID]ib.PortNum{
-			sw[2]: {1: 1},         // s2 -> s3 (clockwise)
-			sw[3]: {1: 1},         // s3 -> s0 (clockwise)
-			sw[1]: {1: 2},         // s1 -> s0 (counter-clockwise, harmless)
-			sw[0]: {1: caPort(0)}, // deliver to ca4
-		},
-	}
+	plan := planOf(PlanCopy, 1, 4, map[topology.NodeID]map[ib.LID]ib.PortNum{
+		sw[2]: {1: 1},         // s2 -> s3 (clockwise)
+		sw[3]: {1: 1},         // s3 -> s0 (clockwise)
+		sw[1]: {1: 2},         // s1 -> s0 (counter-clockwise, harmless)
+		sw[0]: {1: caPort(0)}, // deliver to ca4
+	})
 
 	rep := bothTransitionChecks(t, topo, routes, plan, []ib.LID{1, 2, 3})
 	if !rep.OldAcyclic {
@@ -166,7 +161,7 @@ func bothTransitionChecks(t *testing.T, topo *topology.Topology, view PlanView, 
 			continue
 		}
 		old[sw], target[sw] = lft, lft.Clone()
-		for l, p := range plan.Updates[sw] {
+		for l, p := range updatesOf(plan)[sw] {
 			target[sw].Set(l, p)
 		}
 	}
@@ -210,11 +205,11 @@ func TestTransitionChecksAgree(t *testing.T) {
 	view := &stubRoutes{owner: owner, routes: map[topology.NodeID]map[ib.LID]ib.PortNum{
 		sw[0]: {12: 1}, sw[1]: {12: 1, 13: 1}, sw[2]: {12: 3, 13: 1}, sw[3]: {13: 3},
 	}}
-	plan := &MigrationPlan{Kind: PlanCopy, VMLID: 1, PeerLID: 2, // no LID of the scenario moves
-		Updates: map[topology.NodeID]map[ib.LID]ib.PortNum{
+	plan := planOf(PlanCopy, 1, 2, // no LID of the scenario moves
+		map[topology.NodeID]map[ib.LID]ib.PortNum{
 			sw[0]: {10: 3, 11: 1, 12: drop}, sw[1]: {11: 3, 12: drop, 13: drop},
 			sw[2]: {10: 1, 12: drop, 13: drop}, sw[3]: {10: 1, 11: 1, 13: drop},
-		}}
+		})
 	tr := bothTransitionChecks(t, square, view, plan, []ib.LID{10, 11, 12, 13})
 	if !tr.Deadlocks() || len(tr.Cycle) != 5 {
 		t.Fatalf("square: want the four-channel ring as a transition-only cycle, got %+v", tr)

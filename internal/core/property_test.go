@@ -129,7 +129,7 @@ func TestSwapBoundsProperty(t *testing.T) {
 			t.Errorf("switches %d > n %d", plan.SwitchesTouched, n)
 		}
 		sameBlock := ib.BlockOf(pair[0]) == ib.BlockOf(pair[1])
-		for sw, changes := range plan.Updates {
+		for sw, changes := range updatesOf(plan) {
 			blocks := map[int]bool{}
 			for l := range changes {
 				blocks[ib.BlockOf(l)] = true

@@ -333,6 +333,13 @@ func (t *LFT) Set(l LID, p PortNum) {
 	t.dirty[b/64] |= 1 << (uint(b) % 64)
 }
 
+// LFTEntry is one entry to program: LID leaves the switch through Port. It is
+// the unit a migration plan lists and the SM's sparse write takes.
+type LFTEntry struct {
+	LID  LID
+	Port PortNum
+}
+
 // Swap exchanges the entries of two LIDs, marking affected blocks dirty only
 // when values actually change. This is the primitive of the paper's
 // prepopulated-LID reconfiguration (section V-C1).

@@ -114,6 +114,7 @@ type Plan struct {
 	Waves     [][]cloud.Move // execute each with Cloud.MigrateWave, in order
 	Predicted []StepCost     // one per wave
 	Total     StepCost
+	Edits     int // LFT entries the waves' merged plans rewrite in all
 	Converged bool
 }
 
@@ -214,6 +215,7 @@ func (p *Planner) Plan(spec Spec) (*Plan, error) {
 		plan.Total.add(cost)
 		pending = rest
 	}
+	plan.Edits = sh.edits
 	return plan, nil
 }
 
@@ -286,8 +288,8 @@ func (p *Planner) drainMoves(host topology.NodeID) ([]cloud.Move, error) {
 	free := map[topology.NodeID]int{}
 	for _, hn := range p.C.Hypervisors() {
 		h := p.C.Hypervisor(hn)
-		load[hn] = len(h.HCA.AttachedVFs())
-		free[hn] = h.HCA.NumVFs() - load[hn]
+		load[hn] = h.HCA.AttachedCount()
+		free[hn] = h.HCA.FreeCount() // a held VF is not room
 	}
 	var moves []cloud.Move
 	for _, name := range p.C.VMs() { // sorted
@@ -401,7 +403,7 @@ func (p *Planner) placementMoves(want map[string]topology.NodeID) ([]cloud.Move,
 		moves = append(moves, cloud.Move{VM: name, To: dst})
 	}
 	for _, hn := range p.C.Hypervisors() {
-		if cap := p.C.Hypervisor(hn).HCA.NumVFs(); final[hn] > cap {
+		if cap := p.C.VMCountOn(hn) + p.C.Hypervisor(hn).HCA.FreeCount(); final[hn] > cap {
 			return nil, fmt.Errorf("reconcile: placement overfills hypervisor %d (%d VMs, %d VFs)", hn, final[hn], cap)
 		}
 	}

@@ -394,3 +394,78 @@ func TestPlacementSwapCycle(t *testing.T) {
 		}
 	}
 }
+
+// TestDefragIgnoresHeldVFs: a VF an abandoned migration left held is not
+// capacity. Sized by NumVFs, defrag kept such hosts as receivers with room
+// they do not have; the planner then parked VMs on spares wave after wave
+// and never converged — hence the deadline.
+func TestDefragIgnoresHeldVFs(t *testing.T) {
+	c := testCloud(t, sriov.VSwitchDynamic)
+	hyps := c.Hypervisors()
+	rng := rand.New(rand.NewSource(23))
+	rng.Shuffle(len(hyps), func(i, j int) { hyps[i], hyps[j] = hyps[j], hyps[i] })
+	// Two hosts with two VMs and their third VF held — the fullest, so defrag
+	// keeps them — and six singles to consolidate.
+	held := hyps[:2]
+	n := 0
+	create := func(hn topology.NodeID) {
+		t.Helper()
+		if _, err := c.CreateVMOn("vm-"+string(rune('a'+n)), hn); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	for _, hn := range held {
+		create(hn)
+		create(hn)
+		hca := c.Hypervisor(hn).HCA
+		hca.Hold(hca.FreeVF())
+	}
+	for _, hn := range hyps[2:8] {
+		create(hn)
+	}
+
+	p := &Planner{C: c}
+	type result struct {
+		plan *Plan
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		plan, err := p.Plan(Spec{Goal: GoalDefrag})
+		done <- result{plan, err}
+	}()
+	var plan *Plan
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("defrag with held VFs: %v", r.err)
+		}
+		plan = r.plan
+	case <-time.After(20 * time.Second):
+		t.Fatal("defrag with held VFs did not return: the planner is waiting for a held slot")
+	}
+	if len(plan.Moves) == 0 || len(plan.Waves) > len(plan.Moves)+1 {
+		t.Fatalf("defrag: %d moves in %d waves", len(plan.Moves), len(plan.Waves))
+	}
+	for _, mv := range plan.Moves {
+		for _, hn := range held {
+			if mv.To == hn {
+				t.Errorf("%s is sent to %d, whose only unattached VF is held", mv.VM, hn)
+			}
+		}
+	}
+	applyPlan(t, c, plan)
+	for _, hn := range held {
+		if hca := c.Hypervisor(hn).HCA; hca.FreeCount() != 0 || hca.AttachedCount() != 2 {
+			t.Errorf("host %d: %d attached, %d free; its held VF was planned on", hn, hca.AttachedCount(), hca.FreeCount())
+		}
+	}
+	again, err := p.Plan(Spec{Goal: GoalDefrag})
+	if err != nil {
+		t.Fatalf("re-planning the end state: %v", err)
+	}
+	if !again.Converged {
+		t.Fatalf("re-planning the end state yields %d moves, want none", len(again.Moves))
+	}
+}

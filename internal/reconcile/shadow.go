@@ -3,7 +3,6 @@ package reconcile
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"ibvsim/internal/cloud"
 	"ibvsim/internal/core"
@@ -21,10 +20,11 @@ import (
 // an apply pays.
 type shadow struct {
 	c     *cloud.Cloud
-	lfts  map[topology.NodeID]*ib.LFT    // written switches only
+	lfts  []*ib.LFT                      // by node ID; written switches only
 	owner map[ib.LID]topology.NodeID     // rebound LIDs only
 	hcas  map[topology.NodeID]*sriov.HCA // every hypervisor: a private copy
 	vm    map[string]*vmShadow           // every VM
+	edits int                            // LFT entries written so far
 }
 
 type vmShadow struct {
@@ -35,7 +35,7 @@ type vmShadow struct {
 func newShadow(c *cloud.Cloud) *shadow {
 	sh := &shadow{
 		c:     c,
-		lfts:  map[topology.NodeID]*ib.LFT{},
+		lfts:  make([]*ib.LFT, c.SM.Topo.NumNodes()),
 		owner: map[ib.LID]topology.NodeID{},
 		hcas:  map[topology.NodeID]*sriov.HCA{},
 		vm:    map[string]*vmShadow{},
@@ -86,7 +86,7 @@ func (s *shadow) writableLFT(sw topology.NodeID) *ib.LFT {
 // simulateWave stages every move of the wave against the shadow state —
 // the same cloud.Stage an apply runs against the live fabric — merges the
 // plans, predicts the merged distribution's cost exactly as
-// ApplyEdits+SetLFTEntries would account it, and then applies the wave's
+// ApplyEdits+SetLFTEntriesProv would account it, and then applies the wave's
 // declared effects to the shadow: LFT edits, LID rebinds, both VFs' states.
 func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (StepCost, error) {
 	rc := p.C.RC
@@ -119,38 +119,31 @@ func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (StepCost, error) 
 		if err != nil {
 			return StepCost{}, err
 		}
-		maxRun := p.C.SM.Dist.MaxBlocksPerSMP
-		for sw, changes := range merged.Updates {
-			cost.SwitchesUpdated++
-			blockSet := map[int]bool{}
-			for l := range changes {
-				blockSet[ib.BlockOf(l)] = true
-			}
-			blocks := make([]int, 0, len(blockSet))
-			for b := range blockSet {
-				blocks = append(blocks, b)
-			}
-			sort.Ints(blocks)
-			cost.LFTSMPs += sm.CoalescedSMPs(blocks, maxRun)
-			if rc.Mitigation == core.MitigationInvalidate {
-				if lft := sh.ProgrammedLFT(sw); lft != nil && lft.Get(merged.VMLID) != ib.DropPort {
-					cost.InvalidationSMPs++
-				}
-			}
-		}
-		cost.Modelled = p.C.SM.Cost.DistributionTime(cost.LFTSMPs+cost.InvalidationSMPs, rc.Mode)
-		if rc.Mitigation == core.MitigationDrain {
-			cost.Modelled += rc.DrainTime
-		}
-		// Commit the merged edits to the shadow LFTs.
-		for sw, changes := range merged.Updates {
+		// Cost each switch's run as the SM will send it — its ascending blocks,
+		// coalesced by the SM's own rule — and commit it to the shadow table.
+		sh.edits += len(merged.Entries)
+		var blocks []int
+		for i, sw := range merged.Switches {
 			lft := sh.writableLFT(sw)
 			if lft == nil {
 				return StepCost{}, fmt.Errorf("reconcile: switch %d not programmed", sw)
 			}
-			for l, pt := range changes {
-				lft.Set(l, pt)
+			if rc.Mitigation == core.MitigationInvalidate && lft.Get(merged.VMLID) != ib.DropPort {
+				cost.InvalidationSMPs++
 			}
+			blocks = blocks[:0]
+			for _, e := range merged.Run(i) {
+				if b := ib.BlockOf(e.LID); len(blocks) == 0 || blocks[len(blocks)-1] != b {
+					blocks = append(blocks, b)
+				}
+				lft.Set(e.LID, e.Port)
+			}
+			cost.SwitchesUpdated++
+			cost.LFTSMPs += sm.CoalescedSMPs(blocks, p.C.SM.Dist.MaxBlocksPerSMP)
+		}
+		cost.Modelled = p.C.SM.Cost.DistributionTime(cost.LFTSMPs+cost.InvalidationSMPs, rc.Mode)
+		if rc.Mitigation == core.MitigationDrain {
+			cost.Modelled += rc.DrainTime
 		}
 	}
 

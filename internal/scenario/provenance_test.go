@@ -127,7 +127,7 @@ func TestProvenanceExplainAfterChaos(t *testing.T) {
 		Shard:    ib.ShardNone,
 	}
 	if _, err := h.Cloud.SM.SetLFTEntriesProv(probeSwitch,
-		map[ib.LID]ib.PortNum{probeLID: ib.DropPort}, smp.DestinationRouted, prov, nil); err != nil {
+		[]ib.LFTEntry{{LID: probeLID, Port: ib.DropPort}}, smp.DestinationRouted, prov, nil); err != nil {
 		t.Fatalf("inject corruption: %v", err)
 	}
 	// The composed snapshot is cached by coordinator generation; an

@@ -98,7 +98,7 @@ func TestSetLFTEntriesCoalescing(t *testing.T) {
 	sw := topo.Switches()[0]
 
 	// Default config: classical one SMP per touched block.
-	n, err := s.SetLFTEntries(sw, map[ib.LID]ib.PortNum{10: 1, 70: 1}, smp.DestinationRouted)
+	n, err := s.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: 10, Port: 1}, {LID: 70, Port: 1}}, smp.DestinationRouted, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSetLFTEntriesCoalescing(t *testing.T) {
 	}
 
 	s.Dist.MaxBlocksPerSMP = 64
-	n, err = s.SetLFTEntries(sw, map[ib.LID]ib.PortNum{10: 2, 70: 2}, smp.DestinationRouted)
+	n, err = s.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: 10, Port: 2}, {LID: 70, Port: 2}}, smp.DestinationRouted, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSetLFTEntriesCoalescing(t *testing.T) {
 	}
 
 	// Blocks 0 and 2 are not adjacent: the gap forces two SMPs.
-	n, err = s.SetLFTEntries(sw, map[ib.LID]ib.PortNum{10: 3, 140: 3}, smp.DestinationRouted)
+	n, err = s.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: 10, Port: 3}, {LID: 140, Port: 3}}, smp.DestinationRouted, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

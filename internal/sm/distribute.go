@@ -532,34 +532,32 @@ func (s *SubnetManager) sendLFTRun(sw topology.NodeID, run blockRun, mode smp.Mo
 	return nil
 }
 
-// SetLFTEntries programs individual LFT entries on one switch (both the SM
-// shadow and the modelled physical switch), sending one SMP per touched
+// SetLFTEntriesProv programs individual LFT entries on one switch (both the
+// SM shadow and the modelled physical switch), sending one SMP per touched
 // 64-LID block run (adjacent dirty blocks coalesce per MaxBlocksPerSMP and
 // the return value counts the SMPs sent). This is the primitive the vSwitch
 // reconfigurator uses: a LID swap touches one or two blocks, a LID copy
-// touches one (section V-C). Mode selects directed vs destination-routed
-// delivery — the paper's improvement in eq. 5 uses destination routing
-// because switch LIDs are unaffected by VM migrations. Lost SMPs are
-// retried per the distribution config; exhausting the budget surfaces as an
-// error. The updated shadow is assembled off to the side and published with
-// one buffer swap, so concurrent readers never observe a half-applied set.
+// touches one (section V-C), and the entries are a migration plan's run for
+// this switch, handed over as it lies (a later duplicate wins). Mode selects
+// directed vs destination-routed delivery — the paper's improvement in eq. 5
+// uses destination routing because switch LIDs are unaffected by VM
+// migrations. Lost SMPs are retried per the distribution config; exhausting
+// the budget surfaces as an error. The updated shadow is assembled off to
+// the side and published with one buffer swap, so concurrent readers never
+// observe a half-applied set.
 //
 // A per-switch stripe lock covers the whole clone→send→commit cycle (and
 // the target-view patch below), so concurrent shard actors touching
 // different LID columns of the same switch merge rather than lose entries,
 // and each switch's SMPs stay strictly ordered.
-func (s *SubnetManager) SetLFTEntries(sw topology.NodeID, entries map[ib.LID]ib.PortNum, mode smp.Mode) (int, error) {
-	return s.SetLFTEntriesProv(sw, entries, mode, nil, nil)
-}
-
-// SetLFTEntriesProv is SetLFTEntries with a provenance stamp: every LFT
-// block the edit touches (shadow and target view alike) is attributed to
-// prov, and the per-SMP trace spans carry the writing shard so the Chrome
-// export can lane them per actor; the spans hang under the given span (nil:
-// roots). Stamp and parent are per-call arguments — not SM or tracer state —
-// because concurrent shard actors drive this path in parallel and each write
-// epoch must carry its own attribution.
-func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries map[ib.LID]ib.PortNum, mode smp.Mode, prov *ib.Provenance, under *telemetry.Span) (int, error) {
+//
+// Every LFT block the edit touches (shadow and target view alike) is
+// attributed to prov (nil: unattributed), and the per-SMP trace spans carry
+// the writing shard so the Chrome export can lane them per actor; the spans
+// hang under the given span (nil: roots). Stamp and parent are per-call
+// arguments — not SM or tracer state — because concurrent shard actors drive
+// this path in parallel and each write epoch must carry its own attribution.
+func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEntry, mode smp.Mode, prov *ib.Provenance, under *telemetry.Span) (int, error) {
 	mu := s.lftLock(sw)
 	mu.Lock()
 	defer mu.Unlock()
@@ -570,8 +568,8 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries map[ib.LID
 	next := cur.Clone()
 	next.SetProvenance(prov)
 	next.ClearDirty()
-	for l, p := range entries {
-		next.Set(l, p)
+	for _, e := range entries {
+		next.Set(e.LID, e.Port)
 	}
 	runs := planRuns(next.DirtyBlocks(), s.Dist.MaxBlocksPerSMP)
 	next.ClearDirty()
@@ -606,8 +604,8 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries map[ib.LID
 	// undo the reconfiguration.
 	if tgt := s.target[sw]; tgt != nil {
 		tgt.SetProvenance(prov)
-		for l, p := range entries {
-			tgt.Set(l, p)
+		for _, e := range entries {
+			tgt.Set(e.LID, e.Port)
 		}
 	}
 	return len(runs), nil

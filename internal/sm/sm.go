@@ -25,7 +25,7 @@ import (
 )
 
 // lftStripes is the size of the per-switch lock stripe set guarding
-// SetLFTEntries. Sharded control planes update different switches (and
+// SetLFTEntriesProv. Sharded control planes update different switches (and
 // different LID columns of the same switch) from concurrent actors; a
 // stripe serializes the clone→send→commit read-modify-write per switch.
 const lftStripes = 256
@@ -81,7 +81,7 @@ type SubnetManager struct {
 	// sweeps and full reconfigurations only run with the control plane
 	// quiesced.
 	addrMu sync.Mutex
-	// lftMu stripes per-switch locks over SetLFTEntries so concurrent
+	// lftMu stripes per-switch locks over SetLFTEntriesProv so concurrent
 	// actors updating different LID columns of one switch serialize their
 	// clone→send→commit cycles instead of losing each other's entries.
 	lftMu [lftStripes]sync.Mutex
@@ -91,8 +91,9 @@ type SubnetManager struct {
 	// one atomic pointer each: readers (the SMP router, the auditor, the API
 	// snapshot layer) always see a complete, immutable-by-convention table,
 	// and a distribution publishes its outcome with one pointer swap per
-	// switch — never an in-place, half-merged mutation.
-	programmed map[topology.NodeID]*atomic.Pointer[ib.LFT]
+	// switch — never an in-place, half-merged mutation. Dense by node ID
+	// (every plan reads every switch's slot); nil until first programmed.
+	programmed []*atomic.Pointer[ib.LFT]
 	reachable  map[topology.NodeID]bool
 	portState  map[topology.NodeID][]bool // Up per port, as of the last (light) sweep
 
@@ -127,20 +128,19 @@ func New(topo *topology.Topology, smNode topology.NodeID, engine routing.Engine)
 	}
 	hub := telemetry.NewHub()
 	mgr := &SubnetManager{
-		Topo:       topo,
-		SMNode:     smNode,
-		Transport:  smp.NewTransport(topo),
-		Engine:     engine,
-		Cost:       smp.DefaultCostModel(),
-		Dist:       DefaultDistributionConfig(),
-		pool:       ib.NewLIDPool(),
-		dirPath:    map[topology.NodeID][]ib.PortNum{},
-		target:     map[topology.NodeID]*ib.LFT{},
-		programmed: map[topology.NodeID]*atomic.Pointer[ib.LFT]{},
-		reachable:  map[topology.NodeID]bool{},
-		portState:  map[topology.NodeID][]bool{},
-		tel:        hub,
-		log:        newEventLogOver(hub.Trace, 4096),
+		Topo:      topo,
+		SMNode:    smNode,
+		Transport: smp.NewTransport(topo),
+		Engine:    engine,
+		Cost:      smp.DefaultCostModel(),
+		Dist:      DefaultDistributionConfig(),
+		pool:      ib.NewLIDPool(),
+		dirPath:   map[topology.NodeID][]ib.PortNum{},
+		target:    map[topology.NodeID]*ib.LFT{},
+		reachable: map[topology.NodeID]bool{},
+		portState: map[topology.NodeID][]bool{},
+		tel:       hub,
+		log:       newEventLogOver(hub.Trace, 4096),
 	}
 	mgr.Transport.Counters.AttachRegistry(hub.Metrics)
 	return mgr, nil
@@ -587,8 +587,8 @@ func (s *SubnetManager) ProgrammedLFT(sw topology.NodeID) *ib.LFT { return s.pro
 // programmedActive reads one switch's programmed table (nil when the switch
 // was never programmed).
 func (s *SubnetManager) programmedActive(sw topology.NodeID) *ib.LFT {
-	if p := s.programmed[sw]; p != nil {
-		return p.Load()
+	if int(sw) < len(s.programmed) && s.programmed[sw] != nil {
+		return s.programmed[sw].Load()
 	}
 	return nil
 }
@@ -597,16 +597,16 @@ func (s *SubnetManager) programmedActive(sw topology.NodeID) *ib.LFT {
 // table map — the read-only shape the OnDistribute transient-CDG hook and
 // the handover reconciliation consume.
 func (s *SubnetManager) programmedView() map[topology.NodeID]*ib.LFT {
-	out := make(map[topology.NodeID]*ib.LFT, len(s.programmed))
-	for sw, p := range s.programmed {
-		if lft := p.Load(); lft != nil {
-			out[sw] = lft
+	out := make(map[topology.NodeID]*ib.LFT, s.Topo.NumSwitches())
+	for sw := range s.programmed {
+		if lft := s.programmedActive(topology.NodeID(sw)); lft != nil {
+			out[topology.NodeID(sw)] = lft
 		}
 	}
 	return out
 }
 
-// lftLock returns the stripe lock serializing SetLFTEntries for a switch.
+// lftLock returns the stripe lock serializing SetLFTEntriesProv for a switch.
 func (s *SubnetManager) lftLock(sw topology.NodeID) *sync.Mutex {
 	return &s.lftMu[uint64(sw)%lftStripes]
 }
@@ -614,12 +614,13 @@ func (s *SubnetManager) lftLock(sw topology.NodeID) *sync.Mutex {
 // commitProgrammed publishes t as the switch's programmed table with one
 // atomic swap (creating the slot on first programming).
 func (s *SubnetManager) commitProgrammed(sw topology.NodeID, t *ib.LFT) {
-	p := s.programmed[sw]
-	if p == nil {
-		p = new(atomic.Pointer[ib.LFT])
-		s.programmed[sw] = p
+	if int(sw) >= len(s.programmed) {
+		s.programmed = append(s.programmed, make([]*atomic.Pointer[ib.LFT], s.Topo.NumNodes()-len(s.programmed))...)
 	}
-	p.Store(t)
+	if s.programmed[sw] == nil {
+		s.programmed[sw] = new(atomic.Pointer[ib.LFT])
+	}
+	s.programmed[sw].Store(t)
 }
 
 // TargetLFT returns the routing engine's most recent table for a switch.

@@ -265,7 +265,7 @@ func TestSetLFTEntriesSMPCounts(t *testing.T) {
 	l1, l2 := ib.LID(1), ib.LID(2)
 	p1, p2 := lft.Get(l1), lft.Get(l2)
 	// Swapping two same-block LIDs costs exactly 1 SMP.
-	blocks, err := s.SetLFTEntries(sw, map[ib.LID]ib.PortNum{l1: p2, l2: p1}, smp.DestinationRouted)
+	blocks, err := s.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: l1, Port: p2}, {LID: l2, Port: p1}}, smp.DestinationRouted, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestSetLFTEntriesSMPCounts(t *testing.T) {
 		t.Error("target LFT not updated")
 	}
 	// Writing an entry in a far block costs another SMP (block 2).
-	blocks, err = s.SetLFTEntries(sw, map[ib.LID]ib.PortNum{150: 3}, smp.DirectedRoute)
+	blocks, err = s.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: 150, Port: 3}}, smp.DirectedRoute, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestSetLFTEntriesSMPCounts(t *testing.T) {
 		t.Errorf("far-block write cost %d SMPs", blocks)
 	}
 	// No-op write costs nothing.
-	blocks, err = s.SetLFTEntries(sw, map[ib.LID]ib.PortNum{150: 3}, smp.DirectedRoute)
+	blocks, err = s.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: 150, Port: 3}}, smp.DirectedRoute, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

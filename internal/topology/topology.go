@@ -71,8 +71,9 @@ func (n *Node) FreePort() ib.PortNum {
 
 // Topology is the whole fabric graph.
 type Topology struct {
-	Name  string
-	nodes []*Node
+	Name     string
+	nodes    []*Node
+	switches int // how many of nodes are switches
 
 	nextGUID uint64
 }
@@ -118,16 +119,8 @@ func (t *Topology) CAs() []NodeID {
 	return out
 }
 
-// NumSwitches counts switch nodes.
-func (t *Topology) NumSwitches() int {
-	c := 0
-	for _, n := range t.nodes {
-		if n.IsSwitch() {
-			c++
-		}
-	}
-	return c
-}
+// NumSwitches returns the number of switch nodes.
+func (t *Topology) NumSwitches() int { return t.switches }
 
 // NumCAs counts channel adapters.
 func (t *Topology) NumCAs() int { return len(t.nodes) - t.NumSwitches() }
@@ -167,6 +160,9 @@ func (t *Topology) addNode(typ ib.NodeType, numPorts int, desc string) NodeID {
 		n.Ports[i] = Port{Num: ib.PortNum(i), Peer: NoNode}
 	}
 	t.nodes = append(t.nodes, n)
+	if n.IsSwitch() {
+		t.switches++
+	}
 	return id
 }
 
