@@ -1,9 +1,9 @@
 // Command ibsimd serves a simulated vSwitch cloud over HTTP: it boots a
 // fabric, bootstraps the subnet manager, wraps the orchestrator in the
 // internal/api control-plane daemon and listens until SIGINT/SIGTERM.
-// Shutdown is graceful: intake stops, the admission queue drains, and if
-// the drain deadline passes any in-flight LFT distribution is aborted
-// through its context.
+// Shutdown is graceful: intake stops, the zones' admission queues drain,
+// and if the drain deadline passes any in-flight LFT distribution is
+// aborted through its context.
 //
 // Usage:
 //
@@ -57,7 +57,7 @@ func main() {
 	vfs := flag.Int("vfs", 4, "VFs per hypervisor")
 	sched := flag.String("sched", "spread", "VM scheduler: firstfit|spread|pack")
 	queue := flag.Int("queue", api.DefaultQueueDepth, "admission queue depth (429 past this)")
-	shards := flag.String("shards", "0", "sharded control plane: N zones, auto (one per pod/leaf group), 0 or 1 = single actor")
+	shards := flag.String("shards", "0", "control-plane zones, one actor each: N, auto (one per pod/leaf group), 0 or 1 = one zone")
 	workers := flag.Int("workers", 0, "routing worker pool size (0 = one per CPU)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	auditInterval := flag.Duration("audit-interval", 0, "cadence of background full-scope fabric audits (0 = post-mutation audits only)")
@@ -118,9 +118,7 @@ func main() {
 		Logger:        newLogger(*logJSON).With("component", "api"),
 		Shards:        nshards,
 	})
-	if co := apiSrv.Coordinator(); co != nil {
-		logger.Info("sharded control plane", "shards", co.Shards())
-	}
+	logger.Info("control plane", "shards", apiSrv.Coordinator().Shards())
 	httpSrv := &http.Server{Addr: *addr, Handler: apiSrv.Handler()}
 
 	// pprof gets its own mux on its own listener: the profiling surface
@@ -160,7 +158,7 @@ func main() {
 	logger.Info("shutting down", "drain_budget", *drain)
 	shCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	// Drain the command loop first — its final opCancel also terminates
+	// Drain the zone actors first — the final opCancel also terminates
 	// event streams, so the listener shutdown below completes promptly.
 	if err := apiSrv.Shutdown(shCtx); err != nil {
 		logger.Warn("drain deadline passed; in-flight distribution aborted")

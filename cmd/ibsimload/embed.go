@@ -83,12 +83,8 @@ func bootEmbedded(nodes int, shards string, queue int, timeout time.Duration, hu
 		return nil, nil, err
 	}
 	srv := api.NewServer(c, api.Config{QueueDepth: queue, Shards: nshards})
-	mode := "single-actor"
-	if co := srv.Coordinator(); co != nil {
-		mode = fmt.Sprintf("%d shards", co.Shards())
-	}
-	fmt.Fprintf(human, "embedded %s booted in %v (prepopulated, 2 VFs/hyp, %s)\n",
-		topo.String(), time.Since(start).Round(time.Millisecond), mode)
+	fmt.Fprintf(human, "embedded %s booted in %v (prepopulated, 2 VFs/hyp, %d shards)\n",
+		topo.String(), time.Since(start).Round(time.Millisecond), srv.Coordinator().Shards())
 	return srv, &http.Client{Transport: handlerTransport{srv.Handler()}, Timeout: timeout}, nil
 }
 

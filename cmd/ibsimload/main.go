@@ -24,9 +24,9 @@
 //	ibsimload -nodes 11664 -sweep 1,2,4,8 -c 256 -duration 10s \
 //	    -bench-out BENCH_controlplane.json   # gate: shards=4 >= 2x shards=1
 //
-// In sharded mode the report includes per-shard ops/s and queue depths,
-// and migrations prefer zone-local destinations with a seeded fraction
-// (-cross) forced across zones to exercise the two-phase path.
+// The report includes per-shard ops/s and queue depths; with several zones
+// migrations prefer zone-local destinations with a seeded fraction (-cross)
+// forced across zones to exercise the two-phase path.
 package main
 
 import (
@@ -61,7 +61,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "write the final report as JSON to stdout (progress text moves to stderr)")
 	recGoal := flag.String("reconcile", "", "after the load run, reconcile the fleet toward this goal (defrag|spread|drain:<node>) and report the batch cost")
 	nodes := flag.Int("nodes", 0, "boot an in-process paper fat tree of this size (324|648|5832|11664) instead of driving -addr")
-	shards := flag.String("shards", "0", "in-process mode: shard the control plane (N zones, auto, 0 or 1 = single actor)")
+	shards := flag.String("shards", "0", "in-process mode: control-plane zones (N, auto, 0 or 1 = one zone)")
 	queue := flag.Int("queue", api.DefaultQueueDepth, "in-process mode: admission queue depth")
 	sweep := flag.String("sweep", "", "comma-separated shard counts (e.g. 1,2,4,8): run the workload once per count on a fresh in-process fabric and gate shards=4 >= 2x shards=1")
 	benchOut := flag.String("bench-out", "", "sweep mode: write the scaling results to this JSON artifact (e.g. BENCH_controlplane.json)")
@@ -174,12 +174,8 @@ func runLoad(client *http.Client, addr string, cfg runCfg, human io.Writer) (*lo
 	if err != nil {
 		fatal(fmt.Errorf("cannot reach daemon at %s: %w", addr, err))
 	}
-	fmt.Fprintf(human, "target: %s — %s, model=%s, %d hypervisors",
-		addr, topo.Fabric, topo.Model, len(topo.Hypervisors))
-	if topo.Shards > 0 {
-		fmt.Fprintf(human, ", %d shards", topo.Shards)
-	}
-	fmt.Fprintln(human)
+	fmt.Fprintf(human, "target: %s — %s, model=%s, %d hypervisors, %d shards\n",
+		addr, topo.Fabric, topo.Model, len(topo.Hypervisors), topo.Shards)
 
 	coord := newCoordinator(topo.Hypervisors, topo.Shards > 1)
 	opsBefore := map[int]uint64{}
@@ -215,17 +211,15 @@ func runLoad(client *http.Client, addr string, cfg runCfg, human io.Writer) (*lo
 		total.merge(&results[i])
 	}
 	rep := buildReport(cfg.workers, elapsed, cfg.duration, &total)
-	if topo.Shards > 0 {
-		if after, err := fetchTopology(client, addr); err == nil {
-			rep.Shards = after.Shards
-			for _, st := range after.ShardStats {
-				rep.PerShard = append(rep.PerShard, shardLoadReport{
-					Shard:     st.Shard,
-					Ops:       st.Ops - opsBefore[st.Shard],
-					OpsPerSec: float64(st.Ops-opsBefore[st.Shard]) / elapsed.Seconds(),
-					QueueLen:  st.QueueLen,
-				})
-			}
+	if after, err := fetchTopology(client, addr); err == nil {
+		rep.Shards = after.Shards
+		for _, st := range after.ShardStats {
+			rep.PerShard = append(rep.PerShard, shardLoadReport{
+				Shard:     st.Shard,
+				Ops:       st.Ops - opsBefore[st.Shard],
+				OpsPerSec: float64(st.Ops-opsBefore[st.Shard]) / elapsed.Seconds(),
+				QueueLen:  st.QueueLen,
+			})
 		}
 	}
 
@@ -324,8 +318,8 @@ type shardLoadReport struct {
 }
 
 // loadReport is the -json document ibsimload writes to stdout: one run,
-// machine-readable, stable field names for CI assertions. Shards, PerShard
-// and AuditViolations appear only for sharded / in-process targets.
+// machine-readable, stable field names for CI assertions. AuditViolations
+// appears only for in-process targets.
 type loadReport struct {
 	ElapsedMS       int64               `json:"elapsed_ms"`
 	Workers         int                 `json:"workers"`

@@ -3,27 +3,29 @@
 // serves and cmd/ibsimload drives.
 //
 // The cloud and SM are single-threaded by design (the SM's operations
-// mirror OpenSM's serial master thread), so the server runs every mutation
-// through one command loop — an actor goroutine that owns the *cloud.Cloud
-// exclusively. Handlers enqueue commands onto a bounded admission queue and
-// wait for the loop's reply; a full queue is backpressure, reported as HTTP
-// 429 with a Retry-After header rather than an unbounded goroutine pile-up.
+// mirror OpenSM's serial master thread), so every mutation runs on an actor
+// that owns what it touches: a shard.Coordinator with one actor per zone of
+// the fabric — one zone, the whole fabric, unless Config.Shards asks for
+// more. A lifecycle command waits in its zone's bounded admission queue; a
+// full queue is backpressure, reported as HTTP 429 with a Retry-After header
+// rather than an unbounded goroutine pile-up. Fabric-wide commands
+// (reconfigure, reconcile) and full audits run under the coordinator's
+// freeze.
 //
-// Reads never touch the cloud. After every mutation the loop publishes an
-// immutable Snapshot (it captures the SM's published forwarding tables by
-// pointer, so generations share every table no mutation touched), and the
-// read endpoints — topology, VM listings, path walks — serve from whatever
-// snapshot is current. Telemetry endpoints (/metrics, /v1/trace,
-// /v1/events) read the registry and tracer directly; both are safe for
-// concurrent use.
+// Reads never touch the cloud. Every mutation publishes an immutable
+// Snapshot before its client hears back (it captures the SM's published
+// forwarding tables by pointer, so generations share every table no mutation
+// touched), and the read endpoints — topology, VM listings, path walks —
+// serve from whatever snapshot is current. Telemetry endpoints (/metrics,
+// /v1/trace, /v1/events) read the registry and tracer directly; both are
+// safe for concurrent use.
 //
 // Every mutation response carries a cost report in the paper's terms: n'
 // switches updated, m' SMPs per switch (section VI), host SMPs, and the
 // modelled reconfiguration time, cross-referenced to the telemetry span
 // tree by root span ID so a client can audit the report against /v1/trace.
-// Every finished command — in this mode or the sharded one (sharded.go) —
-// reaches its client through one epilogue (finish): publish, flight record,
-// log, audit what the command says it touched.
+// Every finished command reaches its client through one epilogue (finish):
+// publish, flight record, log, audit what the command says it touched.
 package api
 
 import (
@@ -33,7 +35,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,8 +49,8 @@ import (
 
 // Config parameterises a Server.
 type Config struct {
-	// QueueDepth bounds the admission queue (commands accepted but not yet
-	// executed). 0 means DefaultQueueDepth.
+	// QueueDepth bounds each zone's admission queue (commands accepted but
+	// not yet executed). 0 means DefaultQueueDepth.
 	QueueDepth int
 	// RetryAfter is the hint returned with 429 responses. 0 means one second.
 	RetryAfter time.Duration
@@ -67,12 +68,10 @@ type Config struct {
 	// Logger receives structured request/mutation/audit logs. nil means
 	// discard.
 	Logger *slog.Logger
-	// Shards selects the sharded control plane: 0 or 1 runs the classic
-	// single-actor loop (one shard IS one actor owning the whole fabric —
-	// a 1-zone coordinator would add dispatch overhead without buying any
-	// isolation, so sharding begins at 2), ShardsAuto partitions one shard per pod (or leaf
-	// group on 2-level fabrics), any positive count folds the pods into
-	// that many zones. See internal/shard.
+	// Shards is the number of zones, one actor each (see internal/shard): 0
+	// or 1 is one zone owning the whole fabric, ShardsAuto one zone per pod
+	// (or leaf group on 2-level fabrics), any larger count folds the pods
+	// into that many zones.
 	Shards int
 }
 
@@ -82,29 +81,28 @@ const ShardsAuto = -1
 // DefaultQueueDepth is the admission-queue bound when Config leaves it 0.
 const DefaultQueueDepth = 64
 
-// Server owns a cloud behind a single-writer command loop and exposes it
-// over HTTP. Construct with NewServer; the loop starts immediately. Use
-// Handler for the mux and Shutdown to drain and stop.
+// Server owns a cloud behind the zone actors of a shard.Coordinator and
+// exposes it over HTTP. Construct with NewServer; the actors start
+// immediately. Use Handler for the mux and Shutdown to drain and stop.
 type Server struct {
 	c   *cloud.Cloud
+	co  *shard.Coordinator
 	reg *telemetry.Registry
 	tr  *telemetry.Tracer
 
 	mux        *http.ServeMux
-	cmds       chan *command
 	retryAfter time.Duration
 
-	snap atomic.Pointer[Snapshot]
+	// snap is the snapshot reads serve; compose, its only writer, holds
+	// pubMu.
+	snap  atomic.Pointer[Snapshot]
+	pubMu sync.Mutex
 
 	// opCtx is cancelled when a Shutdown deadline expires, aborting any
 	// in-flight LFT distribution (the context threads down to the sm
 	// worker pool) and terminating event streams.
 	opCtx    context.Context
 	opCancel context.CancelFunc
-
-	mu       sync.RWMutex // guards closed and sends on cmds vs close(cmds)
-	closed   bool
-	loopDone chan struct{}
 
 	// Observability: auditor + flight recorder (tentpole of the health
 	// monitoring layer), structured logger, request-ID allocator.
@@ -114,33 +112,17 @@ type Server struct {
 	reqSeq    atomic.Int64
 	auditStop chan struct{} // nil when no cadence goroutine is running
 	auditDone chan struct{}
-
-	// co is the sharded control plane (nil in single-actor mode). When set,
-	// the loop never starts: mutations run through the coordinator on their
-	// request goroutines, and s.snap caches the lazily composed snapshot.
-	co *shard.Coordinator
-
-	// gen is the single-actor generation counter, loop-owned (never touched
-	// by handlers).
-	gen uint64
+	stopAudit sync.Once
 
 	// fabric and switches describe the topology, which never changes under a
 	// server: its name, and its switches in ascending node order.
 	fabric   string
 	switches []topology.NodeID
-
-	// execGate is a test seam: when non-nil the loop rendezvouses twice
-	// around every command (announce, then wait for release), letting tests
-	// hold the loop mid-drain to fill the admission queue deterministically.
-	// Must be set before the first command is admitted.
-	execGate chan struct{}
 }
 
 // NewServer wraps a freshly bootstrapped cloud. The server takes exclusive
 // ownership: the caller must not call cloud methods directly afterwards.
-// With cfg.Shards > 1 (or ShardsAuto) the control plane is sharded (see
-// internal/shard);
-// an invalid shard setup (e.g. no hypervisors) panics, as it would have
+// An invalid zone setup (e.g. no hypervisors) panics, as it would have
 // failed cloud bootstrap anyway.
 func NewServer(c *cloud.Cloud, cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
@@ -152,15 +134,16 @@ func NewServer(c *cloud.Cloud, cfg Config) *Server {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	if cfg.Shards == 0 {
+		cfg.Shards = 1
+	}
 	hub := c.SM.Telemetry()
 	s := &Server{
 		c:          c,
 		reg:        hub.Registry(),
 		tr:         hub.Tracer(),
 		mux:        http.NewServeMux(),
-		cmds:       make(chan *command, cfg.QueueDepth),
 		retryAfter: cfg.RetryAfter,
-		loopDone:   make(chan struct{}),
 		log:        cfg.Logger,
 		fabric:     c.SM.Topo.String(),
 		switches:   c.SM.Topo.Switches(),
@@ -170,16 +153,16 @@ func NewServer(c *cloud.Cloud, cfg Config) *Server {
 	s.WireTransitionMonitor()
 	s.opCtx, s.opCancel = context.WithCancel(context.Background())
 	s.routes()
-	if cfg.Shards != 0 && cfg.Shards != 1 {
-		if err := s.startSharded(cfg.Shards, cfg.QueueDepth); err != nil {
-			panic(fmt.Sprintf("api: sharded control plane: %v", err))
-		}
-		close(s.loopDone) // no loop in sharded mode
-		s.compose()
-	} else {
-		s.publish(&done{fabric: true})
-		go s.loop()
+	co, err := shard.New(c, cfg.Shards, shard.Config{
+		QueueDepth:    cfg.QueueDepth,
+		AfterMutation: s.shardDone,
+		Published:     s.published,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("api: control plane: %v", err))
 	}
+	s.co = co
+	s.compose()
 	if cfg.AuditInterval > 0 {
 		s.auditStop = make(chan struct{})
 		s.auditDone = make(chan struct{})
@@ -213,8 +196,13 @@ func (s *Server) WireTransitionMonitor() {
 // Handler returns the HTTP handler serving the full API surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Snapshot returns the current fabric snapshot (never nil).
+// Snapshot returns the current fabric snapshot (never nil): the one the last
+// finished command published before its reply.
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
+
+// Coordinator exposes the zone coordinator for tests and embedding drivers
+// (ibsimload's in-process mode, the chaos engine's commit-gate hook).
+func (s *Server) Coordinator() *shard.Coordinator { return s.co }
 
 func (s *Server) routes() {
 	s.handle("GET /healthz", "healthz", s.handleHealthz)
@@ -301,27 +289,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"spans_evicted_total":  st.SpansEvicted,
 		"events_evicted_total": st.EventsEvicted,
 	}
-	if s.co != nil {
-		vms := 0
-		for _, sn := range s.co.Snaps() {
-			vms += sn.NumVMs()
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":     "ok",
-			"generation": s.co.Gen(),
-			"queue":      s.co.QueueLen(),
-			"vms":        vms,
-			"shards":     s.co.Shards(),
-			"trace":      trace,
-		})
-		return
-	}
-	sn := s.snap.Load()
+	sn := s.Snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"generation": sn.Gen,
-		"queue":      len(s.cmds),
+		"queue":      s.co.QueueLen(),
 		"vms":        sn.NumVMs(),
+		"shards":     s.co.Shards(),
 		"trace":      trace,
 	})
 }
@@ -347,8 +321,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// TopologyResponse describes the fabric being served. Shards and
-// ShardStats appear only in sharded mode.
+// TopologyResponse describes the fabric being served, with one ShardStats
+// entry per zone.
 type TopologyResponse struct {
 	Fabric      string          `json:"fabric"`
 	Switches    int             `json:"switches"`
@@ -356,31 +330,28 @@ type TopologyResponse struct {
 	Model       string          `json:"model"`
 	SMNode      topology.NodeID `json:"sm_node"`
 	Generation  uint64          `json:"generation"`
-	Shards      int             `json:"shards,omitempty"`
-	ShardStats  []shard.Stats   `json:"shard_stats,omitempty"`
+	Shards      int             `json:"shards"`
+	ShardStats  []shard.Stats   `json:"shard_stats"`
 	Hypervisors []HypInfo       `json:"hypervisors"`
 }
 
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
-	sn := s.snapshot()
-	resp := TopologyResponse{
+	sn := s.Snapshot()
+	writeJSON(w, http.StatusOK, TopologyResponse{
 		Fabric:      sn.Fabric,
 		Switches:    sn.topo.NumSwitches(),
 		CAs:         sn.topo.NumCAs(),
 		Model:       sn.Model,
 		SMNode:      sn.SMNode,
 		Generation:  sn.Gen,
+		Shards:      s.co.Shards(),
+		ShardStats:  s.co.Stats(),
 		Hypervisors: sn.Hyps(),
-	}
-	if s.co != nil {
-		resp.Shards = s.co.Shards()
-		resp.ShardStats = s.co.Stats()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 func (s *Server) handleListVMs(w http.ResponseWriter, r *http.Request) {
-	sn := s.snapshot()
+	sn := s.Snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"generation": sn.Gen,
 		"vms":        sn.VMs(),
@@ -388,7 +359,7 @@ func (s *Server) handleListVMs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetVM(w http.ResponseWriter, r *http.Request) {
-	sn := s.snapshot()
+	sn := s.Snapshot()
 	name := r.PathValue("name")
 	if vm := sn.vm(name); vm != nil {
 		writeJSON(w, http.StatusOK, vmInfo(sn.topo, vm))
@@ -398,7 +369,7 @@ func (s *Server) handleGetVM(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
-	sn := s.snapshot()
+	sn := s.Snapshot()
 	resp, err := sn.Path(r.PathValue("src"), r.PathValue("dst"))
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "%v", err)
@@ -455,72 +426,21 @@ func (s *Server) handleReconfigure(w http.ResponseWriter, r *http.Request) {
 	s.dispatch(w, r, &command{kind: opReconfigure})
 }
 
-// dispatch hands a command to whichever control plane is running and writes
-// its reply.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, cmd *command) {
-	cmd.reqID = requestID(r)
-	if s.co != nil {
-		s.dispatchSharded(w, cmd)
-		return
-	}
-	s.enqueue(w, cmd)
-}
-
-// enqueue admits a command to the loop (or rejects with backpressure) and
-// relays the loop's reply. The reply channel is buffered so the loop never
-// blocks on a handler, even one whose client has disconnected.
-func (s *Server) enqueue(w http.ResponseWriter, cmd *command) {
-	cmd.reply = make(chan done, 1)
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	admitted := false
-	select {
-	case s.cmds <- cmd:
-		admitted = true
-	default:
-	}
-	s.mu.RUnlock()
-	if !admitted {
-		s.reg.Counter("api.admission_rejects").Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.retryAfter+time.Second-1)/time.Second)))
-		writeErr(w, http.StatusTooManyRequests, "admission queue full (depth %d)", cap(s.cmds))
-		return
-	}
-	s.reg.Gauge("api.queue_depth").Set(int64(len(s.cmds)))
-	rep := <-cmd.reply
-	writeJSON(w, rep.status, rep.body)
-}
-
-// Shutdown stops intake, drains the admission queue, and waits for the
-// loop to exit. If ctx expires first, the in-flight operation's context is
-// cancelled — aborting any LFT distribution mid-flight — and Shutdown
-// still waits for the loop to finish its (now fast-failing) drain.
+// Shutdown stops intake (new mutations get 503), lets admitted commands
+// finish and waits for the zone actors to exit. If ctx expires first, the
+// in-flight operation's context is cancelled — aborting any LFT distribution
+// mid-flight — and Shutdown still waits for the now fast-failing drain, then
+// returns ctx's error. A second call returns nil once the first has drained.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.cmds)
+	s.stopAudit.Do(func() {
 		if s.auditStop != nil {
 			close(s.auditStop)
 		}
-	}
-	s.mu.Unlock()
-	var err error
-	select {
-	case <-s.loopDone:
-	case <-ctx.Done():
-		err = ctx.Err()
+	})
+	err := s.co.Shutdown(ctx)
+	if err != nil {
 		s.opCancel()
-		<-s.loopDone
-	}
-	if s.co != nil {
-		if e := s.co.Shutdown(ctx); e != nil && err == nil {
-			err = e
-		}
+		s.co.Shutdown(context.Background()) //nolint:errcheck // cannot expire
 	}
 	if s.auditDone != nil {
 		<-s.auditDone

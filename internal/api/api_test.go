@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ibvsim/internal/cloud"
+	"ibvsim/internal/ib"
 	"ibvsim/internal/shard"
 	"ibvsim/internal/sriov"
 	"ibvsim/internal/topology"
@@ -187,9 +188,8 @@ func TestLifecycleAndErrors(t *testing.T) {
 
 // TestClassifyErrTyped pins the status of every error class the cloud
 // exports, however deeply it is wrapped, on both paths a failure takes to a
-// client: the reply a command renders (the single-actor loop and the sharded
-// dispatcher share lifecycle) and the flight-recorder entry the shard hook
-// writes. An unclassified error is a 500 on both.
+// client: the reply a command renders (lifecycle) and the flight-recorder
+// entry the shard hook writes. An unclassified error is a 500 on both.
 func TestClassifyErrTyped(t *testing.T) {
 	srv, _ := newShardedServer(t, Config{Shards: 2})
 	for _, tc := range []struct {
@@ -428,189 +428,184 @@ func TestConcurrentMutatorsAndReaders(t *testing.T) {
 	}
 }
 
-// TestBackpressure holds the command loop mid-command via the exec gate,
-// fills the depth-1 admission queue, and asserts the next mutation is
-// rejected with 429 + Retry-After while queued work still completes.
+// serve runs one request through the handler on the calling goroutine.
+func serve(srv *Server, method, path string, body any) *httptest.ResponseRecorder {
+	var rd io.Reader
+	if body != nil {
+		b, _ := json.Marshal(body) //nolint:errcheck // plain structs
+		rd = bytes.NewReader(b)
+	}
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(method, path, rd))
+	return w
+}
+
+// TestBackpressure parks every zone actor under a freeze, fills a zone's
+// depth-1 admission queue, and asserts the next mutation on that zone is
+// rejected with 429 + Retry-After while the queued work still completes —
+// with one zone and with two.
 func TestBackpressure(t *testing.T) {
-	topo, err := topology.BuildRing(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cas := topo.CAs()
-	c, _, err := cloud.New(topo, cas[0], cas[1:], cloud.Config{
-		Model: sriov.VSwitchDynamic, VFsPerHypervisor: 2, RouteWorkers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := make(chan struct{})
-	srv := NewServer(c, Config{QueueDepth: 1, RetryAfter: 3 * time.Second})
-	srv.execGate = gate // before any command is admitted
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Shutdown(context.Background())
-	cl := ts.Client()
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, _ := newTestServer(t, 4, 2, 2, sriov.VSwitchDynamic,
+				Config{Shards: shards, QueueDepth: 1, RetryAfter: 3 * time.Second})
+			co := srv.Coordinator()
+			hyp := co.Part.Zones[0].Hyps[0]
+			held, release := make(chan struct{}), make(chan struct{})
+			thawed := make(chan error, 1)
+			go func() { thawed <- co.Freeze(func() { close(held); <-release }) }()
+			<-held
 
-	type result struct {
-		status int
-		err    error
-	}
-	results := make(chan result, 2)
-	issue := func(name string) {
-		st, err := doJSONE(cl, "POST", ts.URL+"/v1/vms", CreateVMRequest{Name: name}, nil)
-		results <- result{st, err}
-	}
-	go issue("held")
-	<-gate // loop has popped "held" and is parked: queue is empty again
-	go issue("queued")
-	waitFor(t, func() bool { return len(srv.cmds) == 1 }, "queued command to land")
+			queued := make(chan int, 1)
+			go func() {
+				queued <- serve(srv, "POST", "/v1/vms", CreateVMRequest{Name: "queued", Hypervisor: &hyp}).Code
+			}()
+			waitFor(t, func() bool { return co.QueueLen() == 1 }, "queued command to land")
 
-	// Queue full, loop parked: this one must bounce.
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/vms", strings.NewReader(`{"name":"bounced"}`))
-	resp, err := cl.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After = %q, want \"3\"", ra)
-	}
+			// Queue full, actor parked: this one must bounce.
+			w := serve(srv, "POST", "/v1/vms", CreateVMRequest{Name: "bounced", Hypervisor: &hyp})
+			if w.Code != http.StatusTooManyRequests {
+				t.Fatalf("status %d, want 429", w.Code)
+			}
+			if ra := w.Header().Get("Retry-After"); ra != "3" {
+				t.Fatalf("Retry-After = %q, want \"3\"", ra)
+			}
+			if !strings.Contains(w.Body.String(), "admission queue full") {
+				t.Fatalf("429 body %s", w.Body)
+			}
 
-	gate <- struct{}{} // release "held"
-	<-gate             // loop announces "queued"
-	gate <- struct{}{} // release "queued"
-	for i := 0; i < 2; i++ {
-		if r := <-results; r.err != nil || r.status != http.StatusCreated {
-			t.Fatalf("admitted command finished with status %d, err %v", r.status, r.err)
-		}
-	}
-	if v := srv.reg.Counter("api.admission_rejects").Value(); v != 1 {
-		t.Fatalf("api.admission_rejects = %d, want 1", v)
+			close(release)
+			if err := <-thawed; err != nil {
+				t.Fatal(err)
+			}
+			if st := <-queued; st != http.StatusCreated {
+				t.Fatalf("admitted command finished with status %d", st)
+			}
+			if v := srv.reg.Counter("api.admission_rejects").Value(); v != 1 {
+				t.Fatalf("api.admission_rejects = %d, want 1", v)
+			}
+		})
 	}
 }
 
-// TestSnapshotCOW pins the copy-on-write contract: snapshots capture the
-// SM's published tables, so across a migration only the switches it touched
-// hold a different table, published snapshots are immutable, and the
-// generation advances.
+// TestSnapshotCOW pins the copy-on-write contract and its freshness: the
+// snapshot a reply follows already holds the command's write, snapshots
+// capture the SM's published tables, so across a migration only the switches
+// it touched hold a different table, published snapshots are immutable, and
+// the generation advances — with one zone and with two.
 func TestSnapshotCOW(t *testing.T) {
-	srv, ts := newTestServer(t, 8, 2, 2, sriov.VSwitchDynamic, Config{})
-	cl := ts.Client()
-	hyps := srv.Snapshot().Hyps()
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, ts := newTestServer(t, 8, 2, 2, sriov.VSwitchDynamic, Config{Shards: shards})
+			cl := ts.Client()
+			hyps := srv.Snapshot().Hyps()
 
-	home, away := hyps[0].Node, hyps[len(hyps)-1].Node
-	if st := doJSON(t, cl, "POST", ts.URL+"/v1/vms", CreateVMRequest{Name: "cow", Hypervisor: &home}, nil); st != http.StatusCreated {
-		t.Fatalf("create: status %d", st)
-	}
-	before := srv.Snapshot()
+			home, away := hyps[0].Node, hyps[len(hyps)-1].Node
+			if st := doJSON(t, cl, "POST", ts.URL+"/v1/vms", CreateVMRequest{Name: "cow", Hypervisor: &home}, nil); st != http.StatusCreated {
+				t.Fatalf("create: status %d", st)
+			}
+			before := srv.Snapshot()
+			if vm := before.vm("cow"); vm == nil || vm.Hyp != home {
+				t.Fatalf("snapshot after the create's reply: VM %+v, want it on %d", vm, home)
+			}
 
-	var mig MigrateResponse
-	if st := doJSON(t, cl, "POST", ts.URL+"/v1/vms/cow/migrate", MigrateVMRequest{Destination: away}, &mig); st != http.StatusOK {
-		t.Fatalf("migrate: status %d", st)
-	}
-	after := srv.Snapshot()
+			var mig MigrateResponse
+			if st := doJSON(t, cl, "POST", ts.URL+"/v1/vms/cow/migrate", MigrateVMRequest{Destination: away}, &mig); st != http.StatusOK {
+				t.Fatalf("migrate: status %d", st)
+			}
+			after := srv.Snapshot()
 
-	if after.Gen <= before.Gen {
-		t.Fatalf("generation did not advance: %d -> %d", before.Gen, after.Gen)
-	}
-	replaced, shared := 0, 0
-	for sw, lft := range after.lfts {
-		if before.lfts[sw] == lft {
-			shared++
-		} else {
-			replaced++
-		}
-	}
-	if replaced == 0 {
-		t.Fatal("migration replaced no LFTs")
-	}
-	if replaced > mig.Cost.SwitchesUpdated {
-		t.Fatalf("%d LFTs differ, but migration touched only %d switches", replaced, mig.Cost.SwitchesUpdated)
-	}
-	if shared == 0 {
-		t.Fatal("no LFTs were shared across generations (COW not working)")
-	}
-	// The pre-migration snapshot still resolves the old placement.
-	for _, vm := range before.VMs() {
-		if vm.Name == "cow" && vm.Node != home {
-			t.Fatalf("published snapshot mutated: VM on %d, want %d", vm.Node, home)
-		}
+			if after.Gen <= before.Gen {
+				t.Fatalf("generation did not advance: %d -> %d", before.Gen, after.Gen)
+			}
+			replaced, shared := 0, 0
+			for sw, lft := range after.lfts {
+				if before.lfts[sw] == lft {
+					shared++
+				} else {
+					replaced++
+				}
+			}
+			if replaced == 0 {
+				t.Fatal("migration replaced no LFTs")
+			}
+			if replaced > mig.Cost.SwitchesUpdated {
+				t.Fatalf("%d LFTs differ, but migration touched only %d switches", replaced, mig.Cost.SwitchesUpdated)
+			}
+			if shared == 0 {
+				t.Fatal("no LFTs were shared across generations (COW not working)")
+			}
+			// The pre-migration snapshot still resolves the old placement.
+			for _, vm := range before.VMs() {
+				if vm.Name == "cow" && vm.Node != home {
+					t.Fatalf("published snapshot mutated: VM on %d, want %d", vm.Node, home)
+				}
+			}
+		})
 	}
 }
 
-// TestShutdownCancelsInFlight queues a full reconfiguration, then shuts
-// down with an already-expired context: the operation context is cancelled,
-// the queued reconfiguration drains as cancelled (503), and Shutdown
-// returns the context error. A post-shutdown mutation gets 503.
+// TestShutdownCancelsInFlight holds a full reconfiguration mid-flight — in
+// the transition monitor, which runs before the first SMP — and shuts down
+// with an already-expired context: the operation context is cancelled, the
+// held reconfiguration finishes as cancelled (503), and Shutdown returns the
+// context error. A post-shutdown mutation gets 503, and a second Shutdown
+// returns nil. With one zone and with two.
 func TestShutdownCancelsInFlight(t *testing.T) {
-	topo, err := topology.BuildRing(6, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cas := topo.CAs()
-	c, _, err := cloud.New(topo, cas[0], cas[1:], cloud.Config{
-		Model: sriov.VSwitchDynamic, VFsPerHypervisor: 2, RouteWorkers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := make(chan struct{})
-	srv := NewServer(c, Config{})
-	srv.execGate = gate
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	cl := ts.Client()
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, _ := newTestServer(t, 6, 2, 2, sriov.VSwitchDynamic, Config{Shards: shards})
+			monitor := srv.c.SM.OnDistribute
+			inHand, release := make(chan struct{}), make(chan struct{})
+			var hold sync.Once
+			srv.c.SM.OnDistribute = func(old, target map[topology.NodeID]*ib.LFT) {
+				hold.Do(func() { close(inHand); <-release })
+				monitor(old, target)
+			}
 
-	type recon struct {
-		status int
-		body   ReconfigureResponse
-		err    error
-	}
-	got := make(chan recon, 1)
-	go func() {
-		var body ReconfigureResponse
-		st, err := doJSONE(cl, "POST", ts.URL+"/v1/reconfigure", nil, &body)
-		got <- recon{st, body, err}
-	}()
-	<-gate // loop parked with the reconfigure in hand
+			got := make(chan *httptest.ResponseRecorder, 1)
+			go func() { got <- serve(srv, "POST", "/v1/reconfigure", nil) }()
+			<-inHand // the reconfigure holds the freeze, its distribution not begun
 
-	expired, cancel := context.WithCancel(context.Background())
-	cancel()
-	shutdownErr := make(chan error, 1)
-	go func() { shutdownErr <- srv.Shutdown(expired) }()
-	waitFor(t, func() bool {
-		select {
-		case <-srv.opCtx.Done():
-			return true
-		default:
-			return false
-		}
-	}, "operation context to be cancelled")
+			expired, cancel := context.WithCancel(context.Background())
+			cancel()
+			shutdownErr := make(chan error, 1)
+			go func() { shutdownErr <- srv.Shutdown(expired) }()
+			waitFor(t, func() bool {
+				select {
+				case <-srv.opCtx.Done():
+					return true
+				default:
+					return false
+				}
+			}, "operation context to be cancelled")
 
-	gate <- struct{}{} // release: reconfigure runs under the cancelled context
-	r := <-got
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	if r.status != http.StatusServiceUnavailable || !r.body.Cancelled {
-		t.Fatalf("reconfigure under cancelled context: status %d, body %+v", r.status, r.body)
-	}
-	if r.body.SwitchesCancelled == 0 {
-		t.Fatalf("no switches reported cancelled: %+v", r.body)
-	}
-	if err := <-shutdownErr; err != context.Canceled {
-		t.Fatalf("Shutdown returned %v, want context.Canceled", err)
-	}
-	if st := doJSON(t, cl, "POST", ts.URL+"/v1/vms", CreateVMRequest{Name: "late"}, nil); st != http.StatusServiceUnavailable {
-		t.Fatalf("post-shutdown create: status %d, want 503", st)
-	}
-	// Idempotent second shutdown.
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatalf("second Shutdown: %v", err)
+			close(release) // the distribution runs under the cancelled context
+			w := <-got
+			var body ReconfigureResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+				t.Fatal(err)
+			}
+			if w.Code != http.StatusServiceUnavailable || !body.Cancelled {
+				t.Fatalf("reconfigure under cancelled context: status %d, body %+v", w.Code, body)
+			}
+			if body.SwitchesCancelled == 0 {
+				t.Fatalf("no switches reported cancelled: %+v", body)
+			}
+			if err := <-shutdownErr; !errors.Is(err, context.Canceled) {
+				t.Fatalf("Shutdown returned %v, want context.Canceled", err)
+			}
+			if st := serve(srv, "POST", "/v1/vms", CreateVMRequest{Name: "late"}).Code; st != http.StatusServiceUnavailable {
+				t.Fatalf("post-shutdown create: status %d, want 503", st)
+			}
+			if st := serve(srv, "POST", "/v1/reconfigure", nil).Code; st != http.StatusServiceUnavailable {
+				t.Fatalf("post-shutdown reconfigure: status %d, want 503", st)
+			}
+			// Idempotent second shutdown.
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatalf("second Shutdown: %v", err)
+			}
+		})
 	}
 }
 

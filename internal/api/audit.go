@@ -64,22 +64,17 @@ func (s *Server) opScopedView(gen uint64, lids []ib.LID, vms []audit.VMBinding) 
 }
 
 // fullAudit runs one full-scope pass (reachability + hygiene +
-// installed-routing CDG) over a consistent fabric-wide view: whatever
-// snapshot is current in single-actor mode; in sharded mode one only exists
-// with the shards quiesced, so freeze, compose, audit.
+// installed-routing CDG) over a consistent fabric-wide view: with the zones
+// quiesced, composed afresh — which is also what notices a subnet manager
+// swapped in since the last command.
 func (s *Server) fullAudit() {
-	run := func() {
-		rep := s.aud.Run(s.snapshot().AuditView(), audit.ScopeFull)
+	s.co.Freeze(func() { //nolint:errcheck // a freeze fails only at shutdown
+		rep := s.aud.Run(s.compose().AuditView(), audit.ScopeFull)
 		if rep.Total > 0 {
 			s.log.Warn("full audit violations",
 				"generation", rep.Gen, "violations", rep.Total, "by_kind", rep.ByKind)
 		}
-	}
-	if s.co != nil {
-		s.co.Freeze(run) //nolint:errcheck // freeze fails only at shutdown
-		return
-	}
-	run()
+	})
 }
 
 // auditLoop is the cadence goroutine: one fullAudit every interval, until
@@ -100,8 +95,7 @@ func (s *Server) auditLoop(interval time.Duration) {
 
 // handleAudit answers GET /v1/audit: cumulative audit counters plus the
 // most recent report. ?run=full first runs a synchronous full-scope audit
-// against the current snapshot — safe from any goroutine, and what the CI
-// smoke test calls after its load run.
+// (fullAudit) — what the CI smoke test calls after its load run.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("run") == "full" {
 		s.fullAudit()

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -25,21 +26,15 @@ import (
 func scratchSnapshot(s *Server, gen uint64) *Snapshot {
 	c := s.c
 	var parts []*shard.Snap
-	if s.co == nil {
-		hyps := c.Hypervisors()
-		p, _ := shard.Empty(0, hyps).Next(c, c.VM, gen, c.VMs(), hyps)
-		parts = append(parts, p)
-	} else {
-		for _, z := range s.co.Part.Zones {
-			ours := func(name string) *cloud.VM {
-				if vm := c.VM(name); vm != nil && s.co.Part.ZoneOfHyp(vm.Hyp) == z.ID {
-					return vm
-				}
-				return nil
+	for _, z := range s.co.Part.Zones {
+		ours := func(name string) *cloud.VM {
+			if vm := c.VM(name); vm != nil && s.co.Part.ZoneOfHyp(vm.Hyp) == z.ID {
+				return vm
 			}
-			p, _ := shard.Empty(z.ID, z.Hyps).Next(c, ours, gen, c.VMs(), z.Hyps)
-			parts = append(parts, p)
+			return nil
 		}
+		p, _ := shard.Empty(z.ID, z.Hyps).Next(c, ours, gen, c.VMs(), z.Hyps)
+		parts = append(parts, p)
 	}
 	return s.next(nil, gen, parts)
 }
@@ -114,13 +109,13 @@ func diffSnapshots(got, want *Snapshot) string {
 // scenario.Harness.Handover does it (no publish in between: the delta must
 // notice the manager changed under it) — the snapshot served after every
 // reply equals the one built from nothing with everything touched. All three
-// SR-IOV models, through Shards 0, 2 and 4.
+// SR-IOV models, through Shards 0, 1, 2, 4 and 8.
 func TestSnapshotDeltaEqualsScratch(t *testing.T) {
 	if testing.Short() {
-		t.Skip("nine 324-node fabrics, 1100 commands each")
+		t.Skip("fifteen 324-node fabrics, 1100 commands each")
 	}
 	for _, model := range []sriov.Model{sriov.SharedPort, sriov.VSwitchPrepopulated, sriov.VSwitchDynamic} {
-		for _, shards := range []int{0, 2, 4} {
+		for _, shards := range []int{0, 1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/shards=%d", model, shards), func(t *testing.T) {
 				runDeltaPin(t, model, shards)
 			})
@@ -136,20 +131,15 @@ func runDeltaPin(t *testing.T, model sriov.Model, shards int) {
 	rng := rand.New(rand.NewSource(21))
 	steps, statuses := 0, map[int]int{}
 
-	// The oracle reads the cloud, so the shard actors must be parked: a
-	// refused cross-zone migration hands its destination VF back on the
-	// actor after the reply.
+	// The oracle reads the cloud, so the zone actors must be parked. The
+	// served snapshot is the one the reply followed: nothing composes it
+	// again on the way.
 	check := func(what string) {
 		t.Helper()
 		steps++
+		got := srv.Snapshot()
 		var d string
-		compare := func() {
-			got := srv.snapshot()
-			d = diffSnapshots(got, scratchSnapshot(srv, got.Gen))
-		}
-		if srv.co == nil {
-			compare()
-		} else if err := srv.co.Freeze(compare); err != nil {
+		if err := srv.co.Freeze(func() { d = diffSnapshots(got, scratchSnapshot(srv, got.Gen)) }); err != nil {
 			t.Fatal(err)
 		}
 		if d != "" {
@@ -301,13 +291,14 @@ func runDeltaPin(t *testing.T, model sriov.Model, shards int) {
 }
 
 // TestPublishCostsWhatTheCommandTouched is the deterministic gate on the
-// persistent snapshot, on the benchmark's 1728-host fabric: publishing one
-// migration reads exactly the VM's row and the two hypervisors' rows, rebuilds
-// nothing, and allocates a bounded number of bytes that is nearly independent
-// of the resident fleet (the parent rebuilt ~1.1 MB of rows and maps per
-// publish); on /metrics the counters and the publish-stage histogram exist.
-// In sharded mode the read after a zone-local migration puts one new part
-// under the root and keeps the other three by pointer.
+// persistent snapshot, on the benchmark's 1728-host fabric under one zone:
+// publishing one migration reads exactly the VM's row and the two
+// hypervisors' rows, rebuilds nothing, and — the zone's derivation plus the
+// composition of the fabric snapshot — allocates a bounded number of bytes
+// that is nearly independent of the resident fleet (rebuilding allocated
+// ~1.1 MB of rows and maps per publish); on /metrics the counters and the
+// publish-stage histogram exist. Under four zones a zone-local migration
+// puts one new part under the root and keeps the other three by pointer.
 func TestPublishCostsWhatTheCommandTouched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots the 1728-host benchmark fabric")
@@ -319,23 +310,28 @@ func TestPublishCostsWhatTheCommandTouched(t *testing.T) {
 	patched, rebuilds := srv.reg.Counter("api.snapshot.rows_patched"), srv.reg.Counter("api.snapshot.full_rebuilds")
 
 	// publishBytes migrates vm0000 (created on the first hypervisor) to the
-	// last one and back, directly on the cloud (the
-	// loop is idle: the last reply has been read) and measures what publish
-	// itself allocates for it; the least of several is free of noise from
-	// the runtime's own goroutines.
+	// last one and back, directly on the cloud under a freeze, and measures
+	// what publish itself allocates for it; the least of several is free of
+	// noise from the runtime's own goroutines.
 	publishBytes := func() uint64 {
 		least := ^uint64(0)
 		for i := 0; i < 8; i++ {
-			from := srv.c.VM("vm0000").Hyp
-			to := hyps[(1-i%2)*(len(hyps)-1)] // far apart: two chunks of rows
-			if _, err := srv.c.MigrateVM("vm0000", to); err != nil {
+			var before, after runtime.MemStats
+			var err error
+			ferr := srv.co.Freeze(func() {
+				from := srv.c.VM("vm0000").Hyp
+				to := hyps[(1-i%2)*(len(hyps)-1)] // far apart: two chunks of rows
+				if _, err = srv.c.MigrateVM("vm0000", to); err != nil {
+					return
+				}
+				d := &done{rowVMs: []string{"vm0000"}, rowHyps: []topology.NodeID{to, from}}
+				runtime.ReadMemStats(&before)
+				srv.publish(d)
+				runtime.ReadMemStats(&after)
+			})
+			if err = errors.Join(ferr, err); err != nil {
 				t.Fatal(err)
 			}
-			d := &done{rowVMs: []string{"vm0000"}, rowHyps: []topology.NodeID{to, from}}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			srv.publish(d)
-			runtime.ReadMemStats(&after)
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
 		return least
@@ -379,14 +375,56 @@ func TestPublishCostsWhatTheCommandTouched(t *testing.T) {
 	if st := doJSON(t, sts.Client(), "POST", sts.URL+"/v1/vms", CreateVMRequest{Name: "local", Hypervisor: ptr(zone[0])}, nil); st != 201 {
 		t.Fatalf("sharded create: status %d", st)
 	}
-	before := sharded.snapshot()
+	before := sharded.Snapshot()
 	if st := doJSON(t, sts.Client(), "POST", sts.URL+"/v1/vms/local/migrate", MigrateVMRequest{Destination: zone[1]}, nil); st != 200 {
 		t.Fatalf("sharded migrate: status %d", st)
 	}
-	after := sharded.snapshot()
+	after := sharded.Snapshot()
 	for i := range after.parts {
 		if same := after.parts[i] == before.parts[i]; same != (i != 1) {
 			t.Errorf("part %d reused by pointer: %v, want only zone 1's rebuilt", i, same)
 		}
+	}
+}
+
+// TestReconcileWaveCostsItsRows: a reconcile wave publishes the rows it
+// moved, not the fabric. Over an applied defrag of a fleet scattered across
+// zone 0, the waves — k moves in all — read at most 3k rows (each move's VM
+// and its two hypervisors) and rebuild nothing; only the reconcile's close
+// reads every row, rebuilding each zone once. Under one zone and several.
+func TestReconcileWaveCostsItsRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots three 324-node fabrics")
+	}
+	for _, shards := range []int{0, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, ts := newShardedServer(t, Config{Shards: shards})
+			cl := ts.Client()
+			zone := srv.Coordinator().Part.Zones[0].Hyps
+			for i := 0; i < 24; i++ { // one VM on every other hypervisor
+				req := CreateVMRequest{Name: fmt.Sprintf("vm%02d", i), Hypervisor: ptr(zone[2*i])}
+				if st := doJSON(t, cl, "POST", ts.URL+"/v1/vms", req, nil); st != 201 {
+					t.Fatalf("create %s: status %d", req.Name, st)
+				}
+			}
+			patched, rebuilds := srv.reg.Counter("api.snapshot.rows_patched"), srv.reg.Counter("api.snapshot.full_rebuilds")
+			rows0, full0 := patched.Value(), rebuilds.Value()
+			var rec ReconcileResponse
+			if st := doJSON(t, cl, "POST", ts.URL+"/v1/reconcile?goal=defrag", nil, &rec); st != 200 || rec.Aborted {
+				t.Fatalf("defrag: status %d, %+v", st, rec)
+			}
+			k := len(rec.Moves)
+			if k == 0 {
+				t.Fatal("a scattered fleet planned no moves")
+			}
+			closeRows := int64(srv.Snapshot().NumVMs() + len(srv.c.Hypervisors()))
+			rows := patched.Value() - rows0 - closeRows
+			full := rebuilds.Value() - full0 - int64(srv.Coordinator().Shards())
+			t.Logf("%d moves in %d waves read %d rows", k, rec.Waves, rows)
+			if rows > int64(3*k) || full != 0 {
+				t.Errorf("%d waves of %d moves read %d rows and rebuilt %d zones, want <= %d rows and none",
+					rec.Waves, k, rows, full, 3*k)
+			}
+		})
 	}
 }

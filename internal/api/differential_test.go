@@ -84,6 +84,7 @@ func lftDigest(srv *Server) string {
 // pinRun is everything one control plane answered and ended up with.
 type pinRun struct {
 	Replies    []string // "<status> <scrubbed body>" per step
+	Raw        []string // "<status> <body>" per step, nothing scrubbed
 	Placement  any
 	LFTs       string
 	Flight     []string // "<op> <name> <status>" per recorded mutation
@@ -91,50 +92,56 @@ type pinRun struct {
 	Dumps      int
 }
 
-// TestControlPlanesAgree is the differential pin between the two control
-// planes: one serial command sequence — pinned creates, local and cross-zone
-// migrations, destroys, a reconfigure, a dry-run and an applied defrag, and
-// every failure class (duplicate, unknown VM, same node, non-hypervisor,
-// full destination local and cross-zone, migrations the transport abandons
-// half-way) — under both vSwitch models with the invalidation pre-pass on,
-// through Shards 0, 2 and 4. Statuses, error texts, cost reports field by
-// field, final placement, LFT digest, the flight recorder's op/status
-// sequence and the audit's violation count must be identical; the error
-// texts and statuses are additionally pinned to their literal values, so a
-// retyped message cannot drift in all modes at once.
+// TestControlPlanesAgree is the differential pin between zone counts: one
+// serial command sequence — pinned creates, local and cross-zone migrations,
+// destroys, a reconfigure, a dry-run and an applied defrag, and every failure
+// class (duplicate, unknown VM, same node, non-hypervisor, full destination
+// local and cross-zone, migrations the transport abandons half-way) — under
+// both vSwitch models with the invalidation pre-pass on, through Shards 0, 1,
+// 2, 4 and 8. Statuses, error texts, cost reports field by field, final
+// placement, LFT digest, the flight recorder's op/status sequence and the
+// audit's violation count must be identical; the error texts and statuses are
+// additionally pinned to their literal values, so a retyped message cannot
+// drift in all modes at once. Shards 0 and 1 are the same one zone: their
+// replies agree with nothing scrubbed, span IDs and generations included.
 func TestControlPlanesAgree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("boots six 324-node fabrics")
+		t.Skip("boots ten 324-node fabrics")
 	}
 	for _, model := range []sriov.Model{sriov.VSwitchPrepopulated, sriov.VSwitchDynamic} {
 		t.Run(model.String(), func(t *testing.T) {
 			var ref pinRun
-			for _, shards := range []int{0, 2, 4} {
+			for _, shards := range []int{0, 1, 2, 4, 8} {
 				got := runPinSequence(t, model, shards)
 				if shards == 0 {
 					ref = got
 					continue
 				}
+				for i := range ref.Raw {
+					if shards == 1 && got.Raw[i] != ref.Raw[i] {
+						t.Errorf("shards=1 step %d, unscrubbed:\n  shards=0: %s\n  shards=1: %s", i, ref.Raw[i], got.Raw[i])
+					}
+				}
 				for i := range ref.Replies {
 					if got.Replies[i] != ref.Replies[i] {
-						t.Errorf("shards=%d step %d:\n  classic: %s\n  sharded: %s", shards, i, ref.Replies[i], got.Replies[i])
+						t.Errorf("shards=%d step %d:\n  shards=0: %s\n  shards=%d: %s", shards, i, ref.Replies[i], shards, got.Replies[i])
 					}
 				}
 				if !reflect.DeepEqual(got.Flight, ref.Flight) {
-					t.Errorf("shards=%d flight recorder:\n  classic: %q\n  sharded: %q", shards, ref.Flight, got.Flight)
+					t.Errorf("shards=%d flight recorder:\n  shards=0: %q\n  shards=%d: %q", shards, ref.Flight, shards, got.Flight)
 				}
 				if !reflect.DeepEqual(got.Placement, ref.Placement) {
-					t.Errorf("shards=%d final placement:\n  classic: %v\n  sharded: %v", shards, ref.Placement, got.Placement)
+					t.Errorf("shards=%d final placement:\n  shards=0: %v\n  shards=%d: %v", shards, ref.Placement, shards, got.Placement)
 				}
 				if got.LFTs != ref.LFTs {
-					t.Errorf("shards=%d LFT digest %s, classic %s", shards, got.LFTs, ref.LFTs)
+					t.Errorf("shards=%d LFT digest %s, shards=0 %s", shards, got.LFTs, ref.LFTs)
 				}
 				if got.Violations != ref.Violations || got.Dumps != ref.Dumps {
-					t.Errorf("shards=%d audit: %d violations, %d dumps; classic %d, %d",
+					t.Errorf("shards=%d audit: %d violations, %d dumps; shards=0 %d, %d",
 						shards, got.Violations, got.Dumps, ref.Violations, ref.Dumps)
 				}
 			}
-			t.Logf("flight recorder, all three modes: %q", ref.Flight)
+			t.Logf("flight recorder, every zone count: %q", ref.Flight)
 			// Two migrations were abandoned mid-plan and nothing repaired
 			// the columns they stranded: every mode must have caught both.
 			if ref.Violations == 0 || ref.Dumps < 2 {
@@ -173,6 +180,7 @@ func runPinSequence(t *testing.T, model sriov.Model, shards int) pinRun {
 		}
 		b, _ := json.Marshal(scrub(scrubbed))
 		run.Replies = append(run.Replies, fmt.Sprintf("%d %s", st, b))
+		run.Raw = append(run.Raw, fmt.Sprintf("%d %s", st, raw))
 		return out
 	}
 	create := func(name string, on topology.NodeID, st int, wantErr string) {
@@ -256,6 +264,7 @@ func runPinSequence(t *testing.T, model sriov.Model, shards int) pinRun {
 
 	var listing map[string]any
 	doJSON(t, cl, "GET", ts.URL+"/v1/vms", nil, &listing)
+	run.Raw = append(run.Raw, fmt.Sprint(listing))
 	run.Placement = scrub(listing)
 	run.LFTs = lftDigest(srv)
 	var fr flightBody

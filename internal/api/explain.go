@@ -125,7 +125,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "unknown explain format %q (want trace)", format)
 		return
 	}
-	sn := s.snapshot()
+	sn := s.Snapshot()
 	resp, err := sn.Explain(src, dst)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "%v", err)

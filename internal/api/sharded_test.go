@@ -52,9 +52,9 @@ func newShardedServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-// TestShardedEndpoints exercises the full endpoint surface in sharded mode:
-// every response shape matches single-actor mode, the topology reports
-// per-shard stats and zones, and cross-shard migration keeps the audit clean.
+// TestShardedEndpoints exercises the full endpoint surface under two zones:
+// every response shape matches one zone's, the topology reports per-shard
+// stats and zones, and cross-shard migration keeps the audit clean.
 func TestShardedEndpoints(t *testing.T) {
 	_, ts := newShardedServer(t, Config{Shards: 2})
 	client := ts.Client()
@@ -376,8 +376,8 @@ func TestShardedReadAfterWriteNeverStale(t *testing.T) {
 
 // TestShardedReadsSeeWholeZonesDuringResync: a freeze parks mutations, not
 // reads, so a GET served while a frozen command republishes every zone must
-// compose whole zones — the one from before or the one from after, never a
-// zone caught between the two. Readers list the fleet through a run of
+// see whole zones — the one from before or the one from after, never a zone
+// caught between the two. Readers list the fleet through a run of
 // reconfigures and miss no VM and no attached VF.
 func TestShardedReadsSeeWholeZonesDuringResync(t *testing.T) {
 	if testing.Short() {
@@ -427,7 +427,7 @@ func TestShardedReadsSeeWholeZonesDuringResync(t *testing.T) {
 				return
 			default:
 			}
-			sn := srv.snapshot()
+			sn := srv.Snapshot()
 			attached := 0
 			for _, h := range sn.Hyps() {
 				attached += h.Attached
@@ -447,5 +447,202 @@ func TestShardedReadsSeeWholeZonesDuringResync(t *testing.T) {
 	close(stop)
 	if reads := <-done + <-done; reads < 100 {
 		t.Fatalf("only %d reads ran beside the reconfigures", reads)
+	}
+}
+
+// TestRefusedCommandTakesNoGeneration: a command refused before it changed
+// anything — a duplicate create, a migrate or destroy of an unknown VM, a
+// create on a full hypervisor — leaves /healthz's generation where it was,
+// and the next command takes the one after it, under one zone and under two.
+func TestRefusedCommandTakesNoGeneration(t *testing.T) {
+	for _, shards := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, _ := newTestServer(t, 6, 2, 2, sriov.VSwitchDynamic, Config{Shards: shards})
+			hyp := srv.Coordinator().Part.Zones[0].Hyps[0]
+			for _, name := range []string{"a", "b"} { // hyp is full afterwards
+				if st := serve(srv, "POST", "/v1/vms", CreateVMRequest{Name: name, Hypervisor: &hyp}).Code; st != http.StatusCreated {
+					t.Fatalf("create %s: status %d", name, st)
+				}
+			}
+			gen := func() uint64 {
+				var h struct {
+					Generation uint64 `json:"generation"`
+				}
+				if err := json.Unmarshal(serve(srv, "GET", "/healthz", nil).Body.Bytes(), &h); err != nil {
+					t.Fatal(err)
+				}
+				return h.Generation
+			}
+			before := gen()
+			for _, tc := range []struct {
+				what, method, path string
+				body               any
+				want               int
+			}{
+				{"duplicate create", "POST", "/v1/vms", CreateVMRequest{Name: "a"}, http.StatusConflict},
+				{"unknown migrate", "POST", "/v1/vms/ghost/migrate", MigrateVMRequest{Destination: hyp}, http.StatusNotFound},
+				{"unknown destroy", "DELETE", "/v1/vms/ghost", nil, http.StatusNotFound},
+				{"create on a full hypervisor", "POST", "/v1/vms", CreateVMRequest{Name: "c", Hypervisor: &hyp}, http.StatusConflict},
+			} {
+				if st := serve(srv, tc.method, tc.path, tc.body).Code; st != tc.want {
+					t.Fatalf("%s: status %d, want %d", tc.what, st, tc.want)
+				}
+				if g := gen(); g != before {
+					t.Errorf("%s moved the generation %d -> %d", tc.what, before, g)
+				}
+			}
+			// Nor did any of them burn a number behind the scenes.
+			other := srv.Coordinator().Part.Zones[0].Hyps[1]
+			if st := serve(srv, "POST", "/v1/vms", CreateVMRequest{Name: "c", Hypervisor: &other}).Code; st != http.StatusCreated {
+				t.Fatalf("create c: status %d", st)
+			}
+			if g := gen(); g != before+1 {
+				t.Errorf("the next create published generation %d, want %d", g, before+1)
+			}
+		})
+	}
+}
+
+// TestUnpinnedCreateFollowsTheScheduler: an unpinned create lands where the
+// cloud's configured scheduler puts it among the hypervisors of the zone the
+// coordinator picked — one zone being the whole fabric — for every policy,
+// until the fleet is full.
+func TestUnpinnedCreateFollowsTheScheduler(t *testing.T) {
+	for _, sched := range []cloud.Scheduler{cloud.FirstFit{}, cloud.Spread{}, cloud.Pack{}} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%T/shards=%d", sched, shards), func(t *testing.T) {
+				topo, err := topology.BuildRing(4, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cas := topo.CAs()
+				c, _, err := cloud.New(topo, cas[0], cas[1:], cloud.Config{
+					Model: sriov.VSwitchDynamic, VFsPerHypervisor: 2, Scheduler: sched, RouteWorkers: 1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := NewServer(c, Config{Shards: shards})
+				t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
+				part := srv.Coordinator().Part
+				if len(part.Zones) != shards {
+					t.Fatalf("%d zones, want %d", len(part.Zones), shards)
+				}
+				for i := 0; ; i++ {
+					// The policy's pick in each zone, read while every actor is idle.
+					want := map[int]topology.NodeID{}
+					for _, z := range part.Zones {
+						if h, err := sched.Place(c, z.Hyps); err == nil {
+							want[z.ID] = h
+						}
+					}
+					w := serve(srv, "POST", "/v1/vms", CreateVMRequest{Name: fmt.Sprintf("vm%02d", i)})
+					if len(want) == 0 {
+						if w.Code != http.StatusConflict {
+							t.Fatalf("create into a full fleet: status %d, want 409", w.Code)
+						}
+						return
+					}
+					var vm VMResponse
+					if err := json.Unmarshal(w.Body.Bytes(), &vm); err != nil || w.Code != http.StatusCreated {
+						t.Fatalf("create %d: status %d (%v): %s", i, w.Code, err, w.Body)
+					}
+					if z := part.ZoneOfHyp(vm.Node); vm.Node != want[z] {
+						t.Fatalf("create %d landed on %d, want %d in zone %d", i, vm.Node, want[z], z)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestOneZoneServesAsAZone pins what a client sees now that Shards 0 is a
+// one-zone coordinator: provenance and the migration's smp spans name zone 0,
+// not ib.ShardNone; /healthz and /v1/topology report one shard and its stats;
+// a second operation on a VM with one in flight is refused 409 busy instead
+// of queueing behind it; and a reconfigure does not pass the admission
+// queue, so a full queue does not refuse it.
+func TestOneZoneServesAsAZone(t *testing.T) {
+	srv, _ := newTestServer(t, 6, 2, 2, sriov.VSwitchDynamic, Config{QueueDepth: 1})
+	hyps := srv.c.Hypervisors()
+	for _, req := range []CreateVMRequest{{Name: "peer", Hypervisor: &hyps[0]}, {Name: "moved", Hypervisor: &hyps[2]}} {
+		if st := serve(srv, "POST", "/v1/vms", req).Code; st != http.StatusCreated {
+			t.Fatalf("create %s: status %d", req.Name, st)
+		}
+	}
+	if st := serve(srv, "POST", "/v1/vms/moved/migrate", MigrateVMRequest{Destination: hyps[4]}).Code; st != http.StatusOK {
+		t.Fatalf("migrate: status %d", st)
+	}
+
+	var ex ExplainResponse
+	if err := json.Unmarshal(serve(srv, "GET", "/v1/explain?src=peer&dst=moved", nil).Body.Bytes(), &ex); err != nil {
+		t.Fatal(err)
+	}
+	migrated := 0
+	for _, h := range ex.Hops {
+		if p := h.Provenance; p != nil && p.Engine == "migrate" {
+			migrated++
+			if p.Shard != 0 {
+				t.Errorf("hop at switch %d: provenance shard %d, want zone 0", h.Switch, p.Shard)
+			}
+		}
+	}
+	if migrated == 0 {
+		t.Fatalf("no hop attributed to the migration: %+v", ex.Hops)
+	}
+	var dump struct {
+		Spans []traceSpan `json:"spans"`
+	}
+	if err := json.Unmarshal(serve(srv, "GET", "/v1/trace", nil).Body.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	smps := 0
+	for _, sp := range dump.Spans {
+		if sp.Kind == "smp" && sp.Attrs["shard"] != nil {
+			smps++
+			if sp.Attrs["shard"] != float64(0) {
+				t.Fatalf("smp span %d: shard %v, want zone 0", sp.ID, sp.Attrs["shard"])
+			}
+		}
+	}
+	if smps == 0 {
+		t.Fatal("no smp span carries a shard")
+	}
+
+	var health map[string]any
+	if err := json.Unmarshal(serve(srv, "GET", "/healthz", nil).Body.Bytes(), &health); err != nil || health["shards"] != float64(1) {
+		t.Fatalf("healthz shards = %v (%v), want 1", health["shards"], err)
+	}
+	var topo TopologyResponse
+	if err := json.Unmarshal(serve(srv, "GET", "/v1/topology", nil).Body.Bytes(), &topo); err != nil || topo.Shards != 1 || len(topo.ShardStats) != 1 {
+		t.Fatalf("topology shards = %d, stats = %d (%v), want 1/1", topo.Shards, len(topo.ShardStats), err)
+	}
+
+	co := srv.Coordinator()
+	held, release := make(chan struct{}), make(chan struct{})
+	thawed := make(chan error, 1)
+	go func() { thawed <- co.Freeze(func() { close(held); <-release }) }()
+	<-held
+	queued := make(chan int, 1)
+	go func() {
+		queued <- serve(srv, "POST", "/v1/vms/moved/migrate", MigrateVMRequest{Destination: hyps[2]}).Code
+	}()
+	waitFor(t, func() bool { return co.QueueLen() == 1 }, "the migration to queue")
+	w := serve(srv, "DELETE", "/v1/vms/moved", nil)
+	if w.Code != http.StatusConflict || !strings.Contains(w.Body.String(), "is busy") {
+		t.Fatalf("destroy of a VM with a migration queued: status %d %s, want 409 busy", w.Code, w.Body)
+	}
+	// The zone's queue is full; a reconfigure waits for the freeze instead.
+	reconfigured := make(chan int, 1)
+	go func() { reconfigured <- serve(srv, "POST", "/v1/reconfigure", nil).Code }()
+	close(release)
+	if err := <-thawed; err != nil {
+		t.Fatal(err)
+	}
+	if st := <-queued; st != http.StatusOK {
+		t.Fatalf("queued migration: status %d", st)
+	}
+	if st := <-reconfigured; st != http.StatusOK {
+		t.Fatalf("reconfigure beside a full queue: status %d, want 200", st)
 	}
 }

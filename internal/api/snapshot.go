@@ -24,8 +24,8 @@ type VMInfo struct {
 	GID     string          `json:"gid,omitempty"`
 }
 
-// HypInfo is one hypervisor in a snapshot. Zone is the owning shard's zone
-// in sharded mode (always 0 — and omitted — in single-actor mode).
+// HypInfo is one hypervisor in a snapshot. Zone is the zone whose actor owns
+// it (0, and omitted, when one zone is the whole fabric).
 type HypInfo struct {
 	Node     topology.NodeID `json:"node"`
 	Desc     string          `json:"desc"`
@@ -54,9 +54,8 @@ type Snapshot struct {
 	// mgr is the subnet manager the fabric state was read from: a handover
 	// swaps it under the server between two commands.
 	mgr *sm.SubnetManager
-	// parts are the rows, one zone each, in shard order: the shards' current
-	// snapshots in sharded mode (their identity is also compose's cache key),
-	// the server's own single part in single-actor mode.
+	// parts are the rows, one zone each, in shard order: the zones' snapshots
+	// as their actors published them (their identity is compose's cache key).
 	parts []*shard.Snap
 	lidOf []ib.LID         // base LID by node ID (0: none); the SM's slice
 	addrs *sm.AddressTable // LID -> node, base and VF LIDs alike
@@ -66,8 +65,7 @@ type Snapshot struct {
 // next is the one Snapshot constructor: the snapshot at gen over the given
 // parts, derived from prev (nil: from nothing). Fabric-level state is read
 // from the SM in O(1) — its address table and base-LID slice are immutable
-// values — except the tables, one pointer per switch. In sharded mode any
-// request goroutine may call it; in single-actor mode only the loop.
+// values — except the tables, one pointer per switch. Only compose calls it.
 func (s *Server) next(prev *Snapshot, gen uint64, parts []*shard.Snap) *Snapshot {
 	mgr, topo := s.c.SM, s.c.SM.Topo
 	sn := &Snapshot{

@@ -86,9 +86,8 @@ type Cloud struct {
 	nextGUID uint64                    // atomically bumped: shard actors create VMs concurrently
 
 	// mu guards the vms registry map. VM *contents* are owned by whoever
-	// owns the VM's zone (in sharded mode: its shard actor, or, mid
-	// cross-shard migration, the coordinator holding the VM busy); the
-	// single-actor control plane owns everything.
+	// owns the VM's zone (under a control plane: its shard actor, or, mid
+	// cross-shard migration, the coordinator holding the VM busy).
 	mu  sync.RWMutex
 	vms map[string]*VM
 }
@@ -242,13 +241,15 @@ func (c *Cloud) VMCountOn(n topology.NodeID) int {
 	return len(h.HCA.AttachedVFs())
 }
 
-// Place asks the configured scheduler for the hypervisor to host the next
-// VM.
-func (c *Cloud) Place() (topology.NodeID, error) { return c.sched.Place(c) }
+// Place asks the configured scheduler which of hyps (ascending) is to host
+// the next VM: a control-plane zone's hypervisors, or every one.
+func (c *Cloud) Place(hyps []topology.NodeID) (topology.NodeID, error) {
+	return c.sched.Place(c, hyps)
+}
 
 // CreateVM schedules a VM through the configured scheduler.
 func (c *Cloud) CreateVM(name string) (*VM, error) {
-	hyp, err := c.Place()
+	hyp, err := c.Place(c.hypOrder)
 	if err != nil {
 		return nil, err
 	}

@@ -11,16 +11,16 @@ import (
 
 // Scheduler picks a hypervisor for a new VM.
 type Scheduler interface {
-	// Place returns the hypervisor to host the next VM.
-	Place(c *Cloud) (topology.NodeID, error)
+	// Place returns the hypervisor, of hyps (ascending), to host the next VM.
+	Place(c *Cloud, hyps []topology.NodeID) (topology.NodeID, error)
 }
 
 // FirstFit picks the lowest-numbered hypervisor with a free VF.
 type FirstFit struct{}
 
 // Place implements Scheduler.
-func (FirstFit) Place(c *Cloud) (topology.NodeID, error) {
-	for _, hn := range c.hypOrder {
+func (FirstFit) Place(c *Cloud, hyps []topology.NodeID) (topology.NodeID, error) {
+	for _, hn := range hyps {
 		if c.hyps[hn].HCA.FreeVF() >= 0 {
 			return hn, nil
 		}
@@ -33,10 +33,10 @@ func (FirstFit) Place(c *Cloud) (topology.NodeID, error) {
 type Spread struct{}
 
 // Place implements Scheduler.
-func (Spread) Place(c *Cloud) (topology.NodeID, error) {
+func (Spread) Place(c *Cloud, hyps []topology.NodeID) (topology.NodeID, error) {
 	best := topology.NoNode
 	bestCount := int(^uint(0) >> 1)
-	for _, hn := range c.hypOrder {
+	for _, hn := range hyps {
 		h := c.hyps[hn]
 		if h.HCA.FreeVF() < 0 {
 			continue
@@ -56,10 +56,10 @@ func (Spread) Place(c *Cloud) (topology.NodeID, error) {
 type Pack struct{}
 
 // Place implements Scheduler.
-func (Pack) Place(c *Cloud) (topology.NodeID, error) {
+func (Pack) Place(c *Cloud, hyps []topology.NodeID) (topology.NodeID, error) {
 	best := topology.NoNode
 	bestCount := -1
-	for _, hn := range c.hypOrder {
+	for _, hn := range hyps {
 		h := c.hyps[hn]
 		if h.HCA.FreeVF() < 0 {
 			continue

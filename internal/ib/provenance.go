@@ -31,9 +31,9 @@ type Provenance struct {
 	// commits stamp "reserve", "stage" and "commit" separately, and plan
 	// application stamps its invalidation pre-pass as "invalidate".
 	Phase string `json:"phase,omitempty"`
-	// Shard is the zone of the actor that performed the write (-1 for the
-	// single-actor loop or coordinator-owned writes; the coordinator itself
-	// stamps ShardCoordinator).
+	// Shard is the zone of the actor that performed the write (ShardNone for
+	// a write made outside any zone; the coordinator itself stamps
+	// ShardCoordinator).
 	Shard int `json:"shard"`
 	// Gen is the control-plane generation the write was published under.
 	Gen uint64 `json:"generation,omitempty"`
@@ -44,7 +44,8 @@ type Provenance struct {
 // fabric-wide operations) rather than by a zone actor.
 const ShardCoordinator = -2
 
-// ShardNone is the Provenance.Shard value for single-actor-mode writes.
+// ShardNone is the Provenance.Shard value for writes made outside any zone:
+// routing, and a cloud driven without a control plane.
 const ShardNone = -1
 
 // WithPhase returns a copy of p stamped with the given phase. The receiver
@@ -64,8 +65,8 @@ func (p *Provenance) WithPhase(phase string) *Provenance {
 var mutationSeq atomic.Uint64
 
 // NextMutationID allocates a fresh globally unique mutation ID, shared by
-// both control planes (the classic loop and the shard coordinator allocate
-// from the same sequence, so /v1/explain output is totally ordered).
+// every writer (zone actors and the coordinator allocate from the same
+// sequence, so /v1/explain output is totally ordered).
 func NextMutationID() uint64 { return mutationSeq.Add(1) }
 
 // provEnabled gates stamping globally (default on). The bench harness turns

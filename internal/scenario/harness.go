@@ -50,11 +50,11 @@ type Options struct {
 	FlightDir string
 	// QueueDepth bounds the API admission queue (0 means the API default).
 	QueueDepth int
-	// Shards selects the sharded control plane (see api.Config.Shards):
-	// 0 keeps the single-actor loop, N partitions the fabric into N zones.
-	// Campaign determinism holds because the engine issues mutations one at
-	// a time — actors run on their own goroutines but each operation's
-	// reply channel gives the schedule a total order.
+	// Shards is the number of control-plane zones (see api.Config.Shards):
+	// 0 is one zone, N partitions the fabric into N. Campaign determinism
+	// holds because the engine issues mutations one at a time — actors run
+	// on their own goroutines but each operation's reply gives the schedule
+	// a total order.
 	Shards int
 	// Logger receives the control plane's structured logs (wall-clock
 	// noise included — it is NOT part of the deterministic event log). nil
@@ -65,9 +65,9 @@ type Options struct {
 // Harness wires a scenario engine to a real control-plane stack: fabric,
 // cloud, subnet manager and api.Server, with every nondeterminism knob
 // pinned. All campaign work runs on the engine's single goroutine; API
-// mutations travel through the server's actor loop (the command/reply
-// channel pair gives the two goroutines a happens-before edge), so the
-// harness may also touch the topology and SM directly between mutations.
+// mutations travel through the server's zone actors (the submit and the
+// completion of each command give the goroutines a happens-before edge), so
+// the harness may also touch the topology and SM directly between mutations.
 type Harness struct {
 	E     *Engine
 	Opts  Options

@@ -18,7 +18,7 @@ import (
 )
 
 // do drives one request through the real HTTP surface (mux, handler chain,
-// admission queue, actor loop) and returns the status plus the decoded JSON
+// admission queue, zone actor) and returns the status plus the decoded JSON
 // body. Request IDs are scenario-sequenced so flight-recorder entries line
 // up across replays.
 func (h *Harness) do(method, path string, body any) (int, map[string]any) {

@@ -15,8 +15,7 @@ import (
 
 // Config parameterises a Coordinator.
 type Config struct {
-	// QueueDepth bounds each shard's admission queue. 0 means 64 (the same
-	// default as the single-actor admission queue).
+	// QueueDepth bounds each shard's admission queue. 0 means 64.
 	QueueDepth int
 	// AfterMutation, when non-nil, runs after every finished command,
 	// failed and refused ones included (see Mutation for the goroutine). The
@@ -30,7 +29,8 @@ type Config struct {
 
 // Coordinator is the thin routing layer over the shard actors: zone-local
 // mutations go straight to their shard's queue, cross-shard migrations run
-// the two-phase plan below, and fabric-wide operations run under Freeze.
+// the two-phase plan below, and fabric-wide operations run under Freeze. One
+// zone is the whole fabric under one actor.
 type Coordinator struct {
 	C    *cloud.Cloud
 	Part *Partition
@@ -47,13 +47,17 @@ type Coordinator struct {
 	busy   map[string]bool
 
 	// xmu excludes cross-shard migrations (readers, held for the whole
-	// two-phase plan) from Freeze and Shutdown (writers) — a freeze can
-	// never cut a migration between its phases.
+	// two-phase plan) from Freeze and the shutdown drain (writers) — a
+	// freeze can never cut a migration between its phases.
 	xmu sync.RWMutex
 
-	// life guards submits against queue close on shutdown.
-	life   sync.RWMutex
-	closed bool
+	// life guards submits against shutdown: closed ends intake (a new
+	// operation or freeze is refused), drained marks the queues closed.
+	life     sync.RWMutex
+	closed   bool
+	drained  bool
+	stopOnce sync.Once
+	stopped  chan struct{} // closed once every actor has exited
 
 	gateMu sync.Mutex
 	gate   func(XMigration) error
@@ -62,7 +66,7 @@ type Coordinator struct {
 // New partitions the cloud's hypervisors into n zones (n <= 0: one per
 // pod/leaf group) and starts one actor per zone. Existing VMs are adopted
 // into their owning shards. The coordinator takes exclusive ownership of
-// the cloud, like api.NewServer does in single-actor mode.
+// the cloud.
 func New(c *cloud.Cloud, n int, cfg Config) (*Coordinator, error) {
 	part, err := NewPartition(c.SM.Topo, c.Hypervisors(), n)
 	if err != nil {
@@ -73,11 +77,12 @@ func New(c *cloud.Cloud, n int, cfg Config) (*Coordinator, error) {
 	}
 	c.SetZones(part.ZoneOfHyp)
 	co := &Coordinator{
-		C:      c,
-		Part:   part,
-		cfg:    cfg,
-		vmZone: map[string]int{},
-		busy:   map[string]bool{},
+		C:       c,
+		Part:    part,
+		cfg:     cfg,
+		vmZone:  map[string]int{},
+		busy:    map[string]bool{},
+		stopped: make(chan struct{}),
 	}
 	for _, zone := range part.Zones {
 		co.shards = append(co.shards, newShard(zone.ID, zone, co, cfg.QueueDepth))
@@ -101,10 +106,6 @@ func New(c *cloud.Cloud, n int, cfg Config) (*Coordinator, error) {
 
 // Shards returns the number of shards.
 func (co *Coordinator) Shards() int { return len(co.shards) }
-
-// Gen returns the current fabric generation (bumped by every successful
-// mutation on any shard).
-func (co *Coordinator) Gen() uint64 { return co.gen.Load() }
 
 // Snaps returns every shard's current snapshot.
 func (co *Coordinator) Snaps() []*Snap {
@@ -207,7 +208,8 @@ func call[T any](sh *Shard, fn func() (T, error)) (res T, err error) {
 }
 
 // CreateVM places a VM: on hyp's zone when pinned (hyp != NoNode), else on
-// the zone with the most free VFs, with spread placement inside the zone.
+// the zone with the most free VFs, where the cloud's scheduler picks the
+// hypervisor.
 func (co *Coordinator) CreateVM(reqID, name string, hyp topology.NodeID) (Result, error) {
 	m := co.begin("create_vm", reqID, name)
 	if _, err := co.claim(name, false); err != nil {
@@ -348,9 +350,11 @@ func (co *Coordinator) migrateCross(mut Mutation, srcZone, dstZone int, dst topo
 		return fail(err)
 	}
 	// A step that changes a VF outside a finished command republishes that
-	// hypervisor's row, at the generation in force: nothing else will name it.
+	// hypervisor's row before the command finishes, at the generation in
+	// force: nothing else will name it. (A submit cannot fail here: the
+	// queues close only once no cross-shard migration holds xmu.)
 	release := func() {
-		dstSh.submit(func() { //nolint:errcheck // shutdown drops the hold anyway
+		dstSh.exec(dstSh.submit, func() { //nolint:errcheck
 			m.Release()
 			dstSh.publish(co.gen.Load(), nil, dst)
 		})
@@ -372,7 +376,7 @@ func (co *Coordinator) migrateCross(mut Mutation, srcZone, dstZone int, dst topo
 	if g := co.commitGate(); g != nil {
 		if err := g(XMigration{VM: name, From: m.From, To: dst, FromShard: srcZone, ToShard: dstZone}); err != nil {
 			start = time.Now()
-			src.exec(src.submit, func() { //nolint:errcheck // shutdown drops the hold anyway
+			src.exec(src.submit, func() { //nolint:errcheck
 				m.Reattach()
 				src.publish(co.gen.Load(), nil, m.From)
 			})
@@ -401,6 +405,9 @@ func (co *Coordinator) migrateCross(mut Mutation, srcZone, dstZone int, dst topo
 		err = m.Transfer()
 	}
 	if err != nil {
+		// The edits already sent stay: the columns changed, which takes a
+		// generation, as a zone-local migration that died half-way does.
+		co.gen.Add(1)
 		release()
 		src.exec(src.submit, func() { src.publish(co.gen.Load(), nil, m.From) }) //nolint:errcheck
 	} else {
@@ -432,15 +439,61 @@ func (co *Coordinator) migrateCross(mut Mutation, srcZone, dstZone int, dst topo
 	return mut.Result, nil
 }
 
-// Resync rebuilds the routing table, every shard's name set and every
-// shard's snapshot from the cloud's live state. Call only from inside
-// Freeze: the actors are parked at the barrier, so the coordinator
-// temporarily owns their state. Fabric-wide operations that move VMs
-// without going through the shards — reconciliation waves, defragmentation
-// — must resync before the control plane thaws.
-func (co *Coordinator) Resync() error {
+// Resync republishes what a frozen command changed behind the actors' backs
+// — a reconciliation wave moves VMs without going through the shards — at a
+// fresh generation. The named VMs are re-homed between the zones' name sets,
+// and every zone that held or now holds one of them, or owns a named
+// hypervisor, derives its next snapshot reading again only its own named
+// rows. Both nil name everything: the routing table and every name set are
+// rebuilt from the cloud, and every zone's snapshot from its empty one (a
+// reconfigure, the close of a reconciliation). Call only from inside Freeze:
+// the actors are parked at the barrier, so the coordinator temporarily owns
+// their state.
+func (co *Coordinator) Resync(vms []string, hyps []topology.NodeID) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	if vms == nil && hyps == nil {
+		return co.resyncAll()
+	}
+	names := make([][]string, len(co.shards)) // per zone: its named VMs, before or after
+	touched := make([]bool, len(co.shards))
+	for _, name := range vms {
+		was, ok := co.vmZone[name]
+		if ok {
+			delete(co.shards[was].names, name)
+			delete(co.vmZone, name)
+			names[was], touched[was] = append(names[was], name), true
+		}
+		vm := co.C.VM(name)
+		if vm == nil {
+			continue
+		}
+		z := co.Part.ZoneOfHyp(vm.Hyp)
+		if z < 0 {
+			return fmt.Errorf("shard: VM %q on node %d outside every zone", name, vm.Hyp)
+		}
+		co.vmZone[name] = z
+		co.shards[z].names[name] = struct{}{}
+		if !ok || z != was {
+			names[z], touched[z] = append(names[z], name), true
+		}
+	}
+	for _, h := range hyps {
+		if z := co.Part.ZoneOfHyp(h); z >= 0 {
+			touched[z] = true
+		}
+	}
+	gen := co.gen.Add(1)
+	for z, sh := range co.shards {
+		if touched[z] {
+			sh.publish(gen, names[z], hyps...)
+		}
+	}
+	return nil
+}
+
+// resyncAll is Resync with everything named.
+func (co *Coordinator) resyncAll() error {
 	for _, sh := range co.shards {
 		sh.names = map[string]struct{}{}
 	}
@@ -465,9 +518,15 @@ func (co *Coordinator) Resync() error {
 // migration is in flight (xmu) and every actor is parked at a barrier with
 // an empty queue ahead of it. Fabric-wide operations — full audits,
 // reconfiguration, reconciliation, SM handover — run here. Operations
-// admitted during the freeze wait in their shard queues, exactly like
-// commands queued behind a slow command in single-actor mode.
+// admitted during the freeze wait in their shard queues. Once Shutdown has
+// begun a freeze is refused with ErrShutdown.
 func (co *Coordinator) Freeze(fn func()) error {
+	co.life.RLock()
+	closed := co.closed
+	co.life.RUnlock()
+	if closed {
+		return ErrShutdown
+	}
 	start := time.Now()
 	defer func() {
 		co.C.SM.Telemetry().Registry().
@@ -502,25 +561,44 @@ func (co *Coordinator) Freeze(fn func()) error {
 	return nil
 }
 
-// Shutdown stops intake, drains every shard queue and waits for the actors
-// to exit (or ctx to expire).
+// Shutdown closes intake — a new operation or freeze is refused with
+// ErrShutdown — lets every admitted one finish, drains the shard queues and
+// waits for the actors to exit. If ctx expires first it returns ctx.Err()
+// while the drain goes on; a later call waits for it again.
 func (co *Coordinator) Shutdown(ctx context.Context) error {
+	co.stopOnce.Do(func() {
+		co.life.Lock()
+		co.closed = true
+		co.life.Unlock()
+		go co.drain()
+	})
+	select {
+	case <-co.stopped:
+		return nil
+	default:
+	}
+	select {
+	case <-co.stopped:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// drain waits out the cross-shard migrations and freezes in flight (they
+// hold xmu), closes every queue and waits for the actors to finish what is
+// queued.
+func (co *Coordinator) drain() {
 	co.xmu.Lock()
 	co.life.Lock()
-	if !co.closed {
-		co.closed = true
-		for _, sh := range co.shards {
-			close(sh.cmds)
-		}
+	co.drained = true
+	for _, sh := range co.shards {
+		close(sh.cmds)
 	}
 	co.life.Unlock()
 	co.xmu.Unlock()
 	for _, sh := range co.shards {
-		select {
-		case <-sh.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+		<-sh.done
 	}
-	return nil
+	close(co.stopped)
 }

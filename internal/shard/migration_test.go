@@ -16,9 +16,10 @@ import (
 
 // TestFailedMigrationHoldsSourceVF: a migration the transport abandons
 // between detach and attach leaves the VM's record on its source VF. That VF
-// must stay out of the free pool in every driver — the single actor, a shard
-// actor and the cross-shard commit — or the next create on the source
-// hypervisor is handed the stranded VM's VF and LID.
+// must stay out of the free pool in every driver — the cloud's own
+// MigrateVM ("classic"), a shard actor and the cross-shard commit — or the
+// next create on the source hypervisor is handed the stranded VM's VF and
+// LID.
 func TestFailedMigrationHoldsSourceVF(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

@@ -1,7 +1,8 @@
 // Package shard partitions the fabric control plane into zones, each owned
-// by one actor goroutine, with a thin coordinator routing operations: the
-// sharded control plane that lifts the single-actor scalability ceiling
-// (ROADMAP item 2) on the way to O(100k)-switch fabrics.
+// by one actor goroutine, with a thin coordinator routing operations. It is
+// the control plane's one mechanism for serialising commands: one zone is
+// the whole fabric under one actor (OpenSM's serial master), several let
+// mutations with disjoint footprints run beside each other (section VI-D).
 //
 // Zones are derived from the fat-tree structure: hypervisors group by leaf
 // switch, leaves group into pods by their lowest-numbered upper-level
@@ -19,10 +20,9 @@
 // run on the actors that own what they touch: staged (destination VF held)
 // on the target shard, detached on the source shard, committed by the
 // coordinator, aborted by releasing both holds if either side fails before
-// the commit. Each shard
-// publishes its own copy-on-write snapshot after every mutation, and the
-// API layer composes a fabric-wide read view lazily, so reads never block
-// on or cross shards.
+// the commit. Each shard publishes its own copy-on-write snapshot after
+// every mutation, and the API layer puts them under one fabric-wide root
+// before the reply, so reads never block on or cross shards.
 package shard
 
 import (

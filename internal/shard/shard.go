@@ -2,7 +2,6 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -14,8 +13,7 @@ import (
 )
 
 // ErrBackpressure reports a full shard admission queue. The API layer maps
-// it to HTTP 429 + Retry-After, the same backpressure contract as the
-// single-actor admission queue.
+// it to HTTP 429 + Retry-After.
 var ErrBackpressure = errors.New("shard: admission queue full")
 
 // ErrShutdown reports a control plane that has stopped accepting work.
@@ -101,9 +99,9 @@ func (s *Shard) run() {
 	close(s.done)
 }
 
-// trySubmit admits a task without blocking; a full queue is ErrBackpressure.
-// Every operation's *first* submit goes through here, so saturation surfaces
-// as 429 instead of unbounded blocking.
+// trySubmit admits a task without blocking; a full queue is ErrBackpressure,
+// a closed intake ErrShutdown. Every operation's *first* submit goes through
+// here, so saturation surfaces as 429 instead of unbounded blocking.
 func (s *Shard) trySubmit(t task) error {
 	s.co.life.RLock()
 	defer s.co.life.RUnlock()
@@ -120,12 +118,13 @@ func (s *Shard) trySubmit(t task) error {
 }
 
 // submit blocks until the task is queued. Only later steps of an already
-// admitted operation use it: once a cross-shard migration holds its
-// destination VF, the remaining steps must run, not bounce.
+// admitted operation use it — once a cross-shard migration holds its
+// destination VF, the remaining steps must run, not bounce — and a freeze's
+// barriers; it fails only once the queues are closed.
 func (s *Shard) submit(t task) error {
 	s.co.life.RLock()
 	defer s.co.life.RUnlock()
-	if s.co.closed {
+	if s.co.drained {
 		return ErrShutdown
 	}
 	s.cmds <- s.instrument(t)
@@ -142,24 +141,6 @@ func (s *Shard) exec(admit func(task) error, fn func()) error {
 	}
 	<-done
 	return nil
-}
-
-// placeLocal picks the zone's least-loaded hypervisor with a free VF
-// (spread placement; ties to the lowest node ID, matching the cloud's
-// Spread scheduler within the zone).
-func (s *Shard) placeLocal() topology.NodeID {
-	best := topology.NoNode
-	bestAttached := int(^uint(0) >> 1)
-	for _, hn := range s.zone.Hyps {
-		h := s.co.C.Hypervisor(hn)
-		if h.HCA.FreeVF() < 0 {
-			continue
-		}
-		if att := h.HCA.AttachedCount(); att < bestAttached {
-			best, bestAttached = hn, att
-		}
-	}
-	return best
 }
 
 // vm reads a VM's record for the zone's snapshot: nil unless the VM is this
@@ -216,12 +197,11 @@ func (s *Shard) finish(m Mutation, hyps ...topology.NodeID) (Result, error) {
 }
 
 // execCreate runs a zone-local VM create on the actor. hyp == NoNode means
-// the coordinator delegated placement to the zone.
+// the coordinator delegated placement to the zone: the cloud's scheduler
+// picks among the zone's hypervisors.
 func (s *Shard) execCreate(m Mutation, hyp topology.NodeID) (Result, error) {
 	if hyp == topology.NoNode {
-		if hyp = s.placeLocal(); hyp == topology.NoNode {
-			m.Err = fmt.Errorf("cloud: zone %d has no %w", s.id, cloud.ErrNoFreeVF)
-		}
+		hyp, m.Err = s.co.C.Place(s.zone.Hyps)
 	}
 	if m.Err == nil {
 		var vm *cloud.VM
@@ -273,11 +253,11 @@ type Result struct {
 
 // Mutation describes one finished control-plane command — what it was and
 // what it did — to the coordinator's AfterMutation hook. For zone-local
-// operations the hook runs on the owning shard's actor goroutine (before the
-// reply, like the single-actor loop); for cross-shard migrations it runs
-// once on the coordinator's request goroutine while the VM is still claimed;
-// a command the coordinator refuses outright (unknown VM, duplicate name,
-// busy) reports from the request goroutine with Shard = ib.ShardNone.
+// operations the hook runs on the owning shard's actor goroutine, before the
+// reply; for cross-shard migrations it runs once on the coordinator's request
+// goroutine while the VM is still claimed; a command the coordinator refuses
+// outright (unknown VM, duplicate name, busy) reports from the request
+// goroutine with Shard = ib.ShardNone.
 type Mutation struct {
 	Op    string
 	Name  string

@@ -24,9 +24,9 @@ type HypState struct {
 // generation, as a persistent value: Next derives the snapshot after a
 // command by reading again the rows the command names and sharing every
 // other row with its predecessor, so publishing costs what the command
-// touched, not the zone. A shard actor publishes its zone's; the single-actor
-// API server keeps one for the whole fabric; the API's fabric snapshot is a
-// list of them. Nothing reachable from a published Snap is ever written.
+// touched, not the zone. A shard actor publishes its zone's; the API's fabric
+// snapshot is a list of them. Nothing reachable from a published Snap is
+// ever written.
 type Snap struct {
 	Shard   int
 	Gen     uint64
