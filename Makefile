@@ -21,13 +21,15 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Fuzz the LFT block-diff, the migration swap primitive, the plan merge
+# Fuzz the LFT block-diff, the migration swap primitive, the SM's sparse LFT
+# write (SMPs sent == spans == the one packing rule), the plan merge
 # against its map-of-maps reference, the incremental router, the auditor
 # against its reference checker and the trace record codec (10s each; Go
 # allows one fuzz target per invocation).
 fuzz:
 	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzLFTDiff$$' -fuzztime 10s
 	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzLFTSwap$$' -fuzztime 10s
+	$(GO) test ./internal/sm -run '^$$' -fuzz '^FuzzSetLFTEntries$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMergePlans$$' -fuzztime 10s
 	$(GO) test ./internal/routing -run '^$$' -fuzz '^FuzzDeltaRecompute$$' -fuzztime 10s
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzReachabilityAgrees$$' -fuzztime 10s

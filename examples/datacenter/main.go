@@ -1,14 +1,17 @@
 // Datacenter shows the defragmentation scenario that motivates cheap
 // migrations (sections I and V-B): VMs scattered by a spread scheduler are
-// consolidated onto as few hypervisors as possible, with non-interfering
-// migrations batched to run concurrently (section VI-D).
+// consolidated onto as few hypervisors as possible. The reconcile planner
+// packs the migrations into waves, and each wave's LFT edits ride one merged
+// distribution (section VI-D).
 package main
 
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"ibvsim/internal/cloud"
+	"ibvsim/internal/reconcile"
 	"ibvsim/internal/sriov"
 	"ibvsim/internal/topology"
 )
@@ -36,21 +39,31 @@ func main() {
 	}
 	fmt.Printf("created 64 VMs; occupied hypervisors: %d\n", occupied(c))
 
-	moves := c.DefragPlan()
-	fmt.Printf("defrag plan: %d migrations\n", len(moves))
-
-	rep, err := c.ExecuteMoves(moves)
+	plan, err := (&reconcile.Planner{C: c}).Plan(reconcile.Spec{Goal: reconcile.GoalDefrag})
 	if err != nil {
 		log.Fatal(err)
 	}
-	totalSMPs := 0
-	for _, r := range rep.Reports {
-		totalSMPs += r.Plan.SMPs
+	fmt.Printf("defrag plan: %d migrations in %d waves, %d LFT SMPs predicted\n",
+		len(plan.Moves), len(plan.Waves), plan.Total.LFTSMPs)
+
+	var modelled time.Duration
+	smps := 0
+	preserved := true
+	for _, wave := range plan.Waves {
+		rep, err := c.MigrateWaveProv(wave, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		modelled += rep.Plan.ModelledTime
+		smps += rep.Plan.SMPs
+		for _, r := range rep.Reports {
+			preserved = preserved && !r.AddressesChanged
+		}
 	}
-	fmt.Printf("executed in %d batches (disjoint plans run concurrently), modelled wall time %v, %d LFT SMPs total\n",
-		rep.Batches, rep.ModelledTime, totalSMPs)
+	fmt.Printf("executed in %d waves (each one merged distribution), modelled wall time %v, %d LFT SMPs total\n",
+		len(plan.Waves), modelled, smps)
 	fmt.Printf("occupied hypervisors after defrag: %d\n", occupied(c))
-	fmt.Printf("every VM kept its addresses: %v\n", allPreserved(rep))
+	fmt.Printf("every VM kept its addresses: %v\n", preserved)
 }
 
 func occupied(c *cloud.Cloud) int {
@@ -61,13 +74,4 @@ func occupied(c *cloud.Cloud) int {
 		}
 	}
 	return n
-}
-
-func allPreserved(rep cloud.BatchReport) bool {
-	for _, r := range rep.Reports {
-		if r.AddressesChanged {
-			return false
-		}
-	}
-	return true
 }

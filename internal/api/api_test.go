@@ -205,7 +205,7 @@ func TestClassifyErrTyped(t *testing.T) {
 		{errors.New("sm: switch not yet programmed"), http.StatusInternalServerError},
 	} {
 		once := fmt.Errorf("cloud: node 7 %w", tc.class)
-		twice := &cloud.BatchError{Err: fmt.Errorf("reconcile: wave 2: %w", once)}
+		twice := fmt.Errorf("reconcile: wave 2: %w", once)
 		for _, err := range []error{tc.class, once, twice} {
 			d := done{op: opMigrateVM}
 			srv.lifecycle(&d, shard.Result{}, err)

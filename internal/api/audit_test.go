@@ -209,9 +209,10 @@ func TestAuditCatchesInjectedCorruptionSharded(t *testing.T) {
 			if st := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/vms", CreateVMRequest{Name: "victim", Hypervisor: &home}, nil); st != http.StatusCreated {
 				t.Fatalf("create: status %d", st)
 			}
-			// The invalidation pre-pass is on (newPinServer); from here every
-			// SMP is lost, so it strands the column on its first switch.
-			ft.SetProfile(smp.FaultProfile{Drop: 1})
+			// The invalidation pre-pass is on (newPinServer): its first SMP
+			// lands and every later one is lost, so it strands the column at
+			// port 255 on its first switch.
+			dropAfterFirstSwitch(srv, ft)
 			probeCorruption(t, ts, flightDir, dst)
 		})
 	}

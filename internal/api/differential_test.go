@@ -51,6 +51,16 @@ func newPinServer(t *testing.T, model sriov.Model, shards int, cfg Config) (*Ser
 	return srv, ts, ft
 }
 
+// dropAfterFirstSwitch rigs the next migration to die half-way: its first
+// LFT write is delivered, and every SMP after it is lost. Under the
+// invalidation pre-pass that write points the VM's LID at port 255 on the
+// plan's first switch, and nothing restores it — a black hole the switch
+// really holds. The caller clears the hook and the profile when done.
+func dropAfterFirstSwitch(srv *Server, ft *smp.FaultyTransport) {
+	ft.SetProfile(smp.FaultProfile{})
+	srv.c.RC.AfterUpdate = func() { ft.SetProfile(smp.FaultProfile{Drop: 1}) }
+}
+
 // scrub drops the fields the two control planes may legitimately disagree
 // on — generations count publishes, trace_span counts spans — at any depth.
 func scrub(v any) any {
@@ -243,23 +253,25 @@ func runPinSequence(t *testing.T, model sriov.Model, shards int) pinRun {
 	if v := srv.Auditor().ViolationsTotal(); v != 0 {
 		t.Fatalf("shards=%d: %d violations before any fault", shards, v)
 	}
-	// Every SMP is lost from here on: the invalidation pre-pass dies on its
-	// first switch, stranding the VM's column at port 255 there. One local
-	// migration ("a" moves within the first leaf) and one cross-zone ("h",
-	// from the last leaf to the first); both must be audited before their
-	// reply.
+	// Each migration below has its first invalidation SMP delivered and every
+	// later one lost: the pre-pass points the VM's column at port 255 on its
+	// first switch and dies on the second, stranding a black hole there. One
+	// local migration ("a" moves within the first leaf) and one cross-zone
+	// ("h", from the last leaf to the first); both must be audited before
+	// their reply.
 	create("h", far, 201, "")
-	ft.SetProfile(smp.FaultProfile{Drop: 1})
 	for _, mv := range []struct {
 		vm string
 		to topology.NodeID
 	}{{"a", third}, {"h", hyps[3]}} {
+		dropAfterFirstSwitch(srv, ft)
 		before := srv.Auditor().ViolationsTotal()
 		out := migrate(mv.vm, mv.to, 500, "")
 		if srv.Auditor().ViolationsTotal() == before {
 			t.Errorf("shards=%d: abandoned migration of %q answered %v with no violation counted", shards, mv.vm, out["error"])
 		}
 	}
+	srv.c.RC.AfterUpdate = nil
 	ft.SetProfile(smp.FaultProfile{})
 
 	var listing map[string]any

@@ -315,62 +315,6 @@ func TestMigrateErrors(t *testing.T) {
 	}
 }
 
-func TestDefragAndConcurrentExecution(t *testing.T) {
-	c, _ := testCloud(t, sriov.VSwitchDynamic, Spread{})
-	// Spread 6 VMs across 6 hypervisors, then defragment.
-	for i := 0; i < 6; i++ {
-		if _, err := c.CreateVM(string(rune('a' + i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	moves := c.DefragPlan()
-	if len(moves) == 0 {
-		t.Fatal("defrag of a spread cloud should propose moves")
-	}
-	rep, err := c.ExecuteMoves(moves)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Reports) != len(moves) {
-		t.Errorf("executed %d of %d moves", len(rep.Reports), len(moves))
-	}
-	if rep.Batches == 0 || rep.ModelledTime <= 0 {
-		t.Errorf("batch report %+v", rep)
-	}
-	// Fewer occupied hypervisors than before.
-	occupied := 0
-	for _, hn := range c.Hypervisors() {
-		if c.VMCountOn(hn) > 0 {
-			occupied++
-		}
-	}
-	if occupied >= 6 {
-		t.Errorf("defrag left %d hypervisors occupied", occupied)
-	}
-	// All VMs still addressable.
-	for _, name := range c.VMs() {
-		vm := c.VM(name)
-		p := &smp.SMP{DLID: vm.Addr.LID}
-		got, err := c.SM.Transport.SendLIDRouted(c.Hypervisors()[0], p, c.SM)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got != vm.Hyp {
-			t.Errorf("%s delivered to %d, want %d", name, got, vm.Hyp)
-		}
-	}
-}
-
-func TestExecuteMovesValidation(t *testing.T) {
-	c, _ := testCloud(t, sriov.VSwitchDynamic, nil)
-	if _, err := c.ExecuteMoves([]Move{{VM: "ghost", To: c.Hypervisors()[0]}}); err == nil {
-		t.Error("unknown VM in moves should fail")
-	}
-	if rep, err := c.ExecuteMoves(nil); err != nil || rep.Batches != 0 {
-		t.Errorf("empty moves: %+v, %v", rep, err)
-	}
-}
-
 func TestVMCountOn(t *testing.T) {
 	c, _ := testCloud(t, sriov.SharedPort, nil)
 	if c.VMCountOn(topology.NodeID(9999)) != 0 {

@@ -78,7 +78,7 @@ func TestWaveOfOneMatchesMigrateVM(t *testing.T) {
 					spanFrom := c.SM.Telemetry().Tracer().LastSpanID()
 					var rep MigrationReport
 					if wave {
-						wr, err := c.MigrateWave([]Move{{VM: "vm", To: hyps[9]}})
+						wr, err := c.MigrateWaveProv([]Move{{VM: "vm", To: hyps[9]}}, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

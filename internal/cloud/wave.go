@@ -22,12 +22,14 @@ type WaveReport struct {
 	LIDs []ib.LID
 }
 
-// MigrateWave migrates several VMs as one wave: every move's LFT edits are
-// computed against the same fabric state, merged via MergePlans and applied
-// as a single distribution. The per-wave LID sets are disjoint (each move
-// edits only its own VM LID and reserved destination-VF LID), so the merge
-// never conflicts, and edits landing in the same 64-LID block of a switch
-// cost one SMP instead of one per migration.
+// MigrateWaveProv migrates several VMs as one wave: every move's LFT edits
+// are computed against the same fabric state, merged via MergePlans and
+// applied as a single distribution. The per-wave LID sets are disjoint (each
+// move edits only its own VM LID and reserved destination-VF LID), so the
+// merge never conflicts, and edits landing in the same 64-LID block of a
+// switch cost one SMP instead of one per migration. Which moves share a wave
+// is the reconcile planner's decision; this runs the wave it is given, and
+// refuses a multi-move wave under the invalidation pre-pass.
 //
 // Every member is one Migration, run through the same steps as MigrateVM
 // round one shared Commit: all are staged (destination VFs held) before
@@ -37,14 +39,10 @@ type WaveReport struct {
 // the merged distribution's applied stats — the SMPs that actually hit the
 // wire — are in WaveReport.Plan. Every report's Downtime is the wave's
 // distribution time: the wave completes as a unit.
-func (c *Cloud) MigrateWave(moves []Move) (WaveReport, error) {
-	return c.MigrateWaveProv(moves, nil)
-}
-
-// MigrateWaveProv is MigrateWave with an explicit provenance epoch for the
-// wave's merged LFT distribution (the reconciler passes one naming the wave
-// index and goal). nil builds a generic wave stamp, so wave writes are never
-// unattributed.
+//
+// prov is the provenance epoch of the wave's merged LFT distribution (the
+// reconciler passes one naming the wave index and goal); nil builds a
+// generic wave stamp, so wave writes are never unattributed.
 func (c *Cloud) MigrateWaveProv(moves []Move, prov *ib.Provenance) (rep WaveReport, err error) {
 	if len(moves) == 0 {
 		return rep, nil

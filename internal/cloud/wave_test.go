@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"errors"
 	"testing"
 
 	"ibvsim/internal/core"
@@ -9,255 +8,6 @@ import (
 	"ibvsim/internal/sriov"
 	"ibvsim/internal/topology"
 )
-
-// occupiedHosts counts hypervisors with at least one VM.
-func occupiedHosts(c *Cloud) int {
-	n := 0
-	for _, hn := range c.Hypervisors() {
-		if c.VMCountOn(hn) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// TestDefragPlanNoPointlessMoves pins the first DefragPlan bugfix: the old
-// planner never enforced its own "receiver must end up strictly fuller than
-// the donor" rule, so at minimal occupancy it still emitted moves between
-// equally-loaded hosts — pure SMP cost with nothing consolidated, and
-// oscillation when re-planned. A fragmentation state that already occupies
-// the minimal host count must plan zero moves.
-func TestDefragPlanNoPointlessMoves(t *testing.T) {
-	t.Run("two-equal-hosts", func(t *testing.T) {
-		c, _ := testCloud(t, sriov.VSwitchDynamic, FirstFit{})
-		fillHyp(t, c, 0, 2, "eq")
-		fillHyp(t, c, 1, 2, "eq")
-		// 4 VMs, 3 VFs per host: minimal occupancy is 2 hosts — achieved.
-		if moves := c.DefragPlan(); len(moves) != 0 {
-			t.Fatalf("plan at minimal occupancy must be empty, got %v", moves)
-		}
-	})
-	t.Run("partial-drain", func(t *testing.T) {
-		c, _ := testCloud(t, sriov.VSwitchDynamic, FirstFit{})
-		fillHyp(t, c, 0, 3, "pd")
-		fillHyp(t, c, 1, 2, "pd")
-		fillHyp(t, c, 2, 2, "pd")
-		// 7 VMs across 3 hosts of 3 VFs: 3 hosts is already minimal. The
-		// old planner moved one VM off the emptiest host anyway and then
-		// stopped with the donor still occupied.
-		if moves := c.DefragPlan(); len(moves) != 0 {
-			t.Fatalf("plan at minimal occupancy must be empty, got %v", moves)
-		}
-	})
-}
-
-// TestDefragPlanMonotonicAndConvergent asserts the repaired planner's
-// contract on a genuinely fragmented cloud: every move lands on a receiver
-// that ends strictly fuller than the donor, donors drain completely,
-// executing the plan reaches the minimal host count, and re-planning the
-// achieved state is a fixpoint (no moves).
-func TestDefragPlanMonotonicAndConvergent(t *testing.T) {
-	c, _ := testCloud(t, sriov.VSwitchDynamic, FirstFit{})
-	for i, n := range []int{2, 1, 1, 2} {
-		fillHyp(t, c, i, n, "frag")
-	}
-	moves := c.DefragPlan()
-	if len(moves) == 0 {
-		t.Fatal("fragmented cloud must plan moves")
-	}
-
-	// Simulate the plan: monotonicity per move, full drains at the end.
-	load := map[topology.NodeID]int{}
-	for _, hn := range c.Hypervisors() {
-		load[hn] = c.VMCountOn(hn)
-	}
-	donors := map[topology.NodeID]bool{}
-	for _, mv := range moves {
-		vm := c.VM(mv.VM)
-		if vm == nil {
-			t.Fatalf("plan names unknown VM %q", mv.VM)
-		}
-		from := vm.Hyp
-		// simulated current host (earlier moves in the plan don't touch
-		// the same VM twice, so the original host is still correct)
-		load[from]--
-		load[mv.To]++
-		donors[from] = true
-		if load[mv.To] <= load[from] {
-			t.Errorf("move %q %d->%d leaves receiver load %d <= donor load %d",
-				mv.VM, from, mv.To, load[mv.To], load[from])
-		}
-	}
-	for hn := range donors {
-		if load[hn] != 0 {
-			t.Errorf("donor %d not fully drained: %d VMs left", hn, load[hn])
-		}
-	}
-
-	if _, err := c.ExecuteMoves(moves); err != nil {
-		t.Fatal(err)
-	}
-	if got := occupiedHosts(c); got != 2 { // ceil(6 VMs / 3 VFs)
-		t.Fatalf("occupied hosts after defrag = %d, want 2", got)
-	}
-	if again := c.DefragPlan(); len(again) != 0 {
-		t.Fatalf("re-planning the achieved state must be empty, got %v", again)
-	}
-}
-
-// TestDefragPlanPrefersLeafLocalReceiver: when a donor's VM can land on two
-// equally-loaded keepers, the planner must pick the one under the donor's
-// own leaf switch (the cheapest migration, section VI-D), even when the
-// remote keeper has a lower node ID.
-func TestDefragPlanPrefersLeafLocalReceiver(t *testing.T) {
-	c, _ := testCloud(t, sriov.VSwitchDynamic, FirstFit{})
-	hyps := c.Hypervisors()
-	leaf := func(n topology.NodeID) topology.NodeID { return c.SM.Topo.LeafSwitchOf(n) }
-
-	// Remote keeper: the lowest-numbered hypervisor. Donor + local keeper:
-	// two hypervisors sharing a leaf that is not the remote keeper's.
-	remote := hyps[0]
-	var donor, local topology.NodeID = topology.NoNode, topology.NoNode
-	for i := 1; i < len(hyps) && local == topology.NoNode; i++ {
-		if leaf(hyps[i]) == leaf(remote) {
-			continue
-		}
-		for j := i + 1; j < len(hyps); j++ {
-			if leaf(hyps[j]) == leaf(hyps[i]) {
-				donor, local = hyps[i], hyps[j]
-				break
-			}
-		}
-	}
-	if local == topology.NoNode {
-		t.Fatal("topology has no two co-leaf hypervisors off the first leaf")
-	}
-
-	mk := func(name string, on topology.NodeID) {
-		t.Helper()
-		if _, err := c.CreateVMOn(name, on); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mk("rk-0", remote)
-	mk("rk-1", remote)
-	mk("lk-0", local)
-	mk("lk-1", local)
-	mk("dn-0", donor)
-
-	moves := c.DefragPlan()
-	if len(moves) != 1 || moves[0].VM != "dn-0" {
-		t.Fatalf("want exactly one move for dn-0, got %v", moves)
-	}
-	if moves[0].To != local {
-		t.Fatalf("move went to %d, want the leaf-local keeper %d (remote was %d)",
-			moves[0].To, local, remote)
-	}
-}
-
-// TestExecuteMovesReservesLastVF pins the second bugfix: two moves targeting
-// the same destination must not both claim its last free VF. The first gets
-// it; the second is deferred and — with no capacity ever freed — the batch
-// stops with a typed *BatchError carrying the completed reports and the
-// pending moves, instead of the old mid-batch plain error.
-func TestExecuteMovesReservesLastVF(t *testing.T) {
-	c, _ := testCloud(t, sriov.VSwitchPrepopulated, FirstFit{})
-	hyps := c.Hypervisors()
-	fillHyp(t, c, 0, 2, "occ") // one VF left on hyps[0]
-	if _, err := c.CreateVMOn("mv-x", hyps[1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.CreateVMOn("mv-y", hyps[2]); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := c.ExecuteMoves([]Move{{VM: "mv-x", To: hyps[0]}, {VM: "mv-y", To: hyps[0]}})
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("want *BatchError, got %T: %v", err, err)
-	}
-	if len(rep.Reports) != 1 || rep.Reports[0].VM != "mv-x" {
-		t.Fatalf("completed reports = %+v, want exactly mv-x", rep.Reports)
-	}
-	if len(be.Completed.Reports) != 1 {
-		t.Fatalf("BatchError.Completed has %d reports, want 1", len(be.Completed.Reports))
-	}
-	if len(be.Pending) != 1 || be.Pending[0].VM != "mv-y" {
-		t.Fatalf("BatchError.Pending = %v, want mv-y", be.Pending)
-	}
-	if c.VM("mv-x").Hyp != hyps[0] {
-		t.Error("mv-x should have been applied")
-	}
-	if c.VM("mv-y").Hyp != hyps[2] {
-		t.Error("mv-y must not have moved")
-	}
-}
-
-// TestExecuteMovesDefersToFreedCapacity: a move into a currently-full host
-// must wait for the same batch's departures instead of failing. The old
-// batcher planned everything against the pre-batch snapshot and errored
-// immediately.
-func TestExecuteMovesDefersToFreedCapacity(t *testing.T) {
-	c, _ := testCloud(t, sriov.VSwitchPrepopulated, FirstFit{})
-	hyps := c.Hypervisors()
-	fillHyp(t, c, 1, 3, "full") // hyps[1] completely full
-	if _, err := c.CreateVMOn("mv-z", hyps[3]); err != nil {
-		t.Fatal(err)
-	}
-	var leaver string
-	for _, name := range c.VMs() {
-		if c.VM(name).Hyp == hyps[1] {
-			leaver = name
-			break
-		}
-	}
-
-	rep, err := c.ExecuteMoves([]Move{
-		{VM: leaver, To: hyps[2]}, // frees a VF on hyps[1]
-		{VM: "mv-z", To: hyps[1]}, // needs that VF
-	})
-	if err != nil {
-		t.Fatalf("deferred move should succeed once capacity frees: %v", err)
-	}
-	if len(rep.Reports) != 2 || rep.Batches != 2 {
-		t.Fatalf("got %d reports in %d batches, want 2 in 2", len(rep.Reports), rep.Batches)
-	}
-	if c.VM("mv-z").Hyp != hyps[1] {
-		t.Errorf("mv-z on %d, want %d", c.VM("mv-z").Hyp, hyps[1])
-	}
-}
-
-// TestExecuteMovesCapacityFailureSymmetry pins the third bugfix: the dynamic
-// arm used to plan with PlanCopy and only discover the missing VF inside
-// MigrateVM, mid-batch. Both vSwitch models must now reject a move to a full
-// destination identically — up front, typed, and without mutating anything.
-func TestExecuteMovesCapacityFailureSymmetry(t *testing.T) {
-	for _, model := range []sriov.Model{sriov.VSwitchPrepopulated, sriov.VSwitchDynamic} {
-		t.Run(model.String(), func(t *testing.T) {
-			c, _ := testCloud(t, model, FirstFit{})
-			hyps := c.Hypervisors()
-			fillHyp(t, c, 0, 3, "cap")
-			if _, err := c.CreateVMOn("mv-solo", hyps[1]); err != nil {
-				t.Fatal(err)
-			}
-
-			_, err := c.ExecuteMoves([]Move{{VM: "mv-solo", To: hyps[0]}})
-			var be *BatchError
-			if !errors.As(err, &be) {
-				t.Fatalf("want *BatchError for full destination, got %T: %v", err, err)
-			}
-			if len(be.Completed.Reports) != 0 || len(be.Pending) != 1 {
-				t.Fatalf("want nothing completed and one pending, got %+v", be)
-			}
-			if got := c.VM("mv-solo").Hyp; got != hyps[1] {
-				t.Errorf("VM moved to %d despite the error", got)
-			}
-			if got := c.VMCountOn(hyps[0]); got != 3 {
-				t.Errorf("destination load changed to %d", got)
-			}
-		})
-	}
-}
 
 // TestMigrateWaveCoalesces: a wave's merged distribution must cost no more
 // SMPs than applying each move's plan separately — and strictly fewer when
@@ -286,7 +36,7 @@ func TestMigrateWaveCoalesces(t *testing.T) {
 		sum += plan.SMPs
 	}
 
-	rep, err := c.MigrateWave([]Move{{VM: "wv-a", To: hyps[2]}, {VM: "wv-b", To: hyps[3]}})
+	rep, err := c.MigrateWaveProv([]Move{{VM: "wv-a", To: hyps[2]}, {VM: "wv-b", To: hyps[3]}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,8 +68,9 @@ func TestMigrateWaveCoalesces(t *testing.T) {
 }
 
 // TestMigrateWaveInvalidationGuard: the port-255 invalidation mitigation is
-// incompatible with merged multi-move distributions; MigrateWave must refuse
-// them, and ExecuteMoves must degrade to single-move waves instead.
+// incompatible with merged multi-move distributions; MigrateWaveProv must
+// refuse them with nothing moved, and run a wave of one. (The reconcile
+// planner makes every wave a single move under it.)
 func TestMigrateWaveInvalidationGuard(t *testing.T) {
 	c, _ := testCloud(t, sriov.VSwitchPrepopulated, FirstFit{})
 	hyps := c.Hypervisors()
@@ -332,14 +83,15 @@ func TestMigrateWaveInvalidationGuard(t *testing.T) {
 	c.RC.Mitigation = core.MitigationInvalidate
 
 	moves := []Move{{VM: "inv-a", To: hyps[2]}, {VM: "inv-b", To: hyps[3]}}
-	if _, err := c.MigrateWave(moves); err == nil {
+	if _, err := c.MigrateWaveProv(moves, nil); err == nil {
 		t.Fatal("multi-move wave under MitigationInvalidate must be rejected")
 	}
-	rep, err := c.ExecuteMoves(moves)
-	if err != nil {
-		t.Fatal(err)
+	if c.VM("inv-a").Hyp != hyps[0] || c.VM("inv-b").Hyp != hyps[1] {
+		t.Fatal("a refused wave moved a VM")
 	}
-	if rep.Batches != 2 || len(rep.Reports) != 2 {
-		t.Fatalf("want 2 single-move waves, got %d batches / %d reports", rep.Batches, len(rep.Reports))
+	for _, mv := range moves {
+		if rep, err := c.MigrateWaveProv([]Move{mv}, nil); err != nil || len(rep.Reports) != 1 {
+			t.Fatalf("single-move wave %v: %+v, %v", mv, rep, err)
+		}
 	}
 }

@@ -6,8 +6,10 @@
 //
 // The types here are deliberately small and allocation-friendly: the routing
 // engines materialise one LFT per switch for subnets of up to 49151 unicast
-// LIDs, so LFTs are backed by flat byte slices and block-level dirty
-// tracking is kept as a bitmap.
+// LIDs, so an LFT is a copy-on-write radix of 64-entry blocks whose Clone
+// copies a few pointers. An LFT keeps no record of what was written to it:
+// a writer learns from Set which entries changed, and Diff/NextDiff compare
+// two tables block by block.
 package ib
 
 import "fmt"

@@ -122,21 +122,23 @@ func TestLFTBasic(t *testing.T) {
 	if lft.Get(5) != DropPort {
 		t.Error("fresh LFT entry should be DropPort")
 	}
-	lft.Set(5, 3)
+	before := lft.Clone()
+	if !lft.Set(5, 3) {
+		t.Error("Set of a new port reported no change")
+	}
 	if lft.Get(5) != 3 {
 		t.Error("Set/Get mismatch")
 	}
-	if got := lft.DirtyBlocks(); len(got) != 1 || got[0] != 0 {
-		t.Errorf("DirtyBlocks = %v, want [0]", got)
+	if got := lft.Diff(before); len(got) != 1 || got[0] != 0 {
+		t.Errorf("Diff = %v, want [0]", got)
 	}
-	lft.ClearDirty()
-	if lft.DirtyBlockCount() != 0 {
-		t.Error("ClearDirty did not clear")
+	// Setting the same value again is no change and writes no block.
+	written := lft.Clone()
+	if lft.Set(5, 3) {
+		t.Error("idempotent Set reported a change")
 	}
-	// Setting the same value again must not re-dirty the block.
-	lft.Set(5, 3)
-	if lft.DirtyBlockCount() != 0 {
-		t.Error("idempotent Set dirtied a block")
+	if _, _, _, ok := lft.NextDiff(written, 0); ok {
+		t.Error("idempotent Set copied a block")
 	}
 }
 
@@ -163,13 +165,13 @@ func TestLFTSwapSameBlock(t *testing.T) {
 	lft := NewLFT(63)
 	lft.Set(2, 2)
 	lft.Set(12, 4)
-	lft.ClearDirty()
+	before := lft.Clone()
 	lft.Swap(2, 12)
 	if lft.Get(2) != 4 || lft.Get(12) != 2 {
 		t.Fatal("swap did not exchange ports")
 	}
-	if n := lft.DirtyBlockCount(); n != 1 {
-		t.Errorf("swap within one block dirtied %d blocks, want 1", n)
+	if n := len(lft.Diff(before)); n != 1 {
+		t.Errorf("swap within one block changed %d blocks, want 1", n)
 	}
 }
 
@@ -179,23 +181,24 @@ func TestLFTSwapAcrossBlocks(t *testing.T) {
 	lft := NewLFT(127)
 	lft.Set(2, 2)
 	lft.Set(70, 4)
-	lft.ClearDirty()
+	before := lft.Clone()
 	lft.Swap(2, 70)
-	if n := lft.DirtyBlockCount(); n != 2 {
-		t.Errorf("cross-block swap dirtied %d blocks, want 2", n)
+	if n := len(lft.Diff(before)); n != 2 {
+		t.Errorf("cross-block swap changed %d blocks, want 2", n)
 	}
 }
 
 func TestLFTSwapEqualPortsNoDirty(t *testing.T) {
 	// Section VI-B: if both LIDs already exit the same port, the switch
-	// needs no update at all (n' < n).
+	// needs no update at all (n' < n): the swap writes no block, so the
+	// table still shares every block with its clone.
 	lft := NewLFT(63)
 	lft.Set(2, 2)
 	lft.Set(6, 2)
-	lft.ClearDirty()
+	before := lft.Clone()
 	lft.Swap(2, 6)
-	if n := lft.DirtyBlockCount(); n != 0 {
-		t.Errorf("same-port swap dirtied %d blocks, want 0", n)
+	if b, _, _, ok := lft.NextDiff(before, 0); ok {
+		t.Errorf("same-port swap wrote block %d, want none", b)
 	}
 }
 
@@ -256,7 +259,7 @@ func TestLFTClone(t *testing.T) {
 func TestLFTString(t *testing.T) {
 	a := NewLFT(64)
 	a.Set(10, 3)
-	if got := a.String(); got != "LFT{blocks=2, populated=1, dirty=1}" {
+	if got := a.String(); got != "LFT{blocks=2, populated=1}" {
 		t.Errorf("String = %q", got)
 	}
 }
@@ -275,41 +278,6 @@ func TestLFTSwapInvolutionProperty(t *testing.T) {
 		return lft.Get(la) == before[0] && lft.Get(lb) == before[1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: dirty blocks reported by Set are exactly the blocks whose
-// contents changed relative to a snapshot.
-func TestLFTDirtyMatchesDiffProperty(t *testing.T) {
-	f := func(writes []uint32) bool {
-		lft := NewLFT(1024)
-		snap := lft.Clone()
-		lft.ClearDirty()
-		for _, w := range writes {
-			l := LID(w % 1024)
-			if l == 0 {
-				l = 1
-			}
-			p := PortNum(w >> 24)
-			lft.Set(l, p)
-		}
-		dirty := lft.DirtyBlocks()
-		diff := lft.Diff(snap)
-		// Every diff block must be dirty (dirty may over-approximate when a
-		// value is set away and back, which still re-sends the block).
-		dset := make(map[int]bool, len(dirty))
-		for _, b := range dirty {
-			dset[b] = true
-		}
-		for _, b := range diff {
-			if !dset[b] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

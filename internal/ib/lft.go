@@ -2,7 +2,6 @@ package ib
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 )
 
@@ -67,8 +66,7 @@ type lftSuper struct {
 // (DropPort) or an entry outside the populated range means "drop".
 type LFT struct {
 	supers  []*lftSuper
-	nblocks int      // logical geometry in 64-entry blocks (supers over-cover)
-	dirty   []uint64 // bitmap over block indices, set by Set since last ClearDirty
+	nblocks int // logical geometry in 64-entry blocks (supers over-cover)
 	gen     atomic.Uint64
 	// prov is the table's current write epoch: every Set that changes an
 	// entry stamps the touched block with this pointer. Writers open an
@@ -95,25 +93,23 @@ func NewLFTBlocks(nblocks int) *LFT {
 	t := &LFT{
 		supers:  make([]*lftSuper, (nblocks+lftFanout-1)/lftFanout),
 		nblocks: nblocks,
-		dirty:   make([]uint64, (nblocks+63)/64),
 	}
 	t.gen.Store(lftGen.Add(1))
 	return t
 }
 
-// Clone returns an independent copy of the table, including dirty state.
-// Only the superblock pointer slice is copied; superblocks and blocks are
-// shared until either side writes into them. Both tables move to fresh
-// generations, so neither will mutate shared storage in place.
+// Clone returns an independent copy of the table: the copy a writer edits
+// off to the side before publishing it. Only the superblock pointer slice is
+// copied; superblocks and blocks are shared until either side writes into
+// them. Both tables move to fresh generations, so neither will mutate shared
+// storage in place.
 func (t *LFT) Clone() *LFT {
 	c := &LFT{
 		supers:  make([]*lftSuper, len(t.supers)),
 		nblocks: t.nblocks,
-		dirty:   make([]uint64, len(t.dirty)),
 		prov:    t.prov,
 	}
 	copy(c.supers, t.supers)
-	copy(c.dirty, t.dirty)
 	c.gen.Store(lftGen.Add(1))
 	t.gen.Store(lftGen.Add(1))
 	return c
@@ -319,18 +315,20 @@ func (t *LFT) ProvenanceOf(l LID) *Provenance {
 }
 
 // Set programs the egress port for a LID, growing the table if needed, and
-// marks the containing block dirty if the value changed. A changed entry
-// also stamps the block with the table's current provenance epoch.
-func (t *LFT) Set(l LID, p PortNum) {
+// reports whether the entry changed: the SM sends the block of every changed
+// entry to the switch and nothing else. A changed entry also stamps its block
+// with the table's current provenance epoch; an unchanged one copies no
+// storage.
+func (t *LFT) Set(l LID, p PortNum) bool {
 	t.ensure(l)
 	b := BlockOf(l)
 	if entries(t.Block(b))[int(l)%LFTBlockSize] == p {
-		return
+		return false
 	}
 	blk := t.mutableBlock(b)
 	blk.ports[int(l)%LFTBlockSize] = p
 	blk.prov = t.prov
-	t.dirty[b/64] |= 1 << (uint(b) % 64)
+	return true
 }
 
 // LFTEntry is one entry to program: LID leaves the switch through Port. It is
@@ -340,9 +338,10 @@ type LFTEntry struct {
 	Port PortNum
 }
 
-// Swap exchanges the entries of two LIDs, marking affected blocks dirty only
-// when values actually change. This is the primitive of the paper's
-// prepopulated-LID reconfiguration (section V-C1).
+// Swap exchanges the entries of two LIDs, writing a block only when a value
+// actually changes (two LIDs behind the same port cost nothing, section
+// VI-B). This is the primitive of the paper's prepopulated-LID
+// reconfiguration (section V-C1).
 func (t *LFT) Swap(a, b LID) {
 	pa, pb := t.Get(a), t.Get(b)
 	t.Set(a, pb)
@@ -360,15 +359,12 @@ func (t *LFT) ensure(l LID) {
 		copy(ns, t.supers)
 		t.supers = ns
 	}
-	nd := make([]uint64, (nblocks+63)/64)
-	copy(nd, t.dirty)
-	t.dirty = nd
 	t.nblocks = nblocks
 }
 
 // CopyBlockFrom overwrites one 64-entry block of t with the corresponding
 // block of other, growing t as needed. The distribution engine uses it to
-// commit exactly the blocks a switch acknowledged when a distribution ends
+// publish exactly the blocks a switch acknowledged when a write ends
 // partially delivered. A block whose contents actually change adopts the
 // source block's provenance stamp — the entries now ARE the source writer's
 // work, so attribution follows them.
@@ -378,8 +374,7 @@ func (t *LFT) CopyBlockFrom(other *LFT, block int) {
 	changed := false
 	for i := 0; i < LFTBlockSize; i++ {
 		l := LID(base + i)
-		if p := other.Get(l); p != t.Get(l) {
-			t.Set(l, p)
+		if t.Set(l, other.Get(l)) {
 			changed = true
 		}
 	}
@@ -387,38 +382,6 @@ func (t *LFT) CopyBlockFrom(other *LFT, block int) {
 		// Set materialised the block under t's generation; re-stamp it with
 		// the source epoch without another copy.
 		t.mutableBlock(block).prov = other.ProvenanceOf(LID(base))
-	}
-}
-
-// DirtyBlocks returns the indices of blocks modified since the last
-// ClearDirty, in ascending order. The subnet manager sends one SMP per dirty
-// block during LFT distribution.
-func (t *LFT) DirtyBlocks() []int {
-	var out []int
-	for wi, w := range t.dirty {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			out = append(out, wi*64+bit)
-			w &^= 1 << uint(bit)
-		}
-	}
-	return out
-}
-
-// DirtyBlockCount returns the number of dirty blocks without allocating.
-func (t *LFT) DirtyBlockCount() int {
-	n := 0
-	for _, w := range t.dirty {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// ClearDirty resets the dirty bitmap, typically after the SM has pushed the
-// dirty blocks to the physical switch.
-func (t *LFT) ClearDirty() {
-	for i := range t.dirty {
-		t.dirty[i] = 0
 	}
 }
 
@@ -465,6 +428,5 @@ func (t *LFT) Diff(other *LFT) []int {
 
 // String summarises the table (for debugging and event traces).
 func (t *LFT) String() string {
-	return fmt.Sprintf("LFT{blocks=%d, populated=%d, dirty=%d}",
-		t.NumBlocks(), len(t.PopulatedBlocks()), t.DirtyBlockCount())
+	return fmt.Sprintf("LFT{blocks=%d, populated=%d}", t.NumBlocks(), len(t.PopulatedBlocks()))
 }

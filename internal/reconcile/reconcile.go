@@ -111,7 +111,7 @@ func (c *StepCost) add(o StepCost) {
 type Plan struct {
 	Goal      Goal
 	Moves     []Move
-	Waves     [][]cloud.Move // execute each with Cloud.MigrateWave, in order
+	Waves     [][]cloud.Move // execute each with Cloud.MigrateWaveProv, in order
 	Predicted []StepCost     // one per wave
 	Total     StepCost
 	Edits     int // LFT entries the waves' merged plans rewrite in all
@@ -159,10 +159,9 @@ func (p *Planner) Plan(spec Spec) (*Plan, error) {
 		return ann[i].VM < ann[j].VM
 	})
 
-	// Group into waves with the same admission rule ExecuteMoves uses —
-	// a move is admitted once its destination has an unreserved free VF in
-	// the *shadow* state, so capacity freed by earlier waves is credited —
-	// and predict each wave's cost on the shadow fabric.
+	// Group into waves — a move is admitted once its destination has an
+	// unreserved free VF in the *shadow* state, so capacity freed by earlier
+	// waves is credited — and predict each wave's cost on the shadow fabric.
 	sh := newShadow(p.C)
 	pending := ann
 	for len(pending) > 0 {
@@ -265,7 +264,7 @@ func (p *Planner) spareVF(sh *shadow, src topology.NodeID) (topology.NodeID, boo
 func (p *Planner) desired(spec Spec) ([]cloud.Move, error) {
 	switch spec.Goal {
 	case GoalDefrag:
-		return p.C.DefragPlan(), nil
+		return p.defragMoves(), nil
 	case GoalDrain:
 		return p.drainMoves(spec.Host)
 	case GoalSpread:
@@ -275,6 +274,101 @@ func (p *Planner) desired(spec Spec) ([]cloud.Move, error) {
 	default:
 		return nil, fmt.Errorf("reconcile: unknown goal %q", spec.Goal)
 	}
+}
+
+// defragMoves consolidates VMs onto the minimal number of hypervisors — the
+// paper's motivating scenario for cheap migrations, "optimization of
+// fragmented networks" (section V-B).
+//
+// The plan is keeper-based: the fullest hosts whose combined capacity covers
+// every VM are kept, every other loaded host drains *completely* into them,
+// and the bookkeeping credits capacity as it is consumed. Every move leaves
+// the receiver strictly fuller than the donor (no moves between
+// equally-loaded hosts, so no oscillation at minimal occupancy), every donor
+// ends empty (no migrations paid for a host that stays occupied), and
+// re-planning the achieved state yields no moves.
+//
+// Receivers are chosen leaf-local first (a donor's VM prefers a keeper under
+// the same leaf switch, where a migration touches the fewest switches —
+// section VI-D), then by highest current load, ties to the lowest node ID.
+func (p *Planner) defragMoves() []cloud.Move {
+	type host struct {
+		node topology.NodeID
+		vms  int
+		cap  int
+	}
+	total := 0
+	hosts := make([]host, 0, len(p.C.Hypervisors()))
+	for _, hn := range p.C.Hypervisors() {
+		hca := p.C.Hypervisor(hn).HCA
+		n := hca.AttachedCount()
+		total += n
+		hosts = append(hosts, host{hn, n, n + hca.FreeCount()}) // a held VF is not room
+	}
+	if total == 0 {
+		return nil
+	}
+	sort.Slice(hosts, func(i, j int) bool {
+		if hosts[i].vms != hosts[j].vms {
+			return hosts[i].vms > hosts[j].vms // fullest first
+		}
+		return hosts[i].node < hosts[j].node
+	})
+
+	// Keepers: the shortest fullest-first prefix whose capacity holds every
+	// VM. Everything after it drains; total <= the keepers' capacity, so a
+	// keeper with space exists for every donated VM.
+	capSum, nKeep := 0, 0
+	for nKeep < len(hosts) && capSum < total {
+		capSum += hosts[nKeep].cap
+		nKeep++
+	}
+	keepers := hosts[:nKeep]
+
+	// Live per-keeper bookkeeping, and each keeper's leaf switch for the
+	// leaf-local preference.
+	leafOf := p.C.SM.Topo.LeafSwitchOf
+	load := map[topology.NodeID]int{}
+	free := map[topology.NodeID]int{}
+	leaf := map[topology.NodeID]topology.NodeID{}
+	for _, k := range keepers {
+		load[k.node] = k.vms
+		free[k.node] = k.cap - k.vms
+		leaf[k.node] = leafOf(k.node)
+	}
+
+	vmsOn := map[topology.NodeID][]string{}
+	for _, name := range p.C.VMs() { // sorted by name: deterministic plans
+		hn := p.C.VM(name).Hyp
+		vmsOn[hn] = append(vmsOn[hn], name)
+	}
+
+	var moves []cloud.Move
+	for di := len(hosts) - 1; di >= nKeep; di-- { // emptiest donors first
+		donor := hosts[di]
+		donorLeaf := leafOf(donor.node)
+		for _, name := range vmsOn[donor.node] {
+			recv := topology.NoNode
+			recvLocal := false
+			for _, k := range keepers {
+				if free[k.node] <= 0 {
+					continue
+				}
+				local := leaf[k.node] == donorLeaf
+				switch {
+				case recv == topology.NoNode,
+					local && !recvLocal,
+					local == recvLocal && load[k.node] > load[recv],
+					local == recvLocal && load[k.node] == load[recv] && k.node < recv:
+					recv, recvLocal = k.node, local
+				}
+			}
+			moves = append(moves, cloud.Move{VM: name, To: recv})
+			free[recv]--
+			load[recv]++
+		}
+	}
+	return moves
 }
 
 // drainMoves empties one hypervisor, packing its VMs onto the remaining
@@ -404,7 +498,7 @@ func (p *Planner) placementMoves(want map[string]topology.NodeID) ([]cloud.Move,
 	}
 	for _, hn := range p.C.Hypervisors() {
 		if cap := p.C.VMCountOn(hn) + p.C.Hypervisor(hn).HCA.FreeCount(); final[hn] > cap {
-			return nil, fmt.Errorf("reconcile: placement overfills hypervisor %d (%d VMs, %d VFs)", hn, final[hn], cap)
+			return nil, fmt.Errorf("reconcile: placement overfills hypervisor %d (%d VMs, %d VFs): no %w", hn, final[hn], cap, cloud.ErrNoFreeVF)
 		}
 	}
 	return moves, nil

@@ -37,7 +37,7 @@ func applyPlan(t *testing.T, c *cloud.Cloud, plan *Plan) []cloud.WaveReport {
 	t.Helper()
 	reps := make([]cloud.WaveReport, 0, len(plan.Waves))
 	for i, wave := range plan.Waves {
-		wr, err := c.MigrateWave(wave)
+		wr, err := c.MigrateWaveProv(wave, nil)
 		if err != nil {
 			t.Fatalf("wave %d: %v", i, err)
 		}

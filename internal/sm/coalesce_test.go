@@ -9,7 +9,7 @@ import (
 	"ibvsim/internal/topology"
 )
 
-// TestPlanRuns pins the run planner: adjacent dirty blocks coalesce up to
+// TestPlanRuns pins the run planner: adjacent blocks coalesce up to
 // the cap, gaps break runs, and a cap of 0/1 degenerates to one block per
 // SMP (the classical wire format).
 func TestPlanRuns(t *testing.T) {

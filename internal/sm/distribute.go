@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,10 +63,10 @@ type DistributionConfig struct {
 	Workers int
 	// Retry is the per-SMP retransmission policy.
 	Retry RetryPolicy
-	// MaxBlocksPerSMP bounds how many *adjacent* dirty 64-LID blocks one
+	// MaxBlocksPerSMP bounds how many *adjacent* changed 64-LID blocks one
 	// SMP may program (AttrMod..AttrMod+n-1). 0 and 1 keep the classical
 	// one-block-per-SMP wire format; raising it coalesces runs of adjacent
-	// dirty blocks into multi-block SMPs, cutting the SMP count of dense
+	// changed blocks into multi-block SMPs, cutting the SMP count of dense
 	// deltas at a small per-extra-block payload cost (CostModel.ExtraBlock).
 	// The retry unit is the whole run: a lost multi-block SMP retransmits
 	// every block it carried.
@@ -149,7 +150,7 @@ func (s *SubnetManager) DistributeFullCtx(ctx context.Context) (DistributionStat
 	return s.distribute(ctx, true, smp.DirectedRoute)
 }
 
-// blockRun is a maximal (up to MaxBlocksPerSMP) run of adjacent dirty
+// blockRun is a maximal (up to MaxBlocksPerSMP) run of adjacent changed
 // blocks sent as one SMP: AttrMod = start, Blocks = n.
 type blockRun struct {
 	start, n int
@@ -174,7 +175,7 @@ func planRuns(blocks []int, max int) []blockRun {
 }
 
 // CoalescedSMPs returns how many SMPs the distribution engine sends for an
-// ascending dirty-block list under MaxBlocksPerSMP = max: the one packing
+// ascending changed-block list under MaxBlocksPerSMP = max: the one packing
 // rule, exported so a dry run (the reconciler's shadow coster) predicts
 // applied SMP counts with the planner that will produce them.
 func CoalescedSMPs(blocks []int, max int) int { return len(planRuns(blocks, max)) }
@@ -339,18 +340,16 @@ func (s *SubnetManager) distribute(ctx context.Context, full bool, mode smp.Mode
 			// Shutdown cut this switch short: commit what was acknowledged,
 			// leave the rest for the next distribution.
 			st.SwitchesCancelled++
-			s.commitPartial(job, r.delivered)
+			s.commitPartial(job.sw, job.tgt, r.delivered)
 			s.log.Addf(EvDistribute, "distribute: %q cancelled: %d/%d blocks delivered",
 				s.Topo.Node(job.sw).Desc, len(r.delivered), job.nblocks)
 		case r.err == nil && r.abandoned == 0:
 			st.SwitchesUpdated++
-			t := job.tgt.Clone()
-			t.ClearDirty()
-			s.commitProgrammed(job.sw, t)
+			s.commitProgrammed(job.sw, job.tgt.Clone())
 		default:
 			st.SwitchesFailed++
 			// Only the acknowledged blocks are known to be on the switch.
-			s.commitPartial(job, r.delivered)
+			s.commitPartial(job.sw, job.tgt, r.delivered)
 			s.log.Addf(EvFailure, "distribute: %q incomplete: %d/%d blocks delivered, %d SMPs abandoned (%v)",
 				s.Topo.Node(job.sw).Desc, len(r.delivered), job.nblocks, r.abandoned, r.err)
 		}
@@ -395,28 +394,28 @@ func (s *SubnetManager) distribute(ctx context.Context, full bool, mode smp.Mode
 	return st, firstErr
 }
 
-// commitPartial publishes a partially-delivered distribution outcome: the
-// next active table is the old active (or an empty table sized from the
-// target's geometry) with only the acknowledged blocks copied in, swapped
-// in atomically so readers never see a half-merged mixture.
-func (s *SubnetManager) commitPartial(job distJob, delivered []int) {
-	if len(delivered) == 0 && s.programmedActive(job.sw) != nil {
+// commitPartial publishes a partially-delivered write — a distribution job
+// or a SetLFTEntriesProv call whose SMPs were not all acknowledged: the next
+// active table is the old active (or an empty table sized from the source's
+// geometry) with only the acknowledged blocks of from copied in, swapped in
+// atomically so readers never see a half-merged mixture.
+func (s *SubnetManager) commitPartial(sw topology.NodeID, from *ib.LFT, delivered []int) {
+	if len(delivered) == 0 && s.programmedActive(sw) != nil {
 		return // nothing landed; the old active table still holds
 	}
 	var next *ib.LFT
-	if cur := s.programmedActive(job.sw); cur != nil {
+	if cur := s.programmedActive(sw); cur != nil {
 		next = cur.Clone()
 	} else {
-		// Size the fallback table from the target's geometry, not a
+		// Size the fallback table from the source's geometry, not a
 		// reconstructed top LID, so the programmed view can never drift
 		// from the table it is shadowing.
-		next = ib.NewLFTBlocks(job.tgt.NumBlocks())
+		next = ib.NewLFTBlocks(from.NumBlocks())
 	}
 	for _, b := range delivered {
-		next.CopyBlockFrom(job.tgt, b)
+		next.CopyBlockFrom(from, b)
 	}
-	next.ClearDirty()
-	s.commitProgrammed(job.sw, next)
+	s.commitProgrammed(sw, next)
 }
 
 // attemptCost models the serial-channel time one SMP spent after the given
@@ -534,17 +533,23 @@ func (s *SubnetManager) sendLFTRun(sw topology.NodeID, run blockRun, mode smp.Mo
 
 // SetLFTEntriesProv programs individual LFT entries on one switch (both the
 // SM shadow and the modelled physical switch), sending one SMP per touched
-// 64-LID block run (adjacent dirty blocks coalesce per MaxBlocksPerSMP and
-// the return value counts the SMPs sent). This is the primitive the vSwitch
-// reconfigurator uses: a LID swap touches one or two blocks, a LID copy
-// touches one (section V-C), and the entries are a migration plan's run for
-// this switch, handed over as it lies (a later duplicate wins). Mode selects
-// directed vs destination-routed delivery — the paper's improvement in eq. 5
-// uses destination routing because switch LIDs are unaffected by VM
-// migrations. Lost SMPs are retried per the distribution config; exhausting
-// the budget surfaces as an error. The updated shadow is assembled off to
-// the side and published with one buffer swap, so concurrent readers never
-// observe a half-applied set.
+// 64-LID block run (adjacent touched blocks coalesce per MaxBlocksPerSMP).
+// This is the primitive the vSwitch reconfigurator uses: a LID swap touches
+// one or two blocks, a LID copy touches one (section V-C), and the entries
+// are a migration plan's run for this switch, handed over as it lies (a later
+// duplicate wins). Mode selects directed vs destination-routed delivery — the
+// paper's improvement in eq. 5 uses destination routing because switch LIDs
+// are unaffected by VM migrations. Lost SMPs are retried per the
+// distribution config.
+//
+// It follows the distribution engine's rule: edit a clone, send, then publish
+// what the switch acknowledged. The blocks sent are those in which some entry
+// actually changed a port. When every SMP is acknowledged the whole clone is
+// published with one buffer swap (concurrent readers never observe a
+// half-applied set) and the target view is patched to match; when a run is
+// abandoned only the blocks of the runs before it are published, the target
+// stays as it was, and the error comes back. Either way the count returned is
+// the SMPs the switch acknowledged.
 //
 // A per-switch stripe lock covers the whole clone→send→commit cycle (and
 // the target-view patch below), so concurrent shard actors touching
@@ -567,15 +572,31 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEn
 	}
 	next := cur.Clone()
 	next.SetProvenance(prov)
-	next.ClearDirty()
+	// The touched blocks, ascending and without repeats. A plan's run is
+	// sorted by LID, so sorting is needed only for a caller's unsorted list.
+	blocks := make([]int, 0, 2)
+	sorted := true
 	for _, e := range entries {
-		next.Set(e.LID, e.Port)
+		if !next.Set(e.LID, e.Port) {
+			continue
+		}
+		b := ib.BlockOf(e.LID)
+		if n := len(blocks); n > 0 {
+			if blocks[n-1] == b {
+				continue
+			}
+			sorted = sorted && blocks[n-1] < b
+		}
+		blocks = append(blocks, b)
 	}
-	runs := planRuns(next.DirtyBlocks(), s.Dist.MaxBlocksPerSMP)
-	next.ClearDirty()
-	s.commitProgrammed(sw, next)
+	if !sorted {
+		slices.Sort(blocks)
+		blocks = slices.Compact(blocks)
+	}
+	runs := planRuns(blocks, s.Dist.MaxBlocksPerSMP)
 	desc := s.Topo.Node(sw).Desc
-	for _, run := range runs {
+	sent := 0 // blocks carried by the acknowledged runs, a prefix of blocks
+	for i, run := range runs {
 		// One SpanSMP per SMP: under a migration's lft-swap span these are
 		// the n' x m' spans of the paper's equations 4/5. This loop runs
 		// once per touched switch of every reconfiguration, so the span is
@@ -597,9 +618,13 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEn
 		s.tel.Tracer().Emit(telemetry.SpanSMP, desc, under, 0,
 			s.attemptCost(mode, run.n, attempts, err), attrs[:n]...)
 		if err != nil {
-			return 0, err
+			// A lost SMP left its blocks as they were on the switch.
+			s.commitPartial(sw, next, blocks[:sent])
+			return i, err
 		}
+		sent += run.n
 	}
+	s.commitProgrammed(sw, next)
 	// Keep the target view coherent so a later full distribution does not
 	// undo the reconfiguration.
 	if tgt := s.target[sw]; tgt != nil {

@@ -156,9 +156,7 @@ func (s *SubnetManager) AdoptFabricState(prev *SubnetManager) (AdoptStats, error
 			}
 			st.LFTBlockReads++
 		}
-		adopted := lft.Clone()
-		adopted.ClearDirty()
-		s.commitProgrammed(sw, adopted)
+		s.commitProgrammed(sw, lft.Clone())
 	}
 	// Recompute and reconcile.
 	if _, err := s.ComputeRoutes(); err != nil {
