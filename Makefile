@@ -33,6 +33,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMergePlans$$' -fuzztime 10s
 	$(GO) test ./internal/routing -run '^$$' -fuzz '^FuzzDeltaRecompute$$' -fuzztime 10s
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzReachabilityAgrees$$' -fuzztime 10s
+	$(GO) test ./internal/cdg -run '^$$' -fuzz '^FuzzMaintainedCDG$$' -fuzztime 10s
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzSpanRoundTrip$$' -fuzztime 10s
 
 # The benchmark-regression harness: the Fig. 7 path-computation and Table I

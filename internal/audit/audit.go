@@ -23,6 +23,7 @@
 package audit
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -133,13 +134,18 @@ type Auditor struct {
 	last *Report
 	idle []*scratch // walk scratch of finished passes, reused by the next
 
-	// One channel index and dependency graph per fabric, emptied and
-	// refilled by every CDG check: building them anew regrew the arc arena
-	// by doubling on every distribution and every full pass.
+	// The installed routing's CDG, kept between passes: every transition
+	// check and every full audit brings it up to date with the tables it
+	// checks, at the cost of the (switch, LID) pairs that changed. cdgCold
+	// says why the next pass must build it from nothing instead ("" when it
+	// can be brought up to date).
 	cdgMu    sync.Mutex
 	cdgTopo  *topology.Topology
 	cdgNodes int
-	cdgGraph *cdg.Graph
+	cdg      *cdg.Maintained
+	cdgCold  string
+
+	cdgWarm, cdgColdRuns *telemetry.Counter
 }
 
 // New returns an auditor reporting into the hub's registry and tracer.
@@ -156,6 +162,8 @@ func New(hub *telemetry.Hub, rec *Recorder, cfg Config) *Auditor {
 	}
 	a.runs = a.reg.Counter("audit.runs")
 	a.total = a.reg.Counter("audit.violations_total")
+	a.cdgWarm = a.reg.Counter(telemetry.Labeled("audit.cdg_passes", "mode", "warm"))
+	a.cdgColdRuns = a.reg.Counter(telemetry.Labeled("audit.cdg_passes", "mode", "cold"))
 	return a
 }
 
@@ -192,7 +200,7 @@ func (a *Auditor) Run(v *View, scope Scope) *Report {
 	}
 	a.release(s)
 	if scope == ScopeFull {
-		a.checkInstalledCDG(v, &c)
+		a.note(span, a.checkInstalledCDG(v, &c))
 	}
 
 	rep := &Report{
@@ -234,16 +242,77 @@ func (a *Auditor) release(s *scratch) {
 	a.mu.Unlock()
 }
 
-// withGraph runs fn on the auditor's dependency graph over t's channels,
-// one caller at a time. The graph is rebuilt when t is another topology or
-// has grown; link state does not enter the channel numbering.
-func (a *Auditor) withGraph(t *topology.Topology, fn func(g *cdg.Graph)) {
-	a.cdgMu.Lock()
-	defer a.cdgMu.Unlock()
+// Why a pass built the installed routing's CDG from nothing (the span
+// attribute cdg_reason): no graph yet, another topology or a rewired one, an
+// installed routing that is cyclic (an Ordered cannot hold it), or a refused
+// insert (the transition's union is cyclic).
+const (
+	coldFirst    = "first"
+	coldTopology = "topology"
+	coldCyclic   = "cyclic"
+	coldRefused  = "refused"
+)
+
+// cdgPass is how one pass checked a CDG: warm when the kept graph was
+// brought up to date, else cold, and why.
+type cdgPass struct {
+	cold           string
+	pairs, entries int
+}
+
+// keep brings the kept CDG to r's routing of dlids, under cdgMu. held is
+// false when that routing is cyclic: the graph is then lost, and the caller
+// runs the cold check for its report.
+func (a *Auditor) keep(t *topology.Topology, r cdg.Tables, dlids []ib.LID) (p cdgPass, held bool) {
 	if a.cdgTopo != t || a.cdgNodes != t.NumNodes() {
-		a.cdgTopo, a.cdgNodes, a.cdgGraph = t, t.NumNodes(), cdg.NewGraph(cdg.NewIndex(t))
+		p.cold = coldTopology
+		if a.cdgTopo == nil {
+			p.cold = coldFirst
+		}
+		a.cdgTopo, a.cdgNodes, a.cdg = t, t.NumNodes(), cdg.NewMaintained(cdg.NewIndex(t))
+	} else if p.cold = a.cdgCold; p.cold == "" {
+		d, err := a.cdg.Update(r, dlids)
+		p.pairs, p.entries = d.Pairs, d.Entries
+		if err == nil {
+			return p, true
+		}
+		if errors.Is(err, cdg.ErrCyclic) {
+			p.cold, a.cdgCold = coldCyclic, coldCyclic
+			return p, false
+		}
+		p.cold, a.cdg = coldTopology, cdg.NewMaintained(cdg.NewIndex(t))
 	}
-	fn(a.cdgGraph)
+	err := a.cdg.Load(r, dlids)
+	if errors.Is(err, cdg.ErrRewired) {
+		p.cold, a.cdg = coldTopology, cdg.NewMaintained(cdg.NewIndex(t))
+		err = a.cdg.Load(r, dlids)
+	}
+	p.pairs, a.cdgCold = a.cdg.Pairs(), ""
+	if err != nil {
+		p.cold, a.cdgCold = coldCyclic, coldCyclic
+	}
+	return p, err == nil
+}
+
+// note records how a pass checked its CDG in audit.cdg_passes and on its
+// span.
+func (a *Auditor) note(span *telemetry.Span, p cdgPass) {
+	if p.cold == "" {
+		a.cdgWarm.Inc()
+	} else {
+		a.cdgColdRuns.Inc()
+	}
+	if span == nil {
+		return // boxing the counts would allocate for nothing
+	}
+	if p.cold == "" {
+		span.SetAttr("cdg", "warm")
+	} else {
+		span.SetAttr("cdg", "cold")
+		span.SetAttr("cdg_reason", p.cold)
+	}
+	span.SetAttr("pairs", p.pairs)
+	span.SetAttr("entries_changed", p.entries)
 }
 
 // finish publishes a report: counters, span attributes, the last-report

@@ -12,7 +12,9 @@ import (
 // View is the immutable fabric state one audit pass checks. The control
 // plane builds it from its copy-on-write snapshot; tests build it by hand.
 // Nothing in a View is mutated by the auditor, so a View may be shared
-// across concurrent passes.
+// across concurrent passes. Nor may anyone else write its tables once a full
+// pass has seen them: the auditor keeps them as the base of the next pass's
+// CDG delta (an edit goes to a clone, as the subnet manager's do).
 type View struct {
 	Topo *topology.Topology
 	Gen  uint64
@@ -380,26 +382,29 @@ func checkBindings(v *View, c *collector) {
 // checkInstalledCDG proves invariant family (c) for the steady state: the
 // CDG induced by the installed routing of the data traffic must be acyclic
 // (Dally & Seitz). The transient variant for in-flight distributions is
-// CheckTransition.
+// CheckTransition. It brings the auditor's kept graph up to date with the
+// view's tables; only when that routing is cyclic does it build a Graph from
+// nothing, to name the cycle.
 //
 // Only CA-owned destination LIDs enter the graph: switch-destined traffic
 // is in-band management riding VL15, which has dedicated credits and is
 // exempt from data-VL credit deadlock — and routes to switch LIDs (e.g.
 // spine to spine through a leaf) legally violate up/down ordering, so
 // including them would flag every fat-tree as deadlocked.
-func (a *Auditor) checkInstalledCDG(v *View, c *collector) {
-	var cyc []cdg.Channel
-	a.withGraph(v.Topo, func(g *cdg.Graph) {
-		g.Reset()
-		g.AddRoutes(v, dataLIDs(v.Topo, v.ActiveLIDs, v.NodeOf))
-		cyc = g.FindCycle()
-	})
-	if cyc != nil {
-		c.add(Violation{
-			Kind:   KindDeadlock,
-			Detail: fmt.Sprintf("installed routing CDG has a cycle: %s", cycleString(cyc)),
-		})
+func (a *Auditor) checkInstalledCDG(v *View, c *collector) cdgPass {
+	dlids := dataLIDs(v.Topo, v.ActiveLIDs, v.NodeOf)
+	a.cdgMu.Lock()
+	p, held := a.keep(v.Topo, cdg.Tables{Table: v.LFT, Owner: v.NodeOf}, dlids)
+	a.cdgMu.Unlock()
+	if held {
+		return p
 	}
+	c.add(Violation{
+		Kind: KindDeadlock,
+		Detail: fmt.Sprintf("installed routing CDG has a cycle: %s",
+			cycleString(cdg.BuildSwitchCDG(v.Topo, v, dlids).FindCycle())),
+	})
+	return p
 }
 
 // dataLIDs filters a destination set down to CA-owned LIDs — the ones whose

@@ -22,6 +22,12 @@ import (
 // dump; distribution itself is not blocked (the monitor observes, the
 // mitigation policy in core decides).
 //
+// The check costs what changed: the auditor's kept CDG of the installed
+// routing is brought up to date with the programmed tables, the target's
+// dependencies are inserted for the pairs whose entries differ, and the
+// inserts are taken back. Only a cyclic union (a refused insert) or a cyclic
+// installed routing runs the cold check, whose report names the cycle.
+//
 // Like checkInstalledCDG, the analysis covers CA-owned destinations only:
 // switch-destined traffic is VL15 management, outside data-VL deadlock.
 func (a *Auditor) CheckTransition(t *topology.Topology, old, target map[topology.NodeID]*ib.LFT,
@@ -32,13 +38,28 @@ func (a *Auditor) CheckTransition(t *topology.Topology, old, target map[topology
 	c.max = a.cfg.MaxViolations
 
 	dlids = dataLIDs(t, dlids, nodeOf)
-	tables := func(m map[topology.NodeID]*ib.LFT) cdg.Routes {
-		return cdg.Tables{Table: func(sw topology.NodeID) *ib.LFT { return m[sw] }, Owner: nodeOf}
+	oldR, nextR := tablesOf(old, nodeOf), tablesOf(target, nodeOf)
+	tr := cdg.Transition{OldAcyclic: true, NewAcyclic: true, UnionAcyclic: true}
+	a.cdgMu.Lock()
+	p, held := a.keep(t, oldR, dlids)
+	if held {
+		var d cdg.Delta
+		var err error
+		tr.OldEdges, tr.UnionEdges, d, err = a.cdg.Union(nextR)
+		p.pairs, p.entries = p.pairs+d.Pairs, p.entries+d.Entries
+		if held = err == nil; !held {
+			p.cold = coldRefused
+		}
 	}
-	var tr cdg.Transition
-	a.withGraph(t, func(g *cdg.Graph) { tr = g.CheckTransition(tables(old), tables(target), dlids) })
-	span.SetAttr("old_edges", tr.OldEdges)
-	span.SetAttr("union_edges", tr.UnionEdges)
+	a.cdgMu.Unlock()
+	if !held { // fresh Tables: the warm path's stay on the stack
+		tr = cdg.CheckTransition(t, tablesOf(old, nodeOf), tablesOf(target, nodeOf), dlids)
+	}
+	a.note(span, p)
+	if span != nil {
+		span.SetAttr("old_edges", tr.OldEdges)
+		span.SetAttr("union_edges", tr.UnionEdges)
+	}
 
 	if !tr.UnionAcyclic {
 		c.add(Violation{
@@ -61,4 +82,9 @@ func (a *Auditor) CheckTransition(t *topology.Topology, old, target map[topology
 	}
 	a.finish(span, rep)
 	return rep
+}
+
+// tablesOf reads a map of tables, with nodeOf's owners, as cdg.Tables.
+func tablesOf(m map[topology.NodeID]*ib.LFT, nodeOf func(ib.LID) topology.NodeID) cdg.Tables {
+	return cdg.Tables{Table: func(sw topology.NodeID) *ib.LFT { return m[sw] }, Owner: nodeOf}
 }

@@ -11,15 +11,19 @@
 // channels densely, and an adjacency stores dependencies between those
 // numbers in flat slices. Two algorithms run over that storage:
 //   - Graph: a set of dependencies with constant-time insertion and a full
-//     white/grey/black cycle search — the auditor's installed-routing
-//     check, the section VI-C transition check (Rold ∪ Rnew may deadlock
-//     even when both are safe) and DFSSSP's per-virtual-lane cycle ejection;
+//     white/grey/black cycle search — the section VI-C transition check
+//     from nothing (Rold ∪ Rnew may deadlock even when both are safe), the
+//     cycle an auditor reports, and DFSSSP's per-virtual-lane cycle
+//     ejection;
 //   - Ordered: Pearce-Kelly checked insertion with multiplicities, which
 //     refuses the one edge that would close a cycle — LASH's per-path
-//     layer trials and their rollback.
+//     layer trials and their rollback, and under Maintained the auditor's
+//     installed-routing CDG, kept between passes and moved by the
+//     (switch, destination) pairs that changed.
 //
 // Walk is the single enumeration of the dependencies a set of forwarding
-// tables induces; everything that builds a graph from routes goes through it.
+// tables induces; everything that builds a graph from routes goes through it,
+// and its pair walk the element for one (switch, destination).
 package cdg
 
 import (
@@ -139,6 +143,14 @@ func (s *adjacency) reset() {
 	s.arcs, s.free, s.edges = s.arcs[:0], -1, 0
 }
 
+// fit reallocates the arena to what it holds plus 1/32 of headroom: after a
+// bulk load, append's growth would otherwise leave up to a quarter of it
+// allocated for nothing, for as long as the store lives. Only a store with no
+// removed arcs may be fitted.
+func (s *adjacency) fit() {
+	s.arcs = append(make([]arc, 0, len(s.arcs)+len(s.arcs)/32), s.arcs...)
+}
+
 // add records a -> b once more, reporting whether the dependency is new.
 func (s *adjacency) add(a, b int32) bool {
 	for i := s.head[a]; i >= 0; i = s.arcs[i].next {
@@ -172,8 +184,9 @@ func (s *adjacency) push(a, b int32) {
 }
 
 // remove undoes one add of a -> b, unlinking the arc when its multiplicity
-// reaches zero. Removing an absent dependency is a no-op.
-func (s *adjacency) remove(a, b int32) {
+// reaches zero, and reports whether it did. Removing an absent dependency
+// is a no-op.
+func (s *adjacency) remove(a, b int32) (gone bool) {
 	last := int32(-1)
 	for i := s.head[a]; i >= 0; last, i = i, s.arcs[i].next {
 		e := &s.arcs[i]
@@ -181,7 +194,7 @@ func (s *adjacency) remove(a, b int32) {
 			continue
 		}
 		if e.mult--; e.mult > 0 {
-			return
+			return false
 		}
 		if last < 0 {
 			s.head[a] = e.next
@@ -193,8 +206,9 @@ func (s *adjacency) remove(a, b int32) {
 		}
 		e.next, s.free = s.free, i
 		s.edges--
-		return
+		return true
 	}
+	return false
 }
 
 // Graph is a channel dependency graph over an Index — a set: adding a

@@ -1,0 +1,434 @@
+package cdg
+
+import (
+	"errors"
+	"math/bits"
+	"slices"
+
+	"ibvsim/internal/ib"
+	"ibvsim/internal/topology"
+)
+
+// Errors of a Maintained graph. After either, the graph must be reloaded.
+var (
+	// ErrRewired: a port's peer is not the one the graph's Index numbered.
+	ErrRewired = errors.New("cdg: the fabric was rewired under the channel index")
+	// ErrCyclic: the routing's dependencies close a cycle, which an Ordered
+	// cannot hold.
+	ErrCyclic = errors.New("cdg: the routing's dependencies are cyclic")
+)
+
+// Maintained is the CDG of one routing function kept between checks instead
+// of rebuilt: an Ordered holding one dependency per (switch, destination)
+// pair — a multiset, so a dependency two pairs induce is held twice —
+// together with the tables, link state and destination owners it was walked
+// from. Update moves it to another routing, and Union checks a second routing
+// against it, each at the cost of the pairs whose dependency can differ.
+//
+// Those pairs follow from what the pair walk (Walk.dep) reads. With
+// duplicates removed:
+//
+//  1. each changed entry (j, d), plus (i, d) for every neighbour i that
+//     forwards d to j under either table;
+//  2. (i, d) for every d that i forwards, under either table, out of a port
+//     whose link came up or went down;
+//  3. every destination of a switch that gained or lost its table, each as a
+//     changed entry under 1;
+//  4. every switch for a destination whose owner changed, entering or
+//     leaving the destination set included.
+//
+// A rewired fabric is not covered (ErrRewired). The tables a Maintained was
+// loaded from must not be written afterwards: the next delta starts from
+// them. A Maintained is not safe for concurrent use.
+type Maintained struct {
+	ix *Index
+	g  *Ordered
+	// cur is what g holds; next is Update's scratch, tgt Union's.
+	cur, next, tgt *kept
+	into           [][]int32 // per dense switch: the channel ids leading into it
+
+	// The pairs to re-walk: bit d*switches+i set for (i, d), d-major so
+	// that a visit reads the tables column by column. Only words lo..hi
+	// can be non-zero. The set is the list: nothing is kept per pair.
+	pairs  []uint64
+	lo, hi int
+	npairs int
+	// cols are the held and the other walk's blocks of the LIDs being
+	// visited: a pair's dependencies are array reads.
+	cols    [2]columns
+	waiting []Dep // Update's refused inserts, retried after every removal
+}
+
+// Delta is what one Update or Union re-walked: the pairs, and the changed
+// forwarding entries of destinations in the set.
+type Delta struct{ Pairs, Entries int }
+
+// kept is a Walk with a frozen copy of its destinations' owners, so that it
+// can be the base of the next delta after the Routes it came from moved on.
+type kept struct {
+	Walk
+	own  []topology.NodeID // per LID; NoNode outside lids
+	in   []uint64          // per 64-LID block, which of its LIDs are in lids
+	lids []ib.LID          // the destinations, ascending and distinct
+}
+
+func newKept(ix *Index) *kept {
+	k := &kept{Walk: Walk{ix: ix}}
+	k.nodeOf = k.owner
+	return k
+}
+
+func (k *kept) owner(l ib.LID) topology.NodeID {
+	if int(l) < len(k.own) {
+		return k.own[l]
+	}
+	return topology.NoNode
+}
+
+// inBlock says which LIDs of block blk are destinations.
+func (k *kept) inBlock(blk int) uint64 {
+	if blk < len(k.in) {
+		return k.in[blk]
+	}
+	return 0
+}
+
+// load freezes r's tables, the link state, and the owners of those dlids
+// that have one.
+func (k *kept) load(r Tables, dlids []ib.LID) (asIndexed bool) {
+	for _, l := range k.lids {
+		k.own[l] = topology.NoNode
+		k.in[ib.BlockOf(l)] = 0
+	}
+	k.lids = k.lids[:0]
+	for _, l := range dlids {
+		if n := int(l) + 1; n > len(k.own) {
+			from := len(k.own)
+			k.own = slices.Grow(k.own, n-from)[:n]
+			for i := from; i < n; i++ {
+				k.own[i] = topology.NoNode
+			}
+			if blocks := ib.BlockOf(l) + 1; blocks > len(k.in) {
+				from := len(k.in)
+				k.in = slices.Grow(k.in, blocks-from)[:blocks]
+				clear(k.in[from:])
+			}
+		}
+		if n := r.Owner(l); n != topology.NoNode && k.own[l] == topology.NoNode {
+			k.own[l] = n
+			k.in[ib.BlockOf(l)] |= 1 << (int(l) % ib.LFTBlockSize)
+			k.lids = append(k.lids, l)
+		}
+	}
+	slices.Sort(k.lids)
+	return k.Walk.load(r.Table)
+}
+
+// release drops the table pointers of a scratch walk, so that it keeps no
+// past routing alive.
+func (k *kept) release() { clear(k.lfts) }
+
+// NewMaintained returns an empty maintained CDG over the channels of ix;
+// Load it before anything else.
+func NewMaintained(ix *Index) *Maintained {
+	m := &Maintained{ix: ix, g: NewOrdered(ix), cur: newKept(ix), next: newKept(ix), tgt: newKept(ix),
+		into: make([][]int32, len(ix.nodes))}
+	for id, to := range ix.next {
+		if to >= 0 {
+			m.into[to/ix.stride] = append(m.into[to/ix.stride], int32(id))
+		}
+	}
+	return m
+}
+
+// Load builds the graph of r's routing for dlids from nothing: one walk of
+// every pair and one topological sort, not a checked insert per dependency.
+func (m *Maintained) Load(r Tables, dlids []ib.LID) error {
+	if !m.cur.load(r, dlids) {
+		return ErrRewired
+	}
+	m.g.reset()
+	cols := columns{block: -1}
+	var buf []Dep
+	for _, d := range m.cur.lids {
+		if b := ib.BlockOf(d); b != cols.block {
+			m.cur.resolve(&cols, b)
+		}
+		buf = m.cur.deps(buf[:0], d, &cols)
+		for _, dep := range buf {
+			m.g.add(dep.A, dep.B)
+		}
+	}
+	if !m.g.order() {
+		return ErrCyclic
+	}
+	return nil
+}
+
+// Pairs returns how many (switch, destination) pairs the graph holds a
+// dependency slot for: what a Load walks.
+func (m *Maintained) Pairs() int { return len(m.cur.lids) * len(m.ix.nodes) }
+
+// Update moves the graph to r's routing for dlids, re-walking only the pairs
+// whose dependency can differ: where it did, the old dependency is removed
+// and the new one inserted with Pearce-Kelly's check.
+func (m *Maintained) Update(r Tables, dlids []ib.LID) (Delta, error) {
+	n := m.next
+	if !n.load(r, dlids) || !slices.Equal(n.wired, m.cur.wired) {
+		n.release()
+		return Delta{}, ErrRewired
+	}
+	d := m.changed(m.cur, n)
+	// One pass: a pair's old dependency out, its new one in. An insert
+	// refused while other pairs' old dependencies are still held may be a
+	// cycle through one of them: it waits until every removal is done, and
+	// only a refusal then is a cycle of the new routing.
+	waiting := m.waiting[:0]
+	m.each(n, func(c change) bool {
+		if !c.moved() {
+			return true
+		}
+		if c.had {
+			m.g.remove(c.was.A, c.was.B)
+		}
+		if c.has {
+			if _, acyclic := m.g.insert(c.is.A, c.is.B); !acyclic {
+				waiting = append(waiting, c.is)
+			}
+		}
+		return true
+	})
+	var err error
+	for _, dep := range waiting {
+		if _, acyclic := m.g.insert(dep.A, dep.B); !acyclic {
+			err = ErrCyclic
+			break
+		}
+	}
+	m.waiting = waiting[:0]
+	m.forget()
+	m.cur, m.next = n, m.cur
+	m.next.release()
+	return d, err
+}
+
+// Union checks next's routing against the one held, for the same
+// destinations, owners and link state — the section VI-C transition, in
+// which a packet may hold channels of either: it inserts next's dependencies
+// for the pairs whose entries differ, reads the edge counts of the routing
+// held and of the union, and takes the inserts back. ErrCyclic means an
+// insert was refused: the union has a cycle, and unionEdges is a lower bound.
+func (m *Maintained) Union(next Tables) (oldEdges, unionEdges int, d Delta, err error) {
+	t := m.tgt
+	t.lfts = slices.Grow(t.lfts[:0], len(m.ix.nodes))[:len(m.ix.nodes)]
+	for i, n := range m.ix.nodes {
+		t.lfts[i] = next.Table(n.ID)
+	}
+	t.hop, t.wired, t.own, t.in, t.lids = m.cur.hop, m.cur.wired, m.cur.own, m.cur.in, m.cur.lids
+	d = m.changed(m.cur, t)
+	oldEdges = m.g.NumEdges()
+	inserted := 0
+	m.each(t, func(c change) bool {
+		if c.has && c.moved() {
+			if _, acyclic := m.g.insert(c.is.A, c.is.B); !acyclic {
+				err = ErrCyclic
+				return false
+			}
+			inserted++
+		}
+		return true
+	})
+	unionEdges = m.g.NumEdges()
+	m.each(t, func(c change) bool { // the same pairs in the same order
+		if inserted == 0 {
+			return false
+		}
+		if c.has && c.moved() {
+			m.g.remove(c.is.A, c.is.B)
+			inserted--
+		}
+		return true
+	})
+	m.forget()
+	t.release()
+	t.hop, t.wired, t.own, t.in, t.lids = nil, nil, nil, nil, nil
+	return oldEdges, unionEdges, d, err
+}
+
+// changed collects in m.pairs the pairs whose dependency can differ between
+// walks a and b: the four rules of Maintained.
+func (m *Maintained) changed(a, b *kept) Delta {
+	var d Delta
+	sets := [][]ib.LID{a.lids, b.lids}
+	if slices.Equal(a.lids, b.lids) {
+		sets = sets[:1]
+	}
+	nsw := int32(len(m.ix.nodes))
+	for _, lids := range sets { // rule 4: owners
+		for _, l := range lids {
+			if a.owner(l) != b.owner(l) {
+				for i := range nsw {
+					m.add(i, l)
+				}
+			}
+		}
+	}
+	for j := range nsw {
+		switch ta, tb := a.lfts[j], b.lfts[j]; {
+		case (ta == nil) != (tb == nil): // rule 3: a table gained or lost
+			for _, lids := range sets {
+				for len(lids) > 0 {
+					blk, mask := ib.BlockOf(lids[0]), uint64(0)
+					for ; len(lids) > 0 && ib.BlockOf(lids[0]) == blk; lids = lids[1:] {
+						mask |= 1 << (int(lids[0]) % ib.LFTBlockSize)
+					}
+					m.touch(a, b, j, blk, mask)
+				}
+			}
+		case ta != tb: // rule 1: the entries that changed
+			for blk, pa, pb, ok := ta.NextDiff(tb, 0); ok; blk, pa, pb, ok = ta.NextDiff(tb, blk+1) {
+				in := a.inBlock(blk) | b.inBlock(blk)
+				if in == 0 || pa != nil && pb != nil && *pa == *pb {
+					continue
+				}
+				var mask uint64
+				for rest := in; rest != 0; rest &= rest - 1 {
+					if off := bits.TrailingZeros64(rest); portAt(pa, off) != portAt(pb, off) {
+						mask |= 1 << off
+					}
+				}
+				d.Entries += bits.OnesCount64(mask)
+				m.touch(a, b, j, blk, mask)
+			}
+		}
+		m.flips(a, b, j, sets)
+	}
+	d.Pairs = m.npairs
+	return d
+}
+
+// touch adds, for each destination of block blk in mask, (j, l) and every
+// (i, l) whose switch i forwards l to j under a or b: the pairs that read
+// j's entry for l.
+func (m *Maintained) touch(a, b *kept, j int32, blk int, mask uint64) {
+	base := ib.LID(blk * ib.LFTBlockSize)
+	for rest := mask; rest != 0; rest &= rest - 1 {
+		m.add(j, base+ib.LID(bits.TrailingZeros64(rest)))
+	}
+	for _, c := range m.into[j] {
+		i, port := c/m.ix.stride, ib.PortNum(c%m.ix.stride)
+		pa, pb := blockOf(a.lfts[i], blk), blockOf(b.lfts[i], blk)
+		for rest := mask; rest != 0; rest &= rest - 1 {
+			if off := bits.TrailingZeros64(rest); portAt(pa, off) == port || portAt(pb, off) == port {
+				m.add(i, base+ib.LID(off))
+			}
+		}
+	}
+}
+
+// flips is rule 2 for switch i: every destination it forwards, under a or b,
+// out of a port whose link came up or went down.
+func (m *Maintained) flips(a, b *kept, i int32, sets [][]ib.LID) {
+	stride := m.ix.stride
+	if slices.Equal(a.hop[i*stride:(i+1)*stride], b.hop[i*stride:(i+1)*stride]) {
+		return
+	}
+	flipped := func(port ib.PortNum) bool {
+		c := a.egress(i, int32(port))
+		return c >= 0 && a.hop[c] != b.hop[c]
+	}
+	for _, lids := range sets {
+		blk := -1
+		var pa, pb *[ib.LFTBlockSize]ib.PortNum
+		for _, l := range lids {
+			if ib.BlockOf(l) != blk {
+				blk = ib.BlockOf(l)
+				pa, pb = blockOf(a.lfts[i], blk), blockOf(b.lfts[i], blk)
+			}
+			if off := int(l) % ib.LFTBlockSize; flipped(portAt(pa, off)) || flipped(portAt(pb, off)) {
+				m.add(i, l)
+			}
+		}
+	}
+}
+
+// blockOf is lft's block blk, nil for no table or an unmaterialised block.
+func blockOf(lft *ib.LFT, blk int) *[ib.LFTBlockSize]ib.PortNum {
+	if lft == nil {
+		return nil
+	}
+	return lft.Block(blk)
+}
+
+// portAt reads one entry of a block; a nil block is all DropPort.
+func portAt(ports *[ib.LFTBlockSize]ib.PortNum, off int) ib.PortNum {
+	if ports == nil {
+		return ib.DropPort
+	}
+	return ports[off]
+}
+
+// change is what one pair's dependency does between the graph and a walk.
+type change struct {
+	was, is  Dep
+	had, has bool
+}
+
+func (c change) moved() bool { return c.had != c.has || c.was != c.is }
+
+// add puts (i, l) in m.pairs.
+func (m *Maintained) add(i int32, l ib.LID) {
+	bit := uint(l)*uint(len(m.ix.nodes)) + uint(i)
+	w := int(bit / 64)
+	if w >= len(m.pairs) {
+		from := len(m.pairs)
+		m.pairs = slices.Grow(m.pairs, w+1-from)[:w+1]
+		clear(m.pairs[from:])
+	}
+	if m.pairs[w]&(1<<(bit%64)) != 0 {
+		return
+	}
+	m.pairs[w] |= 1 << (bit % 64)
+	if m.npairs == 0 || w < m.lo {
+		m.lo = w
+	}
+	if m.npairs == 0 || w > m.hi {
+		m.hi = w
+	}
+	m.npairs++
+}
+
+// each visits m.pairs by destination, then switch, while visit returns
+// true, handing it what the pair's dependency does between the graph and b.
+func (m *Maintained) each(b *kept, visit func(c change) bool) {
+	if m.npairs == 0 {
+		return
+	}
+	nsw := uint(len(m.ix.nodes))
+	held, other := &m.cols[0], &m.cols[1]
+	held.block = -1
+	for w := m.lo; w <= m.hi; w++ {
+		for rest := m.pairs[w]; rest != 0; rest &= rest - 1 {
+			bit := uint(w)*64 + uint(bits.TrailingZeros64(rest))
+			i, l := int32(bit%nsw), ib.LID(bit/nsw)
+			if blk := ib.BlockOf(l); blk != held.block {
+				m.cur.resolve(held, blk)
+				b.resolve(other, blk)
+			}
+			var c change
+			c.was, c.had = m.cur.dep(i, l, held)
+			c.is, c.has = b.dep(i, l, other)
+			if !visit(c) {
+				return
+			}
+		}
+	}
+}
+
+// forget empties m.pairs.
+func (m *Maintained) forget() {
+	if m.npairs > 0 {
+		clear(m.pairs[m.lo : m.hi+1])
+	}
+	m.npairs = 0
+}

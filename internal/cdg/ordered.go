@@ -10,10 +10,13 @@ import "slices"
 // LASH uses this to test, per source-destination switch pair, whether a
 // path's dependencies fit into an existing virtual-lane layer: millions of
 // trial insertions that would be hopeless with full-graph DFS per check.
+// Maintained keeps an installed routing in one, bulk-loaded once and then
+// moved by checked inserts and removals.
 //
-// Storage is the package's one adjacency, twice: successors, and the
-// mirrored predecessors the backward search needs. Construct with
-// NewOrdered. An Ordered is not safe for concurrent use.
+// Storage is the package's one adjacency, twice: successors with their
+// multiplicities, and the mirrored predecessors the backward search needs,
+// each distinct dependency once. Construct with NewOrdered. An Ordered is
+// not safe for concurrent use.
 type Ordered struct {
 	ix      *Index
 	out, in adjacency
@@ -41,32 +44,95 @@ func NewOrdered(ix *Index) *Ordered {
 // (false, true) if the edge already existed (multiplicity bumped),
 // (false, false) if insertion was refused because it closes a cycle.
 func (o *Ordered) AddDepChecked(a, b Channel) (inserted, acyclic bool) {
-	ai, bi := o.ix.ID(a), o.ix.ID(b)
-	if ai == bi {
+	return o.insert(o.ix.ID(a), o.ix.ID(b))
+}
+
+// insert is AddDepChecked by id.
+func (o *Ordered) insert(a, b int32) (inserted, acyclic bool) {
+	if a == b {
 		return false, false // self-dependency is an immediate cycle
 	}
-	if !o.out.add(ai, bi) {
-		o.in.add(bi, ai)
+	if !o.out.add(a, b) {
 		return false, true
 	}
 	// The edge is new. If it goes against the current order, discover the
-	// affected region and try to reorder; reorder never walks out of ai, so
+	// affected region and try to reorder; reorder never walks out of a, so
 	// the arc just added does not disturb it.
-	if o.ord[ai] > o.ord[bi] && !o.reorder(ai, bi) {
-		o.out.remove(ai, bi)
+	if o.ord[a] > o.ord[b] && !o.reorder(a, b) {
+		o.out.remove(a, b)
 		return false, false
 	}
-	o.in.add(bi, ai)
+	o.in.push(b, a)
 	return true, true
 }
 
 // RemoveDepChecked undoes one multiplicity of a -> b (used for rollback when
 // a path does not fit a layer). The topological order stays valid: removing
 // edges never invalidates it.
-func (o *Ordered) RemoveDepChecked(a, b Channel) {
-	ai, bi := o.ix.ID(a), o.ix.ID(b)
-	o.out.remove(ai, bi)
-	o.in.remove(bi, ai)
+func (o *Ordered) RemoveDepChecked(a, b Channel) { o.remove(o.ix.ID(a), o.ix.ID(b)) }
+
+// remove is RemoveDepChecked by id.
+func (o *Ordered) remove(a, b int32) {
+	if o.out.remove(a, b) {
+		o.in.remove(b, a)
+	}
+}
+
+// NumEdges returns the number of distinct dependencies held.
+func (o *Ordered) NumEdges() int { return o.out.edges }
+
+// A bulk load is reset, one add per dependency with no check, then order:
+// one topological sort instead of a checked insert per dependency.
+
+// reset empties o, keeping its memory.
+func (o *Ordered) reset() {
+	o.out.reset()
+	o.in.reset()
+}
+
+// add records a -> b once more without checking for a cycle.
+func (o *Ordered) add(a, b int32) {
+	if o.out.add(a, b) {
+		o.in.push(b, a)
+	}
+}
+
+// order gives what o holds a topological order by Kahn's algorithm, sources
+// in ascending id first, and reports false when there is none: the
+// dependencies are cyclic, and o must be reset before it is used again.
+func (o *Ordered) order() bool {
+	n := len(o.ord)
+	indeg := slices.Grow(o.idxs[:0], n)[:n]
+	clear(indeg)
+	for _, e := range o.out.arcs {
+		indeg[e.to]++ // every arc is live: nothing was removed since reset
+	}
+	queue := slices.Grow(o.fwd[:0], n)
+	for id, d := range indeg {
+		if d == 0 {
+			queue = append(queue, int32(id))
+		}
+	}
+	for k := 0; k < len(queue); k++ {
+		id := queue[k]
+		o.ord[id] = int32(k)
+		for i := o.out.head[id]; i >= 0; i = o.out.arcs[i].next {
+			to := o.out.arcs[i].to
+			if indeg[to]--; indeg[to] == 0 {
+				queue = append(queue, to)
+			}
+		}
+	}
+	if len(queue) < n {
+		o.idxs, o.fwd = indeg, queue
+		return false
+	}
+	// A loaded graph is kept: fit its arenas, and drop the sort's scratch,
+	// as big as the channel space, to what reorder grows it to.
+	o.out.fit()
+	o.in.fit()
+	o.idxs, o.fwd = nil, nil
+	return true
 }
 
 // reorder implements the Pearce-Kelly affected-region discovery for a new

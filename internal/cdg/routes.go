@@ -48,22 +48,41 @@ type Walk struct {
 
 // NewWalk freezes r's tables and the link state for the switches of ix.
 func NewWalk(ix *Index, r Routes) *Walk {
-	w := &Walk{ix: ix, lfts: make([]*ib.LFT, len(ix.nodes)), nodeOf: r.NodeOf,
-		hop: make([]int32, ix.NumIDs()), wired: make([]bool, ix.NumIDs())}
+	w := &Walk{ix: ix, nodeOf: r.NodeOf}
+	w.load(r.LFT)
+	return w
+}
+
+// load reads every switch's table and the link state into w, reusing its
+// memory. It reports false when a port's peer is no longer the one ix
+// numbered: the fabric was rewired under the index.
+func (w *Walk) load(table func(topology.NodeID) *ib.LFT) (asIndexed bool) {
+	ix := w.ix
+	if w.lfts == nil {
+		w.lfts = make([]*ib.LFT, len(ix.nodes))
+		w.hop, w.wired = make([]int32, ix.NumIDs()), make([]bool, ix.NumIDs())
+	}
+	asIndexed = true
 	for i, n := range ix.nodes {
-		w.lfts[i] = r.LFT(n.ID)
+		w.lfts[i] = table(n.ID)
 		for p := int32(0); p < ix.stride; p++ {
 			id := int32(i)*ix.stride + p
-			w.hop[id] = -1
+			w.hop[id], w.wired[id] = -1, false
+			next := int32(-1)
 			if int(p) < len(n.Ports) && n.Ports[p].Peer != topology.NoNode {
+				peer := ix.dense[n.Ports[p].Peer]
+				if peer >= 0 {
+					next = peer * ix.stride
+				}
 				w.wired[id] = true
 				if n.Ports[p].Up {
-					w.hop[id] = ix.dense[n.Ports[p].Peer]
+					w.hop[id] = peer
 				}
 			}
+			asIndexed = asIndexed && next == ix.next[id]
 		}
 	}
-	return w
+	return asIndexed
 }
 
 // Deps appends to buf the dependencies of destination dlid's forwarding
@@ -112,6 +131,8 @@ func (w *Walk) deps(buf []Dep, dlid ib.LID, cols *columns) []Dep {
 	stride := w.ix.stride
 	dstSw := w.ix.dense[dst] // -1 for a CA: no switch is the destination
 	off := int(dlid) % ib.LFTBlockSize
+	// The cold build's inner loop: a closure the compiler inlines, not
+	// the entry method dep uses, which it does not.
 	entry := func(i int32) int32 {
 		if cols == nil {
 			return int32(w.lfts[i].Get(dlid))
@@ -141,6 +162,53 @@ func (w *Walk) deps(buf []Dep, dlid ib.LID, cols *columns) []Dep {
 		buf = append(buf, Dep{A: a, B: j*stride + out2})
 	}
 	return buf
+}
+
+// entry is switch i's port for dlid, read through cols when the caller
+// resolved dlid's block, else through i's table (which must exist): deps'
+// read, for dep.
+func (w *Walk) entry(i int32, dlid ib.LID, cols *columns) int32 {
+	if cols == nil {
+		return int32(w.lfts[i].Get(dlid))
+	}
+	if col := cols.of[i]; col != nil {
+		return int32(col[int(dlid)%ib.LFTBlockSize])
+	}
+	return int32(ib.DropPort)
+}
+
+// egress is the channel id of switch i's entry out, or -1 when the entry
+// leaves by no data port: DropPort, the management port, beyond the stride.
+func (w *Walk) egress(i, out int32) int32 {
+	if out == int32(ib.DropPort) || out == 0 || out >= w.ix.stride {
+		return -1
+	}
+	return i*w.ix.stride + out
+}
+
+// dep is the pair walk: the one dependency switch i (by dense index)
+// contributes to dlid's forwarding tree — its element of Deps — and whether
+// there is one, read through cols as deps does. It reads i's entry, the
+// state of the link that entry leaves by, whether i and the next switch hold
+// tables, the next switch's entry and dlid's owner; nothing else.
+func (w *Walk) dep(i int32, dlid ib.LID, cols *columns) (Dep, bool) {
+	dst := w.nodeOf(dlid)
+	if dst == topology.NoNode || w.lfts[i] == nil || i == w.ix.dense[dst] {
+		return Dep{}, false
+	}
+	a := w.egress(i, w.entry(i, dlid, cols))
+	if a < 0 {
+		return Dep{}, false
+	}
+	j := w.hop[a]
+	if j < 0 || j == w.ix.dense[dst] || w.lfts[j] == nil {
+		return Dep{}, false
+	}
+	b := w.egress(j, w.entry(j, dlid, cols))
+	if b < 0 || !w.wired[b] {
+		return Dep{}, false
+	}
+	return Dep{A: a, B: b}, true
 }
 
 // AddRoutes adds the dependencies r induces for the given destinations.
