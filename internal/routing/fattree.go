@@ -14,11 +14,15 @@ import (
 // ancestor cone; every other switch forwards upward, selecting among its up
 // ports by destination LID modulo the port count (the classical d-mod-k
 // dispersion, which is what gives distinct VF LIDs of one hypervisor
-// distinct spine paths in the prepopulated vSwitch model).
+// distinct spine paths in the prepopulated vSwitch model). When a link
+// failure cuts a parent off from the destination's cone, the choice steps
+// cyclically to the next up port whose parent still reaches it; on a
+// healthy tree every parent does, so the plain d-mod-k choice stands.
 //
 // Destinations share no balancing state, so the whole per-destination
 // computation fans out over the worker pool; port rows are folded into the
-// LFTs serially in destination order.
+// LFTs serially in destination order. The incremental layer has no delta
+// path for ftree: wrapped in Incremental it recomputes in full.
 type FatTree struct{}
 
 // NewFatTree returns the ftree engine.
@@ -31,6 +35,7 @@ func (*FatTree) Name() string { return "ftree" }
 type ftreeScratch struct {
 	downPort []ib.PortNum // egress on the unique downward path, per switch
 	marked   []int32      // generation tags for cone membership
+	reach    []int32      // +gen: climbs to the cone, -gen: cannot
 	gen      int32
 	bfs      *bfsScratch // switch-target fallback BFS
 	frontier []int
@@ -49,9 +54,7 @@ type ftEdge struct {
 }
 
 // ftreeSplit validates level annotations and splits every switch's
-// adjacency into up and down edges, in adjacency (port) order. Shared
-// between the engine and the incremental layer, which diffs the up lists to
-// patch d-mod-k dispersion rows after a topology delta.
+// adjacency into up and down edges, in adjacency (port) order.
 func ftreeSplit(fv *fabricView) (ups, downs [][]ftEdge, err error) {
 	nsw := len(fv.switches)
 	ups = make([][]ftEdge, nsw)
@@ -80,8 +83,6 @@ func ftreeSplit(fv *fabricView) (ups, downs [][]ftEdge, err error) {
 // ftreeRow computes one target's egress-port row (noEntry = leave the
 // switch's table untouched): the BFS min-hop fallback for switch targets,
 // or the ancestor-cone walk plus d-mod-k up dispersion for CA targets.
-// Shared between the engine fan-out and the incremental recompute of
-// affected destinations.
 func ftreeRow(fv *fabricView, ups, downs [][]ftEdge, t Target, ap attachPoint, s *ftreeScratch, row []ib.PortNum) error {
 	nsw := len(fv.switches)
 	for i := range row {
@@ -145,12 +146,40 @@ func ftreeRow(fv *fabricView, ups, downs [][]ftEdge, t Target, ap attachPoint, s
 			row[i] = s.downPort[i]
 			continue
 		}
-		if len(ups[i]) == 0 {
+		n := len(ups[i])
+		if n == 0 {
 			continue // disconnected from the ancestor cone; drop
 		}
-		row[i] = ups[i][int(t.LID)%len(ups[i])].port
+		k := int(t.LID) % n
+		for j := 0; j < n; j++ {
+			if c := (k + j) % n; s.reaches(ups, ups[i][c].peer) {
+				k = c
+				break
+			}
+		}
+		row[i] = ups[i][k].port
 	}
 	return nil
+}
+
+// reaches reports whether switch i can climb to the cone marked under
+// s.gen, memoised per target in s.reach. Up edges only climb levels, so the
+// recursion is as deep as the tree.
+func (s *ftreeScratch) reaches(ups [][]ftEdge, i int) bool {
+	if s.marked[i] == s.gen || s.reach[i] == s.gen {
+		return true
+	}
+	if s.reach[i] == -s.gen {
+		return false
+	}
+	s.reach[i] = -s.gen
+	for _, e := range ups[i] {
+		if s.reaches(ups, e.peer) {
+			s.reach[i] = s.gen
+			return true
+		}
+	}
+	return false
 }
 
 // Compute implements Engine.
@@ -175,6 +204,7 @@ func (*FatTree) Compute(req *Request) (*Result, error) {
 		return &ftreeScratch{
 			downPort: make([]ib.PortNum, nsw),
 			marked:   make([]int32, nsw),
+			reach:    make([]int32, nsw),
 			bfs:      newBFSScratch(nsw),
 			frontier: make([]int, 0, nsw),
 		}
@@ -193,12 +223,7 @@ func (*FatTree) Compute(req *Request) (*Result, error) {
 		hi := min(lo+targetWindow, len(req.Targets))
 		pool.run(hi-lo, func(k int, s *ftreeScratch) {
 			ti := lo + k
-			t := req.Targets[ti]
-			ap := fv.attach[ti]
-			errs[k] = ftreeRow(fv, ups, downs, t, ap, s, rows[k])
-			if errs[k] == nil && req.capture != nil {
-				req.capture.captureFtree(ti, ap, s)
-			}
+			errs[k] = ftreeRow(fv, ups, downs, req.Targets[ti], fv.attach[ti], s, rows[k])
 		})
 		clock.lap("cone-fanout")
 

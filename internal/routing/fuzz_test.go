@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"ibvsim/internal/ib"
@@ -173,10 +174,10 @@ func FuzzDeltaRecompute(f *testing.F) {
 		}
 		for gi := range keys {
 			sw := fvNew.switches[keys[gi]]
-			distMoved := !equalInts(oldD[gi], newD[gi])
+			distMoved := !slices.Equal(oldD[gi], newD[gi])
 			candsMoved := false
 			for i := 0; i < len(fvNew.switches); i++ {
-				if !equalPorts(oldC[gi].at(i), newC[gi].at(i)) {
+				if !slices.Equal(oldC[gi].at(i), newC[gi].at(i)) {
 					candsMoved = true
 					break
 				}

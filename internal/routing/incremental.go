@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ibvsim/internal/ib"
@@ -10,12 +11,13 @@ import (
 
 // This file implements the incremental recompute layer: a dependency index
 // recording, per destination-switch group, which links and switches its
-// BFS/SSSP structure traverses, so a topology delta re-runs path computation
+// BFS structure traverses, so a topology delta re-runs path computation
 // only for the affected destinations and merges the result deterministically
 // into the previous tables — byte-identical (in the forwarding domain) to a
 // from-scratch run.
 //
-// Supported engines and their delta rules:
+// Two engines have a delta path, and they share it — one index, one fold
+// replay — differing only in the distance fields they keep:
 //
 //   - minhop: a removed link affects a destination group iff its endpoints'
 //     BFS distances to that destination differ by exactly one (only such
@@ -31,14 +33,12 @@ import (
 //     orientation: if the (re-derived) root or rank array changed, the whole
 //     up/down relation moved and the layer falls back to a full recompute
 //     with an explicit reason.
-//   - ftree: a destination group is affected iff a changed link touches its
-//     captured ancestor cone (or its membership/attach changed); unaffected
-//     groups only need their d-mod-k up-dispersion entries patched at
-//     switches whose up-port list changed. Switch-self targets use the
-//     minhop distance rules on their captured fallback BFS.
-//   - dfsssp, lash: their VL layering is a global property (any weight or
-//     path change can relayer every destination), so every delta falls back
-//     to a full recompute with an explicit Stats reason.
+//
+// Every other engine falls back to a full recompute with an explicit Stats
+// reason: dfsssp and lash derive a global VL layering (any weight or path
+// change can relayer every destination), and ftree's per-destination rows
+// are cheap enough that a second copy of its dispersion rule is not worth
+// keeping.
 //
 // All fan-outs follow the parallel.go determinism contract: tasks write only
 // task-indexed slots, folds and merges are per-switch independent, so the
@@ -60,13 +60,9 @@ type edgeRec struct {
 }
 
 // depCapture receives per-destination dependency state from the engines'
-// fan-out tasks. Every slot is written by exactly one task (slots are
-// indexed by group or by a designated first target of a group), so no
-// locking is needed under any worker count.
+// fan-out tasks. Every slot is indexed by group and written by exactly one
+// task, so no locking is needed under any worker count.
 type depCapture struct {
-	engine string
-	nsw    int
-
 	// minhop: dist. updn: dist = distD plus distU. Indexed by group.
 	dist  [][]int16
 	distU [][]int16
@@ -75,54 +71,14 @@ type depCapture struct {
 	// updn rank orientation.
 	root int
 	rank []int
-
-	// ftree: per-target designations (the group's first CA target captures
-	// the ancestor-cone bitmap; its switch-self target captures the
-	// fallback BFS distances), plus the per-group capture slots.
-	firstCA []int32
-	firstSW []int32
-	cone    [][]uint64
-	swDist  [][]int16
 }
 
-func newDepCapture(engine string, nsw, ngroups, ntargets int) *depCapture {
-	c := &depCapture{engine: engine, nsw: nsw, root: -1}
-	switch engine {
-	case "minhop":
-		c.dist = make([][]int16, ngroups)
-		c.cands = make([]*candSet, ngroups)
-	case "updn":
-		c.dist = make([][]int16, ngroups)
-		c.distU = make([][]int16, ngroups)
-		c.cands = make([]*candSet, ngroups)
-	case "ftree":
-		c.cone = make([][]uint64, ngroups)
-		c.swDist = make([][]int16, ngroups)
-		c.firstCA = make([]int32, ntargets)
-		c.firstSW = make([]int32, ntargets)
-		for i := range c.firstCA {
-			c.firstCA[i] = -1
-			c.firstSW[i] = -1
-		}
-	}
-	return c
-}
-
-// designateFtree marks, per group, which target's task captures the cone
-// (first CA member) and which captures the switch-target BFS distances.
-func (c *depCapture) designateFtree(groups [][]int, attach []attachPoint) {
-	for g, grp := range groups {
-		ca := -1
-		for _, ti := range grp {
-			if attach[ti].port == 0 {
-				c.firstSW[ti] = int32(g)
-			} else if ca < 0 {
-				ca = ti
-			}
-		}
-		if ca >= 0 {
-			c.firstCA[ca] = int32(g)
-		}
+func newDepCapture(ngroups int) *depCapture {
+	return &depCapture{
+		dist:  make([][]int16, ngroups),
+		distU: make([][]int16, ngroups),
+		cands: make([]*candSet, ngroups),
+		root:  -1,
 	}
 }
 
@@ -130,7 +86,7 @@ func (c *depCapture) designateFtree(groups [][]int, attach []attachPoint) {
 // candidate set (minhop passes distU = nil).
 func (c *depCapture) captureGroup(g int, dist, distU []int, cs *candSet) {
 	c.dist[g] = toInt16(dist)
-	if c.distU != nil && distU != nil {
+	if distU != nil {
 		c.distU[g] = toInt16(distU)
 	}
 	c.cands[g] = cs.clone()
@@ -141,23 +97,6 @@ func (c *depCapture) captureGroup(g int, dist, distU []int, cs *candSet) {
 func (c *depCapture) setRank(root int, rank []int) {
 	c.root = root
 	c.rank = append([]int(nil), rank...)
-}
-
-// captureFtree records cone membership / fallback distances from one ftree
-// target task's scratch, if this target is its group's designated capturer.
-func (c *depCapture) captureFtree(ti int, ap attachPoint, s *ftreeScratch) {
-	if g := c.firstSW[ti]; g >= 0 {
-		c.swDist[g] = toInt16(s.bfs.dist)
-	}
-	if g := c.firstCA[ti]; g >= 0 {
-		bm := make([]uint64, (c.nsw+63)/64)
-		for i := 0; i < c.nsw; i++ {
-			if s.marked[i] == s.gen {
-				bm[i/64] |= 1 << (uint(i) % 64)
-			}
-		}
-		c.cone[g] = bm
-	}
 }
 
 // groupCands is one destination group's candidate structure as the index
@@ -197,18 +136,14 @@ func (g *groupCands) patched(segs map[int][]ib.PortNum) *groupCands {
 // per-destination dependency structures, and a private copy of the result
 // tables the next delta merges into.
 type depIndex struct {
-	engine   string
-	topLID   ib.LID
 	switches []topology.NodeID
 	edges    map[edgeKey]int // oriented up switch-switch links -> peer index
 	targets  []Target
 	attach   []attachPoint
-	groups   [][]int
 	keys     []int
 	groupOf  map[int]int // destination switch dense index -> group position
 	cap      *depCapture
-	gc       []*groupCands // minhop/updn: per-group candidate structure
-	ups      [][]ftEdge    // ftree only: per-switch up edges in adjacency order
+	gc       []*groupCands // per-group candidate structure
 	lfts     map[topology.NodeID]*ib.LFT
 }
 
@@ -216,11 +151,12 @@ type depIndex struct {
 // recompute layer. It implements Engine; the first Compute (and any
 // fallback) runs the inner engine in full while capturing the dependency
 // index, subsequent Computes self-diff the request against the index and
-// re-run only affected destinations. Results are byte-identical in the
-// forwarding domain (ib.LFT.Equal) to a from-scratch run for minhop, updn
-// and ftree; dfsssp and lash always fall back with an explicit Stats
-// reason. Not safe for concurrent Compute calls (the subnet manager
-// serialises them).
+// re-run only affected destinations. Only *MinHop and *UpDown have a delta
+// path, and its results are byte-identical in the forwarding domain
+// (ib.LFT.Equal) to a from-scratch run; every other engine (ftree, dfsssp,
+// lash) recomputes in full with an explicit Stats reason. A wrapper serves
+// the one engine it was built around. Not safe for concurrent Compute calls
+// (the subnet manager serialises them).
 type Incremental struct {
 	inner Engine
 	idx   *depIndex
@@ -272,25 +208,19 @@ func (x *Incremental) groupSwitches(gis []int) []topology.NodeID {
 
 // Compute implements Engine.
 func (x *Incremental) Compute(req *Request) (*Result, error) {
-	name := x.inner.Name()
-	switch name {
-	case "minhop", "updn", "ftree":
+	switch x.inner.(type) {
+	case *MinHop, *UpDown:
 	default:
 		res, err := x.inner.Compute(req)
 		if err == nil {
 			res.Stats.Incremental = IncrementalStats{
 				Attempted:       true,
-				FallbackReason:  fmt.Sprintf("engine %s derives a global VL layering; any delta invalidates it", name),
+				FallbackReason:  fmt.Sprintf("engine %s has no delta path; every delta recomputes in full", x.inner.Name()),
 				DestsTotal:      res.Stats.PathsComputed,
 				DestsRecomputed: res.Stats.PathsComputed,
 			}
 		}
 		return res, err
-	}
-	if name == "updn" {
-		if _, ok := x.inner.(*UpDown); !ok {
-			return x.fullViaInner(req, "updn engine is not the stock *UpDown; rank orientation unknown")
-		}
 	}
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -299,28 +229,13 @@ func (x *Incremental) Compute(req *Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if x.idx == nil || x.idx.engine != name {
+	if x.idx == nil {
 		return x.fullCompute(req, fv, "cold start: no dependency index yet")
 	}
-	if !sameSwitches(x.idx.switches, fv.switches) {
+	if !slices.Equal(x.idx.switches, fv.switches) {
 		return x.fullCompute(req, fv, "switch set changed")
 	}
 	return x.delta(req, fv)
-}
-
-// fullViaInner runs the inner engine without building an index (used when
-// the engine instance cannot support delta recompute at all).
-func (x *Incremental) fullViaInner(req *Request, reason string) (*Result, error) {
-	res, err := x.inner.Compute(req)
-	if err == nil {
-		res.Stats.Incremental = IncrementalStats{
-			Attempted:       true,
-			FallbackReason:  reason,
-			DestsTotal:      res.Stats.PathsComputed,
-			DestsRecomputed: res.Stats.PathsComputed,
-		}
-	}
-	return res, err
 }
 
 // fullCompute runs the inner engine in full with dependency capture enabled
@@ -329,12 +244,8 @@ func (x *Incremental) fullCompute(req *Request, fv *fabricView, reason string) (
 	x.idx = nil
 	x.lastAffected = nil
 	x.lastPatched = nil
-	name := x.inner.Name()
 	groups, keys := fv.groupTargetsBySwitch(req.Targets)
-	cap := newDepCapture(name, len(fv.switches), len(groups), len(req.Targets))
-	if name == "ftree" {
-		cap.designateFtree(groups, fv.attach)
-	}
+	cap := newDepCapture(len(groups))
 	creq := *req
 	creq.capture = cap
 	res, err := x.inner.Compute(&creq)
@@ -342,32 +253,21 @@ func (x *Incremental) fullCompute(req *Request, fv *fabricView, reason string) (
 		return nil, err
 	}
 
-	idx := &depIndex{
-		engine:   name,
-		topLID:   topLIDOf(req.Targets),
+	gc := make([]*groupCands, len(groups))
+	for gi := range groups {
+		gc[gi] = &groupCands{base: cap.cands[gi]}
+	}
+	x.idx = &depIndex{
 		switches: fv.switches,
 		edges:    edgeSet(fv),
 		targets:  append([]Target(nil), req.Targets...),
 		attach:   append([]attachPoint(nil), fv.attach...),
-		groups:   groups,
 		keys:     keys,
 		groupOf:  groupOfMap(keys),
 		cap:      cap,
+		gc:       gc,
 		lfts:     cloneLFTMap(res.LFTs),
 	}
-	if name == "ftree" {
-		ups, _, err := ftreeSplit(fv)
-		if err != nil {
-			return nil, err
-		}
-		idx.ups = ups
-	} else {
-		idx.gc = make([]*groupCands, len(groups))
-		for gi := range groups {
-			idx.gc[gi] = &groupCands{base: cap.cands[gi]}
-		}
-	}
-	x.idx = idx
 
 	res.Stats.Incremental = IncrementalStats{
 		Attempted:        true,
@@ -380,12 +280,15 @@ func (x *Incremental) fullCompute(req *Request, fv *fabricView, reason string) (
 }
 
 // delta classifies the request against the index and merges an incremental
-// recompute, or falls back to fullCompute when the engine's global
-// invariants moved.
+// recompute: BFS re-runs for affected groups, then a per-switch replay of
+// the load-balanced fold wherever a candidate row changed (or everywhere
+// when the target set changed). It falls back to fullCompute when updn's
+// rank orientation moved.
 func (x *Incremental) delta(req *Request, fv *fabricView) (*Result, error) {
 	start := time.Now()
 	idx := x.idx
-	name := idx.engine
+	ud, isUpdn := x.inner.(*UpDown)
+	nsw := len(fv.switches)
 	workers := req.workerCount()
 	clock := newPhaseClock()
 
@@ -402,10 +305,10 @@ func (x *Incremental) delta(req *Request, fv *fabricView) (*Result, error) {
 			linkUps = append(linkUps, edgeRec{k.i, k.port, peer})
 		}
 	}
-	targetsSame := equalTargets(idx.targets, req.Targets) && equalAttach(idx.attach, fv.attach)
+	targetsSame := slices.Equal(idx.targets, req.Targets) && slices.Equal(idx.attach, fv.attach)
 	clock.lap("delta-classify")
 
-	incBase := IncrementalStats{
+	inc := IncrementalStats{
 		Attempted:      true,
 		Applied:        true,
 		DestsTotal:     len(groups),
@@ -421,62 +324,28 @@ func (x *Incremental) delta(req *Request, fv *fabricView) (*Result, error) {
 		return &Result{
 			LFTs: cloneLFTMap(idx.lfts),
 			Stats: Stats{Duration: time.Since(start), Workers: workers,
-				Phases: clock.phases(), Incremental: incBase},
+				Phases: clock.phases(), Incremental: inc},
 		}, nil
 	}
 
-	// Engine-specific global guards.
-	var root int
-	var rank []int
-	if name == "updn" {
-		ud := x.inner.(*UpDown)
-		var err error
-		root, rank, err = ud.rankFabric(fv)
+	// updn's global guard: the up/down relation itself must not have moved.
+	var up func(i, j int) bool
+	if isUpdn {
+		root, rank, err := ud.rankFabric(fv)
 		if err != nil {
 			return nil, err
 		}
-		if root != idx.cap.root || !equalInts(rank, idx.cap.rank) {
-			return x.fullCompute(req, fv, "updn root or rank orientation changed")
+		if root != idx.cap.root || !slices.Equal(rank, idx.cap.rank) {
+			return x.fullCompute(req, fv, "up/down root or rank orientation changed")
 		}
-	}
-	var ftUps, ftDowns [][]ftEdge
-	if name == "ftree" {
-		var err error
-		ftUps, ftDowns, err = ftreeSplit(fv)
-		if err != nil {
-			return nil, err
-		}
+		up = updnUp(rank)
 	}
 	clock.lap("delta-classify")
-
-	if name == "ftree" {
-		return x.deltaFtree(req, fv, start, clock, incBase, groups, keys, edges,
-			linkDowns, linkUps, targetsSame, ftUps, ftDowns)
-	}
-	return x.deltaFold(req, fv, start, clock, incBase, groups, keys, edges,
-		linkDowns, linkUps, targetsSame, root, rank)
-}
-
-// deltaFold is the minhop/updn merge: BFS re-runs for affected groups, then
-// a per-switch replay of the load-balanced fold wherever a candidate row
-// changed (or everywhere when the target set changed).
-func (x *Incremental) deltaFold(req *Request, fv *fabricView, start time.Time, clock *phaseClock,
-	inc IncrementalStats, groups [][]int, keys []int, edges map[edgeKey]int,
-	linkDowns, linkUps []edgeRec, targetsSame bool, root int, rank []int) (*Result, error) {
-
-	idx := x.idx
-	name := idx.engine
-	nsw := len(fv.switches)
-	workers := req.workerCount()
 
 	// Classify every destination group against its stored distance field(s).
 	// Three outcomes: untouched (carry over), patched (distances provably
 	// unchanged; only the candidate segments at changed-link endpoints are
 	// recomputed locally, no BFS), or BFS (the distance field itself moved).
-	var up func(i, j int) bool
-	if name == "updn" {
-		up = updnUp(rank)
-	}
 	affected := make([]bool, len(groups))
 	patches := make([]map[int][]ib.PortNum, len(groups))
 	for gi, k := range keys {
@@ -487,10 +356,10 @@ func (x *Incremental) deltaFold(req *Request, fv *fabricView, start time.Time, c
 		}
 		var needBFS bool
 		var segs map[int][]ib.PortNum
-		if name == "minhop" {
-			needBFS, segs = classifyMinhopDelta(fv, idx.cap.dist[og], linkDowns, linkUps)
-		} else {
+		if isUpdn {
 			needBFS, segs = classifyUpdnDelta(fv, idx.cap.dist[og], idx.cap.distU[og], up, linkDowns, linkUps)
+		} else {
+			needBFS, segs = classifyMinhopDelta(fv, idx.cap.dist[og], linkDowns, linkUps)
 		}
 		if needBFS {
 			affected[gi] = true
@@ -514,18 +383,7 @@ func (x *Incremental) deltaFold(req *Request, fv *fabricView, start time.Time, c
 	newDistU := make([][]int16, len(groups))
 	newCands := make([]*candSet, len(groups))
 	var busy []time.Duration
-	if name == "minhop" {
-		pool := newWorkerPool(workers, func() *bfsScratch { return newBFSScratch(nsw) })
-		pool.run(len(affList), func(t int, s *bfsScratch) {
-			gi := affList[t]
-			cs := newCandSet(nsw)
-			minhopCands(fv, keys[gi], s, cs)
-			newCands[gi] = cs
-			newDist[gi] = toInt16(s.dist)
-		})
-		busy = pool.busyTimes()
-	} else {
-		up := updnUp(rank)
+	if isUpdn {
 		pool := newWorkerPool(workers, func() *updownScratch { return newUpdownScratch(nsw) })
 		pool.run(len(affList), func(t int, s *updownScratch) {
 			gi := affList[t]
@@ -534,6 +392,16 @@ func (x *Incremental) deltaFold(req *Request, fv *fabricView, start time.Time, c
 			newCands[gi] = cs
 			newDist[gi] = toInt16(s.distD)
 			newDistU[gi] = toInt16(s.distU)
+		})
+		busy = pool.busyTimes()
+	} else {
+		pool := newWorkerPool(workers, func() *bfsScratch { return newBFSScratch(nsw) })
+		pool.run(len(affList), func(t int, s *bfsScratch) {
+			gi := affList[t]
+			cs := newCandSet(nsw)
+			minhopCands(fv, keys[gi], s, cs)
+			newCands[gi] = cs
+			newDist[gi] = toInt16(s.dist)
 		})
 		busy = pool.busyTimes()
 	}
@@ -571,7 +439,7 @@ func (x *Incremental) deltaFold(req *Request, fv *fabricView, start time.Time, c
 			cs := newCands[gi]
 			w := gi / groupWindow
 			for i := 0; i < nsw; i++ {
-				if !chw[i*nwin+w] && !equalPorts(old.at(i), cs.at(i)) {
+				if !chw[i*nwin+w] && !slices.Equal(old.at(i), cs.at(i)) {
 					chw[i*nwin+w] = true
 					changed[i] = true
 				}
@@ -584,7 +452,7 @@ func (x *Incremental) deltaFold(req *Request, fv *fabricView, start time.Time, c
 			old := idx.gc[idx.groupOf[keys[gi]]]
 			w := gi / groupWindow
 			for i, seg := range segs {
-				if !chw[i*nwin+w] && !equalPorts(old.at(i), seg) {
+				if !chw[i*nwin+w] && !slices.Equal(old.at(i), seg) {
 					chw[i*nwin+w] = true
 					changed[i] = true
 				}
@@ -676,35 +544,22 @@ func (x *Incremental) deltaFold(req *Request, fv *fabricView, start time.Time, c
 	clock.lap("replay")
 
 	// Fold the recomputed structures back into the index, aligned to the
-	// new grouping.
-	ncap := newDepCapture(name, nsw, len(groups), len(req.Targets))
+	// new grouping (updn's guard above kept the rank orientation as it was).
+	ncap := newDepCapture(len(groups))
 	ncap.root, ncap.rank = idx.cap.root, idx.cap.rank
-	if name == "updn" {
-		ncap.root = root
-		ncap.rank = append([]int(nil), rank...)
-	}
 	for gi, k := range keys {
 		if newCands[gi] != nil {
-			ncap.dist[gi] = newDist[gi]
-			if name == "updn" {
-				ncap.distU[gi] = newDistU[gi]
-			}
+			ncap.dist[gi], ncap.distU[gi] = newDist[gi], newDistU[gi]
 			continue
 		}
 		og := idx.groupOf[k]
-		ncap.dist[gi] = idx.cap.dist[og]
-		if name == "updn" {
-			ncap.distU[gi] = idx.cap.distU[og]
-		}
+		ncap.dist[gi], ncap.distU[gi] = idx.cap.dist[og], idx.cap.distU[og]
 	}
 	x.idx = &depIndex{
-		engine:   name,
-		topLID:   top,
 		switches: fv.switches,
 		edges:    edges,
 		targets:  append([]Target(nil), req.Targets...),
 		attach:   append([]attachPoint(nil), fv.attach...),
-		groups:   groups,
 		keys:     keys,
 		groupOf:  groupOfMap(keys),
 		cap:      ncap,
@@ -722,208 +577,6 @@ func (x *Incremental) deltaFold(req *Request, fv *fabricView, start time.Time, c
 		LFTs: lfts,
 		Stats: Stats{Duration: time.Since(start), PathsComputed: len(affList),
 			Workers: workers, Phases: clock.phases(), WorkerBusy: busy,
-			Incremental: inc},
-	}, nil
-}
-
-// deltaFtree is the fat-tree merge: recompute full rows for groups whose
-// ancestor cone a changed link touches (or whose membership changed), clear
-// removed LIDs, and patch d-mod-k up-dispersion entries of unaffected
-// groups at switches whose up-port list changed.
-func (x *Incremental) deltaFtree(req *Request, fv *fabricView, start time.Time, clock *phaseClock,
-	inc IncrementalStats, groups [][]int, keys []int, edges map[edgeKey]int,
-	linkDowns, linkUps []edgeRec, targetsSame bool, ftUps, ftDowns [][]ftEdge) (*Result, error) {
-
-	idx := x.idx
-	nsw := len(fv.switches)
-	workers := req.workerCount()
-
-	upsChanged := make([]bool, nsw)
-	var changedUps []int
-	for i := 0; i < nsw; i++ {
-		if !equalFtEdges(idx.ups[i], ftUps[i]) {
-			upsChanged[i] = true
-			changedUps = append(changedUps, i)
-		}
-	}
-
-	allLinks := append(append([]edgeRec(nil), linkDowns...), linkUps...)
-	affected := make([]bool, len(groups))
-	swPatches := make([]map[int][]ib.PortNum, len(groups))
-	for gi, k := range keys {
-		og, ok := idx.groupOf[k]
-		if !ok {
-			affected[gi] = true
-			continue
-		}
-		if !targetsSame && !sameGroupMembers(idx, og, groups[gi], req.Targets, fv.attach) {
-			affected[gi] = true
-			continue
-		}
-		if bm := idx.cap.cone[og]; bm != nil {
-			hit := false
-			for _, e := range allLinks {
-				if coneBit(bm, e.i) || coneBit(bm, e.peer) {
-					hit = true
-					break
-				}
-			}
-			if hit {
-				affected[gi] = true
-				continue
-			}
-		}
-		if d := idx.cap.swDist[og]; d != nil {
-			// The switch-self target's fallback row is a plain BFS row: the
-			// minhop delta rules apply verbatim (the row picks the first
-			// tight edge per switch, so a patched segment's head is the new
-			// entry).
-			needBFS, segs := classifyMinhopDelta(fv, d, linkDowns, linkUps)
-			if needBFS {
-				affected[gi] = true
-			} else {
-				swPatches[gi] = segs
-			}
-		}
-	}
-	var affList, affTargets []int
-	nPatched := 0
-	for gi, a := range affected {
-		if a {
-			affList = append(affList, gi)
-			affTargets = append(affTargets, groups[gi]...)
-		} else if swPatches[gi] != nil {
-			nPatched++
-		}
-	}
-	clock.lap("delta-classify")
-
-	// Recompute full rows for every target of an affected group, capturing
-	// the fresh cones/distances for the index as we go.
-	ncap := newDepCapture("ftree", nsw, len(groups), len(req.Targets))
-	ncap.designateFtree(groups, fv.attach)
-	rows := make([][]ib.PortNum, len(affTargets))
-	errs := make([]error, len(affTargets))
-	pool := newWorkerPool(workers, func() *ftreeScratch {
-		return &ftreeScratch{
-			downPort: make([]ib.PortNum, nsw),
-			marked:   make([]int32, nsw),
-			bfs:      newBFSScratch(nsw),
-			frontier: make([]int, 0, nsw),
-		}
-	})
-	pool.run(len(affTargets), func(k int, s *ftreeScratch) {
-		ti := affTargets[k]
-		row := make([]ib.PortNum, nsw)
-		errs[k] = ftreeRow(fv, ftUps, ftDowns, req.Targets[ti], fv.attach[ti], s, row)
-		rows[k] = row
-		if errs[k] == nil {
-			ncap.captureFtree(ti, fv.attach[ti], s)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			x.idx = nil
-			return nil, err
-		}
-	}
-	clock.lap("cone-fanout")
-
-	// Clone every table, then apply: removed LIDs dropped, affected rows
-	// written in full (noEntry clears stale entries), unaffected groups
-	// patched at up-list-changed switches.
-	lfts := cloneLFTMap(idx.lfts)
-	for _, lid := range removedLIDs(idx.targets, req.Targets) {
-		for _, t := range lfts {
-			t.Set(lid, ib.DropPort)
-		}
-	}
-	for k, ti := range affTargets {
-		lid := req.Targets[ti].LID
-		row := rows[k]
-		for i, id := range fv.switches {
-			lfts[id].Set(lid, row[i])
-		}
-	}
-	for gi, segs := range swPatches {
-		if segs == nil {
-			continue
-		}
-		for _, ti := range groups[gi] {
-			if fv.attach[ti].port != 0 {
-				continue // only the switch-self row is BFS-based
-			}
-			lid := req.Targets[ti].LID
-			for u, seg := range segs {
-				lfts[fv.switches[u]].Set(lid, seg[0])
-			}
-		}
-	}
-	if len(changedUps) > 0 {
-		for gi := range groups {
-			if affected[gi] {
-				continue
-			}
-			og := idx.groupOf[keys[gi]]
-			bm := idx.cap.cone[og]
-			for _, ti := range groups[gi] {
-				if fv.attach[ti].port == 0 {
-					continue // switch-self rows never use up dispersion
-				}
-				lid := req.Targets[ti].LID
-				for _, i := range changedUps {
-					if bm != nil && coneBit(bm, i) {
-						continue // in-cone entries are down ports, untouched
-					}
-					v := ib.DropPort
-					if len(ftUps[i]) > 0 {
-						v = ftUps[i][int(lid)%len(ftUps[i])].port
-					}
-					lfts[fv.switches[i]].Set(lid, v)
-				}
-			}
-		}
-	}
-	clock.lap("merge")
-
-	// Index update: recomputed groups carry the fresh capture, unaffected
-	// ones keep the stored structures.
-	for gi, k := range keys {
-		if affected[gi] {
-			continue
-		}
-		og := idx.groupOf[k]
-		ncap.cone[gi] = idx.cap.cone[og]
-		ncap.swDist[gi] = idx.cap.swDist[og]
-	}
-	x.idx = &depIndex{
-		engine:   "ftree",
-		topLID:   topLIDOf(req.Targets),
-		switches: fv.switches,
-		edges:    edges,
-		targets:  append([]Target(nil), req.Targets...),
-		attach:   append([]attachPoint(nil), fv.attach...),
-		groups:   groups,
-		keys:     keys,
-		groupOf:  groupOfMap(keys),
-		cap:      ncap,
-		ups:      ftUps,
-		lfts:     cloneLFTMap(lfts),
-	}
-	x.lastAffected = affList
-	x.lastPatched = patchedGroups(swPatches)
-	clock.lap("index-update")
-
-	inc.DestsRecomputed = len(affList)
-	inc.DestsPatched = nPatched
-	inc.SwitchesReplayed = len(changedUps)
-	if len(affTargets) > 0 {
-		inc.SwitchesReplayed = nsw
-	}
-	return &Result{
-		LFTs: lfts,
-		Stats: Stats{Duration: time.Since(start), PathsComputed: len(affList),
-			Workers: workers, Phases: clock.phases(), WorkerBusy: pool.busyTimes(),
 			Incremental: inc},
 	}, nil
 }
@@ -1066,24 +719,6 @@ func classifyUpdnDelta(fv *fabricView, dD, dU []int16, up func(i, j int) bool, d
 	return false, segs
 }
 
-// sameGroupMembers reports whether a new group has exactly the old group's
-// targets (LID, node and attach port alike).
-func sameGroupMembers(idx *depIndex, og int, grp []int, targets []Target, attach []attachPoint) bool {
-	old := idx.groups[og]
-	if len(old) != len(grp) {
-		return false
-	}
-	for i, ti := range grp {
-		oti := old[i]
-		if idx.targets[oti] != targets[ti] || idx.attach[oti] != attach[ti] {
-			return false
-		}
-	}
-	return true
-}
-
-func coneBit(bm []uint64, i int) bool { return bm[i/64]&(1<<(uint(i)%64)) != 0 }
-
 func edgeSet(fv *fabricView) map[edgeKey]int {
 	m := make(map[edgeKey]int, 2*len(fv.switches))
 	for i := range fv.adj {
@@ -1128,98 +763,12 @@ func toInt16(in []int) []int16 {
 	return out
 }
 
-func sameSwitches(a []topology.NodeID, b []topology.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalTargets(a, b []Target) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalAttach(a, b []attachPoint) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalPorts(a, b []ib.PortNum) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFtEdges(a, b []ftEdge) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // patchedGroups lists the group indices with a non-nil patch set.
 func patchedGroups(patches []map[int][]ib.PortNum) []int {
 	out := []int{}
 	for gi, p := range patches {
 		if p != nil {
 			out = append(out, gi)
-		}
-	}
-	return out
-}
-
-func removedLIDs(old, cur []Target) []ib.LID {
-	have := make(map[ib.LID]bool, len(cur))
-	for _, t := range cur {
-		have[t.LID] = true
-	}
-	var out []ib.LID
-	for _, t := range old {
-		if !have[t.LID] {
-			out = append(out, t.LID)
 		}
 	}
 	return out

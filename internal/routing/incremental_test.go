@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ibvsim/internal/ib"
@@ -93,7 +94,8 @@ func (f *deltaFuzzer) request(workers int) *Request {
 // seeded sequence of random deltas recomputed through the Incremental
 // wrapper yields LFTs byte-identical (in the forwarding domain) to a
 // from-scratch run of the inner engine — for worker counts 1, 2 and 8 alike
-// — or an honest fallback that is itself a full recompute.
+// — or an honest fallback that is itself a full recompute. minhop must take
+// the delta path; ftree, dfsssp and lash have none and must say so.
 func TestIncrementalEquivalence(t *testing.T) {
 	steps := 12
 	names := []string{"minhop", "updn", "ftree"}
@@ -103,7 +105,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 	for _, name := range names {
 		steps := steps
 		if name == "dfsssp" || name == "lash" {
-			steps = 3 // always-full fallback engines; just prove honesty
+			steps = 3 // slow always-full fallback engines; just prove honesty
 		}
 		t.Run(name, func(t *testing.T) {
 			testIncrementalEquivalence(t, name, 324, steps, 1)
@@ -133,6 +135,7 @@ func testIncrementalEquivalence(t *testing.T, name string, size, steps int, seed
 	}
 
 	applied := 0
+	lastReason := ""
 	for step := 0; step <= steps; step++ {
 		desc := "initial"
 		if step > 0 {
@@ -162,6 +165,7 @@ func testIncrementalEquivalence(t *testing.T, name string, size, steps int, seed
 		if base.Stats.Incremental.Applied {
 			applied++
 		}
+		lastReason = base.Stats.Incremental.FallbackReason
 		for _, w := range workerCounts {
 			res := results[w]
 			if !res.Stats.Incremental.Attempted {
@@ -197,13 +201,16 @@ func testIncrementalEquivalence(t *testing.T, name string, size, steps int, seed
 	}
 
 	switch name {
-	case "minhop", "ftree":
+	case "minhop":
 		if applied == 0 {
 			t.Fatalf("no step applied the incremental path for %s; delta rules never engaged", name)
 		}
-	case "dfsssp", "lash":
+	case "ftree", "dfsssp", "lash":
 		if applied != 0 {
 			t.Fatalf("%s must always fall back to full recompute", name)
+		}
+		if !strings.Contains(lastReason, name) {
+			t.Fatalf("%s fallback reason %q does not name the engine", name, lastReason)
 		}
 	}
 }

@@ -230,6 +230,72 @@ func TestFatTreeDispersesVFLIDs(t *testing.T) {
 	}
 }
 
+// TestFatTreeRoutesAroundFailedUplink fails every 7th leaf–spine link of
+// the paper's 324- and 648-node fat trees, one at a time, and walks every
+// (leaf, CA) pair through fresh ftree tables. A leaf whose d-mod-k parent
+// lost its link into the destination's cone must step to a parent that
+// still reaches it instead of forwarding into a switch that drops.
+func TestFatTreeRoutesAroundFailedUplink(t *testing.T) {
+	sizes := []int{324, 648}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, size := range sizes {
+		topo, err := topology.BuildPaperFatTree(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := reqFor(t, topo)
+		var leaves []topology.NodeID
+		var uplinks []fuzzLink
+		for _, sw := range topo.Switches() {
+			n := topo.Node(sw)
+			if n.Level != 1 {
+				continue
+			}
+			leaves = append(leaves, sw)
+			for _, p := range n.Ports[1:] {
+				if p.Peer != topology.NoNode && topo.Node(p.Peer).IsSwitch() {
+					uplinks = append(uplinks, fuzzLink{a: sw, ap: p.Num})
+				}
+			}
+		}
+		for li := 0; li < len(uplinks); li += 7 {
+			l := uplinks[li]
+			if err := topo.SetLinkState(l.a, l.ap, false); err != nil {
+				t.Fatal(err)
+			}
+			res, err := NewFatTree().Compute(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			undelivered, pairs := 0, 0
+			var first error
+			for _, leaf := range leaves {
+				for _, tg := range req.Targets {
+					if topo.Node(tg.Node).IsSwitch() {
+						continue
+					}
+					pairs++
+					if err := walkOne(topo, res, leaf, tg.LID, tg.Node); err != nil {
+						undelivered++
+						if first == nil {
+							first = err
+						}
+					}
+				}
+			}
+			if undelivered != 0 {
+				t.Errorf("%d nodes, link %q port %d down: %d of %d (leaf, CA) pairs undelivered, first: %v",
+					size, topo.Node(l.a).Desc, l.ap, undelivered, pairs, first)
+			}
+			if err := topo.SetLinkState(l.a, l.ap, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestMinHopBalancesLoad(t *testing.T) {
 	// On a 2-level tree, the leaf's up-port loads should differ by at most
 	// a small factor across destinations.
