@@ -150,7 +150,7 @@ func BenchmarkTable1FullRCWire(b *testing.B) {
 
 // benchCloud builds a 324-node cloud with one VM and two far-apart
 // hypervisors to ping-pong it between.
-func benchCloud(b *testing.B, model sriov.Model) (*cloud.Cloud, string, topology.NodeID, topology.NodeID) {
+func benchCloud(b testing.TB, model sriov.Model) (*cloud.Cloud, string, topology.NodeID, topology.NodeID) {
 	b.Helper()
 	topo, err := topology.BuildPaperFatTree(324)
 	if err != nil {

@@ -11,11 +11,16 @@ import (
 // still reach.
 var lftGen atomic.Uint64
 
-// lftFanout is the number of 64-entry blocks per superblock. With 64×64 =
-// 4096 entries per superblock, a cluster-scale table (tens of thousands of
-// LIDs) is a single-digit number of superblock pointers, which is all a
-// Clone has to copy.
-const lftFanout = 64
+// lftFanout is the number of 64-entry blocks per superblock: 16×64 = 1024
+// entries. It is sized for the sparse write rather than for Clone. A
+// migration sets two LIDs on each of hundreds of switches, and each Set on a
+// fresh clone copies the superblock it lands in: 136 bytes of pointers at
+// this fanout; at a fanout of 64 it would be 520, half of all the bytes a
+// migration allocates. Clone copies one pointer per superblock, and
+// a table of up to 8192 LIDs keeps them inside itself (lftInline), so the
+// smaller fanout costs a clone nothing at the fabric sizes the simulator
+// runs.
+const lftFanout = 16
 
 // lftBlock is one 64-entry run of the table plus the generation of the LFT
 // that may mutate it in place. A block whose generation differs from its
@@ -33,8 +38,8 @@ type lftBlock struct {
 	ports [LFTBlockSize]PortNum
 }
 
-// lftSuper is one level-1 node: 64 block pointers plus the owning
-// generation. A nil superblock reads as 64 nil blocks.
+// lftSuper is one level-1 node: lftFanout block pointers plus the owning
+// generation. A nil superblock reads as lftFanout nil blocks.
 type lftSuper struct {
 	gen    uint64
 	blocks [lftFanout]*lftBlock
@@ -46,9 +51,11 @@ type lftSuper struct {
 // one SMP per block.
 //
 // Storage is a two-level copy-on-write radix: a short slice of superblocks,
-// each holding 64 block pointers. Clone copies only the superblock pointer
-// slice (a few entries even at 100k-LID scale), and a later Set copies just
-// the one superblock and one 64-entry block it lands in. This is what makes
+// each holding lftFanout (16) block pointers. Clone is one allocation that
+// copies the superblock pointers (for a table of up to eight superblocks
+// they sit inside the LFT itself), and a later Set copies just the one
+// superblock (136 bytes) and one 64-entry block (80 bytes) it lands in, the
+// first time it lands there. This is what makes
 // the control plane's clone-mutate-publish cycle O(blocks touched) instead
 // of O(table size) — at cluster scale one VM migration edits two LIDs on
 // each of ~10^3 switches, and cloning full multi-kilobyte tables per switch
@@ -65,7 +72,11 @@ type lftSuper struct {
 // The zero value is not usable; construct with NewLFT. A port value of 255
 // (DropPort) or an entry outside the populated range means "drop".
 type LFT struct {
+	// supers is inline[:n] for a table of up to lftInline superblocks, so a
+	// Clone of one is a single allocation; a larger table holds its own
+	// slice.
 	supers  []*lftSuper
+	inline  [lftInline]*lftSuper
 	nblocks int // logical geometry in 64-entry blocks (supers over-cover)
 	gen     atomic.Uint64
 	// prov is the table's current write epoch: every Set that changes an
@@ -90,25 +101,36 @@ func NewLFTBlocks(nblocks int) *LFT {
 	if nblocks < 1 {
 		nblocks = 1
 	}
-	t := &LFT{
-		supers:  make([]*lftSuper, (nblocks+lftFanout-1)/lftFanout),
-		nblocks: nblocks,
-	}
+	t := &LFT{nblocks: nblocks}
+	t.supers = t.superSlice((nblocks + lftFanout - 1) / lftFanout)
 	t.gen.Store(lftGen.Add(1))
 	return t
 }
 
-// Clone returns an independent copy of the table: the copy a writer edits
-// off to the side before publishing it. Only the superblock pointer slice is
-// copied; superblocks and blocks are shared until either side writes into
-// them. Both tables move to fresh generations, so neither will mutate shared
-// storage in place.
-func (t *LFT) Clone() *LFT {
-	c := &LFT{
-		supers:  make([]*lftSuper, len(t.supers)),
-		nblocks: t.nblocks,
-		prov:    t.prov,
+// lftInline is how many superblocks a table holds inside itself: 8 × 1024
+// LIDs, which covers every fabric the benchmark migrates on. A larger table
+// holds its superblock pointers in a slice of their own, and its Clone costs
+// a second allocation.
+const lftInline = 8
+
+// superSlice returns n nil superblock pointers for t to hold: its inline
+// array when they fit, else a fresh slice.
+func (t *LFT) superSlice(n int) []*lftSuper {
+	if n <= lftInline {
+		return t.inline[:n]
 	}
+	return make([]*lftSuper, n)
+}
+
+// Clone returns an independent copy of the table: the copy a writer edits
+// off to the side before publishing it. Only the superblock pointers are
+// copied, and for a table of up to lftInline superblocks into the clone's
+// own inline array, so a clone is one allocation; superblocks and blocks are
+// shared until either side writes into them. Both tables move to fresh
+// generations, so neither will mutate shared storage in place.
+func (t *LFT) Clone() *LFT {
+	c := &LFT{nblocks: t.nblocks, prov: t.prov}
+	c.supers = c.superSlice(len(t.supers))
 	copy(c.supers, t.supers)
 	c.gen.Store(lftGen.Add(1))
 	t.gen.Store(lftGen.Add(1))
@@ -355,7 +377,7 @@ func (t *LFT) ensure(l LID) {
 	}
 	nsupers := (nblocks + lftFanout - 1) / lftFanout
 	if nsupers > len(t.supers) {
-		ns := make([]*lftSuper, nsupers)
+		ns := t.superSlice(nsupers)
 		copy(ns, t.supers)
 		t.supers = ns
 	}

@@ -160,10 +160,15 @@ type blockRun struct {
 // each at most max long. max <= 1 degenerates to one block per run — the
 // classical wire format.
 func planRuns(blocks []int, max int) []blockRun {
+	return appendRuns(make([]blockRun, 0, len(blocks)), blocks, max)
+}
+
+// appendRuns is planRuns appending to runs, so a caller that sends a couple
+// of runs can plan them into a buffer of its own.
+func appendRuns(runs []blockRun, blocks []int, max int) []blockRun {
 	if max < 1 {
 		max = 1
 	}
-	runs := make([]blockRun, 0, len(blocks))
 	for _, b := range blocks {
 		if n := len(runs); n > 0 && runs[n-1].start+runs[n-1].n == b && runs[n-1].n < max {
 			runs[n-1].n++
@@ -447,12 +452,13 @@ func (s *SubnetManager) runDistJob(ctx context.Context, job distJob, mode smp.Mo
 	var res distResult
 	pol := s.Dist.Retry
 	smpHist := s.tel.Registry().Histogram("sm.dist.smp_modelled_us", nil)
+	var p smp.SMP
 	for _, run := range job.runs {
 		if ctx.Err() != nil {
 			res.cancelled = true
 			return res
 		}
-		attempts, err := s.sendRunReliably(job.sw, run, mode, pol)
+		attempts, err := s.sendRunReliably(&p, job.sw, run, mode, pol)
 		cost := s.attemptCost(mode, run.n, attempts, err)
 		res.modelled += cost
 		smpHist.ObserveDuration(cost)
@@ -473,15 +479,15 @@ func (s *SubnetManager) runDistJob(ctx context.Context, job distJob, mode smp.Mo
 	return res
 }
 
-// sendRunReliably sends one LFT SMP (a run of one or more adjacent blocks),
-// retrying on timeout per the policy. It returns the attempts made and,
-// when the SMP was never acknowledged, an error: smp.ErrTimeout-wrapped
-// when the retry budget ran out, or the hard transport error that aborted
-// the send.
-func (s *SubnetManager) sendRunReliably(sw topology.NodeID, run blockRun, mode smp.Mode, pol RetryPolicy) (int, error) {
+// sendRunReliably sends one LFT SMP (a run of one or more adjacent blocks)
+// in the packet p, retrying on timeout per the policy. It returns the
+// attempts made and, when the SMP was never acknowledged, an error:
+// smp.ErrTimeout-wrapped when the retry budget ran out, or the hard
+// transport error that aborted the send.
+func (s *SubnetManager) sendRunReliably(p *smp.SMP, sw topology.NodeID, run blockRun, mode smp.Mode, pol RetryPolicy) (int, error) {
 	max := pol.attempts()
 	for attempt := 1; ; attempt++ {
-		err := s.sendLFTRun(sw, run, mode)
+		err := s.sendLFTRun(p, sw, run, mode)
 		if err == nil {
 			return attempt, nil
 		}
@@ -498,15 +504,19 @@ func (s *SubnetManager) sendRunReliably(sw topology.NodeID, run blockRun, mode s
 // sendLFTRun emits one LinearForwardingTable Set SMP for the given block
 // run of the given switch, validating deliverability through the LFT sender
 // (the raw transport, or the fault-injecting wrapper when faults are on).
-func (s *SubnetManager) sendLFTRun(sw topology.NodeID, run blockRun, mode smp.Mode) error {
-	p := &smp.SMP{
+// The packet is the caller's: it escapes through the sender interface, so a
+// caller that sends many runs hands the same one to every attempt, and each
+// attempt rewrites it whole (keeping only the path's storage).
+func (s *SubnetManager) sendLFTRun(p *smp.SMP, sw topology.NodeID, run blockRun, mode smp.Mode) error {
+	*p = smp.SMP{
 		Attr:    smp.AttrLinearFwdTbl,
 		AttrMod: uint32(run.start),
 		Blocks:  run.n,
 		IsSet:   true,
+		Path:    p.Path[:0],
 	}
 	if mode == smp.DirectedRoute {
-		p.Path = append([]ib.PortNum(nil), s.dirPath[sw]...)
+		p.Path = append(p.Path, s.dirPath[sw]...)
 		got, err := s.lftSender().SendDirected(s.SMNode, p)
 		if err != nil {
 			return err
@@ -593,27 +603,38 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEn
 		slices.Sort(blocks)
 		blocks = slices.Compact(blocks)
 	}
-	runs := planRuns(blocks, s.Dist.MaxBlocksPerSMP)
+	// A swap makes at most two runs: they fit a buffer on the stack.
+	var runBuf [4]blockRun
+	runs := appendRuns(runBuf[:0], blocks, s.Dist.MaxBlocksPerSMP)
 	desc := s.Topo.Node(sw).Desc
-	sent := 0 // blocks carried by the acknowledged runs, a prefix of blocks
+	// What every SMP span of this call shares is boxed once, not per SMP:
+	// the switch's name and the shard.
+	var descAttr, shardAttr any = desc, nil
+	if prov != nil {
+		shardAttr = shardValue(prov.Shard)
+	}
+	var p smp.SMP // one packet for every run and retry of this call
+	sent := 0     // blocks carried by the acknowledged runs, a prefix of blocks
 	for i, run := range runs {
 		// One SpanSMP per SMP: under a migration's lft-swap span these are
 		// the n' x m' spans of the paper's equations 4/5. This loop runs
 		// once per touched switch of every reconfiguration, so the span is
 		// emitted fully formed in one tracer call — no Start/End lock
 		// churn, no name assembly (the block lives in the attrs).
-		attempts, err := s.sendRunReliably(sw, run, mode, s.Dist.Retry)
+		attempts, err := s.sendRunReliably(&p, sw, run, mode, s.Dist.Retry)
 		// A fixed array, sliced to what applies: appending the optional pair
-		// to a ten-element literal doubled it on the heap, once per SMP.
-		attrs := [...]any{"switch", desc, "block", run.start, "blocks", run.n,
-			"mode", mode.String(), "attempts", attempts, "shard", nil}
+		// to a ten-element literal doubled it on the heap, once per SMP. The
+		// mode goes in as the Stringer it is: a boxed uint8 allocates
+		// nothing, and the encoder writes its text.
+		attrs := [...]any{"switch", descAttr, "block", run.start, "blocks", run.n,
+			"mode", mode, "attempts", attempts, "shard", shardAttr}
 		n := len(attrs) - 2
 		if prov != nil {
 			// The shard attr is what the Chrome export lanes SMP spans by.
 			// The mutation ID deliberately stays out: it is a process-global
 			// counter, and stamping it into spans would make trace goldens
 			// depend on test execution order.
-			attrs[n+1], n = prov.Shard, len(attrs)
+			n = len(attrs)
 		}
 		s.tel.Tracer().Emit(telemetry.SpanSMP, desc, under, 0,
 			s.attemptCost(mode, run.n, attempts, err), attrs[:n]...)
@@ -634,6 +655,19 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEn
 		}
 	}
 	return len(runs), nil
+}
+
+// negShards boxes the negative shards once: ShardCoordinator, ShardNone.
+var negShards = [...]any{ib.ShardCoordinator, ib.ShardNone}
+
+// shardValue boxes a shard for a span attribute without allocating: the
+// zones are small non-negative integers the runtime boxes for free, and the
+// two negative shards are boxed already.
+func shardValue(shard int) any {
+	if i := shard - ib.ShardCoordinator; i >= 0 && i < len(negShards) {
+		return negShards[i]
+	}
+	return shard
 }
 
 // SetVGUID models programming an alias GUID onto a hypervisor HCA port: one

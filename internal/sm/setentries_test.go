@@ -266,3 +266,51 @@ func TestSetLFTEntriesConcurrentColumns(t *testing.T) {
 		t.Errorf("%d smp spans, calls returned %d SMPs", spans, total)
 	}
 }
+
+// TestSparseWriteAllocs: a sparse write costs its entries and its call, not
+// its SMPs. The same four adjacent blocks, sent as one coalesced run and as
+// four single-block runs, must allocate the same: the packet, the boxed span
+// attributes and the run list are per call, so the per-SMP allocation is
+// zero. (The tracer's record store grows a chunk per 256 spans; over 256
+// calls that is well under one allocation per call, which AllocsPerRun's
+// whole-number average does not see.)
+func TestSparseWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, mode := range []smp.Mode{smp.DestinationRouted, smp.DirectedRoute} {
+		t.Run(mode.String(), func(t *testing.T) {
+			allocs := func(maxBlocks int) (float64, int) {
+				s := bootedSM(t)
+				s.Dist.MaxBlocksPerSMP = maxBlocks
+				sw := s.Topo.Switches()[0]
+				prov := &ib.Provenance{Mutation: ib.NextMutationID(), Engine: "test", Reason: "allocs", Shard: ib.ShardNone}
+				// Two writes of LIDs 10, 74, 138, 202 (blocks 0-3) that
+				// undo each other, so every call changes all four blocks.
+				var writes [2][]ib.LFTEntry
+				for _, l := range []ib.LID{10, 74, 138, 202} {
+					writes[0] = append(writes[0], ib.LFTEntry{LID: l, Port: 1})
+					writes[1] = append(writes[1], ib.LFTEntry{LID: l, Port: 2})
+				}
+				var runs, i int
+				write := func() {
+					n, err := s.SetLFTEntriesProv(sw, writes[i%2], mode, prov, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					runs, i = n, i+1
+				}
+				return testing.AllocsPerRun(256, write), runs
+			}
+			one, oneRuns := allocs(4)
+			four, fourRuns := allocs(1)
+			if oneRuns != 1 || fourRuns != 4 {
+				t.Fatalf("sent %d and %d runs, want 1 and 4", oneRuns, fourRuns)
+			}
+			t.Logf("%s: %.0f allocations per call, with 1 run or 4", mode, one)
+			if four != one {
+				t.Errorf("4 runs allocate %.0f per call, 1 run %.0f: an SMP allocates", four, one)
+			}
+		})
+	}
+}

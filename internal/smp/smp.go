@@ -125,14 +125,23 @@ type Counters struct {
 	TotalHops int
 
 	// Mirrors into an attached telemetry registry (nil when detached).
-	// Handles are cached so the hot observe path takes no registry locks.
+	// Handles are cached so the hot observe path takes no registry locks,
+	// and held where observe finds them without a map operation: a mode's
+	// by its value, an attribute's in the list of those seen (a transport
+	// carries a handful of attributes).
 	reg     *telemetry.Registry
 	mSent   *telemetry.Counter
 	mSet    *telemetry.Counter
 	mGet    *telemetry.Counter
 	mHops   *telemetry.Counter
-	attrCtr map[Attr]*telemetry.Counter
-	modeCtr map[Mode]*telemetry.Counter
+	attrCtr []attrCounter
+	modeCtr [2]*telemetry.Counter // indexed by Mode
+}
+
+// attrCounter is an attribute's registry counter.
+type attrCounter struct {
+	attr Attr
+	ctr  *telemetry.Counter
 }
 
 // NewCounters returns zeroed counters.
@@ -147,8 +156,8 @@ func (c *Counters) AttachRegistry(r *telemetry.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reg = r
-	c.attrCtr = map[Attr]*telemetry.Counter{}
-	c.modeCtr = map[Mode]*telemetry.Counter{}
+	c.attrCtr = nil
+	c.modeCtr = [2]*telemetry.Counter{}
 	if r == nil {
 		c.mSent, c.mSet, c.mGet, c.mHops = nil, nil, nil, nil
 		return
@@ -179,35 +188,34 @@ func (c *Counters) observe(p *SMP) {
 			c.mGet.Inc()
 		}
 		c.mHops.Add(int64(p.Hops))
-		ac := c.attrCtr[p.Attr]
-		if ac == nil {
-			ac = c.reg.Counter("smp.attr." + p.Attr.String())
-			c.attrCtr[p.Attr] = ac
-		}
-		ac.Inc()
-		mc := c.modeCtr[p.Mode]
-		if mc == nil {
-			mc = c.reg.Counter("smp.mode." + p.Mode.String())
-			c.modeCtr[p.Mode] = mc
-		}
-		mc.Inc()
+		c.attrCounter(p.Attr).Inc()
+		c.modeCounter(p.Mode).Inc()
 	}
 }
 
-// Add accumulates other into c.
-func (c *Counters) Add(other *Counters) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.Sent += other.Sent
-	c.Set += other.Set
-	c.Get += other.Get
-	c.TotalHops += other.TotalHops
-	for k, v := range other.ByAttr {
-		c.ByAttr[k] += v
+// attrCounter returns the registry counter of attribute a, registering it
+// the first time a is seen. Caller holds c.mu with a registry attached.
+func (c *Counters) attrCounter(a Attr) *telemetry.Counter {
+	for _, ac := range c.attrCtr {
+		if ac.attr == a {
+			return ac.ctr
+		}
 	}
-	for k, v := range other.ByMode {
-		c.ByMode[k] += v
+	ctr := c.reg.Counter("smp.attr." + a.String())
+	c.attrCtr = append(c.attrCtr, attrCounter{attr: a, ctr: ctr})
+	return ctr
+}
+
+// modeCounter returns the registry counter of mode m, registering it the
+// first time m is seen. Caller holds c.mu with a registry attached.
+func (c *Counters) modeCounter(m Mode) *telemetry.Counter {
+	if int(m) >= len(c.modeCtr) {
+		return c.reg.Counter("smp.mode." + m.String())
 	}
+	if c.modeCtr[m] == nil {
+		c.modeCtr[m] = c.reg.Counter("smp.mode." + m.String())
+	}
+	return c.modeCtr[m]
 }
 
 // Reset zeroes the counters in place.

@@ -155,23 +155,22 @@ func TestSendLIDRoutedDropAndLoop(t *testing.T) {
 	}
 }
 
-func TestCountersAddReset(t *testing.T) {
-	a, b := NewCounters(), NewCounters()
+func TestCountersReset(t *testing.T) {
+	a := NewCounters()
 	a.observe(&SMP{Attr: AttrPortInfo, IsSet: true, Hops: 2})
-	b.observe(&SMP{Attr: AttrPortInfo, Hops: 3})
-	a.Add(b)
+	a.observe(&SMP{Attr: AttrPortInfo, Hops: 3})
 	if a.Sent != 2 || a.Set != 1 || a.Get != 1 || a.TotalHops != 5 {
-		t.Errorf("after Add: %+v", a)
+		t.Errorf("after two observations: %+v", a)
 	}
 	if a.ByAttr[AttrPortInfo] != 2 {
 		t.Errorf("ByAttr = %v", a.ByAttr)
 	}
+	if !strings.Contains(a.String(), "sent=2") {
+		t.Errorf("String = %s", a)
+	}
 	a.Reset()
 	if a.Sent != 0 || len(a.ByAttr) != 0 {
 		t.Errorf("after Reset: %+v", a)
-	}
-	if !strings.Contains(b.String(), "sent=1") {
-		t.Errorf("String = %s", b)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // A finished span and an event are kept as bytes, not as Go values: the
@@ -47,12 +48,26 @@ type store struct {
 }
 
 // next allocates the next number, evicting what no longer fits the limit.
+//
+// A new chunk's buffer is sized from what the chunk before it holds, plus
+// a thirty-second: consecutive chunks hold records of much the same mix, so
+// the buffer is allocated about once, and the slack is small enough that a
+// full chunk keeps no more than append's growth left it. Grown by append
+// alone, a buffer of a few kilobytes is reallocated a dozen times on its
+// way up (by a quarter at a time past 256 bytes), allocating four to five
+// times the bytes it keeps; the first chunk, with nothing before it, grows
+// that way.
 func (s *store) next() int {
 	s.last++
 	s.evict(s.last - s.limit)
 	if (s.last-1)/chunkRecs >= s.first+len(s.chunks) {
-		s.chunks = append(s.chunks, &chunk{})
-		s.bytes += chunkOverhead
+		c := &chunk{}
+		if n := len(s.chunks); n > 0 {
+			prev := len(s.chunks[n-1].buf)
+			c.buf = make([]byte, 0, prev+prev/32)
+		}
+		s.chunks = append(s.chunks, c)
+		s.bytes += chunkOverhead + cap(c.buf)
 	}
 	return s.last
 }
@@ -121,6 +136,49 @@ func (s *store) get(n int) []byte {
 type symbols struct {
 	ids   map[string]uint64 // 1-based
 	names []string
+	// byAddr answers a key by the identity of its bytes before ids is asked:
+	// an open-addressed table of ids hashed on the address of each name's
+	// bytes. The keys a record repeats are the code's string constants, so
+	// the key handed in is, byte for byte and address for address, the
+	// string the table learnt; a key that merely spells a name (built at run
+	// time) misses here and is answered by ids. names keeps every cached
+	// address alive, so an address cannot be reused by another string while
+	// this version can be read.
+	byAddr [symCache]uint8
+}
+
+// symCache is the size of symbols.byAddr: a power of two at least twice
+// maxSymbols, so a probe meets an empty slot within a few steps.
+const (
+	symCacheBits = 9
+	symCache     = 1 << symCacheBits
+)
+
+// addrSlot is the home slot of a string's bytes in symbols.byAddr.
+func addrSlot(p *byte) uint64 {
+	return uint64(uintptr(unsafe.Pointer(p))) * 0x9E3779B97F4A7C15 >> (64 - symCacheBits)
+}
+
+// byAddress returns the id of the very string s the table learnt, or 0.
+func (v *symbols) byAddress(s string) uint64 {
+	if len(s) == 0 {
+		return 0
+	}
+	p := unsafe.StringData(s)
+	for i := addrSlot(p); v.byAddr[i] != 0; i = (i + 1) % symCache {
+		if n := v.names[v.byAddr[i]-1]; unsafe.StringData(n) == p && len(n) == len(s) {
+			return uint64(v.byAddr[i])
+		}
+	}
+	return 0
+}
+
+// lookup returns the id of s, or 0 when s is not in this version.
+func (v *symbols) lookup(s string) uint64 {
+	if id := v.byAddress(s); id != 0 {
+		return id
+	}
+	return v.ids[s]
 }
 
 // symtab numbers the short strings records repeat — span kinds, attribute
@@ -143,7 +201,7 @@ const maxSymbols = 255
 func (t *symtab) id(s string) uint64 {
 	cur := t.cur.Load()
 	if cur != nil {
-		if id, ok := cur.ids[s]; ok {
+		if id := cur.lookup(s); id != 0 {
 			return id
 		}
 	}
@@ -156,13 +214,22 @@ func (t *symtab) id(s string) uint64 {
 	if id, ok := cur.ids[s]; ok || len(cur.names) >= maxSymbols {
 		return id
 	}
-	next := &symbols{ids: make(map[string]uint64, len(cur.names)+1), names: append(cur.names[:len(cur.names):len(cur.names)], s)}
+	next := &symbols{ids: make(map[string]uint64, len(cur.names)+1),
+		names: append(cur.names[:len(cur.names):len(cur.names)], s), byAddr: cur.byAddr}
 	for k, v := range cur.ids {
 		next.ids[k] = v
 	}
-	next.ids[s] = uint64(len(next.names))
+	id := uint64(len(next.names))
+	next.ids[s] = id
+	if len(s) > 0 {
+		i := addrSlot(unsafe.StringData(s))
+		for next.byAddr[i] != 0 {
+			i = (i + 1) % symCache
+		}
+		next.byAddr[i] = uint8(id)
+	}
 	t.cur.Store(next)
-	return next.ids[s]
+	return id
 }
 
 // name is the inverse of id for ids the table handed out.

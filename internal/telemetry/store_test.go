@@ -195,9 +195,90 @@ func TestTraceStats(t *testing.T) {
 	}
 }
 
+// TestSymbolTableOverflow fills the symbol table past maxSymbols. The first
+// 255 strings get a number and the rest are written inline in every record
+// that uses them; every key reads back through SpansSince and WriteJSON
+// whether the encoder is handed the very string the table learnt (answered
+// by its address) or a copy that only spells it (answered by the map).
+func TestSymbolTableOverflow(t *testing.T) {
+	tr := NewTracer()
+	const n = maxSymbols + 10
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprint("key-", i)
+		tr.Emit(SpanSMP, "learn", nil, 0, 0, keys[i], i)
+	}
+	cur := tr.syms.cur.Load()
+	if len(cur.names) != maxSymbols {
+		t.Fatalf("table holds %d symbols, want %d", len(cur.names), maxSymbols)
+	}
+	numbered := 0
+	for i, k := range keys {
+		spelt := strings.Clone(k)
+		id := tr.syms.id(k)
+		if got := tr.syms.id(spelt); got != id {
+			t.Fatalf("%q: id %d by address, %d by spelling", k, id, got)
+		}
+		if got := cur.byAddress(spelt); got != 0 {
+			t.Fatalf("%q: a copy was answered by address (%d)", k, got)
+		}
+		if got := cur.byAddress(k); got != id {
+			t.Fatalf("%q: address cache says %d, table %d", k, got, id)
+		}
+		if id != 0 {
+			numbered++
+			if cur.names[id-1] != k {
+				t.Fatalf("%q: id %d names %q", k, id, cur.names[id-1])
+			}
+		} else if i < maxSymbols-1 {
+			t.Fatalf("%q (key %d) has no symbol though the table had room", k, i)
+		}
+	}
+	if numbered != maxSymbols-1 { // the span kind took one
+		t.Fatalf("%d keys numbered, want %d", numbered, maxSymbols-1)
+	}
+
+	// One span with every key twice over: as learnt, then as a copy.
+	var kv []any
+	want := map[string]any{}
+	for i, k := range keys {
+		kv = append(kv, k, int64(i), strings.Clone(k), int64(i+n))
+		want[k] = int64(i + n) // the later write wins
+	}
+	id := tr.Emit(SpanSMP, "all", nil, 0, 0, kv...)
+	spans := tr.SpansSince(id - 1)
+	if len(spans) != 1 || !reflect.DeepEqual(spans[0].Attrs, want) {
+		t.Fatalf("SpansSince read back %d spans, attrs %v", len(spans), spans)
+	}
+	var sb strings.Builder
+	if err := tr.WriteJSON(&sb, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Spans []struct {
+			ID    int            `json:"id"`
+			Attrs map[string]any `json:"attrs"`
+		} `json:"spans"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
+		t.Fatal(err)
+	}
+	last := out.Spans[len(out.Spans)-1]
+	if last.ID != id || len(last.Attrs) != n {
+		t.Fatalf("export's last span is %d with %d attrs, want %d with %d", last.ID, len(last.Attrs), id, n)
+	}
+	for k, v := range want {
+		if got, ok := last.Attrs[k].(float64); !ok || int64(got) != v.(int64) {
+			t.Fatalf("export: %q = %v, want %v", k, last.Attrs[k], v)
+		}
+	}
+}
+
 // TestConcurrentWritersAndReaders: 16 goroutines Emit, Start/End and Eventf
-// while readers take windows and full exports. IDs must come out dense and
-// every span a reader sees must decode to what its writer put in.
+// while readers take windows and full exports. Each writer also emits a key
+// of its own, so the symbol table grows while the other writers hit its
+// address cache and the readers decode. IDs must come out dense and every
+// span a reader sees must decode to what its writer put in.
 func TestConcurrentWritersAndReaders(t *testing.T) {
 	const writers, perWriter = 16, 300
 	tr := NewTracer()
@@ -223,8 +304,14 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 					}
 					// A span caught between Start and SetAttrs has no
 					// attributes yet; any it has must be its writer's.
-					if w, ok := sv.Attrs["w"].(int64); len(sv.Attrs) > 0 && (!ok || sv.Name != fmt.Sprint("w", w)) {
+					w, ok := sv.Attrs["w"].(int64)
+					if len(sv.Attrs) > 0 && (!ok || sv.Name != fmt.Sprint("w", w)) {
 						t.Errorf("span %d decoded to %+v", sv.ID, sv)
+						return
+					}
+					// An smp span also carries its writer's own key.
+					if sv.Kind == SpanSMP && sv.Attrs[fmt.Sprint("k", w)] != sv.Attrs["i"] {
+						t.Errorf("smp span %d decoded to %+v", sv.ID, sv)
 						return
 					}
 				}
@@ -249,10 +336,11 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			name := fmt.Sprint("w", w)
+			own := fmt.Sprint("k", w) // grows the symbol table under the others
 			for i := 0; i < perWriter; i++ {
 				sp := tr.Start(SpanLFTSwap, name)
 				sp.SetAttrs("w", w, "i", i)
-				tr.Emit(SpanSMP, name, sp, 0, time.Microsecond, "w", w, "i", i, "switch", name)
+				tr.Emit(SpanSMP, name, sp, 0, time.Microsecond, "w", w, "i", i, "switch", name, own, i)
 				tr.Eventf("note", "w%d i%d", w, i)
 				sp.End()
 			}

@@ -259,7 +259,8 @@ func (t *Tracer) SetEventCap(n int) {
 // recordBuf is the stack space a record is assembled in before the lock is
 // taken to seal it — what goes into a record may be a caller's String method,
 // which must not run under the tracer's lock. The smp span the SM emits per
-// block run is ~60 bytes; a record that outgrows this moves to the heap.
+// block run is ~50 bytes (its switch name is most of it); a record that
+// outgrows this moves to the heap.
 const recordBuf = 192
 
 // Start begins a span. If a scope is pushed (PushScope), the new span is
