@@ -293,7 +293,7 @@ func BenchmarkFabricStep(b *testing.B) {
 	if _, _, _, err := mgr.Bootstrap(); err != nil {
 		b.Fatal(err)
 	}
-	sim, err := fabric.New(topo, mgr, fabric.Config{BufferCredits: 4, NumVLs: 1})
+	sim, err := fabric.New(topo, mgr.Programmed(), fabric.Config{BufferCredits: 4, NumVLs: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

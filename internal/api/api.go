@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"ibvsim/internal/audit"
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/cloud"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/shard"
@@ -180,12 +181,12 @@ func NewServer(c *cloud.Cloud, cfg Config) *Server {
 // again — while no mutation is in flight — so the new SM's distributions
 // stay monitored.
 func (s *Server) WireTransitionMonitor() {
-	s.c.SM.OnDistribute = func(old, target map[topology.NodeID]*ib.LFT) {
+	s.c.SM.OnDistribute = func(old, next cdg.Routes) {
 		dlids := make([]ib.LID, 0, 64)
 		for _, tg := range s.c.SM.Targets() {
 			dlids = append(dlids, tg.LID)
 		}
-		rep := s.aud.CheckTransition(s.c.SM.Topo, old, target, s.c.SM.NodeOfLID, dlids)
+		rep := s.aud.Transition(s.c.SM.Topo, old, next, dlids)
 		if rep.Total > 0 {
 			s.log.Warn("transient CDG violation during LFT distribution",
 				"violations", rep.Total)

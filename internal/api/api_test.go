@@ -15,8 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/cloud"
-	"ibvsim/internal/ib"
 	"ibvsim/internal/shard"
 	"ibvsim/internal/sriov"
 	"ibvsim/internal/topology"
@@ -558,9 +558,9 @@ func TestShutdownCancelsInFlight(t *testing.T) {
 			monitor := srv.c.SM.OnDistribute
 			inHand, release := make(chan struct{}), make(chan struct{})
 			var hold sync.Once
-			srv.c.SM.OnDistribute = func(old, target map[topology.NodeID]*ib.LFT) {
+			srv.c.SM.OnDistribute = func(old, next cdg.Routes) {
 				hold.Do(func() { close(inHand); <-release })
-				monitor(old, target)
+				monitor(old, next)
 			}
 
 			got := make(chan *httptest.ResponseRecorder, 1)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ibvsim/internal/audit"
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/cloud"
 	"ibvsim/internal/core"
 	"ibvsim/internal/ib"
@@ -129,8 +130,7 @@ func lastSpanAttrs(tr *telemetry.Tracer) map[string]any {
 // squareTransition is the section VI-C hazard of audit.TestTransientCDGCycle:
 // a four-switch ring on which the old and the new routing are each acyclic
 // and their union is not.
-func squareTransition(t *testing.T) (topo *topology.Topology, old, target map[topology.NodeID]*ib.LFT,
-	nodeOf func(ib.LID) topology.NodeID, dlids []ib.LID) {
+func squareTransition(t *testing.T) (topo *topology.Topology, old, target cdg.Routes, dlids []ib.LID) {
 	topo = topology.New("square")
 	var sw, ca [4]topology.NodeID
 	for i := range sw {
@@ -145,7 +145,13 @@ func squareTransition(t *testing.T) (topo *topology.Topology, old, target map[to
 			t.Fatal(err)
 		}
 	}
-	tables := func(sets [4][][2]int) map[topology.NodeID]*ib.LFT {
+	nodeOf := func(l ib.LID) topology.NodeID {
+		if l >= 10 && l <= 13 {
+			return ca[l-10]
+		}
+		return topology.NoNode
+	}
+	tables := func(sets [4][][2]int) cdg.Routes {
 		out := map[topology.NodeID]*ib.LFT{}
 		for i, entries := range sets {
 			out[sw[i]] = ib.NewLFT(16)
@@ -153,17 +159,11 @@ func squareTransition(t *testing.T) (topo *topology.Topology, old, target map[to
 				out[sw[i]].Set(ib.LID(e[0]), ib.PortNum(e[1]))
 			}
 		}
-		return out
+		return cdg.Tables{Table: func(sw topology.NodeID) *ib.LFT { return out[sw] }, Owner: nodeOf}
 	}
 	old = tables([4][][2]int{{{12, 1}}, {{12, 1}, {13, 1}}, {{12, 3}, {13, 1}}, {{13, 3}}})
 	target = tables([4][][2]int{{{10, 3}, {11, 1}}, {{11, 3}}, {{10, 1}}, {{10, 1}, {11, 1}}})
-	nodeOf = func(l ib.LID) topology.NodeID {
-		if l >= 10 && l <= 13 {
-			return ca[l-10]
-		}
-		return topology.NoNode
-	}
-	return topo, old, target, nodeOf, []ib.LID{10, 11, 12, 13}
+	return topo, old, target, []ib.LID{10, 11, 12, 13}
 }
 
 // TestMaintainedCDGMatchesCold is the proof obligation of the kept CDG: one
@@ -218,24 +218,23 @@ func runCDGOracle(t *testing.T, topo *topology.Topology) {
 		}
 		record(gotAttrs)
 	}
-	transition := func(what string, tp *topology.Topology, old, target map[topology.NodeID]*ib.LFT,
-		nodeOf func(ib.LID) topology.NodeID, dlids []ib.LID, got *audit.Report) {
+	transition := func(what string, tp *topology.Topology, old, next cdg.Routes, dlids []ib.LID, got *audit.Report) {
 		t.Helper()
 		gotAttrs := lastSpanAttrs(srv.tr)
 		hub := telemetry.NewHub()
-		want := audit.New(hub, nil, audit.Config{}).CheckTransition(tp, old, target, nodeOf, dlids)
+		want := audit.New(hub, nil, audit.Config{}).Transition(tp, old, next, dlids)
 		same(what, got, want, gotAttrs, lastSpanAttrs(hub.Tracer()), "old_edges", "union_edges")
 	}
 	wire := func() {
 		srv.WireTransitionMonitor()
 		monitor := c.SM.OnDistribute
-		c.SM.OnDistribute = func(old, target map[topology.NodeID]*ib.LFT) {
-			monitor(old, target)
+		c.SM.OnDistribute = func(old, next cdg.Routes) {
+			monitor(old, next)
 			var dlids []ib.LID
 			for _, tg := range c.SM.Targets() {
 				dlids = append(dlids, tg.LID)
 			}
-			transition("distribution", c.SM.Topo, old, target, c.SM.NodeOfLID, dlids, srv.aud.Last())
+			transition("distribution", c.SM.Topo, old, next, dlids, srv.aud.Last())
 		}
 	}
 	wire()
@@ -344,9 +343,9 @@ func runCDGOracle(t *testing.T, topo *topology.Topology) {
 
 	// The section VI-C square, checked by the long-lived auditor between two
 	// passes on the fat tree: another topology, and a refused insert.
-	sq, old, target, nodeOf, dlids := squareTransition(t)
-	got := srv.aud.CheckTransition(sq, old, target, nodeOf, dlids)
-	transition("square", sq, old, target, nodeOf, dlids, got)
+	sq, old, target, dlids := squareTransition(t)
+	got := srv.aud.Transition(sq, old, target, dlids)
+	transition("square", sq, old, target, dlids, got)
 	if got.ByKind[string(audit.KindTransientCDG)] != 1 {
 		t.Fatalf("the square's union cycle went unreported: %+v", got)
 	}

@@ -11,7 +11,7 @@
 //   - Transient deadlock freedom: while an LFT distribution is in flight
 //     the fabric holds an arbitrary mixture of the old and new routing
 //     functions, so the union CDG Rold ∪ Rnew must be acyclic (the paper's
-//     section VI-C hazard, run as a live monitor via CheckTransition
+//     section VI-C hazard, run as a live monitor via Transition
 //     instead of only the offline transition experiment).
 //
 // The auditor is passive and lock-free with respect to the fabric: it runs
@@ -263,7 +263,7 @@ type cdgPass struct {
 // keep brings the kept CDG to r's routing of dlids, under cdgMu. held is
 // false when that routing is cyclic: the graph is then lost, and the caller
 // runs the cold check for its report.
-func (a *Auditor) keep(t *topology.Topology, r cdg.Tables, dlids []ib.LID) (p cdgPass, held bool) {
+func (a *Auditor) keep(t *topology.Topology, r cdg.Routes, dlids []ib.LID) (p cdgPass, held bool) {
 	if a.cdgTopo != t || a.cdgNodes != t.NumNodes() {
 		p.cold = coldTopology
 		if a.cdgTopo == nil {

@@ -382,7 +382,7 @@ func checkBindings(v *View, c *collector) {
 // checkInstalledCDG proves invariant family (c) for the steady state: the
 // CDG induced by the installed routing of the data traffic must be acyclic
 // (Dally & Seitz). The transient variant for in-flight distributions is
-// CheckTransition. It brings the auditor's kept graph up to date with the
+// Transition. It brings the auditor's kept graph up to date with the
 // view's tables; only when that routing is cyclic does it build a Graph from
 // nothing, to name the cycle.
 //
@@ -392,9 +392,9 @@ func checkBindings(v *View, c *collector) {
 // spine to spine through a leaf) legally violate up/down ordering, so
 // including them would flag every fat-tree as deadlocked.
 func (a *Auditor) checkInstalledCDG(v *View, c *collector) cdgPass {
-	dlids := dataLIDs(v.Topo, v.ActiveLIDs, v.NodeOf)
+	dlids := dataLIDs(v.Topo, v.ActiveLIDs, v)
 	a.cdgMu.Lock()
-	p, held := a.keep(v.Topo, cdg.Tables{Table: v.LFT, Owner: v.NodeOf}, dlids)
+	p, held := a.keep(v.Topo, v, dlids)
 	a.cdgMu.Unlock()
 	if held {
 		return p
@@ -409,10 +409,10 @@ func (a *Auditor) checkInstalledCDG(v *View, c *collector) cdgPass {
 
 // dataLIDs filters a destination set down to CA-owned LIDs — the ones whose
 // traffic occupies data VLs and participates in credit deadlock.
-func dataLIDs(t *topology.Topology, lids []ib.LID, nodeOf func(ib.LID) topology.NodeID) []ib.LID {
+func dataLIDs(t *topology.Topology, lids []ib.LID, r cdg.Routes) []ib.LID {
 	out := make([]ib.LID, 0, len(lids))
 	for _, l := range lids {
-		n := t.Node(nodeOf(l))
+		n := t.Node(r.NodeOf(l))
 		if n != nil && !n.IsSwitch() {
 			out = append(out, l)
 		}

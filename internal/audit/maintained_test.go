@@ -2,11 +2,11 @@ package audit
 
 import (
 	"context"
-	"maps"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/cloud"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/routing"
@@ -23,11 +23,19 @@ type flapHalf struct {
 	sw          topology.NodeID
 	port        ib.PortNum
 	up          bool
-	old, target map[topology.NodeID]*ib.LFT
-	nodeOf      func(ib.LID) topology.NodeID
+	old, target *tableRoutes
 	dlids       []ib.LID
 	view        *View
 }
+
+// tableRoutes is a cdg.Routes over copied tables and a live owner lookup.
+type tableRoutes struct {
+	lfts   map[topology.NodeID]*ib.LFT
+	nodeOf func(ib.LID) topology.NodeID
+}
+
+func (r *tableRoutes) LFT(sw topology.NodeID) *ib.LFT  { return r.lfts[sw] }
+func (r *tableRoutes) NodeOf(l ib.LID) topology.NodeID { return r.nodeOf(l) }
 
 // flapHalves boots the benchmark's fabric-events fabric — 512 hosts on an
 // 8-ary 3-tree, prepopulated VF LIDs (1 534 data LIDs), incremental minhop —
@@ -74,7 +82,7 @@ func flapHalves(tb testing.TB, perStratum int) []*flapHalf {
 		for k := 0; k < perStratum; k++ {
 			l := byLevel[level][rng.Intn(len(byLevel[level]))]
 			for _, up := range []bool{false, true} {
-				h := &flapHalf{topo: topo, sw: topology.NodeID(l[0]), port: ib.PortNum(l[1]), up: up, nodeOf: mgr.NodeOfLID}
+				h := &flapHalf{topo: topo, sw: topology.NodeID(l[0]), port: ib.PortNum(l[1]), up: up}
 				h.set(tb)
 				if _, err := mgr.LightSweep(); err != nil {
 					tb.Fatal(err)
@@ -82,8 +90,9 @@ func flapHalves(tb testing.TB, perStratum int) []*flapHalf {
 				if _, err := mgr.Resweep(); err != nil {
 					tb.Fatal(err)
 				}
-				mgr.OnDistribute = func(old, target map[topology.NodeID]*ib.LFT) {
-					h.old, h.target = maps.Clone(old), tables(func(sw topology.NodeID) *ib.LFT { return target[sw] })
+				mgr.OnDistribute = func(old, next cdg.Routes) {
+					h.old = &tableRoutes{tables(old.LFT), mgr.NodeOfLID}
+					h.target = &tableRoutes{tables(next.LFT), mgr.NodeOfLID}
 				}
 				if _, _, err := mgr.ReconfigureCtx(context.Background()); err != nil {
 					tb.Fatal(err)
@@ -116,7 +125,7 @@ func (h *flapHalf) set(tb testing.TB) {
 
 // transition and installed are the two CDG passes of one half.
 func (h *flapHalf) transition(a *Auditor) *Report {
-	return a.CheckTransition(h.topo, h.old, h.target, h.nodeOf, h.dlids)
+	return a.Transition(h.topo, h.old, h.target, h.dlids)
 }
 
 func (h *flapHalf) installed(a *Auditor) cdgPass {
@@ -137,7 +146,7 @@ func TestMaintainedCDGCosts(t *testing.T) {
 	halves := flapHalves(t, 4)
 	hub := telemetry.NewHub()
 	a := New(hub, nil, Config{})
-	all := len(dataLIDs(halves[0].topo, halves[0].dlids, halves[0].nodeOf)) * halves[0].topo.NumSwitches()
+	all := len(dataLIDs(halves[0].topo, halves[0].dlids, halves[0].old)) * halves[0].topo.NumSwitches()
 	var passes, sum, most int
 	for i, h := range halves {
 		h.set(t)

@@ -10,11 +10,14 @@ import (
 	"ibvsim/internal/topology"
 )
 
-// CheckTransition proves invariant family (c) for an in-flight LFT
+// Transition proves invariant family (c) for an in-flight LFT
 // distribution: while switches are being reprogrammed the fabric holds an
 // arbitrary mixture of the old routing function (the programmed tables) and
 // the new one (the targets), so the union CDG Rold ∪ Rnew — not either CDG
-// alone — must be acyclic (the paper's section VI-C transient hazard).
+// alone — must be acyclic (the paper's section VI-C transient hazard). It is
+// the one section VI-C entry point. The destinations and their owners are
+// read from old: a plan overlaid as next may move a LID to another CA, which
+// changes no dependency of its tree.
 //
 // The subnet manager calls this through its OnDistribute hook at the moment
 // a distribution fans out, i.e. exactly when the mixture becomes possible.
@@ -23,37 +26,35 @@ import (
 // mitigation policy in core decides).
 //
 // The check costs what changed: the auditor's kept CDG of the installed
-// routing is brought up to date with the programmed tables, the target's
-// dependencies are inserted for the pairs whose entries differ, and the
-// inserts are taken back. Only a cyclic union (a refused insert) or a cyclic
-// installed routing runs the cold check, whose report names the cycle.
+// routing is brought up to date with old, next's dependencies are inserted
+// for the pairs whose entries differ, and the inserts are taken back. Only a
+// cyclic union (a refused insert) or a cyclic installed routing runs the
+// cold check, whose report names the cycle.
 //
 // Like checkInstalledCDG, the analysis covers CA-owned destinations only:
 // switch-destined traffic is VL15 management, outside data-VL deadlock.
-func (a *Auditor) CheckTransition(t *topology.Topology, old, target map[topology.NodeID]*ib.LFT,
-	nodeOf func(ib.LID) topology.NodeID, dlids []ib.LID) *Report {
+func (a *Auditor) Transition(t *topology.Topology, old, next cdg.Routes, dlids []ib.LID) *Report {
 	start := time.Now()
 	span := a.tr.Start(telemetry.SpanAudit, "transition")
 	var c collector
 	c.max = a.cfg.MaxViolations
 
-	dlids = dataLIDs(t, dlids, nodeOf)
-	oldR, nextR := tablesOf(old, nodeOf), tablesOf(target, nodeOf)
+	dlids = dataLIDs(t, dlids, old)
 	tr := cdg.Transition{OldAcyclic: true, NewAcyclic: true, UnionAcyclic: true}
 	a.cdgMu.Lock()
-	p, held := a.keep(t, oldR, dlids)
+	p, held := a.keep(t, old, dlids)
 	if held {
 		var d cdg.Delta
 		var err error
-		tr.OldEdges, tr.UnionEdges, d, err = a.cdg.Union(nextR)
+		tr.OldEdges, tr.UnionEdges, d, err = a.cdg.Union(next)
 		p.pairs, p.entries = p.pairs+d.Pairs, p.entries+d.Entries
 		if held = err == nil; !held {
 			p.cold = coldRefused
 		}
 	}
 	a.cdgMu.Unlock()
-	if !held { // fresh Tables: the warm path's stay on the stack
-		tr = cdg.CheckTransition(t, tablesOf(old, nodeOf), tablesOf(target, nodeOf), dlids)
+	if !held {
+		tr = cdg.CheckTransition(t, old, next, dlids)
 	}
 	a.note(span, p)
 	if span != nil {
@@ -84,7 +85,13 @@ func (a *Auditor) CheckTransition(t *topology.Topology, old, target map[topology
 	return rep
 }
 
-// tablesOf reads a map of tables, with nodeOf's owners, as cdg.Tables.
-func tablesOf(m map[topology.NodeID]*ib.LFT, nodeOf func(ib.LID) topology.NodeID) cdg.Tables {
-	return cdg.Tables{Table: func(sw topology.NodeID) *ib.LFT { return m[sw] }, Owner: nodeOf}
+// CheckTransition is Transition over table maps and an owner function, the
+// shape bench/traced.go calls. It goes once ROADMAP item 6 moves that call
+// onto Transition (item 10(e)).
+func (a *Auditor) CheckTransition(t *topology.Topology, old, target map[topology.NodeID]*ib.LFT,
+	nodeOf func(ib.LID) topology.NodeID, dlids []ib.LID) *Report {
+	at := func(m map[topology.NodeID]*ib.LFT) cdg.Tables {
+		return cdg.Tables{Table: func(sw topology.NodeID) *ib.LFT { return m[sw] }, Owner: nodeOf}
+	}
+	return a.Transition(t, at(old), at(target), dlids)
 }

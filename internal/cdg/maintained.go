@@ -95,7 +95,7 @@ func (k *kept) inBlock(blk int) uint64 {
 
 // load freezes r's tables, the link state, and the owners of those dlids
 // that have one.
-func (k *kept) load(r Tables, dlids []ib.LID) (asIndexed bool) {
+func (k *kept) load(r Routes, dlids []ib.LID) (asIndexed bool) {
 	for _, l := range k.lids {
 		k.own[l] = topology.NoNode
 		k.in[ib.BlockOf(l)] = 0
@@ -114,14 +114,14 @@ func (k *kept) load(r Tables, dlids []ib.LID) (asIndexed bool) {
 				clear(k.in[from:])
 			}
 		}
-		if n := r.Owner(l); n != topology.NoNode && k.own[l] == topology.NoNode {
+		if n := r.NodeOf(l); n != topology.NoNode && k.own[l] == topology.NoNode {
 			k.own[l] = n
 			k.in[ib.BlockOf(l)] |= 1 << (int(l) % ib.LFTBlockSize)
 			k.lids = append(k.lids, l)
 		}
 	}
 	slices.Sort(k.lids)
-	return k.Walk.load(r.Table)
+	return k.Walk.load(r)
 }
 
 // release drops the table pointers of a scratch walk, so that it keeps no
@@ -143,7 +143,7 @@ func NewMaintained(ix *Index) *Maintained {
 
 // Load builds the graph of r's routing for dlids from nothing: one walk of
 // every pair and one topological sort, not a checked insert per dependency.
-func (m *Maintained) Load(r Tables, dlids []ib.LID) error {
+func (m *Maintained) Load(r Routes, dlids []ib.LID) error {
 	if !m.cur.load(r, dlids) {
 		return ErrRewired
 	}
@@ -172,7 +172,7 @@ func (m *Maintained) Pairs() int { return len(m.cur.lids) * len(m.ix.nodes) }
 // Update moves the graph to r's routing for dlids, re-walking only the pairs
 // whose dependency can differ: where it did, the old dependency is removed
 // and the new one inserted with Pearce-Kelly's check.
-func (m *Maintained) Update(r Tables, dlids []ib.LID) (Delta, error) {
+func (m *Maintained) Update(r Routes, dlids []ib.LID) (Delta, error) {
 	n := m.next
 	if !n.load(r, dlids) || !slices.Equal(n.wired, m.cur.wired) {
 		n.release()
@@ -218,11 +218,11 @@ func (m *Maintained) Update(r Tables, dlids []ib.LID) (Delta, error) {
 // for the pairs whose entries differ, reads the edge counts of the routing
 // held and of the union, and takes the inserts back. ErrCyclic means an
 // insert was refused: the union has a cycle, and unionEdges is a lower bound.
-func (m *Maintained) Union(next Tables) (oldEdges, unionEdges int, d Delta, err error) {
+func (m *Maintained) Union(next Routes) (oldEdges, unionEdges int, d Delta, err error) {
 	t := m.tgt
 	t.lfts = slices.Grow(t.lfts[:0], len(m.ix.nodes))[:len(m.ix.nodes)]
 	for i, n := range m.ix.nodes {
-		t.lfts[i] = next.Table(n.ID)
+		t.lfts[i] = next.LFT(n.ID)
 	}
 	t.hop, t.wired, t.own, t.in, t.lids = m.cur.hop, m.cur.wired, m.cur.own, m.cur.in, m.cur.lids
 	d = m.changed(m.cur, t)

@@ -5,8 +5,12 @@ import (
 	"ibvsim/internal/topology"
 )
 
-// Routes is what the dependency walk reads of a routed subnet: one
-// forwarding table per switch and the location of each LID.
+// Routes is the one read interface of a routed subnet: one forwarding table
+// per switch and the location of each LID. The subnet manager hands out its
+// programmed and target routing as Routes, and everything that reads
+// installed routing takes one: the dependency walk and the kept CDG, the
+// auditor's transition check, the migration planner, the LID-routed SMP
+// walk and the fabric simulator.
 type Routes interface {
 	// LFT returns the forwarding table of switch sw; nil means the switch
 	// forwards nothing.
@@ -15,9 +19,9 @@ type Routes interface {
 	NodeOf(l ib.LID) topology.NodeID
 }
 
-// Tables is the Routes of any holder of forwarding state that can name a
-// table per switch and an owner per LID: the subnet manager's programmed or
-// target tables, an engine's result, a plan overlaid on either.
+// Tables is the Routes of a holder of forwarding state that can name a
+// table per switch and an owner per LID through two functions: an engine's
+// result, or table maps.
 type Tables struct {
 	Table func(sw topology.NodeID) *ib.LFT
 	Owner func(l ib.LID) topology.NodeID
@@ -49,14 +53,14 @@ type Walk struct {
 // NewWalk freezes r's tables and the link state for the switches of ix.
 func NewWalk(ix *Index, r Routes) *Walk {
 	w := &Walk{ix: ix, nodeOf: r.NodeOf}
-	w.load(r.LFT)
+	w.load(r)
 	return w
 }
 
 // load reads every switch's table and the link state into w, reusing its
 // memory. It reports false when a port's peer is no longer the one ix
 // numbered: the fabric was rewired under the index.
-func (w *Walk) load(table func(topology.NodeID) *ib.LFT) (asIndexed bool) {
+func (w *Walk) load(r Routes) (asIndexed bool) {
 	ix := w.ix
 	if w.lfts == nil {
 		w.lfts = make([]*ib.LFT, len(ix.nodes))
@@ -64,7 +68,7 @@ func (w *Walk) load(table func(topology.NodeID) *ib.LFT) (asIndexed bool) {
 	}
 	asIndexed = true
 	for i, n := range ix.nodes {
-		w.lfts[i] = table(n.ID)
+		w.lfts[i] = r.LFT(n.ID)
 		for p := int32(0); p < ix.stride; p++ {
 			id := int32(i)*ix.stride + p
 			w.hop[id], w.wired[id] = -1, false

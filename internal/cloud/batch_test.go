@@ -236,7 +236,7 @@ func TestDefragAndConcurrentExecution(t *testing.T) {
 	// All VMs still addressable.
 	for _, name := range c.VMs() {
 		vm := c.VM(name)
-		got, err := c.SM.Transport.SendLIDRouted(c.Hypervisors()[0], &smp.SMP{DLID: vm.Addr.LID}, c.SM)
+		got, err := c.SM.Transport.SendLIDRouted(c.Hypervisors()[0], &smp.SMP{DLID: vm.Addr.LID}, c.SM.Programmed())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

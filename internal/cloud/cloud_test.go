@@ -119,7 +119,7 @@ func TestDynamicVMLIDRoutedImmediately(t *testing.T) {
 	// recomputation (section V-B).
 	src := c.Hypervisors()[10]
 	p := &smp.SMP{DLID: vm.Addr.LID}
-	got, err := c.SM.Transport.SendLIDRouted(src, p, c.SM)
+	got, err := c.SM.Transport.SendLIDRouted(src, p, c.SM.Programmed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestMigrateVSwitchPrepopulated(t *testing.T) {
 	}
 	// LID-routed delivery reaches the new hypervisor.
 	p := &smp.SMP{DLID: vm.Addr.LID}
-	got, err := c.SM.Transport.SendLIDRouted(c.Hypervisors()[0], p, c.SM)
+	got, err := c.SM.Transport.SendLIDRouted(c.Hypervisors()[0], p, c.SM.Programmed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestMigrateVSwitchDynamic(t *testing.T) {
 		t.Errorf("copy migration sent %d SMPs > %d switches", rep.Plan.SMPs, c.SM.Topo.NumSwitches())
 	}
 	p := &smp.SMP{DLID: vm.Addr.LID}
-	got, err := c.SM.Transport.SendLIDRouted(c.Hypervisors()[0], p, c.SM)
+	got, err := c.SM.Transport.SendLIDRouted(c.Hypervisors()[0], p, c.SM.Programmed())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/core"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/sm"
@@ -85,13 +86,13 @@ type Migration struct {
 }
 
 // Stage computes a migration from VF srcVF of src to VF dstVF of dst against
-// the fabric view v. It is a pure function of the SR-IOV model, the view and
+// the routing v. It is a pure function of the SR-IOV model, the routing and
 // the two VFs, and the only place migration semantics depend on the model:
 // under the prepopulated swap the VM's column and the destination VF's
 // exchange, and so do the two VFs' LIDs; under dynamic assignment only the
 // VM's column moves; under Shared Port no column moves and the VM answers on
 // dst's PF LID. The vGUID travels with the VM in every model.
-func Stage(rc *core.Reconfigurator, v core.PlanView, name string, src *sriov.HCA, srcVF int, dst *sriov.HCA, dstVF int) (*Migration, error) {
+func Stage(rc *core.Reconfigurator, v cdg.Routes, name string, src *sriov.HCA, srcVF int, dst *sriov.HCA, dstVF int) (*Migration, error) {
 	from, to := src.VFs[srcVF], dst.VFs[dstVF]
 	m := &Migration{
 		VM: name, From: src.Node, To: dst.Node, Addr: src.Addresses(from), src: src, dst: dst,
@@ -143,7 +144,7 @@ func (c *Cloud) Stage(name string, dst topology.NodeID, dstVF int) (*Migration, 
 	if dstVF < 0 || dstVF >= dstH.HCA.NumVFs() || !dstH.HCA.VFs[dstVF].Free() {
 		return nil, fmt.Errorf("cloud: destination %d has no %w", dst, ErrNoFreeVF)
 	}
-	m, err := Stage(c.RC, c.SM, name, c.hyps[vm.Hyp].HCA, vm.VF, dstH.HCA, dstVF)
+	m, err := Stage(c.RC, c.SM.Programmed(), name, c.hyps[vm.Hyp].HCA, vm.VF, dstH.HCA, dstVF)
 	if err != nil {
 		return nil, err
 	}

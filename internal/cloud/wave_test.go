@@ -57,7 +57,7 @@ func TestMigrateWaveCoalesces(t *testing.T) {
 	for _, name := range []string{"wv-a", "wv-b"} {
 		vm := c.VM(name)
 		pkt := &smp.SMP{DLID: vm.Addr.LID}
-		got, err := c.SM.Transport.SendLIDRouted(hyps[0], pkt, c.SM)
+		got, err := c.SM.Transport.SendLIDRouted(hyps[0], pkt, c.SM.Programmed())
 		if err != nil {
 			t.Fatalf("%s unreachable at LID %d after wave: %v", name, vm.Addr.LID, err)
 		}

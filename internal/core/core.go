@@ -25,6 +25,7 @@ import (
 	"slices"
 	"time"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/sm"
 	"ibvsim/internal/smp"
@@ -133,16 +134,6 @@ func NewReconfigurator(mgr *sm.SubnetManager) *Reconfigurator {
 	return &Reconfigurator{SM: mgr, Mode: smp.DestinationRouted, Scope: ScopeAllSwitches}
 }
 
-// PlanView is the fabric state a migration plan is computed against: the
-// programmed LFT of every switch plus LID ownership. *sm.SubnetManager
-// satisfies it directly (the live fabric); planners that look several
-// migration waves ahead satisfy it with a shadow overlay, so wave N+1's
-// plan sees the LFT edits wave N will have applied.
-type PlanView interface {
-	ProgrammedLFT(sw topology.NodeID) *ib.LFT
-	NodeOfLID(l ib.LID) topology.NodeID
-}
-
 // MigrationPlan is the exact set of LFT edits one migration needs, held as
 // the paper counts them: a table of (switch, LID) -> port, sorted. A plan is
 // three slices sized once, a count one pass over them, a merge a merge of
@@ -200,25 +191,27 @@ func (p *MigrationPlan) count() {
 	}
 }
 
-// plan builds a swap or copy plan reading fabric state through v: one walk
-// over the nodes, two entries read off each switch's table, at most two edits
-// appended. A switch whose two entries agree needs no edit under either
-// method (the n' < n case of section VI-B). Under ScopeMinimal a switch whose
-// old forwarding of the VM LID already reaches the destination's leaf is
-// skipped too, and a swap keeps only the VM LID's edit: the peer LID, a free
-// VF afterwards, can wait — the balance of the initial routing traded for
-// fewer SMPs (section VI-D).
-func (r *Reconfigurator) plan(v PlanView, kind PlanKind, vmLID, peerLID ib.LID) (*MigrationPlan, error) {
+// plan builds a swap or copy plan against the routing v — the SM's
+// Programmed(), or a batch planner's overlay of it, so that wave N+1's plan
+// sees the edits wave N will have applied: one walk over the nodes, two
+// entries read off each switch's table, at most two edits appended. A switch
+// whose two entries agree needs no edit under either method (the n' < n case
+// of section VI-B). Under ScopeMinimal a switch whose old forwarding of the
+// VM LID already reaches the destination's leaf is skipped too, and a swap
+// keeps only the VM LID's edit: the peer LID, a free VF afterwards, can
+// wait — the balance of the initial routing traded for fewer SMPs (section
+// VI-D).
+func (r *Reconfigurator) plan(v cdg.Routes, kind PlanKind, vmLID, peerLID ib.LID) (*MigrationPlan, error) {
 	switch {
-	case v.NodeOfLID(vmLID) == topology.NoNode:
+	case v.NodeOf(vmLID) == topology.NoNode:
 		return nil, fmt.Errorf("core: VM LID %d is not assigned", vmLID)
-	case v.NodeOfLID(peerLID) == topology.NoNode:
+	case v.NodeOf(peerLID) == topology.NoNode:
 		return nil, fmt.Errorf("core: peer LID %d is not assigned", peerLID)
 	case vmLID == peerLID:
 		return nil, fmt.Errorf("core: VM LID and peer LID are both %d", vmLID)
 	}
 	topo, minimal := r.SM.Topo, r.Scope == ScopeMinimal
-	destLeaf := topo.LeafSwitchOf(v.NodeOfLID(peerLID))
+	destLeaf := topo.LeafSwitchOf(v.NodeOf(peerLID))
 	both := kind == PlanSwap && !minimal // the peer LID is edited too
 	n, most := topo.NumSwitches(), topo.NumSwitches()
 	if both {
@@ -234,7 +227,7 @@ func (r *Reconfigurator) plan(v PlanView, kind PlanKind, vmLID, peerLID ib.LID) 
 		if !node.IsSwitch() {
 			continue
 		}
-		lft := v.ProgrammedLFT(node.ID)
+		lft := v.LFT(node.ID)
 		if lft == nil {
 			return nil, fmt.Errorf("core: switch %q not programmed; bootstrap the SM first", node.Desc)
 		}
@@ -262,9 +255,9 @@ func (r *Reconfigurator) plan(v PlanView, kind PlanKind, vmLID, peerLID ib.LID) 
 // intra-leaf migration every old chain ends at that very leaf, so exactly one
 // switch is updated, whatever the topology. The walk is one next hop per
 // switch, bounded against a looping table.
-func (r *Reconfigurator) reaches(v PlanView, sw, leaf topology.NodeID, lid ib.LID) bool {
+func (r *Reconfigurator) reaches(v cdg.Routes, sw, leaf topology.NodeID, lid ib.LID) bool {
 	for hops := 0; sw != leaf; hops++ {
-		lft, n := v.ProgrammedLFT(sw), r.SM.Topo.Node(sw)
+		lft, n := v.LFT(sw), r.SM.Topo.Node(sw)
 		if lft == nil || hops > 64 {
 			return false
 		}
@@ -285,13 +278,13 @@ func (r *Reconfigurator) reaches(v PlanView, sw, leaf topology.NodeID, lid ib.LI
 // (the n' < n case of section VI-B). With ScopeMinimal only switches whose
 // VM-LID forwarding must change for correctness are touched.
 func (r *Reconfigurator) PlanSwap(vmLID, destVFLID ib.LID) (*MigrationPlan, error) {
-	return r.plan(r.SM, PlanSwap, vmLID, destVFLID)
+	return r.plan(r.SM.Programmed(), PlanSwap, vmLID, destVFLID)
 }
 
-// PlanSwapOn is PlanSwap computed against an arbitrary fabric view instead
-// of the live SM state. Batch planners use it to plan wave N+1 against the
-// shadow state wave N leaves behind.
-func (r *Reconfigurator) PlanSwapOn(v PlanView, vmLID, destVFLID ib.LID) (*MigrationPlan, error) {
+// PlanSwapOn is PlanSwap computed against the routing v instead of the
+// SM's programmed routing. Batch planners use it to plan wave N+1 against
+// the shadow state wave N leaves behind.
+func (r *Reconfigurator) PlanSwapOn(v cdg.Routes, vmLID, destVFLID ib.LID) (*MigrationPlan, error) {
 	return r.plan(v, PlanSwap, vmLID, destVFLID)
 }
 
@@ -300,12 +293,12 @@ func (r *Reconfigurator) PlanSwapOn(v PlanView, vmLID, destVFLID ib.LID) (*Migra
 // entry (section V-C2). At most one LID changes per switch, so at most one
 // SMP per switch is ever needed.
 func (r *Reconfigurator) PlanCopy(vmLID, destPFLID ib.LID) (*MigrationPlan, error) {
-	return r.plan(r.SM, PlanCopy, vmLID, destPFLID)
+	return r.plan(r.SM.Programmed(), PlanCopy, vmLID, destPFLID)
 }
 
-// PlanCopyOn is PlanCopy computed against an arbitrary fabric view instead
-// of the live SM state.
-func (r *Reconfigurator) PlanCopyOn(v PlanView, vmLID, destPFLID ib.LID) (*MigrationPlan, error) {
+// PlanCopyOn is PlanCopy computed against the routing v instead of the
+// SM's programmed routing.
+func (r *Reconfigurator) PlanCopyOn(v cdg.Routes, vmLID, destPFLID ib.LID) (*MigrationPlan, error) {
 	return r.plan(v, PlanCopy, vmLID, destPFLID)
 }
 

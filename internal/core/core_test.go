@@ -82,7 +82,7 @@ func fig5Fabric(t *testing.T, vfBase ib.LID) (*sm.SubnetManager, *Reconfigurator
 func deliver(t *testing.T, mgr *sm.SubnetManager, src topology.NodeID, dlid ib.LID, want topology.NodeID) {
 	t.Helper()
 	p := &smp.SMP{Attr: smp.AttrPortInfo, DLID: dlid}
-	got, err := mgr.Transport.SendLIDRouted(src, p, mgr)
+	got, err := mgr.Transport.SendLIDRouted(src, p, mgr.Programmed())
 	if err != nil {
 		t.Fatalf("deliver LID %d from %d: %v", dlid, src, err)
 	}
@@ -256,7 +256,7 @@ func TestBootAndDestroyVMLID(t *testing.T) {
 		t.Error("destroyed LID still bound")
 	}
 	p := &smp.SMP{DLID: boot.LID}
-	if _, err := mgr.Transport.SendLIDRouted(hyps[2], p, mgr); err == nil {
+	if _, err := mgr.Transport.SendLIDRouted(hyps[2], p, mgr.Programmed()); err == nil {
 		t.Error("destroyed LID should not be routable")
 	}
 	boot2, err := rc.BootVMLID(hyps[0])

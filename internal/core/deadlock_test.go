@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,13 +15,13 @@ import (
 	"ibvsim/internal/topology"
 )
 
-// stubRoutes implements PlanView from explicit maps.
+// stubRoutes implements cdg.Routes from explicit maps.
 type stubRoutes struct {
 	routes map[topology.NodeID]map[ib.LID]ib.PortNum
 	owner  map[ib.LID]topology.NodeID
 }
 
-func (s *stubRoutes) ProgrammedLFT(sw topology.NodeID) *ib.LFT {
+func (s *stubRoutes) LFT(sw topology.NodeID) *ib.LFT {
 	m, ok := s.routes[sw]
 	if !ok {
 		return nil
@@ -32,11 +33,19 @@ func (s *stubRoutes) ProgrammedLFT(sw topology.NodeID) *ib.LFT {
 	return lft
 }
 
-func (s *stubRoutes) NodeOfLID(l ib.LID) topology.NodeID {
+func (s *stubRoutes) NodeOf(l ib.LID) topology.NodeID {
 	if n, ok := s.owner[l]; ok {
 		return n
 	}
 	return topology.NoNode
+}
+
+// overlaid is the routing after plan: its edits and rebinds written over
+// base, as the reconciler's shadow holds them.
+func overlaid(base cdg.Routes, plan *MigrationPlan) cdg.Routes {
+	ov := &overlayView{base: base, lfts: map[topology.NodeID]*ib.LFT{}, owner: map[ib.LID]topology.NodeID{}}
+	ov.apply(plan)
+	return ov
 }
 
 // TestTransitionDeadlockOnRing reproduces the section VI-C hazard: two
@@ -91,7 +100,7 @@ func TestTransitionDeadlockOnRing(t *testing.T) {
 		sw[0]: {1: caPort(0)}, // deliver to ca4
 	})
 
-	rep := bothTransitionChecks(t, topo, routes, plan, []ib.LID{1, 2, 3})
+	rep := transition(t, topo, routes, plan, []ib.LID{1, 2, 3})
 	if !rep.OldAcyclic {
 		t.Error("old routing should be deadlock free")
 	}
@@ -118,11 +127,7 @@ func TestTransitionSafeOnFatTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dlids []ib.LID
-	for _, tg := range mgr.Targets() {
-		dlids = append(dlids, tg.LID)
-	}
-	rep := rc.AnalyzeTransition(plan, dlids)
+	rep := transition(t, mgr.Topo, mgr.Programmed(), plan, caLIDs(mgr))
 	if !rep.OldAcyclic || !rep.NewAcyclic || !rep.UnionAcyclic {
 		t.Errorf("fat-tree swap transition should be fully safe: %+v", rep)
 	}
@@ -143,47 +148,46 @@ func caLIDs(mgr *sm.SubnetManager) []ib.LID {
 	return out
 }
 
-// bothTransitionChecks runs one plan through both entry points of the one
-// section VI-C check — AnalyzeTransition (a plan overlaid on a view) and
-// audit.CheckTransition (the old and target table maps the SM's
-// OnDistribute hook hands over) — fails unless they agree on all three
-// verdicts, and returns AnalyzeTransition's. dlids must be CA-owned: the
-// auditor drops switch-owned LIDs itself, AnalyzeTransition takes what it is
-// given.
-func bothTransitionChecks(t *testing.T, topo *topology.Topology, view PlanView, plan *MigrationPlan, dlids []ib.LID) cdg.Transition {
+// transition runs the section VI-C check on a plan — the auditor's
+// Transition from view to the plan overlaid on it — and returns the verdicts
+// of cdg.CheckTransition on the same pair, failing unless the auditor's
+// report agrees with them and the map-taking audit.CheckTransition, given
+// the same tables as maps, returns the same report. dlids must be CA-owned:
+// the auditor drops switch-owned LIDs itself, cdg.CheckTransition takes what
+// it is given.
+func transition(t *testing.T, topo *topology.Topology, view cdg.Routes, plan *MigrationPlan, dlids []ib.LID) cdg.Transition {
 	t.Helper()
-	tr := AnalyzeTransition(topo, view, plan, dlids)
-
-	old, target := map[topology.NodeID]*ib.LFT{}, map[topology.NodeID]*ib.LFT{}
-	for _, sw := range topo.Switches() {
-		lft := view.ProgrammedLFT(sw)
-		if lft == nil {
-			continue
-		}
-		old[sw], target[sw] = lft, lft.Clone()
-		for l, p := range updatesOf(plan)[sw] {
-			target[sw].Set(l, p)
-		}
-	}
-	rep := audit.New(nil, nil, audit.Config{}).CheckTransition(topo, old, target, view.NodeOfLID, dlids)
+	next := overlaid(view, plan)
+	rep := audit.New(nil, nil, audit.Config{}).Transition(topo, view, next, dlids)
+	tr := cdg.CheckTransition(topo, view, next, dlids)
 	if cyclic := rep.ByKind[string(audit.KindTransientCDG)] == 1; cyclic == tr.UnionAcyclic {
-		t.Fatalf("auditor says union cyclic=%v, AnalyzeTransition %+v", cyclic, tr)
+		t.Fatalf("auditor says union cyclic=%v, cdg.CheckTransition %+v", cyclic, tr)
 	}
 	if !tr.UnionAcyclic {
 		want := fmt.Sprintf("old cyclic=%v, new cyclic=%v", !tr.OldAcyclic, !tr.NewAcyclic)
 		if !strings.Contains(rep.Violations[0].Detail, want) {
-			t.Fatalf("auditor: %s; AnalyzeTransition: %s", rep.Violations[0].Detail, want)
+			t.Fatalf("auditor: %s; cdg.CheckTransition: %s", rep.Violations[0].Detail, want)
 		}
+	}
+
+	old, target := map[topology.NodeID]*ib.LFT{}, map[topology.NodeID]*ib.LFT{}
+	for _, sw := range topo.Switches() {
+		old[sw], target[sw] = view.LFT(sw), next.LFT(sw)
+	}
+	viaMaps := audit.New(nil, nil, audit.Config{}).CheckTransition(topo, old, target, view.NodeOf, dlids)
+	rep.WallUS, viaMaps.WallUS = 0, 0
+	if !reflect.DeepEqual(rep, viaMaps) {
+		t.Fatalf("Transition reports %+v, the map adapter %+v", rep, viaMaps)
 	}
 	return tr
 }
 
-// TestTransitionChecksAgree holds the two wrappers of cdg.CheckTransition
-// to one verdict: on the auditor's own section VI-C fixture (the square of
-// audit.TestTransientCDGCycle: Rold routes LIDs 12 and 13 clockwise, Rnew
-// LIDs 10 and 11, each acyclic, the union a ring) recast as a plan, and on
-// 50 seeded swap and copy plans against a routed fat tree, where up/down
-// routing admits no cycle at all.
+// TestTransitionChecksAgree holds the auditor's Transition, its map adapter
+// and cdg.CheckTransition to one verdict: on the auditor's own section VI-C
+// fixture (the square of audit.TestTransientCDGCycle: Rold routes LIDs 12
+// and 13 clockwise, Rnew LIDs 10 and 11, each acyclic, the union a ring)
+// recast as a plan, and on 50 seeded swap and copy plans against a routed
+// fat tree, where up/down routing admits no cycle at all.
 func TestTransitionChecksAgree(t *testing.T) {
 	square := topology.New("square")
 	var sw, ca [4]topology.NodeID
@@ -210,7 +214,7 @@ func TestTransitionChecksAgree(t *testing.T) {
 			sw[0]: {10: 3, 11: 1, 12: drop}, sw[1]: {11: 3, 12: drop, 13: drop},
 			sw[2]: {10: 1, 12: drop, 13: drop}, sw[3]: {10: 1, 11: 1, 13: drop},
 		})
-	tr := bothTransitionChecks(t, square, view, plan, []ib.LID{10, 11, 12, 13})
+	tr := transition(t, square, view, plan, []ib.LID{10, 11, 12, 13})
 	if !tr.Deadlocks() || len(tr.Cycle) != 5 {
 		t.Fatalf("square: want the four-channel ring as a transition-only cycle, got %+v", tr)
 	}
@@ -260,7 +264,7 @@ func TestTransitionChecksAgree(t *testing.T) {
 		if err != nil {
 			continue // the pair named one LID twice
 		}
-		if tr := bothTransitionChecks(t, topo, mgr, plan, dlids); !tr.UnionAcyclic {
+		if tr := transition(t, topo, mgr.Programmed(), plan, dlids); !tr.UnionAcyclic {
 			t.Fatalf("plan %d (%v %d->%d): fat-tree transition has a cycle: %v", i, plan.Kind, plan.VMLID, plan.PeerLID, tr.Cycle)
 		}
 		checked++

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/routing"
 	"ibvsim/internal/sm"
@@ -26,7 +27,7 @@ type refPlan struct {
 	SMPs            int
 }
 
-func (r *Reconfigurator) refPlanEntries(v PlanView, kind PlanKind, vmLID, peerLID ib.LID,
+func (r *Reconfigurator) refPlanEntries(v cdg.Routes, kind PlanKind, vmLID, peerLID ib.LID,
 	edit func(lft *ib.LFT) map[ib.LID]ib.PortNum) (*refPlan, error) {
 
 	if vmLID == peerLID {
@@ -39,7 +40,7 @@ func (r *Reconfigurator) refPlanEntries(v PlanView, kind PlanKind, vmLID, peerLI
 		Updates: map[topology.NodeID]map[ib.LID]ib.PortNum{},
 	}
 	for _, sw := range r.SM.Topo.Switches() {
-		lft := v.ProgrammedLFT(sw)
+		lft := v.LFT(sw)
 		if lft == nil {
 			return nil, fmt.Errorf("core: switch %q not programmed; bootstrap the SM first",
 				r.SM.Topo.Node(sw).Desc)
@@ -64,8 +65,8 @@ func (r *Reconfigurator) refPlanEntries(v PlanView, kind PlanKind, vmLID, peerLI
 	return plan, nil
 }
 
-func (r *Reconfigurator) refPlanOn(v PlanView, kind PlanKind, vmLID, peerLID ib.LID) (*refPlan, error) {
-	if v.NodeOfLID(vmLID) == topology.NoNode || v.NodeOfLID(peerLID) == topology.NoNode {
+func (r *Reconfigurator) refPlanOn(v cdg.Routes, kind PlanKind, vmLID, peerLID ib.LID) (*refPlan, error) {
+	if v.NodeOf(vmLID) == topology.NoNode || v.NodeOf(peerLID) == topology.NoNode {
 		return nil, fmt.Errorf("core: LID %d or %d is not assigned", vmLID, peerLID)
 	}
 	edit := func(lft *ib.LFT) map[ib.LID]ib.PortNum {
@@ -87,8 +88,8 @@ func (r *Reconfigurator) refPlanOn(v PlanView, kind PlanKind, vmLID, peerLID ib.
 	return plan, nil
 }
 
-func (r *Reconfigurator) refRestrictToCorrectness(v PlanView, plan *refPlan) {
-	dstNode := v.NodeOfLID(plan.PeerLID)
+func (r *Reconfigurator) refRestrictToCorrectness(v cdg.Routes, plan *refPlan) {
+	dstNode := v.NodeOf(plan.PeerLID)
 	destLeaf := r.SM.Topo.LeafSwitchOf(dstNode)
 
 	reach := map[topology.NodeID]int8{} // 0 unknown, 1 yes, -1 no
@@ -105,7 +106,7 @@ func (r *Reconfigurator) refRestrictToCorrectness(v PlanView, plan *refPlan) {
 		}
 		reach[sw] = -1 // cycle guard; confirmed below
 		ok := false
-		lft := v.ProgrammedLFT(sw)
+		lft := v.LFT(sw)
 		if lft != nil {
 			out := lft.Get(plan.VMLID)
 			n := r.SM.Topo.Node(sw)
@@ -292,33 +293,33 @@ func equalUpdates(a, b map[topology.NodeID]map[ib.LID]ib.PortNum) bool {
 // the reconciler's shadow: written switches hold a private table, rebound
 // LIDs a private owner.
 type overlayView struct {
-	base  PlanView
+	base  cdg.Routes
 	lfts  map[topology.NodeID]*ib.LFT
 	owner map[ib.LID]topology.NodeID
 }
 
-func (o *overlayView) ProgrammedLFT(sw topology.NodeID) *ib.LFT {
+func (o *overlayView) LFT(sw topology.NodeID) *ib.LFT {
 	if l := o.lfts[sw]; l != nil {
 		return l
 	}
-	return o.base.ProgrammedLFT(sw)
+	return o.base.LFT(sw)
 }
 
-func (o *overlayView) NodeOfLID(l ib.LID) topology.NodeID {
+func (o *overlayView) NodeOf(l ib.LID) topology.NodeID {
 	if n, ok := o.owner[l]; ok {
 		return n
 	}
-	return o.base.NodeOfLID(l)
+	return o.base.NodeOf(l)
 }
 
 // apply writes a plan's edits and its rebinds into the overlay, as a wave's
 // merged distribution would leave them.
 func (o *overlayView) apply(p *MigrationPlan) {
-	vmNode, peerNode := o.NodeOfLID(p.VMLID), o.NodeOfLID(p.PeerLID)
+	vmNode, peerNode := o.NodeOf(p.VMLID), o.NodeOf(p.PeerLID)
 	for i, sw := range p.Switches {
 		lft := o.lfts[sw]
 		if lft == nil {
-			lft = o.base.ProgrammedLFT(sw).Clone()
+			lft = o.base.LFT(sw).Clone()
 			o.lfts[sw] = lft
 		}
 		for _, e := range p.Run(i) {
@@ -401,7 +402,7 @@ func TestPlanEqualsReference(t *testing.T) {
 				}
 				return lids[a][rng.Intn(2)], lids[b][rng.Intn(2)], rc.SM.LIDOf(cas[b])
 			}
-			check := func(v PlanView, where string) {
+			check := func(v cdg.Routes, where string) {
 				for i := 0; i < 40; i++ {
 					vm, vf, pf := pair()
 					for _, scope := range []Scope{ScopeAllSwitches, ScopeMinimal} {
@@ -429,13 +430,13 @@ func TestPlanEqualsReference(t *testing.T) {
 					}
 				}
 			}
-			check(rc.SM, "live")
+			check(rc.SM.Programmed(), "live")
 
 			// A wave of swaps between disjoint LID pairs, applied to the
 			// overlay only: the next plans see tables and owners the SM
 			// does not hold.
 			rc.Scope = ScopeAllSwitches
-			ov := &overlayView{base: rc.SM, lfts: map[topology.NodeID]*ib.LFT{}, owner: map[ib.LID]topology.NodeID{}}
+			ov := &overlayView{base: rc.SM.Programmed(), lfts: map[topology.NodeID]*ib.LFT{}, owner: map[ib.LID]topology.NodeID{}}
 			for i := 0; i+1 < len(cas) && i < 24; i += 2 {
 				p, err := rc.PlanSwapOn(ov, lids[i][0], lids[i+1][0])
 				if err != nil {

@@ -74,7 +74,7 @@ func Deadlock() ([]DeadlockRow, error) {
 		for _, tg := range req.Targets {
 			dlids = append(dlids, tg.LID)
 		}
-		g := cdg.BuildSwitchCDG(topo, cdg.Tables{Table: mgr.ProgrammedLFT, Owner: mgr.NodeOfLID}, dlids)
+		g := cdg.BuildSwitchCDG(topo, mgr.Programmed(), dlids)
 
 		cfg := fabric.Config{BufferCredits: 1, NumVLs: 1, TimeoutRounds: sc.timeout}
 		if sc.useVLs {
@@ -86,7 +86,7 @@ func Deadlock() ([]DeadlockRow, error) {
 			destVL := res.DestVL
 			cfg.VL = func(_ topology.NodeID, dst ib.LID) uint8 { return destVL[dst] }
 		}
-		sim, err := fabric.New(topo, mgr, cfg)
+		sim, err := fabric.New(topo, mgr.Programmed(), cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -51,7 +51,7 @@ func TransitionUnderLoad() ([]TransitionRow, error) {
 			return nil, err
 		}
 
-		sim, err := fabric.New(topo, c.SM, fabric.Config{BufferCredits: 2, NumVLs: 1, TimeoutRounds: 64})
+		sim, err := fabric.New(topo, c.SM.Programmed(), fabric.Config{BufferCredits: 2, NumVLs: 1, TimeoutRounds: 64})
 		if err != nil {
 			return nil, err
 		}

@@ -15,18 +15,10 @@ package fabric
 import (
 	"fmt"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/topology"
 )
-
-// Routes supplies forwarding state; *sm.SubnetManager satisfies it. The
-// simulator consults it on every hop, so live changes (a reconfiguration
-// between Steps) take effect immediately — exactly the Rold/Rnew mix of a
-// transition.
-type Routes interface {
-	SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum
-	NodeOfLID(l ib.LID) topology.NodeID
-}
 
 // VLSelector maps a packet (by source node and destination LID) to a
 // virtual lane. Nil means VL 0 for everything.
@@ -71,7 +63,7 @@ type channel struct {
 // Simulator holds the fabric state.
 type Simulator struct {
 	topo   *topology.Topology
-	routes Routes
+	routes cdg.Routes
 	cfg    Config
 
 	chans  []*channel
@@ -96,8 +88,11 @@ type chanKey struct {
 	vl   uint8
 }
 
-// New builds a simulator over the topology and routing state.
-func New(topo *topology.Topology, routes Routes, cfg Config) (*Simulator, error) {
+// New builds a simulator over the topology and routing state, typically
+// the subnet manager's Programmed(). The simulator reads routes on every
+// hop, so live changes (a reconfiguration between Steps) take effect
+// immediately — exactly the Rold/Rnew mix of a transition.
+func New(topo *topology.Topology, routes cdg.Routes, cfg Config) (*Simulator, error) {
 	if cfg.BufferCredits < 1 {
 		return nil, fmt.Errorf("fabric: BufferCredits must be >= 1")
 	}
@@ -149,13 +144,16 @@ func (s *Simulator) Inject(src topology.NodeID, dst ib.LID, count int) error {
 // nextChannel returns the output channel a packet must enter when sitting
 // at node `at`, or -1 for delivery (at == owner) and -2 for a drop.
 func (s *Simulator) nextChannel(at topology.NodeID, p packet) int {
-	if at == s.routes.NodeOfLID(p.dst) {
+	if at == s.routes.NodeOf(p.dst) {
 		return -1
 	}
 	n := s.topo.Node(at)
 	var out ib.PortNum
 	if n.IsSwitch() {
-		out = s.routes.SwitchRoute(at, p.dst)
+		out = ib.DropPort
+		if lft := s.routes.LFT(at); lft != nil {
+			out = lft.Get(p.dst)
+		}
 		if out == ib.DropPort || out == 0 {
 			return -2
 		}

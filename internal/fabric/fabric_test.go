@@ -16,22 +16,25 @@ type ringRoutes struct {
 	owner map[ib.LID]topology.NodeID
 }
 
-func (r *ringRoutes) NodeOfLID(l ib.LID) topology.NodeID {
+func (r *ringRoutes) NodeOf(l ib.LID) topology.NodeID {
 	if n, ok := r.owner[l]; ok {
 		return n
 	}
 	return topology.NoNode
 }
 
-func (r *ringRoutes) SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum {
-	dst, ok := r.owner[dlid]
-	if !ok {
-		return ib.DropPort
+// LFT builds sw's table from the owners as they are now, so a test that
+// moves an owner changes the routing.
+func (r *ringRoutes) LFT(sw topology.NodeID) *ib.LFT {
+	lft := ib.NewLFT(0)
+	for l, dst := range r.owner {
+		p := r.topo.PortToward(sw, dst)
+		if p == 0 {
+			p = 1 // clockwise
+		}
+		lft.Set(l, p)
 	}
-	if p := r.topo.PortToward(sw, dst); p != 0 {
-		return p
-	}
-	return 1 // clockwise
+	return lft
 }
 
 func ringSetup(t *testing.T) (*topology.Topology, *ringRoutes, []topology.NodeID, []ib.LID) {
@@ -227,7 +230,7 @@ func TestFatTreeUnderSMRoutesDrains(t *testing.T) {
 	if _, _, _, err := mgr.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	sim, err := New(topo, mgr, Config{BufferCredits: 2, NumVLs: 1})
+	sim, err := New(topo, mgr.Programmed(), Config{BufferCredits: 2, NumVLs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,19 +57,22 @@ type Spec struct {
 }
 
 // ParseGoal parses the goal DSL used on the wire: "defrag", "spread",
-// "drain:<node>" (also accepted as "drain(<node>)").
+// "drain:<node>" (also accepted as "drain(<node>)"), where <node> is decimal
+// digits naming a NodeID.
 func ParseGoal(s string) (Spec, error) {
 	switch {
 	case s == string(GoalDefrag):
 		return Spec{Goal: GoalDefrag}, nil
 	case s == string(GoalSpread):
 		return Spec{Goal: GoalSpread}, nil
-	case strings.HasPrefix(s, "drain:"), strings.HasPrefix(s, "drain(") && strings.HasSuffix(s, ")"):
-		arg := strings.TrimPrefix(s, "drain:")
-		arg = strings.TrimSuffix(strings.TrimPrefix(arg, "drain("), ")")
-		n, err := strconv.Atoi(arg)
-		if err != nil {
-			return Spec{}, fmt.Errorf("reconcile: bad drain host %q: %v", arg, err)
+	case strings.HasPrefix(s, "drain:"), strings.HasPrefix(s, "drain("):
+		arg, ok := strings.CutPrefix(s, "drain:")
+		if !ok {
+			arg, ok = strings.CutSuffix(s[len("drain("):], ")")
+		}
+		n, err := strconv.ParseInt(arg, 10, 32)
+		if !ok || err != nil || strings.Trim(arg, "0123456789") != "" {
+			return Spec{}, fmt.Errorf("reconcile: bad drain host in %q (want drain:<node> or drain(<node>))", s)
 		}
 		return Spec{Goal: GoalDrain, Host: topology.NodeID(n)}, nil
 	default:

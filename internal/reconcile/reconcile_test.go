@@ -2,7 +2,9 @@ package reconcile
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -66,10 +68,25 @@ func TestParseGoal(t *testing.T) {
 		{in: "spread", want: Spec{Goal: GoalSpread}},
 		{in: "drain:7", want: Spec{Goal: GoalDrain, Host: 7}},
 		{in: "drain(7)", want: Spec{Goal: GoalDrain, Host: 7}},
+		{in: "drain:007", want: Spec{Goal: GoalDrain, Host: 7}},
+		{in: "drain:2147483647", want: Spec{Goal: GoalDrain, Host: 2147483647}},
 		{in: "drain:x", err: true},
 		{in: "drain", err: true},
 		{in: "", err: true},
 		{in: "consolidate", err: true},
+		// Malformed or out-of-range hosts: each of these used to parse, the
+		// first to another host (int32 truncation: node 2).
+		{in: "drain:4294967298", err: true},
+		{in: "drain:2147483648", err: true},
+		{in: "drain:5)", err: true},
+		{in: "drain:drain(5)", err: true},
+		{in: "drain:+5", err: true},
+		{in: "drain:-3", err: true},
+		{in: "drain(-3)", err: true},
+		{in: "drain(5", err: true},
+		{in: "drain()", err: true},
+		{in: "drain:", err: true},
+		{in: "drain: 5", err: true},
 	}
 	for _, tc := range cases {
 		got, err := ParseGoal(tc.in)
@@ -81,6 +98,36 @@ func TestParseGoal(t *testing.T) {
 			t.Errorf("ParseGoal(%q) = %+v, want %+v", tc.in, got, tc.want)
 		}
 	}
+}
+
+// canonical renders an accepted goal as ParseGoal's canonical form.
+func canonical(s Spec) string {
+	if s.Goal == GoalDrain {
+		return fmt.Sprintf("drain:%d", s.Host)
+	}
+	return string(s.Goal)
+}
+
+// FuzzParseGoal: any goal ParseGoal accepts names a host in NodeID range
+// and re-renders to a canonical form that parses back to the same Spec.
+func FuzzParseGoal(f *testing.F) {
+	for _, s := range []string{"defrag", "spread", "drain:7", "drain(7)", "drain:007", "drain:4294967298",
+		"drain:5)", "drain:drain(5)", "drain:+5", "drain:-3", "drain(2147483647)", "drain(5"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseGoal(in)
+		if err != nil {
+			return
+		}
+		if spec.Goal == GoalDrain && spec.Host < 0 {
+			t.Fatalf("%q drains node %d", in, spec.Host)
+		}
+		again, err := ParseGoal(canonical(spec))
+		if err != nil || !reflect.DeepEqual(again, spec) {
+			t.Fatalf("%q parsed to %+v, its canonical form %q to %+v (%v)", in, spec, canonical(spec), again, err)
+		}
+	})
 }
 
 // TestDryRunMatchesApplied is the fidelity contract: the shadow-simulated

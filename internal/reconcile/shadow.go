@@ -14,7 +14,7 @@ import (
 
 // shadow is a copy-on-write overlay of the fabric state a migration wave
 // reads and writes: programmed LFTs, LID ownership, every hypervisor's VF
-// table and per-VM placement. It satisfies core.PlanView, so wave N+1's
+// table and per-VM placement. It is a cdg.Routes, so wave N+1's
 // plans are computed on the exact state wave N's merged distribution will
 // leave behind — the prediction a dry run reports is byte-for-byte the cost
 // an apply pays.
@@ -52,16 +52,16 @@ func newShadow(c *cloud.Cloud) *shadow {
 	return sh
 }
 
-// ProgrammedLFT implements core.PlanView.
-func (s *shadow) ProgrammedLFT(sw topology.NodeID) *ib.LFT {
+// LFT implements cdg.Routes: the overlay's table, else the programmed one.
+func (s *shadow) LFT(sw topology.NodeID) *ib.LFT {
 	if l := s.lfts[sw]; l != nil {
 		return l
 	}
 	return s.c.SM.ProgrammedLFT(sw)
 }
 
-// NodeOfLID implements core.PlanView.
-func (s *shadow) NodeOfLID(l ib.LID) topology.NodeID {
+// NodeOf implements cdg.Routes: the overlay's owner, else the SM's.
+func (s *shadow) NodeOf(l ib.LID) topology.NodeID {
 	if n, ok := s.owner[l]; ok {
 		return n
 	}

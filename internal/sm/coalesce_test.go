@@ -114,7 +114,7 @@ func TestSetLFTEntriesCoalescing(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("adjacent-block delta with coalescing on sent %d SMPs, want 1", n)
 	}
-	if got := s.SwitchRoute(sw, 10); got != 2 {
+	if got := s.Programmed().LFT(sw).Get(10); got != 2 {
 		t.Fatalf("entry not applied through coalesced SMP: port %d", got)
 	}
 

@@ -293,7 +293,7 @@ func (s *SubnetManager) distribute(ctx context.Context, full bool, mode smp.Mode
 	// The fabric is about to mix Rold (programmed) and Rnew (target): give
 	// the transient-deadlock monitor its look before the first SMP flies.
 	if s.OnDistribute != nil {
-		s.OnDistribute(s.programmedView(), s.target)
+		s.OnDistribute(s.Programmed(), s.Target())
 	}
 
 	fanout := workers
@@ -531,7 +531,7 @@ func (s *SubnetManager) sendLFTRun(p *smp.SMP, sw topology.NodeID, run blockRun,
 		return fmt.Errorf("sm: switch %q has no LID for destination-routed SMP", s.Topo.Node(sw).Desc)
 	}
 	p.DLID = dlid
-	got, err := s.lftSender().SendLIDRouted(s.SMNode, p, s)
+	got, err := s.lftSender().SendLIDRouted(s.SMNode, p, s.Programmed())
 	if err != nil {
 		return err
 	}

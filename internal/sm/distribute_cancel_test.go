@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/routing"
 	"ibvsim/internal/smp"
 	"ibvsim/internal/topology"
@@ -34,7 +35,7 @@ func (g *gateSender) SendDirected(src topology.NodeID, p *smp.SMP) (topology.Nod
 	return g.inner.SendDirected(src, p)
 }
 
-func (g *gateSender) SendLIDRouted(src topology.NodeID, p *smp.SMP, r smp.LFTResolver) (topology.NodeID, error) {
+func (g *gateSender) SendLIDRouted(src topology.NodeID, p *smp.SMP, r cdg.Routes) (topology.NodeID, error) {
 	g.gate()
 	return g.inner.SendLIDRouted(src, p, r)
 }

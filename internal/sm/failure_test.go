@@ -66,7 +66,7 @@ func TestLMCPathDiversity(t *testing.T) {
 	// Every LMC LID delivers.
 	for off := ib.LID(0); off < 4; off++ {
 		p := &smp.SMP{DLID: base + off}
-		got, err := s.Transport.SendLIDRouted(topo.CAs()[15], p, s)
+		got, err := s.Transport.SendLIDRouted(topo.CAs()[15], p, s.Programmed())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestResweepRoutesAroundTrunkFailure(t *testing.T) {
 	}
 	for _, ca := range topo.CAs() {
 		p := &smp.SMP{DLID: s.LIDOf(ca)}
-		got, err := s.Transport.SendLIDRouted(s.SMNode, p, s)
+		got, err := s.Transport.SendLIDRouted(s.SMNode, p, s.Programmed())
 		if err != nil {
 			t.Fatalf("CA %d unreachable after reroute: %v", ca, err)
 		}
@@ -172,7 +172,7 @@ func TestResweepDropsUnreachableCA(t *testing.T) {
 			continue
 		}
 		p := &smp.SMP{DLID: s.LIDOf(ca)}
-		if got, err := s.Transport.SendLIDRouted(s.SMNode, p, s); err != nil || got != ca {
+		if got, err := s.Transport.SendLIDRouted(s.SMNode, p, s.Programmed()); err != nil || got != ca {
 			t.Fatalf("CA %d broken after victim removal: %v", ca, err)
 		}
 	}
@@ -190,7 +190,7 @@ func TestResweepDropsUnreachableCA(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &smp.SMP{DLID: victimLID}
-	if got, err := s.Transport.SendLIDRouted(s.SMNode, p, s); err != nil || got != victim {
+	if got, err := s.Transport.SendLIDRouted(s.SMNode, p, s.Programmed()); err != nil || got != victim {
 		t.Fatalf("victim not restored: got %d, %v", got, err)
 	}
 }
@@ -231,7 +231,7 @@ func TestResweepSwitchFailureOnRing(t *testing.T) {
 			continue
 		}
 		p := &smp.SMP{DLID: s.LIDOf(ca)}
-		if got, err := s.Transport.SendLIDRouted(s.SMNode, p, s); err != nil || got != ca {
+		if got, err := s.Transport.SendLIDRouted(s.SMNode, p, s.Programmed()); err != nil || got != ca {
 			t.Fatalf("CA %d broken after switch failure: %v", ca, err)
 		}
 	}

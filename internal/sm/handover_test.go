@@ -108,7 +108,7 @@ func TestFailoverAdoptsStateWithZeroReconciliation(t *testing.T) {
 	}
 	// The new master can deliver LID-routed SMPs immediately.
 	p := &smp.SMP{DLID: vmLID}
-	if got, err := standby.Transport.SendLIDRouted(standby.SMNode, p, standby); err != nil || got != hyp {
+	if got, err := standby.Transport.SendLIDRouted(standby.SMNode, p, standby.Programmed()); err != nil || got != hyp {
 		t.Errorf("post-failover delivery: %d, %v", got, err)
 	}
 }

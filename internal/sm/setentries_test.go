@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/routing"
 	"ibvsim/internal/smp"
@@ -33,7 +34,7 @@ func (d *dropSender) SendDirected(src topology.NodeID, p *smp.SMP) (topology.Nod
 	return d.inner.SendDirected(src, p)
 }
 
-func (d *dropSender) SendLIDRouted(src topology.NodeID, p *smp.SMP, r smp.LFTResolver) (topology.NodeID, error) {
+func (d *dropSender) SendLIDRouted(src topology.NodeID, p *smp.SMP, r cdg.Routes) (topology.NodeID, error) {
 	if d.lost() {
 		return topology.NoNode, smp.ErrTimeout
 	}

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/routing"
 	"ibvsim/internal/smp"
@@ -57,12 +58,12 @@ type SubnetManager struct {
 	LMC uint8
 	// OnDistribute, when set, is called synchronously at the moment a
 	// non-trivial LFT distribution fans out — after planning, before the
-	// first SMP — with the live programmed (Rold) and target (Rnew) table
-	// maps. The fabric is about to hold a mixture of both routing
-	// functions, which is exactly when the section VI-C transient-CDG
-	// monitor must look. The callback runs on the distributing goroutine
-	// and must only read the maps.
-	OnDistribute func(programmed, target map[topology.NodeID]*ib.LFT)
+	// first SMP — with the programmed (Rold) and target (Rnew) routing,
+	// Programmed() and Target(). The fabric is about to hold a mixture of
+	// both routing functions, which is exactly when the section VI-C
+	// transient-CDG monitor must look. The callback runs on the
+	// distributing goroutine and must only read.
+	OnDistribute func(old, next cdg.Routes)
 
 	pool *ib.LIDPool
 	// lidOf is each node's base LID, dense by node ID. A slice once installed
@@ -570,14 +571,28 @@ func (s *SubnetManager) ComputeRoutes() (routing.Stats, error) {
 	return res.Stats, nil
 }
 
-// SwitchRoute implements smp.LFTResolver against the programmed state.
-func (s *SubnetManager) SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum {
-	lft := s.programmedActive(sw)
-	if lft == nil {
-		return ib.DropPort
-	}
-	return lft.Get(dlid)
-}
+// Programmed is the routing the switches hold: each switch's programmed
+// table (nil before its first distribution) and each LID's current owner.
+// It reads live state, so one value serves every read; the planner, the
+// LID-routed SMP walk and the fabric simulator all read it.
+func (s *SubnetManager) Programmed() cdg.Routes { return programmedRoutes{s} }
+
+// Target is the routing the engine last computed: each switch's target
+// table and each LID's current owner. After a distribution that completed,
+// it equals Programmed.
+func (s *SubnetManager) Target() cdg.Routes { return targetRoutes{s} }
+
+// programmedRoutes and targetRoutes are the SM's two cdg.Routes. Each is one
+// pointer, so handing it out as an interface does not allocate.
+type (
+	programmedRoutes struct{ s *SubnetManager }
+	targetRoutes     struct{ s *SubnetManager }
+)
+
+func (r programmedRoutes) LFT(sw topology.NodeID) *ib.LFT  { return r.s.programmedActive(sw) }
+func (r programmedRoutes) NodeOf(l ib.LID) topology.NodeID { return r.s.NodeOfLID(l) }
+func (r targetRoutes) LFT(sw topology.NodeID) *ib.LFT      { return r.s.target[sw] }
+func (r targetRoutes) NodeOf(l ib.LID) topology.NodeID     { return r.s.NodeOfLID(l) }
 
 // ProgrammedLFT returns the LFT the SM believes the switch holds (nil
 // before first distribution), as published atomically by the last
@@ -591,19 +606,6 @@ func (s *SubnetManager) programmedActive(sw topology.NodeID) *ib.LFT {
 		return s.programmed[sw].Load()
 	}
 	return nil
-}
-
-// programmedView materialises every switch's programmed table into a plain
-// table map — the read-only shape the OnDistribute transient-CDG hook and
-// the handover reconciliation consume.
-func (s *SubnetManager) programmedView() map[topology.NodeID]*ib.LFT {
-	out := make(map[topology.NodeID]*ib.LFT, s.Topo.NumSwitches())
-	for sw := range s.programmed {
-		if lft := s.programmedActive(topology.NodeID(sw)); lft != nil {
-			out[topology.NodeID(sw)] = lft
-		}
-	}
-	return out
 }
 
 // lftLock returns the stripe lock serializing SetLFTEntriesProv for a switch.

@@ -126,7 +126,7 @@ func TestBootstrapAndSMPAccounting(t *testing.T) {
 	// Programmed state must now deliver LID-routed SMPs to any switch.
 	for _, sw := range topo.Switches() {
 		p := &smp.SMP{Attr: smp.AttrSwitchInfo, DLID: s.LIDOf(sw)}
-		got, err := s.Transport.SendLIDRouted(s.SMNode, p, s)
+		got, err := s.Transport.SendLIDRouted(s.SMNode, p, s.Programmed())
 		if err != nil {
 			t.Fatalf("LID-routed to switch %d: %v", sw, err)
 		}

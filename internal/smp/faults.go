@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/topology"
 )
 
@@ -19,7 +20,7 @@ var ErrTimeout = errors.New("smp: timed out waiting for response")
 // a Transport with probabilistic loss, duplication and delay.
 type Sender interface {
 	SendDirected(src topology.NodeID, p *SMP) (topology.NodeID, error)
-	SendLIDRouted(src topology.NodeID, p *SMP, r LFTResolver) (topology.NodeID, error)
+	SendLIDRouted(src topology.NodeID, p *SMP, r cdg.Routes) (topology.NodeID, error)
 }
 
 var (
@@ -196,7 +197,7 @@ func (f *FaultyTransport) SendDirected(src topology.NodeID, p *SMP) (topology.No
 }
 
 // SendLIDRouted implements Sender, applying one fault verdict per call.
-func (f *FaultyTransport) SendLIDRouted(src topology.NodeID, p *SMP, r LFTResolver) (topology.NodeID, error) {
+func (f *FaultyTransport) SendLIDRouted(src topology.NodeID, p *SMP, r cdg.Routes) (topology.NodeID, error) {
 	return f.send(f.roll(), func() (topology.NodeID, error) {
 		return f.inner.SendLIDRouted(src, p, r)
 	})

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/telemetry"
 	"ibvsim/internal/topology"
@@ -232,15 +233,6 @@ func (c *Counters) String() string {
 	return fmt.Sprintf("SMPs{sent=%d set=%d get=%d hops=%d}", c.Sent, c.Set, c.Get, c.TotalHops)
 }
 
-// LFTResolver supplies LID-routed forwarding state: given a switch and a
-// destination LID, the egress port programmed in that switch's LFT, plus
-// LID ownership (a node may own several LIDs — its base LID and any VF
-// LIDs). The subnet manager implements this against its shadow tables.
-type LFTResolver interface {
-	SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum
-	NodeOfLID(l ib.LID) topology.NodeID
-}
-
 // Transport walks SMPs across a topology, validating deliverability and
 // counting hops. It is deliberately synchronous: the experiments care about
 // counts and modelled latency, not wall-clock interleaving.
@@ -280,12 +272,13 @@ func (t *Transport) SendDirected(src topology.NodeID, p *SMP) (topology.NodeID, 
 }
 
 // SendLIDRouted forwards the SMP from the CA or switch src toward p.DLID
-// using the LFTs exposed by r. It returns the delivering node. Forwarding
-// loops are cut off after maxHops (64, the IBA hop limit).
-func (t *Transport) SendLIDRouted(src topology.NodeID, p *SMP, r LFTResolver) (topology.NodeID, error) {
+// through r's tables to r's owner of p.DLID (a switch without a table drops
+// it). It returns the delivering node. Forwarding loops are cut off after
+// maxHops (64, the IBA hop limit).
+func (t *Transport) SendLIDRouted(src topology.NodeID, p *SMP, r cdg.Routes) (topology.NodeID, error) {
 	const maxHops = 64
 	p.Mode = DestinationRouted
-	owner := r.NodeOfLID(p.DLID)
+	owner := r.NodeOf(p.DLID)
 	cur := src
 	hops := 0
 	for {
@@ -300,7 +293,10 @@ func (t *Transport) SendLIDRouted(src topology.NodeID, p *SMP, r LFTResolver) (t
 		}
 		var out ib.PortNum
 		if n.IsSwitch() {
-			out = r.SwitchRoute(cur, p.DLID)
+			out = ib.DropPort
+			if lft := r.LFT(cur); lft != nil {
+				out = lft.Get(p.DLID)
+			}
 			if out == ib.DropPort || out == 0 {
 				return topology.NoNode, fmt.Errorf("smp: lid route: %q drops LID %d", n.Desc, p.DLID)
 			}

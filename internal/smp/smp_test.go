@@ -74,13 +74,13 @@ func TestSendDirectedErrors(t *testing.T) {
 	}
 }
 
-// staticResolver implements LFTResolver from maps.
+// staticResolver implements cdg.Routes from maps.
 type staticResolver struct {
 	lids   map[topology.NodeID]ib.LID
 	routes map[topology.NodeID]map[ib.LID]ib.PortNum
 }
 
-func (r *staticResolver) NodeOfLID(l ib.LID) topology.NodeID {
+func (r *staticResolver) NodeOf(l ib.LID) topology.NodeID {
 	for n, lid := range r.lids {
 		if lid == l {
 			return n
@@ -88,16 +88,17 @@ func (r *staticResolver) NodeOfLID(l ib.LID) topology.NodeID {
 	}
 	return topology.NoNode
 }
-func (r *staticResolver) SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum {
+
+func (r *staticResolver) LFT(sw topology.NodeID) *ib.LFT {
 	m := r.routes[sw]
 	if m == nil {
-		return ib.DropPort
+		return nil
 	}
-	p, ok := m[dlid]
-	if !ok {
-		return ib.DropPort
+	lft := ib.NewLFT(0)
+	for l, p := range m {
+		lft.Set(l, p)
 	}
-	return p
+	return lft
 }
 
 func TestSendLIDRouted(t *testing.T) {
