@@ -24,8 +24,9 @@ cover:
 # Fuzz the LFT block-diff, the migration swap primitive, the SM's sparse LFT
 # write (SMPs sent == spans == the one packing rule), the plan merge
 # against its map-of-maps reference, the incremental router, the auditor
-# against its reference checker, the kept CDG, the trace record codec and
-# the reconcile goal parser (10s each; Go allows one fuzz target per
+# against its reference checker, warm reachability against a fresh
+# auditor, the kept CDG, the trace record codec, the reconcile goal parser
+# and the request-body decoders (10s each; Go allows one fuzz target per
 # invocation).
 fuzz:
 	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzLFTDiff$$' -fuzztime 10s
@@ -34,9 +35,11 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMergePlans$$' -fuzztime 10s
 	$(GO) test ./internal/routing -run '^$$' -fuzz '^FuzzDeltaRecompute$$' -fuzztime 10s
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzReachabilityAgrees$$' -fuzztime 10s
+	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzWarmReach$$' -fuzztime 10s
 	$(GO) test ./internal/cdg -run '^$$' -fuzz '^FuzzMaintainedCDG$$' -fuzztime 10s
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzSpanRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/reconcile -run '^$$' -fuzz '^FuzzParseGoal$$' -fuzztime 10s
+	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzRequestBodies$$' -fuzztime 10s
 
 # The benchmark-regression harness: the Fig. 7 path-computation and Table I
 # SMP benchmarks, teed into BENCH_fig7.json (the artifact CI uploads and the

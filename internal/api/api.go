@@ -31,6 +31,7 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -388,10 +389,36 @@ type CreateVMRequest struct {
 	Hypervisor *topology.NodeID `json:"hypervisor,omitempty"`
 }
 
+// maxBodyBytes caps a request body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody reads r's body as exactly one JSON value into v: at most
+// maxBodyBytes (413 beyond that), no field v lacks and nothing after the
+// value (400). On failure it has answered the client and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	trailing := err == nil
+	if trailing {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+	}
+	status := http.StatusBadRequest
+	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		status = http.StatusRequestEntityTooLarge
+	case trailing:
+		err = errors.New("data after the JSON value")
+	}
+	writeErr(w, status, "bad request body: %v", err)
+	return false
+}
+
 func (s *Server) handleCreateVM(w http.ResponseWriter, r *http.Request) {
 	var req CreateVMRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" {
@@ -415,12 +442,17 @@ type MigrateVMRequest struct {
 }
 
 func (s *Server) handleMigrateVM(w http.ResponseWriter, r *http.Request) {
-	var req MigrateVMRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	var req struct { // MigrateVMRequest, with a missing destination told from node 0
+		Destination *topology.NodeID `json:"destination"`
+	}
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	s.dispatch(w, r, &command{kind: opMigrateVM, name: r.PathValue("name"), hyp: req.Destination})
+	if req.Destination == nil {
+		writeErr(w, http.StatusBadRequest, "missing destination")
+		return
+	}
+	s.dispatch(w, r, &command{kind: opMigrateVM, name: r.PathValue("name"), hyp: *req.Destination})
 }
 
 func (s *Server) handleReconfigure(w http.ResponseWriter, r *http.Request) {

@@ -174,7 +174,12 @@ func squareTransition(t *testing.T) (topo *topology.Topology, old, target cdg.Ro
 // creates and destroys under dynamic LIDs, a reconcile, injected DropPort and
 // loop corruptions and their repair, the section VI-C square as a real union
 // cycle, and a subnet-manager handover. Every cold reason must show up, and
-// most passes must be warm.
+// most passes must be warm. Reachability is held to the same oracle: the
+// full passes walk only the LID columns that changed, and the server's own
+// fast pass after each reconfigure and reconcile equals a fresh auditor's
+// over the snapshot it read. A corruption is caught by the warm pass after
+// it, the pass after that runs cold (violations), and once repaired the
+// passes are warm again.
 func TestMaintainedCDGMatchesCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two fabrics, ~100 full audits each")
@@ -218,6 +223,44 @@ func runCDGOracle(t *testing.T, topo *topology.Topology) {
 		}
 		record(gotAttrs)
 	}
+	// Fabric-wide passes of the server's auditor by how reachability ran:
+	// its own fast passes after reconfigures and reconciles, and check's
+	// full passes.
+	reach := map[string]int{}
+	noteReach := func(attrs map[string]any) {
+		if attrs["reach"] == "warm" {
+			reach["warm"]++
+		} else {
+			reach[fmt.Sprint("cold ", attrs["reach_reason"])]++
+		}
+	}
+	fast, fullWarm, fullZero, walked, active := 0, 0, 0, 0, 0
+	afterFast := false // the server's fast pass ran since the last full pass
+	var lastFull *audit.Report
+	var lastFullAttrs map[string]any
+	// served holds the fast pass the server ran after a fabric-wide command
+	// (the audit spans since span id since) to a fresh auditor's over the
+	// snapshot it read.
+	served := func(what string, since int) {
+		t.Helper()
+		ran := false
+		for _, sv := range srv.tr.SpansSince(since) {
+			if sv.Kind == telemetry.SpanAudit && sv.Attrs["reach"] != nil {
+				noteReach(sv.Attrs)
+				ran = ran || sv.Name == "fast"
+			}
+		}
+		if !ran {
+			return
+		}
+		fast, afterFast = fast+1, true
+		got := *srv.aud.Last()
+		want := *audit.New(nil, nil, audit.Config{}).Run(srv.Snapshot().AuditView(), audit.ScopeFast)
+		got.WallUS, want.WallUS = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%s): the server's fast pass reports\n%+v\na fresh auditor\n%+v", step, what, got, want)
+		}
+	}
 	transition := func(what string, tp *topology.Topology, old, next cdg.Routes, dlids []ib.LID, got *audit.Report) {
 		t.Helper()
 		gotAttrs := lastSpanAttrs(srv.tr)
@@ -246,13 +289,40 @@ func runCDGOracle(t *testing.T, topo *topology.Topology) {
 			t.Fatal(err)
 		}
 		got := srv.aud.Run(v, audit.ScopeFull)
-		same(what, got, audit.New(nil, nil, audit.Config{}).Run(v, audit.ScopeFull), lastSpanAttrs(srv.tr), nil)
+		attrs := lastSpanAttrs(srv.tr)
+		same(what, got, audit.New(nil, nil, audit.Config{}).Run(v, audit.ScopeFull), attrs, nil)
+		noteReach(attrs)
+		if attrs["reach"] == "warm" {
+			n := int(attrs["lids_walked"].(int64))
+			if afterFast && n != 0 {
+				t.Fatalf("step %d (%s): the full pass after the server's fast pass walked %d columns", step, what, n)
+			}
+			fullWarm, walked, active = fullWarm+1, walked+n, active+len(v.ActiveLIDs)
+			if n == 0 {
+				fullZero++
+			}
+		}
+		lastFull, lastFullAttrs, afterFast = got, attrs, false
 	}
 	do := func(method, path string, body any) int {
 		t.Helper()
+		since := srv.tr.LastSpanID()
 		st := doJSON(t, cl, method, ts.URL+path, body, nil)
+		served(method+" "+path, since)
 		check(method + " " + path)
 		return st
+	}
+	// reachRan fails unless the last full pass ran reachability as want says
+	// ("warm" or a cold reason).
+	reachRan := func(what, want string) {
+		t.Helper()
+		ran := fmt.Sprint(lastFullAttrs["reach"])
+		if ran == "cold" {
+			ran = fmt.Sprint(lastFullAttrs["reach_reason"])
+		}
+		if ran != want {
+			t.Fatalf("%s: reachability ran %s, want %s", what, ran, want)
+		}
 	}
 	hyps := c.Hypervisors()
 	var fleet []string
@@ -296,9 +366,11 @@ func runCDGOracle(t *testing.T, topo *topology.Topology) {
 			lifecycle(3)
 		}
 	}
+	since := srv.tr.LastSpanID()
 	if st := doJSON(t, cl, "POST", ts.URL+"/v1/reconcile?goal=defrag", nil, nil); st != 200 {
 		t.Fatalf("reconcile: status %d", st)
 	}
+	served("reconcile defrag", since)
 	check("reconcile defrag")
 	lifecycle(6)
 
@@ -327,6 +399,13 @@ func runCDGOracle(t *testing.T, topo *topology.Topology) {
 		write(sw, port, why)
 	}
 	corrupt(leaf, ib.DropPort, "drop-port")
+	// The pass after the corruption walks its column from a clean base and
+	// reports it; the next one cannot trust that base.
+	if reachRan("drop-port", "warm"); lastFull.ByKind[string(audit.KindBlackhole)] == 0 {
+		t.Fatalf("the pass after a DropPort at LID %d's leaf reports %+v", lid, lastFull)
+	}
+	check("after drop-port")
+	reachRan("after drop-port", "violations")
 	for _, sw := range topo.Switches() {
 		if out := c.SM.ProgrammedLFT(sw).Get(lid); sw != leaf && hasCA(topo, sw) && int(out) < len(topo.Node(sw).Ports) {
 			up := topo.Node(sw).Ports[out].Peer
@@ -338,6 +417,14 @@ func runCDGOracle(t *testing.T, topo *topology.Topology) {
 	flapLink(t, srv, do, links[0], true)
 	for i := len(undo) - 1; i >= 0; i-- {
 		undo[i]()
+	}
+	check("repaired")
+	if lastFull.Total != 0 {
+		t.Fatalf("the repaired fabric reports %+v", lastFull)
+	}
+	check("after repair")
+	if reachRan("after repair", "warm"); lastFullAttrs["lids_walked"] != int64(0) {
+		t.Fatalf("after repair a full pass over an unchanged fabric walked %v columns", lastFullAttrs["lids_walked"])
 	}
 	lifecycle(3)
 
@@ -379,7 +466,17 @@ func runCDGOracle(t *testing.T, topo *topology.Topology) {
 	flapLink(t, srv, do, links[0], false)
 	flapLink(t, srv, do, links[0], true)
 
-	t.Logf("%d steps; passes %v", step, passes)
+	t.Logf("%d steps; CDG passes %v; reachability passes %v (%d served fast passes; %d warm full passes, %d of them walking no column, %.2f %% of the active LIDs on average)",
+		step, passes, reach, fast, fullWarm, fullZero, 100*float64(walked)/float64(active))
+	if 100*walked > 3*active {
+		t.Errorf("a warm full pass walks %.2f %% of the active LIDs on average, budget 3 %%", 100*float64(walked)/float64(active))
+	}
+	if fast == 0 || reach["cold violations"] == 0 {
+		t.Errorf("the sequence ran %d fast passes and %d cold for violations: it proves nothing", fast, reach["cold violations"])
+	}
+	if fullWarm < 8*(step-fullWarm) {
+		t.Errorf("%d of %d full passes ran reachability warm", fullWarm, step)
+	}
 	for _, want := range []string{"cold first", "cold topology", "cold cyclic", "cold refused"} {
 		if passes[want] == 0 {
 			t.Errorf("no %s pass: the sequence missed a fallback (passes %v)", want, passes)
@@ -406,6 +503,11 @@ func runCDGOracle(t *testing.T, topo *topology.Topology) {
 	}
 	for mode, want := range map[string]int{"warm": passes["warm"], "cold": cold} {
 		if line := fmt.Sprintf("audit_cdg_passes{mode=%q} %d\n", mode, want); !strings.Contains(string(body), line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+	for mode, want := range map[string]int{"warm": reach["warm"], "cold": fast + step - reach["warm"]} {
+		if line := fmt.Sprintf("audit_reach_passes{mode=%q} %d\n", mode, want); !strings.Contains(string(body), line) {
 			t.Errorf("/metrics lacks %q", line)
 		}
 	}

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -60,11 +59,8 @@ func (s *Server) handleReconcile(w http.ResponseWriter, r *http.Request) {
 	if g := q.Get("goal"); g != "" {
 		req.Goal = g
 		req.DryRun = q.Get("dry_run") == "1" || q.Get("dry_run") == "true"
-	} else if r.Body != nil {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
+	} else if r.Body != nil && !decodeBody(w, r, &req) {
+		return
 	}
 
 	var spec reconcile.Spec

@@ -25,6 +25,7 @@ package audit
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -146,6 +147,19 @@ type Auditor struct {
 	cdgCold  string
 
 	cdgWarm, cdgColdRuns *telemetry.Counter
+
+	// The routing of the last fabric-wide pass, frozen as the base of the
+	// next one's reachability: a fast or full pass walks only the LID
+	// columns that changed since, as long as the base pass found every
+	// column clean and entered the fabric at the same switches.
+	reachMu      sync.Mutex
+	reachTopo    *topology.Topology
+	reachNodes   int
+	reach        *cdg.Base
+	reachClean   bool
+	reachEntries []topology.NodeID
+
+	reachWarm, reachColdRuns *telemetry.Counter
 }
 
 // New returns an auditor reporting into the hub's registry and tracer.
@@ -164,6 +178,8 @@ func New(hub *telemetry.Hub, rec *Recorder, cfg Config) *Auditor {
 	a.total = a.reg.Counter("audit.violations_total")
 	a.cdgWarm = a.reg.Counter(telemetry.Labeled("audit.cdg_passes", "mode", "warm"))
 	a.cdgColdRuns = a.reg.Counter(telemetry.Labeled("audit.cdg_passes", "mode", "cold"))
+	a.reachWarm = a.reg.Counter(telemetry.Labeled("audit.reach_passes", "mode", "warm"))
+	a.reachColdRuns = a.reg.Counter(telemetry.Labeled("audit.reach_passes", "mode", "cold"))
 	return a
 }
 
@@ -193,7 +209,11 @@ func (a *Auditor) Run(v *View, scope Scope) *Report {
 	c.max = a.cfg.MaxViolations
 
 	s := a.acquire(v.Topo.NumNodes())
-	checkReachability(v, &c, s)
+	if scope == ScopeReach {
+		checkReachability(v, &c, s)
+	} else {
+		a.noteReach(span, a.checkReach(v, &c, s))
+	}
 	checkBindings(v, &c)
 	if scope != ScopeReach {
 		checkStaleEntries(v, &c, s)
@@ -245,13 +265,96 @@ func (a *Auditor) release(s *scratch) {
 // Why a pass built the installed routing's CDG from nothing (the span
 // attribute cdg_reason): no graph yet, another topology or a rewired one, an
 // installed routing that is cyclic (an Ordered cannot hold it), or a refused
-// insert (the transition's union is cyclic).
+// insert (the transition's union is cyclic). Why a fabric-wide pass walked
+// every LID column (reach_reason): no base yet, another topology or a
+// rewired one, a base pass that found a column dirty, or other entry
+// switches.
 const (
-	coldFirst    = "first"
-	coldTopology = "topology"
-	coldCyclic   = "cyclic"
-	coldRefused  = "refused"
+	coldFirst      = "first"
+	coldTopology   = "topology"
+	coldCyclic     = "cyclic"
+	coldRefused    = "refused"
+	coldViolations = "violations"
+	coldEntries    = "entries"
 )
+
+// reachPass is how a fabric-wide pass checked reachability: warm when it
+// walked only the columns that changed since the base, else cold, and why.
+type reachPass struct {
+	cold   string
+	walked int
+}
+
+// checkReach is checkReachability for a fabric-wide pass: it moves the base
+// to v's routing and walks the columns that can have changed since — every
+// column when the base cannot vouch for the rest. The base is held for the
+// whole walk, so that the next pass knows whether this one was clean.
+func (a *Auditor) checkReach(v *View, c *collector, s *scratch) reachPass {
+	s.entrySwitches(v)
+	a.reachMu.Lock()
+	defer a.reachMu.Unlock()
+	p := reachPass{cold: a.rebase(v, s.entries)}
+	only := a.reach
+	if p.cold != "" {
+		only = nil
+	}
+	before := c.total
+	p.walked = walkColumns(v, c, s, only)
+	a.reachClean = c.total == before
+	a.reachEntries = append(a.reachEntries[:0], s.entries...)
+	return p
+}
+
+// rebase moves the reachability base to v's routing of all its active
+// LIDs, under reachMu, and says why the pass must walk every column ("" when
+// only those the base's Update named).
+func (a *Auditor) rebase(v *View, entries []topology.NodeID) (cold string) {
+	t := v.Topo
+	switch {
+	case a.reachTopo == nil:
+		cold = coldFirst
+	case a.reachTopo != t || a.reachNodes != t.NumNodes():
+		cold = coldTopology
+	case !a.reachClean:
+		cold = coldViolations
+	case !slices.Equal(a.reachEntries, entries):
+		cold = coldEntries
+	default:
+		if _, err := a.reach.Update(v, v.ActiveLIDs); err == nil {
+			return ""
+		}
+		cold = coldTopology
+	}
+	if cold == coldViolations || cold == coldEntries {
+		if a.reach.Load(v, v.ActiveLIDs) == nil {
+			return cold
+		}
+		cold = coldTopology
+	}
+	a.reachTopo, a.reachNodes, a.reach = t, t.NumNodes(), cdg.NewBase(cdg.NewIndex(t))
+	a.reach.Load(v, v.ActiveLIDs) //nolint:errcheck // a fresh index is as the fabric is wired
+	return cold
+}
+
+// noteReach records how a pass checked reachability in audit.reach_passes
+// and on its span.
+func (a *Auditor) noteReach(span *telemetry.Span, p reachPass) {
+	if p.cold == "" {
+		a.reachWarm.Inc()
+	} else {
+		a.reachColdRuns.Inc()
+	}
+	if span == nil {
+		return
+	}
+	if p.cold == "" {
+		span.SetAttr("reach", "warm")
+	} else {
+		span.SetAttr("reach", "cold")
+		span.SetAttr("reach_reason", p.cold)
+	}
+	span.SetAttr("lids_walked", p.walked)
+}
 
 // cdgPass is how one pass checked a CDG: warm when the kept graph was
 // brought up to date, else cold, and why.
@@ -326,9 +429,11 @@ func (a *Auditor) finish(span *telemetry.Span, rep *Report) {
 	a.reg.Gauge("audit.last_violations").Set(int64(rep.Total))
 	a.reg.Gauge("audit.last_generation").Set(int64(rep.Gen))
 	a.reg.WallHistogram("audit.run_wall_us", nil).Observe(rep.WallUS)
-	span.SetAttr("generation", int64(rep.Gen))
-	span.SetAttr("lids", rep.LIDsChecked)
-	span.SetAttr("violations", rep.Total)
+	if span != nil { // boxing the counts would allocate for nothing
+		span.SetAttr("generation", int64(rep.Gen))
+		span.SetAttr("lids", rep.LIDsChecked)
+		span.SetAttr("violations", rep.Total)
+	}
 	span.End()
 	a.mu.Lock()
 	a.last = rep

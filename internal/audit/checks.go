@@ -2,6 +2,7 @@ package audit
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"ibvsim/internal/cdg"
@@ -12,9 +13,10 @@ import (
 // View is the immutable fabric state one audit pass checks. The control
 // plane builds it from its copy-on-write snapshot; tests build it by hand.
 // Nothing in a View is mutated by the auditor, so a View may be shared
-// across concurrent passes. Nor may anyone else write its tables once a full
-// pass has seen them: the auditor keeps them as the base of the next pass's
-// CDG delta (an edit goes to a clone, as the subnet manager's do).
+// across concurrent passes. Nor may anyone else write its tables once a
+// fabric-wide (fast or full) pass has seen them: the auditor keeps them as
+// the base of the next pass's reachability and CDG deltas (an edit goes to
+// a clone, as the subnet manager's do).
 type View struct {
 	Topo *topology.Topology
 	Gen  uint64
@@ -152,8 +154,8 @@ type scratch struct {
 	entries []topology.NodeID
 	dsts    []topology.NodeID // owner of each active LID, NoNode if none
 	path    []topology.NodeID
-	held    []topology.NodeID    // switches whose tables this pass resolved
-	owned   [1 << 16 / 64]uint64 // checkStaleEntries: the LIDs somebody owns
+	held    []topology.NodeID                 // switches whose tables this pass resolved
+	owned   [1 << 16 / ib.LFTBlockSize]uint64 // checkStaleEntries: the LIDs somebody owns, a word per block
 }
 
 // begin readies s for a pass over a fabric of n nodes.
@@ -208,15 +210,21 @@ func (s *scratch) column(v *View, sw topology.NodeID, b int32) (*ib.LFT, *[ib.LF
 // overall is O(#LIDs × #switches). Nothing is built per view: the walk
 // reads tables and ports in place and keeps its state in s.
 func checkReachability(v *View, c *collector, s *scratch) {
-	// The fabric entry switches of the nodes that source traffic: a CA
-	// injects at its leaf switch, a switch sources SMPs at itself. Distinct
-	// entry switches are what the walk classifies, so deduplicating here
-	// (many CAs share one leaf) shrinks the per-destination loop from
-	// O(#nodes) to O(#switches) without changing the violation set — every
-	// path to a CA destination transits its leaf, so the destination's own
-	// entry switch is classified either way. Ascending order makes the
-	// violations of one destination, and so which of them a capped report
-	// keeps, the same on every run.
+	s.entrySwitches(v)
+	walkColumns(v, c, s, nil)
+}
+
+// entrySwitches fills s.dsts with the owner of each active LID and
+// s.entries with the fabric entry switches of the nodes that source
+// traffic: a CA injects at its leaf switch, a switch sources SMPs at itself.
+// Distinct entry switches are what the walk classifies, so deduplicating
+// here (many CAs share one leaf) shrinks the per-destination loop from
+// O(#nodes) to O(#switches) without changing the violation set — every path
+// to a CA destination transits its leaf, so the destination's own entry
+// switch is classified either way. Ascending order makes the violations of
+// one destination, and so which of them a capped report keeps, the same on
+// every run.
+func (s *scratch) entrySwitches(v *View) {
 	s.entries, s.dsts = s.entries[:0], s.dsts[:0]
 	for _, dlid := range v.ActiveLIDs {
 		node, ok := v.NodeOfLID[dlid]
@@ -237,13 +245,24 @@ func checkReachability(v *View, c *collector, s *scratch) {
 		}
 	}
 	slices.Sort(s.entries)
+}
 
+// walkColumns is the walk of checkReachability over the entry switches and
+// owners entrySwitches found: every active LID's column, or — given a base
+// — only those the base's last Update named. The others forward as they did
+// in a pass that found them clean, and are clean still. It returns how many
+// columns it walked.
+func walkColumns(v *View, c *collector, s *scratch, only *cdg.Base) (walked int) {
 	for i, dlid := range v.ActiveLIDs {
 		dst := s.dsts[i]
 		if dst == topology.NoNode {
 			c.addf(KindStaleEntry, dlid, "", "active LID %d owned by no node", dlid)
 			continue
 		}
+		if only != nil && !only.Changed(dlid) {
+			continue
+		}
+		walked++
 		s.dest = s.nextStamp(s.dest)
 		for _, entry := range s.entries {
 			o := s.classify(v, dlid, dst, entry)
@@ -262,6 +281,7 @@ func checkReachability(v *View, c *collector, s *scratch) {
 			}
 		}
 	}
+	return walked
 }
 
 // classify follows dlid's next hops from switch sw until the packet is
@@ -336,11 +356,13 @@ func checkStaleEntries(v *View, c *collector, s *scratch) {
 			continue
 		}
 		for b, ports := lft.NextBlock(0); ports != nil; b, ports = lft.NextBlock(b + 1) {
-			for i, p := range ports {
-				l := ib.LID(b*ib.LFTBlockSize + i)
-				if p == ib.DropPort || s.owned[l/64]&(1<<(l%64)) != 0 {
+			// A block is one word of the bitmap: only its unowned LIDs are read.
+			for rest := ^s.owned[b]; rest != 0; rest &= rest - 1 {
+				i := bits.TrailingZeros64(rest)
+				if ports[i] == ib.DropPort {
 					continue
 				}
+				l := ib.LID(b*ib.LFTBlockSize + i)
 				c.add(Violation{
 					Kind: KindStaleEntry,
 					LID:  uint16(l),

@@ -1,0 +1,258 @@
+package cdg
+
+import (
+	"math/bits"
+	"slices"
+
+	"ibvsim/internal/ib"
+)
+
+// delta is the rule walk between two frozen routings: what can read
+// differently under one than under the other. It collects (switch, LID)
+// pairs for a kept CDG, or — with columns set — whole LID columns for a
+// reachability pass, which follows a destination's next hops from every
+// entry switch and so re-walks a column when any of its entries, any link it
+// leaves by or its owner moved. The rules, with duplicates removed:
+//
+//  1. each changed entry (j, d), plus, for pairs, (i, d) for every neighbour
+//     i that forwards d to j under either routing;
+//  2. (i, d) for every d that i forwards, under either routing, out of a
+//     port whose link came up or went down — a switch-to-switch link for
+//     pairs, any link (delivery links to CAs included) for columns;
+//  3. every destination of a switch that gained or lost its table, each as a
+//     changed entry under 1;
+//  4. every switch for a destination whose owner changed, entering or
+//     leaving the destination set included.
+//
+// A rewired fabric is not covered: a delta's two ends have the same wiring.
+type delta struct {
+	ix      *Index
+	columns bool
+	into    [][]int32 // for pairs, per dense switch: the channel ids leading into it
+
+	// The set: for pairs, bit d*switches+i for (i, d), d-major so that a
+	// visit reads the tables column by column; for columns, bit d. Only
+	// words lo..hi can be non-zero. The set is the list: nothing is kept
+	// per member.
+	set    []uint64
+	lo, hi int
+	n      int
+}
+
+// newDelta returns the rule walk over ix's channels, for pairs or columns.
+func newDelta(ix *Index, columns bool) delta {
+	d := delta{ix: ix, columns: columns}
+	if !columns {
+		d.into = make([][]int32, len(ix.nodes))
+		for id, to := range ix.next {
+			if to >= 0 {
+				d.into[to/ix.stride] = append(d.into[to/ix.stride], int32(id))
+			}
+		}
+	}
+	return d
+}
+
+// changed collects in the set what can differ between routings a and b —
+// the four rules of delta — and returns how many forwarding entries of
+// destinations changed.
+func (d *delta) changed(a, b *kept) (entries int) {
+	sets := [][]ib.LID{a.lids, b.lids}
+	if slices.Equal(a.lids, b.lids) {
+		sets = sets[:1]
+	}
+	for _, lids := range sets { // rule 4: owners
+		for _, l := range lids {
+			if a.owner(l) != b.owner(l) {
+				d.column(l)
+			}
+		}
+	}
+	for j := range int32(len(d.ix.nodes)) {
+		switch ta, tb := a.lfts[j], b.lfts[j]; {
+		case (ta == nil) != (tb == nil): // rule 3: a table gained or lost
+			for _, lids := range sets {
+				for len(lids) > 0 {
+					blk, mask := ib.BlockOf(lids[0]), uint64(0)
+					for ; len(lids) > 0 && ib.BlockOf(lids[0]) == blk; lids = lids[1:] {
+						mask |= 1 << (int(lids[0]) % ib.LFTBlockSize)
+					}
+					d.touch(a, b, j, blk, mask)
+				}
+			}
+		case ta != tb: // rule 1: the entries that changed
+			for blk, pa, pb, ok := ta.NextDiff(tb, 0); ok; blk, pa, pb, ok = ta.NextDiff(tb, blk+1) {
+				in := a.inBlock(blk) | b.inBlock(blk)
+				if in == 0 || pa != nil && pb != nil && *pa == *pb {
+					continue
+				}
+				var mask uint64
+				for rest := in; rest != 0; rest &= rest - 1 {
+					if off := bits.TrailingZeros64(rest); portAt(pa, off) != portAt(pb, off) {
+						mask |= 1 << off
+					}
+				}
+				entries += bits.OnesCount64(mask)
+				d.touch(a, b, j, blk, mask)
+			}
+		}
+		d.flips(a, b, j, sets)
+	}
+	return entries
+}
+
+// touch adds, for each destination of block blk in mask, (j, l) and — for
+// pairs — every (i, l) whose switch i forwards l to j under a or b: the
+// pairs that read j's entry for l.
+func (d *delta) touch(a, b *kept, j int32, blk int, mask uint64) {
+	base := ib.LID(blk * ib.LFTBlockSize)
+	for rest := mask; rest != 0; rest &= rest - 1 {
+		d.add(j, base+ib.LID(bits.TrailingZeros64(rest)))
+	}
+	if d.columns {
+		return
+	}
+	for _, c := range d.into[j] {
+		i, port := c/d.ix.stride, ib.PortNum(c%d.ix.stride)
+		pa, pb := blockOf(a.lfts[i], blk), blockOf(b.lfts[i], blk)
+		for rest := mask; rest != 0; rest &= rest - 1 {
+			if off := bits.TrailingZeros64(rest); portAt(pa, off) == port || portAt(pb, off) == port {
+				d.add(i, base+ib.LID(off))
+			}
+		}
+	}
+}
+
+// flips is rule 2 for switch i: every destination it forwards, under a or b,
+// out of a port whose link came up or went down.
+func (d *delta) flips(a, b *kept, i int32, sets [][]ib.LID) {
+	lo, hi := i*d.ix.stride, (i+1)*d.ix.stride
+	if slices.Equal(a.hop[lo:hi], b.hop[lo:hi]) && (!d.columns || slices.Equal(a.up[lo:hi], b.up[lo:hi])) {
+		return
+	}
+	flipped := func(port ib.PortNum) bool {
+		c := a.egress(i, int32(port))
+		return c >= 0 && (a.hop[c] != b.hop[c] || d.columns && a.up[c] != b.up[c])
+	}
+	for _, lids := range sets {
+		blk := -1
+		var pa, pb *[ib.LFTBlockSize]ib.PortNum
+		for _, l := range lids {
+			if ib.BlockOf(l) != blk {
+				blk = ib.BlockOf(l)
+				pa, pb = blockOf(a.lfts[i], blk), blockOf(b.lfts[i], blk)
+			}
+			if off := int(l) % ib.LFTBlockSize; flipped(portAt(pa, off)) || flipped(portAt(pb, off)) {
+				d.add(i, l)
+			}
+		}
+	}
+}
+
+// blockOf is lft's block blk, nil for no table or an unmaterialised block.
+func blockOf(lft *ib.LFT, blk int) *[ib.LFTBlockSize]ib.PortNum {
+	if lft == nil {
+		return nil
+	}
+	return lft.Block(blk)
+}
+
+// portAt reads one entry of a block; a nil block is all DropPort.
+func portAt(ports *[ib.LFTBlockSize]ib.PortNum, off int) ib.PortNum {
+	if ports == nil {
+		return ib.DropPort
+	}
+	return ports[off]
+}
+
+// column adds destination l with every switch: its whole column.
+func (d *delta) column(l ib.LID) {
+	if d.columns {
+		d.add(0, l)
+		return
+	}
+	for i := range int32(len(d.ix.nodes)) {
+		d.add(i, l)
+	}
+}
+
+// add puts (i, l) in the set — l alone for columns.
+func (d *delta) add(i int32, l ib.LID) {
+	bit := uint(l)
+	if !d.columns {
+		bit = bit*uint(len(d.ix.nodes)) + uint(i)
+	}
+	w := int(bit / 64)
+	if w >= len(d.set) {
+		from := len(d.set)
+		d.set = slices.Grow(d.set, w+1-from)[:w+1]
+		clear(d.set[from:])
+	}
+	if d.set[w]&(1<<(bit%64)) != 0 {
+		return
+	}
+	d.set[w] |= 1 << (bit % 64)
+	if d.n == 0 || w < d.lo {
+		d.lo = w
+	}
+	if d.n == 0 || w > d.hi {
+		d.hi = w
+	}
+	d.n++
+}
+
+// forget empties the set.
+func (d *delta) forget() {
+	if d.n > 0 {
+		clear(d.set[d.lo : d.hi+1])
+	}
+	d.n = 0
+}
+
+// Base is a routing frozen as the base of the next reachability pass: the
+// tables, the link state and the owners of a destination set, held after
+// the Routes they came from moved on. Update names the destinations whose
+// forwarding can differ under another routing — the columns of delta — and
+// moves the base there, so that a pass re-walks those columns only. The
+// tables a Base was loaded from must not be written afterwards. A Base is
+// not safe for concurrent use.
+type Base struct {
+	delta
+	cur, next *kept
+}
+
+// NewBase returns an empty base over the channels of ix; Load it before
+// anything else.
+func NewBase(ix *Index) *Base {
+	return &Base{delta: newDelta(ix, true), cur: newKept(ix), next: newKept(ix)}
+}
+
+// Load freezes r's routing of dlids as the base.
+func (b *Base) Load(r Routes, dlids []ib.LID) error {
+	b.forget()
+	if !b.cur.load(r, dlids) {
+		return ErrRewired
+	}
+	return nil
+}
+
+// Update moves the base to r's routing of dlids and returns how many
+// destinations can forward differently under it than under the base —
+// Changed names them until the next Update or Load. After ErrRewired the
+// base must be reloaded.
+func (b *Base) Update(r Routes, dlids []ib.LID) (int, error) {
+	b.forget()
+	if !move(b.cur, b.next, r, dlids) {
+		return 0, ErrRewired
+	}
+	b.changed(b.cur, b.next)
+	b.cur, b.next = b.next, b.cur
+	b.next.release()
+	return b.n, nil
+}
+
+// Changed reports whether the last Update named destination l.
+func (b *Base) Changed(l ib.LID) bool {
+	w := int(l) / 64
+	return w < len(b.set) && b.set[w]&(1<<(uint(l)%64)) != 0
+}

@@ -23,36 +23,18 @@ var (
 // pair — a multiset, so a dependency two pairs induce is held twice —
 // together with the tables, link state and destination owners it was walked
 // from. Update moves it to another routing, and Union checks a second routing
-// against it, each at the cost of the pairs whose dependency can differ.
-//
-// Those pairs follow from what the pair walk (Walk.dep) reads. With
-// duplicates removed:
-//
-//  1. each changed entry (j, d), plus (i, d) for every neighbour i that
-//     forwards d to j under either table;
-//  2. (i, d) for every d that i forwards, under either table, out of a port
-//     whose link came up or went down;
-//  3. every destination of a switch that gained or lost its table, each as a
-//     changed entry under 1;
-//  4. every switch for a destination whose owner changed, entering or
-//     leaving the destination set included.
+// against it, each at the cost of the pairs whose dependency can differ:
+// the pairs of delta's four rules, which follow from what the pair walk
+// (Walk.dep) reads.
 //
 // A rewired fabric is not covered (ErrRewired). The tables a Maintained was
 // loaded from must not be written afterwards: the next delta starts from
 // them. A Maintained is not safe for concurrent use.
 type Maintained struct {
-	ix *Index
-	g  *Ordered
+	delta // the pairs to re-walk
+	g     *Ordered
 	// cur is what g holds; next is Update's scratch, tgt Union's.
 	cur, next, tgt *kept
-	into           [][]int32 // per dense switch: the channel ids leading into it
-
-	// The pairs to re-walk: bit d*switches+i set for (i, d), d-major so
-	// that a visit reads the tables column by column. Only words lo..hi
-	// can be non-zero. The set is the list: nothing is kept per pair.
-	pairs  []uint64
-	lo, hi int
-	npairs int
 	// cols are the held and the other walk's blocks of the LIDs being
 	// visited: a pair's dependencies are array reads.
 	cols    [2]columns
@@ -124,6 +106,16 @@ func (k *kept) load(r Routes, dlids []ib.LID) (asIndexed bool) {
 	return k.Walk.load(r)
 }
 
+// move loads r's routing of dlids into next and reports whether it can be
+// the far end of a delta from cur: the fabric was not rewired.
+func move(cur, next *kept, r Routes, dlids []ib.LID) bool {
+	if !next.load(r, dlids) || !slices.Equal(next.wired, cur.wired) {
+		next.release()
+		return false
+	}
+	return true
+}
+
 // release drops the table pointers of a scratch walk, so that it keeps no
 // past routing alive.
 func (k *kept) release() { clear(k.lfts) }
@@ -131,14 +123,7 @@ func (k *kept) release() { clear(k.lfts) }
 // NewMaintained returns an empty maintained CDG over the channels of ix;
 // Load it before anything else.
 func NewMaintained(ix *Index) *Maintained {
-	m := &Maintained{ix: ix, g: NewOrdered(ix), cur: newKept(ix), next: newKept(ix), tgt: newKept(ix),
-		into: make([][]int32, len(ix.nodes))}
-	for id, to := range ix.next {
-		if to >= 0 {
-			m.into[to/ix.stride] = append(m.into[to/ix.stride], int32(id))
-		}
-	}
-	return m
+	return &Maintained{delta: newDelta(ix, false), g: NewOrdered(ix), cur: newKept(ix), next: newKept(ix), tgt: newKept(ix)}
 }
 
 // Load builds the graph of r's routing for dlids from nothing: one walk of
@@ -174,11 +159,11 @@ func (m *Maintained) Pairs() int { return len(m.cur.lids) * len(m.ix.nodes) }
 // and the new one inserted with Pearce-Kelly's check.
 func (m *Maintained) Update(r Routes, dlids []ib.LID) (Delta, error) {
 	n := m.next
-	if !n.load(r, dlids) || !slices.Equal(n.wired, m.cur.wired) {
-		n.release()
+	if !move(m.cur, n, r, dlids) {
 		return Delta{}, ErrRewired
 	}
-	d := m.changed(m.cur, n)
+	entries := m.changed(m.cur, n)
+	d := Delta{Pairs: m.n, Entries: entries}
 	// One pass: a pair's old dependency out, its new one in. An insert
 	// refused while other pairs' old dependencies are still held may be a
 	// cycle through one of them: it waits until every removal is done, and
@@ -224,8 +209,9 @@ func (m *Maintained) Union(next Routes) (oldEdges, unionEdges int, d Delta, err 
 	for i, n := range m.ix.nodes {
 		t.lfts[i] = next.LFT(n.ID)
 	}
-	t.hop, t.wired, t.own, t.in, t.lids = m.cur.hop, m.cur.wired, m.cur.own, m.cur.in, m.cur.lids
-	d = m.changed(m.cur, t)
+	t.hop, t.wired, t.up, t.own, t.in, t.lids = m.cur.hop, m.cur.wired, m.cur.up, m.cur.own, m.cur.in, m.cur.lids
+	entries := m.changed(m.cur, t)
+	d = Delta{Pairs: m.n, Entries: entries}
 	oldEdges = m.g.NumEdges()
 	inserted := 0
 	m.each(t, func(c change) bool {
@@ -251,121 +237,8 @@ func (m *Maintained) Union(next Routes) (oldEdges, unionEdges int, d Delta, err 
 	})
 	m.forget()
 	t.release()
-	t.hop, t.wired, t.own, t.in, t.lids = nil, nil, nil, nil, nil
+	t.hop, t.wired, t.up, t.own, t.in, t.lids = nil, nil, nil, nil, nil, nil
 	return oldEdges, unionEdges, d, err
-}
-
-// changed collects in m.pairs the pairs whose dependency can differ between
-// walks a and b: the four rules of Maintained.
-func (m *Maintained) changed(a, b *kept) Delta {
-	var d Delta
-	sets := [][]ib.LID{a.lids, b.lids}
-	if slices.Equal(a.lids, b.lids) {
-		sets = sets[:1]
-	}
-	nsw := int32(len(m.ix.nodes))
-	for _, lids := range sets { // rule 4: owners
-		for _, l := range lids {
-			if a.owner(l) != b.owner(l) {
-				for i := range nsw {
-					m.add(i, l)
-				}
-			}
-		}
-	}
-	for j := range nsw {
-		switch ta, tb := a.lfts[j], b.lfts[j]; {
-		case (ta == nil) != (tb == nil): // rule 3: a table gained or lost
-			for _, lids := range sets {
-				for len(lids) > 0 {
-					blk, mask := ib.BlockOf(lids[0]), uint64(0)
-					for ; len(lids) > 0 && ib.BlockOf(lids[0]) == blk; lids = lids[1:] {
-						mask |= 1 << (int(lids[0]) % ib.LFTBlockSize)
-					}
-					m.touch(a, b, j, blk, mask)
-				}
-			}
-		case ta != tb: // rule 1: the entries that changed
-			for blk, pa, pb, ok := ta.NextDiff(tb, 0); ok; blk, pa, pb, ok = ta.NextDiff(tb, blk+1) {
-				in := a.inBlock(blk) | b.inBlock(blk)
-				if in == 0 || pa != nil && pb != nil && *pa == *pb {
-					continue
-				}
-				var mask uint64
-				for rest := in; rest != 0; rest &= rest - 1 {
-					if off := bits.TrailingZeros64(rest); portAt(pa, off) != portAt(pb, off) {
-						mask |= 1 << off
-					}
-				}
-				d.Entries += bits.OnesCount64(mask)
-				m.touch(a, b, j, blk, mask)
-			}
-		}
-		m.flips(a, b, j, sets)
-	}
-	d.Pairs = m.npairs
-	return d
-}
-
-// touch adds, for each destination of block blk in mask, (j, l) and every
-// (i, l) whose switch i forwards l to j under a or b: the pairs that read
-// j's entry for l.
-func (m *Maintained) touch(a, b *kept, j int32, blk int, mask uint64) {
-	base := ib.LID(blk * ib.LFTBlockSize)
-	for rest := mask; rest != 0; rest &= rest - 1 {
-		m.add(j, base+ib.LID(bits.TrailingZeros64(rest)))
-	}
-	for _, c := range m.into[j] {
-		i, port := c/m.ix.stride, ib.PortNum(c%m.ix.stride)
-		pa, pb := blockOf(a.lfts[i], blk), blockOf(b.lfts[i], blk)
-		for rest := mask; rest != 0; rest &= rest - 1 {
-			if off := bits.TrailingZeros64(rest); portAt(pa, off) == port || portAt(pb, off) == port {
-				m.add(i, base+ib.LID(off))
-			}
-		}
-	}
-}
-
-// flips is rule 2 for switch i: every destination it forwards, under a or b,
-// out of a port whose link came up or went down.
-func (m *Maintained) flips(a, b *kept, i int32, sets [][]ib.LID) {
-	stride := m.ix.stride
-	if slices.Equal(a.hop[i*stride:(i+1)*stride], b.hop[i*stride:(i+1)*stride]) {
-		return
-	}
-	flipped := func(port ib.PortNum) bool {
-		c := a.egress(i, int32(port))
-		return c >= 0 && a.hop[c] != b.hop[c]
-	}
-	for _, lids := range sets {
-		blk := -1
-		var pa, pb *[ib.LFTBlockSize]ib.PortNum
-		for _, l := range lids {
-			if ib.BlockOf(l) != blk {
-				blk = ib.BlockOf(l)
-				pa, pb = blockOf(a.lfts[i], blk), blockOf(b.lfts[i], blk)
-			}
-			if off := int(l) % ib.LFTBlockSize; flipped(portAt(pa, off)) || flipped(portAt(pb, off)) {
-				m.add(i, l)
-			}
-		}
-	}
-}
-
-// blockOf is lft's block blk, nil for no table or an unmaterialised block.
-func blockOf(lft *ib.LFT, blk int) *[ib.LFTBlockSize]ib.PortNum {
-	if lft == nil {
-		return nil
-	}
-	return lft.Block(blk)
-}
-
-// portAt reads one entry of a block; a nil block is all DropPort.
-func portAt(ports *[ib.LFTBlockSize]ib.PortNum, off int) ib.PortNum {
-	if ports == nil {
-		return ib.DropPort
-	}
-	return ports[off]
 }
 
 // change is what one pair's dependency does between the graph and a walk.
@@ -376,39 +249,17 @@ type change struct {
 
 func (c change) moved() bool { return c.had != c.has || c.was != c.is }
 
-// add puts (i, l) in m.pairs.
-func (m *Maintained) add(i int32, l ib.LID) {
-	bit := uint(l)*uint(len(m.ix.nodes)) + uint(i)
-	w := int(bit / 64)
-	if w >= len(m.pairs) {
-		from := len(m.pairs)
-		m.pairs = slices.Grow(m.pairs, w+1-from)[:w+1]
-		clear(m.pairs[from:])
-	}
-	if m.pairs[w]&(1<<(bit%64)) != 0 {
-		return
-	}
-	m.pairs[w] |= 1 << (bit % 64)
-	if m.npairs == 0 || w < m.lo {
-		m.lo = w
-	}
-	if m.npairs == 0 || w > m.hi {
-		m.hi = w
-	}
-	m.npairs++
-}
-
-// each visits m.pairs by destination, then switch, while visit returns
+// each visits the pairs of the set by destination, then switch, while visit returns
 // true, handing it what the pair's dependency does between the graph and b.
 func (m *Maintained) each(b *kept, visit func(c change) bool) {
-	if m.npairs == 0 {
+	if m.n == 0 {
 		return
 	}
 	nsw := uint(len(m.ix.nodes))
 	held, other := &m.cols[0], &m.cols[1]
 	held.block = -1
 	for w := m.lo; w <= m.hi; w++ {
-		for rest := m.pairs[w]; rest != 0; rest &= rest - 1 {
+		for rest := m.set[w]; rest != 0; rest &= rest - 1 {
 			bit := uint(w)*64 + uint(bits.TrailingZeros64(rest))
 			i, l := int32(bit%nsw), ib.LID(bit/nsw)
 			if blk := ib.BlockOf(l); blk != held.block {
@@ -423,12 +274,4 @@ func (m *Maintained) each(b *kept, visit func(c change) bool) {
 			}
 		}
 	}
-}
-
-// forget empties m.pairs.
-func (m *Maintained) forget() {
-	if m.npairs > 0 {
-		clear(m.pairs[m.lo : m.hi+1])
-	}
-	m.npairs = 0
 }

@@ -45,9 +45,10 @@ type Walk struct {
 	nodeOf func(ib.LID) topology.NodeID
 	// Per channel id, the link as the walk sees it: hop is the dense index
 	// of the switch an up link leads to (-1: down, unconnected or to a CA),
-	// wired whether the port has a peer at all.
-	hop   []int32
-	wired []bool
+	// wired whether the port has a peer at all, up whether that link is up
+	// (delivery links to CAs included).
+	hop       []int32
+	wired, up []bool
 }
 
 // NewWalk freezes r's tables and the link state for the switches of ix.
@@ -64,21 +65,21 @@ func (w *Walk) load(r Routes) (asIndexed bool) {
 	ix := w.ix
 	if w.lfts == nil {
 		w.lfts = make([]*ib.LFT, len(ix.nodes))
-		w.hop, w.wired = make([]int32, ix.NumIDs()), make([]bool, ix.NumIDs())
+		w.hop, w.wired, w.up = make([]int32, ix.NumIDs()), make([]bool, ix.NumIDs()), make([]bool, ix.NumIDs())
 	}
 	asIndexed = true
 	for i, n := range ix.nodes {
 		w.lfts[i] = r.LFT(n.ID)
 		for p := int32(0); p < ix.stride; p++ {
 			id := int32(i)*ix.stride + p
-			w.hop[id], w.wired[id] = -1, false
+			w.hop[id], w.wired[id], w.up[id] = -1, false, false
 			next := int32(-1)
 			if int(p) < len(n.Ports) && n.Ports[p].Peer != topology.NoNode {
 				peer := ix.dense[n.Ports[p].Peer]
 				if peer >= 0 {
 					next = peer * ix.stride
 				}
-				w.wired[id] = true
+				w.wired[id], w.up[id] = true, n.Ports[p].Up
 				if n.Ports[p].Up {
 					w.hop[id] = peer
 				}
