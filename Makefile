@@ -25,9 +25,9 @@ cover:
 # write (SMPs sent == spans == the one packing rule), the plan merge
 # against its map-of-maps reference, the incremental router, the auditor
 # against its reference checker, warm reachability against a fresh
-# auditor, the kept CDG, the trace record codec, the reconcile goal parser
-# and the request-body decoders (10s each; Go allows one fuzz target per
-# invocation).
+# auditor, the forwarding walkers against one another, the kept CDG, the
+# trace record codec, the reconcile goal parser and the request-body
+# decoders (10s each; Go allows one fuzz target per invocation).
 fuzz:
 	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzLFTDiff$$' -fuzztime 10s
 	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzLFTSwap$$' -fuzztime 10s
@@ -36,6 +36,7 @@ fuzz:
 	$(GO) test ./internal/routing -run '^$$' -fuzz '^FuzzDeltaRecompute$$' -fuzztime 10s
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzReachabilityAgrees$$' -fuzztime 10s
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzWarmReach$$' -fuzztime 10s
+	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzForwardingAgrees$$' -fuzztime 10s
 	$(GO) test ./internal/cdg -run '^$$' -fuzz '^FuzzMaintainedCDG$$' -fuzztime 10s
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzSpanRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/reconcile -run '^$$' -fuzz '^FuzzParseGoal$$' -fuzztime 10s

@@ -54,8 +54,6 @@ type Config struct {
 	// QueueDepth bounds each zone's admission queue (commands accepted but
 	// not yet executed). 0 means DefaultQueueDepth.
 	QueueDepth int
-	// RetryAfter is the hint returned with 429 responses. 0 means one second.
-	RetryAfter time.Duration
 	// AuditInterval is the cadence of full-scope background audits
 	// (reachability + hygiene + installed-routing CDG). 0 disables the
 	// cadence; the cheap post-mutation audit always runs.
@@ -64,9 +62,6 @@ type Config struct {
 	// dumps as JSON files (created on first dump). Dumps are always kept
 	// in memory and served at /v1/flightrecorder regardless.
 	FlightDir string
-	// FlightEntries caps the flight recorder's ring. 0 means the
-	// recorder's default.
-	FlightEntries int
 	// Logger receives structured request/mutation/audit logs. nil means
 	// discard.
 	Logger *slog.Logger
@@ -83,6 +78,9 @@ const ShardsAuto = -1
 // DefaultQueueDepth is the admission-queue bound when Config leaves it 0.
 const DefaultQueueDepth = 64
 
+// RetryAfter is the hint returned with 429 responses.
+const RetryAfter = time.Second
+
 // Server owns a cloud behind the zone actors of a shard.Coordinator and
 // exposes it over HTTP. Construct with NewServer; the actors start
 // immediately. Use Handler for the mux and Shutdown to drain and stop.
@@ -92,8 +90,7 @@ type Server struct {
 	reg *telemetry.Registry
 	tr  *telemetry.Tracer
 
-	mux        *http.ServeMux
-	retryAfter time.Duration
+	mux *http.ServeMux
 
 	// snap is the snapshot reads serve; compose, its only writer, holds
 	// pubMu.
@@ -130,9 +127,6 @@ func NewServer(c *cloud.Cloud, cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -141,16 +135,15 @@ func NewServer(c *cloud.Cloud, cfg Config) *Server {
 	}
 	hub := c.SM.Telemetry()
 	s := &Server{
-		c:          c,
-		reg:        hub.Registry(),
-		tr:         hub.Tracer(),
-		mux:        http.NewServeMux(),
-		retryAfter: cfg.RetryAfter,
-		log:        cfg.Logger,
-		fabric:     c.SM.Topo.String(),
-		switches:   c.SM.Topo.Switches(),
+		c:        c,
+		reg:      hub.Registry(),
+		tr:       hub.Tracer(),
+		mux:      http.NewServeMux(),
+		log:      cfg.Logger,
+		fabric:   c.SM.Topo.String(),
+		switches: c.SM.Topo.Switches(),
 	}
-	s.rec = audit.NewRecorder(hub.Tracer(), cfg.FlightDir, cfg.FlightEntries)
+	s.rec = audit.NewRecorder(hub.Tracer(), cfg.FlightDir, audit.DefaultRecorderCap)
 	s.aud = audit.New(hub, s.rec, audit.Config{})
 	s.WireTransitionMonitor()
 	s.opCtx, s.opCancel = context.WithCancel(context.Background())

@@ -448,7 +448,7 @@ func TestBackpressure(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			srv, _ := newTestServer(t, 4, 2, 2, sriov.VSwitchDynamic,
-				Config{Shards: shards, QueueDepth: 1, RetryAfter: 3 * time.Second})
+				Config{Shards: shards, QueueDepth: 1})
 			co := srv.Coordinator()
 			hyp := co.Part.Zones[0].Hyps[0]
 			held, release := make(chan struct{}), make(chan struct{})
@@ -467,8 +467,8 @@ func TestBackpressure(t *testing.T) {
 			if w.Code != http.StatusTooManyRequests {
 				t.Fatalf("status %d, want 429", w.Code)
 			}
-			if ra := w.Header().Get("Retry-After"); ra != "3" {
-				t.Fatalf("Retry-After = %q, want \"3\"", ra)
+			if ra := w.Header().Get("Retry-After"); ra != "1" {
+				t.Fatalf("Retry-After = %q, want \"1\" (RetryAfter)", ra)
 			}
 			if !strings.Contains(w.Body.String(), "admission queue full") {
 				t.Fatalf("429 body %s", w.Body)

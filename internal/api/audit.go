@@ -32,7 +32,7 @@ func (sn *Snapshot) AuditView() *audit.View {
 	return &audit.View{
 		Topo:       sn.topo,
 		Gen:        sn.Gen,
-		LFTOf:      func(sw topology.NodeID) *ib.LFT { return sn.lfts[sw] },
+		LFTOf:      sn.LFT,
 		NodeOfLID:  sn.addrs.Map(),
 		ActiveLIDs: lids,
 		VMs:        vms,

@@ -166,7 +166,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, cmd *command) 
 	switch {
 	case errors.Is(err, shard.ErrBackpressure):
 		s.reg.Counter("api.admission_rejects").Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.retryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int(RetryAfter/time.Second)))
 		writeErr(w, http.StatusTooManyRequests, "admission queue full (shard queue saturated)")
 	case errors.Is(err, shard.ErrShutdown):
 		writeErr(w, http.StatusServiceUnavailable, "server is shutting down")

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/cloud"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/shard"
@@ -220,13 +221,17 @@ func (sn *Snapshot) resolve(token string) (topology.NodeID, ib.LID, error) {
 	return node, lid, nil
 }
 
-// maxPathHops bounds the LFT walk; any sane fabric routes in far fewer,
-// so hitting it means the programmed tables loop.
-const maxPathHops = 64
+// LFT implements cdg.Routes: switch sw's published table.
+func (sn *Snapshot) LFT(sw topology.NodeID) *ib.LFT { return sn.lfts[sw] }
 
-// Path walks dst's LID through the snapshot's tables starting at src's
-// leaf switch — the same walk routing.Verify does, but against the
-// *programmed* (distributed) tables and served concurrently with mutations.
+// NodeOf implements cdg.Routes: the node that owns a LID.
+func (sn *Snapshot) NodeOf(l ib.LID) topology.NodeID { return sn.addrs.NodeOf(l) }
+
+// Path walks dst's LID from src through the snapshot's *programmed*
+// (distributed) tables by cdg.Trace, the rule the auditor proves, served
+// concurrently with mutations. Hops are the switches the packet leaves. A
+// walk that ends anywhere but at the LID's owner returns the cdg.End that
+// stopped it, with the hops up to there.
 func (sn *Snapshot) Path(src, dst string) (PathResponse, error) {
 	var resp PathResponse
 	srcNode, _, err := sn.resolve(src)
@@ -243,42 +248,14 @@ func (sn *Snapshot) Path(src, dst string) (PathResponse, error) {
 		DstLID: uint16(dstLID), Generation: sn.Gen,
 		Hops: []PathHop{},
 	}
-	if srcNode == dstNode {
-		return resp, nil
+	end := cdg.Trace(sn.topo, sn, srcNode, dstLID, func(at topology.NodeID, out ib.PortNum) bool {
+		if n := sn.topo.Node(at); n.IsSwitch() {
+			resp.Hops = append(resp.Hops, PathHop{Switch: at, Desc: n.Desc, Egress: out})
+		}
+		return true
+	})
+	if end.Fate != cdg.Delivered {
+		return resp, end
 	}
-	cur := srcNode
-	if !sn.topo.Node(cur).IsSwitch() {
-		cur = sn.topo.LeafSwitchOf(cur)
-		if cur == topology.NoNode {
-			return resp, fmt.Errorf("node %d has no connected leaf switch", srcNode)
-		}
-	}
-	for range [maxPathHops]struct{}{} {
-		lft := sn.lfts[cur]
-		if lft == nil {
-			return resp, fmt.Errorf("switch %d has no programmed LFT", cur)
-		}
-		out := lft.Get(dstLID)
-		if out == ib.DropPort {
-			return resp, fmt.Errorf("LID %d drops at switch %d", dstLID, cur)
-		}
-		node := sn.topo.Node(cur)
-		if int(out) >= len(node.Ports) {
-			return resp, fmt.Errorf("switch %d routes LID %d to missing port %d", cur, dstLID, out)
-		}
-		port := node.Ports[out]
-		if port.Peer == topology.NoNode || !port.Up {
-			return resp, fmt.Errorf("switch %d routes LID %d out a down port %d", cur, dstLID, out)
-		}
-		resp.Hops = append(resp.Hops, PathHop{Switch: cur, Desc: node.Desc, Egress: out})
-		if port.Peer == dstNode {
-			return resp, nil
-		}
-		peer := sn.topo.Node(port.Peer)
-		if !peer.IsSwitch() {
-			return resp, fmt.Errorf("LID %d delivered to wrong CA %d (want %d)", dstLID, port.Peer, dstNode)
-		}
-		cur = port.Peer
-	}
-	return resp, fmt.Errorf("no path after %d hops: LFTs loop", maxPathHops)
+	return resp, nil
 }

@@ -3,8 +3,10 @@ package api
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"testing"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/sriov"
 	"ibvsim/internal/topology"
@@ -92,6 +94,71 @@ func TestSnapshotFollowsProgrammedObjectSwap(t *testing.T) {
 				t.Fatalf("path %d->%d: status %d (snapshot walks a dead route)", src, dst, st)
 			}
 		}
+	}
+}
+
+// TestPathToOwnLeaf: a CA's path to any switch, its own leaf included, is
+// served. The walk used to start at the leaf and read the leaf's entry for
+// its own LID — port 0 — as a down port before asking whether the leaf owns
+// the LID, so the path to it was a 404.
+func TestPathToOwnLeaf(t *testing.T) {
+	srv, ts := newFatTreeServer(t, topology.XGFTSpec{M: []int{3, 3}, W: []int{1, 3}}, 2, sriov.VSwitchDynamic, Config{})
+	cl, topo := ts.Client(), srv.c.SM.Topo
+	for _, ca := range topo.CAs() {
+		for _, sw := range topo.Switches() {
+			var pr PathResponse
+			if st := doJSON(t, cl, "GET", fmt.Sprintf("%s/v1/paths/%d/%d", ts.URL, ca, sw), nil, &pr); st != http.StatusOK {
+				t.Fatalf("path %d->%d: status %d", ca, sw, st)
+			}
+			if own := sw == topo.LeafSwitchOf(ca); own != (len(pr.Hops) == 0) {
+				t.Errorf("path %d->%d: %d hops (own leaf %v)", ca, sw, len(pr.Hops), own)
+			}
+		}
+	}
+}
+
+// TestPathAgreesWithTrace: where /v1/paths serves a path, it is the walk
+// cdg.Trace takes through the snapshot — delivered to the owner of the LID,
+// through the same switches — and where it serves none, Trace delivers
+// nothing either. Taking a trunk link down under the programmed tables
+// breaks some paths.
+func TestPathAgreesWithTrace(t *testing.T) {
+	srv, _ := newFatTreeServer(t, topology.XGFTSpec{M: []int{3, 3}, W: []int{1, 3}}, 2, sriov.VSwitchDynamic, Config{})
+	topo := srv.c.SM.Topo
+	check := func(what string) (broken int) {
+		sn := srv.Snapshot()
+		for _, src := range topo.CAs() {
+			for _, dst := range topo.Nodes() {
+				pr, err := sn.Path(fmt.Sprint(src), fmt.Sprint(dst.ID))
+				var hops []PathHop
+				end := cdg.Trace(topo, sn, src, ib.LID(pr.DstLID), func(at topology.NodeID, out ib.PortNum) bool {
+					if n := topo.Node(at); n.IsSwitch() {
+						hops = append(hops, PathHop{Switch: at, Desc: n.Desc, Egress: out})
+					}
+					return true
+				})
+				switch {
+				case err != nil && end.Fate == cdg.Delivered:
+					t.Errorf("%s: path %d->%d refused (%v), Trace delivers", what, src, dst.ID, err)
+				case err != nil:
+					broken++
+				case end.Fate != cdg.Delivered || end.At != pr.DstNode || !slices.Equal(hops, pr.Hops):
+					t.Errorf("%s: path %d->%d: %v, Trace: %v %v", what, src, dst.ID, pr.Hops, end, hops)
+				}
+			}
+		}
+		return broken
+	}
+	if n := check("programmed"); n != 0 {
+		t.Fatalf("%d paths broken on a routed fabric", n)
+	}
+	a, _, ap := trunkLink(t, topo)
+	if err := topo.SetLinkState(a, ap, false); err != nil {
+		t.Fatal(err)
+	}
+	defer topo.SetLinkState(a, ap, true) //nolint:errcheck // restores the link taken down above
+	if check("trunk down") == 0 {
+		t.Fatal("no path crosses the downed trunk; test is vacuous")
 	}
 }
 

@@ -73,51 +73,41 @@ func describe(t *topology.Topology, id topology.NodeID) string {
 	return fmt.Sprintf("node(%d)", id)
 }
 
-// fault says what happens to a packet for one destination once it is
-// inside a given switch, following the programmed next hops. The text of a
-// violation is a function of (fault, origin switch, aux) and is only built
-// when one is reported.
-type fault uint8
+// visiting marks a switch on the walk's current path: the packet is still
+// being forwarded there, and re-entering it is a loop. It is never reported.
+const visiting = cdg.Forwarded
 
-const (
-	delivers      fault = iota
-	visiting            // on the walk's current path, never reported
-	faultNoLFT          // switch has no programmed table
-	faultDrop           // entry is DropPort
-	faultNoPort         // entry names a port the switch does not have (aux)
-	faultDownPort       // entry names a down or unconnected port (aux)
-	faultWrongCA        // delivered to a CA that is not the destination (aux)
-	faultLoop           // the walk re-entered origin
-)
-
-// outcome is the terminal classification of a switch for one destination.
+// outcome is the terminal classification of a switch for one destination:
+// the cdg.Fate of a packet that enters there. The text of a violation is a
+// function of (fate, origin switch, aux) and is only built when one is
+// reported.
 type outcome struct {
-	fault  fault
+	fate   cdg.Fate
 	origin topology.NodeID // switch where the fault originates
 	aux    int32           // port number or misdelivery peer
 }
 
 func (o outcome) kind() Kind {
-	switch o.fault {
-	case faultWrongCA:
+	switch o.fate {
+	case cdg.WrongCA:
 		return KindMisroute
-	case faultLoop:
+	case cdg.Loop:
 		return KindLoop
 	}
 	return KindBlackhole
 }
 
 func (o outcome) msg(t *topology.Topology) string {
-	switch o.fault {
-	case faultNoLFT:
+	switch o.fate {
+	case cdg.NoTable:
 		return "switch has no programmed LFT"
-	case faultDrop:
+	case cdg.Dropped:
 		return "LFT entry is DropPort"
-	case faultNoPort:
+	case cdg.NoPort:
 		return fmt.Sprintf("LFT routes out nonexistent port %d", o.aux)
-	case faultDownPort:
+	case cdg.DownPort:
 		return fmt.Sprintf("LFT routes out down/unconnected port %d", o.aux)
-	case faultWrongCA:
+	case cdg.WrongCA:
 		return fmt.Sprintf("delivered to wrong CA %s", describe(t, topology.NodeID(o.aux)))
 	}
 	return fmt.Sprintf("forwarding loop through switch %s", describe(t, o.origin))
@@ -266,7 +256,7 @@ func walkColumns(v *View, c *collector, s *scratch, only *cdg.Base) (walked int)
 		s.dest = s.nextStamp(s.dest)
 		for _, entry := range s.entries {
 			o := s.classify(v, dlid, dst, entry)
-			if o.fault == delivers {
+			if o.fate == cdg.Delivered {
 				continue
 			}
 			if ns := &s.nodes[o.origin]; ns.reported != s.dest { // one violation per (dlid, origin)
@@ -284,24 +274,25 @@ func walkColumns(v *View, c *collector, s *scratch, only *cdg.Base) (walked int)
 	return walked
 }
 
-// classify follows dlid's next hops from switch sw until the packet is
-// delivered, a fault stops it, or it reaches a switch already classified
-// for this destination; every switch on the way then shares that outcome.
-// Re-entering a switch of the current path is a forwarding loop originating
-// at that switch.
+// classify follows dlid's next hops from switch sw by cdg.Step until the
+// packet is delivered, a fault stops it, or it reaches a switch already
+// classified for this destination; every switch on the way then shares that
+// outcome. Re-entering a switch of the current path is a forwarding loop
+// originating at that switch. A fate at a CA is charged to the switch that
+// sent the packet there.
 func (s *scratch) classify(v *View, dlid ib.LID, dst, sw topology.NodeID) outcome {
 	block, off := int32(ib.BlockOf(dlid)), int(dlid)%ib.LFTBlockSize
 	path := s.path[:0]
 	var o outcome
-	for sw != dst {
+	for {
 		ns := &s.nodes[sw]
 		if ns.dest == s.dest {
-			if o = ns.outcome; o.fault == visiting {
-				o = outcome{fault: faultLoop, origin: sw}
+			if o = ns.outcome; o.fate == visiting {
+				o = outcome{fate: cdg.Loop, origin: sw}
 			}
 			break
 		}
-		ns.dest, ns.fault = s.dest, visiting
+		ns.dest, ns.fate = s.dest, visiting
 		path = append(path, sw)
 
 		lft, col := s.column(v, sw, block)
@@ -309,23 +300,18 @@ func (s *scratch) classify(v *View, dlid ib.LID, dst, sw topology.NodeID) outcom
 		if col != nil {
 			out = col[off]
 		}
-		ports := v.Topo.Node(sw).Ports
-		switch {
-		case lft == nil:
-			o = outcome{fault: faultNoLFT, origin: sw}
-		case out == ib.DropPort:
-			o = outcome{fault: faultDrop, origin: sw}
-		case int(out) >= len(ports):
-			o = outcome{fault: faultNoPort, origin: sw, aux: int32(out)}
-		case ports[out].Peer == topology.NoNode || !ports[out].Up:
-			o = outcome{fault: faultDownPort, origin: sw, aux: int32(out)}
-		case ports[out].Peer == dst:
-			// delivered
-		case !v.Topo.Node(ports[out].Peer).IsSwitch():
-			o = outcome{fault: faultWrongCA, origin: sw, aux: int32(ports[out].Peer)}
-		default:
-			sw = ports[out].Peer
-			continue
+		next, f := cdg.Step(v.Topo.Node(sw), lft != nil, out, dst)
+		if f == cdg.Forwarded {
+			peer := v.Topo.Node(next)
+			if peer.IsSwitch() {
+				sw = next
+				continue
+			}
+			next, f = cdg.Step(peer, false, 0, dst)
+		}
+		o = outcome{fate: f, origin: sw, aux: int32(out)}
+		if f == cdg.WrongCA {
+			o.aux = int32(next)
 		}
 		break
 	}

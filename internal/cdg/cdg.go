@@ -23,7 +23,9 @@
 //
 // Walk is the single enumeration of the dependencies a set of forwarding
 // tables induces; everything that builds a graph from routes goes through it,
-// and its pair walk the element for one (switch, destination).
+// and its pair walk the element for one (switch, destination). Step is the
+// single forwarding rule: every walker that follows a packet to its fate
+// (Trace) takes its next hop from it.
 package cdg
 
 import (

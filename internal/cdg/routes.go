@@ -9,8 +9,9 @@ import (
 // per switch and the location of each LID. The subnet manager hands out its
 // programmed and target routing as Routes, and everything that reads
 // installed routing takes one: the dependency walk and the kept CDG, the
-// auditor's transition check, the migration planner, the LID-routed SMP
-// walk and the fabric simulator.
+// auditor's transition check, the migration planner, and everything that
+// follows a packet by Trace (the LID-routed SMP walk, the fabric simulator,
+// the paths endpoint).
 type Routes interface {
 	// LFT returns the forwarding table of switch sw; nil means the switch
 	// forwards nothing.

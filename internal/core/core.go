@@ -253,23 +253,12 @@ func (r *Reconfigurator) plan(v cdg.Routes, kind PlanKind, vmLID, peerLID ib.LID
 // crosses leaf. Once the destination's leaf is reprogrammed, traffic arriving
 // there is delivered, so a switch upstream of it can keep its entry; for an
 // intra-leaf migration every old chain ends at that very leaf, so exactly one
-// switch is updated, whatever the topology. The walk is one next hop per
-// switch, bounded against a looping table.
+// switch is updated, whatever the topology. The walk is cdg.Trace, stopped
+// on arrival at leaf: it ends there, forwarded or not, exactly when it
+// crosses it.
 func (r *Reconfigurator) reaches(v cdg.Routes, sw, leaf topology.NodeID, lid ib.LID) bool {
-	for hops := 0; sw != leaf; hops++ {
-		lft, n := v.LFT(sw), r.SM.Topo.Node(sw)
-		if lft == nil || hops > 64 {
-			return false
-		}
-		out := lft.Get(lid)
-		if out == ib.DropPort || out == 0 || int(out) >= len(n.Ports) {
-			return false
-		}
-		if sw = n.Ports[out].Peer; sw == topology.NoNode || !r.SM.Topo.Node(sw).IsSwitch() {
-			return false
-		}
-	}
-	return true
+	end := cdg.Trace(r.SM.Topo, v, sw, lid, func(at topology.NodeID, _ ib.PortNum) bool { return at != leaf })
+	return end.At == leaf
 }
 
 // PlanSwap builds the prepopulated-LID reconfiguration: on every switch,

@@ -141,38 +141,25 @@ func (s *Simulator) Inject(src topology.NodeID, dst ib.LID, count int) error {
 	return nil
 }
 
-// nextChannel returns the output channel a packet must enter when sitting
-// at node `at`, or -1 for delivery (at == owner) and -2 for a drop.
-func (s *Simulator) nextChannel(at topology.NodeID, p packet) int {
-	if at == s.routes.NodeOf(p.dst) {
+// nextChannel returns the output channel a packet at node at enters next,
+// or -1 for delivery and -2 for a drop. A packet still pending at its source
+// CA leaves by cdg.Inject; at every other node cdg.Forward decides, so a CA
+// that receives a packet for a LID it does not own drops it.
+func (s *Simulator) nextChannel(at topology.NodeID, p packet, pending bool) int {
+	step := cdg.Forward
+	if pending {
+		step = cdg.Inject
+	}
+	out, _, f := step(s.routes, s.topo.Node(at), p.dst, s.routes.NodeOf(p.dst))
+	switch f {
+	case cdg.Delivered:
 		return -1
-	}
-	n := s.topo.Node(at)
-	var out ib.PortNum
-	if n.IsSwitch() {
-		out = ib.DropPort
-		if lft := s.routes.LFT(at); lft != nil {
-			out = lft.Get(p.dst)
-		}
-		if out == ib.DropPort || out == 0 {
-			return -2
-		}
-	} else {
-		for i := 1; i < len(n.Ports); i++ {
-			if n.Ports[i].Peer != topology.NoNode && n.Ports[i].Up {
-				out = ib.PortNum(i)
-				break
-			}
-		}
-		if out == 0 {
-			return -2
+	case cdg.Forwarded:
+		if ix, ok := s.chanIx[chanKey{at, out, p.vl}]; ok {
+			return ix
 		}
 	}
-	ix, ok := s.chanIx[chanKey{at, out, p.vl}]
-	if !ok {
-		return -2
-	}
-	return ix
+	return -2
 }
 
 // StepResult reports one round's progress.
@@ -208,7 +195,7 @@ func (s *Simulator) Step() StepResult {
 			continue
 		}
 		head := &c.q[0]
-		nx := s.nextChannel(c.to, *head)
+		nx := s.nextChannel(c.to, *head, false)
 		switch {
 		case nx == -1:
 			s.recordLatency(c.q[0])
@@ -248,7 +235,7 @@ func (s *Simulator) Step() StepResult {
 	// Injections.
 	kept := s.pending[:0]
 	for _, pk := range s.pending {
-		nx := s.nextChannel(pk.src, pk)
+		nx := s.nextChannel(pk.src, pk, true)
 		switch {
 		case nx == -1:
 			s.recordLatency(pk) // self-delivery
@@ -375,7 +362,7 @@ func (s *Simulator) isDeadlocked() bool {
 		if len(c.q) == 0 {
 			continue
 		}
-		nx := s.nextChannel(c.to, c.q[0])
+		nx := s.nextChannel(c.to, c.q[0], false)
 		if nx < 0 {
 			return false // deliverable or droppable head
 		}

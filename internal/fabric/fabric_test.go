@@ -95,6 +95,43 @@ func TestDeliveryOnRing(t *testing.T) {
 	}
 }
 
+// patched is a Routes with one entry of one switch's table overridden.
+type patched struct {
+	*ringRoutes
+	sw   topology.NodeID
+	lid  ib.LID
+	port ib.PortNum
+}
+
+func (p patched) LFT(sw topology.NodeID) *ib.LFT {
+	lft := p.ringRoutes.LFT(sw)
+	if sw == p.sw {
+		lft.Set(p.lid, p.port)
+	}
+	return lft
+}
+
+// TestWrongCADrops: a packet a switch delivers to a CA that does not own
+// its DLID is dropped at that CA. The simulator used to re-inject it, so it
+// ping-ponged between the CA and its leaf forever: never delivered, never
+// dropped, never reported as a deadlock.
+func TestWrongCADrops(t *testing.T) {
+	topo, rr, cas, lids := ringSetup(t)
+	sw0 := topo.LeafSwitchOf(cas[0])
+	r := patched{ringRoutes: rr, sw: sw0, lid: lids[2], port: topo.PortToward(sw0, cas[0])}
+	sim, err := New(topo, r, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Inject(cas[3], lids[2], 1); err != nil {
+		t.Fatal(err)
+	}
+	res := sim.Run(200)
+	if res.Delivered != 0 || res.Dropped != 1 || sim.InFlight() != 0 || res.Deadlocked {
+		t.Errorf("run = %+v, in flight %d; want the packet dropped at cas[0]", res, sim.InFlight())
+	}
+}
+
 func TestInjectValidation(t *testing.T) {
 	topo, rr, _, lids := ringSetup(t)
 	sim, _ := New(topo, rr, DefaultConfig())

@@ -80,6 +80,3 @@ func init() { provEnabled.Store(true) }
 // stamping off, SetProvenance is a no-op and ProvenanceOf returns nil for
 // newly written blocks; existing stamps are left in place.
 func SetProvenanceEnabled(on bool) { provEnabled.Store(on) }
-
-// ProvenanceEnabled reports whether stamping is on.
-func ProvenanceEnabled() bool { return provEnabled.Load() }

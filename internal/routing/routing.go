@@ -15,6 +15,7 @@ import (
 	"sort"
 	"time"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/topology"
 )
@@ -358,80 +359,45 @@ func (fv *fabricView) groupTargetsBySwitch(targets []Target) ([][]int, []int) {
 	return out, keys
 }
 
-// Verify walks every (switch, target LID) pair through the computed LFTs
-// and reports the first failure: a drop, a forwarding loop, or delivery to
-// the wrong node. It is O(switches x LIDs x pathlen) — meant for tests and
-// moderate subnets.
+// Verify traces every (switch, target LID) pair through the computed LFTs
+// by cdg.Trace and reports the first packet not delivered to its target
+// node: a drop, a forwarding loop, or delivery to the wrong node. It is
+// O(switches x LIDs x pathlen) — meant for tests and moderate subnets.
 func Verify(req *Request, res *Result) error {
-	nodeOf := map[ib.LID]topology.NodeID{}
-	for _, t := range req.Targets {
-		nodeOf[t.LID] = t.Node
-	}
-	for _, swID := range req.Topo.Switches() {
-		for _, t := range req.Targets {
-			if err := walkOne(req.Topo, res, swID, t.LID, nodeOf[t.LID]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return VerifySampled(req, res, 0)
 }
 
 // VerifySampled is Verify over every target LID but only from the given
-// number of evenly spaced source switches.
+// number of evenly spaced source switches (0: all of them).
 func VerifySampled(req *Request, res *Result, sources int) error {
-	sw := req.Topo.Switches()
-	if sources <= 0 || sources > len(sw) {
-		sources = len(sw)
+	sw, step := req.Topo.Switches(), 1
+	if sources > 0 && sources < len(sw) {
+		step = len(sw) / sources
 	}
-	step := len(sw) / sources
-	if step == 0 {
-		step = 1
-	}
-	nodeOf := map[ib.LID]topology.NodeID{}
-	for _, t := range req.Targets {
-		nodeOf[t.LID] = t.Node
-	}
+	r := routes(req, res)
 	for i := 0; i < len(sw); i += step {
 		for _, t := range req.Targets {
-			if err := walkOne(req.Topo, res, sw[i], t.LID, nodeOf[t.LID]); err != nil {
-				return err
+			if end := cdg.Trace(req.Topo, r, sw[i], t.LID, nil); end.Fate != cdg.Delivered {
+				return fmt.Errorf("routing: from switch %d: %w", sw[i], end)
 			}
 		}
 	}
 	return nil
 }
 
-func walkOne(topo *topology.Topology, res *Result, from topology.NodeID, dlid ib.LID, want topology.NodeID) error {
-	cur := from
-	for hops := 0; ; hops++ {
-		if hops > 64 {
-			return fmt.Errorf("routing: loop toward LID %d starting at %d", dlid, from)
-		}
-		n := topo.Node(cur)
-		if !n.IsSwitch() {
-			if cur != want {
-				return fmt.Errorf("routing: LID %d delivered to %q, want node %d", dlid, n.Desc, want)
+// routes is res's tables with req's targets as the owners of their LIDs.
+func routes(req *Request, res *Result) cdg.Tables {
+	nodeOf := make(map[ib.LID]topology.NodeID, len(req.Targets))
+	for _, t := range req.Targets {
+		nodeOf[t.LID] = t.Node
+	}
+	return cdg.Tables{
+		Table: func(sw topology.NodeID) *ib.LFT { return res.LFTs[sw] },
+		Owner: func(l ib.LID) topology.NodeID {
+			if n, ok := nodeOf[l]; ok {
+				return n
 			}
-			return nil
-		}
-		lft := res.LFTs[cur]
-		if lft == nil {
-			return fmt.Errorf("routing: switch %q has no LFT", n.Desc)
-		}
-		out := lft.Get(dlid)
-		if out == ib.DropPort {
-			return fmt.Errorf("routing: switch %q drops LID %d", n.Desc, dlid)
-		}
-		if out == 0 {
-			if cur != want {
-				return fmt.Errorf("routing: LID %d consumed by switch %q, want node %d", dlid, n.Desc, want)
-			}
-			return nil
-		}
-		if int(out) >= len(n.Ports) || n.Ports[out].Peer == topology.NoNode || !n.Ports[out].Up {
-			return fmt.Errorf("routing: switch %q forwards LID %d to dead port %d", n.Desc, dlid, out)
-		}
-		cur = n.Ports[out].Peer
+			return topology.NoNode
+		},
 	}
 }

@@ -270,6 +270,7 @@ func TestFatTreeRoutesAroundFailedUplink(t *testing.T) {
 				t.Fatal(err)
 			}
 			undelivered, pairs := 0, 0
+			r := routes(req, res)
 			var first error
 			for _, leaf := range leaves {
 				for _, tg := range req.Targets {
@@ -277,10 +278,10 @@ func TestFatTreeRoutesAroundFailedUplink(t *testing.T) {
 						continue
 					}
 					pairs++
-					if err := walkOne(topo, res, leaf, tg.LID, tg.Node); err != nil {
+					if end := cdg.Trace(topo, r, leaf, tg.LID, nil); end.Fate != cdg.Delivered {
 						undelivered++
 						if first == nil {
-							first = err
+							first = end
 						}
 					}
 				}

@@ -103,14 +103,6 @@ type SMP struct {
 	Blocks int
 }
 
-// BlockCount returns the number of LFT blocks the SMP carries (at least 1).
-func (p *SMP) BlockCount() int {
-	if p.Blocks > 1 {
-		return p.Blocks
-	}
-	return 1
-}
-
 // Counters aggregates SMP traffic by attribute and mode; the experiments
 // report these (Table I is purely SMP counting). Recording is guarded by a
 // mutex so the concurrent distribution engine's workers may share one
@@ -272,56 +264,21 @@ func (t *Transport) SendDirected(src topology.NodeID, p *SMP) (topology.NodeID, 
 }
 
 // SendLIDRouted forwards the SMP from the CA or switch src toward p.DLID
-// through r's tables to r's owner of p.DLID (a switch without a table drops
-// it). It returns the delivering node. Forwarding loops are cut off after
-// maxHops (64, the IBA hop limit).
+// through r's tables by cdg.Trace, the forwarding rule the auditor proves.
+// It returns the delivering node, or an error wrapping the cdg.End of an
+// SMP that was not delivered.
 func (t *Transport) SendLIDRouted(src topology.NodeID, p *SMP, r cdg.Routes) (topology.NodeID, error) {
-	const maxHops = 64
 	p.Mode = DestinationRouted
-	owner := r.NodeOf(p.DLID)
-	cur := src
-	hops := 0
-	for {
-		n := t.Topo.Node(cur)
-		if n == nil {
-			return topology.NoNode, fmt.Errorf("smp: lid route: no node %d", cur)
-		}
-		if cur == owner {
-			p.Hops = hops
-			t.Counters.observe(p)
-			return cur, nil
-		}
-		var out ib.PortNum
-		if n.IsSwitch() {
-			out = ib.DropPort
-			if lft := r.LFT(cur); lft != nil {
-				out = lft.Get(p.DLID)
-			}
-			if out == ib.DropPort || out == 0 {
-				return topology.NoNode, fmt.Errorf("smp: lid route: %q drops LID %d", n.Desc, p.DLID)
-			}
-		} else {
-			// CAs forward out their first up port.
-			for i := 1; i < len(n.Ports); i++ {
-				if n.Ports[i].Peer != topology.NoNode && n.Ports[i].Up {
-					out = ib.PortNum(i)
-					break
-				}
-			}
-			if out == 0 {
-				return topology.NoNode, fmt.Errorf("smp: lid route: CA %q has no up port", n.Desc)
-			}
-		}
-		link := n.Ports[out]
-		if link.Peer == topology.NoNode || !link.Up {
-			return topology.NoNode, fmt.Errorf("smp: lid route: %q port %d down", n.Desc, out)
-		}
-		cur = link.Peer
-		hops++
-		if hops > maxHops {
-			return topology.NoNode, fmt.Errorf("smp: lid route: hop limit exceeded toward LID %d (forwarding loop?)", p.DLID)
-		}
+	if t.Topo.Node(src) == nil {
+		return topology.NoNode, fmt.Errorf("smp: lid route: no node %d", src)
 	}
+	end := cdg.Trace(t.Topo, r, src, p.DLID, nil)
+	if end.Fate != cdg.Delivered {
+		return topology.NoNode, fmt.Errorf("smp: lid route: %w", end)
+	}
+	p.Hops = end.Hops
+	t.Counters.observe(p)
+	return end.At, nil
 }
 
 // CostModel carries the latency parameters of the paper's analysis.

@@ -1,10 +1,12 @@
 package smp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/topology"
 )
@@ -153,6 +155,26 @@ func TestSendLIDRoutedDropAndLoop(t *testing.T) {
 	if _, err := tr.SendLIDRouted(ca0, &SMP{DLID: 9}, res); err == nil ||
 		!strings.Contains(err.Error(), "drops") {
 		t.Errorf("unroutable LID should drop, got %v", err)
+	}
+}
+
+// TestSendLIDRoutedMisdelivery: an SMP a switch hands to a CA that does not
+// own its DLID is dropped there. The walk used to let that CA send it back
+// out as if it were its own, so s0 and ca0 ping-ponged it until the hop
+// limit and the report blamed a forwarding loop.
+func TestSendLIDRoutedMisdelivery(t *testing.T) {
+	topo, ca0, s0, _, ca1 := lineTopo(t)
+	res := &staticResolver{
+		lids:   map[topology.NodeID]ib.LID{ca0: 1, ca1: 7},
+		routes: map[topology.NodeID]map[ib.LID]ib.PortNum{s0: {7: 2}}, // back to ca0
+	}
+	_, err := NewTransport(topo).SendLIDRouted(ca0, &SMP{DLID: 7}, res)
+	var end cdg.End
+	if !errors.As(err, &end) || end.Fate != cdg.WrongCA || end.At != ca0 || end.Hops != 2 {
+		t.Fatalf("got %v (%+v), want LID 7 misdelivered to ca0 after 2 hops", err, end)
+	}
+	if strings.Contains(err.Error(), "hop limit") {
+		t.Errorf("misdelivery reported as a loop: %v", err)
 	}
 }
 
