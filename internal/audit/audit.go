@@ -150,8 +150,9 @@ type Auditor struct {
 
 	// The routing of the last fabric-wide pass, frozen as the base of the
 	// next one's reachability: a fast or full pass walks only the LID
-	// columns that changed since, as long as the base pass found every
-	// column clean and entered the fabric at the same switches.
+	// columns that changed since, from the switches whose step changed, as
+	// long as the base pass found every column clean and entered the
+	// fabric at the same switches.
 	reachMu      sync.Mutex
 	reachTopo    *topology.Topology
 	reachNodes   int
@@ -281,8 +282,8 @@ const (
 // reachPass is how a fabric-wide pass checked reachability: warm when it
 // walked only the columns that changed since the base, else cold, and why.
 type reachPass struct {
-	cold   string
-	walked int
+	cold string
+	walked
 }
 
 // checkReach is checkReachability for a fabric-wide pass: it moves the base
@@ -353,7 +354,9 @@ func (a *Auditor) noteReach(span *telemetry.Span, p reachPass) {
 		span.SetAttr("reach", "cold")
 		span.SetAttr("reach_reason", p.cold)
 	}
-	span.SetAttr("lids_walked", p.walked)
+	span.SetAttr("lids_walked", p.lids)
+	span.SetAttr("switches_entered", p.entered)
+	span.SetAttr("columns_rewalked", p.rewalked)
 }
 
 // cdgPass is how one pass checked a CDG: warm when the kept graph was

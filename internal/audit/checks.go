@@ -23,9 +23,11 @@ type View struct {
 	// LFTs holds the programmed forwarding table of each switch. A missing
 	// or nil entry means the switch forwards nothing.
 	LFTs map[topology.NodeID]*ib.LFT
-	// LFTOf, when non-nil, overrides LFTs lookups. Sharded control planes
-	// set it to the SM's live (atomically published, immutable) active
-	// tables so an op-scoped pass needs no per-run map materialisation.
+	// LFTOf, when non-nil, overrides LFTs lookups. Both of the control
+	// plane's views set it — a snapshot's AuditView to the snapshot's
+	// tables, the op-scoped view to the SM's published ones — so that no
+	// pass materialises a map. Only tests and the benchmark's traced view
+	// (bench/traced.go) fill LFTs.
 	LFTOf func(topology.NodeID) *ib.LFT
 	// NodeOfLID maps every owned LID (base and extra/VF) to its node. An
 	// op-scoped (ScopeReach) view may carry only the LIDs it audits.
@@ -142,6 +144,7 @@ type scratch struct {
 	pass    uint32 // stamp of the running pass
 	dest    uint32 // stamp of the destination being walked
 	entries []topology.NodeID
+	starts  []topology.NodeID // a warm column's switches whose step changed
 	dsts    []topology.NodeID // owner of each active LID, NoNode if none
 	path    []topology.NodeID
 	held    []topology.NodeID                 // switches whose tables this pass resolved
@@ -237,12 +240,23 @@ func (s *scratch) entrySwitches(v *View) {
 	slices.Sort(s.entries)
 }
 
+// walked is what a reachability walk did: the columns it walked, the walk
+// starts it made, and the columns it walked again from every entry because
+// a start did not deliver.
+type walked struct{ lids, entered, rewalked int }
+
 // walkColumns is the walk of checkReachability over the entry switches and
-// owners entrySwitches found: every active LID's column, or — given a base
-// — only those the base's last Update named. The others forward as they did
-// in a pass that found them clean, and are clean still. It returns how many
-// columns it walked.
-func walkColumns(v *View, c *collector, s *scratch, only *cdg.Base) (walked int) {
+// owners entrySwitches found: every active LID's column from every entry, or
+// — given a base — only the columns the base's last Update named, each from
+// the switches whose forwarding step can differ since (a whole column from
+// every entry). The others forward as they did in a pass that found them
+// clean, and are clean still. In a named column the base was clean too, so
+// an entry's path either reads as it did then, and delivers, or first meets
+// one of those switches and shares its fate: a column whose starts all
+// deliver is clean. One whose starts do not is walked again from every
+// entry, so that its violations, their origins and their order are the cold
+// walk's.
+func walkColumns(v *View, c *collector, s *scratch, only *cdg.Base) (w walked) {
 	for i, dlid := range v.ActiveLIDs {
 		dst := s.dsts[i]
 		if dst == topology.NoNode {
@@ -252,26 +266,55 @@ func walkColumns(v *View, c *collector, s *scratch, only *cdg.Base) (walked int)
 		if only != nil && !only.Changed(dlid) {
 			continue
 		}
-		walked++
-		s.dest = s.nextStamp(s.dest)
-		for _, entry := range s.entries {
-			o := s.classify(v, dlid, dst, entry)
-			if o.fate == cdg.Delivered {
-				continue
-			}
-			if ns := &s.nodes[o.origin]; ns.reported != s.dest { // one violation per (dlid, origin)
-				ns.reported = s.dest
-				c.add(Violation{
-					Kind:       o.kind(),
-					LID:        uint16(dlid),
-					Node:       describe(v.Topo, o.origin),
-					Detail:     fmt.Sprintf("LID %d (dst %s): %s", dlid, describe(v.Topo, dst), o.msg(v.Topo)),
-					Provenance: v.provenanceOf(o.origin, dlid),
-				})
+		w.lids++
+		if only != nil {
+			var whole bool
+			if s.starts, whole = only.Switches(s.starts[:0], dlid); !whole {
+				n, ok := s.delivers(v, dlid, dst, s.starts)
+				if w.entered += n; ok {
+					continue
+				}
+				w.rewalked++
 			}
 		}
+		w.entered += len(s.entries)
+		s.walkColumn(v, c, dlid, dst)
 	}
-	return walked
+	return w
+}
+
+// delivers classifies dlid from each of starts until one does not deliver,
+// and returns how many it entered and whether all delivered.
+func (s *scratch) delivers(v *View, dlid ib.LID, dst topology.NodeID, starts []topology.NodeID) (int, bool) {
+	s.dest = s.nextStamp(s.dest)
+	for k, sw := range starts {
+		if s.classify(v, dlid, dst, sw).fate != cdg.Delivered {
+			return k + 1, false
+		}
+	}
+	return len(starts), true
+}
+
+// walkColumn classifies dlid from every entry switch, in ascending order,
+// and reports one violation per (dlid, origin switch).
+func (s *scratch) walkColumn(v *View, c *collector, dlid ib.LID, dst topology.NodeID) {
+	s.dest = s.nextStamp(s.dest)
+	for _, entry := range s.entries {
+		o := s.classify(v, dlid, dst, entry)
+		if o.fate == cdg.Delivered {
+			continue
+		}
+		if ns := &s.nodes[o.origin]; ns.reported != s.dest { // one violation per (dlid, origin)
+			ns.reported = s.dest
+			c.add(Violation{
+				Kind:       o.kind(),
+				LID:        uint16(dlid),
+				Node:       describe(v.Topo, o.origin),
+				Detail:     fmt.Sprintf("LID %d (dst %s): %s", dlid, describe(v.Topo, dst), o.msg(v.Topo)),
+				Provenance: v.provenanceOf(o.origin, dlid),
+			})
+		}
+	}
 }
 
 // classify follows dlid's next hops from switch sw by cdg.Step until the

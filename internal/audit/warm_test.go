@@ -203,6 +203,9 @@ func FuzzWarmReach(f *testing.F) {
 	f.Add(int64(3), []byte{opOwner, opRepair, opOwner + numOps, opRepair, opOwner})
 	f.Add(int64(4), []byte{opLID, opLID, opRepair, opLID, opLID, opReach, opLID})
 	f.Add(int64(5), []byte{opTable, opTable, opRepair, opTable, opReach, opTable})
+	// Spine 23 closes a loop for LID 11 that leaf 16, a lower-numbered
+	// entry, enters first (TestWarmReachFallbackKeepsOrigins).
+	f.Add(int64(313), []byte{opEdit})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		runWarmReach(t, seed, ops[:min(len(ops), 48)])
 	})
@@ -302,10 +305,44 @@ func warmMigrationPass(tb testing.TB, spec topology.XGFTSpec, radix int) (walked
 	return walked, allocs
 }
 
+// warmFlapPass boots the benchmark's fabric-events fabric (flapHalves), runs
+// a fast pass on the routing one flap leaves, fails another trunk link, lets
+// the subnet manager reroute, and runs the fast pass the reroute ends with on
+// the same auditor. It returns the columns that pass named, the fabric's
+// entry switches and the walk starts the pass made.
+func warmFlapPass(tb testing.TB) (columns, entries, entered int) {
+	tb.Helper()
+	halves := flapHalves(tb, 2)
+	healed, fail := halves[1], halves[2]
+	hub := telemetry.NewHub()
+	a := New(hub, nil, Config{})
+	healed.set(tb) // every link up, as after the first flap
+	a.Run(healed.view, ScopeFast)
+	fail.set(tb)
+	defer halves[3].set(tb)
+	if rep := a.Run(fail.view, ScopeFast); rep.Total != 0 {
+		tb.Fatalf("the reroute left violations: %+v", rep.Violations)
+	}
+	sv, _ := hub.Tracer().SpanByID(hub.Tracer().LastSpanID())
+	if sv.Attrs["reach"] != "warm" {
+		tb.Fatalf("the pass after a flap ran %v (%v)", sv.Attrs["reach"], sv.Attrs["reach_reason"])
+	}
+	n, ok := sv.Attrs["switches_entered"].(int64)
+	if !ok {
+		tb.Fatalf("the pass's span carries no switches_entered: %v", sv.Attrs)
+	}
+	var s scratch
+	s.begin(fail.topo.NumNodes())
+	s.entrySwitches(fail.view)
+	return int(sv.Attrs["lids_walked"].(int64)), len(s.entries), int(n)
+}
+
 // TestWarmReachCosts is the deterministic gate on warm reachability: on the
 // benchmark's 1 728-host fabric, the fabric-wide pass after one migration
 // walks at most 4 LID columns, and a warm pass allocates no more there than
-// on a 16-host fabric.
+// on a 16-host fabric; on the fabric-events fabric, the fast pass after a
+// link flap enters at most 10 % of the (named column, entry switch) starts
+// a walk of those columns from every entry makes.
 func TestWarmReachCosts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 1 728-host fabric")
@@ -320,6 +357,62 @@ func TestWarmReachCosts(t *testing.T) {
 	if bigAllocs > smallAllocs {
 		t.Errorf("a warm pass allocates %.0f times at 1 728 hosts, %.0f at 16: it grows with the fabric", bigAllocs, smallAllocs)
 	}
+	columns, entries, entered := warmFlapPass(t)
+	all := columns * entries
+	t.Logf("the fast pass after a flap named %d columns over %d entry switches and made %d walk starts (%.2f %% of %d)",
+		columns, entries, entered, 100*float64(entered)/float64(all), all)
+	if 10*entered > all {
+		t.Errorf("the fast pass after a flap made %d walk starts, budget 10 %% of %d", entered, all)
+	}
+}
+
+// TestWarmReachFallbackKeepsOrigins: a warm edit's only changed switch closes
+// a forwarding loop that a lower-numbered entry enters at another switch.
+// Walked from the changed switch, the loop originates there; the cold walk
+// charges it to where that entry enters it. The long-lived auditor must fall
+// back to the cold walk and report what a fresh one does, truncation
+// included — not its own start's violation.
+func TestWarmReachFallbackKeepsOrigins(t *testing.T) {
+	r := testFabrics(t)["xgft-2x4-fuz"]
+	cfg := Config{MaxViolations: 1}
+	for _, x := range r.topo.Switches() {
+		for _, l := range r.lids {
+			if r.topo.Node(r.nodeOf[l]).IsSwitch() {
+				continue
+			}
+			for _, p := range r.topo.Node(x).Ports {
+				if p.Peer == topology.NoNode || !r.topo.Node(p.Peer).IsSwitch() {
+					continue
+				}
+				f := newFabricState(r)
+				next := f.lfts[x].Clone()
+				next.Set(l, p.Num)
+				f.lfts[x] = next
+				v := f.view(2)
+				want := *New(nil, nil, cfg).Run(v, ScopeFast)
+				if want.Total == 0 || want.Violations[0].Kind != KindLoop || want.Violations[0].Node == describe(r.topo, x) {
+					continue // no loop, or one the changed switch's own walk names alike
+				}
+				hub := telemetry.NewHub()
+				long := New(hub, nil, cfg)
+				if rep := long.Run(newFabricState(r).view(1), ScopeFast); rep.Total != 0 {
+					t.Fatalf("the routed fabric: %+v", rep.Violations)
+				}
+				got := *long.Run(v, ScopeFast)
+				got.WallUS, want.WallUS = 0, 0
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("switch %d forwards LID %d out of port %d: the long-lived auditor reports\n%+v\na fresh one\n%+v",
+						x, l, p.Num, got, want)
+				}
+				sv, _ := hub.Tracer().SpanByID(hub.Tracer().LastSpanID())
+				if sv.Attrs["reach"] != "warm" || sv.Attrs["columns_rewalked"] != int64(1) {
+					t.Fatalf("the pass ran %v and re-walked %v columns, want warm and 1", sv.Attrs["reach"], sv.Attrs["columns_rewalked"])
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no switch closes a loop that an entry enters elsewhere")
 }
 
 // BenchmarkWarmFullAudit times a full audit after one migration on the
@@ -337,6 +430,30 @@ func BenchmarkWarmFullAudit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if rep := a.Run(views[i%2], ScopeFull); rep.Total != 0 {
+			b.Fatalf("violations: %+v", rep.Violations)
+		}
+	}
+}
+
+// BenchmarkWarmFastAuditAfterFlap times the fast pass a reroute ends with on
+// the fabric-events fabric (512 hosts, minhop, prepopulated, 2 VFs): one
+// auditor, the routings after a trunk link fails and after it heals
+// alternating, so that every pass is warm and enters each column the flap
+// changed only at the switches whose step changed.
+func BenchmarkWarmFastAuditAfterFlap(b *testing.B) {
+	halves := flapHalves(b, 1)[:2]
+	defer halves[1].set(b)
+	a := New(nil, nil, Config{})
+	for _, h := range halves {
+		h.set(b)
+		a.Run(h.view, ScopeFast)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := halves[i%2]
+		h.set(b)
+		if rep := a.Run(h.view, ScopeFast); rep.Total != 0 {
 			b.Fatalf("violations: %+v", rep.Violations)
 		}
 	}

@@ -5,44 +5,89 @@ import (
 	"slices"
 
 	"ibvsim/internal/ib"
+	"ibvsim/internal/topology"
 )
 
-// delta is the rule walk between two frozen routings: what can read
-// differently under one than under the other. It collects (switch, LID)
-// pairs for a kept CDG, or — with columns set — whole LID columns for a
-// reachability pass, which follows a destination's next hops from every
-// entry switch and so re-walks a column when any of its entries, any link it
-// leaves by or its owner moved. The rules, with duplicates removed:
+// delta is the rule walk between two frozen routings: the (switch, LID)
+// pairs that can read differently under one than under the other. For a kept
+// CDG a pair is a dependency to re-walk; for a reachability base (reach set)
+// it is a switch whose forwarding step for the LID can differ — the next hop
+// a walk takes there, or its fate. The rules, with duplicates removed:
 //
-//  1. each changed entry (j, d), plus, for pairs, (i, d) for every neighbour
-//     i that forwards d to j under either routing;
+//  1. each changed entry (j, d), plus, for a kept CDG, (i, d) for every
+//     neighbour i that forwards d to j under either routing;
 //  2. (i, d) for every d that i forwards, under either routing, out of a
-//     port whose link came up or went down — a switch-to-switch link for
-//     pairs, any link (delivery links to CAs included) for columns;
+//     port whose link came up or went down — a switch-to-switch link for a
+//     kept CDG, any link (delivery links to CAs included) for a base;
 //  3. every destination of a switch that gained or lost its table, each as a
 //     changed entry under 1;
 //  4. every switch for a destination whose owner changed, entering or
-//     leaving the destination set included.
+//     leaving the destination set included. A base marks such a column
+//     whole instead, and records no pairs of it.
 //
 // A rewired fabric is not covered: a delta's two ends have the same wiring.
 type delta struct {
-	ix      *Index
-	columns bool
-	into    [][]int32 // for pairs, per dense switch: the channel ids leading into it
+	ix    *Index
+	reach bool
+	into  [][]int32 // for a kept CDG, per dense switch: the channel ids leading into it
 
-	// The set: for pairs, bit d*switches+i for (i, d), d-major so that a
-	// visit reads the tables column by column; for columns, bit d. Only
-	// words lo..hi can be non-zero. The set is the list: nothing is kept
-	// per member.
-	set    []uint64
-	lo, hi int
-	n      int
+	// The pairs: bit d*switches+i for (i, d), d-major so that a visit reads
+	// the tables column by column. The set is the list: nothing is kept per
+	// member.
+	set bitset
+	// For a base, per LID: whether the delta names it (cols) and whether it
+	// names its whole column (whole).
+	cols, whole bitset
 }
 
-// newDelta returns the rule walk over ix's channels, for pairs or columns.
-func newDelta(ix *Index, columns bool) delta {
-	d := delta{ix: ix, columns: columns}
-	if !columns {
+// bitset is a set of small integers that grows to its largest member. Only
+// words lo..hi can be non-zero, so emptying it costs what filling it did.
+type bitset struct {
+	words  []uint64
+	lo, hi int
+	n      int // members
+}
+
+// add puts bit in the set.
+func (s *bitset) add(bit uint) {
+	w := int(bit / 64)
+	if w >= len(s.words) {
+		from := len(s.words)
+		s.words = slices.Grow(s.words, w+1-from)[:w+1]
+		clear(s.words[from:])
+	}
+	if s.words[w]&(1<<(bit%64)) != 0 {
+		return
+	}
+	s.words[w] |= 1 << (bit % 64)
+	if s.n == 0 || w < s.lo {
+		s.lo = w
+	}
+	if s.n == 0 || w > s.hi {
+		s.hi = w
+	}
+	s.n++
+}
+
+// has reports whether bit is in the set.
+func (s *bitset) has(bit uint) bool {
+	w := int(bit / 64)
+	return w < len(s.words) && s.words[w]&(1<<(bit%64)) != 0
+}
+
+// forget empties the set.
+func (s *bitset) forget() {
+	if s.n > 0 {
+		clear(s.words[s.lo : s.hi+1])
+	}
+	s.n = 0
+}
+
+// newDelta returns the rule walk over ix's channels, for a kept CDG or — reach
+// set — for a reachability base.
+func newDelta(ix *Index, reach bool) delta {
+	d := delta{ix: ix, reach: reach}
+	if !reach {
 		d.into = make([][]int32, len(ix.nodes))
 		for id, to := range ix.next {
 			if to >= 0 {
@@ -101,15 +146,15 @@ func (d *delta) changed(a, b *kept) (entries int) {
 	return entries
 }
 
-// touch adds, for each destination of block blk in mask, (j, l) and — for
-// pairs — every (i, l) whose switch i forwards l to j under a or b: the
+// touch adds, for each destination of block blk in mask, (j, l) and — for a
+// kept CDG — every (i, l) whose switch i forwards l to j under a or b: the
 // pairs that read j's entry for l.
 func (d *delta) touch(a, b *kept, j int32, blk int, mask uint64) {
 	base := ib.LID(blk * ib.LFTBlockSize)
 	for rest := mask; rest != 0; rest &= rest - 1 {
 		d.add(j, base+ib.LID(bits.TrailingZeros64(rest)))
 	}
-	if d.columns {
+	if d.reach {
 		return
 	}
 	for _, c := range d.into[j] {
@@ -127,12 +172,12 @@ func (d *delta) touch(a, b *kept, j int32, blk int, mask uint64) {
 // out of a port whose link came up or went down.
 func (d *delta) flips(a, b *kept, i int32, sets [][]ib.LID) {
 	lo, hi := i*d.ix.stride, (i+1)*d.ix.stride
-	if slices.Equal(a.hop[lo:hi], b.hop[lo:hi]) && (!d.columns || slices.Equal(a.up[lo:hi], b.up[lo:hi])) {
+	if slices.Equal(a.hop[lo:hi], b.hop[lo:hi]) && (!d.reach || slices.Equal(a.up[lo:hi], b.up[lo:hi])) {
 		return
 	}
 	flipped := func(port ib.PortNum) bool {
 		c := a.egress(i, int32(port))
-		return c >= 0 && (a.hop[c] != b.hop[c] || d.columns && a.up[c] != b.up[c])
+		return c >= 0 && (a.hop[c] != b.hop[c] || d.reach && a.up[c] != b.up[c])
 	}
 	for _, lids := range sets {
 		blk := -1
@@ -167,8 +212,9 @@ func portAt(ports *[ib.LFTBlockSize]ib.PortNum, off int) ib.PortNum {
 
 // column adds destination l with every switch: its whole column.
 func (d *delta) column(l ib.LID) {
-	if d.columns {
-		d.add(0, l)
+	if d.reach {
+		d.whole.add(uint(l))
+		d.cols.add(uint(l))
 		return
 	}
 	for i := range int32(len(d.ix.nodes)) {
@@ -176,46 +222,32 @@ func (d *delta) column(l ib.LID) {
 	}
 }
 
-// add puts (i, l) in the set — l alone for columns.
+// add puts (i, l) in the set; a base skips the pairs of a whole column.
 func (d *delta) add(i int32, l ib.LID) {
-	bit := uint(l)
-	if !d.columns {
-		bit = bit*uint(len(d.ix.nodes)) + uint(i)
+	if d.reach {
+		if d.whole.has(uint(l)) {
+			return
+		}
+		d.cols.add(uint(l))
 	}
-	w := int(bit / 64)
-	if w >= len(d.set) {
-		from := len(d.set)
-		d.set = slices.Grow(d.set, w+1-from)[:w+1]
-		clear(d.set[from:])
-	}
-	if d.set[w]&(1<<(bit%64)) != 0 {
-		return
-	}
-	d.set[w] |= 1 << (bit % 64)
-	if d.n == 0 || w < d.lo {
-		d.lo = w
-	}
-	if d.n == 0 || w > d.hi {
-		d.hi = w
-	}
-	d.n++
+	d.set.add(uint(l)*uint(len(d.ix.nodes)) + uint(i))
 }
 
 // forget empties the set.
 func (d *delta) forget() {
-	if d.n > 0 {
-		clear(d.set[d.lo : d.hi+1])
-	}
-	d.n = 0
+	d.set.forget()
+	d.cols.forget()
+	d.whole.forget()
 }
 
 // Base is a routing frozen as the base of the next reachability pass: the
 // tables, the link state and the owners of a destination set, held after
-// the Routes they came from moved on. Update names the destinations whose
-// forwarding can differ under another routing — the columns of delta — and
-// moves the base there, so that a pass re-walks those columns only. The
-// tables a Base was loaded from must not be written afterwards. A Base is
-// not safe for concurrent use.
+// the Routes they came from moved on. Update names, per destination, the
+// switches whose forwarding step can differ under another routing — or the
+// whole column, when its owner moved — and moves the base there, so that a
+// pass re-walks those columns only, and enters them only where they
+// changed. The tables a Base was loaded from must not be written afterwards.
+// A Base is not safe for concurrent use.
 type Base struct {
 	delta
 	cur, next *kept
@@ -238,8 +270,8 @@ func (b *Base) Load(r Routes, dlids []ib.LID) error {
 
 // Update moves the base to r's routing of dlids and returns how many
 // destinations can forward differently under it than under the base —
-// Changed names them until the next Update or Load. After ErrRewired the
-// base must be reloaded.
+// Changed and Switches name them until the next Update or Load. After
+// ErrRewired the base must be reloaded.
 func (b *Base) Update(r Routes, dlids []ib.LID) (int, error) {
 	b.forget()
 	if !move(b.cur, b.next, r, dlids) {
@@ -248,11 +280,33 @@ func (b *Base) Update(r Routes, dlids []ib.LID) (int, error) {
 	b.changed(b.cur, b.next)
 	b.cur, b.next = b.next, b.cur
 	b.next.release()
-	return b.n, nil
+	return b.cols.n, nil
 }
 
 // Changed reports whether the last Update named destination l.
-func (b *Base) Changed(l ib.LID) bool {
-	w := int(l) / 64
-	return w < len(b.set) && b.set[w]&(1<<(uint(l)%64)) != 0
+func (b *Base) Changed(l ib.LID) bool { return b.cols.has(uint(l)) }
+
+// Switches appends to buf, in ascending order, the switches whose forwarding
+// step for l the last Update found can differ — and reports instead whether
+// it named l's whole column (its owner moved, or it joined the
+// destinations), appending nothing then.
+func (b *Base) Switches(buf []topology.NodeID, l ib.LID) (_ []topology.NodeID, whole bool) {
+	if b.whole.has(uint(l)) {
+		return buf, true
+	}
+	nsw := uint(len(b.ix.nodes))
+	lo, hi := uint(l)*nsw, (uint(l)+1)*nsw // the column's bits: lo..hi-1
+	for w := lo / 64; w <= (hi-1)/64 && int(w) < len(b.set.words); w++ {
+		word := b.set.words[w]
+		if w == lo/64 {
+			word &^= 1<<(lo%64) - 1
+		}
+		if w == (hi-1)/64 && hi%64 != 0 {
+			word &= 1<<(hi%64) - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			buf = append(buf, b.ix.nodes[w*64+uint(bits.TrailingZeros64(word))-lo].ID)
+		}
+	}
+	return buf, false
 }

@@ -163,7 +163,7 @@ func (m *Maintained) Update(r Routes, dlids []ib.LID) (Delta, error) {
 		return Delta{}, ErrRewired
 	}
 	entries := m.changed(m.cur, n)
-	d := Delta{Pairs: m.n, Entries: entries}
+	d := Delta{Pairs: m.set.n, Entries: entries}
 	// One pass: a pair's old dependency out, its new one in. An insert
 	// refused while other pairs' old dependencies are still held may be a
 	// cycle through one of them: it waits until every removal is done, and
@@ -211,7 +211,7 @@ func (m *Maintained) Union(next Routes) (oldEdges, unionEdges int, d Delta, err 
 	}
 	t.hop, t.wired, t.up, t.own, t.in, t.lids = m.cur.hop, m.cur.wired, m.cur.up, m.cur.own, m.cur.in, m.cur.lids
 	entries := m.changed(m.cur, t)
-	d = Delta{Pairs: m.n, Entries: entries}
+	d = Delta{Pairs: m.set.n, Entries: entries}
 	oldEdges = m.g.NumEdges()
 	inserted := 0
 	m.each(t, func(c change) bool {
@@ -252,14 +252,14 @@ func (c change) moved() bool { return c.had != c.has || c.was != c.is }
 // each visits the pairs of the set by destination, then switch, while visit returns
 // true, handing it what the pair's dependency does between the graph and b.
 func (m *Maintained) each(b *kept, visit func(c change) bool) {
-	if m.n == 0 {
+	if m.set.n == 0 {
 		return
 	}
 	nsw := uint(len(m.ix.nodes))
 	held, other := &m.cols[0], &m.cols[1]
 	held.block = -1
-	for w := m.lo; w <= m.hi; w++ {
-		for rest := m.set[w]; rest != 0; rest &= rest - 1 {
+	for w := m.set.lo; w <= m.set.hi; w++ {
+		for rest := m.set.words[w]; rest != 0; rest &= rest - 1 {
 			bit := uint(w)*64 + uint(bits.TrailingZeros64(rest))
 			i, l := int32(bit%nsw), ib.LID(bit/nsw)
 			if blk := ib.BlockOf(l); blk != held.block {
