@@ -268,11 +268,15 @@ func runCDGOracle(t *testing.T, topo *topology.Topology) {
 		want := audit.New(hub, nil, audit.Config{}).Transition(tp, old, next, dlids)
 		same(what, got, want, gotAttrs, lastSpanAttrs(hub.Tracer()), "old_edges", "union_edges")
 	}
+	// landed says a distribution's union was clean since the last full
+	// pass: the kept graph holds the target it checked.
+	landed, keptTarget := false, 0
 	wire := func() {
 		srv.WireTransitionMonitor()
 		monitor := c.SM.OnDistribute
 		c.SM.OnDistribute = func(old, next cdg.Routes) {
 			monitor(old, next)
+			landed = srv.aud.Last().Total == 0
 			var dlids []ib.LID
 			for _, tg := range c.SM.Targets() {
 				dlids = append(dlids, tg.LID)
@@ -291,6 +295,13 @@ func runCDGOracle(t *testing.T, topo *topology.Topology) {
 		got := srv.aud.Run(v, audit.ScopeFull)
 		attrs := lastSpanAttrs(srv.tr)
 		same(what, got, audit.New(nil, nil, audit.Config{}).Run(v, audit.ScopeFull), attrs, nil)
+		if landed && attrs["cdg"] == "warm" && programmedIsTarget(c.SM) {
+			if attrs["pairs"] != int64(0) {
+				t.Fatalf("step %d (%s): the full pass after a completed distribution re-walked %v pairs", step, what, attrs["pairs"])
+			}
+			keptTarget++
+		}
+		landed = false
 		noteReach(attrs)
 		if attrs["reach"] == "warm" {
 			n := int(attrs["lids_walked"].(int64))
@@ -466,8 +477,11 @@ func runCDGOracle(t *testing.T, topo *topology.Topology) {
 	flapLink(t, srv, do, links[0], false)
 	flapLink(t, srv, do, links[0], true)
 
-	t.Logf("%d steps; CDG passes %v; reachability passes %v (%d served fast passes; %d warm full passes, %d of them walking no column, %.2f %% of the active LIDs on average)",
-		step, passes, reach, fast, fullWarm, fullZero, 100*float64(walked)/float64(active))
+	t.Logf("%d steps; CDG passes %v (%d after a completed distribution, re-walking no pair); reachability passes %v (%d served fast passes; %d warm full passes, %d of them walking no column, %.2f %% of the active LIDs on average)",
+		step, passes, keptTarget, reach, fast, fullWarm, fullZero, 100*float64(walked)/float64(active))
+	if keptTarget == 0 {
+		t.Errorf("no warm full pass followed a completed distribution")
+	}
 	if 100*walked > 3*active {
 		t.Errorf("a warm full pass walks %.2f %% of the active LIDs on average, budget 3 %%", 100*float64(walked)/float64(active))
 	}
@@ -569,4 +583,137 @@ func TestMaintainedCDGConcurrentPasses(t *testing.T) {
 	if !reflect.DeepEqual(got, want) || got.Total != 0 {
 		t.Fatalf("after concurrent passes the kept graph reports\n%+v\na fresh auditor\n%+v", got, want)
 	}
+}
+
+// programmedIsTarget reports whether every switch holds its target table:
+// the last distribution completed.
+func programmedIsTarget(mgr *sm.SubnetManager) bool {
+	for _, sw := range mgr.Topo.Switches() {
+		prog, tgt := mgr.ProgrammedLFT(sw), mgr.TargetLFT(sw)
+		if (prog == nil) != (tgt == nil) || prog != nil && !prog.Equal(tgt) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestKeptCDGAfterPartialDistribution: a flap's distribution loses SMPs and
+// abandons some switches, so the programmed tables are a mixture of the old
+// routing and the target the transition check kept. The next full pass
+// brings the kept graph from that target to the mixture and reports what a
+// fresh auditor reports: warm, unless the mixture is cyclic — the union
+// R_old ∪ R_new walks each routing alone, and a switch still on the old
+// routing may forward to one already on the new and back, a dependency
+// neither holds. Once the faults clear, a redistribution completes, and the
+// graph is clean: no violation, and a pass over the unchanged fabric
+// re-walks no pair.
+func TestKeptCDGAfterPartialDistribution(t *testing.T) {
+	warm, cyclic := 0, 0
+	for seed := int64(1); seed <= 6; seed++ {
+		if partialDistribution(t, seed) {
+			warm++
+		} else {
+			cyclic++
+		}
+	}
+	t.Logf("six lossy distributions: %d mixtures checked warm, %d cyclic", warm, cyclic)
+	if warm == 0 {
+		t.Error("no lossy distribution left an acyclic mixture: the warm delta from a kept target went untested")
+	}
+}
+
+// partialDistribution runs one lossy flap, its full pass, a fault-free
+// redistribution and the passes after it, and reports whether the pass over
+// the mixture ran warm.
+func partialDistribution(t *testing.T, seed int64) (warm bool) {
+	t.Helper()
+	topo, err := topology.BuildPaperFatTree(324)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newCDGServer(t, topo, sriov.VSwitchPrepopulated, Config{})
+	cl := ts.Client()
+	c := srv.c
+	srv.WireTransitionMonitor()
+	monitor, union := c.SM.OnDistribute, 0
+	c.SM.OnDistribute = func(old, next cdg.Routes) {
+		monitor(old, next)
+		union = srv.aud.Last().Total
+	}
+	full := func(what string) (*audit.Report, map[string]any) {
+		t.Helper()
+		var v *audit.View
+		if err := srv.co.Freeze(func() { v = srv.compose().AuditView() }); err != nil {
+			t.Fatal(err)
+		}
+		got := srv.aud.Run(v, audit.ScopeFull)
+		want := audit.New(nil, nil, audit.Config{}).Run(v, audit.ScopeFull)
+		g, w := *got, *want
+		g.WallUS, w.WallUS = 0, 0
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("seed %d, %s: kept graph reports\n%+v\na fresh auditor\n%+v", seed, what, g, w)
+		}
+		return got, lastSpanAttrs(srv.tr)
+	}
+	reconfigure := func(l trunk, up bool) int {
+		t.Helper()
+		if err := srv.co.Freeze(func() {
+			if err := topo.SetLinkState(l.sw, l.port, up); err != nil {
+				t.Error(err)
+			}
+			if _, err := c.SM.LightSweep(); err != nil {
+				t.Error(err)
+			}
+			if _, err := c.SM.Resweep(); err != nil {
+				t.Error(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return doJSON(t, cl, "POST", ts.URL+"/v1/reconfigure", nil, nil)
+	}
+	full("boot")
+	link := strataLinks(topo)[0]
+
+	// Every SMP has one attempt and a third of them are lost: the
+	// distribution abandons some switches and updates the rest, which ones
+	// fixed by the seed since one worker rolls the dice in job order. The
+	// manager is idle between replies, so configuring it here is race free.
+	dist := c.SM.Dist
+	c.SM.Dist.Retry.MaxAttempts, c.SM.Dist.Workers = 1, 1
+	c.SM.InjectFaults(smp.FaultConfig{Drop: 0.3, Seed: seed})
+	if reconfigure(link, false); union != 0 {
+		t.Fatalf("seed %d: the lossy distribution's union has a cycle", seed)
+	}
+	if programmedIsTarget(c.SM) {
+		t.Fatalf("seed %d: the lossy distribution completed: nothing is left half-programmed", seed)
+	}
+	rep, attrs := full("after the lossy distribution")
+	switch attrs["cdg"] {
+	case "warm":
+		if attrs["pairs"] == int64(0) {
+			t.Fatalf("seed %d: the warm pass over an incomplete distribution re-walked no pair", seed)
+		}
+		warm = true
+	default:
+		if attrs["cdg_reason"] != "cyclic" || rep.ByKind[string(audit.KindDeadlock)] == 0 {
+			t.Fatalf("seed %d: the pass over the mixture ran cold (%v) and reports %v", seed, attrs["cdg_reason"], rep.ByKind)
+		}
+	}
+
+	c.SM.ClearFaults()
+	c.SM.Dist = dist
+	if st := reconfigure(link, false); st != 200 {
+		t.Fatalf("seed %d: redistribution: status %d", seed, st)
+	}
+	if !programmedIsTarget(c.SM) {
+		t.Fatalf("seed %d: the fault-free redistribution left switches behind", seed)
+	}
+	if rep, attrs := full("after the redistribution"); rep.Total != 0 || warm && attrs["pairs"] != int64(0) {
+		t.Fatalf("seed %d: after the redistribution: %v, cdg %v, %v pairs re-walked", seed, rep.ByKind, attrs["cdg"], attrs["pairs"])
+	}
+	if _, attrs := full("again"); attrs["cdg"] != "warm" || attrs["pairs"] != int64(0) {
+		t.Fatalf("seed %d: a pass over the unchanged fabric ran cdg %v and re-walked %v pairs", seed, attrs["cdg"], attrs["pairs"])
+	}
+	return warm
 }

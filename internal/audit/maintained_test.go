@@ -137,8 +137,10 @@ func (h *flapHalf) installed(a *Auditor) cdgPass {
 // TestMaintainedCDGCosts is the deterministic gate on the kept graph, on the
 // benchmark's flap fabric over four links of each stratum: every pass after
 // the first is warm, a pass re-walks on average at most 5 % of the (data
-// LID, switch) pairs a cold build walks, and a warm transition check and a
-// warm full-audit CDG update after one flap each allocate at most 4 times.
+// LID, switch) pairs a cold build walks, the full audit after a completed
+// distribution re-walks none (the transition check kept the routing it
+// checked), and a warm transition check and a warm full-audit CDG update
+// after one flap each allocate at most 4 times.
 func TestMaintainedCDGCosts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 512-host fabric")
@@ -157,6 +159,9 @@ func TestMaintainedCDGCosts(t *testing.T) {
 		full := h.installed(a)
 		if i > 0 && (sv.Attrs["cdg"] != "warm" || full.cold != "") {
 			t.Fatalf("half %d: transition ran %v (%v), full audit %q", i, sv.Attrs["cdg"], sv.Attrs["cdg_reason"], full.cold)
+		}
+		if full.pairs != 0 {
+			t.Errorf("half %d: the full audit after a completed distribution re-walked %d pairs, want 0", i, full.pairs)
 		}
 		if i > 0 {
 			for _, pairs := range []int{int(sv.Attrs["pairs"].(int64)), full.pairs} {

@@ -25,11 +25,15 @@ import (
 // dump; distribution itself is not blocked (the monitor observes, the
 // mitigation policy in core decides).
 //
-// The check costs what changed: the auditor's kept CDG of the installed
-// routing is brought up to date with old, next's dependencies are inserted
-// for the pairs whose entries differ, and the inserts are taken back. Only a
-// cyclic union (a refused insert) or a cyclic installed routing runs the
-// cold check, whose report names the cycle.
+// The check costs what changed, once: the auditor's kept CDG of the
+// installed routing is brought up to date with old, next's dependencies are
+// inserted for the pairs whose entries differ, and an acyclic union keeps
+// next (old's dependencies of those pairs are removed; next's tables are
+// held as frozen copies, so the manager may go on writing its targets). The
+// full audit after a completed distribution then finds nothing to re-walk,
+// and after a partial one only what did not land. Only a cyclic union (a
+// refused insert, after which the graph stays on old) or a cyclic installed
+// routing runs the cold check, whose report names the cycle.
 //
 // Like checkInstalledCDG, the analysis covers CA-owned destinations only:
 // switch-destined traffic is VL15 management, outside data-VL deadlock.

@@ -23,13 +23,14 @@ var (
 // pair — a multiset, so a dependency two pairs induce is held twice —
 // together with the tables, link state and destination owners it was walked
 // from. Update moves it to another routing, and Union checks a second routing
-// against it, each at the cost of the pairs whose dependency can differ:
-// the pairs of delta's four rules, which follow from what the pair walk
-// (Walk.dep) reads.
+// against it and, when their union is acyclic, keeps the second; each costs
+// the pairs whose dependency can differ: the pairs of delta's four rules,
+// which follow from what the pair walk (Walk.dep) reads.
 //
 // A rewired fabric is not covered (ErrRewired). The tables a Maintained was
-// loaded from must not be written afterwards: the next delta starts from
-// them. A Maintained is not safe for concurrent use.
+// loaded or updated from must not be written afterwards: the next delta
+// starts from them. Union's are exempt — it keeps frozen copies of them. A
+// Maintained is not safe for concurrent use.
 type Maintained struct {
 	delta // the pairs to re-walk
 	g     *Ordered
@@ -37,8 +38,13 @@ type Maintained struct {
 	cur, next, tgt *kept
 	// cols are the held and the other walk's blocks of the LIDs being
 	// visited: a pair's dependencies are array reads.
-	cols    [2]columns
-	waiting []Dep // Update's refused inserts, retried after every removal
+	cols [2]columns
+	// deps is scratch: Update's refused inserts, retried after every
+	// removal, and Union's old dependencies of the pairs it moved.
+	deps []Dep
+	// frozen is, per switch, the shell of Union's copy of a table it kept,
+	// emptied once cur moved off it so that it keeps no past routing alive.
+	frozen []ib.LFT
 }
 
 // Delta is what one Update or Union re-walked: the pairs, and the changed
@@ -129,9 +135,15 @@ func NewMaintained(ix *Index) *Maintained {
 // Load builds the graph of r's routing for dlids from nothing: one walk of
 // every pair and one topological sort, not a checked insert per dependency.
 func (m *Maintained) Load(r Routes, dlids []ib.LID) error {
+	clear(m.frozen)
 	if !m.cur.load(r, dlids) {
 		return ErrRewired
 	}
+	return m.build()
+}
+
+// build fills the graph with cur's routing from nothing.
+func (m *Maintained) build() error {
 	m.g.reset()
 	cols := columns{block: -1}
 	var buf []Dep
@@ -168,7 +180,7 @@ func (m *Maintained) Update(r Routes, dlids []ib.LID) (Delta, error) {
 	// refused while other pairs' old dependencies are still held may be a
 	// cycle through one of them: it waits until every removal is done, and
 	// only a refusal then is a cycle of the new routing.
-	waiting := m.waiting[:0]
+	waiting := m.deps[:0]
 	m.each(n, func(c change) bool {
 		if !c.moved() {
 			return true
@@ -190,19 +202,26 @@ func (m *Maintained) Update(r Routes, dlids []ib.LID) (Delta, error) {
 			break
 		}
 	}
-	m.waiting = waiting[:0]
+	m.deps = waiting[:0]
 	m.forget()
 	m.cur, m.next = n, m.cur
 	m.next.release()
+	clear(m.frozen)
 	return d, err
 }
 
 // Union checks next's routing against the one held, for the same
 // destinations, owners and link state — the section VI-C transition, in
 // which a packet may hold channels of either: it inserts next's dependencies
-// for the pairs whose entries differ, reads the edge counts of the routing
-// held and of the union, and takes the inserts back. ErrCyclic means an
-// insert was refused: the union has a cycle, and unionEdges is a lower bound.
+// for the pairs whose entries differ and reads the edge counts of the
+// routing held and of the union. When the union is acyclic it keeps next:
+// the old dependencies of those pairs are removed, and the graph holds next's
+// routing, frozen (a table of next that differs is copied with
+// ib.LFT.CloneInto, so next's owner may go on writing it in place). The next
+// Update then costs only what did not land as next. ErrCyclic means an
+// insert was refused: the union has a cycle, unionEdges is a lower bound,
+// and the graph is rebuilt on the routing it held — a refusal is the rare
+// path, and a pair moved costs only its old dependency in scratch.
 func (m *Maintained) Union(next Routes) (oldEdges, unionEdges int, d Delta, err error) {
 	t := m.tgt
 	t.lfts = slices.Grow(t.lfts[:0], len(m.ix.nodes))[:len(m.ix.nodes)]
@@ -213,32 +232,54 @@ func (m *Maintained) Union(next Routes) (oldEdges, unionEdges int, d Delta, err 
 	entries := m.changed(m.cur, t)
 	d = Delta{Pairs: m.set.n, Entries: entries}
 	oldEdges = m.g.NumEdges()
-	inserted := 0
+	olds := m.deps[:0]
 	m.each(t, func(c change) bool {
-		if c.has && c.moved() {
+		if !c.moved() {
+			return true
+		}
+		if c.has {
 			if _, acyclic := m.g.insert(c.is.A, c.is.B); !acyclic {
 				err = ErrCyclic
 				return false
 			}
-			inserted++
+		}
+		if c.had {
+			olds = append(olds, c.was)
 		}
 		return true
 	})
 	unionEdges = m.g.NumEdges()
-	m.each(t, func(c change) bool { // the same pairs in the same order
-		if inserted == 0 {
-			return false
+	if err == nil {
+		for _, dep := range olds {
+			m.g.remove(dep.A, dep.B)
 		}
-		if c.has && c.moved() {
-			m.g.remove(c.is.A, c.is.B)
-			inserted--
-		}
-		return true
-	})
+		m.freeze(t)
+	} else {
+		m.build() //nolint:errcheck // the routing held is acyclic
+	}
+	m.deps = olds[:0]
 	m.forget()
 	t.release()
 	t.hop, t.wired, t.up, t.own, t.in, t.lids = nil, nil, nil, nil, nil, nil
 	return oldEdges, unionEdges, d, err
+}
+
+// freeze makes cur hold t's tables: each that differs as a copy in the
+// switch's reused shell, since t's tables may be written after Union returns.
+func (m *Maintained) freeze(t *kept) {
+	if m.frozen == nil {
+		m.frozen = make([]ib.LFT, len(m.ix.nodes))
+	}
+	for i, lft := range t.lfts {
+		switch {
+		case lft == m.cur.lfts[i]:
+		case lft == nil:
+			m.cur.lfts[i] = nil
+		default:
+			lft.CloneInto(&m.frozen[i])
+			m.cur.lfts[i] = &m.frozen[i]
+		}
+	}
 }
 
 // change is what one pair's dependency does between the graph and a walk.

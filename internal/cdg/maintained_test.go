@@ -163,8 +163,8 @@ func runMaintained(t *testing.T, seed int64, ops []byte) {
 	sync("load")
 	sws := topo.Switches()
 	for step, op := range ops {
-		what := fmt.Sprintf("step %d (op %d)", step, op%5)
-		switch op % 5 {
+		what := fmt.Sprintf("step %d (op %d)", step, op%6)
+		switch op % 6 {
 		case 0: // entry edits
 			for n := 1 + rng.Intn(3); n > 0; n-- {
 				edit(topo, e.lfts, e.dlids, rng)
@@ -188,7 +188,7 @@ func runMaintained(t *testing.T, seed int64, ops []byte) {
 				e.gone[sw] = e.lfts[sw]
 				delete(e.lfts, sw)
 			}
-		case 4: // a transition to a few edits away
+		case 4, 5: // a transition to a few edits away that never lands
 			if !held {
 				continue
 			}
@@ -208,13 +208,40 @@ func runMaintained(t *testing.T, seed int64, ops []byte) {
 			if errors.Is(err, ErrCyclic) == tr.UnionAcyclic {
 				t.Fatalf("%s: union refused=%v, cold union acyclic=%v", what, err != nil, tr.UnionAcyclic)
 			}
-			if err == nil && (oldEdges != tr.OldEdges || unionEdges != tr.UnionEdges) {
-				t.Fatalf("%s: edges old %d union %d, cold %d/%d", what, oldEdges, unionEdges, tr.OldEdges, tr.UnionEdges)
+			if err != nil {
+				sameMultiset(t, what+" (refused)", m, e.routes(), e.dlids)
+			} else {
+				if oldEdges != tr.OldEdges || unionEdges != tr.UnionEdges {
+					t.Fatalf("%s: edges old %d union %d, cold %d/%d", what, oldEdges, unionEdges, tr.OldEdges, tr.UnionEdges)
+				}
+				sameMultiset(t, what+" (kept next)", m, nr, e.dlids)
+				if op%6 == 5 {
+					writeBack(sws, next, e.lfts)
+				}
 			}
-			sameMultiset(t, what+" (rolled back)", m, e.routes(), e.dlids)
-			continue
+			what += " (never landed)"
 		}
 		sync(what)
+	}
+}
+
+// writeBack writes one entry that a transition edited in a table of next
+// back to old's value, in place: what the subnet manager does to a target
+// table after the union checked it. The graph kept next as it was checked,
+// so the delta back to old must still re-walk that entry's pair.
+func writeBack(sws []topology.NodeID, next, old map[topology.NodeID]*ib.LFT) {
+	for _, sw := range sws {
+		lft, was := next[sw], old[sw]
+		if lft == nil || was == nil || lft == was {
+			continue
+		}
+		for blk, _, _, ok := lft.NextDiff(was, 0); ok; blk, _, _, ok = lft.NextDiff(was, blk+1) {
+			for l := ib.LID(blk * ib.LFTBlockSize); int(l) < (blk+1)*ib.LFTBlockSize; l++ {
+				if lft.Set(l, was.Get(l)) {
+					return
+				}
+			}
+		}
 	}
 }
 
@@ -226,6 +253,7 @@ func FuzzMaintainedCDG(f *testing.F) {
 	f.Add(int64(3), []byte{2, 2, 4, 2, 0, 2, 4})
 	f.Add(int64(4), []byte{3, 4, 3, 0, 4, 3, 3, 4})
 	f.Add(int64(5), []byte{0, 0, 0, 0, 4, 0, 0, 0, 0, 4, 0, 0, 0, 4})
+	f.Add(int64(7), []byte{5, 0, 5, 1, 5, 0, 5, 3, 5, 0, 5})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		runMaintained(t, seed, ops[:min(len(ops), 48)])
 	})
@@ -238,7 +266,7 @@ func TestMaintainedFollowsEdits(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 30)
 		for i := range ops {
-			ops[i] = byte(rng.Intn(5))
+			ops[i] = byte(rng.Intn(6))
 		}
 		runMaintained(t, seed, ops)
 	}

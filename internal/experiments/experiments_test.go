@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"ibvsim/internal/core"
 )
@@ -57,27 +58,36 @@ func TestFig7SmallSizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("routes the 324-node fabric with four engines")
 	}
-	rows, err := Fig7(Fig7Options{Sizes: []int{324}})
-	if err != nil {
-		t.Fatal(err)
+	// The shape check below compares wall clocks: each engine's fastest of
+	// a few runs, so that one descheduled run on a busy box does not decide.
+	var rows []Fig7Row
+	fastest := map[string]time.Duration{}
+	for range 3 {
+		var err error
+		if rows, err = Fig7(Fig7Options{Sizes: []int{324}}); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if d, ok := fastest[r.Engine]; !ok || r.PCt < d {
+				fastest[r.Engine] = r.PCt
+			}
+		}
 	}
 	// 4 engines + the lid-swap/copy zero row.
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(rows))
 	}
-	byEngine := map[string]Fig7Row{}
 	for _, r := range rows {
-		byEngine[r.Engine] = r
 		if r.Engine != "lid-swap/copy" && r.PCt <= 0 {
 			t.Errorf("%s: no PCt measured", r.Engine)
 		}
 	}
-	if byEngine["lid-swap/copy"].PCt != 0 {
+	if fastest["lid-swap/copy"] != 0 {
 		t.Error("lid-swap/copy must be zero")
 	}
 	// Shape: ftree is the fastest engine on its home topology.
-	if byEngine["ftree"].PCt > byEngine["dfsssp"].PCt {
-		t.Errorf("ftree (%v) should beat dfsssp (%v)", byEngine["ftree"].PCt, byEngine["dfsssp"].PCt)
+	if fastest["ftree"] > fastest["dfsssp"] {
+		t.Errorf("ftree (%v) should beat dfsssp (%v), the fastest of 3 runs each", fastest["ftree"], fastest["dfsssp"])
 	}
 	out := RenderFig7(rows)
 	if !strings.Contains(out, "lid-swap/copy") || !strings.Contains(out, "0.012") {

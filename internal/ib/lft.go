@@ -2,6 +2,7 @@ package ib
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -67,7 +68,11 @@ type lftSuper struct {
 // concurrent Clones of one table are safe against each other (writers clone
 // the live published table that readers are walking). Set must not race
 // with any other method on the same table — callers serialise writers per
-// switch exactly as they did when Clone was a deep copy.
+// switch exactly as they did when Clone was a deep copy. A reader that keeps
+// a table past its owner's next Set freezes it with CloneInto (the kept CDG
+// does so for the target tables a clean section VI-C union commits to): the
+// copy does not move when the source is written, because the source's next
+// write copies the storage the two share.
 //
 // The zero value is not usable; construct with NewLFT. A port value of 255
 // (DropPort) or an entry outside the populated range means "drop".
@@ -129,12 +134,29 @@ func (t *LFT) superSlice(n int) []*lftSuper {
 // shared until either side writes into them. Both tables move to fresh
 // generations, so neither will mutate shared storage in place.
 func (t *LFT) Clone() *LFT {
-	c := &LFT{nblocks: t.nblocks, prov: t.prov}
-	c.supers = c.superSlice(len(t.supers))
+	c := &LFT{}
+	t.CloneInto(c)
+	return c
+}
+
+// CloneInto makes c an independent copy of t, as Clone does, reusing c's own
+// memory: for a table of up to lftInline superblocks it allocates nothing.
+// What c held before is dropped. It is how a reader freezes a table it keeps
+// while the table's owner goes on writing it in place (the source's later
+// Sets copy on write), and c must not be read concurrently.
+func (t *LFT) CloneInto(c *LFT) {
+	c.nblocks, c.prov = t.nblocks, t.prov
+	n := len(t.supers)
+	if n <= lftInline {
+		c.supers = c.inline[:n]
+		clear(c.inline[n:]) // keep no dropped superblock alive
+	} else {
+		c.supers = slices.Grow(c.supers[:0], n)[:n]
+		clear(c.inline[:])
+	}
 	copy(c.supers, t.supers)
 	c.gen.Store(lftGen.Add(1))
 	t.gen.Store(lftGen.Add(1))
-	return c
 }
 
 // NumBlocks returns the number of 64-entry blocks backing the table.
