@@ -295,7 +295,8 @@ func classifyErr(err error) int {
 	case errors.Is(err, cloud.ErrExists),
 		errors.Is(err, cloud.ErrSameNode),
 		errors.Is(err, cloud.ErrBusy),
-		errors.Is(err, cloud.ErrNoFreeVF):
+		errors.Is(err, cloud.ErrNoFreeVF),
+		errors.Is(err, cloud.ErrStale):
 		return http.StatusConflict
 	case errors.Is(err, cloud.ErrNoVM):
 		return http.StatusNotFound

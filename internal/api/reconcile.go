@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"ibvsim/internal/audit"
+	"ibvsim/internal/cloud"
 	"ibvsim/internal/core"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/reconcile"
@@ -180,13 +181,20 @@ func (s *Server) execReconcile(cmd *command, d *done) {
 				wd.rowHyps = append(wd.rowHyps, vm.Hyp)
 			}
 		}
-		// A wave is a phase too, epilogue included: its staging and merge
-		// emit no span of their own, and with them under one the reconcile
-		// span's children account for its wall time.
+		// A wave is a phase too, epilogue included: binding the staged
+		// members emits no span of its own, and with it under one the
+		// reconcile span's children account for its wall time. The wave runs
+		// as the planner staged and merged it — the plan it costed — once
+		// its members are bound to the live VFs; a member whose VM or VFs
+		// changed since refuses the wave before anything is held or sent.
 		ws := span.Child(telemetry.SpanPhase, "wave")
 		ws.SetAttrs("wave", wi+1, "moves", len(wave))
 		s.tr.PushScope(ws)
-		wr, werr := s.c.MigrateWaveProv(wave, prov)
+		var wr cloud.WaveReport
+		werr := s.c.BindWave(plan.Staged[wi])
+		if werr == nil {
+			wr, werr = s.c.RunWave(plan.Staged[wi], prov)
+		}
 		// Even a failed wave may have moved VMs or stranded columns before
 		// erroring: publish and audit what it names either way.
 		wd.lids = wr.LIDs

@@ -41,6 +41,7 @@ var (
 	ErrNoFreeVF      = errors.New("free VF")
 	ErrNotHypervisor = errors.New("is not a hypervisor")
 	ErrSameNode      = errors.New("is already on node")
+	ErrStale         = errors.New("changed since it was staged")
 )
 
 // Hypervisor is one compute node.
@@ -238,7 +239,7 @@ func (c *Cloud) VMCountOn(n topology.NodeID) int {
 	if h == nil {
 		return 0
 	}
-	return len(h.HCA.AttachedVFs())
+	return h.HCA.AttachedCount()
 }
 
 // Place asks the configured scheduler which of hyps (ascending) is to host

@@ -53,13 +53,16 @@ type Rebind struct {
 //	Adopt    step 4: the destination VF takes its after-state, attached; the
 //	         VM record and the SA follow
 //
-// MigrateVMVF runs them inline, MigrateWaveProv for N members round one
-// Commit, shard.Coordinator with each step on the actor that owns what it
-// touches, and the reconciler stages against its shadow and applies the
-// effects to it. A step that fails after Detach leaves the source VF held:
-// the stranded VM still names it, and re-advertising it would hand the next
-// VM a half-moved LID. Release and Reattach undo Stage and Detach while the
-// fabric is still untouched.
+// MigrateVMVF runs them inline, RunWave for N members round one Commit of
+// their merged plan, and shard.Coordinator with each step on the actor that
+// owns what it touches. The reconciler stages each wave against its shadow
+// once: the planner costs those migrations and applies their effects to the
+// shadow, and the apply binds the same values to the live VFs (BindWave,
+// which refuses a member whose VM or VFs changed since) and runs them —
+// what was costed is what is sent. A step that fails after Detach leaves the
+// source VF held: the stranded VM still names it, and re-advertising it
+// would hand the next VM a half-moved LID. Release and Reattach undo Stage
+// (or BindWave) and Detach while the fabric is still untouched.
 type Migration struct {
 	VM       string
 	From, To topology.NodeID
@@ -83,6 +86,9 @@ type Migration struct {
 	stats    core.PlanStats
 	downtime time.Duration
 	hostSMPs int
+	// srcWas and dstWas are the two VFs as Stage found them: what BindWave
+	// holds the live VFs to.
+	srcWas, dstWas sriov.VF
 }
 
 // Stage computes a migration from VF srcVF of src to VF dstVF of dst against
@@ -96,6 +102,7 @@ func Stage(rc *core.Reconfigurator, v cdg.Routes, name string, src *sriov.HCA, s
 	from, to := src.VFs[srcVF], dst.VFs[dstVF]
 	m := &Migration{
 		VM: name, From: src.Node, To: dst.Node, Addr: src.Addresses(from), src: src, dst: dst,
+		srcWas: from, dstWas: to,
 		SrcAfter: sriov.VF{Index: srcVF, GUID: src.PFGUID + ib.GUID(srcVF+1)},
 		DstAfter: sriov.VF{Index: dstVF, GUID: from.GUID, Attached: true},
 	}
@@ -204,28 +211,28 @@ func (m *Migration) Reattach() {
 // block of a switch cost one SMP instead of one per member. A failure here is
 // transport-level: it is surfaced without rolling back the edits already sent.
 func (c *Cloud) Commit(prov *ib.Provenance, ms ...*Migration) (core.PlanStats, error) {
-	var plans []*core.MigrationPlan
-	for _, m := range ms {
-		c.SM.Telemetry().Registry().Counter("cloud.migrations").Inc()
-		if m.Plan != nil {
-			plans = append(plans, m.Plan)
-		}
+	w, err := MergeWave(ms)
+	if err != nil {
+		return core.PlanStats{}, err
 	}
+	return c.commit(prov, w)
+}
+
+// commit is Commit of a wave whose plan is already merged.
+func (c *Cloud) commit(prov *ib.Provenance, w Wave) (core.PlanStats, error) {
+	ms := w.Members
+	c.SM.Telemetry().Registry().Counter("cloud.migrations").Add(int64(len(ms)))
 	var st core.PlanStats
 	var err error
 	switch {
-	case len(plans) == 0:
+	case w.Plan == nil:
 	case len(ms) == 1:
 		// The lone member's span, when it has begun, owns the distribution.
-		plans[0].Prov, plans[0].Under = prov, ms[0].span
-		st, err = c.RC.Apply(plans[0])
+		w.Plan.Prov, w.Plan.Under = prov, ms[0].span
+		st, err = c.RC.Apply(w.Plan)
 	default:
-		var merged *core.MigrationPlan
-		if merged, err = core.MergePlans(plans...); err != nil {
-			return st, err
-		}
-		merged.Prov = prov
-		if st, err = c.RC.ApplyEdits(merged); err != nil {
+		w.Plan.Prov = prov
+		if st, err = c.RC.ApplyEdits(w.Plan); err != nil {
 			return st, err
 		}
 		for _, m := range ms {

@@ -22,51 +22,146 @@ type WaveReport struct {
 	LIDs []ib.LID
 }
 
-// MigrateWaveProv migrates several VMs as one wave: every move's LFT edits
-// are computed against the same fabric state, merged via MergePlans and
-// applied as a single distribution. The per-wave LID sets are disjoint (each
-// move edits only its own VM LID and reserved destination-VF LID), so the
-// merge never conflicts, and edits landing in the same 64-LID block of a
+// Wave is a staged migration wave: its members, staged against one fabric
+// state, and the plan their LFT edits ride — nil when no member edits a
+// table (Shared Port), the lone member's own plan, else the members' plans
+// merged by MergePlans. A planner stages and merges a wave once, to cost
+// it; RunWave commits that very plan.
+type Wave struct {
+	Members []*Migration
+	Plan    *core.MigrationPlan
+}
+
+// MergeWave builds the wave its staged members make.
+func MergeWave(ms []*Migration) (Wave, error) {
+	w := Wave{Members: ms}
+	var plans []*core.MigrationPlan
+	for _, m := range ms {
+		if m.Plan != nil {
+			plans = append(plans, m.Plan)
+		}
+	}
+	var err error
+	switch {
+	case len(plans) == 0:
+	case len(ms) == 1:
+		w.Plan = plans[0]
+	default:
+		w.Plan, err = core.MergePlans(plans...)
+	}
+	return w, err
+}
+
+// MigrateWaveProv migrates several VMs as one wave: every move is staged
+// against the live fabric, the plans are merged via MergePlans and RunWave
+// applies them as a single distribution. The per-wave LID sets are disjoint
+// (each move edits only its own VM LID and reserved destination-VF LID), so
+// the merge never conflicts, and edits landing in the same 64-LID block of a
 // switch cost one SMP instead of one per migration. Which moves share a wave
 // is the reconcile planner's decision; this runs the wave it is given, and
 // refuses a multi-move wave under the invalidation pre-pass.
 //
-// Every member is one Migration, run through the same steps as MigrateVM
-// round one shared Commit: all are staged (destination VFs held) before
-// anything is mutated, and a member that cannot detach aborts the wave with
-// the fabric untouched.
-// Each MigrationReport carries its own plan's predicted switch/SMP counts;
-// the merged distribution's applied stats — the SMPs that actually hit the
-// wire — are in WaveReport.Plan. Every report's Downtime is the wave's
-// distribution time: the wave completes as a unit.
+// All members are staged (destination VFs held) before anything is mutated:
+// each holds its own destination VF, so no two can claim the same slot, and
+// a validation failure anywhere leaves the cloud untouched, under every
+// SR-IOV model.
 //
-// prov is the provenance epoch of the wave's merged LFT distribution (the
-// reconciler passes one naming the wave index and goal); nil builds a
-// generic wave stamp, so wave writes are never unattributed.
+// prov is the provenance epoch of the wave's merged LFT distribution; nil
+// builds a generic wave stamp, so wave writes are never unattributed.
 func (c *Cloud) MigrateWaveProv(moves []Move, prov *ib.Provenance) (rep WaveReport, err error) {
 	if len(moves) == 0 {
 		return rep, nil
 	}
-	if prov == nil {
-		prov = &ib.Provenance{
-			Mutation: ib.NextMutationID(),
-			Engine:   "migrate",
-			Reason:   fmt.Sprintf("wave (%d moves)", len(moves)),
-			Shard:    ib.ShardNone,
+	ms := make([]*Migration, 0, len(moves))
+	release := func() {
+		for _, m := range ms {
+			m.Release()
 		}
 	}
-	if c.RC.Mitigation == core.MitigationInvalidate && len(moves) > 1 {
-		// The invalidation pre-pass points each plan's VM LID at port 255
-		// on every merged switch, but only that VM's own edits restore it —
-		// a multi-move merge would strand LIDs invalidated on the other
-		// moves' switches.
-		return rep, fmt.Errorf("cloud: multi-move waves cannot run under %v; split into single-move waves",
-			core.MitigationInvalidate)
+	seen := map[string]bool{}
+	for _, mv := range moves {
+		if seen[mv.VM] {
+			release()
+			return rep, fmt.Errorf("cloud: VM %q appears twice in one wave", mv.VM)
+		}
+		seen[mv.VM] = true
+		m, err := c.Stage(mv.VM, mv.To, -1)
+		if err != nil {
+			release()
+			return rep, err
+		}
+		ms = append(ms, m)
 	}
-	// Stage every member before anything else changes: each holds its own
-	// destination VF, so no two can claim the same slot, and a validation
-	// failure anywhere leaves the cloud untouched, under every SR-IOV model.
-	ms := make([]*Migration, 0, len(moves))
+	w, err := MergeWave(ms)
+	if err != nil {
+		release()
+		return rep, err
+	}
+	return c.RunWave(w, prov)
+}
+
+// BindWave adopts a wave staged against a planner's shadow of this cloud
+// onto the live VFs, holding each member's destination VF as Stage would
+// have. The plans stay as staged: the shadow started from this fabric and
+// carries every effect of the waves before this one, so they are the plans
+// a live Stage would compute now. A member whose VM is gone, moved or on a
+// changed source VF, or whose destination VF is taken, held or re-addressed,
+// refuses the wave with the live state untouched: nothing is held, nothing
+// sent.
+func (c *Cloud) BindWave(w Wave) error {
+	for i, m := range w.Members {
+		if err := c.bind(m); err != nil {
+			for _, b := range w.Members[:i] {
+				b.Release()
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// bind is BindWave for one member. The hypervisors are the staged ones:
+// a cloud's hypervisor set is fixed at New.
+func (c *Cloud) bind(m *Migration) error {
+	vm := c.VM(m.VM)
+	if vm == nil {
+		return fmt.Errorf("cloud: %w %q", ErrNoVM, m.VM)
+	}
+	src, dst := c.hyps[m.From].HCA, c.hyps[m.To].HCA
+	if vm.Hyp != m.From || vm.VF != m.srcWas.Index {
+		return fmt.Errorf("cloud: VM %q %w: staged on node %d VF %d, now on node %d VF %d",
+			m.VM, ErrStale, m.From, m.srcWas.Index, vm.Hyp, vm.VF)
+	}
+	if src.VFs[vm.VF] != m.srcWas {
+		return fmt.Errorf("cloud: VM %q %w: its VF is %+v, staged %+v", m.VM, ErrStale, src.VFs[vm.VF], m.srcWas)
+	}
+	to := dst.VFs[m.dstWas.Index]
+	if !to.Free() {
+		return fmt.Errorf("cloud: destination %d VF %d is no longer a %w", m.To, to.Index, ErrNoFreeVF)
+	}
+	if to.LID != m.dstWas.LID {
+		return fmt.Errorf("cloud: destination %d VF %d %w: LID %d, staged %d", m.To, to.Index, ErrStale, to.LID, m.dstWas.LID)
+	}
+	dst.Hold(to.Index)
+	m.c, m.vm, m.src, m.dst = c, vm, src, dst
+	return nil
+}
+
+// RunWave runs a staged wave — staged live by MigrateWaveProv or bound by
+// BindWave — round one Commit of the plan it carries; nothing is re-staged
+// or re-merged. Every member is one Migration, run through the same steps as
+// MigrateVM: a member that cannot detach aborts the wave with the fabric
+// untouched, then one distribution carries the wave's edits, then each
+// member settles under a span of its own. Each MigrationReport carries its
+// own plan's predicted switch/SMP counts; the merged distribution's applied
+// stats — the SMPs that actually hit the wire — are in WaveReport.Plan.
+// Every report's Downtime is the wave's distribution time: the wave
+// completes as a unit. On error every member's destination VF is released.
+//
+// prov is the provenance epoch of the wave's distribution (the reconciler
+// passes one naming the wave index and goal); nil builds a generic stamp.
+func (c *Cloud) RunWave(w Wave, prov *ib.Provenance) (rep WaveReport, err error) {
+	ms := w.Members
 	defer func() {
 		if err != nil {
 			for _, m := range ms {
@@ -74,17 +169,24 @@ func (c *Cloud) MigrateWaveProv(moves []Move, prov *ib.Provenance) (rep WaveRepo
 			}
 		}
 	}()
-	seen := map[string]bool{}
-	for _, mv := range moves {
-		if seen[mv.VM] {
-			return rep, fmt.Errorf("cloud: VM %q appears twice in one wave", mv.VM)
+	if len(ms) == 0 {
+		return rep, nil
+	}
+	if c.RC.Mitigation == core.MitigationInvalidate && len(ms) > 1 {
+		// The invalidation pre-pass points each plan's VM LID at port 255
+		// on every merged switch, but only that VM's own edits restore it —
+		// a multi-move merge would strand LIDs invalidated on the other
+		// moves' switches.
+		return rep, fmt.Errorf("cloud: multi-move waves cannot run under %v; split into single-move waves",
+			core.MitigationInvalidate)
+	}
+	if prov == nil {
+		prov = &ib.Provenance{
+			Mutation: ib.NextMutationID(),
+			Engine:   "migrate",
+			Reason:   fmt.Sprintf("wave (%d moves)", len(ms)),
+			Shard:    ib.ShardNone,
 		}
-		seen[mv.VM] = true
-		var m *Migration
-		if m, err = c.Stage(mv.VM, mv.To, -1); err != nil {
-			return rep, err
-		}
-		ms = append(ms, m)
 	}
 	for i, m := range ms {
 		if err = m.Detach(); err != nil {
@@ -99,7 +201,7 @@ func (c *Cloud) MigrateWaveProv(moves []Move, prov *ib.Provenance) (rep WaveRepo
 	}
 	// Step 3: reconfigure the fabric once for the whole wave; then each
 	// member settles under a span of its own.
-	if rep.Plan, err = c.Commit(prov, ms...); err != nil {
+	if rep.Plan, err = c.commit(prov, w); err != nil {
 		return rep, err
 	}
 	for _, m := range ms {

@@ -425,7 +425,8 @@ func (r *Reconfigurator) MigrateAddresses(srcHyp, dstHyp topology.NodeID, vguid 
 // only valid for plans computed against the same fabric state and applied
 // together; conflicting edits to the same LID are rejected (the first in
 // (switch, LID) order is reported), agreeing ones kept once. Every input
-// ascends by switch: a counting sort by switch, then each switch's few LIDs.
+// ascends by switch: a counting sort by switch, then each switch's few edits
+// sorted as packed integers.
 func MergePlans(plans ...*MigrationPlan) (*MigrationPlan, error) {
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("core: nothing to merge")
@@ -437,24 +438,28 @@ func MergePlans(plans ...*MigrationPlan) (*MigrationPlan, error) {
 		}
 	}
 	// at[sw+1] counts sw's edits; prefix sums make at[sw] the start of sw's
-	// run; copying each input run there and advancing leaves it the run's end.
+	// run; writing each input edit there and advancing leaves it the run's end.
 	at := make([]int32, int(top)+2)
 	for _, p := range plans {
 		for i, sw := range p.Switches {
 			at[sw+1] += int32(len(p.Run(i)))
 		}
 	}
-	touched := 0
+	touched, longest := 0, int32(0)
 	for k := 1; k < len(at); k++ {
 		if at[k] > 0 {
 			touched++
 		}
+		longest = max(longest, at[k])
 		at[k] += at[k-1]
 	}
 	entries := make([]ib.LFTEntry, at[top+1])
 	for _, p := range plans {
 		for i, sw := range p.Switches {
-			at[sw] += int32(copy(entries[at[sw]:], p.Run(i)))
+			for _, e := range p.Run(i) {
+				entries[at[sw]] = e
+				at[sw]++
+			}
 		}
 	}
 	merged := &MigrationPlan{
@@ -463,6 +468,9 @@ func MergePlans(plans ...*MigrationPlan) (*MigrationPlan, error) {
 		Entries:  entries[:0], // deduplicated in place, behind the read cursor
 		offs:     make([]int32, 1, touched+1),
 	}
+	// A run sorts as keys LID | position | port: by LID and, of two edits to
+	// one LID, by position in the run — the earlier plan's first.
+	keys := make([]uint64, longest)
 	start := int32(0)
 	for sw := topology.NodeID(0); sw <= top; sw++ {
 		run := entries[start:at[sw]]
@@ -470,13 +478,17 @@ func MergePlans(plans ...*MigrationPlan) (*MigrationPlan, error) {
 		if len(run) == 0 {
 			continue
 		}
-		// Stable: of two edits to one LID the earlier plan's stays first.
-		slices.SortStableFunc(run, func(a, b ib.LFTEntry) int { return int(a.LID) - int(b.LID) })
+		ks := keys[:len(run)]
 		for j, e := range run {
-			if j > 0 && run[j-1].LID == e.LID {
-				if run[j-1].Port != e.Port {
+			ks[j] = uint64(e.LID)<<48 | uint64(j)<<8 | uint64(e.Port)
+		}
+		slices.Sort(ks)
+		for j, k := range ks {
+			e := ib.LFTEntry{LID: ib.LID(k >> 48), Port: ib.PortNum(k)}
+			if j > 0 && ib.LID(ks[j-1]>>48) == e.LID {
+				if prev := ib.PortNum(ks[j-1]); prev != e.Port {
 					return nil, fmt.Errorf("core: conflicting edits for LID %d on switch %d (%d vs %d)",
-						e.LID, sw, run[j-1].Port, e.Port)
+						e.LID, sw, prev, e.Port)
 				}
 				continue
 			}

@@ -518,6 +518,28 @@ func TestMergeConflictIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestMergeConflictNamesEarlierPlanFirst: of two edits to one LID the
+// earlier plan's comes first, so a conflict reads "(earlier vs later)"
+// whichever port is lower.
+func TestMergeConflictNamesEarlierPlanFirst(t *testing.T) {
+	type up = map[topology.NodeID]map[ib.LID]ib.PortNum
+	type ed = map[ib.LID]ib.PortNum
+	hi := planOf(PlanCopy, 20, 1, up{4: ed{20: 3}})
+	lo := planOf(PlanCopy, 20, 1, up{4: ed{20: 1}})
+	for _, c := range []struct {
+		plans []*MigrationPlan
+		want  string
+	}{
+		{[]*MigrationPlan{hi, lo}, "core: conflicting edits for LID 20 on switch 4 (3 vs 1)"},
+		{[]*MigrationPlan{lo, hi}, "core: conflicting edits for LID 20 on switch 4 (1 vs 3)"},
+		{[]*MigrationPlan{hi, hi, lo}, "core: conflicting edits for LID 20 on switch 4 (3 vs 1)"},
+	} {
+		if _, err := MergePlans(c.plans...); err == nil || err.Error() != c.want {
+			t.Errorf("error %v, want %q", err, c.want)
+		}
+	}
+}
+
 // randomPlans decodes fuzz bytes into small plans over a few switches and
 // LIDs, so duplicates, shared blocks and conflicts are all common.
 func randomPlans(data []byte) []*MigrationPlan {

@@ -3,6 +3,7 @@ package reconcile
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ibvsim/internal/cloud"
@@ -10,11 +11,10 @@ import (
 	"ibvsim/internal/topology"
 )
 
-// BenchmarkReconcilePlan is the benchmark module's reconcile-waves defrag,
-// planning only: 256 VMs scattered one to a host over the 1000-host 3-level
-// fat tree (300 switches), dynamic LIDs, two VFs a hypervisor — some 190
-// moves staged against the shadow, merged and costed per wave.
-func BenchmarkReconcilePlan(b *testing.B) {
+// benchCloud is the benchmark module's reconcile-waves fabric: the 1000-host
+// 3-level fat tree (300 switches), dynamic LIDs, two VFs a hypervisor, and
+// 256 VMs scattered one to a host by a seed-21 shuffle.
+func benchCloud(b *testing.B) *cloud.Cloud {
 	topo, err := topology.BuildXGFT(topology.XGFTSpec{M: []int{10, 10, 10}, W: []int{1, 10, 10}}, 20)
 	if err != nil {
 		b.Fatal(err)
@@ -26,20 +26,73 @@ func BenchmarkReconcilePlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hyps := c.Hypervisors()
+	hyps := slices.Clone(c.Hypervisors())
 	rand.New(rand.NewSource(21)).Shuffle(len(hyps), func(i, j int) { hyps[i], hyps[j] = hyps[j], hyps[i] })
 	for i, hn := range hyps[:256] {
 		if _, err := c.CreateVMOn(fmt.Sprintf("vm-%03d", i), hn); err != nil {
 			b.Fatal(err)
 		}
 	}
-	p := &Planner{C: c}
+	return c
+}
+
+// BenchmarkReconcilePlan is the benchmark module's reconcile-waves defrag,
+// planning only: some 190 moves staged against the shadow, merged and costed
+// per wave.
+func BenchmarkReconcilePlan(b *testing.B) {
+	p := &Planner{C: benchCloud(b)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plan, err := p.Plan(Spec{Goal: GoalDefrag})
 		if err != nil || len(plan.Moves) < 100 {
 			b.Fatalf("defrag plan: %d moves, err %v", len(plan.Moves), err)
+		}
+	}
+}
+
+// BenchmarkReconcileApply is one reconcile-waves cycle, planned and applied
+// as the control plane applies it: a seeded scatter of the 256 VMs (an
+// explicit placement on seeded hosts, at most two to one), then a defrag.
+// Each wave runs as the planner staged and merged it; the apply stages
+// nothing and merges nothing.
+func BenchmarkReconcileApply(b *testing.B) {
+	c := benchCloud(b)
+	p := &Planner{C: c}
+	rng := rand.New(rand.NewSource(22))
+	hyps := c.Hypervisors()
+	names := c.VMs()
+	reconcile := func(spec Spec) int {
+		plan, err := p.Plan(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, w := range plan.Staged {
+			if err := c.BindWave(w); err != nil {
+				b.Fatalf("%s wave %d: %v", spec.Goal, i, err)
+			}
+			if _, err := c.RunWave(w, nil); err != nil {
+				b.Fatalf("%s wave %d: %v", spec.Goal, i, err)
+			}
+		}
+		return len(plan.Moves)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		want := make(map[string]topology.NodeID, len(names))
+		used := map[topology.NodeID]int{}
+		for _, name := range names {
+			h := hyps[rng.Intn(len(hyps))]
+			for used[h] >= 2 {
+				h = hyps[rng.Intn(len(hyps))]
+			}
+			used[h]++
+			want[name] = h
+		}
+		reconcile(Spec{Goal: GoalPlacement, Placement: want})
+		if n := reconcile(Spec{Goal: GoalDefrag}); n == 0 {
+			b.Fatal("defrag of a scatter moved no VM")
 		}
 	}
 }

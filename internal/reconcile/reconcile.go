@@ -20,7 +20,9 @@
 package reconcile
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -111,11 +113,18 @@ func (c *StepCost) add(o StepCost) {
 
 // Plan is a compiled reconciliation: ordered waves plus their predicted
 // costs. Converged means the desired placement already holds.
+//
+// Waves lists each wave's moves; Staged holds the same waves as the planner
+// staged them against its shadow — the migrations and the merged plan it
+// costed. An apply runs Staged[i] with Cloud.BindWave and Cloud.RunWave, in
+// order, on the fabric the plan was made on, so what it sends is what was
+// predicted; Cloud.MigrateWaveProv(Waves[i]) re-stages a wave live instead.
 type Plan struct {
 	Goal      Goal
 	Moves     []Move
-	Waves     [][]cloud.Move // execute each with Cloud.MigrateWaveProv, in order
-	Predicted []StepCost     // one per wave
+	Waves     [][]cloud.Move
+	Staged    []cloud.Wave
+	Predicted []StepCost // one per wave
 	Total     StepCost
 	Edits     int // LFT entries the waves' merged plans rewrite in all
 	Converged bool
@@ -172,7 +181,7 @@ func (p *Planner) Plan(spec Spec) (*Plan, error) {
 		var wave []Move
 		var rest []Move
 		for i, mv := range pending {
-			if reserved[mv.To] >= sh.hcas[mv.To].FreeCount() {
+			if reserved[mv.To] >= sh.hca(mv.To).FreeCount() {
 				rest = append(rest, mv)
 				continue
 			}
@@ -204,7 +213,7 @@ func (p *Planner) Plan(spec Spec) (*Plan, error) {
 		for i, mv := range wave {
 			cm[i] = cloud.Move{VM: mv.VM, To: mv.To}
 		}
-		cost, err := p.simulateWave(sh, cm)
+		staged, cost, err := p.simulateWave(sh, cm)
 		if err != nil {
 			return nil, err
 		}
@@ -213,6 +222,7 @@ func (p *Planner) Plan(spec Spec) (*Plan, error) {
 		}
 		plan.Moves = append(plan.Moves, wave...)
 		plan.Waves = append(plan.Waves, cm)
+		plan.Staged = append(plan.Staged, staged)
 		plan.Predicted = append(plan.Predicted, cost)
 		plan.Total.add(cost)
 		pending = rest
@@ -250,7 +260,7 @@ func (p *Planner) spareVF(sh *shadow, src topology.NodeID) (topology.NodeID, boo
 	best := topology.NoNode
 	srcLeaf := p.C.SM.Topo.LeafSwitchOf(src)
 	for _, hn := range p.C.Hypervisors() {
-		if sh.hcas[hn].FreeCount() == 0 {
+		if sh.hca(hn).FreeCount() == 0 {
 			continue
 		}
 		if p.C.SM.Topo.LeafSwitchOf(hn) == srcLeaf {
@@ -305,17 +315,20 @@ func (p *Planner) defragMoves() []cloud.Move {
 	for _, hn := range p.C.Hypervisors() {
 		hca := p.C.Hypervisor(hn).HCA
 		n := hca.AttachedCount()
+		if n == 0 {
+			continue // neither a keeper (the loaded hosts' room holds every VM) nor a donor
+		}
 		total += n
 		hosts = append(hosts, host{hn, n, n + hca.FreeCount()}) // a held VF is not room
 	}
 	if total == 0 {
 		return nil
 	}
-	sort.Slice(hosts, func(i, j int) bool {
-		if hosts[i].vms != hosts[j].vms {
-			return hosts[i].vms > hosts[j].vms // fullest first
+	slices.SortFunc(hosts, func(a, b host) int {
+		if a.vms != b.vms {
+			return b.vms - a.vms // fullest first
 		}
-		return hosts[i].node < hosts[j].node
+		return cmp.Compare(a.node, b.node)
 	})
 
 	// Keepers: the shortest fullest-first prefix whose capacity holds every
@@ -326,18 +339,17 @@ func (p *Planner) defragMoves() []cloud.Move {
 		capSum += hosts[nKeep].cap
 		nKeep++
 	}
-	keepers := hosts[:nKeep]
 
 	// Live per-keeper bookkeeping, and each keeper's leaf switch for the
-	// leaf-local preference.
+	// leaf-local preference, in keeper order.
+	type keeper struct {
+		node, leaf topology.NodeID
+		load, free int
+	}
 	leafOf := p.C.SM.Topo.LeafSwitchOf
-	load := map[topology.NodeID]int{}
-	free := map[topology.NodeID]int{}
-	leaf := map[topology.NodeID]topology.NodeID{}
-	for _, k := range keepers {
-		load[k.node] = k.vms
-		free[k.node] = k.cap - k.vms
-		leaf[k.node] = leafOf(k.node)
+	keepers := make([]keeper, nKeep)
+	for i, k := range hosts[:nKeep] {
+		keepers[i] = keeper{k.node, leafOf(k.node), k.vms, k.cap - k.vms}
 	}
 
 	vmsOn := map[topology.NodeID][]string{}
@@ -351,24 +363,25 @@ func (p *Planner) defragMoves() []cloud.Move {
 		donor := hosts[di]
 		donorLeaf := leafOf(donor.node)
 		for _, name := range vmsOn[donor.node] {
-			recv := topology.NoNode
+			recv := -1
 			recvLocal := false
-			for _, k := range keepers {
-				if free[k.node] <= 0 {
+			for i := range keepers {
+				k := &keepers[i]
+				if k.free <= 0 {
 					continue
 				}
-				local := leaf[k.node] == donorLeaf
+				local := k.leaf == donorLeaf
 				switch {
-				case recv == topology.NoNode,
+				case recv < 0,
 					local && !recvLocal,
-					local == recvLocal && load[k.node] > load[recv],
-					local == recvLocal && load[k.node] == load[recv] && k.node < recv:
-					recv, recvLocal = k.node, local
+					local == recvLocal && k.load > keepers[recv].load,
+					local == recvLocal && k.load == keepers[recv].load && k.node < keepers[recv].node:
+					recv, recvLocal = i, local
 				}
 			}
-			moves = append(moves, cloud.Move{VM: name, To: recv})
-			free[recv]--
-			load[recv]++
+			moves = append(moves, cloud.Move{VM: name, To: keepers[recv].node})
+			keepers[recv].free--
+			keepers[recv].load++
 		}
 	}
 	return moves

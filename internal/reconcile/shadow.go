@@ -13,17 +13,19 @@ import (
 )
 
 // shadow is a copy-on-write overlay of the fabric state a migration wave
-// reads and writes: programmed LFTs, LID ownership, every hypervisor's VF
-// table and per-VM placement. It is a cdg.Routes, so wave N+1's
-// plans are computed on the exact state wave N's merged distribution will
-// leave behind — the prediction a dry run reports is byte-for-byte the cost
-// an apply pays.
+// reads and writes: programmed LFTs, LID ownership, hypervisors' VF tables
+// and per-VM placement. It is a cdg.Routes, so wave N+1's plans are computed
+// on the exact state wave N's merged distribution will leave behind — the
+// prediction a dry run reports is byte-for-byte the cost an apply pays.
+// Nothing is copied up front: a table, HCA or VM record is copied on its
+// first write, and every read of one not yet written falls through to the
+// live state.
 type shadow struct {
 	c     *cloud.Cloud
 	lfts  []*ib.LFT                      // by node ID; written switches only
 	owner map[ib.LID]topology.NodeID     // rebound LIDs only
-	hcas  map[topology.NodeID]*sriov.HCA // every hypervisor: a private copy
-	vm    map[string]*vmShadow           // every VM
+	hcas  map[topology.NodeID]*sriov.HCA // written hypervisors only: a private copy
+	vms   map[string]vmShadow            // moved VMs only
 	edits int                            // LFT entries written so far
 }
 
@@ -33,23 +35,46 @@ type vmShadow struct {
 }
 
 func newShadow(c *cloud.Cloud) *shadow {
-	sh := &shadow{
+	return &shadow{
 		c:     c,
 		lfts:  make([]*ib.LFT, c.SM.Topo.NumNodes()),
 		owner: map[ib.LID]topology.NodeID{},
 		hcas:  map[topology.NodeID]*sriov.HCA{},
-		vm:    map[string]*vmShadow{},
+		vms:   map[string]vmShadow{},
 	}
-	for _, hn := range c.Hypervisors() {
-		hca := *c.Hypervisor(hn).HCA
-		hca.VFs = slices.Clone(hca.VFs)
-		sh.hcas[hn] = &hca
+}
+
+// hca is the hypervisor's HCA as the shadow sees it: its copy, else the live
+// one — to read only.
+func (s *shadow) hca(hn topology.NodeID) *sriov.HCA {
+	if h := s.hcas[hn]; h != nil {
+		return h
 	}
-	for _, name := range c.VMs() {
-		v := c.VM(name)
-		sh.vm[name] = &vmShadow{v.Hyp, v.VF}
+	return s.c.Hypervisor(hn).HCA
+}
+
+// writableHCA returns the hypervisor's private HCA, copying the live one on
+// first write.
+func (s *shadow) writableHCA(hn topology.NodeID) *sriov.HCA {
+	if h := s.hcas[hn]; h != nil {
+		return h
 	}
-	return sh
+	h := *s.c.Hypervisor(hn).HCA
+	h.VFs = slices.Clone(h.VFs)
+	s.hcas[hn] = &h
+	return &h
+}
+
+// vm is the VM's placement as the shadow sees it.
+func (s *shadow) vm(name string) (vmShadow, bool) {
+	if v, ok := s.vms[name]; ok {
+		return v, true
+	}
+	v := s.c.VM(name)
+	if v == nil {
+		return vmShadow{}, false
+	}
+	return vmShadow{v.Hyp, v.VF}, true
 }
 
 // LFT implements cdg.Routes: the overlay's table, else the programmed one.
@@ -84,41 +109,38 @@ func (s *shadow) writableLFT(sw topology.NodeID) *ib.LFT {
 }
 
 // simulateWave stages every move of the wave against the shadow state —
-// the same cloud.Stage an apply runs against the live fabric — merges the
-// plans, predicts the merged distribution's cost exactly as
-// ApplyEdits+SetLFTEntriesProv would account it, and then applies the wave's
+// the same cloud.Stage an apply would run against the live fabric — merges
+// the plans, predicts the merged distribution's cost exactly as
+// ApplyEdits+SetLFTEntriesProv will account it, and then applies the wave's
 // declared effects to the shadow: LFT edits, LID rebinds, both VFs' states.
-func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (StepCost, error) {
+// The staged wave is returned for the apply to bind and run as it is.
+func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (cloud.Wave, StepCost, error) {
 	rc := p.C.RC
-	var ms []*cloud.Migration
-	var plans []*core.MigrationPlan
+	ms := make([]*cloud.Migration, 0, len(wave))
 	for _, mv := range wave {
-		st := sh.vm[mv.VM]
-		if st == nil {
-			return StepCost{}, fmt.Errorf("reconcile: %w %q", cloud.ErrNoVM, mv.VM)
+		st, ok := sh.vm(mv.VM)
+		if !ok {
+			return cloud.Wave{}, StepCost{}, fmt.Errorf("reconcile: %w %q", cloud.ErrNoVM, mv.VM)
 		}
-		dst := sh.hcas[mv.To]
+		dst := sh.writableHCA(mv.To)
 		dstVF := dst.FreeVF()
 		if dstVF < 0 {
-			return StepCost{}, fmt.Errorf("reconcile: destination %d has no %w for %q", mv.To, cloud.ErrNoFreeVF, mv.VM)
+			return cloud.Wave{}, StepCost{}, fmt.Errorf("reconcile: destination %d has no %w for %q", mv.To, cloud.ErrNoFreeVF, mv.VM)
 		}
-		m, err := cloud.Stage(rc, sh, mv.VM, sh.hcas[st.hyp], st.vf, dst, dstVF)
+		m, err := cloud.Stage(rc, sh, mv.VM, sh.hca(st.hyp), st.vf, dst, dstVF)
 		if err != nil {
-			return StepCost{}, err
+			return cloud.Wave{}, StepCost{}, err
 		}
 		dst.Hold(dstVF) // the wave's next member must pick another
-		if m.Plan != nil {
-			plans = append(plans, m.Plan)
-		}
 		ms = append(ms, m)
+	}
+	w, err := cloud.MergeWave(ms)
+	if err != nil {
+		return cloud.Wave{}, StepCost{}, err
 	}
 
 	cost := StepCost{HostSMPs: 2 * len(wave)}
-	if len(plans) > 0 {
-		merged, err := core.MergePlans(plans...)
-		if err != nil {
-			return StepCost{}, err
-		}
+	if merged := w.Plan; merged != nil {
 		// Cost each switch's run as the SM will send it — its ascending blocks,
 		// coalesced by the SM's own rule — and commit it to the shadow table.
 		sh.edits += len(merged.Entries)
@@ -126,7 +148,7 @@ func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (StepCost, error) 
 		for i, sw := range merged.Switches {
 			lft := sh.writableLFT(sw)
 			if lft == nil {
-				return StepCost{}, fmt.Errorf("reconcile: switch %d not programmed", sw)
+				return cloud.Wave{}, StepCost{}, fmt.Errorf("reconcile: switch %d not programmed", sw)
 			}
 			if rc.Mitigation == core.MitigationInvalidate && lft.Get(merged.VMLID) != ib.DropPort {
 				cost.InvalidationSMPs++
@@ -148,12 +170,12 @@ func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (StepCost, error) 
 	}
 
 	for _, m := range ms {
-		sh.hcas[m.From].VFs[m.SrcAfter.Index] = m.SrcAfter
-		sh.hcas[m.To].VFs[m.DstAfter.Index] = m.DstAfter
+		sh.writableHCA(m.From).VFs[m.SrcAfter.Index] = m.SrcAfter
+		sh.writableHCA(m.To).VFs[m.DstAfter.Index] = m.DstAfter
 		for _, rb := range m.Rebinds {
 			sh.owner[rb.LID] = rb.Node
 		}
-		*sh.vm[m.VM] = vmShadow{m.To, m.DstAfter.Index}
+		sh.vms[m.VM] = vmShadow{m.To, m.DstAfter.Index}
 	}
-	return cost, nil
+	return w, cost, nil
 }
