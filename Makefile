@@ -21,18 +21,22 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Fuzz the LFT block-diff, the migration swap primitive, the SM's sparse LFT
-# write (SMPs sent == spans == the one packing rule), the plan merge
-# against its map-of-maps reference, the incremental router, the auditor
-# against its reference checker, warm reachability against a fresh
-# auditor, the forwarding walkers against one another, the kept CDG, the
-# trace record codec, the reconcile goal parser and the request-body
-# decoders (10s each; Go allows one fuzz target per invocation).
+# Fuzz the LFT block-diff, the migration swap primitive, the block-by-block
+# run write against per-entry Sets, the SM's sparse LFT write (SMPs sent ==
+# spans == the one packing rule), the plan merge against its map-of-maps
+# reference, the wave planner against merged per-member plans, the
+# incremental router, the auditor against its reference checker, warm
+# reachability against a fresh auditor, the forwarding walkers against one
+# another, the kept CDG, the trace record codec, the reconcile goal parser
+# and the request-body decoders (10s each; Go allows one fuzz target per
+# invocation).
 fuzz:
 	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzLFTDiff$$' -fuzztime 10s
 	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzLFTSwap$$' -fuzztime 10s
+	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzSetRun$$' -fuzztime 10s
 	$(GO) test ./internal/sm -run '^$$' -fuzz '^FuzzSetLFTEntries$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMergePlans$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPlanWave$$' -fuzztime 10s
 	$(GO) test ./internal/routing -run '^$$' -fuzz '^FuzzDeltaRecompute$$' -fuzztime 10s
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzReachabilityAgrees$$' -fuzztime 10s
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzWarmReach$$' -fuzztime 10s

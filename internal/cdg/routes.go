@@ -263,10 +263,15 @@ func (t Transition) Deadlocks() bool {
 
 // CheckTransition walks both routing functions into one graph — a packet in
 // flight may hold channels granted under Rold while requesting channels
-// under Rnew, so the union of the two CDGs over-approximates the reachable
-// transition states (the Duato safety condition the paper invokes) — and
-// searches it once. An acyclic union proves both subgraphs acyclic; only a
-// cyclic one pays for separate verdicts on Rold and Rnew.
+// under Rnew, the Duato safety condition the paper invokes — and searches it
+// once. An acyclic union proves both subgraphs acyclic; only a cyclic one
+// pays for separate verdicts on Rold and Rnew.
+//
+// The union does not cover every state a distribution passes through: each
+// routing is walked alone, so a switch still on Rold forwarding to one
+// already on Rnew makes a dependency neither holds, and a half-landed
+// mixture can be cyclic although the union is not. An acyclic union is a
+// necessary condition for a safe transition, not a sufficient one.
 func CheckTransition(t *topology.Topology, old, next Routes, dlids []ib.LID) Transition {
 	return NewGraph(NewIndex(t)).CheckTransition(old, next, dlids)
 }

@@ -208,7 +208,10 @@ func New(topo *topology.Topology, smNode topology.NodeID, hypNodes []topology.No
 	return c, rep, nil
 }
 
-// Hypervisors returns the hypervisor nodes in ascending order.
+// Hypervisors returns the hypervisor nodes in ascending order. The slice is
+// the cloud's own and read-only: a caller that reorders it reorders the
+// cloud, whose planners take the lowest-numbered of equals from it. Clone it
+// to shuffle or sort.
 func (c *Cloud) Hypervisors() []topology.NodeID { return c.hypOrder }
 
 // Hypervisor returns one hypervisor (nil if unknown).

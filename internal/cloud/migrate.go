@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ibvsim/internal/cdg"
 	"ibvsim/internal/core"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/sm"
@@ -42,8 +41,9 @@ type Rebind struct {
 }
 
 // Migration is one section VII-B move as a value. Stage computes it once —
-// the LFT plan, the columns it rewrites and its declared effects — and the
-// steps then drive it without looking at the SR-IOV model again:
+// the columns it rewrites and its declared effects — PlanWave plans its LFT
+// edits with the rest of its wave, and the steps then drive it without
+// looking at the SR-IOV model again:
 //
 //	Stage    validate, pick and hold the destination VF; nothing else changes
 //	Detach   steps 1–2: detach and hold the source VF, signal the SM
@@ -54,9 +54,9 @@ type Rebind struct {
 //	         VM record and the SA follow
 //
 // MigrateVMVF runs them inline, RunWave for N members round one Commit of
-// their merged plan, and shard.Coordinator with each step on the actor that
-// owns what it touches. The reconciler stages each wave against its shadow
-// once: the planner costs those migrations and applies their effects to the
+// their wave's plan, and shard.Coordinator with each step on the actor that
+// owns what it touches. The reconciler stages and plans each wave against its
+// shadow once: the planner costs that wave and applies its effects to the
 // shadow, and the apply binds the same values to the live VFs (BindWave,
 // which refuses a member whose VM or VFs changed since) and runs them —
 // what was costed is what is sent. A step that fails after Detach leaves the
@@ -68,10 +68,15 @@ type Migration struct {
 	From, To topology.NodeID
 	// Addr is the VM's address triple before the move, NewAddr after it.
 	Addr, NewAddr sriov.Addresses
-	// Plan is the LFT reconfiguration (nil under Shared Port) and LIDs the
-	// columns it rewrites — what an op-scoped audit must re-prove afterwards.
-	Plan *core.MigrationPlan
-	LIDs []ib.LID
+	// Plan is the LFT reconfiguration of a migration planned alone, a wave
+	// of one (nil under Shared Port). A member of a larger wave has no plan
+	// of its own — the wave's plan is the one table of every member's edits
+	// — and carries only Predicted: the switches its own edits touch and the
+	// SMPs they take, what its plan alone would count. LIDs are the columns
+	// it rewrites — what an op-scoped audit must re-prove afterwards.
+	Plan      *core.MigrationPlan
+	Predicted core.PlanCounts
+	LIDs      []ib.LID
 	// SrcAfter and DstAfter are the two VFs as the move leaves them; Rebinds
 	// the SM address-map effects.
 	SrcAfter, DstAfter sriov.VF
@@ -89,16 +94,20 @@ type Migration struct {
 	// srcWas and dstWas are the two VFs as Stage found them: what BindWave
 	// holds the live VFs to.
 	srcWas, dstWas sriov.VF
+	// kind and pair are what PlanWave plans: no kind under Shared Port.
+	kind core.PlanKind
+	pair core.LIDPair
 }
 
-// Stage computes a migration from VF srcVF of src to VF dstVF of dst against
-// the routing v. It is a pure function of the SR-IOV model, the routing and
-// the two VFs, and the only place migration semantics depend on the model:
-// under the prepopulated swap the VM's column and the destination VF's
-// exchange, and so do the two VFs' LIDs; under dynamic assignment only the
-// VM's column moves; under Shared Port no column moves and the VM answers on
-// dst's PF LID. The vGUID travels with the VM in every model.
-func Stage(rc *core.Reconfigurator, v cdg.Routes, name string, src *sriov.HCA, srcVF int, dst *sriov.HCA, dstVF int) (*Migration, error) {
+// Stage computes a migration from VF srcVF of src to VF dstVF of dst: what it
+// does, not yet its LFT edits, which PlanWave plans for its whole wave. It is
+// a pure function of the SR-IOV model and the two VFs, and the only place
+// migration semantics depend on the model: under the prepopulated swap the
+// VM's column and the destination VF's exchange, and so do the two VFs'
+// LIDs; under dynamic assignment only the VM's column moves; under Shared
+// Port no column moves and the VM answers on dst's PF LID. The vGUID travels
+// with the VM in every model.
+func Stage(name string, src *sriov.HCA, srcVF int, dst *sriov.HCA, dstVF int) (*Migration, error) {
 	from, to := src.VFs[srcVF], dst.VFs[dstVF]
 	m := &Migration{
 		VM: name, From: src.Node, To: dst.Node, Addr: src.Addresses(from), src: src, dst: dst,
@@ -106,34 +115,43 @@ func Stage(rc *core.Reconfigurator, v cdg.Routes, name string, src *sriov.HCA, s
 		SrcAfter: sriov.VF{Index: srcVF, GUID: src.PFGUID + ib.GUID(srcVF+1)},
 		DstAfter: sriov.VF{Index: dstVF, GUID: from.GUID, Attached: true},
 	}
-	var err error
 	switch src.Model {
 	case sriov.VSwitchPrepopulated:
-		m.Plan, err = rc.PlanSwapOn(v, from.LID, to.LID)
+		m.kind, m.pair = core.PlanSwap, core.LIDPair{VM: from.LID, Peer: to.LID}
 		m.LIDs = []ib.LID{from.LID, to.LID}
 		m.SrcAfter.LID, m.DstAfter.LID = to.LID, from.LID
 		m.Rebinds = []Rebind{{from.LID, dst.Node}, {to.LID, src.Node}}
 	case sriov.VSwitchDynamic:
-		m.Plan, err = rc.PlanCopyOn(v, from.LID, dst.PFLID)
+		m.kind, m.pair = core.PlanCopy, core.LIDPair{VM: from.LID, Peer: dst.PFLID}
 		m.LIDs = []ib.LID{from.LID}
 		m.DstAfter.LID = from.LID
 		m.Rebinds = []Rebind{{from.LID, dst.Node}}
 	case sriov.SharedPort:
 		m.LIDs = []ib.LID{dst.PFLID}
 	default:
-		err = fmt.Errorf("cloud: unknown SR-IOV model %v", src.Model)
-	}
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cloud: unknown SR-IOV model %v", src.Model)
 	}
 	m.NewAddr = dst.Addresses(m.DstAfter)
 	return m, nil
 }
 
-// Stage validates a move of the named VM to dst and stages it against the
-// live fabric, picking (dstVF < 0: the first free) and holding the
-// destination VF. Nothing else is mutated.
+// Stage validates a move of the named VM to dst and stages and plans it
+// against the live fabric as a wave of one, picking (dstVF < 0: the first
+// free) and holding the destination VF. Nothing else is mutated.
 func (c *Cloud) Stage(name string, dst topology.NodeID, dstVF int) (*Migration, error) {
+	m, err := c.stage(name, dst, dstVF)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := PlanWave(c.RC, c.SM.Programmed(), []*Migration{m}); err != nil {
+		m.Release()
+		return nil, err
+	}
+	return m, nil
+}
+
+// stage is Stage without the plan: a member of a wave PlanWave plans whole.
+func (c *Cloud) stage(name string, dst topology.NodeID, dstVF int) (*Migration, error) {
 	vm := c.VM(name)
 	if vm == nil {
 		return nil, fmt.Errorf("cloud: %w %q", ErrNoVM, name)
@@ -151,7 +169,7 @@ func (c *Cloud) Stage(name string, dst topology.NodeID, dstVF int) (*Migration, 
 	if dstVF < 0 || dstVF >= dstH.HCA.NumVFs() || !dstH.HCA.VFs[dstVF].Free() {
 		return nil, fmt.Errorf("cloud: destination %d has no %w", dst, ErrNoFreeVF)
 	}
-	m, err := Stage(c.RC, c.SM.Programmed(), name, c.hyps[vm.Hyp].HCA, vm.VF, dstH.HCA, dstVF)
+	m, err := Stage(name, c.hyps[vm.Hyp].HCA, vm.VF, dstH.HCA, dstVF)
 	if err != nil {
 		return nil, err
 	}
@@ -203,22 +221,18 @@ func (m *Migration) Reattach() {
 	m.src.Attach(m.SrcAfter.Index) //nolint:errcheck // VF state untouched since Detach
 }
 
-// Commit is step 3 for a group of migrations staged against the same fabric
-// state: their LFT edits ride one distribution stamped with prov, and the SM's
-// address map follows. One member applies its own plan, exactly as
-// Reconfigurator.Apply does; several are merged (their LID sets are disjoint:
-// each holds its own destination VF), so edits landing in the same 64-LID
-// block of a switch cost one SMP instead of one per member. A failure here is
-// transport-level: it is surfaced without rolling back the edits already sent.
-func (c *Cloud) Commit(prov *ib.Provenance, ms ...*Migration) (core.PlanStats, error) {
-	w, err := MergeWave(ms)
-	if err != nil {
-		return core.PlanStats{}, err
-	}
-	return c.commit(prov, w)
+// Commit is step 3 for a migration staged alone: its plan rides one
+// distribution stamped with prov, exactly as Reconfigurator.Apply does, and
+// the SM's address map follows. A failure here is transport-level: it is
+// surfaced without rolling back the edits already sent.
+func (c *Cloud) Commit(prov *ib.Provenance, m *Migration) (core.PlanStats, error) {
+	return c.commit(prov, Wave{Members: []*Migration{m}, Plan: m.Plan})
 }
 
-// commit is Commit of a wave whose plan is already merged.
+// commit is step 3 for a planned wave: the wave's plan rides one
+// distribution, then the members' rebinds follow. Its members' LID sets are
+// disjoint — each holds its own destination VF — so edits landing in the
+// same 64-LID block of a switch cost one SMP instead of one per member.
 func (c *Cloud) commit(prov *ib.Provenance, w Wave) (core.PlanStats, error) {
 	ms := w.Members
 	c.SM.Telemetry().Registry().Counter("cloud.migrations").Add(int64(len(ms)))
@@ -246,12 +260,12 @@ func (c *Cloud) commit(prov *ib.Provenance, w Wave) (core.PlanStats, error) {
 	for _, m := range ms {
 		// The group completes as a unit: its distribution time is every
 		// member's downtime. A lone member's applied figures are its own;
-		// in a merged distribution each reports what its plan predicted.
+		// in a merged distribution each reports its predicted counts.
 		m.downtime = st.ModelledTime
 		if len(ms) == 1 {
 			m.stats = st
-		} else if m.Plan != nil {
-			m.stats = core.PlanStats{SwitchesUpdated: m.Plan.SwitchesTouched, SMPs: m.Plan.SMPs, ModelledTime: st.ModelledTime}
+		} else {
+			m.stats = core.PlanStats{SwitchesUpdated: m.Predicted.SwitchesTouched, SMPs: m.Predicted.SMPs, ModelledTime: st.ModelledTime}
 		}
 	}
 	return st, err

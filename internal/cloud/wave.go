@@ -3,6 +3,7 @@ package cloud
 import (
 	"fmt"
 
+	"ibvsim/internal/cdg"
 	"ibvsim/internal/core"
 	"ibvsim/internal/ib"
 )
@@ -23,43 +24,50 @@ type WaveReport struct {
 }
 
 // Wave is a staged migration wave: its members, staged against one fabric
-// state, and the plan their LFT edits ride — nil when no member edits a
-// table (Shared Port), the lone member's own plan, else the members' plans
-// merged by MergePlans. A planner stages and merges a wave once, to cost
-// it; RunWave commits that very plan.
+// state, and the one plan all their LFT edits ride — nil when no member
+// edits a table (Shared Port). A member carries its predicted counts, not
+// its edits; a lone member's plan is the wave's. A planner stages and plans
+// a wave once, to cost it; RunWave commits that very plan.
 type Wave struct {
 	Members []*Migration
 	Plan    *core.MigrationPlan
 }
 
-// MergeWave builds the wave its staged members make.
-func MergeWave(ms []*Migration) (Wave, error) {
+// PlanWave plans the LFT edits of staged members as one wave against the
+// routing v (core.Reconfigurator.PlanWaveOn): one walk over the switches
+// builds the wave's merged plan and each member's Predicted counts. A lone
+// member's Plan is the wave's; members of a larger wave get none.
+func PlanWave(rc *core.Reconfigurator, v cdg.Routes, ms []*Migration) (Wave, error) {
 	w := Wave{Members: ms}
-	var plans []*core.MigrationPlan
-	for _, m := range ms {
-		if m.Plan != nil {
-			plans = append(plans, m.Plan)
-		}
+	if len(ms) == 0 || ms[0].kind == 0 { // Shared Port moves no column
+		return w, nil
 	}
-	var err error
-	switch {
-	case len(plans) == 0:
-	case len(ms) == 1:
-		w.Plan = plans[0]
-	default:
-		w.Plan, err = core.MergePlans(plans...)
+	pairs := make([]core.LIDPair, len(ms))
+	for i, m := range ms {
+		pairs[i] = m.pair
 	}
-	return w, err
+	plan, counts, err := rc.PlanWaveOn(v, ms[0].kind, pairs) // one cloud, one SR-IOV model
+	if err != nil {
+		return Wave{}, err
+	}
+	w.Plan = plan
+	for i, m := range ms {
+		m.Predicted = counts[i]
+	}
+	if len(ms) == 1 {
+		ms[0].Plan = plan
+	}
+	return w, nil
 }
 
 // MigrateWaveProv migrates several VMs as one wave: every move is staged
-// against the live fabric, the plans are merged via MergePlans and RunWave
-// applies them as a single distribution. The per-wave LID sets are disjoint
-// (each move edits only its own VM LID and reserved destination-VF LID), so
-// the merge never conflicts, and edits landing in the same 64-LID block of a
-// switch cost one SMP instead of one per migration. Which moves share a wave
-// is the reconcile planner's decision; this runs the wave it is given, and
-// refuses a multi-move wave under the invalidation pre-pass.
+// against the live fabric, PlanWave plans their edits as one table and
+// RunWave applies it as a single distribution. The per-wave LID sets are
+// disjoint (each move edits only its own VM LID and reserved destination-VF
+// LID), so the plan never conflicts, and edits landing in the same 64-LID
+// block of a switch cost one SMP instead of one per migration. Which moves
+// share a wave is the reconcile planner's decision; this runs the wave it is
+// given, and refuses a multi-move wave under the invalidation pre-pass.
 //
 // All members are staged (destination VFs held) before anything is mutated:
 // each holds its own destination VF, so no two can claim the same slot, and
@@ -85,14 +93,14 @@ func (c *Cloud) MigrateWaveProv(moves []Move, prov *ib.Provenance) (rep WaveRepo
 			return rep, fmt.Errorf("cloud: VM %q appears twice in one wave", mv.VM)
 		}
 		seen[mv.VM] = true
-		m, err := c.Stage(mv.VM, mv.To, -1)
+		m, err := c.stage(mv.VM, mv.To, -1)
 		if err != nil {
 			release()
 			return rep, err
 		}
 		ms = append(ms, m)
 	}
-	w, err := MergeWave(ms)
+	w, err := PlanWave(c.RC, c.SM.Programmed(), ms)
 	if err != nil {
 		release()
 		return rep, err
@@ -149,12 +157,13 @@ func (c *Cloud) bind(m *Migration) error {
 
 // RunWave runs a staged wave — staged live by MigrateWaveProv or bound by
 // BindWave — round one Commit of the plan it carries; nothing is re-staged
-// or re-merged. Every member is one Migration, run through the same steps as
+// or re-planned. Every member is one Migration, run through the same steps as
 // MigrateVM: a member that cannot detach aborts the wave with the fabric
 // untouched, then one distribution carries the wave's edits, then each
-// member settles under a span of its own. Each MigrationReport carries its
-// own plan's predicted switch/SMP counts; the merged distribution's applied
-// stats — the SMPs that actually hit the wire — are in WaveReport.Plan.
+// member settles under a span of its own. Each MigrationReport of a larger
+// wave carries the member's predicted switch/SMP counts; the merged
+// distribution's applied stats — the SMPs that actually hit the wire — are in
+// WaveReport.Plan.
 // Every report's Downtime is the wave's distribution time: the wave
 // completes as a unit. On error every member's destination VF is released.
 //

@@ -134,10 +134,11 @@ func NewReconfigurator(mgr *sm.SubnetManager) *Reconfigurator {
 	return &Reconfigurator{SM: mgr, Mode: smp.DestinationRouted, Scope: ScopeAllSwitches}
 }
 
-// MigrationPlan is the exact set of LFT edits one migration needs, held as
-// the paper counts them: a table of (switch, LID) -> port, sorted. A plan is
-// three slices sized once, a count one pass over them, a merge a merge of
-// sorted runs, and Apply hands each switch's run to the SM as it lies.
+// MigrationPlan is the exact set of LFT edits one migration — or one wave of
+// them, merged — needs, held as the paper counts them: a table of (switch,
+// LID) -> port, sorted. A plan is three slices filled in one walk over the
+// switches (PlanWaveOn), its counts taken as it is filled, and Apply hands
+// each switch's run to the SM as it lies.
 type MigrationPlan struct {
 	Kind    PlanKind
 	VMLID   ib.LID
@@ -191,62 +192,157 @@ func (p *MigrationPlan) count() {
 	}
 }
 
-// plan builds a swap or copy plan against the routing v — the SM's
-// Programmed(), or a batch planner's overlay of it, so that wave N+1's plan
-// sees the edits wave N will have applied: one walk over the nodes, two
-// entries read off each switch's table, at most two edits appended. A switch
-// whose two entries agree needs no edit under either method (the n' < n case
-// of section VI-B). Under ScopeMinimal a switch whose old forwarding of the
-// VM LID already reaches the destination's leaf is skipped too, and a swap
-// keeps only the VM LID's edit: the peer LID, a free VF afterwards, can
-// wait — the balance of the initial routing traded for fewer SMPs (section
-// VI-D).
-func (r *Reconfigurator) plan(v cdg.Routes, kind PlanKind, vmLID, peerLID ib.LID) (*MigrationPlan, error) {
-	switch {
-	case v.NodeOf(vmLID) == topology.NoNode:
-		return nil, fmt.Errorf("core: VM LID %d is not assigned", vmLID)
-	case v.NodeOf(peerLID) == topology.NoNode:
-		return nil, fmt.Errorf("core: peer LID %d is not assigned", peerLID)
-	case vmLID == peerLID:
-		return nil, fmt.Errorf("core: VM LID and peer LID are both %d", vmLID)
+// LIDPair is one migration as the planner sees it: the VM's LID and its
+// peer — the destination VF's LID (swap) or the destination PF's (copy).
+type LIDPair struct{ VM, Peer ib.LID }
+
+// PlanCounts is what one migration's own edits cost: the switches they touch
+// and the distinct 64-LID blocks among them, one SMP each — the
+// SwitchesTouched and SMPs its plan alone would predict.
+type PlanCounts struct{ SwitchesTouched, SMPs int }
+
+// PlanWaveOn plans a wave of migrations of one kind against the routing v —
+// the SM's Programmed(), or a batch planner's overlay of it, so that wave
+// N+1's plan sees the edits wave N will have applied — as one table: the
+// merged plan of every member's edits, in (switch, LID) order, and each
+// member's own counts. It is one walk over the switches: each switch's table
+// is fetched once, each member's two entries are read off it, and the
+// members' edits are appended in the order of their LIDs, sorted once before
+// the walk. A swap exchanges the member's two entries, a copy gives the VM
+// LID the peer's entry; a switch whose two entries agree needs no edit under
+// either method (the n' < n case of section VI-B). Under ScopeMinimal a
+// switch whose old forwarding of the VM LID already reaches the
+// destination's leaf is skipped for that member, and a swap keeps only the
+// VM LID's edit: the peer LID, a free VF afterwards, can wait — the balance
+// of the initial routing traded for fewer SMPs (section VI-D).
+//
+// The merged plan is what MergePlans makes of the members' plans, headed by
+// the first member's LIDs; a lone member's is its own plan. Members must
+// edit disjoint LIDs — each holds its own destination VF — and two that
+// edit one LID are refused before the walk.
+func (r *Reconfigurator) PlanWaveOn(v cdg.Routes, kind PlanKind, pairs []LIDPair) (*MigrationPlan, []PlanCounts, error) {
+	if len(pairs) == 0 {
+		return nil, nil, fmt.Errorf("core: no migration to plan")
+	}
+	for _, p := range pairs {
+		switch {
+		case v.NodeOf(p.VM) == topology.NoNode:
+			return nil, nil, fmt.Errorf("core: VM LID %d is not assigned", p.VM)
+		case v.NodeOf(p.Peer) == topology.NoNode:
+			return nil, nil, fmt.Errorf("core: peer LID %d is not assigned", p.Peer)
+		case p.VM == p.Peer:
+			return nil, nil, fmt.Errorf("core: VM LID and peer LID are both %d", p.VM)
+		}
 	}
 	topo, minimal := r.SM.Topo, r.Scope == ScopeMinimal
-	destLeaf := topo.LeafSwitchOf(v.NodeOf(peerLID))
 	both := kind == PlanSwap && !minimal // the peer LID is edited too
-	n, most := topo.NumSwitches(), topo.NumSwitches()
+
+	// The edited LIDs, ascending, as keys LID | member | 1 for a peer LID:
+	// walking them emits a switch's run in LID order.
+	var keyBuf [8]uint64
+	keys := keyBuf[:0]
+	for i, p := range pairs {
+		keys = append(keys, uint64(p.VM)<<32|uint64(i)<<1)
+		if both {
+			keys = append(keys, uint64(p.Peer)<<32|uint64(i)<<1|1)
+		}
+	}
+	slices.Sort(keys)
+	for j := 1; j < len(keys); j++ {
+		if l := keys[j] >> 32; l == keys[j-1]>>32 {
+			return nil, nil, fmt.Errorf("core: members %d and %d both edit LID %d",
+				uint32(keys[j-1])>>1, uint32(keys[j])>>1, l)
+		}
+	}
+
+	// Each member's state at the switch being walked.
+	type member struct {
+		leaf   topology.NodeID // the destination's leaf (ScopeMinimal)
+		smps   int             // blocks its edits take on a switch it touches
+		pv, pp ib.PortNum      // its VM and peer LIDs' entries here
+		on     bool            // whether it edits here
+	}
+	var memberBuf [4]member
+	ms := memberBuf[:0]
+	if len(pairs) > len(memberBuf) {
+		ms = make([]member, 0, len(pairs))
+	}
+	for _, p := range pairs {
+		m := member{smps: 1}
+		if minimal {
+			m.leaf = topo.LeafSwitchOf(v.NodeOf(p.Peer))
+		}
+		if both && ib.BlockOf(p.VM) != ib.BlockOf(p.Peer) {
+			m.smps = 2
+		}
+		ms = append(ms, m)
+	}
+
+	n, per := topo.NumSwitches(), 1 // per: edits of a member on a switch it touches
 	if both {
-		most *= 2
+		per = 2
 	}
 	plan := &MigrationPlan{
-		Kind: kind, VMLID: vmLID, PeerLID: peerLID,
+		Kind: kind, VMLID: pairs[0].VM, PeerLID: pairs[0].Peer,
 		Switches: make([]topology.NodeID, 0, n),
-		Entries:  make([]ib.LFTEntry, 0, most),
+		Entries:  make([]ib.LFTEntry, 0, per*n), // a lone member's edits at most
 		offs:     make([]int32, 1, n+1),
 	}
-	for _, node := range topo.Nodes() {
-		if !node.IsSwitch() {
-			continue
-		}
-		lft := v.LFT(node.ID)
+	counts := make([]PlanCounts, len(pairs))
+	for si, sw := range topo.Switches() {
+		lft := v.LFT(sw)
 		if lft == nil {
-			return nil, fmt.Errorf("core: switch %q not programmed; bootstrap the SM first", node.Desc)
+			return nil, nil, fmt.Errorf("core: switch %q not programmed; bootstrap the SM first", topo.Node(sw).Desc)
 		}
-		pv, pp := lft.Get(vmLID), lft.Get(peerLID)
-		if pv == pp || (minimal && node.ID != destLeaf && r.reaches(v, node.ID, destLeaf, vmLID)) {
+		edits := 0
+		for i, p := range pairs {
+			m := &ms[i]
+			m.pv, m.pp = lft.Get(p.VM), lft.Get(p.Peer)
+			m.on = m.pv != m.pp && !(minimal && sw != m.leaf && r.reaches(v, sw, m.leaf, p.VM))
+			if m.on {
+				edits += per
+				counts[i].SwitchesTouched++
+				counts[i].SMPs += m.smps
+			}
+		}
+		if edits == 0 {
 			continue
 		}
-		switch {
-		case !both:
-			plan.Entries = append(plan.Entries, ib.LFTEntry{LID: vmLID, Port: pp})
-		case vmLID < peerLID:
-			plan.Entries = append(plan.Entries, ib.LFTEntry{LID: vmLID, Port: pp}, ib.LFTEntry{LID: peerLID, Port: pv})
-		default:
-			plan.Entries = append(plan.Entries, ib.LFTEntry{LID: peerLID, Port: pv}, ib.LFTEntry{LID: vmLID, Port: pp})
+		if need := len(plan.Entries) + edits; need > cap(plan.Entries) {
+			// A wave's table outgrew one member's: size it by what the
+			// switches walked so far project over all of them, an eighth
+			// over, rather than by append's small steps, which would
+			// allocate it several times over.
+			grown := make([]ib.LFTEntry, len(plan.Entries), max(need, need*n*9/(8*(si+1))))
+			copy(grown, plan.Entries)
+			plan.Entries = grown
 		}
-		plan.closeRun(node.ID)
+		last := -1
+		for _, k := range keys {
+			m := &ms[uint32(k)>>1]
+			if !m.on {
+				continue
+			}
+			e := ib.LFTEntry{LID: ib.LID(k >> 32), Port: m.pp}
+			if k&1 != 0 {
+				e.Port = m.pv
+			}
+			plan.Entries = append(plan.Entries, e)
+			if b := ib.BlockOf(e.LID); b != last {
+				plan.SMPs++
+				last = b
+			}
+		}
+		plan.closeRun(sw)
 	}
-	plan.count()
-	return plan, nil
+	plan.SwitchesTouched = len(plan.Switches)
+	return plan, counts, nil
+}
+
+// planOne is a wave of one: the lone member's plan is the merged plan.
+func (r *Reconfigurator) planOne(v cdg.Routes, kind PlanKind, vmLID, peerLID ib.LID) (*MigrationPlan, error) {
+	plan, _, err := r.PlanWaveOn(v, kind, []LIDPair{{VM: vmLID, Peer: peerLID}})
+	return plan, err
 }
 
 // reaches reports whether the programmed forwarding of lid from switch sw
@@ -267,14 +363,14 @@ func (r *Reconfigurator) reaches(v cdg.Routes, sw, leaf topology.NodeID, lid ib.
 // (the n' < n case of section VI-B). With ScopeMinimal only switches whose
 // VM-LID forwarding must change for correctness are touched.
 func (r *Reconfigurator) PlanSwap(vmLID, destVFLID ib.LID) (*MigrationPlan, error) {
-	return r.plan(r.SM.Programmed(), PlanSwap, vmLID, destVFLID)
+	return r.planOne(r.SM.Programmed(), PlanSwap, vmLID, destVFLID)
 }
 
 // PlanSwapOn is PlanSwap computed against the routing v instead of the
 // SM's programmed routing. Batch planners use it to plan wave N+1 against
 // the shadow state wave N leaves behind.
 func (r *Reconfigurator) PlanSwapOn(v cdg.Routes, vmLID, destVFLID ib.LID) (*MigrationPlan, error) {
-	return r.plan(v, PlanSwap, vmLID, destVFLID)
+	return r.planOne(v, PlanSwap, vmLID, destVFLID)
 }
 
 // PlanCopy builds the dynamic-assignment reconfiguration: on every switch,
@@ -282,13 +378,13 @@ func (r *Reconfigurator) PlanSwapOn(v cdg.Routes, vmLID, destVFLID ib.LID) (*Mig
 // entry (section V-C2). At most one LID changes per switch, so at most one
 // SMP per switch is ever needed.
 func (r *Reconfigurator) PlanCopy(vmLID, destPFLID ib.LID) (*MigrationPlan, error) {
-	return r.plan(r.SM.Programmed(), PlanCopy, vmLID, destPFLID)
+	return r.planOne(r.SM.Programmed(), PlanCopy, vmLID, destPFLID)
 }
 
 // PlanCopyOn is PlanCopy computed against the routing v instead of the
 // SM's programmed routing.
 func (r *Reconfigurator) PlanCopyOn(v cdg.Routes, vmLID, destPFLID ib.LID) (*MigrationPlan, error) {
-	return r.plan(v, PlanCopy, vmLID, destPFLID)
+	return r.planOne(v, PlanCopy, vmLID, destPFLID)
 }
 
 // PlanStats reports what Apply did.
@@ -331,8 +427,8 @@ func (r *Reconfigurator) Apply(plan *MigrationPlan) (PlanStats, error) {
 }
 
 // ApplyEdits programs a plan's LFT edits without touching the SM's LID
-// ownership map. Use it for merged plans (MergePlans), where the caller
-// performs each constituent migration's rebinds itself.
+// ownership map. Use it for a wave's merged plan (PlanWaveOn, MergePlans),
+// where the caller performs each member's rebinds itself.
 func (r *Reconfigurator) ApplyEdits(plan *MigrationPlan) (PlanStats, error) {
 	start := time.Now()
 	var st PlanStats
@@ -421,7 +517,9 @@ func (r *Reconfigurator) MigrateAddresses(srcHyp, dstHyp topology.NodeID, vguid 
 
 // MergePlans combines several migration plans into one set of per-switch
 // edits, so that concurrent migrations whose LID entries share a 64-LID
-// block cost a single SMP for that block instead of one each. Merging is
+// block cost a single SMP for that block instead of one each. A wave planned
+// as one (PlanWaveOn) comes out merged; MergePlans is for plans made apart,
+// and the oracle the wave planner is tested against. Merging is
 // only valid for plans computed against the same fabric state and applied
 // together; conflicting edits to the same LID are rejected (the first in
 // (switch, LID) order is reported), agreeing ones kept once. Every input

@@ -2,6 +2,7 @@ package ib
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -145,6 +146,79 @@ func FuzzLFTSwap(f *testing.F) {
 		// Neither swap reached the clone taken before them.
 		if !bytes.Equal(orig.Bytes(), origBytes) {
 			t.Fatal("swaps on the source changed its clone")
+		}
+	})
+}
+
+// runFromBytes decodes a fuzz payload into a run of entries, 3 bytes each
+// as setFromBytes reads them, arranged by shape: 0 as decoded (unsorted,
+// repeats anywhere), 1 stably sorted by LID (repeats adjacent, the later
+// one last), 2 sorted with every entry preceded by a duplicate of another
+// port, which the entry must override.
+func runFromBytes(data []byte, shape byte) []LFTEntry {
+	var run []LFTEntry
+	for i := 0; i+2 < len(data); i += 3 {
+		l := LID(uint16(data[i])<<8|uint16(data[i+1])) % fuzzLIDs
+		run = append(run, LFTEntry{LID: l, Port: PortNum(data[i+2])})
+	}
+	if shape%3 == 0 {
+		return run
+	}
+	slices.SortStableFunc(run, func(a, b LFTEntry) int { return int(a.LID) - int(b.LID) })
+	if shape%3 == 1 {
+		return run
+	}
+	doubled := make([]LFTEntry, 0, 2*len(run))
+	for _, e := range run {
+		doubled = append(doubled, LFTEntry{LID: e.LID, Port: e.Port ^ 1}, e)
+	}
+	return doubled
+}
+
+// FuzzSetRun: writing a run block by block is writing it entry by entry —
+// the same table, the same changed blocks in the same order, the same
+// provenance on every block — on a clone, whose source does not move.
+func FuzzSetRun(f *testing.F) {
+	f.Add([]byte{}, []byte{0, 1, 3}, byte(0))
+	f.Add([]byte{0, 1, 3}, []byte{0, 1, 3, 0, 2, 4}, byte(1))
+	f.Add([]byte{0, 1, 3, 0, 200, 5}, []byte{0, 200, 1, 0, 1, 4, 0, 200, 5}, byte(0))
+	f.Add(straddle(3), append(straddle(4), straddle(3)...), byte(2))
+	f.Add([]byte{15, 255, 7}, append(append(lidBytes(3*superLIDs+5), 9), 15, 255, 7, 0, 64, 9), byte(1))
+	f.Add([]byte{0, 70, 5}, []byte{0, 1, 3, 0, 70, 5, 0, 2, 4}, byte(0)) // block 0 changed, block 1 not, block 0 again
+	f.Fuzz(func(t *testing.T, base, data []byte, shape byte) {
+		p0 := &Provenance{Mutation: NextMutationID(), Reason: "base"}
+		p1 := &Provenance{Mutation: NextMutationID(), Reason: "run"}
+		src := NewLFT(63)
+		src.SetProvenance(p0)
+		setFromBytes(src, base)
+		before := src.Bytes()
+		run := runFromBytes(data, shape)
+
+		want := src.Clone()
+		want.SetProvenance(p1)
+		var wantBlocks []int
+		for _, e := range run {
+			if b := BlockOf(e.LID); want.Set(e.LID, e.Port) && (len(wantBlocks) == 0 || wantBlocks[len(wantBlocks)-1] != b) {
+				wantBlocks = append(wantBlocks, b)
+			}
+		}
+		got := src.Clone()
+		got.SetProvenance(p1)
+		gotBlocks := got.SetRun(run, nil)
+
+		if !slices.Equal(gotBlocks, wantBlocks) {
+			t.Errorf("SetRun changed blocks %v, per-entry Set %v", gotBlocks, wantBlocks)
+		}
+		if got.NumBlocks() != want.NumBlocks() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("SetRun table differs from per-entry Set (%d vs %d blocks)", got.NumBlocks(), want.NumBlocks())
+		}
+		for b := 0; b < want.NumBlocks(); b++ {
+			if g, w := got.ProvenanceOf(LID(b*LFTBlockSize)), want.ProvenanceOf(LID(b*LFTBlockSize)); g != w {
+				t.Fatalf("block %d stamped %+v, per-entry Set %+v", b, g, w)
+			}
+		}
+		if !bytes.Equal(src.Bytes(), before) {
+			t.Fatal("SetRun on a clone changed its source")
 		}
 	})
 }

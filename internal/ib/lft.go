@@ -375,6 +375,41 @@ func (t *LFT) Set(l LID, p PortNum) bool {
 	return true
 }
 
+// SetRun programs a run of entries as Set does each in turn — a later
+// duplicate wins, and every changed entry stamps its block with the table's
+// current epoch — and appends to changed the index of each block in which
+// some entry changed. It descends the radix once per group of consecutive
+// entries in one block, not once per entry. When the run ascends by LID, as
+// a plan's run does, the blocks come out ascending and without repeats; an
+// unsorted run repeats no block twice in a row only.
+func (t *LFT) SetRun(run []LFTEntry, changed []int) []int {
+	for i := 0; i < len(run); {
+		b := BlockOf(run[i].LID)
+		t.ensure(run[i].LID)
+		ports := entries(t.Block(b))
+		var blk *lftBlock // this table's own copy, once an entry changes
+		for ; i < len(run) && BlockOf(run[i].LID) == b; i++ {
+			k := int(run[i].LID) % LFTBlockSize
+			if ports[k] == run[i].Port {
+				continue
+			}
+			if blk == nil {
+				blk = t.mutableBlock(b)
+				ports = &blk.ports
+			}
+			ports[k] = run[i].Port
+		}
+		if blk == nil {
+			continue
+		}
+		blk.prov = t.prov
+		if n := len(changed); n == 0 || changed[n-1] != b {
+			changed = append(changed, b)
+		}
+	}
+	return changed
+}
+
 // LFTEntry is one entry to program: LID leaves the switch through Port. It is
 // the unit a migration plan lists and the SM's sparse write takes.
 type LFTEntry struct {

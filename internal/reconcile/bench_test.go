@@ -3,6 +3,7 @@ package reconcile
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // benchCloud is the benchmark module's reconcile-waves fabric: the 1000-host
 // 3-level fat tree (300 switches), dynamic LIDs, two VFs a hypervisor, and
 // 256 VMs scattered one to a host by a seed-21 shuffle.
-func benchCloud(b *testing.B) *cloud.Cloud {
+func benchCloud(b testing.TB) *cloud.Cloud {
 	topo, err := topology.BuildXGFT(topology.XGFTSpec{M: []int{10, 10, 10}, W: []int{1, 10, 10}}, 20)
 	if err != nil {
 		b.Fatal(err)
@@ -37,8 +38,8 @@ func benchCloud(b *testing.B) *cloud.Cloud {
 }
 
 // BenchmarkReconcilePlan is the benchmark module's reconcile-waves defrag,
-// planning only: some 190 moves staged against the shadow, merged and costed
-// per wave.
+// planning only: some 130 moves staged against the shadow, each wave planned
+// as one table and costed.
 func BenchmarkReconcilePlan(b *testing.B) {
 	p := &Planner{C: benchCloud(b)}
 	b.ReportAllocs()
@@ -51,11 +52,41 @@ func BenchmarkReconcilePlan(b *testing.B) {
 	}
 }
 
+// TestReconcilePlanBytes gates what planning BenchmarkReconcilePlan's defrag
+// allocates at 666 000 bytes: 60 % of the 1.11 MB it took while every member
+// of a wave carried a plan of its own, sized to every switch, and the wave's
+// plan was merged from them. Planning is deterministic, so its cost is gated
+// hard, without a timing.
+func TestReconcilePlanBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	p := &Planner{C: benchCloud(t)}
+	plan := func() {
+		if plan, err := p.Plan(Spec{Goal: GoalDefrag}); err != nil || len(plan.Moves) < 100 {
+			t.Fatalf("defrag plan: %+v, err %v", plan, err)
+		}
+	}
+	plan()
+	const runs, budget = 20, 666_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		plan()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("a defrag plan of the benchmark fabric allocates %d bytes", bytes)
+	if bytes > budget {
+		t.Errorf("a defrag plan allocates %d bytes, budget %d", bytes, budget)
+	}
+}
+
 // BenchmarkReconcileApply is one reconcile-waves cycle, planned and applied
 // as the control plane applies it: a seeded scatter of the 256 VMs (an
 // explicit placement on seeded hosts, at most two to one), then a defrag.
-// Each wave runs as the planner staged and merged it; the apply stages
-// nothing and merges nothing.
+// Each wave runs as the planner staged and planned it; the apply stages
+// nothing and plans nothing.
 func BenchmarkReconcileApply(b *testing.B) {
 	c := benchCloud(b)
 	p := &Planner{C: c}

@@ -289,6 +289,68 @@ func (p *Planner) desired(spec Spec) ([]cloud.Move, error) {
 	}
 }
 
+// fleet is the cloud's placement as dense per-hypervisor tables, read once
+// per goal: entry i of each describes hypervisor hyps[i], the i-th of
+// Hypervisors() (ascending node IDs).
+type fleet struct {
+	hyps     []topology.NodeID
+	leaf     []topology.NodeID // its leaf switch
+	attached []int             // VFs attached to a VM
+	free     []int             // free VFs (a held VF is not room)
+	vms      [][]string        // VMs whose record names it, by name (placed only)
+}
+
+// fleet reads the hypervisors' leaves and VF counts.
+func (p *Planner) fleet() *fleet {
+	hyps := p.C.Hypervisors()
+	f := &fleet{
+		hyps:     hyps,
+		leaf:     make([]topology.NodeID, len(hyps)),
+		attached: make([]int, len(hyps)),
+		free:     make([]int, len(hyps)),
+	}
+	for i, hn := range hyps {
+		hca := p.C.Hypervisor(hn).HCA
+		f.leaf[i] = p.C.SM.Topo.LeafSwitchOf(hn)
+		f.attached[i], f.free[i] = hca.AttachedCount(), hca.FreeCount()
+	}
+	return f
+}
+
+// at is hypervisor hn's index.
+func (f *fleet) at(hn topology.NodeID) int {
+	i, _ := slices.BinarySearch(f.hyps, hn)
+	return i
+}
+
+// placed fills in each hypervisor's VMs: the cloud's VMs, sorted by name,
+// bucketed by hypervisor in one counting sort, so each bucket stays sorted.
+// A bucket's capacity ends where it does: appending to one copies it.
+func (f *fleet) placed(c *cloud.Cloud) *fleet {
+	names := c.VMs()
+	on := make([]int32, len(names))
+	at := make([]int32, len(f.hyps)+1) // at[i+1] counts i's VMs, then at[i] is where they go
+	for j, name := range names {
+		on[j] = int32(f.at(c.VM(name).Hyp))
+		at[on[j]+1]++
+	}
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	flat := make([]string, len(names))
+	for j, name := range names {
+		flat[at[on[j]]] = name
+		at[on[j]]++ // leaves at[i] the end of i's VMs
+	}
+	f.vms = make([][]string, len(f.hyps))
+	begin := int32(0)
+	for i := range f.vms {
+		f.vms[i] = flat[begin:at[i]:at[i]]
+		begin = at[i]
+	}
+	return f
+}
+
 // defragMoves consolidates VMs onto the minimal number of hypervisors — the
 // paper's motivating scenario for cheap migrations, "optimization of
 // fragmented networks" (section V-B).
@@ -307,19 +369,21 @@ func (p *Planner) desired(spec Spec) ([]cloud.Move, error) {
 func (p *Planner) defragMoves() []cloud.Move {
 	type host struct {
 		node topology.NodeID
+		at   int // in the fleet
 		vms  int
 		cap  int
 	}
-	total := 0
-	hosts := make([]host, 0, len(p.C.Hypervisors()))
-	for _, hn := range p.C.Hypervisors() {
-		hca := p.C.Hypervisor(hn).HCA
-		n := hca.AttachedCount()
-		if n == 0 {
-			continue // neither a keeper (the loaded hosts' room holds every VM) nor a donor
-		}
+	f := p.fleet().placed(p.C)
+	total, loaded := 0, 0
+	for _, n := range f.attached {
 		total += n
-		hosts = append(hosts, host{hn, n, n + hca.FreeCount()}) // a held VF is not room
+		loaded += min(n, 1)
+	}
+	hosts := make([]host, 0, loaded)
+	for i, hn := range f.hyps {
+		if n := f.attached[i]; n > 0 { // an empty host is neither a keeper (the loaded hosts' room holds every VM) nor a donor
+			hosts = append(hosts, host{hn, i, n, n + f.free[i]})
+		}
 	}
 	if total == 0 {
 		return nil
@@ -346,23 +410,16 @@ func (p *Planner) defragMoves() []cloud.Move {
 		node, leaf topology.NodeID
 		load, free int
 	}
-	leafOf := p.C.SM.Topo.LeafSwitchOf
 	keepers := make([]keeper, nKeep)
 	for i, k := range hosts[:nKeep] {
-		keepers[i] = keeper{k.node, leafOf(k.node), k.vms, k.cap - k.vms}
-	}
-
-	vmsOn := map[topology.NodeID][]string{}
-	for _, name := range p.C.VMs() { // sorted by name: deterministic plans
-		hn := p.C.VM(name).Hyp
-		vmsOn[hn] = append(vmsOn[hn], name)
+		keepers[i] = keeper{k.node, f.leaf[k.at], k.vms, k.cap - k.vms}
 	}
 
 	var moves []cloud.Move
 	for di := len(hosts) - 1; di >= nKeep; di-- { // emptiest donors first
 		donor := hosts[di]
-		donorLeaf := leafOf(donor.node)
-		for _, name := range vmsOn[donor.node] {
+		donorLeaf := f.leaf[donor.at]
+		for _, name := range f.vms[donor.at] { // sorted by name: deterministic plans
 			recv := -1
 			recvLocal := false
 			for i := range keepers {
@@ -393,39 +450,29 @@ func (p *Planner) drainMoves(host topology.NodeID) ([]cloud.Move, error) {
 	if p.C.Hypervisor(host) == nil {
 		return nil, fmt.Errorf("reconcile: drain target %d %w", host, cloud.ErrNotHypervisor)
 	}
-	hostLeaf := p.C.SM.Topo.LeafSwitchOf(host)
-	load := map[topology.NodeID]int{}
-	free := map[topology.NodeID]int{}
-	for _, hn := range p.C.Hypervisors() {
-		h := p.C.Hypervisor(hn)
-		load[hn] = h.HCA.AttachedCount()
-		free[hn] = h.HCA.FreeCount() // a held VF is not room
-	}
+	f := p.fleet().placed(p.C)
+	h := f.at(host)
+	load, free := f.attached, f.free
 	var moves []cloud.Move
-	for _, name := range p.C.VMs() { // sorted
-		vm := p.C.VM(name)
-		if vm.Hyp != host {
-			continue
-		}
-		recv := topology.NoNode
+	for _, name := range f.vms[h] { // sorted
+		recv := -1
 		recvLocal := false
-		for _, hn := range p.C.Hypervisors() {
-			if hn == host || free[hn] <= 0 {
+		for i := range f.hyps { // ascending: the first of equals is the lowest node
+			if i == h || free[i] <= 0 {
 				continue
 			}
-			local := p.C.SM.Topo.LeafSwitchOf(hn) == hostLeaf
+			local := f.leaf[i] == f.leaf[h]
 			switch {
-			case recv == topology.NoNode,
+			case recv < 0,
 				local && !recvLocal,
-				local == recvLocal && load[hn] > load[recv],
-				local == recvLocal && load[hn] == load[recv] && hn < recv:
-				recv, recvLocal = hn, local
+				local == recvLocal && load[i] > load[recv]:
+				recv, recvLocal = i, local
 			}
 		}
-		if recv == topology.NoNode {
+		if recv < 0 {
 			return nil, fmt.Errorf("reconcile: draining %d is infeasible: no %w for VM %q", host, cloud.ErrNoFreeVF, name)
 		}
-		moves = append(moves, cloud.Move{VM: name, To: recv})
+		moves = append(moves, cloud.Move{VM: name, To: f.hyps[recv]})
 		free[recv]--
 		load[recv]++
 	}
@@ -436,35 +483,30 @@ func (p *Planner) drainMoves(host topology.NodeID) ([]cloud.Move, error) {
 // from the most loaded host to the least loaded (same-leaf receivers break
 // ties) until balanced.
 func (p *Planner) spreadMoves() []cloud.Move {
-	load := map[topology.NodeID]int{}
-	vmsOn := map[topology.NodeID][]string{}
-	for _, hn := range p.C.Hypervisors() {
-		load[hn] = 0
-	}
-	for _, name := range p.C.VMs() { // sorted: deterministic donations
-		vm := p.C.VM(name)
-		load[vm.Hyp]++
-		vmsOn[vm.Hyp] = append(vmsOn[vm.Hyp], name)
+	f := p.fleet().placed(p.C) // VMs sorted by name: deterministic donations
+	vmsOn := f.vms
+	load := make([]int, len(vmsOn))
+	for i, names := range vmsOn {
+		load[i] = len(names)
 	}
 	var moves []cloud.Move
 	for {
-		maxH, minH := topology.NoNode, topology.NoNode
-		for _, hn := range p.C.Hypervisors() {
-			if maxH == topology.NoNode || load[hn] > load[maxH] {
-				maxH = hn
+		maxH, minH := -1, -1
+		for i := range load {
+			if maxH < 0 || load[i] > load[maxH] {
+				maxH = i
 			}
-			if minH == topology.NoNode || load[hn] < load[minH] {
-				minH = hn
+			if minH < 0 || load[i] < load[minH] {
+				minH = i
 			}
 		}
-		if maxH == topology.NoNode || load[maxH]-load[minH] <= 1 {
+		if maxH < 0 || load[maxH]-load[minH] <= 1 {
 			return moves
 		}
 		// Prefer a same-leaf receiver among the minimally loaded hosts.
-		donorLeaf := p.C.SM.Topo.LeafSwitchOf(maxH)
-		for _, hn := range p.C.Hypervisors() {
-			if load[hn] == load[minH] && p.C.SM.Topo.LeafSwitchOf(hn) == donorLeaf && hn != maxH {
-				minH = hn
+		for i := range load {
+			if load[i] == load[minH] && f.leaf[i] == f.leaf[maxH] && i != maxH {
+				minH = i
 				break
 			}
 		}
@@ -472,7 +514,7 @@ func (p *Planner) spreadMoves() []cloud.Move {
 		name := names[len(names)-1]
 		vmsOn[maxH] = names[:len(names)-1]
 		vmsOn[minH] = append(vmsOn[minH], name)
-		moves = append(moves, cloud.Move{VM: name, To: minH})
+		moves = append(moves, cloud.Move{VM: name, To: f.hyps[minH]})
 		load[maxH]--
 		load[minH]++
 	}
@@ -491,10 +533,8 @@ func (p *Planner) placementMoves(want map[string]topology.NodeID) ([]cloud.Move,
 	sort.Strings(names)
 
 	// Final feasibility: every host's end load must fit its VF count.
-	final := map[topology.NodeID]int{}
-	for _, hn := range p.C.Hypervisors() {
-		final[hn] = p.C.VMCountOn(hn)
-	}
+	f := p.fleet()
+	final := slices.Clone(f.attached)
 	var moves []cloud.Move
 	for _, name := range names {
 		vm := p.C.VM(name)
@@ -508,13 +548,13 @@ func (p *Planner) placementMoves(want map[string]topology.NodeID) ([]cloud.Move,
 		if dst == vm.Hyp {
 			continue
 		}
-		final[vm.Hyp]--
-		final[dst]++
+		final[f.at(vm.Hyp)]--
+		final[f.at(dst)]++
 		moves = append(moves, cloud.Move{VM: name, To: dst})
 	}
-	for _, hn := range p.C.Hypervisors() {
-		if cap := p.C.VMCountOn(hn) + p.C.Hypervisor(hn).HCA.FreeCount(); final[hn] > cap {
-			return nil, fmt.Errorf("reconcile: placement overfills hypervisor %d (%d VMs, %d VFs): no %w", hn, final[hn], cap, cloud.ErrNoFreeVF)
+	for i, hn := range f.hyps {
+		if cap := f.attached[i] + f.free[i]; final[i] > cap {
+			return nil, fmt.Errorf("reconcile: placement overfills hypervisor %d (%d VMs, %d VFs): no %w", hn, final[i], cap, cloud.ErrNoFreeVF)
 		}
 	}
 	return moves, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -442,13 +443,42 @@ func TestPlacementSwapCycle(t *testing.T) {
 	}
 }
 
+// TestPlannerKeepsHypervisorsAscending: Hypervisors() is the cloud's own
+// slice, ascending, and spareVF's "lowest-numbered" spare and every goal's
+// ties rest on that order. Planning and applying each goal leaves it as it
+// was.
+func TestPlannerKeepsHypervisorsAscending(t *testing.T) {
+	for _, gc := range goalCases {
+		t.Run(gc.name, func(t *testing.T) {
+			c := testCloud(t, sriov.VSwitchDynamic)
+			want := slices.Clone(c.Hypervisors())
+			if !slices.IsSorted(want) {
+				t.Fatalf("a new cloud's hypervisors are not ascending: %v", want)
+			}
+			spec := gc.setup(t, c)
+			p := &Planner{C: c}
+			plan, err := p.Plan(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			applyPlan(t, c, plan)
+			if _, err := p.Plan(spec); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Hypervisors(); !slices.Equal(got, want) {
+				t.Fatalf("after planning %s: Hypervisors() = %v, want %v", gc.name, got, want)
+			}
+		})
+	}
+}
+
 // TestDefragIgnoresHeldVFs: a VF an abandoned migration left held is not
 // capacity. Sized by NumVFs, defrag kept such hosts as receivers with room
 // they do not have; the planner then parked VMs on spares wave after wave
 // and never converged — hence the deadline.
 func TestDefragIgnoresHeldVFs(t *testing.T) {
 	c := testCloud(t, sriov.VSwitchDynamic)
-	hyps := c.Hypervisors()
+	hyps := slices.Clone(c.Hypervisors()) // the cloud's own slice is read-only
 	rng := rand.New(rand.NewSource(23))
 	rng.Shuffle(len(hyps), func(i, j int) { hyps[i], hyps[j] = hyps[j], hyps[i] })
 	// Two hosts with two VMs and their third VF held — the fullest, so defrag

@@ -109,11 +109,12 @@ func (s *shadow) writableLFT(sw topology.NodeID) *ib.LFT {
 }
 
 // simulateWave stages every move of the wave against the shadow state —
-// the same cloud.Stage an apply would run against the live fabric — merges
-// the plans, predicts the merged distribution's cost exactly as
-// ApplyEdits+SetLFTEntriesProv will account it, and then applies the wave's
-// declared effects to the shadow: LFT edits, LID rebinds, both VFs' states.
-// The staged wave is returned for the apply to bind and run as it is.
+// the same cloud.Stage an apply would run against the live fabric — plans
+// the wave as one table (cloud.PlanWave), predicts its distribution's cost
+// exactly as ApplyEdits+SetLFTEntriesProv will account it, and then applies
+// the wave's declared effects to the shadow: LFT edits, LID rebinds, both
+// VFs' states. The staged wave is returned for the apply to bind and run as
+// it is.
 func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (cloud.Wave, StepCost, error) {
 	rc := p.C.RC
 	ms := make([]*cloud.Migration, 0, len(wave))
@@ -127,22 +128,22 @@ func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (cloud.Wave, StepC
 		if dstVF < 0 {
 			return cloud.Wave{}, StepCost{}, fmt.Errorf("reconcile: destination %d has no %w for %q", mv.To, cloud.ErrNoFreeVF, mv.VM)
 		}
-		m, err := cloud.Stage(rc, sh, mv.VM, sh.hca(st.hyp), st.vf, dst, dstVF)
+		m, err := cloud.Stage(mv.VM, sh.hca(st.hyp), st.vf, dst, dstVF)
 		if err != nil {
 			return cloud.Wave{}, StepCost{}, err
 		}
 		dst.Hold(dstVF) // the wave's next member must pick another
 		ms = append(ms, m)
 	}
-	w, err := cloud.MergeWave(ms)
+	w, err := cloud.PlanWave(rc, sh, ms)
 	if err != nil {
 		return cloud.Wave{}, StepCost{}, err
 	}
 
 	cost := StepCost{HostSMPs: 2 * len(wave)}
 	if merged := w.Plan; merged != nil {
-		// Cost each switch's run as the SM will send it — its ascending blocks,
-		// coalesced by the SM's own rule — and commit it to the shadow table.
+		// Commit each switch's run to the shadow table as the SM writes it,
+		// and cost the blocks it changed, coalesced by the SM's own rule.
 		sh.edits += len(merged.Entries)
 		var blocks []int
 		for i, sw := range merged.Switches {
@@ -153,13 +154,7 @@ func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (cloud.Wave, StepC
 			if rc.Mitigation == core.MitigationInvalidate && lft.Get(merged.VMLID) != ib.DropPort {
 				cost.InvalidationSMPs++
 			}
-			blocks = blocks[:0]
-			for _, e := range merged.Run(i) {
-				if b := ib.BlockOf(e.LID); len(blocks) == 0 || blocks[len(blocks)-1] != b {
-					blocks = append(blocks, b)
-				}
-				lft.Set(e.LID, e.Port)
-			}
+			blocks = lft.SetRun(merged.Run(i), blocks[:0])
 			cost.SwitchesUpdated++
 			cost.LFTSMPs += sm.CoalescedSMPs(blocks, p.C.SM.Dist.MaxBlocksPerSMP)
 		}

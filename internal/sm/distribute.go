@@ -183,7 +183,10 @@ func appendRuns(runs []blockRun, blocks []int, max int) []blockRun {
 // ascending changed-block list under MaxBlocksPerSMP = max: the one packing
 // rule, exported so a dry run (the reconciler's shadow coster) predicts
 // applied SMP counts with the planner that will produce them.
-func CoalescedSMPs(blocks []int, max int) int { return len(planRuns(blocks, max)) }
+func CoalescedSMPs(blocks []int, max int) int {
+	var buf [8]blockRun // a planned switch's few runs: nothing on the heap
+	return len(appendRuns(buf[:0], blocks, max))
+}
 
 // distJob is one switch's share of a distribution: the block runs to push
 // (one SMP each) and the target table they come from.
@@ -584,22 +587,8 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEn
 	next.SetProvenance(prov)
 	// The touched blocks, ascending and without repeats. A plan's run is
 	// sorted by LID, so sorting is needed only for a caller's unsorted list.
-	blocks := make([]int, 0, 2)
-	sorted := true
-	for _, e := range entries {
-		if !next.Set(e.LID, e.Port) {
-			continue
-		}
-		b := ib.BlockOf(e.LID)
-		if n := len(blocks); n > 0 {
-			if blocks[n-1] == b {
-				continue
-			}
-			sorted = sorted && blocks[n-1] < b
-		}
-		blocks = append(blocks, b)
-	}
-	if !sorted {
+	blocks := next.SetRun(entries, make([]int, 0, 2))
+	if !slices.IsSorted(blocks) {
 		slices.Sort(blocks)
 		blocks = slices.Compact(blocks)
 	}
@@ -650,9 +639,7 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEn
 	// undo the reconfiguration.
 	if tgt := s.target[sw]; tgt != nil {
 		tgt.SetProvenance(prov)
-		for _, e := range entries {
-			tgt.Set(e.LID, e.Port)
-		}
+		tgt.SetRun(entries, blocks[:0])
 	}
 	return len(runs), nil
 }

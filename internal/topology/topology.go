@@ -73,7 +73,7 @@ func (n *Node) FreePort() ib.PortNum {
 type Topology struct {
 	Name     string
 	nodes    []*Node
-	switches int // how many of nodes are switches
+	switches []NodeID // the switches' IDs, ascending
 
 	nextGUID uint64
 }
@@ -97,16 +97,9 @@ func (t *Topology) Node(id NodeID) *Node {
 // Nodes returns the underlying node slice; callers must not mutate it.
 func (t *Topology) Nodes() []*Node { return t.nodes }
 
-// Switches returns the IDs of all switch nodes in ascending order.
-func (t *Topology) Switches() []NodeID {
-	var out []NodeID
-	for _, n := range t.nodes {
-		if n.IsSwitch() {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
+// Switches returns the IDs of all switch nodes in ascending order. The
+// slice is the topology's own: callers must not mutate it.
+func (t *Topology) Switches() []NodeID { return t.switches[:len(t.switches):len(t.switches)] }
 
 // CAs returns the IDs of all channel adapters in ascending order.
 func (t *Topology) CAs() []NodeID {
@@ -120,7 +113,7 @@ func (t *Topology) CAs() []NodeID {
 }
 
 // NumSwitches returns the number of switch nodes.
-func (t *Topology) NumSwitches() int { return t.switches }
+func (t *Topology) NumSwitches() int { return len(t.switches) }
 
 // NumCAs counts channel adapters.
 func (t *Topology) NumCAs() int { return len(t.nodes) - t.NumSwitches() }
@@ -161,7 +154,7 @@ func (t *Topology) addNode(typ ib.NodeType, numPorts int, desc string) NodeID {
 	}
 	t.nodes = append(t.nodes, n)
 	if n.IsSwitch() {
-		t.switches++
+		t.switches = append(t.switches, id)
 	}
 	return id
 }
