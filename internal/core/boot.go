@@ -30,7 +30,7 @@ func (r *Reconfigurator) BootVMLID(hypervisor topology.NodeID) (BootStats, error
 }
 
 // BootVMLIDProv is BootVMLID with a provenance stamp attributed to every
-// LFT block the boot writes.
+// LFT block the boot writes. Its SMPs' spans are roots.
 func (r *Reconfigurator) BootVMLIDProv(hypervisor topology.NodeID, prov *ib.Provenance) (BootStats, error) {
 	var st BootStats
 	pfLID := r.SM.LIDOf(hypervisor)
@@ -42,30 +42,26 @@ func (r *Reconfigurator) BootVMLIDProv(hypervisor topology.NodeID, prov *ib.Prov
 		return st, err
 	}
 	st.LID = lid
-	for _, sw := range r.SM.Topo.Switches() {
+	topo := r.SM.Topo
+	leaf := topo.LeafSwitchOf(hypervisor)
+	n := topo.NumSwitches()
+	plan := &MigrationPlan{Switches: make([]topology.NodeID, 0, n), Entries: make([]ib.LFTEntry, 0, n), offs: make([]int32, 1, n+1)}
+	for _, sw := range topo.Switches() {
 		lft := r.SM.ProgrammedLFT(sw)
 		if lft == nil {
-			return st, fmt.Errorf("core: switch %q not programmed", r.SM.Topo.Node(sw).Desc)
+			return st, fmt.Errorf("core: switch %q not programmed", topo.Node(sw).Desc)
 		}
-		var egress ib.PortNum
-		if r.SM.NodeOfLID(pfLID) != topology.NoNode && r.SM.LIDOf(sw) == pfLID {
-			egress = 0 // degenerate: never happens for CAs, kept for safety
-		} else if sw == r.SM.Topo.LeafSwitchOf(hypervisor) {
-			egress = r.SM.Topo.PortToward(sw, hypervisor)
-		} else {
-			egress = lft.Get(pfLID)
+		egress := lft.Get(pfLID) // DropPort: sw cannot reach the hypervisor; keep dropping
+		if sw == leaf {
+			egress = topo.PortToward(sw, hypervisor)
 		}
-		if egress == ib.DropPort {
-			continue // switch cannot reach the hypervisor; keep dropping
+		if egress != ib.DropPort {
+			plan.Entries = append(plan.Entries, ib.LFTEntry{LID: lid, Port: egress})
+			plan.closeRun(sw)
 		}
-		n, err := r.SM.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: lid, Port: egress}}, r.Mode, prov, nil)
-		if err != nil {
-			return st, err
-		}
-		if n > 0 {
-			st.SwitchesUpdated++
-			st.SMPs += n
-		}
+	}
+	if st.SwitchesUpdated, st.SMPs, err = r.write(r.SM, plan, prov, nil, nil, ""); err != nil {
+		return st, err
 	}
 	st.ModelledTime = r.SM.Cost.DistributionTime(st.SMPs, r.Mode)
 	r.SM.Log().Addf(sm.EvVM, "boot VM LID %d on node %d: %d SMPs", lid, hypervisor, st.SMPs)
@@ -80,26 +76,21 @@ func (r *Reconfigurator) DestroyVMLID(lid ib.LID) (BootStats, error) {
 }
 
 // DestroyVMLIDProv is DestroyVMLID with a provenance stamp attributed to
-// every invalidated LFT block.
+// every invalidated LFT block. Its SMPs' spans are roots.
 func (r *Reconfigurator) DestroyVMLIDProv(lid ib.LID, prov *ib.Provenance) (BootStats, error) {
-	var st BootStats
-	st.LID = lid
+	st := BootStats{LID: lid}
 	if r.SM.NodeOfLID(lid) == topology.NoNode {
 		return st, fmt.Errorf("core: LID %d is not assigned", lid)
 	}
+	forwarding := make([]topology.NodeID, 0, r.SM.Topo.NumSwitches())
 	for _, sw := range r.SM.Topo.Switches() {
-		lft := r.SM.ProgrammedLFT(sw)
-		if lft == nil || lft.Get(lid) == ib.DropPort {
-			continue
+		if lft := r.SM.ProgrammedLFT(sw); lft != nil && lft.Get(lid) != ib.DropPort {
+			forwarding = append(forwarding, sw)
 		}
-		n, err := r.SM.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: lid, Port: ib.DropPort}}, r.Mode, prov, nil)
-		if err != nil {
-			return st, err
-		}
-		if n > 0 {
-			st.SwitchesUpdated++
-			st.SMPs += n
-		}
+	}
+	var err error
+	if st.SwitchesUpdated, st.SMPs, err = r.write(r.SM, dropPlan(lid, forwarding), prov, nil, nil, ""); err != nil {
+		return st, err
 	}
 	r.SM.ReleaseExtraLID(lid)
 	st.ModelledTime = r.SM.Cost.DistributionTime(st.SMPs, r.Mode)

@@ -178,20 +178,6 @@ func (p *MigrationPlan) closeRun(sw topology.NodeID) {
 	p.offs = append(p.offs, int32(len(p.Entries)))
 }
 
-// count derives SwitchesTouched and SMPs — distinct (switch, block) pairs.
-func (p *MigrationPlan) count() {
-	p.SwitchesTouched, p.SMPs = len(p.Switches), 0
-	for i := range p.Switches {
-		last := -1
-		for _, e := range p.Run(i) {
-			if b := ib.BlockOf(e.LID); b != last {
-				p.SMPs++
-				last = b
-			}
-		}
-	}
-}
-
 // LIDPair is one migration as the planner sees it: the VM's LID and its
 // peer — the destination VF's LID (swap) or the destination PF's (copy).
 type LIDPair struct{ VM, Peer ib.LID }
@@ -366,25 +352,12 @@ func (r *Reconfigurator) PlanSwap(vmLID, destVFLID ib.LID) (*MigrationPlan, erro
 	return r.planOne(r.SM.Programmed(), PlanSwap, vmLID, destVFLID)
 }
 
-// PlanSwapOn is PlanSwap computed against the routing v instead of the
-// SM's programmed routing. Batch planners use it to plan wave N+1 against
-// the shadow state wave N leaves behind.
-func (r *Reconfigurator) PlanSwapOn(v cdg.Routes, vmLID, destVFLID ib.LID) (*MigrationPlan, error) {
-	return r.planOne(v, PlanSwap, vmLID, destVFLID)
-}
-
 // PlanCopy builds the dynamic-assignment reconfiguration: on every switch,
 // the VM's LID entry becomes a copy of the destination hypervisor PF's
 // entry (section V-C2). At most one LID changes per switch, so at most one
 // SMP per switch is ever needed.
 func (r *Reconfigurator) PlanCopy(vmLID, destPFLID ib.LID) (*MigrationPlan, error) {
 	return r.planOne(r.SM.Programmed(), PlanCopy, vmLID, destPFLID)
-}
-
-// PlanCopyOn is PlanCopy computed against the routing v instead of the
-// SM's programmed routing.
-func (r *Reconfigurator) PlanCopyOn(v cdg.Routes, vmLID, destPFLID ib.LID) (*MigrationPlan, error) {
-	return r.planOne(v, PlanCopy, vmLID, destPFLID)
 }
 
 // PlanStats reports what Apply did.
@@ -431,54 +404,83 @@ func (r *Reconfigurator) Apply(plan *MigrationPlan) (PlanStats, error) {
 // where the caller performs each member's rebinds itself.
 func (r *Reconfigurator) ApplyEdits(plan *MigrationPlan) (PlanStats, error) {
 	start := time.Now()
-	var st PlanStats
-
 	span := r.spanUnder(plan.Under, telemetry.SpanLFTSwap, plan.Kind.String())
-	defer func() {
-		span.SetAttr("mode", r.Mode)
-		span.SetAttr("switches", st.SwitchesUpdated)
-		span.SetAttr("smps", st.SMPs)
-		span.SetAttr("invalidation_smps", st.InvalidationSMPs)
-		span.SetModelled(st.ModelledTime)
-		span.EndWithWall(st.Duration)
-	}()
+	st, err := r.edit(r.SM, plan, span, r.AfterUpdate)
+	if err == nil {
+		st.Duration = time.Since(start)
+	}
+	span.SetAttrs("mode", r.Mode, "switches", st.SwitchesUpdated, "smps", st.SMPs, "invalidation_smps", st.InvalidationSMPs)
+	span.SetModelled(st.ModelledTime)
+	span.EndWithWall(st.Duration)
+	return st, err
+}
 
+// CostEdits is ApplyEdits written to w instead of the SM, with no hook fired
+// and no span emitted: a planner runs it against its shadow of the fabric,
+// so the cost it predicts is the cost ApplyEdits pays, by construction.
+func (r *Reconfigurator) CostEdits(w LFTWriter, plan *MigrationPlan) (PlanStats, error) {
+	return r.edit(w, plan, nil, nil)
+}
+
+// edit is ApplyEdits' accounting: the invalidation pre-pass (a DropPort run
+// for the VM LID on the plan's switches), the plan's runs, and the modelled
+// time of every SMP sent, plus the peer drain.
+func (r *Reconfigurator) edit(w LFTWriter, plan *MigrationPlan, under *telemetry.Span, after func()) (st PlanStats, err error) {
 	if r.Mitigation == MitigationInvalidate {
-		invProv := plan.Prov.WithPhase("invalidate")
-		inv := []ib.LFTEntry{{LID: plan.VMLID, Port: ib.DropPort}}
-		for _, sw := range plan.Switches {
-			n, err := r.SM.SetLFTEntriesProv(sw, inv, r.Mode, invProv, span)
-			if err != nil {
-				return st, fmt.Errorf("core: invalidation pre-pass on %q: %w",
-					r.SM.Topo.Node(sw).Desc, err)
-			}
-			st.InvalidationSMPs += n
-			if r.AfterUpdate != nil {
-				r.AfterUpdate()
-			}
+		inv, prov := dropPlan(plan.VMLID, plan.Switches), plan.Prov.WithPhase("invalidate")
+		if _, st.InvalidationSMPs, err = r.write(w, inv, prov, under, after, "invalidation pre-pass"); err != nil {
+			return st, err
 		}
 	}
-
-	for i, sw := range plan.Switches {
-		n, err := r.SM.SetLFTEntriesProv(sw, plan.Run(i), r.Mode, plan.Prov, span)
-		if err != nil {
-			return st, fmt.Errorf("core: applying plan on %q: %w", r.SM.Topo.Node(sw).Desc, err)
-		}
-		if n > 0 {
-			st.SwitchesUpdated++
-			st.SMPs += n
-		}
-		if r.AfterUpdate != nil {
-			r.AfterUpdate()
-		}
+	if st.SwitchesUpdated, st.SMPs, err = r.write(w, plan, plan.Prov, under, after, "applying plan"); err != nil {
+		return st, err
 	}
-
 	st.ModelledTime = r.SM.Cost.DistributionTime(st.SMPs+st.InvalidationSMPs, r.Mode)
 	if r.Mitigation == MitigationDrain {
 		st.ModelledTime += r.DrainTime
 	}
-	st.Duration = time.Since(start)
 	return st, nil
+}
+
+// LFTWriter takes one switch's run of LFT edits, ascending by LID, and
+// returns the SMPs it took: the SM sends them, a planner's shadow costs them.
+type LFTWriter interface {
+	SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEntry, mode smp.Mode, prov *ib.Provenance, under *telemetry.Span) (int, error)
+}
+
+// write is the one loop that writes LFT entries: each switch's run, in
+// switch order, to w, then after (when set). It counts the switches whose
+// run took an SMP and the SMPs, and stops at the first failed write, its
+// error naming the pass what (when set) and the switch.
+func (r *Reconfigurator) write(w LFTWriter, p *MigrationPlan, prov *ib.Provenance, under *telemetry.Span, after func(), what string) (switches, smps int, err error) {
+	for i, sw := range p.Switches {
+		n, err := w.SetLFTEntriesProv(sw, p.Run(i), r.Mode, prov, under)
+		if err != nil {
+			if what != "" {
+				err = fmt.Errorf("core: %s on %q: %w", what, r.SM.Topo.Node(sw).Desc, err)
+			}
+			return switches, smps, err
+		}
+		if n > 0 {
+			switches++
+			smps += n
+		}
+		if after != nil {
+			after()
+		}
+	}
+	return switches, smps, nil
+}
+
+// dropPlan points lid at DropPort on each of the switches, ascending: the
+// invalidation pre-pass of section VI-C, and a destroyed VM LID's removal.
+func dropPlan(lid ib.LID, switches []topology.NodeID) *MigrationPlan {
+	p := &MigrationPlan{VMLID: lid, Switches: switches, Entries: make([]ib.LFTEntry, len(switches)), offs: make([]int32, len(switches)+1)}
+	for i := range switches {
+		p.Entries[i] = ib.LFTEntry{LID: lid, Port: ib.DropPort}
+		p.offs[i+1] = int32(i + 1)
+	}
+	return p
 }
 
 // spanUnder starts a span under an explicit parent, or, without one, under
@@ -581,6 +583,7 @@ func MergePlans(plans ...*MigrationPlan) (*MigrationPlan, error) {
 			ks[j] = uint64(e.LID)<<48 | uint64(j)<<8 | uint64(e.Port)
 		}
 		slices.Sort(ks)
+		last := -1
 		for j, k := range ks {
 			e := ib.LFTEntry{LID: ib.LID(k >> 48), Port: ib.PortNum(k)}
 			if j > 0 && ib.LID(ks[j-1]>>48) == e.LID {
@@ -591,28 +594,15 @@ func MergePlans(plans ...*MigrationPlan) (*MigrationPlan, error) {
 				continue
 			}
 			merged.Entries = append(merged.Entries, e)
+			if b := ib.BlockOf(e.LID); b != last {
+				merged.SMPs++ // one per distinct (switch, block)
+				last = b
+			}
 		}
 		merged.closeRun(sw)
 	}
-	merged.count()
+	merged.SwitchesTouched = len(merged.Switches)
 	return merged, nil
-}
-
-// Interferes reports whether two plans touch a common switch. Disjoint
-// plans can run concurrently (section VI-D: as many concurrent migrations
-// as leaf switches when they are all intra-leaf).
-func Interferes(a, b *MigrationPlan) bool {
-	for i, j := 0, 0; i < len(a.Switches) && j < len(b.Switches); {
-		switch {
-		case a.Switches[i] == b.Switches[j]:
-			return true
-		case a.Switches[i] < b.Switches[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }
 
 // MaxSwapSMPs is the worst case of the prepopulated method: two blocks per

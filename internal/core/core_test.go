@@ -372,28 +372,6 @@ func TestPlanErrors(t *testing.T) {
 	}
 }
 
-func TestInterferes(t *testing.T) {
-	_, rc, hyps, vfs := fig5Fabric(t, 20)
-	_ = hyps
-	// Two intra-leaf migrations on different leaves are disjoint... here
-	// both hyp1,hyp2 share leaf0, so use one intra-leaf plan and one
-	// cross-leaf plan, which must interfere (cross-leaf touches leaf0).
-	intra, err := rc.PlanSwap(vfs[0][0], vfs[1][0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cross, err := rc.PlanSwap(vfs[0][1], vfs[2][1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Interferes(intra, cross) {
-		t.Error("plans sharing leaf0 should interfere")
-	}
-	if Interferes(intra, &MigrationPlan{}) {
-		t.Error("empty plan interferes with nothing")
-	}
-}
-
 func TestWorstCaseHelpers(t *testing.T) {
 	// Table I max columns: 2n for swap, n for copy, 1 minimum.
 	if MaxSwapSMPs(36) != 72 || MaxSwapSMPs(1620) != 3240 {

@@ -10,6 +10,7 @@ import (
 	"ibvsim/internal/ib"
 	"ibvsim/internal/routing"
 	"ibvsim/internal/sm"
+	"ibvsim/internal/telemetry"
 	"ibvsim/internal/topology"
 )
 
@@ -217,7 +218,16 @@ func planOf(kind PlanKind, vmLID, peerLID ib.LID, updates map[topology.NodeID]ma
 		}
 		p.closeRun(sw)
 	}
-	p.count()
+	p.SwitchesTouched = len(p.Switches)
+	for i := range p.Switches {
+		last := -1
+		for _, e := range p.Run(i) {
+			if b := ib.BlockOf(e.LID); b != last {
+				p.SMPs++
+				last = b
+			}
+		}
+	}
 	return p
 }
 
@@ -413,13 +423,7 @@ func TestPlanEqualsReference(t *testing.T) {
 						}{{PlanSwap, vf}, {PlanCopy, pf}} {
 							what := fmt.Sprintf("%s %v %v %d->%d", where, c.kind, scope, vm, c.peer)
 							want, werr := rc.refPlanOn(v, c.kind, vm, c.peer)
-							var got *MigrationPlan
-							var gerr error
-							if c.kind == PlanSwap {
-								got, gerr = rc.PlanSwapOn(v, vm, c.peer)
-							} else {
-								got, gerr = rc.PlanCopyOn(v, vm, c.peer)
-							}
+							got, gerr := rc.planOne(v, c.kind, vm, c.peer)
 							if (gerr == nil) != (werr == nil) {
 								t.Fatalf("%s: err %v, reference %v", what, gerr, werr)
 							}
@@ -438,7 +442,7 @@ func TestPlanEqualsReference(t *testing.T) {
 			rc.Scope = ScopeAllSwitches
 			ov := &overlayView{base: rc.SM.Programmed(), lfts: map[topology.NodeID]*ib.LFT{}, owner: map[ib.LID]topology.NodeID{}}
 			for i := 0; i+1 < len(cas) && i < 24; i += 2 {
-				p, err := rc.PlanSwapOn(ov, lids[i][0], lids[i+1][0])
+				p, err := rc.planOne(ov, PlanSwap, lids[i][0], lids[i+1][0])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -659,6 +663,247 @@ func BenchmarkMergePlans(b *testing.B) {
 		var err error
 		if planSink, err = MergePlans(plans...); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// A VM LID's boot and destroy as they stood before every LFT write went
+// through one loop, kept verbatim as the oracle.
+
+func (r *Reconfigurator) refBootVMLIDProv(hypervisor topology.NodeID, prov *ib.Provenance) (BootStats, error) {
+	var st BootStats
+	pfLID := r.SM.LIDOf(hypervisor)
+	if pfLID == ib.LIDUnassigned {
+		return st, fmt.Errorf("core: hypervisor %d has no PF LID", hypervisor)
+	}
+	lid, err := r.SM.AllocExtraLID(hypervisor)
+	if err != nil {
+		return st, err
+	}
+	st.LID = lid
+	for _, sw := range r.SM.Topo.Switches() {
+		lft := r.SM.ProgrammedLFT(sw)
+		if lft == nil {
+			return st, fmt.Errorf("core: switch %q not programmed", r.SM.Topo.Node(sw).Desc)
+		}
+		var egress ib.PortNum
+		if r.SM.NodeOfLID(pfLID) != topology.NoNode && r.SM.LIDOf(sw) == pfLID {
+			egress = 0 // degenerate: never happens for CAs, kept for safety
+		} else if sw == r.SM.Topo.LeafSwitchOf(hypervisor) {
+			egress = r.SM.Topo.PortToward(sw, hypervisor)
+		} else {
+			egress = lft.Get(pfLID)
+		}
+		if egress == ib.DropPort {
+			continue // switch cannot reach the hypervisor; keep dropping
+		}
+		n, err := r.SM.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: lid, Port: egress}}, r.Mode, prov, nil)
+		if err != nil {
+			return st, err
+		}
+		if n > 0 {
+			st.SwitchesUpdated++
+			st.SMPs += n
+		}
+	}
+	st.ModelledTime = r.SM.Cost.DistributionTime(st.SMPs, r.Mode)
+	r.SM.Log().Addf(sm.EvVM, "boot VM LID %d on node %d: %d SMPs", lid, hypervisor, st.SMPs)
+	return st, nil
+}
+
+func (r *Reconfigurator) refDestroyVMLIDProv(lid ib.LID, prov *ib.Provenance) (BootStats, error) {
+	var st BootStats
+	st.LID = lid
+	if r.SM.NodeOfLID(lid) == topology.NoNode {
+		return st, fmt.Errorf("core: LID %d is not assigned", lid)
+	}
+	for _, sw := range r.SM.Topo.Switches() {
+		lft := r.SM.ProgrammedLFT(sw)
+		if lft == nil || lft.Get(lid) == ib.DropPort {
+			continue
+		}
+		n, err := r.SM.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: lid, Port: ib.DropPort}}, r.Mode, prov, nil)
+		if err != nil {
+			return st, err
+		}
+		if n > 0 {
+			st.SwitchesUpdated++
+			st.SMPs += n
+		}
+	}
+	r.SM.ReleaseExtraLID(lid)
+	st.ModelledTime = r.SM.Cost.DistributionTime(st.SMPs, r.Mode)
+	r.SM.Log().Addf(sm.EvVM, "destroy VM LID %d: %d SMPs", lid, st.SMPs)
+	return st, nil
+}
+
+// fabricState is what one boot or destroy leaves behind for the oracle
+// comparison: every switch's programmed table, and the spans and log lines
+// the call emitted.
+type fabricState struct {
+	lfts  []byte
+	spans []telemetry.SpanView
+	log   []string
+}
+
+func stateOf(rc *Reconfigurator, spansFrom, logFrom int) fabricState {
+	var st fabricState
+	for _, sw := range rc.SM.Topo.Switches() {
+		st.lfts = append(st.lfts, fmt.Sprintf("switch %d\n", sw)...)
+		if lft := rc.SM.ProgrammedLFT(sw); lft != nil {
+			st.lfts = append(st.lfts, lft.Bytes()...)
+		}
+	}
+	for _, s := range rc.SM.Telemetry().Tracer().SpansSince(spansFrom) {
+		s.Wall = 0
+		st.spans = append(st.spans, s)
+	}
+	for _, e := range rc.SM.Log().Events()[logFrom:] {
+		st.log = append(st.log, e.Msg)
+	}
+	return st
+}
+
+// cutOff takes down every link of node n that leads to a switch, then
+// reroutes and redistributes: the switches left behind drop n's LIDs, or
+// those of the CAs under it.
+func cutOff(t *testing.T, rc *Reconfigurator, n topology.NodeID) {
+	t.Helper()
+	topo := rc.SM.Topo
+	for p := 1; p < len(topo.Node(n).Ports); p++ {
+		if peer := topo.Node(n).Ports[p].Peer; peer != topology.NoNode && topo.Node(peer).IsSwitch() {
+			if err := topo.SetLinkState(n, ib.PortNum(p), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The sweep reports the fabric disconnected, which it now is.
+	_, _ = rc.SM.Sweep()
+	if _, err := rc.SM.ComputeRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.SM.DistributeDiff(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBootDestroyEqualsReference pins a VM LID's boot and destroy to the
+// loops they replaced: the same tables, BootStats, errors, smp spans (all
+// roots) and log lines, op for op, on a healthy fabric, after a host loses
+// its link (every switch drops its PF LID, so a boot writes nothing) and
+// after a leaf loses its trunk links (the switches left behind drop the PF
+// LIDs under it, and a write to the leaf itself is lost).
+func TestBootDestroyEqualsReference(t *testing.T) {
+	for _, scope := range []Scope{ScopeAllSwitches, ScopeMinimal} {
+		for name := range refTopologies(t) {
+			t.Run(fmt.Sprintf("%s/%s", name, scope), func(t *testing.T) {
+				got, _ := refFabric(t, refTopologies(t)[name], 0)
+				want, _ := refFabric(t, refTopologies(t)[name], 0)
+				got.Scope, want.Scope = scope, scope
+				cas := got.SM.Topo.CAs()
+				rng := rand.New(rand.NewSource(39))
+				var booted []ib.LID
+				var last BootStats // what the latest call reported
+				var lastErr error
+				step := 0
+				check := func(what string, op func(rc *Reconfigurator, ref bool) (BootStats, error)) {
+					t.Helper()
+					step++
+					spans := [2]int{got.SM.Telemetry().Tracer().LastSpanID(), want.SM.Telemetry().Tracer().LastSpanID()}
+					logs := [2]int{got.SM.Log().Len(), want.SM.Log().Len()}
+					gst, gerr := op(got, false)
+					wst, werr := op(want, true)
+					if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+						t.Fatalf("step %d %s: error %v, reference %v", step, what, gerr, werr)
+					}
+					if gst != wst {
+						t.Fatalf("step %d %s: %+v, reference %+v", step, what, gst, wst)
+					}
+					g, w := stateOf(got, spans[0], logs[0]), stateOf(want, spans[1], logs[1])
+					if !slices.Equal(g.lfts, w.lfts) {
+						t.Fatalf("step %d %s: programmed tables differ from the reference", step, what)
+					}
+					if !slices.Equal(g.log, w.log) {
+						t.Fatalf("step %d %s: log %q, reference %q", step, what, g.log, w.log)
+					}
+					if len(g.spans) != len(w.spans) {
+						t.Fatalf("step %d %s: %d spans, reference %d", step, what, len(g.spans), len(w.spans))
+					}
+					for i := range g.spans {
+						if fmt.Sprint(g.spans[i]) != fmt.Sprint(w.spans[i]) {
+							t.Fatalf("step %d %s: span %+v, reference %+v", step, what, g.spans[i], w.spans[i])
+						}
+						if g.spans[i].Kind != telemetry.SpanSMP || g.spans[i].Parent != 0 {
+							t.Fatalf("step %d %s: span %+v is not a root smp span", step, what, g.spans[i])
+						}
+					}
+					if gerr == nil && what == "boot" {
+						booted = append(booted, gst.LID)
+					}
+					last, lastErr = gst, gerr
+				}
+				boot := func(hyp topology.NodeID, prov *ib.Provenance) {
+					check("boot", func(rc *Reconfigurator, ref bool) (BootStats, error) {
+						if ref {
+							return rc.refBootVMLIDProv(hyp, prov)
+						}
+						return rc.BootVMLIDProv(hyp, prov)
+					})
+				}
+				destroy := func(lid ib.LID) {
+					check("destroy", func(rc *Reconfigurator, ref bool) (BootStats, error) {
+						if ref {
+							return rc.refDestroyVMLIDProv(lid, nil)
+						}
+						return rc.DestroyVMLIDProv(lid, nil)
+					})
+				}
+				churn := func(n int) {
+					for i := 0; i < n; i++ {
+						var prov *ib.Provenance
+						if i%2 == 1 {
+							prov = &ib.Provenance{Engine: "boot", Reason: "oracle", Shard: i % 3}
+						}
+						boot(cas[1+rng.Intn(len(cas)-1)], prov)
+						if i%3 == 2 {
+							k := rng.Intn(len(booted))
+							destroy(booted[k])
+							booted = slices.Delete(booted, k, k+1)
+						}
+					}
+				}
+
+				churn(12)
+				destroy(9999)                        // never assigned
+				boot(topology.NodeID(1<<20), nil)    // no such node
+				boot(got.SM.Topo.Switches()[0], nil) // a switch is no hypervisor
+
+				// A host that lost its link: no switch forwards its PF LID.
+				lone := cas[len(cas)/2]
+				cutOff(t, got, lone)
+				cutOff(t, want, lone)
+				boot(lone, nil)
+				if lastErr != nil || last.SMPs != 0 {
+					t.Fatalf("boot on a host without a link: %+v, %v; want no SMP and no error", last, lastErr)
+				}
+				destroy(booted[len(booted)-1])
+				churn(6)
+
+				// A leaf that lost its trunk links: its hosts are dropped by
+				// every other switch, and the leaf takes no write.
+				leaf := got.SM.Topo.LeafSwitchOf(cas[len(cas)-1])
+				cutOff(t, got, leaf)
+				cutOff(t, want, leaf)
+				boot(cas[len(cas)-1], nil)
+				if lastErr == nil || last.SMPs != 0 {
+					t.Fatalf("boot under a cut-off leaf: %+v, %v; want every other switch skipped and the leaf's write lost", last, lastErr)
+				}
+				boot(cas[1], nil)
+				if lastErr == nil || last.SMPs == 0 {
+					t.Fatalf("boot beside a cut-off leaf: %+v, %v; want some writes, then the leaf's lost", last, lastErr)
+				}
+				destroy(booted[0])
+			})
 		}
 	}
 }

@@ -102,12 +102,7 @@ func checkWave(t testing.TB, rc *Reconfigurator, v cdg.Routes, kind PlanKind, pa
 	plans := make([]*MigrationPlan, len(pairs))
 	for i, p := range pairs {
 		var err error
-		if kind == PlanSwap {
-			plans[i], err = rc.PlanSwapOn(v, p.VM, p.Peer)
-		} else {
-			plans[i], err = rc.PlanCopyOn(v, p.VM, p.Peer)
-		}
-		if err != nil {
+		if plans[i], err = rc.planOne(v, kind, p.VM, p.Peer); err != nil {
 			if gerr == nil || gerr.Error() != err.Error() {
 				t.Fatalf("member %d %+v is refused (%v); the wave: %v", i, p, err, gerr)
 			}
@@ -168,7 +163,7 @@ func FuzzPlanWave(f *testing.F) {
 		if overlay {
 			rc.Scope = ScopeAllSwitches
 			ov := &overlayView{base: v, lfts: map[topology.NodeID]*ib.LFT{}, owner: map[ib.LID]topology.NodeID{}}
-			p, err := rc.PlanSwapOn(ov, lids[40][0], lids[41][1]) // hosts no member draws from
+			p, err := rc.planOne(ov, PlanSwap, lids[40][0], lids[41][1]) // hosts no member draws from
 			if err != nil {
 				t.Fatal(err)
 			}

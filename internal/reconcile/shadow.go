@@ -5,17 +5,19 @@ import (
 	"slices"
 
 	"ibvsim/internal/cloud"
-	"ibvsim/internal/core"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/sm"
+	"ibvsim/internal/smp"
 	"ibvsim/internal/sriov"
+	"ibvsim/internal/telemetry"
 	"ibvsim/internal/topology"
 )
 
 // shadow is a copy-on-write overlay of the fabric state a migration wave
 // reads and writes: programmed LFTs, LID ownership, hypervisors' VF tables
 // and per-VM placement. It is a cdg.Routes, so wave N+1's plans are computed
-// on the exact state wave N's merged distribution will leave behind — the
+// on the exact state wave N's merged distribution will leave behind, and a
+// core.LFTWriter, so a wave is costed by the very loop that applies it — the
 // prediction a dry run reports is byte-for-byte the cost an apply pays.
 // Nothing is copied up front: a table, HCA or VM record is copied on its
 // first write, and every read of one not yet written falls through to the
@@ -27,6 +29,8 @@ type shadow struct {
 	hcas  map[topology.NodeID]*sriov.HCA // written hypervisors only: a private copy
 	vms   map[string]vmShadow            // moved VMs only
 	edits int                            // LFT entries written so far
+
+	blocks []int // SetLFTEntriesProv's scratch: the blocks a run changed
 }
 
 type vmShadow struct {
@@ -93,28 +97,30 @@ func (s *shadow) NodeOf(l ib.LID) topology.NodeID {
 	return s.c.SM.NodeOfLID(l)
 }
 
-// writableLFT returns the switch's overlay table, cloning the live one on
-// first write.
-func (s *shadow) writableLFT(sw topology.NodeID) *ib.LFT {
-	if l := s.lfts[sw]; l != nil {
-		return l
+// SetLFTEntriesProv implements core.LFTWriter: it writes the run to the
+// switch's overlay table, cloned on first write, and returns the SMPs the
+// SM's write would send for the blocks that changed.
+func (s *shadow) SetLFTEntriesProv(sw topology.NodeID, run []ib.LFTEntry, _ smp.Mode, _ *ib.Provenance, _ *telemetry.Span) (int, error) {
+	lft := s.lfts[sw]
+	if lft == nil {
+		base := s.c.SM.ProgrammedLFT(sw)
+		if base == nil {
+			return 0, fmt.Errorf("reconcile: switch %d not programmed", sw)
+		}
+		lft = base.Clone()
+		s.lfts[sw] = lft
 	}
-	base := s.c.SM.ProgrammedLFT(sw)
-	if base == nil {
-		return nil
-	}
-	cl := base.Clone()
-	s.lfts[sw] = cl
-	return cl
+	s.blocks = lft.SetRun(run, s.blocks[:0])
+	return sm.CoalescedSMPs(s.blocks, s.c.SM.Dist.MaxBlocksPerSMP), nil
 }
 
 // simulateWave stages every move of the wave against the shadow state —
 // the same cloud.Stage an apply would run against the live fabric — plans
-// the wave as one table (cloud.PlanWave), predicts its distribution's cost
-// exactly as ApplyEdits+SetLFTEntriesProv will account it, and then applies
-// the wave's declared effects to the shadow: LFT edits, LID rebinds, both
-// VFs' states. The staged wave is returned for the apply to bind and run as
-// it is.
+// the wave as one table (cloud.PlanWave), writes it to the shadow through
+// the loop ApplyEdits runs (core.CostEdits), which costs it as the apply
+// will, and then applies the wave's other effects to the shadow: LID
+// rebinds, both VFs' states. The staged wave is returned for the apply to
+// bind and run as it is.
 func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (cloud.Wave, StepCost, error) {
 	rc := p.C.RC
 	ms := make([]*cloud.Migration, 0, len(wave))
@@ -141,27 +147,13 @@ func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (cloud.Wave, StepC
 	}
 
 	cost := StepCost{HostSMPs: 2 * len(wave)}
-	if merged := w.Plan; merged != nil {
-		// Commit each switch's run to the shadow table as the SM writes it,
-		// and cost the blocks it changed, coalesced by the SM's own rule.
-		sh.edits += len(merged.Entries)
-		var blocks []int
-		for i, sw := range merged.Switches {
-			lft := sh.writableLFT(sw)
-			if lft == nil {
-				return cloud.Wave{}, StepCost{}, fmt.Errorf("reconcile: switch %d not programmed", sw)
-			}
-			if rc.Mitigation == core.MitigationInvalidate && lft.Get(merged.VMLID) != ib.DropPort {
-				cost.InvalidationSMPs++
-			}
-			blocks = lft.SetRun(merged.Run(i), blocks[:0])
-			cost.SwitchesUpdated++
-			cost.LFTSMPs += sm.CoalescedSMPs(blocks, p.C.SM.Dist.MaxBlocksPerSMP)
+	if w.Plan != nil {
+		sh.edits += len(w.Plan.Entries)
+		st, err := rc.CostEdits(sh, w.Plan)
+		if err != nil {
+			return cloud.Wave{}, StepCost{}, err
 		}
-		cost.Modelled = p.C.SM.Cost.DistributionTime(cost.LFTSMPs+cost.InvalidationSMPs, rc.Mode)
-		if rc.Mitigation == core.MitigationDrain {
-			cost.Modelled += rc.DrainTime
-		}
+		cost.SwitchesUpdated, cost.LFTSMPs, cost.InvalidationSMPs, cost.Modelled = st.SwitchesUpdated, st.SMPs, st.InvalidationSMPs, st.ModelledTime
 	}
 
 	for _, m := range ms {

@@ -469,7 +469,9 @@ func crossShardStorm() *scenario.Campaign {
 // selects the invalidation mitigation (whose port-255 pre-pass makes a lost
 // restore SMP leave a real blackhole) and opens a brutal drop window during
 // migrations. The campaign passes only when the post-mutation audit catches
-// the corruption and the flight recorder dumps the replay coordinates.
+// the corruption and the flight recorder dumps the replay coordinates. A
+// migration that loses its first SMP writes nothing and leaves its VM
+// unmigratable, so each migration moves its own VM.
 func corruptionProbe() *scenario.Campaign {
 	return &scenario.Campaign{
 		Name:            "corruption-probe",
@@ -483,7 +485,7 @@ func corruptionProbe() *scenario.Campaign {
 			return nil
 		},
 		Script: func(h *scenario.Harness) {
-			const vms = 4
+			const vms = 8
 			seedVMs(h, vms)
 			start := time.Duration(vms+1) * step
 			h.E.At(start, "open-drop", func() {

@@ -348,3 +348,52 @@ func TestDistributeReportsSkippedSwitches(t *testing.T) {
 			victimDesc, s.Log().Filter(EvDistribute))
 	}
 }
+
+// TestLossyDistributionIndependentOfWorkers: a lossy distribution replays
+// from its fault seed whatever the worker count. Each destination draws
+// its own fault stream, and each switch's SMPs are sent in order, so the
+// order in which the workers claim switches changes nothing: the same
+// blocks are lost, at 1 worker and at 8.
+func TestLossyDistributionIndependentOfWorkers(t *testing.T) {
+	run := func(seed int64, workers int) (DistributionStats, []*ib.LFT) {
+		topo, err := topology.BuildPaperFatTree(324)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newSM(t, topo, routing.NewMinHop())
+		if _, _, _, err := s.Bootstrap(); err != nil {
+			t.Fatal(err)
+		}
+		mutateTargets(s, rand.New(rand.NewSource(seed)), 20)
+		s.InjectFaults(smp.FaultConfig{Drop: 0.3, Seed: seed})
+		s.Dist.Workers = workers
+		s.Dist.Retry.MaxAttempts = 1
+		st, err := s.DistributeDiff()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What the worker count may change: the pool's size, its makespan
+		// and the wall time.
+		st.Workers, st.ModelledTime, st.Duration = 0, 0, 0
+		var lfts []*ib.LFT
+		for _, sw := range topo.Switches() {
+			lfts = append(lfts, s.ProgrammedLFT(sw))
+		}
+		return st, lfts
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		one, oneLFTs := run(seed, 1)
+		eight, eightLFTs := run(seed, 8)
+		if one.SMPsAbandoned == 0 || one.SMPs == 0 {
+			t.Fatalf("seed %d: %+v; want some SMPs lost and some delivered", seed, one)
+		}
+		if one != eight {
+			t.Errorf("seed %d: 1 worker %+v, 8 workers %+v", seed, one, eight)
+		}
+		for i := range oneLFTs {
+			if !lftEqual(oneLFTs[i], eightLFTs[i]) {
+				t.Errorf("seed %d: switch %d programmed differently at 1 and 8 workers", seed, i)
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package smp
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 
 	"ibvsim/internal/cdg"
@@ -43,13 +42,13 @@ type FaultConfig struct {
 	// Duplicate is the probability the request is delivered twice (e.g. a
 	// spurious retransmission by a lower layer). The sender sees success.
 	Duplicate float64
-	// Seed seeds the private rand.Rand so fault schedules are reproducible.
+	// Seed keys every verdict, so fault schedules are reproducible.
 	Seed int64
 }
 
 // FaultProfile is the mutable rate portion of a FaultConfig: everything
 // except the seed. Scenario campaigns swap profiles mid-run to open and
-// close network-fault windows without disturbing the seeded dice stream.
+// close network-fault windows without disturbing the seeded dice streams.
 type FaultProfile struct {
 	Drop      float64
 	Delay     float64
@@ -73,17 +72,17 @@ type FaultStats struct {
 	Duplicated int
 }
 
-// FaultyTransport wraps a Transport with seeded probabilistic faults. It is
-// safe for concurrent use: the RNG, the rates, the stats and the
-// per-destination delivery counts are guarded by one mutex (the wrapped
-// Transport guards its own counters).
+// FaultyTransport wraps a Transport with seeded probabilistic faults, one
+// dice stream per destination (roll): a distribution meets the same faults
+// on any number of workers. It is safe for concurrent use; one mutex guards
+// its state (the wrapped Transport guards its own counters).
 type FaultyTransport struct {
 	inner *Transport
 
 	mu      sync.Mutex
 	cfg     FaultConfig
-	rng     *rand.Rand
 	st      FaultStats
+	rolls   map[uint64]uint64 // SMPs sent so far, by destination key
 	perDest map[topology.NodeID]int
 }
 
@@ -92,7 +91,7 @@ func NewFaultyTransport(inner *Transport, cfg FaultConfig) *FaultyTransport {
 	return &FaultyTransport{
 		inner:   inner,
 		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rolls:   map[uint64]uint64{},
 		perDest: map[topology.NodeID]int{},
 	}
 }
@@ -105,10 +104,10 @@ func (f *FaultyTransport) Config() FaultConfig {
 	return f.cfg
 }
 
-// SetProfile replaces the drop/delay/duplicate rates mid-run. The RNG and
-// its seed are untouched: every send still consumes exactly one dice roll,
-// so a seeded fault schedule replays identically as long as the profile
-// changes happen at the same points in the send sequence. Safe to call
+// SetProfile replaces the drop/delay/duplicate rates mid-run. Every send
+// still consumes exactly one roll of its destination's stream, so a seeded
+// fault schedule replays identically as long as the profile changes happen
+// at the same points in each destination's send sequence. Safe to call
 // concurrently with sends.
 func (f *FaultyTransport) SetProfile(p FaultProfile) {
 	f.mu.Lock()
@@ -140,11 +139,16 @@ const (
 	duplicate
 )
 
-func (f *FaultyTransport) roll() verdict {
+// roll hands out the verdict for the next SMP to the destination key: a
+// draw in [0,1) hashed from the seed, the key and how many SMPs went to the
+// key before, checked against the rates.
+func (f *FaultyTransport) roll(key uint64) verdict {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.st.Attempts++
-	r := f.rng.Float64()
+	k := f.rolls[key]
+	f.rolls[key]++
+	r := float64(mix(mix(mix(uint64(f.cfg.Seed))^key)^k)>>11) / (1 << 53)
 	switch {
 	case r < f.cfg.Drop:
 		f.st.Dropped++
@@ -158,6 +162,14 @@ func (f *FaultyTransport) roll() verdict {
 	default:
 		return deliver
 	}
+}
+
+// mix is SplitMix64's output function.
+func mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 func (f *FaultyTransport) delivered(n topology.NodeID) {
@@ -189,16 +201,19 @@ func (f *FaultyTransport) send(v verdict, once func() (topology.NodeID, error)) 
 	}
 }
 
-// SendDirected implements Sender, applying one fault verdict per call.
+// SendDirected implements Sender, applying one fault verdict per call from
+// the stream of the node the path ends at (NoNode's, for a broken path).
 func (f *FaultyTransport) SendDirected(src topology.NodeID, p *SMP) (topology.NodeID, error) {
-	return f.send(f.roll(), func() (topology.NodeID, error) {
+	end, _ := f.inner.pathEnd(src, p.Path)
+	return f.send(f.roll(uint64(uint32(end))), func() (topology.NodeID, error) {
 		return f.inner.SendDirected(src, p)
 	})
 }
 
-// SendLIDRouted implements Sender, applying one fault verdict per call.
+// SendLIDRouted implements Sender, applying one fault verdict per call from
+// the DLID's stream, keyed apart from the nodes by the top bit.
 func (f *FaultyTransport) SendLIDRouted(src topology.NodeID, p *SMP, r cdg.Routes) (topology.NodeID, error) {
-	return f.send(f.roll(), func() (topology.NodeID, error) {
+	return f.send(f.roll(1<<63|uint64(p.DLID)), func() (topology.NodeID, error) {
 		return f.inner.SendLIDRouted(src, p, r)
 	})
 }

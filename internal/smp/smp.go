@@ -239,12 +239,23 @@ func NewTransport(t *topology.Topology) *Transport {
 }
 
 // SendDirected walks a directed-route SMP from src along p.Path, returning
-// the node it lands on. The path's port numbers are interpreted at each
-// successive node. An empty path addresses src itself.
+// the node it lands on.
 func (t *Transport) SendDirected(src topology.NodeID, p *SMP) (topology.NodeID, error) {
 	p.Mode = DirectedRoute
+	end, err := t.pathEnd(src, p.Path)
+	if err == nil {
+		p.Hops = len(p.Path)
+		t.Counters.observe(p)
+	}
+	return end, err
+}
+
+// pathEnd is the node a directed path from src leads to. The path's port
+// numbers are interpreted at each successive node; an empty path addresses
+// src itself.
+func (t *Transport) pathEnd(src topology.NodeID, path []ib.PortNum) (topology.NodeID, error) {
 	cur := src
-	for i, out := range p.Path {
+	for i, out := range path {
 		n := t.Topo.Node(cur)
 		if n == nil {
 			return topology.NoNode, fmt.Errorf("smp: directed route hop %d: no node %d", i, cur)
@@ -258,8 +269,6 @@ func (t *Transport) SendDirected(src topology.NodeID, p *SMP) (topology.NodeID, 
 		}
 		cur = link.Peer
 	}
-	p.Hops = len(p.Path)
-	t.Counters.observe(p)
 	return cur, nil
 }
 
