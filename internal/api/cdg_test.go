@@ -677,10 +677,10 @@ func partialDistribution(t *testing.T, seed int64) (warm bool) {
 
 	// Every SMP has one attempt and a third of them are lost: the
 	// distribution abandons some switches and updates the rest, which ones
-	// fixed by the seed since one worker rolls the dice in job order. The
+	// fixed by the seed since each destination draws its own verdicts. The
 	// manager is idle between replies, so configuring it here is race free.
 	dist := c.SM.Dist
-	c.SM.Dist.Retry.MaxAttempts, c.SM.Dist.Workers = 1, 1
+	c.SM.Dist.Retry.MaxAttempts = 1
 	c.SM.InjectFaults(smp.FaultConfig{Drop: 0.3, Seed: seed})
 	if reconfigure(link, false); union != 0 {
 		t.Fatalf("seed %d: the lossy distribution's union has a cycle", seed)

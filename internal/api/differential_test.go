@@ -39,7 +39,6 @@ func newPinServer(t *testing.T, model sriov.Model, shards int, cfg Config) (*Ser
 		t.Fatal(err)
 	}
 	c.RC.Mitigation = core.MitigationInvalidate
-	c.SM.Dist.Workers = 1
 	ft := c.SM.InjectFaults(smp.FaultConfig{Seed: 1})
 	cfg.Shards = shards
 	srv := NewServer(c, cfg)

@@ -268,9 +268,9 @@ func (c *Cloud) CreateVMOn(name string, hyp topology.NodeID) (*VM, error) {
 
 // CreateVMOnVF places a VM on a specific hypervisor and VF (vf < 0 picks
 // the first free one), returning the LFT-boot cost (non-zero only under
-// dynamic LID assignment).
-func (c *Cloud) CreateVMOnVF(name string, hyp topology.NodeID, vf int) (*VM, core.BootStats, error) {
-	var boot core.BootStats
+// dynamic LID assignment). A create that fails after its boot destroys the
+// booted LID again.
+func (c *Cloud) CreateVMOnVF(name string, hyp topology.NodeID, vf int) (vm *VM, boot core.BootStats, err error) {
 	c.mu.RLock()
 	_, exists := c.vms[name]
 	c.mu.RUnlock()
@@ -287,8 +287,12 @@ func (c *Cloud) CreateVMOnVF(name string, hyp topology.NodeID, vf int) (*VM, cor
 	if vf < 0 {
 		return nil, boot, fmt.Errorf("cloud: hypervisor %d has no %w", hyp, ErrNoFreeVF)
 	}
+	if vf >= len(h.HCA.VFs) || !h.HCA.VFs[vf].Free() {
+		// Checked before the boot: the VF's LID and vGUID are written before
+		// Attach refuses a busy VF, and they belong to its VM.
+		return nil, boot, fmt.Errorf("cloud: VF %d of hypervisor %d is not a %w", vf, hyp, ErrNoFreeVF)
+	}
 	if c.Model == sriov.VSwitchDynamic {
-		var err error
 		prov := &ib.Provenance{
 			Mutation: ib.NextMutationID(),
 			Engine:   "boot",
@@ -298,21 +302,28 @@ func (c *Cloud) CreateVMOnVF(name string, hyp topology.NodeID, vf int) (*VM, cor
 		if boot, err = c.RC.BootVMLIDProv(hyp, prov); err != nil {
 			return nil, boot, err
 		}
-		if err := h.HCA.SetVFLID(vf, boot.LID); err != nil {
+		defer func() {
+			if err != nil {
+				if _, derr := c.RC.DestroyVMLIDProv(boot.LID, prov); derr != nil {
+					err = errors.Join(err, derr)
+				}
+			}
+		}()
+		if err = h.HCA.SetVFLID(vf, boot.LID); err != nil {
 			return nil, boot, err
 		}
 	}
-	if err := h.HCA.SetVFGUID(vf, c.allocGUID()); err != nil {
+	if err = h.HCA.SetVFGUID(vf, c.allocGUID()); err != nil {
 		return nil, boot, err
 	}
-	if err := h.HCA.Attach(vf); err != nil {
+	if err = h.HCA.Attach(vf); err != nil {
 		return nil, boot, err
 	}
 	addr, err := h.HCA.VFAddresses(vf)
 	if err != nil {
 		return nil, boot, err
 	}
-	vm := &VM{Name: name, Hyp: hyp, VF: vf, Addr: addr}
+	vm = &VM{Name: name, Hyp: hyp, VF: vf, Addr: addr}
 	c.mu.Lock()
 	c.vms[name] = vm
 	c.mu.Unlock()

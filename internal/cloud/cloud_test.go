@@ -1,6 +1,9 @@
 package cloud
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"ibvsim/internal/ib"
@@ -326,5 +329,79 @@ func TestVMCountOn(t *testing.T) {
 	}
 	if c.Hypervisor(vm.Hyp) == nil {
 		t.Error("Hypervisor lookup")
+	}
+}
+
+// TestFailedCreateGivesLIDBack cuts a leaf of the 3-level XGFT off the
+// fabric. Its stale table still forwards every PF LID, so each create's boot
+// loses its write to the leaf, after the reachable switches took theirs. A
+// failed create must leave the LID pool as it was, and no programmed table
+// forwarding a LID it tried. A create on a busy VF fails before its boot.
+func TestFailedCreateGivesLIDBack(t *testing.T) {
+	topo, err := topology.BuildXGFT(topology.XGFTSpec{M: []int{4, 4, 4}, W: []int{1, 4, 4}}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cas := topo.CAs()
+	c, _, err := New(topo, cas[0], cas[1:], Config{Model: sriov.VSwitchDynamic, VFsPerHypervisor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := c.CreateVMOn("resident", cas[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lids := c.SM.LIDCount()
+	if _, _, err := c.CreateVMOnVF("squatter", cas[2], vm.VF); !errors.Is(err, ErrNoFreeVF) {
+		t.Fatalf("create on a busy VF: %v, want ErrNoFreeVF", err)
+	}
+	if got := c.Hypervisor(cas[2]).HCA.VFs[vm.VF].LID; got != vm.Addr.LID || c.SM.LIDCount() != lids {
+		t.Fatalf("create on a busy VF: VF LID %d (want %d), %d LIDs (want %d)", got, vm.Addr.LID, c.SM.LIDCount(), lids)
+	}
+
+	leaf := topo.LeafSwitchOf(cas[len(cas)-1])
+	for p := 1; p < len(topo.Node(leaf).Ports); p++ {
+		if peer := topo.Node(leaf).Ports[p].Peer; peer != topology.NoNode && topo.Node(peer).IsSwitch() {
+			if err := topo.SetLinkState(leaf, ib.PortNum(p), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, _ = c.SM.Sweep() // reports the fabric disconnected, which it now is
+	if _, err := c.SM.ComputeRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SM.DistributeDiff(); err != nil {
+		t.Fatal(err)
+	}
+
+	hyps := []topology.NodeID{cas[len(cas)-1], cas[1], cas[len(cas)/2]}
+	extra := make([][]ib.LID, len(hyps))
+	for i, hyp := range hyps {
+		extra[i] = c.SM.ExtraLIDsOf(hyp)
+	}
+	var tried []ib.LID
+	for i, hyp := range hyps {
+		_, boot, err := c.CreateVMOnVF(fmt.Sprintf("vm%d", i), hyp, -1)
+		if err == nil || boot.LID == ib.LIDUnassigned {
+			t.Fatalf("create on node %d beside a cut-off leaf: LID %d, %v; want a failed boot", hyp, boot.LID, err)
+		}
+		tried = append(tried, boot.LID)
+	}
+	if got := c.SM.LIDCount(); got != lids {
+		t.Errorf("%d LIDs assigned after the failed creates, want %d", got, lids)
+	}
+	for i, hyp := range hyps {
+		if got := c.SM.ExtraLIDsOf(hyp); !slices.Equal(got, extra[i]) {
+			t.Errorf("node %d holds extra LIDs %v, want %v", hyp, got, extra[i])
+		}
+	}
+	for _, sw := range topo.Switches() {
+		lft := c.SM.ProgrammedLFT(sw)
+		for _, l := range tried {
+			if lft != nil && lft.Get(l) != ib.DropPort {
+				t.Errorf("switch %q forwards LID %d of a failed create", topo.Node(sw).Desc, l)
+			}
+		}
 	}
 }

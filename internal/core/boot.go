@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -30,7 +31,11 @@ func (r *Reconfigurator) BootVMLID(hypervisor topology.NodeID) (BootStats, error
 }
 
 // BootVMLIDProv is BootVMLID with a provenance stamp attributed to every
-// LFT block the boot writes. Its SMPs' spans are roots.
+// LFT block the boot writes. Its SMPs' spans are roots. A boot that fails
+// after allocating its LID gives it back: the switches already written drop
+// it again, through the same loop, and the LID returns to the pool. If that
+// undo fails too, the LID stays allocated (a switch may still forward it)
+// and both errors are returned.
 func (r *Reconfigurator) BootVMLIDProv(hypervisor topology.NodeID, prov *ib.Provenance) (BootStats, error) {
 	var st BootStats
 	pfLID := r.SM.LIDOf(hypervisor)
@@ -49,7 +54,7 @@ func (r *Reconfigurator) BootVMLIDProv(hypervisor topology.NodeID, prov *ib.Prov
 	for _, sw := range topo.Switches() {
 		lft := r.SM.ProgrammedLFT(sw)
 		if lft == nil {
-			return st, fmt.Errorf("core: switch %q not programmed", topo.Node(sw).Desc)
+			return st, r.giveBack(lid, prov, fmt.Errorf("core: switch %q not programmed", topo.Node(sw).Desc))
 		}
 		egress := lft.Get(pfLID) // DropPort: sw cannot reach the hypervisor; keep dropping
 		if sw == leaf {
@@ -61,7 +66,7 @@ func (r *Reconfigurator) BootVMLIDProv(hypervisor topology.NodeID, prov *ib.Prov
 		}
 	}
 	if st.SwitchesUpdated, st.SMPs, err = r.write(r.SM, plan, prov, nil, nil, ""); err != nil {
-		return st, err
+		return st, r.giveBack(lid, prov, err)
 	}
 	st.ModelledTime = r.SM.Cost.DistributionTime(st.SMPs, r.Mode)
 	r.SM.Log().Addf(sm.EvVM, "boot VM LID %d on node %d: %d SMPs", lid, hypervisor, st.SMPs)
@@ -82,18 +87,35 @@ func (r *Reconfigurator) DestroyVMLIDProv(lid ib.LID, prov *ib.Provenance) (Boot
 	if r.SM.NodeOfLID(lid) == topology.NoNode {
 		return st, fmt.Errorf("core: LID %d is not assigned", lid)
 	}
+	var err error
+	if st.SwitchesUpdated, st.SMPs, err = r.dropLID(lid, prov); err != nil {
+		return st, err
+	}
+	st.ModelledTime = r.SM.Cost.DistributionTime(st.SMPs, r.Mode)
+	r.SM.Log().Addf(sm.EvVM, "destroy VM LID %d: %d SMPs", lid, st.SMPs)
+	return st, nil
+}
+
+// dropLID points lid at DropPort on every switch whose programmed table
+// forwards it and, once none does, releases the LID.
+func (r *Reconfigurator) dropLID(lid ib.LID, prov *ib.Provenance) (switches, smps int, err error) {
 	forwarding := make([]topology.NodeID, 0, r.SM.Topo.NumSwitches())
 	for _, sw := range r.SM.Topo.Switches() {
 		if lft := r.SM.ProgrammedLFT(sw); lft != nil && lft.Get(lid) != ib.DropPort {
 			forwarding = append(forwarding, sw)
 		}
 	}
-	var err error
-	if st.SwitchesUpdated, st.SMPs, err = r.write(r.SM, dropPlan(lid, forwarding), prov, nil, nil, ""); err != nil {
-		return st, err
+	if switches, smps, err = r.write(r.SM, dropPlan(lid, forwarding), prov, nil, nil, ""); err != nil {
+		return switches, smps, err
 	}
 	r.SM.ReleaseExtraLID(lid)
-	st.ModelledTime = r.SM.Cost.DistributionTime(st.SMPs, r.Mode)
-	r.SM.Log().Addf(sm.EvVM, "destroy VM LID %d: %d SMPs", lid, st.SMPs)
-	return st, nil
+	return switches, smps, nil
+}
+
+// giveBack undoes the boot of lid that failed with cause.
+func (r *Reconfigurator) giveBack(lid ib.LID, prov *ib.Provenance, cause error) error {
+	if _, _, err := r.dropLID(lid, prov); err != nil {
+		return errors.Join(cause, err)
+	}
+	return cause
 }

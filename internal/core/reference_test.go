@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -699,7 +700,7 @@ func (r *Reconfigurator) refBootVMLIDProv(hypervisor topology.NodeID, prov *ib.P
 		}
 		n, err := r.SM.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: lid, Port: egress}}, r.Mode, prov, nil)
 		if err != nil {
-			return st, err
+			return st, r.refGiveBack(lid, prov, err)
 		}
 		if n > 0 {
 			st.SwitchesUpdated++
@@ -709,6 +710,22 @@ func (r *Reconfigurator) refBootVMLIDProv(hypervisor topology.NodeID, prov *ib.P
 	st.ModelledTime = r.SM.Cost.DistributionTime(st.SMPs, r.Mode)
 	r.SM.Log().Addf(sm.EvVM, "boot VM LID %d on node %d: %d SMPs", lid, hypervisor, st.SMPs)
 	return st, nil
+}
+
+// refGiveBack is the undo a boot makes since a failed write stopped leaking
+// its LID: the destroy's loop without its log line.
+func (r *Reconfigurator) refGiveBack(lid ib.LID, prov *ib.Provenance, cause error) error {
+	for _, sw := range r.SM.Topo.Switches() {
+		lft := r.SM.ProgrammedLFT(sw)
+		if lft == nil || lft.Get(lid) == ib.DropPort {
+			continue
+		}
+		if _, err := r.SM.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: lid, Port: ib.DropPort}}, r.Mode, prov, nil); err != nil {
+			return errors.Join(cause, err)
+		}
+	}
+	r.SM.ReleaseExtraLID(lid)
+	return cause
 }
 
 func (r *Reconfigurator) refDestroyVMLIDProv(lid ib.LID, prov *ib.Provenance) (BootStats, error) {

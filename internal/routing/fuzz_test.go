@@ -48,34 +48,19 @@ func fuzzLinks(topo *topology.Topology) []fuzzLink {
 // structure a fresh engine run would produce — the naive oracle the
 // incremental layer's affected/patched sets are checked against.
 func groupDists(engine string, fv *fabricView, targets []Target) (keys []int, dists [][]int, cands []*candSet, ok bool) {
-	nsw := len(fv.switches)
-	_, keys = fv.groupTargetsBySwitch(targets)
-	dists = make([][]int, len(keys))
-	cands = make([]*candSet, len(keys))
-	if engine == "minhop" {
-		s := newBFSScratch(nsw)
-		for gi, k := range keys {
-			cs := newCandSet(nsw)
-			minhopCands(fv, k, s, cs)
-			dists[gi] = append([]int(nil), s.dist...)
-			cands[gi] = cs
-		}
-		return keys, dists, cands, true
-	}
-	e := NewUpDown()
-	_, rank, err := e.rankFabric(fv)
+	e, _ := New(engine)
+	r, err := e.(foldEngine).rule(fv)
 	if err != nil {
 		return nil, nil, nil, false
 	}
-	up := updnUp(rank)
-	s := newUpdownScratch(nsw)
+	cand := r.worker()
+	_, keys = fv.groupTargetsBySwitch(targets)
+	dists = make([][]int, len(keys))
+	cands = make([]*candSet, len(keys))
 	for gi, k := range keys {
-		cs := newCandSet(nsw)
-		updnCands(fv, up, k, s, cs)
-		d := make([]int, 2*nsw)
-		copy(d, s.distD)
-		copy(d[nsw:], s.distU)
-		dists[gi] = d
+		cs := newCandSet(len(fv.switches))
+		d, dU := cand(k, cs)
+		dists[gi] = append(append([]int(nil), d...), dU...)
 		cands[gi] = cs
 	}
 	return keys, dists, cands, true

@@ -17,7 +17,9 @@ import (
 // from-scratch run.
 //
 // Two engines have a delta path, and they share it — one index, one fold
-// replay — differing only in the distance fields they keep:
+// replay (egressFold, the fold their full computes run) — differing only in
+// their foldRule: the candidate function, the distance fields it keeps and
+// how a delta moves them:
 //
 //   - minhop: a removed link affects a destination group iff its endpoints'
 //     BFS distances to that destination differ by exactly one (only such
@@ -83,13 +85,13 @@ func newDepCapture(ngroups int) *depCapture {
 }
 
 // captureGroup records one destination group's distance field(s) and
-// candidate set (minhop passes distU = nil).
+// candidate set, which it keeps (minhop passes distU = nil).
 func (c *depCapture) captureGroup(g int, dist, distU []int, cs *candSet) {
 	c.dist[g] = toInt16(dist)
 	if distU != nil {
 		c.distU[g] = toInt16(distU)
 	}
-	c.cands[g] = cs.clone()
+	c.cands[g] = cs
 }
 
 // setRank records the updn rank orientation (called once, before the
@@ -151,10 +153,10 @@ type depIndex struct {
 // recompute layer. It implements Engine; the first Compute (and any
 // fallback) runs the inner engine in full while capturing the dependency
 // index, subsequent Computes self-diff the request against the index and
-// re-run only affected destinations. Only *MinHop and *UpDown have a delta
-// path, and its results are byte-identical in the forwarding domain
-// (ib.LFT.Equal) to a from-scratch run; every other engine (ftree, dfsssp,
-// lash) recomputes in full with an explicit Stats reason. A wrapper serves
+// re-run only affected destinations. Only the fold engines (minhop and
+// updn) have a delta path, and its results are byte-identical in the
+// forwarding domain (ib.LFT.Equal) to a from-scratch run; every other engine
+// (ftree, dfsssp, lash) recomputes in full with an explicit Stats reason. A wrapper serves
 // the one engine it was built around. Not safe for concurrent Compute calls
 // (the subnet manager serialises them).
 type Incremental struct {
@@ -208,9 +210,8 @@ func (x *Incremental) groupSwitches(gis []int) []topology.NodeID {
 
 // Compute implements Engine.
 func (x *Incremental) Compute(req *Request) (*Result, error) {
-	switch x.inner.(type) {
-	case *MinHop, *UpDown:
-	default:
+	fe, ok := x.inner.(foldEngine)
+	if !ok {
 		res, err := x.inner.Compute(req)
 		if err == nil {
 			res.Stats.Incremental = IncrementalStats{
@@ -235,7 +236,7 @@ func (x *Incremental) Compute(req *Request) (*Result, error) {
 	if !slices.Equal(x.idx.switches, fv.switches) {
 		return x.fullCompute(req, fv, "switch set changed")
 	}
-	return x.delta(req, fv)
+	return x.delta(fe, req, fv)
 }
 
 // fullCompute runs the inner engine in full with dependency capture enabled
@@ -284,10 +285,9 @@ func (x *Incremental) fullCompute(req *Request, fv *fabricView, reason string) (
 // the load-balanced fold wherever a candidate row changed (or everywhere
 // when the target set changed). It falls back to fullCompute when updn's
 // rank orientation moved.
-func (x *Incremental) delta(req *Request, fv *fabricView) (*Result, error) {
+func (x *Incremental) delta(fe foldEngine, req *Request, fv *fabricView) (*Result, error) {
 	start := time.Now()
 	idx := x.idx
-	ud, isUpdn := x.inner.(*UpDown)
 	nsw := len(fv.switches)
 	workers := req.workerCount()
 	clock := newPhaseClock()
@@ -329,16 +329,12 @@ func (x *Incremental) delta(req *Request, fv *fabricView) (*Result, error) {
 	}
 
 	// updn's global guard: the up/down relation itself must not have moved.
-	var up func(i, j int) bool
-	if isUpdn {
-		root, rank, err := ud.rankFabric(fv)
-		if err != nil {
-			return nil, err
-		}
-		if root != idx.cap.root || !slices.Equal(rank, idx.cap.rank) {
-			return x.fullCompute(req, fv, "up/down root or rank orientation changed")
-		}
-		up = updnUp(rank)
+	r, err := fe.rule(fv)
+	if err != nil {
+		return nil, err
+	}
+	if r.root != idx.cap.root || !slices.Equal(r.rank, idx.cap.rank) {
+		return x.fullCompute(req, fv, "up/down root or rank orientation changed")
 	}
 	clock.lap("delta-classify")
 
@@ -346,65 +342,38 @@ func (x *Incremental) delta(req *Request, fv *fabricView) (*Result, error) {
 	// Three outcomes: untouched (carry over), patched (distances provably
 	// unchanged; only the candidate segments at changed-link endpoints are
 	// recomputed locally, no BFS), or BFS (the distance field itself moved).
-	affected := make([]bool, len(groups))
+	var affList []int
+	patched := []int{}
 	patches := make([]map[int][]ib.PortNum, len(groups))
 	for gi, k := range keys {
 		og, ok := idx.groupOf[k]
 		if !ok {
-			affected[gi] = true // brand-new destination switch group
+			affList = append(affList, gi) // brand-new destination switch group
 			continue
 		}
-		var needBFS bool
-		var segs map[int][]ib.PortNum
-		if isUpdn {
-			needBFS, segs = classifyUpdnDelta(fv, idx.cap.dist[og], idx.cap.distU[og], up, linkDowns, linkUps)
-		} else {
-			needBFS, segs = classifyMinhopDelta(fv, idx.cap.dist[og], linkDowns, linkUps)
-		}
-		if needBFS {
-			affected[gi] = true
-		} else {
-			patches[gi] = segs
-		}
-	}
-	var affList []int
-	nPatched := 0
-	for gi, a := range affected {
-		if a {
+		switch needBFS, segs := r.classify(idx.cap.dist[og], idx.cap.distU[og], linkDowns, linkUps); {
+		case needBFS:
 			affList = append(affList, gi)
-		} else if patches[gi] != nil {
-			nPatched++
+		case segs != nil:
+			patches[gi] = segs
+			patched = append(patched, gi)
 		}
 	}
 	clock.lap("delta-classify")
 
-	// Re-run the destination BFS/candidate discovery for affected groups.
-	newDist := make([][]int16, len(groups))
-	newDistU := make([][]int16, len(groups))
-	newCands := make([]*candSet, len(groups))
-	var busy []time.Duration
-	if isUpdn {
-		pool := newWorkerPool(workers, func() *updownScratch { return newUpdownScratch(nsw) })
-		pool.run(len(affList), func(t int, s *updownScratch) {
-			gi := affList[t]
-			cs := newCandSet(nsw)
-			updnCands(fv, up, keys[gi], s, cs)
-			newCands[gi] = cs
-			newDist[gi] = toInt16(s.distD)
-			newDistU[gi] = toInt16(s.distU)
-		})
-		busy = pool.busyTimes()
-	} else {
-		pool := newWorkerPool(workers, func() *bfsScratch { return newBFSScratch(nsw) })
-		pool.run(len(affList), func(t int, s *bfsScratch) {
-			gi := affList[t]
-			cs := newCandSet(nsw)
-			minhopCands(fv, keys[gi], s, cs)
-			newCands[gi] = cs
-			newDist[gi] = toInt16(s.dist)
-		})
-		busy = pool.busyTimes()
-	}
+	// Re-run the destination BFS/candidate discovery for affected groups,
+	// captured into the next index (updn's guard above kept the rank
+	// orientation as it was).
+	ncap := newDepCapture(len(groups))
+	ncap.root, ncap.rank = idx.cap.root, idx.cap.rank
+	newCands := ncap.cands
+	pool := newWorkerPool(workers, r.worker)
+	pool.run(len(affList), func(t int, cands candFunc) {
+		gi := affList[t]
+		cs := newCandSet(nsw)
+		dist, distU := cands(keys[gi], cs)
+		ncap.captureGroup(gi, dist, distU, cs)
+	})
 	clock.lap("bfs-fanout")
 
 	// Per-group candidate views: fresh BFS results, patched overlays, or the
@@ -434,126 +403,62 @@ func (x *Incremental) delta(req *Request, fv *fabricView) (*Result, error) {
 	var chw []bool // (switch, window) replay marks, indexed i*nwin+w
 	if !replayAll {
 		chw = make([]bool, nsw*nwin)
+		mark := func(gi, i int, row []ib.PortNum) {
+			if iw := i*nwin + gi/groupWindow; !chw[iw] && !slices.Equal(idx.gc[idx.groupOf[keys[gi]]].at(i), row) {
+				chw[iw], changed[i] = true, true
+			}
+		}
 		for _, gi := range affList {
-			old := idx.gc[idx.groupOf[keys[gi]]]
-			cs := newCands[gi]
-			w := gi / groupWindow
 			for i := 0; i < nsw; i++ {
-				if !chw[i*nwin+w] && !slices.Equal(old.at(i), cs.at(i)) {
-					chw[i*nwin+w] = true
-					changed[i] = true
-				}
+				mark(gi, i, newCands[gi].at(i))
 			}
 		}
 		for gi, segs := range patches {
-			if segs == nil {
-				continue
-			}
-			old := idx.gc[idx.groupOf[keys[gi]]]
-			w := gi / groupWindow
 			for i, seg := range segs {
-				if !chw[i*nwin+w] && !slices.Equal(old.at(i), seg) {
-					chw[i*nwin+w] = true
-					changed[i] = true
-				}
+				mark(gi, i, seg)
 			}
 		}
 	}
-	top := topLIDOf(req.Targets)
-	lfts := make(map[topology.NodeID]*ib.LFT, nsw)
-	var replay []int
-	for i, id := range fv.switches {
-		if replayAll {
-			lfts[id] = ib.NewLFT(top)
-			replay = append(replay, i)
-		} else {
-			// Clone either way: a changed switch re-folds only its marked
-			// windows and carries every other window's entries over from the
-			// previous run (valid because rows there are unchanged and load
-			// is window-scoped).
+	var lfts map[topology.NodeID]*ib.LFT
+	if replayAll {
+		lfts = fv.newLFTs(req)
+	} else {
+		// A changed switch re-folds only its marked windows and carries
+		// every other window's entries over from the previous run (valid
+		// because rows there are unchanged and load is window-scoped).
+		lfts = make(map[topology.NodeID]*ib.LFT, nsw)
+		for _, id := range fv.switches {
 			lfts[id] = idx.lfts[id].Clone()
-			if changed[i] {
-				replay = append(replay, i)
+			if req.Prov != nil {
+				// Stamp only what this delta actually rewrites: replayed
+				// blocks get the new epoch, carried-over blocks keep their
+				// old stamps.
+				lfts[id].SetProvenance(req.Prov)
 			}
 		}
-		if req.Prov != nil {
-			// Stamp only what this delta actually rewrites: replayed blocks
-			// get the new epoch, carried-over blocks keep their old stamps.
-			lfts[id].SetProvenance(req.Prov)
+	}
+	var replay []int
+	for i := range fv.switches {
+		if replayAll || changed[i] {
+			replay = append(replay, i)
 		}
 	}
+	f := newEgressFold(fv, req, groups, keys, lfts, workers)
+	f.rows, f.marked = gcands, chw
 	clock.lap("clone")
 
-	// Replay the serial fold's per-switch projection: switches are mutually
-	// independent (each only reads its own load vector), so the replay fans
-	// out over the pool while staying byte-identical to the engine's global
-	// fold for every worker count.
-	rpool := newWorkerPool(workers, func() *[]uint32 { s := []uint32(nil); return &s })
-	rpool.run(len(replay), func(t int, scratch *[]uint32) {
-		i := replay[t]
-		id := fv.switches[i]
-		nports := len(fv.topo.Node(id).Ports)
-		if cap(*scratch) < nports {
-			*scratch = make([]uint32, nports)
-		}
-		load := (*scratch)[:nports]
-		lft := lfts[id]
-		for lo := 0; lo < len(groups); lo += groupWindow {
-			if !replayAll && !chw[i*nwin+lo/groupWindow] {
-				continue // column segment carried over from the previous run
-			}
-			for p := range load {
-				load[p] = 0
-			}
-			hi := lo + groupWindow
-			if hi > len(groups) {
-				hi = len(groups)
-			}
-			for gi := lo; gi < hi; gi++ {
-				destSw := keys[gi]
-				if destSw == i {
-					for _, ti := range groups[gi] {
-						lft.Set(req.Targets[ti].LID, fv.attach[ti].port)
-					}
-					continue
-				}
-				cands := gcands[gi].at(i)
-				if len(cands) == 0 {
-					// A fresh fold leaves these entries as drops; the cloned
-					// base may carry stale ports, so drop them explicitly.
-					if !replayAll {
-						for _, ti := range groups[gi] {
-							lft.Set(req.Targets[ti].LID, ib.DropPort)
-						}
-					}
-					continue
-				}
-				for _, ti := range groups[gi] {
-					best := cands[0]
-					for _, p := range cands[1:] {
-						if load[p] < load[best] {
-							best = p
-						}
-					}
-					load[best]++
-					lft.Set(req.Targets[ti].LID, best)
-				}
-			}
-		}
-	})
+	// Replay the fold at the changed switches: the same fold the full
+	// engines run, over the marked windows only.
+	f.replay(replay)
 	clock.lap("replay")
 
-	// Fold the recomputed structures back into the index, aligned to the
-	// new grouping (updn's guard above kept the rank orientation as it was).
-	ncap := newDepCapture(len(groups))
-	ncap.root, ncap.rank = idx.cap.root, idx.cap.rank
+	// Carry the untouched groups' distance fields into the index, aligned
+	// to the new grouping.
 	for gi, k := range keys {
-		if newCands[gi] != nil {
-			ncap.dist[gi], ncap.distU[gi] = newDist[gi], newDistU[gi]
-			continue
+		if newCands[gi] == nil {
+			og := idx.groupOf[k]
+			ncap.dist[gi], ncap.distU[gi] = idx.cap.dist[og], idx.cap.distU[og]
 		}
-		og := idx.groupOf[k]
-		ncap.dist[gi], ncap.distU[gi] = idx.cap.dist[og], idx.cap.distU[og]
 	}
 	x.idx = &depIndex{
 		switches: fv.switches,
@@ -567,16 +472,16 @@ func (x *Incremental) delta(req *Request, fv *fabricView) (*Result, error) {
 		lfts:     cloneLFTMap(lfts),
 	}
 	x.lastAffected = affList
-	x.lastPatched = patchedGroups(patches)
+	x.lastPatched = patched
 	clock.lap("index-update")
 
 	inc.DestsRecomputed = len(affList)
-	inc.DestsPatched = nPatched
+	inc.DestsPatched = len(patched)
 	inc.SwitchesReplayed = len(replay)
 	return &Result{
 		LFTs: lfts,
 		Stats: Stats{Duration: time.Since(start), PathsComputed: len(affList),
-			Workers: workers, Phases: clock.phases(), WorkerBusy: busy,
+			Workers: workers, Phases: clock.phases(), WorkerBusy: pool.busyTimes(),
 			Incremental: inc},
 	}, nil
 }
@@ -737,16 +642,6 @@ func groupOfMap(keys []int) map[int]int {
 	return m
 }
 
-func topLIDOf(targets []Target) ib.LID {
-	var top ib.LID
-	for _, t := range targets {
-		if t.LID > top {
-			top = t.LID
-		}
-	}
-	return top
-}
-
 func cloneLFTMap(in map[topology.NodeID]*ib.LFT) map[topology.NodeID]*ib.LFT {
 	out := make(map[topology.NodeID]*ib.LFT, len(in))
 	for id, t := range in {
@@ -759,17 +654,6 @@ func toInt16(in []int) []int16 {
 	out := make([]int16, len(in))
 	for i, v := range in {
 		out[i] = int16(v)
-	}
-	return out
-}
-
-// patchedGroups lists the group indices with a non-nil patch set.
-func patchedGroups(patches []map[int][]ib.PortNum) []int {
-	out := []int{}
-	for gi, p := range patches {
-		if p != nil {
-			out = append(out, gi)
-		}
 	}
 	return out
 }

@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"time"
-
-	"ibvsim/internal/ib"
-)
+import "ibvsim/internal/ib"
 
 // MinHop is the OpenSM default: every LID is routed along a minimal-hop
 // path, and among equal-length candidates the engine picks the egress port
@@ -15,8 +11,9 @@ import (
 // graph is cyclic, which the cdg package demonstrates.
 //
 // The per-destination-switch BFS and candidate-port discovery fan out over
-// the request's worker pool; the load-based egress choice folds serially in
-// ascending group order, so the result is byte-identical to a serial run.
+// the request's worker pool, and so does the load-based egress choice, by
+// switch (egressFold): load at a switch changes only from choices made
+// there, so the result is byte-identical to a serial run.
 type MinHop struct{}
 
 // NewMinHop returns the minhop engine.
@@ -24,31 +21,6 @@ func NewMinHop() *MinHop { return &MinHop{} }
 
 // Name implements Engine.
 func (*MinHop) Name() string { return "minhop" }
-
-// candSet holds one destination group's candidate egress ports in flat
-// form: ports[off[i]:off[i+1]] are the ports of switch i that lead one hop
-// closer to the destination, in adjacency order. The window slots are
-// reused, so steady-state computation allocates nothing.
-type candSet struct {
-	off   []int32
-	ports []ib.PortNum
-}
-
-func newCandSet(nsw int) *candSet {
-	return &candSet{off: make([]int32, nsw+1), ports: make([]ib.PortNum, 0, 2*nsw)}
-}
-
-func (c *candSet) at(i int) []ib.PortNum { return c.ports[c.off[i]:c.off[i+1]] }
-
-// clone deep-copies the candidate set (the dependency index keeps one per
-// destination group across computations, while the engine reuses its window
-// slots).
-func (c *candSet) clone() *candSet {
-	return &candSet{
-		off:   append([]int32(nil), c.off...),
-		ports: append([]ib.PortNum(nil), c.ports...),
-	}
-}
 
 // minhopCands runs the destination BFS and fills cs with the minimal-hop
 // candidate egress ports of every switch, in adjacency (port) order. Shared
@@ -73,90 +45,21 @@ func minhopCands(fv *fabricView, destSw int, s *bfsScratch, cs *candSet) {
 }
 
 // Compute implements Engine.
-func (*MinHop) Compute(req *Request) (*Result, error) {
-	start := time.Now()
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	fv, err := newFabricView(req)
-	if err != nil {
-		return nil, err
-	}
-	lfts := fv.newLFTs(req)
-	nsw := len(fv.switches)
+func (e *MinHop) Compute(req *Request) (*Result, error) { return computeFold(e, req) }
 
-	// load[i][p] counts LIDs already routed out of port p of switch i.
-	load := make([][]uint32, nsw)
-	for i, id := range fv.switches {
-		load[i] = make([]uint32, len(fv.topo.Node(id).Ports))
-	}
-
-	groups, keys := fv.groupTargetsBySwitch(req.Targets)
-	workers := req.workerCount()
-	pool := newWorkerPool(workers, func() *bfsScratch { return newBFSScratch(nsw) })
-	window := make([]*candSet, min(groupWindow, len(groups)))
-	for i := range window {
-		window[i] = newCandSet(nsw)
-	}
-	paths := 0
-	clock := newPhaseClock()
-	clock.lap("setup")
-
-	for lo := 0; lo < len(groups); lo += groupWindow {
-		hi := min(lo+groupWindow, len(groups))
-		// Load counters are scoped to the window: balancing restarts per 64
-		// groups, which makes the fold window-decomposable for the
-		// incremental layer while still spreading each window's LIDs evenly.
-		for i := range load {
-			for p := range load[i] {
-				load[i][p] = 0
+// rule implements foldEngine: the candidates are the minimal-hop ports.
+func (*MinHop) rule(fv *fabricView) (*foldRule, error) {
+	return &foldRule{
+		worker: func() candFunc {
+			s := newBFSScratch(len(fv.switches))
+			return func(destSw int, cs *candSet) ([]int, []int) {
+				minhopCands(fv, destSw, s, cs)
+				return s.dist, nil
 			}
-		}
-		// Parallel phase: BFS from each destination switch of the window
-		// and record the minimal-hop candidate ports per switch.
-		pool.run(hi-lo, func(k int, s *bfsScratch) {
-			destSw := keys[lo+k]
-			cs := window[k]
-			minhopCands(fv, destSw, s, cs)
-			if req.capture != nil {
-				req.capture.captureGroup(lo+k, s.dist, nil, cs)
-			}
-		})
-		clock.lap("bfs-fanout")
-		// Serial fold in group order: pick the least-loaded candidate per
-		// switch per LID, exactly as the serial engine would.
-		for gi := lo; gi < hi; gi++ {
-			destSw := keys[gi]
-			cs := window[gi-lo]
-			paths++
-			for _, ti := range groups[gi] {
-				t := req.Targets[ti]
-				ap := fv.attach[ti]
-				// Destination switch entry: port 0 for the switch's own LID,
-				// or the access port toward the CA.
-				lfts[fv.switches[destSw]].Set(t.LID, ap.port)
-				for i := 0; i < nsw; i++ {
-					cands := cs.at(i)
-					if i == destSw || len(cands) == 0 {
-						continue
-					}
-					best := cands[0]
-					for _, p := range cands[1:] {
-						if load[i][p] < load[i][best] {
-							best = p
-						}
-					}
-					load[i][best]++
-					lfts[fv.switches[i]].Set(t.LID, best)
-				}
-			}
-		}
-		clock.lap("fold")
-	}
-
-	return &Result{
-		LFTs: lfts,
-		Stats: Stats{Duration: time.Since(start), PathsComputed: paths, Workers: workers,
-			Phases: clock.phases(), WorkerBusy: pool.busyTimes()},
+		},
+		classify: func(dist, _ []int16, downs, ups []edgeRec) (bool, map[int][]ib.PortNum) {
+			return classifyMinhopDelta(fv, dist, downs, ups)
+		},
+		root: -1,
 	}, nil
 }

@@ -14,9 +14,11 @@ import (
 // NOT depend on the worker count; within a window every task reads only
 // state frozen before the window started and writes into task-indexed
 // buffers; the window is then folded into the shared LFT / load / weight /
-// VL state serially, in ascending destination order. Tie-breaking therefore
-// never depends on goroutine scheduling, only on the window constants below
-// — so Workers=1 and Workers=N produce byte-identical forwarding tables.
+// VL state serially, in ascending destination order (the minhop/updn egress
+// fold also fans out, by switch: each switch's load is its own). Tie-breaking
+// therefore never depends on goroutine scheduling, only on the window
+// constants below — so Workers=1 and Workers=N produce byte-identical
+// forwarding tables.
 const (
 	// dfssspEpoch is the number of destinations whose SSSPs run against one
 	// frozen copy of the link-weight state before the accumulated load of

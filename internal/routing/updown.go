@@ -2,7 +2,8 @@ package routing
 
 import (
 	"fmt"
-	"time"
+
+	"ibvsim/internal/ib"
 )
 
 // UpDown implements Up*/Down* routing: switches are ranked by a BFS from a
@@ -15,9 +16,9 @@ import (
 // non-minimal paths on irregular fabrics.
 //
 // Like MinHop, the per-destination distance/candidate computation fans out
-// over the worker pool against the fixed rank ordering, while the
-// load-balanced egress choice folds serially in group order — results are
-// byte-identical for every worker count.
+// over the worker pool against the fixed rank ordering, and the
+// load-balanced egress choice is the same fold, fanned out by switch —
+// results are byte-identical for every worker count.
 type UpDown struct {
 	// Root optionally pins the ranking root (dense switch index is chosen
 	// automatically when < 0).
@@ -180,90 +181,28 @@ func updnCands(fv *fabricView, up func(i, j int) bool, destSw int, s *updownScra
 }
 
 // Compute implements Engine.
-func (e *UpDown) Compute(req *Request) (*Result, error) {
-	start := time.Now()
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	fv, err := newFabricView(req)
-	if err != nil {
-		return nil, err
-	}
-	nsw := len(fv.switches)
+func (e *UpDown) Compute(req *Request) (*Result, error) { return computeFold(e, req) }
+
+// rule implements foldEngine: the candidates are the down-preferred ports
+// of the up/down orientation ranked from the root.
+func (e *UpDown) rule(fv *fabricView) (*foldRule, error) {
 	root, rank, err := e.rankFabric(fv)
 	if err != nil {
 		return nil, err
 	}
 	up := updnUp(rank)
-	if req.capture != nil {
-		req.capture.setRank(root, rank)
-	}
-
-	lfts := fv.newLFTs(req)
-	load := make([][]uint32, nsw)
-	for i, id := range fv.switches {
-		load[i] = make([]uint32, len(fv.topo.Node(id).Ports))
-	}
-
-	groups, keys := fv.groupTargetsBySwitch(req.Targets)
-	workers := req.workerCount()
-	pool := newWorkerPool(workers, func() *updownScratch { return newUpdownScratch(nsw) })
-	window := make([]*candSet, min(groupWindow, len(groups)))
-	for i := range window {
-		window[i] = newCandSet(nsw)
-	}
-	paths := 0
-	clock := newPhaseClock()
-	clock.lap("setup")
-
-	for lo := 0; lo < len(groups); lo += groupWindow {
-		hi := min(lo+groupWindow, len(groups))
-		// Window-scoped load, exactly as in minhop: see groupWindow's doc.
-		for i := range load {
-			for p := range load[i] {
-				load[i][p] = 0
+	return &foldRule{
+		worker: func() candFunc {
+			s := newUpdownScratch(len(fv.switches))
+			return func(destSw int, cs *candSet) ([]int, []int) {
+				updnCands(fv, up, destSw, s, cs)
+				return s.distD, s.distU
 			}
-		}
-		pool.run(hi-lo, func(k int, s *updownScratch) {
-			destSw := keys[lo+k]
-			cs := window[k]
-			updnCands(fv, up, destSw, s, cs)
-			if req.capture != nil {
-				req.capture.captureGroup(lo+k, s.distD, s.distU, cs)
-			}
-		})
-		clock.lap("bfs-fanout")
-
-		for gi := lo; gi < hi; gi++ {
-			destSw := keys[gi]
-			cs := window[gi-lo]
-			paths++
-			for _, ti := range groups[gi] {
-				t := req.Targets[ti]
-				ap := fv.attach[ti]
-				lfts[fv.switches[destSw]].Set(t.LID, ap.port)
-				for i := 0; i < nsw; i++ {
-					cands := cs.at(i)
-					if i == destSw || len(cands) == 0 {
-						continue
-					}
-					best := cands[0]
-					for _, p := range cands[1:] {
-						if load[i][p] < load[i][best] {
-							best = p
-						}
-					}
-					load[i][best]++
-					lfts[fv.switches[i]].Set(t.LID, best)
-				}
-			}
-		}
-		clock.lap("fold")
-	}
-
-	return &Result{
-		LFTs: lfts,
-		Stats: Stats{Duration: time.Since(start), PathsComputed: paths, Workers: workers,
-			Phases: clock.phases(), WorkerBusy: pool.busyTimes()},
+		},
+		classify: func(dD, dU []int16, downs, ups []edgeRec) (bool, map[int][]ib.PortNum) {
+			return classifyUpdnDelta(fv, dD, dU, up, downs, ups)
+		},
+		root: root,
+		rank: rank,
 	}, nil
 }

@@ -135,7 +135,6 @@ func NewHarness(opts Options) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.SM.Dist.Workers = 1
 	if opts.MaxAttempts > 0 {
 		c.SM.Dist.Retry.MaxAttempts = opts.MaxAttempts
 	}
