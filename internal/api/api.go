@@ -113,6 +113,10 @@ type Server struct {
 	auditDone chan struct{}
 	stopAudit sync.Once
 
+	// lastPlan is the last reconcile plan computed, for the next command
+	// of the same spec and state to run rather than plan again.
+	lastPlan planSlot
+
 	// fabric and switches describe the topology, which never changes under a
 	// server: its name, and its switches in ascending node order.
 	fabric   string
@@ -253,9 +257,7 @@ func (s *Server) handle(pattern, op string, h http.HandlerFunc) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {

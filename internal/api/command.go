@@ -58,8 +58,10 @@ type command struct {
 //     publish reads again; naming a row that did not change is free. A
 //     shard actor reads its own rows (gen); a command refused before it
 //     changed anything names none and takes no generation.
-//   - the fabric: reconfigure, and the close of an applied reconcile. Every
-//     row is read again and the audit is fabric-wide.
+//   - the fabric: reconfigure, and the close of an applied reconcile. The
+//     audit is fabric-wide. A reconfigure has every row read again; the
+//     close of a reconcile publishes on its last wave's generation (gen),
+//     whose rows are all the batch changed.
 type done struct {
 	op     opKind
 	name   string
@@ -69,8 +71,9 @@ type done struct {
 	shard  int // the shard actor that ran it; ib.ShardNone for a frozen command
 	// spanFrom is the first span ID the command can have emitted.
 	spanFrom int
-	// gen is the generation a shard actor already published the command's
-	// rows at; 0 for a frozen command, whose rows publish reads.
+	// gen is the generation the command's rows are already published at —
+	// by a shard actor, or by the waves of a reconcile the close follows; 0
+	// for any other frozen command, whose rows publish reads.
 	gen uint64
 
 	read    bool
@@ -348,12 +351,12 @@ func (s *Server) finish(d *done) (gen uint64, violations int) {
 }
 
 // publish makes the state a command left behind visible to reads, before its
-// client hears back, and returns the command's generation. A shard actor has
-// already derived its zone's rows (gen). A frozen command has every zone it
-// touched read again the rows it names — or every row, for a fabric-wide
-// command — at a fresh generation; one refused before it changed anything
-// names no row and takes none. Then compose puts the zones' current rows
-// under one root.
+// client hears back, and returns the command's generation. A shard actor, or
+// a reconcile's waves, have already derived the rows (gen). Any other frozen
+// command has every zone it touched read again the rows it names — or every
+// row, for a reconfigure — at a fresh generation; one refused before it
+// changed anything names no row and takes none. Then compose puts the zones'
+// current rows under one root.
 func (s *Server) publish(d *done) uint64 {
 	start := time.Now()
 	if d.gen == 0 && (d.fabric || len(d.rowVMs)+len(d.rowHyps) > 0) {

@@ -2,13 +2,17 @@ package api
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
+	"time"
 
 	"ibvsim/internal/audit"
 	"ibvsim/internal/cloud"
 	"ibvsim/internal/core"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/reconcile"
+	"ibvsim/internal/sm"
+	"ibvsim/internal/smp"
 	"ibvsim/internal/telemetry"
 	"ibvsim/internal/topology"
 )
@@ -96,6 +100,50 @@ func costFromStep(c reconcile.StepCost) CostReport {
 	}, c.HostSMPs, 0)
 }
 
+// planKey is what a reconcile plan was computed from besides its spec: the
+// cloud as of a generation, and what a generation does not count — the
+// subnet manager (a handover swaps it), its sweeps (which may (re)assign
+// LIDs), the links' state (ScopeMinimal walks the links) and the cost knobs
+// of the reconfigurator and the SM.
+type planKey struct {
+	gen, sweeps, links uint64
+	mgr                *sm.SubnetManager
+	mode               smp.Mode
+	scope              core.Scope
+	mitigation         core.Mitigation
+	drain              time.Duration
+	cost               smp.CostModel
+	maxBlocks          int
+}
+
+// planSlot is the last plan the server computed — a dry run's, or an
+// apply's closing re-plan — and what it was computed from. Only a command
+// holding the coordinator freeze reads or writes it.
+type planSlot struct {
+	spec reconcile.Spec
+	key  planKey
+	plan *reconcile.Plan
+}
+
+// planKey reads the key of a plan computed now. Call under the freeze.
+func (s *Server) planKey() planKey {
+	rc, mgr := s.c.RC, s.c.SM
+	return planKey{
+		gen: s.co.Gen(), sweeps: mgr.Sweeps(), links: mgr.Topo.LinkChanges(),
+		mgr: mgr, mode: rc.Mode, scope: rc.Scope, mitigation: rc.Mitigation, drain: rc.DrainTime,
+		cost: mgr.Cost, maxBlocks: mgr.Dist.MaxBlocksPerSMP,
+	}
+}
+
+// cached is the slot's plan if it was computed from spec at key, else nil.
+func (sl *planSlot) cached(spec reconcile.Spec, key planKey) *reconcile.Plan {
+	if sl.plan == nil || sl.key != key || sl.spec.Goal != spec.Goal || sl.spec.Host != spec.Host ||
+		!maps.Equal(sl.spec.Placement, spec.Placement) {
+		return nil
+	}
+	return sl.plan
+}
+
 // execReconcile plans against live state and — unless the client asked for
 // a dry run — executes the waves in order. A dry run, like a plan that is
 // already converged, is a read: it touches nothing and skips the epilogue.
@@ -103,8 +151,16 @@ func costFromStep(c reconcile.StepCost) CostReport {
 // (publish, flight record, op-scoped audit of the columns it moved) before
 // the next wave is released; a violation (or wave error) aborts the
 // remainder, with everything already applied reported faithfully. The
-// command then closes with the fabric as its touched set, so every applied
-// batch is audited fabric-wide once before its reply.
+// command then closes on the last wave's generation with the fabric as its
+// touched set, so every applied batch is audited fabric-wide once before its
+// reply.
+//
+// A plan is computed once per state: a dry run keeps its plan in the
+// server's slot, and so does an apply's closing re-plan, and the next
+// command for the same spec at the same key runs that plan instead of
+// planning again. An apply takes the slot's plan and empties it; what it
+// binds is what the dry run reported, and BindWave still refuses a wave
+// whose members drifted.
 func (s *Server) execReconcile(cmd *command, d *done) {
 	span := s.tr.Start(telemetry.SpanReconcile, string(cmd.spec.Goal))
 	s.tr.PushScope(span)
@@ -114,18 +170,36 @@ func (s *Server) execReconcile(cmd *command, d *done) {
 	}()
 
 	// Planning is a phase of its own: on a large batch it is where a dry run's
-	// whole time, and a good part of an apply's, goes.
+	// whole time, and a good part of an apply's, goes — unless the plan was
+	// computed already.
 	p := &reconcile.Planner{C: s.c}
+	key := s.planKey()
 	ps := span.Child(telemetry.SpanPhase, "plan")
-	plan, err := p.Plan(cmd.spec)
+	plan := s.lastPlan.cached(cmd.spec, key)
+	reused := plan != nil
+	if !cmd.dryRun {
+		s.lastPlan = planSlot{}
+	}
+	var err error
+	if !reused {
+		plan, err = p.Plan(cmd.spec)
+	}
 	if err == nil {
-		ps.SetAttrs("moves", len(plan.Moves), "waves", len(plan.Waves), "edits", plan.Edits)
+		ps.SetAttrs("moves", len(plan.Moves), "waves", len(plan.Waves), "edits", plan.Edits, "reused", reused)
 	}
 	ps.End()
+	source := "planned"
+	if reused {
+		source = "reused"
+	}
+	s.reg.Counter(telemetry.Labeled("api.reconcile.plans", "source", source)).Inc()
 	if err != nil {
 		d.read = cmd.dryRun
 		d.fail(err)
 		return
+	}
+	if cmd.dryRun {
+		s.lastPlan = planSlot{spec: cmd.spec, key: key, plan: plan}
 	}
 
 	resp := ReconcileResponse{
@@ -208,7 +282,9 @@ func (s *Server) execReconcile(cmd *command, d *done) {
 		gen, viol := s.finish(&wd)
 		s.tr.PopScope()
 		ws.End()
-		resp.Generation = gen
+		// The close publishes nothing of its own: the waves' rows are every
+		// row the batch changed, each already read again by its wave.
+		resp.Generation, d.gen = gen, gen
 		resp.AuditViolations += viol
 		if werr != nil {
 			resp.Aborted, resp.Error = true, werr.Error()
@@ -232,8 +308,11 @@ func (s *Server) execReconcile(cmd *command, d *done) {
 	}
 
 	// Confirm convergence: re-planning the achieved state must be a no-op.
+	// An operator's confirming dry run asks for this very plan.
+	key = s.planKey()
 	if again, err := p.Plan(cmd.spec); err == nil {
 		resp.Converged = again.Converged
+		s.lastPlan = planSlot{spec: cmd.spec, key: key, plan: again}
 	}
 	d.body = resp
 }

@@ -23,6 +23,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"ibvsim/internal/cdg"
@@ -264,44 +265,37 @@ func (r *Reconfigurator) PlanWaveOn(v cdg.Routes, kind PlanKind, pairs []LIDPair
 		ms = append(ms, m)
 	}
 
-	n, per := topo.NumSwitches(), 1 // per: edits of a member on a switch it touches
-	if both {
-		per = 2
-	}
+	n := topo.NumSwitches()
+	// The table is filled in a scratch buffer and copied out at its size: a
+	// plan can outlive its command (a dry run's is kept for the apply), so
+	// it holds no slack.
+	scratch := planScratch.Get().(*[]ib.LFTEntry)
+	defer planScratch.Put(scratch)
 	plan := &MigrationPlan{
 		Kind: kind, VMLID: pairs[0].VM, PeerLID: pairs[0].Peer,
 		Switches: make([]topology.NodeID, 0, n),
-		Entries:  make([]ib.LFTEntry, 0, per*n), // a lone member's edits at most
+		Entries:  (*scratch)[:0],
 		offs:     make([]int32, 1, n+1),
 	}
 	counts := make([]PlanCounts, len(pairs))
-	for si, sw := range topo.Switches() {
+	for _, sw := range topo.Switches() {
 		lft := v.LFT(sw)
 		if lft == nil {
 			return nil, nil, fmt.Errorf("core: switch %q not programmed; bootstrap the SM first", topo.Node(sw).Desc)
 		}
-		edits := 0
+		edits := false
 		for i, p := range pairs {
 			m := &ms[i]
 			m.pv, m.pp = lft.Get(p.VM), lft.Get(p.Peer)
 			m.on = m.pv != m.pp && !(minimal && sw != m.leaf && r.reaches(v, sw, m.leaf, p.VM))
 			if m.on {
-				edits += per
+				edits = true
 				counts[i].SwitchesTouched++
 				counts[i].SMPs += m.smps
 			}
 		}
-		if edits == 0 {
+		if !edits {
 			continue
-		}
-		if need := len(plan.Entries) + edits; need > cap(plan.Entries) {
-			// A wave's table outgrew one member's: size it by what the
-			// switches walked so far project over all of them, an eighth
-			// over, rather than by append's small steps, which would
-			// allocate it several times over.
-			grown := make([]ib.LFTEntry, len(plan.Entries), max(need, need*n*9/(8*(si+1))))
-			copy(grown, plan.Entries)
-			plan.Entries = grown
 		}
 		last := -1
 		for _, k := range keys {
@@ -321,9 +315,15 @@ func (r *Reconfigurator) PlanWaveOn(v cdg.Routes, kind PlanKind, pairs []LIDPair
 		}
 		plan.closeRun(sw)
 	}
+	*scratch = plan.Entries[:0]
+	plan.Entries = append(make([]ib.LFTEntry, 0, len(plan.Entries)), plan.Entries...)
 	plan.SwitchesTouched = len(plan.Switches)
 	return plan, counts, nil
 }
+
+// planScratch holds the buffers PlanWaveOn fills a table in, one per
+// concurrent planner: a buffer grows to the largest table planned on it.
+var planScratch = sync.Pool{New: func() any { return new([]ib.LFTEntry) }}
 
 // planOne is a wave of one: the lone member's plan is the merged plan.
 func (r *Reconfigurator) planOne(v cdg.Routes, kind PlanKind, vmLID, peerLID ib.LID) (*MigrationPlan, error) {

@@ -585,7 +585,8 @@ func FuzzMergePlans(f *testing.F) {
 }
 
 // Allocation gates: a plan is a handful of slices sized once, whatever the
-// fabric, and a merge is a counting sort into one more.
+// fabric, and a merge is a counting sort into one more. A plan's table is
+// held at its size: a dry run's plan is kept until the next command.
 
 func TestPlanSwapAllocs(t *testing.T) {
 	ft324, err := topology.BuildPaperFatTree(324)
@@ -604,6 +605,26 @@ func TestPlanSwapAllocs(t *testing.T) {
 		t.Logf("%d hosts: PlanSwap allocates %.0f times for %d edits on %d switches", nodes, allocs, len(plan.Entries), plan.SwitchesTouched)
 		if allocs > 8 {
 			t.Errorf("%d hosts: PlanSwap allocates %.0f times, want <= 8", nodes, allocs)
+		}
+		if cap(plan.Entries) != len(plan.Entries) {
+			t.Errorf("%d hosts: PlanSwap's table holds %d entries in room for %d", nodes, len(plan.Entries), cap(plan.Entries))
+		}
+
+		// A wave of 128 copies, each VM LID toward another host's PF: its
+		// table outgrows one member's and is sized by projection as it fills.
+		cas := topo.CAs()
+		pairs := make([]LIDPair, 128)
+		for i := range pairs {
+			pairs[i] = LIDPair{VM: lids[1+i][0], Peer: rc.SM.LIDOf(cas[len(cas)-1-i])}
+		}
+		allocs = testing.AllocsPerRun(5, func() {
+			if plan, _, err = rc.PlanWaveOn(rc.SM.Programmed(), PlanCopy, pairs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d hosts: a 128-member wave allocates %.0f times for %d edits on %d switches", nodes, allocs, len(plan.Entries), plan.SwitchesTouched)
+		if cap(plan.Entries) != len(plan.Entries) {
+			t.Errorf("%d hosts: a 128-member wave's table holds %d entries in room for %d", nodes, len(plan.Entries), cap(plan.Entries))
 		}
 	}
 }

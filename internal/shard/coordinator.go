@@ -107,6 +107,11 @@ func New(c *cloud.Cloud, n int, cfg Config) (*Coordinator, error) {
 // Shards returns the number of shards.
 func (co *Coordinator) Shards() int { return len(co.shards) }
 
+// Gen is the newest generation taken: every command that changed the cloud
+// through a shard, a cross-shard commit or Resync has taken one. Read inside
+// Freeze, two equal readings bracket a span in which no command changed it.
+func (co *Coordinator) Gen() uint64 { return co.gen.Load() }
+
 // Snaps returns every shard's current snapshot.
 func (co *Coordinator) Snaps() []*Snap {
 	out := make([]*Snap, len(co.shards))

@@ -636,10 +636,16 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEn
 	}
 	s.commitProgrammed(sw, next)
 	// Keep the target view coherent so a later full distribution does not
-	// undo the reconfiguration.
+	// undo the reconfiguration. A target that shares all its storage with
+	// the table the write started from holds what cur held: it becomes what
+	// next holds, sharing next's storage, with no run written twice.
 	if tgt := s.target[sw]; tgt != nil {
-		tgt.SetProvenance(prov)
-		tgt.SetRun(entries, blocks[:0])
+		if _, _, _, differ := tgt.NextDiff(cur, 0); differ || tgt.NumBlocks() != cur.NumBlocks() {
+			tgt.SetProvenance(prov)
+			tgt.SetRun(entries, blocks[:0])
+		} else {
+			next.CloneInto(tgt)
+		}
 	}
 	return len(runs), nil
 }

@@ -101,6 +101,10 @@ type SubnetManager struct {
 	swept  bool
 	routed bool
 	state  SMState
+	// sweeps counts the full sweeps and LID assignments run: a cached
+	// computation that read LIDs compares it to know no sweep has
+	// (re)assigned them since.
+	sweeps atomic.Uint64
 
 	// inc is the cached incremental wrapper around Engine; it is recreated
 	// whenever Engine is swapped and dropped when IncrementalRouting is off,
@@ -225,6 +229,10 @@ func (s *SubnetManager) Resweep() (SweepStats, error) {
 	return st, nil
 }
 
+// Sweeps counts the full sweeps and the LID assignments run so far. Two
+// equal readings bracket a span in which no sweep ran.
+func (s *SubnetManager) Sweeps() uint64 { return s.sweeps.Load() }
+
 // Reachable reports whether the most recent sweep could reach the node.
 func (s *SubnetManager) Reachable(n topology.NodeID) bool { return s.reachable[n] }
 
@@ -241,6 +249,7 @@ func (s *SubnetManager) sweep() (SweepStats, error) {
 		span.End()
 	}()
 	s.tel.Registry().Counter("sm.sweeps").Inc()
+	s.sweeps.Add(1)
 
 	type qe struct {
 		node topology.NodeID
@@ -315,6 +324,7 @@ func (s *SubnetManager) AssignLIDs() error {
 	if !s.swept {
 		return fmt.Errorf("sm: AssignLIDs before Sweep")
 	}
+	s.sweeps.Add(1)
 	s.addrMu.Lock()
 	defer s.addrMu.Unlock()
 	lidOf := make([]ib.LID, s.Topo.NumNodes())

@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ibvsim/internal/ib"
 )
@@ -76,6 +77,9 @@ type Topology struct {
 	switches []NodeID // the switches' IDs, ascending
 
 	nextGUID uint64
+	// links counts SetLinkState calls: what a cached computation that
+	// walked the links compares to know it is still current.
+	links atomic.Uint64
 }
 
 // New returns an empty topology with the given name.
@@ -215,8 +219,13 @@ func (t *Topology) SetLinkState(a NodeID, ap ib.PortNum, up bool) error {
 	}
 	p.Up = up
 	t.Node(p.Peer).Ports[p.PeerPort].Up = up
+	t.links.Add(1)
 	return nil
 }
+
+// LinkChanges counts the link-state changes made so far (SetLinkState
+// calls). Two equal readings bracket a span in which no link went up or down.
+func (t *Topology) LinkChanges() uint64 { return t.links.Load() }
 
 // Validate checks structural invariants: symmetric links, port-number
 // consistency, no self-links, and that every CA is attached to a switch.
