@@ -34,6 +34,7 @@ func (sn *Snapshot) AuditView() *audit.View {
 		Gen:        sn.Gen,
 		LFTOf:      sn.LFT,
 		NodeOfLID:  sn.addrs.Map(),
+		BaseLIDs:   sn.lidOf,
 		ActiveLIDs: lids,
 		VMs:        vms,
 	}
@@ -58,6 +59,7 @@ func (s *Server) opScopedView(gen uint64, lids []ib.LID, vms []audit.VMBinding) 
 		Gen:        gen,
 		LFTOf:      s.c.SM.ProgrammedLFT,
 		NodeOfLID:  s.c.SM.ResolveLIDs(lids),
+		BaseLIDs:   s.c.SM.BaseLIDs(),
 		ActiveLIDs: lids,
 		VMs:        vms,
 	}

@@ -105,10 +105,7 @@ func TestDryRunThenApplyEqualsApply(t *testing.T) {
 					if !reusedA || reusedB {
 						t.Errorf("batch %d: apply after a dry run reused=%v, apply alone reused=%v; want true, false", i, reusedA, reusedB)
 					}
-					// Under Shared Port the VMs of one host share its LID, which
-					// the audit reports as a conflict: the twins must agree on
-					// the abort, not avoid it.
-					if model != sriov.SharedPort && (sta != http.StatusOK || appA.Aborted) || len(appA.Moves) == 0 && i == 0 {
+					if sta != http.StatusOK || appA.Aborted || len(appA.Moves) == 0 && i == 0 {
 						t.Fatalf("batch %d %+v: apply status %d: %+v", i, req, sta, appA)
 					}
 					if got, want := replyString(sta, appA), replyString(stb, appB); got != want {
@@ -132,7 +129,7 @@ func TestDryRunThenApplyEqualsApply(t *testing.T) {
 				var audA, audB map[string]any
 				doJSON(t, ats.Client(), "GET", ats.URL+"/v1/audit?run=full", nil, &audA)
 				doJSON(t, bts.Client(), "GET", bts.URL+"/v1/audit?run=full", nil, &audB)
-				if audA["violations_total"] != audB["violations_total"] || model != sriov.SharedPort && audA["violations_total"] != float64(0) {
+				if audA["violations_total"] != audB["violations_total"] || audA["violations_total"] != float64(0) {
 					t.Errorf("full audits: %v violations after dry run then apply, %v after the apply alone", audA["violations_total"], audB["violations_total"])
 				}
 				plans := func(srv *Server, source string) int64 {

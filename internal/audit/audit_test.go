@@ -165,6 +165,31 @@ func TestLIDConflictsDetected(t *testing.T) {
 	}
 }
 
+// TestSharedPortLIDIsNoConflict: the VMs of a Shared Port hypervisor all use
+// its base (PF) LID, so two of them on one host audit clean. Two VMs on one
+// VF LID of one host, or on a base LID from different hosts, still conflict.
+func TestSharedPortLIDIsNoConflict(t *testing.T) {
+	v, _, cas := buildLine(t)
+	v.BaseLIDs = make([]ib.LID, v.Topo.NumNodes())
+	v.BaseLIDs[cas[0]], v.BaseLIDs[cas[1]] = 10, 11
+	v.NodeOfLID[12] = cas[1] // a VF LID of c1
+	a, _ := newAuditor(t)
+	for _, tc := range []struct {
+		name string
+		vms  []VMBinding
+		want int
+	}{
+		{"shared-port-pair", []VMBinding{{Name: "vm-a", LID: 11, Hyp: cas[1]}, {Name: "vm-b", LID: 11, Hyp: cas[1]}}, 0},
+		{"vswitch-pair", []VMBinding{{Name: "vm-a", LID: 12, Hyp: cas[1]}, {Name: "vm-b", LID: 12, Hyp: cas[1]}}, 1},
+		{"two-hosts", []VMBinding{{Name: "vm-a", LID: 11, Hyp: cas[1]}, {Name: "vm-b", LID: 11, Hyp: cas[0]}}, 2},
+	} {
+		v.VMs = tc.vms
+		if rep := a.Run(v, ScopeFast); rep.ByKind[string(KindLIDConflict)] != tc.want {
+			t.Errorf("%s: %d lid conflicts, want %d: %+v", tc.name, rep.ByKind[string(KindLIDConflict)], tc.want, rep)
+		}
+	}
+}
+
 func TestViolationCapKeepsExactCounts(t *testing.T) {
 	v, sw, _ := buildLine(t)
 	for l := ib.LID(100); l < 120; l++ {

@@ -32,6 +32,10 @@ type View struct {
 	// NodeOfLID maps every owned LID (base and extra/VF) to its node. An
 	// op-scoped (ScopeReach) view may carry only the LIDs it audits.
 	NodeOfLID map[ib.LID]topology.NodeID
+	// BaseLIDs is each node's base LID, dense by node ID. Every VM of a
+	// Shared Port hypervisor uses the hypervisor's base (PF) LID, so VMs of
+	// that host may share it; with BaseLIDs nil, any shared LID conflicts.
+	BaseLIDs []ib.LID
 	// ActiveLIDs are the destinations whose reachability the audit proves:
 	// switch LIDs, PF base LIDs and VF LIDs with a VM behind them — or,
 	// for an op-scoped pass, just the LID columns one mutation touched.
@@ -407,15 +411,18 @@ func checkStaleEntries(v *View, c *collector, s *scratch) {
 
 // checkBindings proves the addressing half of invariant family (b): each
 // VM's LID must be owned by its hypervisor, and no two VMs may claim the
-// same LID.
+// same LID — unless both run on the hypervisor whose base (PF) LID it is,
+// which is how every VM of a Shared Port host is addressed.
 func checkBindings(v *View, c *collector) {
-	byLID := map[ib.LID]string{}
+	byLID := map[ib.LID]VMBinding{}
 	for _, vm := range v.VMs {
-		if prev, dup := byLID[vm.LID]; dup {
+		prev, dup := byLID[vm.LID]
+		pf := vm.Hyp >= 0 && int(vm.Hyp) < len(v.BaseLIDs) && v.BaseLIDs[vm.Hyp] == vm.LID
+		if dup && !(pf && prev.Hyp == vm.Hyp) {
 			c.addf(KindLIDConflict, vm.LID, "",
-				"VMs %q and %q both claim LID %d", prev, vm.Name, vm.LID)
+				"VMs %q and %q both claim LID %d", prev.Name, vm.Name, vm.LID)
 		}
-		byLID[vm.LID] = vm.Name
+		byLID[vm.LID] = vm
 		owner, ok := v.NodeOfLID[vm.LID]
 		if !ok {
 			c.addf(KindLIDConflict, vm.LID, "",

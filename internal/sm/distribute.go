@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -197,16 +198,16 @@ type distJob struct {
 	runs    []blockRun
 }
 
-// distResult is what one worker reports back for one job. Workers write
-// only their own slice slot, so no locking is needed until the join.
-type distResult struct {
-	delivered []int // blocks acknowledged by the switch
+// writeResult is what programSwitch reports for one switch's write.
+type writeResult struct {
 	smps      int   // SMPs (runs) acknowledged
+	blocks    int   // blocks those SMPs carried
 	retried   int   // retransmissions beyond each SMP's first attempt
 	abandoned int   // SMPs that exhausted the retry budget
-	cancelled bool  // context cancellation cut the job short
+	lost      error // why the first abandoned SMP was abandoned
+	cancelled bool  // context cancellation cut the write short
 	modelled  time.Duration
-	err       error // hard transport error (aborts the remaining blocks)
+	err       error // hard transport error (stops the remaining runs)
 }
 
 // distribute runs the concurrent distribution engine: independent switches
@@ -235,7 +236,7 @@ func (s *SubnetManager) distribute(ctx context.Context, full bool, mode smp.Mode
 		if tgt == nil {
 			return st, fmt.Errorf("sm: switch %q has no target LFT", s.Topo.Node(swID).Desc)
 		}
-		prog := s.programmedActive(swID)
+		prog := s.ProgrammedLFT(swID)
 		var blocks []int
 		if full || prog == nil {
 			top := tgt.TopPopulatedBlock()
@@ -305,8 +306,11 @@ func (s *SubnetManager) distribute(ctx context.Context, full bool, mode smp.Mode
 	}
 
 	// Fan out: workers claim jobs by atomic index and write results into
-	// their own slots; the transport guards its own counters.
-	results := make([]distResult, len(jobs))
+	// their own slots; the transport guards its own counters. A distribution
+	// records each SMP's modelled time in a histogram and emits no span.
+	smpHist := s.tel.Registry().Histogram("sm.dist.smp_modelled_us", nil)
+	observe := func(_ blockRun, _ int, cost time.Duration) { smpHist.ObserveDuration(cost) }
+	results := make([]writeResult, len(jobs))
 	var next int64
 	var wg sync.WaitGroup
 	for w := 0; w < fanout; w++ {
@@ -318,26 +322,23 @@ func (s *SubnetManager) distribute(ctx context.Context, full bool, mode smp.Mode
 				if i >= len(jobs) {
 					return
 				}
-				if ctx.Err() != nil {
-					// Keep claiming so every job gets a (cancelled) result,
-					// but send nothing further.
-					results[i] = distResult{cancelled: true}
-					continue
-				}
-				results[i] = s.runDistJob(ctx, jobs[i], mode)
+				// After a cancellation every job still gets a (cancelled)
+				// result, but sends nothing further.
+				job := jobs[i]
+				results[i] = s.programSwitch(ctx, job.sw, job.tgt.Clone(), job.runs, mode, observe)
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Join: fold results into the stats, commit programmed state, and model
-	// the makespan of scheduling the per-switch channels over the workers.
+	// Join: fold results into the stats and model the makespan of
+	// scheduling the per-switch channels over the workers.
 	var firstErr error
 	clocks := make([]time.Duration, fanout)
 	for i, r := range results {
 		job := jobs[i]
 		st.SMPs += r.smps
-		st.Blocks += len(r.delivered)
+		st.Blocks += r.blocks
 		st.SMPsRetried += r.retried
 		st.SMPsAbandoned += r.abandoned
 		if r.err != nil && firstErr == nil {
@@ -345,21 +346,17 @@ func (s *SubnetManager) distribute(ctx context.Context, full bool, mode smp.Mode
 		}
 		switch {
 		case r.cancelled && r.err == nil && r.abandoned == 0:
-			// Shutdown cut this switch short: commit what was acknowledged,
-			// leave the rest for the next distribution.
+			// Shutdown cut this switch short: the rest waits for the next
+			// distribution.
 			st.SwitchesCancelled++
-			s.commitPartial(job.sw, job.tgt, r.delivered)
 			s.log.Addf(EvDistribute, "distribute: %q cancelled: %d/%d blocks delivered",
-				s.Topo.Node(job.sw).Desc, len(r.delivered), job.nblocks)
+				s.Topo.Node(job.sw).Desc, r.blocks, job.nblocks)
 		case r.err == nil && r.abandoned == 0:
 			st.SwitchesUpdated++
-			s.commitProgrammed(job.sw, job.tgt.Clone())
 		default:
 			st.SwitchesFailed++
-			// Only the acknowledged blocks are known to be on the switch.
-			s.commitPartial(job.sw, job.tgt, r.delivered)
 			s.log.Addf(EvFailure, "distribute: %q incomplete: %d/%d blocks delivered, %d SMPs abandoned (%v)",
-				s.Topo.Node(job.sw).Desc, len(r.delivered), job.nblocks, r.abandoned, r.err)
+				s.Topo.Node(job.sw).Desc, r.blocks, job.nblocks, r.abandoned, r.err)
 		}
 		if r.retried > 0 {
 			s.log.Addf(EvRetry, "distribute: %q needed %d retransmissions for %d SMPs",
@@ -402,17 +399,17 @@ func (s *SubnetManager) distribute(ctx context.Context, full bool, mode smp.Mode
 	return st, firstErr
 }
 
-// commitPartial publishes a partially-delivered write — a distribution job
-// or a SetLFTEntriesProv call whose SMPs were not all acknowledged: the next
-// active table is the old active (or an empty table sized from the source's
-// geometry) with only the acknowledged blocks of from copied in, swapped in
-// atomically so readers never see a half-merged mixture.
-func (s *SubnetManager) commitPartial(sw topology.NodeID, from *ib.LFT, delivered []int) {
-	if len(delivered) == 0 && s.programmedActive(sw) != nil {
+// commitPartial publishes a write whose SMPs were not all acknowledged: the
+// next active table is the old active (or an empty table sized from the
+// source's geometry) with only the blocks of the acknowledged runs of from
+// copied in, swapped in atomically so readers never see a half-merged
+// mixture.
+func (s *SubnetManager) commitPartial(sw topology.NodeID, from *ib.LFT, acked []blockRun) {
+	if len(acked) == 0 && s.ProgrammedLFT(sw) != nil {
 		return // nothing landed; the old active table still holds
 	}
 	var next *ib.LFT
-	if cur := s.programmedActive(sw); cur != nil {
+	if cur := s.ProgrammedLFT(sw); cur != nil {
 		next = cur.Clone()
 	} else {
 		// Size the fallback table from the source's geometry, not a
@@ -420,8 +417,10 @@ func (s *SubnetManager) commitPartial(sw topology.NodeID, from *ib.LFT, delivere
 		// from the table it is shadowing.
 		next = ib.NewLFTBlocks(from.NumBlocks())
 	}
-	for _, b := range delivered {
-		next.CopyBlockFrom(from, b)
+	for _, run := range acked {
+		for b := run.start; b < run.start+run.n; b++ {
+			next.CopyBlockFrom(from, b)
+		}
 	}
 	s.commitProgrammed(sw, next)
 }
@@ -447,48 +446,61 @@ func (s *SubnetManager) attemptCost(mode smp.Mode, nBlocks, attempts int, err er
 	return d
 }
 
-// runDistJob pushes one switch's block runs in order, retrying timeouts,
-// and accounts the modelled time of every attempt on this switch's serial
-// channel. Cancelling ctx stops the job after the SMP in flight; the blocks
-// already acknowledged are reported so the join can commit them.
-func (s *SubnetManager) runDistJob(ctx context.Context, job distJob, mode smp.Mode) distResult {
-	var res distResult
-	pol := s.Dist.Retry
-	smpHist := s.tel.Registry().Histogram("sm.dist.smp_modelled_us", nil)
-	var p smp.SMP
-	for _, run := range job.runs {
+// programSwitch is the one routine that programs a switch's LFT. It sends
+// the runs in order, each through sendRunReliably, charges every SMP's
+// attempts with attemptCost and hands them to onSMP (the caller's record of
+// an SMP: a span, a histogram sample). A run that exhausts its retries is
+// abandoned and the next one is sent; a hard transport error, or a
+// cancelled ctx before the next run, stops the sends. Then it publishes
+// what the switch acknowledged: written itself when every run was, else the
+// old table plus the acknowledged blocks of written (commitPartial). The
+// acknowledged runs are moved to the front of runs, so the caller's list is
+// scratch afterwards.
+func (s *SubnetManager) programSwitch(ctx context.Context, sw topology.NodeID, written *ib.LFT, runs []blockRun, mode smp.Mode,
+	onSMP func(run blockRun, attempts int, cost time.Duration)) writeResult {
+	var res writeResult
+	var p smp.SMP // one packet for every run and retry of this write
+	for _, run := range runs {
 		if ctx.Err() != nil {
 			res.cancelled = true
-			return res
+			break
 		}
-		attempts, err := s.sendRunReliably(&p, job.sw, run, mode, pol)
+		attempts, err := s.sendRunReliably(&p, sw, run, mode)
 		cost := s.attemptCost(mode, run.n, attempts, err)
+		onSMP(run, attempts, cost)
 		res.modelled += cost
-		smpHist.ObserveDuration(cost)
 		res.retried += attempts - 1
-		switch {
-		case err == nil:
+		if err == nil {
+			runs[res.smps] = run
 			res.smps++
-			for b := run.start; b < run.start+run.n; b++ {
-				res.delivered = append(res.delivered, b)
-			}
-		case errors.Is(err, smp.ErrTimeout):
-			res.abandoned++
-		default:
-			res.err = err
-			return res
+			res.blocks += run.n
+			continue
 		}
+		if !errors.Is(err, smp.ErrTimeout) {
+			res.err = err
+			break
+		}
+		// A lost SMP left its blocks as they were on the switch.
+		res.abandoned++
+		if res.lost == nil {
+			res.lost = err
+		}
+	}
+	if res.smps == len(runs) {
+		s.commitProgrammed(sw, written)
+	} else {
+		s.commitPartial(sw, written, runs[:res.smps])
 	}
 	return res
 }
 
 // sendRunReliably sends one LFT SMP (a run of one or more adjacent blocks)
-// in the packet p, retrying on timeout per the policy. It returns the
+// in the packet p, retrying on timeout per Dist.Retry. It returns the
 // attempts made and, when the SMP was never acknowledged, an error:
 // smp.ErrTimeout-wrapped when the retry budget ran out, or the hard
 // transport error that aborted the send.
-func (s *SubnetManager) sendRunReliably(p *smp.SMP, sw topology.NodeID, run blockRun, mode smp.Mode, pol RetryPolicy) (int, error) {
-	max := pol.attempts()
+func (s *SubnetManager) sendRunReliably(p *smp.SMP, sw topology.NodeID, run blockRun, mode smp.Mode) (int, error) {
+	max := s.Dist.Retry.attempts()
 	for attempt := 1; ; attempt++ {
 		err := s.sendLFTRun(p, sw, run, mode)
 		if err == nil {
@@ -555,13 +567,14 @@ func (s *SubnetManager) sendLFTRun(p *smp.SMP, sw topology.NodeID, run blockRun,
 // are unaffected by VM migrations. Lost SMPs are retried per the
 // distribution config.
 //
-// It follows the distribution engine's rule: edit a clone, send, then publish
-// what the switch acknowledged. The blocks sent are those in which some entry
+// It edits a clone and hands it to programSwitch, the routine a distribution
+// sends and publishes through. The blocks sent are those in which some entry
 // actually changed a port. When every SMP is acknowledged the whole clone is
 // published with one buffer swap (concurrent readers never observe a
-// half-applied set) and the target view is patched to match; when a run is
-// abandoned only the blocks of the runs before it are published, the target
-// stays as it was, and the error comes back. Either way the count returned is
+// half-applied set) and the target view is patched to match. When a run is
+// abandoned the runs after it are still sent, as a distribution sends them;
+// only the blocks of the acknowledged runs are published, the target stays as
+// it was, and the first error comes back. Either way the count returned is
 // the SMPs the switch acknowledged.
 //
 // A per-switch stripe lock covers the whole clone→send→commit cycle (and
@@ -576,10 +589,10 @@ func (s *SubnetManager) sendLFTRun(p *smp.SMP, sw topology.NodeID, run blockRun,
 // arguments — not SM or tracer state — because concurrent shard actors drive
 // this path in parallel and each write epoch must carry its own attribution.
 func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEntry, mode smp.Mode, prov *ib.Provenance, under *telemetry.Span) (int, error) {
-	mu := s.lftLock(sw)
+	mu := &s.lftMu[uint64(sw)%lftStripes]
 	mu.Lock()
 	defer mu.Unlock()
-	cur := s.programmedActive(sw)
+	cur := s.ProgrammedLFT(sw)
 	if cur == nil {
 		return 0, fmt.Errorf("sm: switch %q not yet programmed", s.Topo.Node(sw).Desc)
 	}
@@ -602,15 +615,12 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEn
 	if prov != nil {
 		shardAttr = shardValue(prov.Shard)
 	}
-	var p smp.SMP // one packet for every run and retry of this call
-	sent := 0     // blocks carried by the acknowledged runs, a prefix of blocks
-	for i, run := range runs {
-		// One SpanSMP per SMP: under a migration's lft-swap span these are
-		// the n' x m' spans of the paper's equations 4/5. This loop runs
-		// once per touched switch of every reconfiguration, so the span is
-		// emitted fully formed in one tracer call — no Start/End lock
-		// churn, no name assembly (the block lives in the attrs).
-		attempts, err := s.sendRunReliably(&p, sw, run, mode, s.Dist.Retry)
+	// One SpanSMP per SMP: under a migration's lft-swap span these are the
+	// n' x m' spans of the paper's equations 4/5. This runs once per touched
+	// switch of every reconfiguration, so the span is emitted fully formed in
+	// one tracer call — no Start/End lock churn, no name assembly (the block
+	// lives in the attrs).
+	res := s.programSwitch(context.TODO(), sw, next, runs, mode, func(run blockRun, attempts int, cost time.Duration) {
 		// A fixed array, sliced to what applies: appending the optional pair
 		// to a ten-element literal doubled it on the heap, once per SMP. The
 		// mode goes in as the Stringer it is: a boxed uint8 allocates
@@ -625,16 +635,11 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEn
 			// depend on test execution order.
 			n = len(attrs)
 		}
-		s.tel.Tracer().Emit(telemetry.SpanSMP, desc, under, 0,
-			s.attemptCost(mode, run.n, attempts, err), attrs[:n]...)
-		if err != nil {
-			// A lost SMP left its blocks as they were on the switch.
-			s.commitPartial(sw, next, blocks[:sent])
-			return i, err
-		}
-		sent += run.n
+		s.tel.Tracer().Emit(telemetry.SpanSMP, desc, under, 0, cost, attrs[:n]...)
+	})
+	if err := cmp.Or(res.lost, res.err); err != nil {
+		return res.smps, err
 	}
-	s.commitProgrammed(sw, next)
 	// Keep the target view coherent so a later full distribution does not
 	// undo the reconfiguration. A target that shares all its storage with
 	// the table the write started from holds what cur held: it becomes what
@@ -647,7 +652,7 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEn
 			next.CloneInto(tgt)
 		}
 	}
-	return len(runs), nil
+	return res.smps, nil
 }
 
 // negShards boxes the negative shards once: ShardCoordinator, ShardNone.

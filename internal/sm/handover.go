@@ -143,7 +143,7 @@ func (s *SubnetManager) AdoptFabricState(prev *SubnetManager) (AdoptStats, error
 	}
 	// Read back every switch's programmed LFT, one Get per populated block.
 	for _, sw := range s.Topo.Switches() {
-		lft := prev.programmedActive(sw)
+		lft := prev.ProgrammedLFT(sw)
 		if lft == nil {
 			continue
 		}

@@ -140,6 +140,83 @@ func TestLostSMPIsNotCommitted(t *testing.T) {
 			t.Errorf("%d smp spans, want 2 (one per attempted run)", got)
 		}
 	})
+
+	// A lost run in the middle abandons only its own blocks: the runs after
+	// it are still sent and published, as a distribution sends them.
+	t.Run("middle-run-dropped", func(t *testing.T) {
+		s := bootedSM(t)
+		s.Dist.MaxBlocksPerSMP = 1
+		s.Dist.Retry.MaxAttempts = 1
+		sw := s.Topo.Switches()[0]
+		before := s.ProgrammedLFT(sw)
+		target := s.TargetLFT(sw).Clone()
+		p0, p2, p3 := other(before.Get(10)), other(before.Get(140)), other(before.Get(200))
+		s.sender = &dropSender{inner: s.Transport, drop: func(n int) bool { return n == 2 }}
+		first := s.Telemetry().Tracer().LastSpanID()
+
+		n, err := s.SetLFTEntriesProv(sw, []ib.LFTEntry{{LID: 10, Port: p0}, {LID: 140, Port: p2}, {LID: 200, Port: p3}}, smp.DirectedRoute, prov, nil)
+		if err == nil {
+			t.Fatal("write with its second SMP lost returned no error")
+		}
+		if n != 2 {
+			t.Errorf("acknowledged SMPs = %d, want 2", n)
+		}
+		prog := s.ProgrammedLFT(sw)
+		for _, e := range []ib.LFTEntry{{LID: 10, Port: p0}, {LID: 200, Port: p3}} {
+			if prog.Get(e.LID) != e.Port || prog.ProvenanceOf(e.LID) != prov {
+				t.Errorf("LID %d: port %d stamp %v, want port %d stamped %v", e.LID, prog.Get(e.LID), prog.ProvenanceOf(e.LID), e.Port, prov)
+			}
+		}
+		if prog.Get(140) != before.Get(140) || prog.ProvenanceOf(140) != before.ProvenanceOf(140) {
+			t.Errorf("block 2 published although its SMP was lost: port %d", prog.Get(140))
+		}
+		if !s.TargetLFT(sw).Equal(target) {
+			t.Error("target view patched by a write that failed")
+		}
+		if got := smpSpansSince(s, first); got != 3 {
+			t.Errorf("%d smp spans, want 3 (one per attempted run)", got)
+		}
+	})
+}
+
+// TestEntryWriteMatchesDistribution pins the entry write to the distribution
+// it shares its routine with: on twin fabrics with the same lossy transport,
+// writing entries of one switch with SetLFTEntriesProv and distributing the
+// same entries from the target must send the same runs, meet the same
+// faults and publish the same table.
+func TestEntryWriteMatchesDistribution(t *testing.T) {
+	lids := []ib.LID{5, 70, 140, 200}
+	for seed := int64(1); seed <= 30; seed++ {
+		twin := func() *SubnetManager {
+			s := bootedSM(t)
+			s.Dist.Workers = 1
+			s.Dist.Retry.MaxAttempts = 1
+			s.InjectFaults(smp.FaultConfig{Drop: 0.4, Seed: seed})
+			return s
+		}
+		write, dist := twin(), twin()
+		sw := write.Topo.Switches()[0]
+		var entries []ib.LFTEntry
+		for _, l := range lids {
+			entries = append(entries, ib.LFTEntry{LID: l, Port: other(write.ProgrammedLFT(sw).Get(l))})
+		}
+
+		wrote, _ := write.SetLFTEntriesProv(sw, entries, smp.DirectedRoute, nil, nil)
+		tgt := dist.TargetLFT(sw)
+		for _, e := range entries {
+			tgt.Set(e.LID, e.Port)
+		}
+		st, err := dist.DistributeDiff()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if wrote != st.SMPs {
+			t.Errorf("seed %d: entry write acknowledged %d SMPs, distribution %d", seed, wrote, st.SMPs)
+		}
+		if !write.ProgrammedLFT(sw).Equal(dist.ProgrammedLFT(sw)) {
+			t.Errorf("seed %d: entry write and distribution programmed different tables", seed)
+		}
+	}
 }
 
 // FuzzSetLFTEntries checks that the SM's sparse write follows one packing

@@ -93,8 +93,9 @@ type SubnetManager struct {
 	// snapshot layer) always see a complete, immutable-by-convention table,
 	// and a distribution publishes its outcome with one pointer swap per
 	// switch — never an in-place, half-merged mutation. Dense by node ID
-	// (every plan reads every switch's slot); nil until first programmed.
-	programmed []*atomic.Pointer[ib.LFT]
+	// (every plan reads every switch's slot) and sized by New, so workers
+	// publish without growing it; a slot is nil until first programmed.
+	programmed []atomic.Pointer[ib.LFT]
 	reachable  map[topology.NodeID]bool
 	portState  map[topology.NodeID][]bool // Up per port, as of the last (light) sweep
 
@@ -133,19 +134,20 @@ func New(topo *topology.Topology, smNode topology.NodeID, engine routing.Engine)
 	}
 	hub := telemetry.NewHub()
 	mgr := &SubnetManager{
-		Topo:      topo,
-		SMNode:    smNode,
-		Transport: smp.NewTransport(topo),
-		Engine:    engine,
-		Cost:      smp.DefaultCostModel(),
-		Dist:      DefaultDistributionConfig(),
-		pool:      ib.NewLIDPool(),
-		dirPath:   map[topology.NodeID][]ib.PortNum{},
-		target:    map[topology.NodeID]*ib.LFT{},
-		reachable: map[topology.NodeID]bool{},
-		portState: map[topology.NodeID][]bool{},
-		tel:       hub,
-		log:       newEventLogOver(hub.Trace, 4096),
+		Topo:       topo,
+		SMNode:     smNode,
+		Transport:  smp.NewTransport(topo),
+		Engine:     engine,
+		Cost:       smp.DefaultCostModel(),
+		Dist:       DefaultDistributionConfig(),
+		pool:       ib.NewLIDPool(),
+		programmed: make([]atomic.Pointer[ib.LFT], topo.NumNodes()),
+		dirPath:    map[topology.NodeID][]ib.PortNum{},
+		target:     map[topology.NodeID]*ib.LFT{},
+		reachable:  map[topology.NodeID]bool{},
+		portState:  map[topology.NodeID][]bool{},
+		tel:        hub,
+		log:        newEventLogOver(hub.Trace, 4096),
 	}
 	mgr.Transport.Counters.AttachRegistry(hub.Metrics)
 	return mgr, nil
@@ -599,41 +601,23 @@ type (
 	targetRoutes     struct{ s *SubnetManager }
 )
 
-func (r programmedRoutes) LFT(sw topology.NodeID) *ib.LFT  { return r.s.programmedActive(sw) }
+func (r programmedRoutes) LFT(sw topology.NodeID) *ib.LFT  { return r.s.ProgrammedLFT(sw) }
 func (r programmedRoutes) NodeOf(l ib.LID) topology.NodeID { return r.s.NodeOfLID(l) }
 func (r targetRoutes) LFT(sw topology.NodeID) *ib.LFT      { return r.s.target[sw] }
 func (r targetRoutes) NodeOf(l ib.LID) topology.NodeID     { return r.s.NodeOfLID(l) }
 
 // ProgrammedLFT returns the LFT the SM believes the switch holds (nil
-// before first distribution), as published atomically by the last
-// distribution commit.
-func (s *SubnetManager) ProgrammedLFT(sw topology.NodeID) *ib.LFT { return s.programmedActive(sw) }
-
-// programmedActive reads one switch's programmed table (nil when the switch
-// was never programmed).
-func (s *SubnetManager) programmedActive(sw topology.NodeID) *ib.LFT {
-	if int(sw) < len(s.programmed) && s.programmed[sw] != nil {
+// before first distribution), as published atomically by the last commit.
+func (s *SubnetManager) ProgrammedLFT(sw topology.NodeID) *ib.LFT {
+	if int(sw) < len(s.programmed) {
 		return s.programmed[sw].Load()
 	}
 	return nil
 }
 
-// lftLock returns the stripe lock serializing SetLFTEntriesProv for a switch.
-func (s *SubnetManager) lftLock(sw topology.NodeID) *sync.Mutex {
-	return &s.lftMu[uint64(sw)%lftStripes]
-}
-
 // commitProgrammed publishes t as the switch's programmed table with one
-// atomic swap (creating the slot on first programming).
-func (s *SubnetManager) commitProgrammed(sw topology.NodeID, t *ib.LFT) {
-	if int(sw) >= len(s.programmed) {
-		s.programmed = append(s.programmed, make([]*atomic.Pointer[ib.LFT], s.Topo.NumNodes()-len(s.programmed))...)
-	}
-	if s.programmed[sw] == nil {
-		s.programmed[sw] = new(atomic.Pointer[ib.LFT])
-	}
-	s.programmed[sw].Store(t)
-}
+// atomic swap.
+func (s *SubnetManager) commitProgrammed(sw topology.NodeID, t *ib.LFT) { s.programmed[sw].Store(t) }
 
 // TargetLFT returns the routing engine's most recent table for a switch.
 func (s *SubnetManager) TargetLFT(sw topology.NodeID) *ib.LFT { return s.target[sw] }
