@@ -148,7 +148,7 @@ type Auditor struct {
 
 	cdgWarm, cdgColdRuns *telemetry.Counter
 
-	// The routing of the last fabric-wide pass, frozen as the base of the
+	// The routing of the last fabric-wide pass, kept as the base of the
 	// next one's reachability: a fast or full pass walks only the LID
 	// columns that changed since, from the switches whose step changed, as
 	// long as the base pass found every column clean and entered the

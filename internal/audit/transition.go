@@ -29,7 +29,7 @@ import (
 // installed routing is brought up to date with old, next's dependencies are
 // inserted for the pairs whose entries differ, and an acyclic union keeps
 // next (old's dependencies of those pairs are removed; next's tables are
-// held as frozen copies, so the manager may go on writing its targets). The
+// held by pointer, since nobody writes a table once it is handed over). The
 // full audit after a completed distribution then finds nothing to re-walk,
 // and after a partial one only what did not land. Only a cyclic union (a
 // refused insert, after which the graph stays on old) or a cyclic installed

@@ -8,7 +8,7 @@ import (
 	"ibvsim/internal/topology"
 )
 
-// delta is the rule walk between two frozen routings: the (switch, LID)
+// delta is the rule walk between two kept routings: the (switch, LID)
 // pairs that can read differently under one than under the other. For a kept
 // CDG a pair is a dependency to re-walk; for a reachability base (reach set)
 // it is a switch whose forwarding step for the LID can differ — the next hop
@@ -240,13 +240,14 @@ func (d *delta) forget() {
 	d.whole.forget()
 }
 
-// Base is a routing frozen as the base of the next reachability pass: the
+// Base is a routing kept as the base of the next reachability pass: the
 // tables, the link state and the owners of a destination set, held after
 // the Routes they came from moved on. Update names, per destination, the
 // switches whose forwarding step can differ under another routing — or the
 // whole column, when its owner moved — and moves the base there, so that a
 // pass re-walks those columns only, and enters them only where they
-// changed. The tables a Base was loaded from must not be written afterwards.
+// changed. The tables a Base was loaded from must not be written afterwards:
+// it keeps them by pointer (ib.LFT's ownership rule).
 // A Base is not safe for concurrent use.
 type Base struct {
 	delta

@@ -28,9 +28,9 @@ var (
 // which follow from what the pair walk (Walk.dep) reads.
 //
 // A rewired fabric is not covered (ErrRewired). The tables a Maintained was
-// loaded or updated from must not be written afterwards: the next delta
-// starts from them. Union's are exempt — it keeps frozen copies of them. A
-// Maintained is not safe for concurrent use.
+// loaded, updated or unioned from must not be written afterwards: it keeps
+// them by pointer, and the next delta starts from them (ib.LFT's ownership
+// rule). A Maintained is not safe for concurrent use.
 type Maintained struct {
 	delta // the pairs to re-walk
 	g     *Ordered
@@ -42,16 +42,13 @@ type Maintained struct {
 	// deps is scratch: Update's refused inserts, retried after every
 	// removal, and Union's old dependencies of the pairs it moved.
 	deps []Dep
-	// frozen is, per switch, the shell of Union's copy of a table it kept,
-	// emptied once cur moved off it so that it keeps no past routing alive.
-	frozen []ib.LFT
 }
 
 // Delta is what one Update or Union re-walked: the pairs, and the changed
 // forwarding entries of destinations in the set.
 type Delta struct{ Pairs, Entries int }
 
-// kept is a Walk with a frozen copy of its destinations' owners, so that it
+// kept is a Walk with a copy of its destinations' owners, so that it
 // can be the base of the next delta after the Routes it came from moved on.
 type kept struct {
 	Walk
@@ -135,7 +132,6 @@ func NewMaintained(ix *Index) *Maintained {
 // Load builds the graph of r's routing for dlids from nothing: one walk of
 // every pair and one topological sort, not a checked insert per dependency.
 func (m *Maintained) Load(r Routes, dlids []ib.LID) error {
-	clear(m.frozen)
 	if !m.cur.load(r, dlids) {
 		return ErrRewired
 	}
@@ -206,7 +202,6 @@ func (m *Maintained) Update(r Routes, dlids []ib.LID) (Delta, error) {
 	m.forget()
 	m.cur, m.next = n, m.cur
 	m.next.release()
-	clear(m.frozen)
 	return d, err
 }
 
@@ -216,12 +211,11 @@ func (m *Maintained) Update(r Routes, dlids []ib.LID) (Delta, error) {
 // for the pairs whose entries differ and reads the edge counts of the
 // routing held and of the union. When the union is acyclic it keeps next:
 // the old dependencies of those pairs are removed, and the graph holds next's
-// routing, frozen (a table of next that differs is copied with
-// ib.LFT.CloneInto, so next's owner may go on writing it in place). The next
-// Update then costs only what did not land as next. ErrCyclic means an
-// insert was refused: the union has a cycle, unionEdges is a lower bound,
-// and the graph is rebuilt on the routing it held — a refusal is the rare
-// path, and a pair moved costs only its old dependency in scratch.
+// routing, its tables by pointer. The next Update then costs only what did
+// not land as next. ErrCyclic means an insert was refused: the union has a
+// cycle, unionEdges is a lower bound, and the graph is rebuilt on the
+// routing it held — a refusal is the rare path, and a pair moved costs only
+// its old dependency in scratch.
 func (m *Maintained) Union(next Routes) (oldEdges, unionEdges int, d Delta, err error) {
 	t := m.tgt
 	t.lfts = slices.Grow(t.lfts[:0], len(m.ix.nodes))[:len(m.ix.nodes)]
@@ -253,7 +247,7 @@ func (m *Maintained) Union(next Routes) (oldEdges, unionEdges int, d Delta, err 
 		for _, dep := range olds {
 			m.g.remove(dep.A, dep.B)
 		}
-		m.freeze(t)
+		copy(m.cur.lfts, t.lfts)
 	} else {
 		m.build() //nolint:errcheck // the routing held is acyclic
 	}
@@ -262,24 +256,6 @@ func (m *Maintained) Union(next Routes) (oldEdges, unionEdges int, d Delta, err 
 	t.release()
 	t.hop, t.wired, t.up, t.own, t.in, t.lids = nil, nil, nil, nil, nil, nil
 	return oldEdges, unionEdges, d, err
-}
-
-// freeze makes cur hold t's tables: each that differs as a copy in the
-// switch's reused shell, since t's tables may be written after Union returns.
-func (m *Maintained) freeze(t *kept) {
-	if m.frozen == nil {
-		m.frozen = make([]ib.LFT, len(m.ix.nodes))
-	}
-	for i, lft := range t.lfts {
-		switch {
-		case lft == m.cur.lfts[i]:
-		case lft == nil:
-			m.cur.lfts[i] = nil
-		default:
-			lft.CloneInto(&m.frozen[i])
-			m.cur.lfts[i] = &m.frozen[i]
-		}
-	}
 }
 
 // change is what one pair's dependency does between the graph and a walk.

@@ -226,18 +226,21 @@ func runMaintained(t *testing.T, seed int64, ops []byte) {
 }
 
 // writeBack writes one entry that a transition edited in a table of next
-// back to old's value, in place: what the subnet manager does to a target
-// table after the union checked it. The graph kept next as it was checked,
-// so the delta back to old must still re-walk that entry's pair.
+// back to old's value, in a clone that replaces the table in next: what the
+// subnet manager does to a target table after the union checked it. The
+// graph kept next's table as it was checked, so the delta back to old must
+// still re-walk that entry's pair.
 func writeBack(sws []topology.NodeID, next, old map[topology.NodeID]*ib.LFT) {
 	for _, sw := range sws {
 		lft, was := next[sw], old[sw]
 		if lft == nil || was == nil || lft == was {
 			continue
 		}
+		edited := lft.Clone()
 		for blk, _, _, ok := lft.NextDiff(was, 0); ok; blk, _, _, ok = lft.NextDiff(was, blk+1) {
 			for l := ib.LID(blk * ib.LFTBlockSize); int(l) < (blk+1)*ib.LFTBlockSize; l++ {
-				if lft.Set(l, was.Get(l)) {
+				if edited.Set(l, was.Get(l)) {
+					next[sw] = edited
 					return
 				}
 			}

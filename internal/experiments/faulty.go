@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ibvsim/internal/ib"
 	"ibvsim/internal/routing"
 	"ibvsim/internal/sm"
 	"ibvsim/internal/smp"
@@ -96,22 +97,23 @@ func faultSweepScheme(scheme string, opt FaultSweepOptions) ([]FaultRow, error) 
 	var rows []FaultRow
 	for i, drop := range opt.Drops {
 		ft := mgr.InjectFaults(smp.FaultConfig{Drop: drop, Seed: opt.Seed + int64(i)})
-		// Apply the scheme's reconfiguration to the target tables; the
-		// engine then pushes exactly the touched blocks.
-		switch scheme {
-		case "prepopulated":
-			for _, sw := range topo.Switches() {
-				mgr.TargetLFT(sw).Swap(lidA, lidB)
-			}
-		case "dynamic":
-			lid, err := mgr.AllocExtraLID(hyp)
-			if err != nil {
+		// Apply the scheme's reconfiguration to clones of the target tables
+		// and hand them back; the engine then pushes exactly the touched
+		// blocks.
+		var lid ib.LID
+		if scheme == "dynamic" {
+			if lid, err = mgr.AllocExtraLID(hyp); err != nil {
 				return nil, err
 			}
-			for _, sw := range topo.Switches() {
-				tgt := mgr.TargetLFT(sw)
+		}
+		for _, sw := range topo.Switches() {
+			tgt := mgr.TargetLFT(sw).Clone()
+			if scheme == "prepopulated" {
+				tgt.Swap(lidA, lidB)
+			} else {
 				tgt.Set(lid, tgt.Get(hypLID))
 			}
+			mgr.SetTargetLFT(sw, tgt)
 		}
 		st, err := mgr.DistributeDiff()
 		if err != nil {

@@ -244,32 +244,17 @@ func TestLFTDiff(t *testing.T) {
 	}
 }
 
+// TestLFTClone pins what a writer relies on when it clones a published
+// table: the copy reads like the source, neither side moves when the other
+// is Set, the two share the storage neither wrote, and a clone of a table of
+// up to lftInline superblocks is one allocation.
 func TestLFTClone(t *testing.T) {
-	a := NewLFT(64)
-	a.Set(10, 3)
-	c := a.Clone()
-	c.Set(10, 4)
-	if a.Get(10) != 3 {
-		t.Error("Clone shares storage with original")
-	}
-	if c.Get(10) != 4 {
-		t.Error("Clone lost write")
-	}
-}
-
-// TestLFTCloneInto pins the freeze a reader of a table still being written
-// relies on: the copy reads like the source, does not move when the source
-// is later Set, shares the storage the source did not write, and costs no
-// allocation into a reused shell for a table of up to lftInline superblocks.
-func TestLFTCloneInto(t *testing.T) {
 	for _, supers := range []int{1, lftInline, lftInline + 3} {
 		src := NewLFTBlocks(supers * lftFanout)
 		for b := 0; b < src.NumBlocks(); b += 5 {
 			src.Set(LID(b*LFTBlockSize+b%LFTBlockSize), PortNum(b%30+1))
 		}
-		var c LFT
-		NewLFTBlocks(2 * lftInline * lftFanout).CloneInto(&c) // a shell that held more
-		src.CloneInto(&c)
+		c := src.Clone()
 		if !c.Equal(src) || c.NumBlocks() != src.NumBlocks() {
 			t.Fatalf("%d superblocks: the copy reads %v, the source %v", supers, c.String(), src.String())
 		}
@@ -279,18 +264,22 @@ func TestLFTCloneInto(t *testing.T) {
 		if c.Get(1) == 7 || c.Get(last) == 9 {
 			t.Errorf("%d superblocks: the copy moved with a later Set of the source", supers)
 		}
+		c.Set(LFTBlockSize, 4)
+		if src.Get(LFTBlockSize) == 4 {
+			t.Errorf("%d superblocks: the source moved with a later Set of the copy", supers)
+		}
 		var diff []int
 		for b, _, _, ok := c.NextDiff(src, 0); ok; b, _, _, ok = c.NextDiff(src, b+1) {
 			diff = append(diff, b)
 		}
-		if want := []int{0, src.NumBlocks() - 1}; !slices.Equal(diff, want) {
+		if want := []int{0, 1, src.NumBlocks() - 1}; !slices.Equal(diff, want) {
 			t.Errorf("%d superblocks: the copy's storage differs from the source at blocks %v, want %v", supers, diff, want)
 		}
 		if supers > lftInline {
 			continue
 		}
-		if n := testing.AllocsPerRun(100, func() { src.CloneInto(&c) }); n != 0 {
-			t.Errorf("%d superblocks: CloneInto allocates %.0f times into a reused shell", supers, n)
+		if n := testing.AllocsPerRun(100, func() { c = src.Clone() }); n != 1 {
+			t.Errorf("%d superblocks: Clone allocates %.0f times, want 1", supers, n)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package ib
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 )
 
@@ -64,15 +63,14 @@ type lftSuper struct {
 // Nil superblocks and nil blocks mean "all entries DropPort", so fresh
 // tables allocate almost nothing.
 //
-// Concurrency: Get is safe against concurrent Clone of the same table, and
-// concurrent Clones of one table are safe against each other (writers clone
-// the live published table that readers are walking). Set must not race
-// with any other method on the same table — callers serialise writers per
-// switch exactly as they did when Clone was a deep copy. A reader that keeps
-// a table past its owner's next Set freezes it with CloneInto (the kept CDG
-// does so for the target tables a clean section VI-C union commits to): the
-// copy does not move when the source is written, because the source's next
-// write copies the storage the two share.
+// Ownership: once a table is handed to another holder — a routing result,
+// the incremental index, the subnet manager's target or programmed view, a
+// cdg.Routes reader — nobody writes it again. A writer clones, writes the
+// clone, and publishes the clone. So holders share tables by pointer, and
+// two equal pointers hold equal entries. Get is safe against concurrent
+// Clone of the same table, and concurrent Clones of one table are safe
+// against each other; Set must not race with any other method on the same
+// table.
 //
 // The zero value is not usable; construct with NewLFT. A port value of 255
 // (DropPort) or an entry outside the populated range means "drop".
@@ -134,29 +132,12 @@ func (t *LFT) superSlice(n int) []*lftSuper {
 // shared until either side writes into them. Both tables move to fresh
 // generations, so neither will mutate shared storage in place.
 func (t *LFT) Clone() *LFT {
-	c := &LFT{}
-	t.CloneInto(c)
-	return c
-}
-
-// CloneInto makes c an independent copy of t, as Clone does, reusing c's own
-// memory: for a table of up to lftInline superblocks it allocates nothing.
-// What c held before is dropped. It is how a reader freezes a table it keeps
-// while the table's owner goes on writing it in place (the source's later
-// Sets copy on write), and c must not be read concurrently.
-func (t *LFT) CloneInto(c *LFT) {
-	c.nblocks, c.prov = t.nblocks, t.prov
-	n := len(t.supers)
-	if n <= lftInline {
-		c.supers = c.inline[:n]
-		clear(c.inline[n:]) // keep no dropped superblock alive
-	} else {
-		c.supers = slices.Grow(c.supers[:0], n)[:n]
-		clear(c.inline[:])
-	}
+	c := &LFT{nblocks: t.nblocks, prov: t.prov}
+	c.supers = c.superSlice(len(t.supers))
 	copy(c.supers, t.supers)
 	c.gen.Store(lftGen.Add(1))
 	t.gen.Store(lftGen.Add(1))
+	return c
 }
 
 // NumBlocks returns the number of 64-entry blocks backing the table.

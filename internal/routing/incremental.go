@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -135,8 +136,9 @@ func (g *groupCands) patched(segs map[int][]ib.PortNum) *groupCands {
 
 // depIndex is the state retained between computations: the topology and
 // target snapshot the last result was computed against, the captured
-// per-destination dependency structures, and a private copy of the result
-// tables the next delta merges into.
+// per-destination dependency structures, and the result's tables the next
+// delta merges into: its own map over the result's table pointers, since
+// no holder writes a table it was handed (ib.LFT).
 type depIndex struct {
 	switches []topology.NodeID
 	edges    map[edgeKey]int // oriented up switch-switch links -> peer index
@@ -267,7 +269,7 @@ func (x *Incremental) fullCompute(req *Request, fv *fabricView, reason string) (
 		groupOf:  groupOfMap(keys),
 		cap:      cap,
 		gc:       gc,
-		lfts:     cloneLFTMap(res.LFTs),
+		lfts:     maps.Clone(res.LFTs),
 	}
 
 	res.Stats.Incremental = IncrementalStats{
@@ -322,7 +324,7 @@ func (x *Incremental) delta(fe foldEngine, req *Request, fv *fabricView) (*Resul
 		x.lastAffected = []int{}
 		x.lastPatched = []int{}
 		return &Result{
-			LFTs: cloneLFTMap(idx.lfts),
+			LFTs: maps.Clone(idx.lfts),
 			Stats: Stats{Duration: time.Since(start), Workers: workers,
 				Phases: clock.phases(), Incremental: inc},
 		}, nil
@@ -419,15 +421,23 @@ func (x *Incremental) delta(fe foldEngine, req *Request, fv *fabricView) (*Resul
 			}
 		}
 	}
+	var replay []int
+	for i := range fv.switches {
+		if replayAll || changed[i] {
+			replay = append(replay, i)
+		}
+	}
 	var lfts map[topology.NodeID]*ib.LFT
 	if replayAll {
 		lfts = fv.newLFTs(req)
 	} else {
-		// A changed switch re-folds only its marked windows and carries
-		// every other window's entries over from the previous run (valid
-		// because rows there are unchanged and load is window-scoped).
-		lfts = make(map[topology.NodeID]*ib.LFT, nsw)
-		for _, id := range fv.switches {
+		// A changed switch re-folds only its marked windows into a clone
+		// and carries every other window's entries over from the previous
+		// run (valid because rows there are unchanged and load is
+		// window-scoped). Every other switch shares the previous table.
+		lfts = maps.Clone(idx.lfts)
+		for _, i := range replay {
+			id := fv.switches[i]
 			lfts[id] = idx.lfts[id].Clone()
 			if req.Prov != nil {
 				// Stamp only what this delta actually rewrites: replayed
@@ -435,12 +445,6 @@ func (x *Incremental) delta(fe foldEngine, req *Request, fv *fabricView) (*Resul
 				// old stamps.
 				lfts[id].SetProvenance(req.Prov)
 			}
-		}
-	}
-	var replay []int
-	for i := range fv.switches {
-		if replayAll || changed[i] {
-			replay = append(replay, i)
 		}
 	}
 	f := newEgressFold(fv, req, groups, keys, lfts, workers)
@@ -469,7 +473,7 @@ func (x *Incremental) delta(fe foldEngine, req *Request, fv *fabricView) (*Resul
 		groupOf:  groupOfMap(keys),
 		cap:      ncap,
 		gc:       gcands,
-		lfts:     cloneLFTMap(lfts),
+		lfts:     maps.Clone(lfts),
 	}
 	x.lastAffected = affList
 	x.lastPatched = patched
@@ -640,14 +644,6 @@ func groupOfMap(keys []int) map[int]int {
 		m[k] = gi
 	}
 	return m
-}
-
-func cloneLFTMap(in map[topology.NodeID]*ib.LFT) map[topology.NodeID]*ib.LFT {
-	out := make(map[topology.NodeID]*ib.LFT, len(in))
-	for id, t := range in {
-		out[id] = t.Clone()
-	}
-	return out
 }
 
 func toInt16(in []int) []int16 {

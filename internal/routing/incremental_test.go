@@ -261,10 +261,13 @@ func TestIncrementalNoDelta(t *testing.T) {
 			t.Fatalf("cached result diverges at switch %d", sw)
 		}
 	}
-	// The cached result must be a private copy: mutating it cannot poison
-	// the index.
-	for _, lft := range second.LFTs {
-		lft.Set(1, 42)
+	// The cached result shares the index's tables, never written again, in
+	// a map of its own: a holder that replaces one of its tables cannot
+	// poison the index.
+	for sw, lft := range second.LFTs {
+		edited := lft.Clone()
+		edited.Set(1, 42)
+		second.LFTs[sw] = edited
 		break
 	}
 	third, err := inc.Compute(fz.request(0))
@@ -273,7 +276,7 @@ func TestIncrementalNoDelta(t *testing.T) {
 	}
 	for sw, want := range first.LFTs {
 		if !third.LFTs[sw].Equal(want) {
-			t.Fatalf("index state was aliased to a returned table (switch %d)", sw)
+			t.Fatalf("index state was aliased to a returned map (switch %d)", sw)
 		}
 	}
 }

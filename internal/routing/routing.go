@@ -139,7 +139,9 @@ type IncrementalStats struct {
 
 // Result is the output of a routing engine.
 type Result struct {
-	// LFTs maps each switch to its forwarding table.
+	// LFTs maps each switch to its forwarding table. The tables are handed
+	// over: nobody writes them again (ib.LFT's ownership rule), so an
+	// incremental result shares its unchanged tables with the last one.
 	LFTs map[topology.NodeID]*ib.LFT
 	// DestVL optionally assigns a virtual lane per destination LID
 	// (DFSSSP-style layering at destination granularity).

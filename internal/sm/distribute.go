@@ -121,7 +121,8 @@ type DistributionStats struct {
 }
 
 // DistributeDiff reconciles every switch's programmed LFT with the target
-// LFT, sending one SMP per differing 64-LID block, using directed-route
+// LFT, sending one SMP per run of adjacent differing 64-LID blocks (up to
+// MaxBlocksPerSMP blocks a run; one block by default), using directed-route
 // SMPs (the OpenSM default for reconfiguration, since routes toward the
 // switches may themselves be changing).
 func (s *SubnetManager) DistributeDiff() (DistributionStats, error) {
@@ -143,12 +144,6 @@ func (s *SubnetManager) DistributeDiffCtx(ctx context.Context) (DistributionStat
 // densely assigned.
 func (s *SubnetManager) DistributeFull() (DistributionStats, error) {
 	return s.distribute(context.Background(), true, smp.DirectedRoute)
-}
-
-// DistributeFullCtx is DistributeFull under a context (see
-// DistributeDiffCtx for the cancellation semantics).
-func (s *SubnetManager) DistributeFullCtx(ctx context.Context) (DistributionStats, error) {
-	return s.distribute(ctx, true, smp.DirectedRoute)
 }
 
 // blockRun is a maximal (up to MaxBlocksPerSMP) run of adjacent changed
@@ -232,7 +227,7 @@ func (s *SubnetManager) distribute(ctx context.Context, full bool, mode smp.Mode
 			skipped = append(skipped, s.Topo.Node(swID).Desc)
 			continue
 		}
-		tgt := s.target[swID]
+		tgt := s.TargetLFT(swID)
 		if tgt == nil {
 			return st, fmt.Errorf("sm: switch %q has no target LFT", s.Topo.Node(swID).Desc)
 		}
@@ -325,7 +320,7 @@ func (s *SubnetManager) distribute(ctx context.Context, full bool, mode smp.Mode
 				// After a cancellation every job still gets a (cancelled)
 				// result, but sends nothing further.
 				job := jobs[i]
-				results[i] = s.programSwitch(ctx, job.sw, job.tgt.Clone(), job.runs, mode, observe)
+				results[i] = s.programSwitch(ctx, job.sw, job.tgt, job.runs, mode, observe)
 			}
 		}()
 	}
@@ -571,18 +566,18 @@ func (s *SubnetManager) sendLFTRun(p *smp.SMP, sw topology.NodeID, run blockRun,
 // sends and publishes through. The blocks sent are those in which some entry
 // actually changed a port. When every SMP is acknowledged the whole clone is
 // published with one buffer swap (concurrent readers never observe a
-// half-applied set) and the target view is patched to match. When a run is
-// abandoned the runs after it are still sent, as a distribution sends them;
-// only the blocks of the acknowledged runs are published, the target stays as
-// it was, and the first error comes back. Either way the count returned is
-// the SMPs the switch acknowledged.
+// half-applied set) and the target view follows it. When a run is abandoned
+// the runs after it are still sent, as a distribution sends them; only the
+// blocks of the acknowledged runs are published, the target stays as it was,
+// and the first error comes back. Either way the count returned is the SMPs
+// the switch acknowledged.
 //
 // A per-switch stripe lock covers the whole clone→send→commit cycle (and
-// the target-view patch below), so concurrent shard actors touching
-// different LID columns of the same switch merge rather than lose entries,
-// and each switch's SMPs stay strictly ordered.
+// the target update below), so concurrent shard actors touching different
+// LID columns of the same switch merge rather than lose entries, and each
+// switch's SMPs stay strictly ordered.
 //
-// Every LFT block the edit touches (shadow and target view alike) is
+// Every LFT block the edit touches (programmed and target view alike) is
 // attributed to prov (nil: unattributed), and the per-SMP trace spans carry
 // the writing shard so the Chrome export can lane them per actor; the spans
 // hang under the given span (nil: roots). Stamp and parent are per-call
@@ -642,15 +637,18 @@ func (s *SubnetManager) SetLFTEntriesProv(sw topology.NodeID, entries []ib.LFTEn
 	}
 	// Keep the target view coherent so a later full distribution does not
 	// undo the reconfiguration. A target that shares all its storage with
-	// the table the write started from holds what cur held: it becomes what
-	// next holds, sharing next's storage, with no run written twice.
-	if tgt := s.target[sw]; tgt != nil {
+	// the table the write started from holds what cur held: it becomes next,
+	// with no run written twice. Any other target becomes a clone with the
+	// run written into it.
+	if tgt := s.target[sw].Load(); tgt != nil {
 		if _, _, _, differ := tgt.NextDiff(cur, 0); differ || tgt.NumBlocks() != cur.NumBlocks() {
+			tgt = tgt.Clone()
 			tgt.SetProvenance(prov)
 			tgt.SetRun(entries, blocks[:0])
 		} else {
-			next.CloneInto(tgt)
+			tgt = next
 		}
+		s.target[sw].Store(tgt)
 	}
 	return res.smps, nil
 }
@@ -703,10 +701,7 @@ func (s *SubnetManager) Bootstrap() (SweepStats, RouteStats, DistributionStats, 
 		return sw, RouteStats{}, DistributionStats{}, err
 	}
 	ds, err := s.DistributeDiff()
-	if err != nil {
-		return sw, RouteStats{Stats: rs}, ds, err
-	}
-	return sw, RouteStats{Stats: rs}, ds, nil
+	return sw, RouteStats{Stats: rs}, ds, err
 }
 
 // FullReconfigure performs the traditional reconfiguration of section VI-A:
@@ -714,35 +709,25 @@ func (s *SubnetManager) Bootstrap() (SweepStats, RouteStats, DistributionStats, 
 // (LFTDt = n*m*(k+r)). The paper's point is that doing this per VM
 // migration is untenable; the core package's planners replace it.
 func (s *SubnetManager) FullReconfigure() (RouteStats, DistributionStats, error) {
-	return s.FullReconfigureCtx(context.Background())
-}
-
-// FullReconfigureCtx is FullReconfigure under a context: the control-plane
-// daemon cancels it on shutdown so an in-flight full LFT distribution
-// aborts cleanly (path computation itself runs to completion; it holds no
-// fabric state).
-func (s *SubnetManager) FullReconfigureCtx(ctx context.Context) (RouteStats, DistributionStats, error) {
-	rs, err := s.ComputeRoutes()
-	if err != nil {
-		return RouteStats{}, DistributionStats{}, err
-	}
-	ds, err := s.DistributeFullCtx(ctx)
-	return RouteStats{Stats: rs}, ds, err
+	return s.reconfigure(context.Background(), true)
 }
 
 // ReconfigureCtx reconfigures after a topology change using the cheapest
 // strategy the configuration allows: with IncrementalRouting on, routes are
-// delta-recomputed and only the differing blocks are pushed
-// (DistributeDiff); otherwise it degrades to the traditional
-// FullReconfigureCtx of section VI-A.
+// delta-recomputed and only the differing blocks are pushed; otherwise it
+// degrades to the traditional FullReconfigure of section VI-A. The
+// control-plane daemon cancels ctx on shutdown so an in-flight LFT
+// distribution aborts cleanly (path computation itself runs to completion;
+// it holds no fabric state).
 func (s *SubnetManager) ReconfigureCtx(ctx context.Context) (RouteStats, DistributionStats, error) {
-	if !s.IncrementalRouting {
-		return s.FullReconfigureCtx(ctx)
-	}
+	return s.reconfigure(ctx, !s.IncrementalRouting)
+}
+
+func (s *SubnetManager) reconfigure(ctx context.Context, full bool) (RouteStats, DistributionStats, error) {
 	rs, err := s.ComputeRoutes()
 	if err != nil {
 		return RouteStats{}, DistributionStats{}, err
 	}
-	ds, err := s.DistributeDiffCtx(ctx)
+	ds, err := s.distribute(ctx, full, smp.DirectedRoute)
 	return RouteStats{Stats: rs}, ds, err
 }

@@ -34,20 +34,22 @@ func bootstrappedSM(t *testing.T, workers int, cfg smp.FaultConfig) (*SubnetMana
 	return s, ft
 }
 
-// mutateTargets makes deterministic random edits to every switch's target
-// LFT and returns the number of unique blocks a diff distribution must push.
+// mutateTargets makes deterministic random edits to a clone of every
+// switch's target LFT, hands the clones over as the targets, and returns
+// the number of unique blocks a diff distribution must push.
 func mutateTargets(s *SubnetManager, rng *rand.Rand, edits int) int {
 	top := s.TopLID()
 	for _, sw := range s.Topo.Switches() {
 		if !s.Reachable(sw) {
 			continue
 		}
-		tgt := s.TargetLFT(sw)
+		tgt := s.TargetLFT(sw).Clone()
 		nports := len(s.Topo.Node(sw).Ports)
 		for e := 0; e < edits; e++ {
 			l := ib.LID(1 + rng.Intn(int(top)))
 			tgt.Set(l, ib.PortNum(1+rng.Intn(nports-1)))
 		}
+		s.SetTargetLFT(sw, tgt)
 	}
 	want := 0
 	for _, sw := range s.Topo.Switches() {

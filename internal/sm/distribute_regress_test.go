@@ -43,12 +43,13 @@ func TestDistributeReportsConfiguredWorkers(t *testing.T) {
 
 	// One job only: fan-out is 1 but the stats still report the pool size.
 	sw := s.Topo.Switches()[0]
-	tgt := s.TargetLFT(sw)
+	tgt := s.TargetLFT(sw).Clone()
 	nports := len(s.Topo.Node(sw).Ports)
 	tgt.Set(1, ib.PortNum(nports-1))
 	if s.ProgrammedLFT(sw).Get(1) == tgt.Get(1) {
 		tgt.Set(1, ib.PortNum(nports-2))
 	}
+	s.SetTargetLFT(sw, tgt)
 	st, err = s.DistributeDiff()
 	if err != nil {
 		t.Fatal(err)

@@ -156,7 +156,7 @@ func (s *SubnetManager) AdoptFabricState(prev *SubnetManager) (AdoptStats, error
 			}
 			st.LFTBlockReads++
 		}
-		s.commitProgrammed(sw, lft.Clone())
+		s.commitProgrammed(sw, lft)
 	}
 	// Recompute and reconcile.
 	if _, err := s.ComputeRoutes(); err != nil {

@@ -202,10 +202,11 @@ func TestEntryWriteMatchesDistribution(t *testing.T) {
 		}
 
 		wrote, _ := write.SetLFTEntriesProv(sw, entries, smp.DirectedRoute, nil, nil)
-		tgt := dist.TargetLFT(sw)
+		tgt := dist.TargetLFT(sw).Clone()
 		for _, e := range entries {
 			tgt.Set(e.LID, e.Port)
 		}
+		dist.SetTargetLFT(sw, tgt)
 		st, err := dist.DistributeDiff()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

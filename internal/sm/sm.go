@@ -1,14 +1,17 @@
 // Package sm implements the subnet manager: the OpenSM analogue that
 // discovers the fabric with directed-route SMPs, assigns LIDs, runs a
 // routing engine, and distributes linear forwarding tables to the switches
-// in 64-LID blocks (one SMP per block).
+// in 64-LID blocks (one SMP per run of adjacent changed blocks, up to
+// DistributionConfig.MaxBlocksPerSMP; one block per SMP by default).
 //
 // The manager keeps two views per switch: the target LFT computed by the
 // routing engine and the programmed LFT it believes the physical switch
-// holds. Distribution sends exactly the SMPs needed to reconcile them,
-// which is how both the traditional full reconfiguration of section VI-A
-// and the paper's minimal vSwitch reconfiguration (implemented on top of
-// this package by internal/core) are accounted.
+// holds. The two views may be one table: a distribution publishes the
+// target itself, and nobody writes a table once it is published.
+// Distribution sends exactly the SMPs needed to reconcile them, which is
+// how both the traditional full reconfiguration of section VI-A and the
+// paper's minimal vSwitch reconfiguration (implemented on top of this
+// package by internal/core) are accounted.
 package sm
 
 import (
@@ -87,7 +90,10 @@ type SubnetManager struct {
 	// clone→send→commit cycles instead of losing each other's entries.
 	lftMu [lftStripes]sync.Mutex
 
-	target map[topology.NodeID]*ib.LFT
+	// target is each switch's table from the routing engine, dense by node
+	// ID like programmed: an entry write stores a new pointer, it never
+	// patches the table in place.
+	target []atomic.Pointer[ib.LFT]
 	// programmed is the per-switch view of what the physical switch holds,
 	// one atomic pointer each: readers (the SMP router, the auditor, the API
 	// snapshot layer) always see a complete, immutable-by-convention table,
@@ -142,8 +148,8 @@ func New(topo *topology.Topology, smNode topology.NodeID, engine routing.Engine)
 		Dist:       DefaultDistributionConfig(),
 		pool:       ib.NewLIDPool(),
 		programmed: make([]atomic.Pointer[ib.LFT], topo.NumNodes()),
+		target:     make([]atomic.Pointer[ib.LFT], topo.NumNodes()),
 		dirPath:    map[topology.NodeID][]ib.PortNum{},
-		target:     map[topology.NodeID]*ib.LFT{},
 		reachable:  map[topology.NodeID]bool{},
 		portState:  map[topology.NodeID][]bool{},
 		tel:        hub,
@@ -576,7 +582,9 @@ func (s *SubnetManager) ComputeRoutes() (routing.Stats, error) {
 	}
 	span.EndWithWall(res.Stats.Duration)
 	s.tel.Registry().Counter("sm.route_computes").Inc()
-	s.target = res.LFTs
+	for i := range s.target {
+		s.target[i].Store(res.LFTs[topology.NodeID(i)])
+	}
 	s.routed = true
 	s.log.Addf(EvRoute, "routing (%s): %d paths in %v", s.Engine.Name(),
 		res.Stats.PathsComputed, res.Stats.Duration)
@@ -591,7 +599,7 @@ func (s *SubnetManager) Programmed() cdg.Routes { return programmedRoutes{s} }
 
 // Target is the routing the engine last computed: each switch's target
 // table and each LID's current owner. After a distribution that completed,
-// it equals Programmed.
+// it holds Programmed's tables.
 func (s *SubnetManager) Target() cdg.Routes { return targetRoutes{s} }
 
 // programmedRoutes and targetRoutes are the SM's two cdg.Routes. Each is one
@@ -603,7 +611,7 @@ type (
 
 func (r programmedRoutes) LFT(sw topology.NodeID) *ib.LFT  { return r.s.ProgrammedLFT(sw) }
 func (r programmedRoutes) NodeOf(l ib.LID) topology.NodeID { return r.s.NodeOfLID(l) }
-func (r targetRoutes) LFT(sw topology.NodeID) *ib.LFT      { return r.s.target[sw] }
+func (r targetRoutes) LFT(sw topology.NodeID) *ib.LFT      { return r.s.TargetLFT(sw) }
 func (r targetRoutes) NodeOf(l ib.LID) topology.NodeID     { return r.s.NodeOfLID(l) }
 
 // ProgrammedLFT returns the LFT the SM believes the switch holds (nil
@@ -619,5 +627,16 @@ func (s *SubnetManager) ProgrammedLFT(sw topology.NodeID) *ib.LFT {
 // atomic swap.
 func (s *SubnetManager) commitProgrammed(sw topology.NodeID, t *ib.LFT) { s.programmed[sw].Store(t) }
 
-// TargetLFT returns the routing engine's most recent table for a switch.
-func (s *SubnetManager) TargetLFT(sw topology.NodeID) *ib.LFT { return s.target[sw] }
+// TargetLFT returns the switch's target table: the routing engine's, with
+// every entry write since. It must not be written: edit a clone and hand it
+// back with SetTargetLFT.
+func (s *SubnetManager) TargetLFT(sw topology.NodeID) *ib.LFT {
+	if int(sw) < len(s.target) {
+		return s.target[sw].Load()
+	}
+	return nil
+}
+
+// SetTargetLFT hands t over as the switch's target table, for the next
+// distribution to send what it differs in. Nobody writes t afterwards.
+func (s *SubnetManager) SetTargetLFT(sw topology.NodeID, t *ib.LFT) { s.target[sw].Store(t) }
