@@ -27,9 +27,9 @@ cover:
 # reference, the wave planner against merged per-member plans, the
 # incremental router, the auditor against its reference checker, warm
 # reachability against a fresh auditor, the forwarding walkers against one
-# another, the kept CDG, the trace record codec, the reconcile goal parser
-# and the request-body decoders (10s each; Go allows one fuzz target per
-# invocation).
+# another, the kept CDG, Pearce-Kelly against a full cycle search, the
+# trace record codec, the reconcile goal parser and the request-body
+# decoders (10s each; Go allows one fuzz target per invocation).
 fuzz:
 	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzLFTDiff$$' -fuzztime 10s
 	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzLFTSwap$$' -fuzztime 10s
@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzWarmReach$$' -fuzztime 10s
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzForwardingAgrees$$' -fuzztime 10s
 	$(GO) test ./internal/cdg -run '^$$' -fuzz '^FuzzMaintainedCDG$$' -fuzztime 10s
+	$(GO) test ./internal/cdg -run '^$$' -fuzz '^FuzzOrdered$$' -fuzztime 10s
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzSpanRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/reconcile -run '^$$' -fuzz '^FuzzParseGoal$$' -fuzztime 10s
 	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzRequestBodies$$' -fuzztime 10s

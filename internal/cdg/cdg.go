@@ -7,19 +7,21 @@
 // deterministic routing function is deadlock free on a lossless network iff
 // its CDG is acyclic.
 //
-// There is one representation: an Index numbers the fabric's switch egress
-// channels densely, and an adjacency stores dependencies between those
-// numbers in flat slices. Two algorithms run over that storage:
-//   - Graph: a set of dependencies with constant-time insertion and a full
-//     white/grey/black cycle search — the section VI-C transition check
-//     from nothing (Rold ∪ Rnew may deadlock even when both are safe), the
-//     cycle an auditor reports, and DFSSSP's per-virtual-lane cycle
-//     ejection;
-//   - Ordered: Pearce-Kelly checked insertion with multiplicities, which
-//     refuses the one edge that would close a cycle — LASH's per-path
-//     layer trials and their rollback, and under Maintained the auditor's
-//     installed-routing CDG, kept between passes and moved by the
-//     (switch, destination) pairs that changed.
+// There is one key: an Index numbers the fabric's switch egress channels
+// densely, and because every dependency a -> b is physical — b is an egress
+// of the switch a leads to — (a, b's port) names it exactly (Index.slot).
+// The Index also lists the channels into each switch, the only possible
+// predecessors of its egress channels. Two graphs are built on that key:
+//   - Graph: a set of dependencies, a membership bit per slot plus successor
+//     chains in first-added order, searched by a full white/grey/black
+//     cycle search — the section VI-C transition check from nothing
+//     (Rold ∪ Rnew may deadlock even when both are safe), the cycle an
+//     auditor reports, and DFSSSP's per-virtual-lane cycle ejection;
+//   - Ordered: a multiplicity per slot in one dense array, under
+//     Pearce-Kelly checked insertion, which refuses the one edge that would
+//     close a cycle — LASH's per-path layer trials and their rollback, and
+//     under Maintained the auditor's installed-routing CDG, kept between
+//     passes and moved by the (switch, destination) pairs that changed.
 //
 // Walk is the single enumeration of the dependencies a set of forwarding
 // tables induces; everything that builds a graph from routes goes through it,
@@ -64,6 +66,10 @@ type Index struct {
 	// is unconnected or delivers to a CA. Link state is ignored — the
 	// numbering must survive flaps.
 	next []int32
+	// into[intoAt[s]:intoAt[s+1]] are the channels leading into dense
+	// switch s, one per port of s with a switch peer: the only channels a
+	// packet requesting one of s's egress channels can hold.
+	intoAt, into []int32
 }
 
 // NewIndex indexes the switch channels of t.
@@ -82,14 +88,32 @@ func NewIndex(t *topology.Topology) *Index {
 	for i := range ix.next {
 		ix.next[i] = -1
 	}
+	ix.intoAt = make([]int32, 1, len(ix.nodes)+1)
 	for i, n := range ix.nodes {
 		for _, p := range n.Ports {
 			if p.Peer != topology.NoNode && ix.dense[p.Peer] >= 0 {
 				ix.next[int32(i)*ix.stride+int32(p.Num)] = ix.dense[p.Peer] * ix.stride
+				ix.into = append(ix.into, ix.dense[p.Peer]*ix.stride+int32(p.PeerPort))
 			}
 		}
+		ix.intoAt = append(ix.intoAt, int32(len(ix.into)))
 	}
 	return ix
+}
+
+// channelsInto returns the channels leading into dense switch s.
+func (ix *Index) channelsInto(s int32) []int32 { return ix.into[ix.intoAt[s]:ix.intoAt[s+1]] }
+
+// slot is the key of dependency a -> b: a*stride + b's port. It panics on a
+// dependency no packet can have — b is not an egress of the switch a leads
+// to — so every graph over the Index holds physical dependencies only.
+func (ix *Index) slot(a, b int32) int {
+	port := b - ix.next[a]
+	if ix.next[a] < 0 || uint32(port) >= uint32(ix.stride) {
+		panic(fmt.Sprintf("cdg: dependency %v -> %v: the second channel is not an egress of the switch the first leads to",
+			ix.Channel(a), ix.Channel(b)))
+	}
+	return int(a)*int(ix.stride) + int(port)
 }
 
 // NumIDs returns the size of the id space (switches times port stride).
@@ -115,14 +139,11 @@ func (ix *Index) Channel(id int32) Channel {
 type arc struct {
 	to   int32 // successor channel id
 	next int32 // next arc of the same source, -1 at the end of the chain
-	mult int32 // adds not yet undone by a remove
 }
 
-// adjacency is the edge store under both Graph and Ordered: one successor
-// chain per channel id, threaded through a flat arc arena in
-// first-insertion order, each arc carrying its multiplicity. Nothing is
-// hashed: the successors of channel (s, p) are egress ports of the one
-// switch p leads to, so a chain is at most a port count long.
+// adjacency is Graph's edge store: one successor chain per channel id,
+// threaded through a flat arc arena in first-insertion order — FindCycle's
+// visiting order.
 type adjacency struct {
 	head  []int32 // first arc per channel id, -1 for none
 	tail  []int32 // last arc per channel id; meaningful while head >= 0
@@ -145,36 +166,16 @@ func (s *adjacency) reset() {
 	s.arcs, s.free, s.edges = s.arcs[:0], -1, 0
 }
 
-// fit reallocates the arena to what it holds plus 1/32 of headroom: after a
-// bulk load, append's growth would otherwise leave up to a quarter of it
-// allocated for nothing, for as long as the store lives. Only a store with no
-// removed arcs may be fitted.
-func (s *adjacency) fit() {
-	s.arcs = append(make([]arc, 0, len(s.arcs)+len(s.arcs)/32), s.arcs...)
-}
-
-// add records a -> b once more, reporting whether the dependency is new.
-func (s *adjacency) add(a, b int32) bool {
-	for i := s.head[a]; i >= 0; i = s.arcs[i].next {
-		if s.arcs[i].to == b {
-			s.arcs[i].mult++
-			return false
-		}
-	}
-	s.push(a, b)
-	return true
-}
-
-// push appends a -> b to a's chain without looking for it: for callers that
-// know the dependency is absent.
+// push appends a -> b to a's chain without looking for it: the caller knows
+// the dependency is absent.
 func (s *adjacency) push(a, b int32) {
 	i := s.free
 	if i >= 0 {
 		s.free = s.arcs[i].next
-		s.arcs[i] = arc{to: b, next: -1, mult: 1}
+		s.arcs[i] = arc{to: b, next: -1}
 	} else {
 		i = int32(len(s.arcs))
-		s.arcs = append(s.arcs, arc{to: b, next: -1, mult: 1})
+		s.arcs = append(s.arcs, arc{to: b, next: -1})
 	}
 	if s.head[a] < 0 {
 		s.head[a] = i
@@ -185,45 +186,33 @@ func (s *adjacency) push(a, b int32) {
 	s.edges++
 }
 
-// remove undoes one add of a -> b, unlinking the arc when its multiplicity
-// reaches zero, and reports whether it did. Removing an absent dependency
-// is a no-op.
-func (s *adjacency) remove(a, b int32) (gone bool) {
-	last := int32(-1)
-	for i := s.head[a]; i >= 0; last, i = i, s.arcs[i].next {
-		e := &s.arcs[i]
-		if e.to != b {
-			continue
-		}
-		if e.mult--; e.mult > 0 {
-			return false
-		}
-		if last < 0 {
-			s.head[a] = e.next
-		} else {
-			s.arcs[last].next = e.next
-		}
-		if s.tail[a] == i {
-			s.tail[a] = last
-		}
-		e.next, s.free = s.free, i
-		s.edges--
-		return true
+// remove unlinks a -> b, which the caller knows is present.
+func (s *adjacency) remove(a, b int32) {
+	last, i := int32(-1), s.head[a]
+	for s.arcs[i].to != b {
+		last, i = i, s.arcs[i].next
 	}
-	return false
+	if last < 0 {
+		s.head[a] = s.arcs[i].next
+	} else {
+		s.arcs[last].next = s.arcs[i].next
+	}
+	if s.tail[a] == i {
+		s.tail[a] = last
+	}
+	s.arcs[i].next, s.free = s.free, i
+	s.edges--
 }
 
 // Graph is a channel dependency graph over an Index — a set: adding a
 // dependency twice is adding it once — checked for cycles by a full
-// depth-first search. It holds physical dependencies only: in a -> b, b
-// must be an egress channel of the switch a leads to (what else could a
-// packet holding a request?). That makes (a, b's port) an exact key, so
+// depth-first search. It holds physical dependencies only (Index.slot), so
 // membership is one bit and insertion never searches. Construct with
 // NewGraph. A Graph is not safe for concurrent use.
 type Graph struct {
 	ix  *Index
 	out adjacency
-	has []uint64 // bit a*stride + port(b) set iff a -> b is present
+	has []uint64 // bit Index.slot(a, b) set iff a -> b is present
 
 	// FindCycle's scratch, kept so that DFSSSP's reset-rebuild-search
 	// rounds allocate nothing once warm.
@@ -240,21 +229,15 @@ func NewGraph(ix *Index) *Graph {
 		has: make([]uint64, (ix.NumIDs()*int(ix.stride)+63)/64)}
 }
 
-// slot locates the membership bit of a -> b. It panics on a dependency no
-// packet can have: b is not an egress of the switch a leads to.
-func (g *Graph) slot(a, b int32) (word *uint64, bit uint64) {
-	port := b - g.ix.next[a]
-	if g.ix.next[a] < 0 || uint32(port) >= uint32(g.ix.stride) {
-		panic(fmt.Sprintf("cdg: dependency %v -> %v: the second channel is not an egress of the switch the first leads to",
-			g.ix.Channel(a), g.ix.Channel(b)))
-	}
-	k := uint(a)*uint(g.ix.stride) + uint(port)
+// bit locates the membership bit of a -> b.
+func (g *Graph) bit(a, b int32) (word *uint64, bit uint64) {
+	k := g.ix.slot(a, b)
 	return &g.has[k/64], 1 << (k % 64)
 }
 
 // add inserts a -> b by id, reporting whether it is new.
 func (g *Graph) add(a, b int32) bool {
-	word, bit := g.slot(a, b)
+	word, bit := g.bit(a, b)
 	if *word&bit != 0 {
 		return false
 	}
@@ -307,7 +290,7 @@ func (g *Graph) AddDeps(deps []Dep) {
 // RemoveDep removes the edge a->b if present.
 func (g *Graph) RemoveDep(a, b Channel) {
 	ai, bi := g.ix.ID(a), g.ix.ID(b)
-	if word, bit := g.slot(ai, bi); *word&bit != 0 {
+	if word, bit := g.bit(ai, bi); *word&bit != 0 {
 		*word &^= bit
 		g.out.remove(ai, bi)
 	}

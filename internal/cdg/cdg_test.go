@@ -12,16 +12,6 @@ import (
 
 func ch(n, p int) Channel { return Channel{Node: topology.NodeID(n), Port: ib.PortNum(p)} }
 
-// bareIndex indexes n unlinked switches of the given radix: a channel space
-// for tests that add dependencies by hand.
-func bareIndex(n, radix int) *Index {
-	t := topology.New("bare")
-	for i := 0; i < n; i++ {
-		t.AddSwitch(radix, fmt.Sprintf("s%d", i))
-	}
-	return NewIndex(t)
-}
-
 func TestIndexRoundTrip(t *testing.T) {
 	topo, err := topology.BuildRing(4, 2)
 	if err != nil {

@@ -29,7 +29,6 @@ import (
 type delta struct {
 	ix    *Index
 	reach bool
-	into  [][]int32 // for a kept CDG, per dense switch: the channel ids leading into it
 
 	// The pairs: bit d*switches+i for (i, d), d-major so that a visit reads
 	// the tables column by column. The set is the list: nothing is kept per
@@ -81,21 +80,6 @@ func (s *bitset) forget() {
 		clear(s.words[s.lo : s.hi+1])
 	}
 	s.n = 0
-}
-
-// newDelta returns the rule walk over ix's channels, for a kept CDG or — reach
-// set — for a reachability base.
-func newDelta(ix *Index, reach bool) delta {
-	d := delta{ix: ix, reach: reach}
-	if !reach {
-		d.into = make([][]int32, len(ix.nodes))
-		for id, to := range ix.next {
-			if to >= 0 {
-				d.into[to/ix.stride] = append(d.into[to/ix.stride], int32(id))
-			}
-		}
-	}
-	return d
 }
 
 // changed collects in the set what can differ between routings a and b —
@@ -157,7 +141,7 @@ func (d *delta) touch(a, b *kept, j int32, blk int, mask uint64) {
 	if d.reach {
 		return
 	}
-	for _, c := range d.into[j] {
+	for _, c := range d.ix.channelsInto(j) {
 		i, port := c/d.ix.stride, ib.PortNum(c%d.ix.stride)
 		pa, pb := blockOf(a.lfts[i], blk), blockOf(b.lfts[i], blk)
 		for rest := mask; rest != 0; rest &= rest - 1 {
@@ -257,7 +241,7 @@ type Base struct {
 // NewBase returns an empty base over the channels of ix; Load it before
 // anything else.
 func NewBase(ix *Index) *Base {
-	return &Base{delta: newDelta(ix, true), cur: newKept(ix), next: newKept(ix)}
+	return &Base{delta: delta{ix: ix, reach: true}, cur: newKept(ix), next: newKept(ix)}
 }
 
 // Load freezes r's routing of dlids as the base.

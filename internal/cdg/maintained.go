@@ -126,7 +126,7 @@ func (k *kept) release() { clear(k.lfts) }
 // NewMaintained returns an empty maintained CDG over the channels of ix;
 // Load it before anything else.
 func NewMaintained(ix *Index) *Maintained {
-	return &Maintained{delta: newDelta(ix, false), g: NewOrdered(ix), cur: newKept(ix), next: newKept(ix), tgt: newKept(ix)}
+	return &Maintained{delta: delta{ix: ix}, g: NewOrdered(ix), cur: newKept(ix), next: newKept(ix), tgt: newKept(ix)}
 }
 
 // Load builds the graph of r's routing for dlids from nothing: one walk of

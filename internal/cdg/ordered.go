@@ -13,14 +13,17 @@ import "slices"
 // Maintained keeps an installed routing in one, bulk-loaded once and then
 // moved by checked inserts and removals.
 //
-// Storage is the package's one adjacency, twice: successors with their
-// multiplicities, and the mirrored predecessors the backward search needs,
-// each distinct dependency once. Construct with NewOrdered. An Ordered is
-// not safe for concurrent use.
+// It holds physical dependencies only, and panics on any other: the
+// multiplicity of a -> b is one counter at Index.slot(a, b) of a dense array,
+// so an insert or a removal is one increment or decrement. The successors of
+// n are the non-zero slots of its row; its predecessors are the channels into
+// its switch whose slot for its port is non-zero: nothing is mirrored.
+// Construct with NewOrdered. An Ordered is not safe for concurrent use.
 type Ordered struct {
-	ix      *Index
-	out, in adjacency
-	ord     []int32 // topological index per channel id
+	ix    *Index
+	mult  []int32 // per Index.slot(a, b): adds of a -> b not undone by a remove
+	edges int     // distinct dependencies held: non-zero slots
+	ord   []int32 // topological index per channel id
 
 	// reorder's scratch: mark[n] == epoch means n was reached in this call.
 	mark                  []uint32
@@ -31,8 +34,7 @@ type Ordered struct {
 // NewOrdered returns an empty incremental CDG over the channels of ix.
 func NewOrdered(ix *Index) *Ordered {
 	n := ix.NumIDs()
-	o := &Ordered{ix: ix, out: newAdjacency(n), in: newAdjacency(n),
-		ord: make([]int32, n), mark: make([]uint32, n)}
+	o := &Ordered{ix: ix, mult: make([]int32, n*int(ix.stride)), ord: make([]int32, n), mark: make([]uint32, n)}
 	for i := range o.ord {
 		o.ord[i] = int32(i) // any order is topological for an empty graph
 	}
@@ -52,17 +54,17 @@ func (o *Ordered) insert(a, b int32) (inserted, acyclic bool) {
 	if a == b {
 		return false, false // self-dependency is an immediate cycle
 	}
-	if !o.out.add(a, b) {
+	if k := o.ix.slot(a, b); o.mult[k] > 0 {
+		o.mult[k]++
 		return false, true
 	}
 	// The edge is new. If it goes against the current order, discover the
 	// affected region and try to reorder; reorder never walks out of a, so
-	// the arc just added does not disturb it.
+	// the edge need not be held while it runs.
 	if o.ord[a] > o.ord[b] && !o.reorder(a, b) {
-		o.out.remove(a, b)
 		return false, false
 	}
-	o.in.push(b, a)
+	o.add(a, b)
 	return true, true
 }
 
@@ -71,30 +73,43 @@ func (o *Ordered) insert(a, b int32) (inserted, acyclic bool) {
 // edges never invalidates it.
 func (o *Ordered) RemoveDepChecked(a, b Channel) { o.remove(o.ix.ID(a), o.ix.ID(b)) }
 
-// remove is RemoveDepChecked by id.
+// remove is RemoveDepChecked by id. Removing an absent dependency is a no-op.
 func (o *Ordered) remove(a, b int32) {
-	if o.out.remove(a, b) {
-		o.in.remove(b, a)
+	if k := o.ix.slot(a, b); o.mult[k] > 0 {
+		if o.mult[k]--; o.mult[k] == 0 {
+			o.edges--
+		}
 	}
 }
 
 // NumEdges returns the number of distinct dependencies held.
-func (o *Ordered) NumEdges() int { return o.out.edges }
+func (o *Ordered) NumEdges() int { return o.edges }
 
-// A bulk load is reset, one add per dependency with no check, then order:
-// one topological sort instead of a checked insert per dependency.
-
-// reset empties o, keeping its memory.
+// reset empties o. A bulk load is reset, one add per dependency with no
+// check, then order: one sort instead of a checked insert per dependency.
 func (o *Ordered) reset() {
-	o.out.reset()
-	o.in.reset()
+	clear(o.mult)
+	o.edges = 0
 }
 
 // add records a -> b once more without checking for a cycle.
 func (o *Ordered) add(a, b int32) {
-	if o.out.add(a, b) {
-		o.in.push(b, a)
+	k := o.ix.slot(a, b)
+	if o.mult[k] == 0 {
+		o.edges++
 	}
+	o.mult[k]++
+}
+
+// succ appends n's successors to buf in ascending id.
+func (o *Ordered) succ(buf []int32, n int32) []int32 {
+	stride := int(o.ix.stride)
+	for port, m := range o.mult[int(n)*stride:][:stride] {
+		if m > 0 {
+			buf = append(buf, o.ix.next[n]+int32(port))
+		}
+	}
+	return buf
 }
 
 // order gives what o holds a topological order by Kahn's algorithm, sources
@@ -104,8 +119,12 @@ func (o *Ordered) order() bool {
 	n := len(o.ord)
 	indeg := slices.Grow(o.idxs[:0], n)[:n]
 	clear(indeg)
-	for _, e := range o.out.arcs {
-		indeg[e.to]++ // every arc is live: nothing was removed since reset
+	var succ []int32
+	for id := range int32(n) {
+		succ = o.succ(succ[:0], id)
+		for _, m := range succ {
+			indeg[m]++
+		}
 	}
 	queue := slices.Grow(o.fwd[:0], n)
 	for id, d := range indeg {
@@ -116,10 +135,10 @@ func (o *Ordered) order() bool {
 	for k := 0; k < len(queue); k++ {
 		id := queue[k]
 		o.ord[id] = int32(k)
-		for i := o.out.head[id]; i >= 0; i = o.out.arcs[i].next {
-			to := o.out.arcs[i].to
-			if indeg[to]--; indeg[to] == 0 {
-				queue = append(queue, to)
+		succ = o.succ(succ[:0], id)
+		for _, m := range succ {
+			if indeg[m]--; indeg[m] == 0 {
+				queue = append(queue, m)
 			}
 		}
 	}
@@ -127,10 +146,8 @@ func (o *Ordered) order() bool {
 		o.idxs, o.fwd = indeg, queue
 		return false
 	}
-	// A loaded graph is kept: fit its arenas, and drop the sort's scratch,
-	// as big as the channel space, to what reorder grows it to.
-	o.out.fit()
-	o.in.fit()
+	// A loaded graph is kept: drop the sort's scratch, as big as the
+	// channel space, to what reorder grows it to.
 	o.idxs, o.fwd = nil, nil
 	return true
 }
@@ -152,8 +169,8 @@ func (o *Ordered) reorder(x, y int32) bool {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		fwd = append(fwd, n)
-		for i := o.out.head[n]; i >= 0; i = o.out.arcs[i].next {
-			m := o.out.arcs[i].to
+		o.bwd = o.succ(o.bwd[:0], n) // bwd is free until the backward search
+		for _, m := range o.bwd {
 			if m == x {
 				o.fwd, o.stack = fwd, stack
 				return false
@@ -172,9 +189,9 @@ func (o *Ordered) reorder(x, y int32) bool {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		bwd = append(bwd, n)
-		for i := o.in.head[n]; i >= 0; i = o.in.arcs[i].next {
-			m := o.in.arcs[i].to
-			if o.mark[m] != o.epoch && o.ord[m] >= lb {
+		port := int(n % o.ix.stride)
+		for _, m := range o.ix.channelsInto(n / o.ix.stride) {
+			if o.mult[int(m)*int(o.ix.stride)+port] > 0 && o.mark[m] != o.epoch && o.ord[m] >= lb {
 				o.mark[m] = o.epoch
 				stack = append(stack, m)
 			}

@@ -222,7 +222,7 @@ func (s *SubnetManager) distribute(ctx context.Context, full bool, mode smp.Mode
 	var jobs []distJob
 	var skipped []string
 	for _, swID := range s.Topo.Switches() {
-		if !s.reachable[swID] {
+		if !s.Reachable(swID) {
 			st.SwitchesSkipped++
 			skipped = append(skipped, s.Topo.Node(swID).Desc)
 			continue
@@ -526,7 +526,7 @@ func (s *SubnetManager) sendLFTRun(p *smp.SMP, sw topology.NodeID, run blockRun,
 		Path:    p.Path[:0],
 	}
 	if mode == smp.DirectedRoute {
-		p.Path = append(p.Path, s.dirPath[sw]...)
+		p.Path = append(p.Path, s.pathTo(sw)...)
 		got, err := s.lftSender().SendDirected(s.SMNode, p)
 		if err != nil {
 			return err
@@ -674,7 +674,7 @@ func (s *SubnetManager) SetVGUID(node topology.NodeID, guid ib.GUID) error {
 		return fmt.Errorf("sm: SetVGUID target must be a CA")
 	}
 	p := &smp.SMP{Attr: smp.AttrGUIDInfo, IsSet: true,
-		Path: append([]ib.PortNum(nil), s.dirPath[node]...)}
+		Path: append([]ib.PortNum(nil), s.pathTo(node)...)}
 	got, err := s.Transport.SendDirected(s.SMNode, p)
 	if err != nil {
 		return err

@@ -49,8 +49,8 @@ func Negotiate(a, b *SubnetManager, prioA, prioB uint8) (*SubnetManager, error) 
 		return nil, fmt.Errorf("sm: both SMs must sweep before negotiating")
 	}
 	// Each side polls the other's SMInfo (one directed Get each).
-	pa := &smp.SMP{Attr: smp.AttrSMInfo, Path: append([]ib.PortNum(nil), a.dirPath[b.SMNode]...)}
-	pb := &smp.SMP{Attr: smp.AttrSMInfo, Path: append([]ib.PortNum(nil), b.dirPath[a.SMNode]...)}
+	pa := &smp.SMP{Attr: smp.AttrSMInfo, Path: append([]ib.PortNum(nil), a.pathTo(b.SMNode)...)}
+	pb := &smp.SMP{Attr: smp.AttrSMInfo, Path: append([]ib.PortNum(nil), b.pathTo(a.SMNode)...)}
 	if got, err := a.Transport.SendDirected(a.SMNode, pa); err != nil || got != b.SMNode {
 		return nil, fmt.Errorf("sm: SMInfo poll toward %d failed (%v)", b.SMNode, err)
 	}
@@ -122,7 +122,7 @@ func (s *SubnetManager) AdoptFabricState(prev *SubnetManager) (AdoptStats, error
 		if lid == ib.LIDUnassigned {
 			continue
 		}
-		p := &smp.SMP{Attr: smp.AttrPortInfo, Path: append([]ib.PortNum(nil), s.dirPath[topology.NodeID(node)]...)}
+		p := &smp.SMP{Attr: smp.AttrPortInfo, Path: append([]ib.PortNum(nil), s.pathTo(topology.NodeID(node))...)}
 		if _, err := s.Transport.SendDirected(s.SMNode, p); err != nil {
 			return st, err
 		}
@@ -150,7 +150,7 @@ func (s *SubnetManager) AdoptFabricState(prev *SubnetManager) (AdoptStats, error
 		top := lft.TopPopulatedBlock()
 		for b := 0; b <= top; b++ {
 			p := &smp.SMP{Attr: smp.AttrLinearFwdTbl, AttrMod: uint32(b),
-				Path: append([]ib.PortNum(nil), s.dirPath[sw]...)}
+				Path: append([]ib.PortNum(nil), s.pathTo(sw)...)}
 			if _, err := s.Transport.SendDirected(s.SMNode, p); err != nil {
 				return st, err
 			}

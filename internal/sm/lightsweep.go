@@ -25,16 +25,22 @@ type LightSweepStats struct {
 	Duration time.Duration
 }
 
-// snapshotPortState captures Up per port for every reachable node.
+// snapshotPortState captures Up per port for every reachable node, reusing
+// the rows of the last snapshot.
 func (s *SubnetManager) snapshotPortState() {
-	s.portState = map[topology.NodeID][]bool{}
-	for id := range s.reachable {
-		n := s.Topo.Node(id)
-		states := make([]bool, len(n.Ports))
-		for p := 1; p < len(n.Ports); p++ {
-			states[p] = n.Ports[p].Peer != topology.NoNode && n.Ports[p].Up
+	if grow := len(s.reachable) - len(s.portState); grow > 0 {
+		s.portState = append(s.portState, make([][]bool, grow)...)
+	}
+	for id, reached := range s.reachable {
+		row := s.portState[id][:0]
+		if reached {
+			ports := s.Topo.Node(topology.NodeID(id)).Ports
+			row = append(row, false) // port 0
+			for p := 1; p < len(ports); p++ {
+				row = append(row, ports[p].Peer != topology.NoNode && ports[p].Up)
+			}
 		}
-		s.portState[id] = states
+		s.portState[id] = row
 	}
 }
 
@@ -57,15 +63,13 @@ func (s *SubnetManager) LightSweep() (LightSweepStats, error) {
 		span.EndWithWall(st.Duration)
 	}()
 	s.tel.Registry().Counter("sm.light_sweeps").Inc()
-	if len(s.portState) == 0 {
-		s.snapshotPortState()
-	}
+	var tally smp.Tally
 	for _, sw := range s.Topo.Switches() {
-		if !s.reachable[sw] {
+		if !s.Reachable(sw) {
 			continue
 		}
-		p := &smp.SMP{Attr: smp.AttrPortInfo, Path: append([]ib.PortNum(nil), s.dirPath[sw]...)}
-		if _, err := s.Transport.SendDirected(s.SMNode, p); err != nil {
+		p := smp.SMP{Attr: smp.AttrPortInfo, Path: s.pathTo(sw)}
+		if _, err := s.Transport.SendDirectedTally(s.SMNode, &p, &tally); err != nil {
 			// The path to the switch itself broke: that is a change too.
 			st.Changes = append(st.Changes, LinkChange{Node: sw, Port: 0, Up: false})
 			continue
@@ -81,6 +85,7 @@ func (s *SubnetManager) LightSweep() (LightSweepStats, error) {
 			}
 		}
 	}
+	s.Transport.Counters.Add(&tally)
 	s.snapshotPortState()
 	st.Duration = time.Since(start)
 	if len(st.Changes) > 0 {

@@ -16,6 +16,7 @@ package sm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,8 +77,12 @@ type SubnetManager struct {
 	// addr is the LID → node table, base and additional (VF) LIDs alike, as
 	// a persistent value: a writer installs a new table, a reader loads the
 	// current one and needs no lock.
-	addr    atomic.Pointer[AddressTable]
-	dirPath map[topology.NodeID][]ib.PortNum
+	addr atomic.Pointer[AddressTable]
+	// dirPath is the directed path to each node the last complete sweep
+	// reached, by node ID (the SM's own is empty); reachable says which
+	// those are. A sweep installs both together when it completes.
+	dirPath   [][]ib.PortNum
+	reachable []bool
 
 	// addrMu serializes the writers of the LID state that concurrent shard
 	// actors mutate after bootstrap: the allocation pool and the address
@@ -102,8 +107,9 @@ type SubnetManager struct {
 	// (every plan reads every switch's slot) and sized by New, so workers
 	// publish without growing it; a slot is nil until first programmed.
 	programmed []atomic.Pointer[ib.LFT]
-	reachable  map[topology.NodeID]bool
-	portState  map[topology.NodeID][]bool // Up per port, as of the last (light) sweep
+	// portState is Up per port of each node reachable at the last (light)
+	// sweep, by node ID; a node not reached has an empty row.
+	portState [][]bool
 
 	swept  bool
 	routed bool
@@ -149,9 +155,6 @@ func New(topo *topology.Topology, smNode topology.NodeID, engine routing.Engine)
 		pool:       ib.NewLIDPool(),
 		programmed: make([]atomic.Pointer[ib.LFT], topo.NumNodes()),
 		target:     make([]atomic.Pointer[ib.LFT], topo.NumNodes()),
-		dirPath:    map[topology.NodeID][]ib.PortNum{},
-		reachable:  map[topology.NodeID]bool{},
-		portState:  map[topology.NodeID][]bool{},
 		tel:        hub,
 		log:        newEventLogOver(hub.Trace, 4096),
 	}
@@ -242,11 +245,21 @@ func (s *SubnetManager) Resweep() (SweepStats, error) {
 func (s *SubnetManager) Sweeps() uint64 { return s.sweeps.Load() }
 
 // Reachable reports whether the most recent sweep could reach the node.
-func (s *SubnetManager) Reachable(n topology.NodeID) bool { return s.reachable[n] }
+func (s *SubnetManager) Reachable(n topology.NodeID) bool {
+	return n >= 0 && int(n) < len(s.reachable) && s.reachable[n]
+}
+
+// pathTo is the directed path to n found by the most recent sweep: nil for
+// the SM itself and for a node it did not reach.
+func (s *SubnetManager) pathTo(n topology.NodeID) []ib.PortNum {
+	if n < 0 || int(n) >= len(s.dirPath) {
+		return nil
+	}
+	return s.dirPath[n]
+}
 
 func (s *SubnetManager) sweep() (SweepStats, error) {
 	start := time.Now()
-	before := s.Transport.Counters.Sent
 	var st SweepStats
 	span := s.tel.Tracer().Start(telemetry.SpanSweep, "full")
 	defer func() {
@@ -259,18 +272,24 @@ func (s *SubnetManager) sweep() (SweepStats, error) {
 	s.tel.Registry().Counter("sm.sweeps").Inc()
 	s.sweeps.Add(1)
 
+	// Discovery counts its SMPs here and adds them to the transport's
+	// counters once, however the sweep ends.
+	var tally smp.Tally
+	defer s.Transport.Counters.Add(&tally)
+	probe := func(path []ib.PortNum, attr smp.Attr) (topology.NodeID, error) {
+		p := smp.SMP{Attr: attr, Path: path}
+		return s.Transport.SendDirectedTally(s.SMNode, &p, &tally)
+	}
+
 	type qe struct {
 		node topology.NodeID
 		path []ib.PortNum
 	}
-	seen := map[topology.NodeID]bool{s.SMNode: true}
-	s.dirPath = map[topology.NodeID][]ib.PortNum{s.SMNode: nil}
-	queue := []qe{{node: s.SMNode, path: nil}}
-
-	probe := func(path []ib.PortNum, attr smp.Attr, set bool) (topology.NodeID, error) {
-		p := &smp.SMP{Attr: attr, IsSet: set, Path: append([]ib.PortNum(nil), path...)}
-		return s.Transport.SendDirected(s.SMNode, p)
-	}
+	seen := make([]bool, s.Topo.NumNodes())
+	paths := make([][]ib.PortNum, len(seen))
+	seen[s.SMNode] = true
+	queue := append(make([]qe, 0, len(seen)), qe{node: s.SMNode})
+	var npath []ib.PortNum // the NodeInfo probes' path, reused
 
 	for len(queue) > 0 {
 		cur := queue[0]
@@ -283,11 +302,11 @@ func (s *SubnetManager) sweep() (SweepStats, error) {
 			st.CAs++
 		}
 		// NodeDescription for the node itself; SwitchInfo for switches.
-		if _, err := probe(cur.path, smp.AttrNodeDesc, false); err != nil {
+		if _, err := probe(cur.path, smp.AttrNodeDesc); err != nil {
 			return st, fmt.Errorf("sm: sweep NodeDesc at %q: %w", n.Desc, err)
 		}
 		if n.IsSwitch() {
-			if _, err := probe(cur.path, smp.AttrSwitchInfo, false); err != nil {
+			if _, err := probe(cur.path, smp.AttrSwitchInfo); err != nil {
 				return st, err
 			}
 		}
@@ -297,26 +316,26 @@ func (s *SubnetManager) sweep() (SweepStats, error) {
 				continue
 			}
 			// PortInfo for every connected port of the node.
-			if _, err := probe(cur.path, smp.AttrPortInfo, false); err != nil {
+			if _, err := probe(cur.path, smp.AttrPortInfo); err != nil {
 				return st, err
 			}
 			// NodeInfo probe through the port to identify the neighbour.
-			npath := append(append([]ib.PortNum(nil), cur.path...), ib.PortNum(pi))
-			peer, err := probe(npath, smp.AttrNodeInfo, false)
+			npath = append(append(npath[:0], cur.path...), ib.PortNum(pi))
+			peer, err := probe(npath, smp.AttrNodeInfo)
 			if err != nil {
 				return st, fmt.Errorf("sm: sweep NodeInfo via %q port %d: %w", n.Desc, pi, err)
 			}
 			if !seen[peer] {
 				seen[peer] = true
-				s.dirPath[peer] = npath
-				queue = append(queue, qe{node: peer, path: npath})
+				paths[peer] = slices.Clone(npath)
+				queue = append(queue, qe{node: peer, path: paths[peer]})
 			}
 		}
 	}
-	st.SMPs = s.Transport.Counters.Sent - before
+	st.SMPs = tally.Sent
 	st.Duration = time.Since(start)
 	s.swept = true
-	s.reachable = seen
+	s.dirPath, s.reachable = paths, seen
 	s.snapshotPortState()
 	s.log.Addf(EvSweep, "sweep: %d nodes (%d switches, %d CAs), %d SMPs",
 		st.Nodes, st.Switches, st.CAs, st.SMPs)
@@ -351,7 +370,7 @@ func (s *SubnetManager) AssignLIDs() error {
 		for l := base; l < base+(ib.LID(1)<<lmc); l++ {
 			addr = addr.with(l, id, false)
 		}
-		p := &smp.SMP{Attr: smp.AttrPortInfo, IsSet: true, Path: append([]ib.PortNum(nil), s.dirPath[id]...)}
+		p := &smp.SMP{Attr: smp.AttrPortInfo, IsSet: true, Path: append([]ib.PortNum(nil), s.pathTo(id)...)}
 		if _, err := s.Transport.SendDirected(s.SMNode, p); err != nil {
 			return err
 		}
@@ -501,7 +520,7 @@ func (s *SubnetManager) Targets() []routing.Target {
 	out := make([]routing.Target, 0, addr.Len())
 	// Ascending LID order keeps engines reproducible.
 	addr.Each(func(l ib.LID, n topology.NodeID, _ bool) {
-		if s.reachable[n] {
+		if s.Reachable(n) {
 			out = append(out, routing.Target{LID: l, Node: n})
 		}
 	})

@@ -106,8 +106,11 @@ type SMP struct {
 // Counters aggregates SMP traffic by attribute and mode; the experiments
 // report these (Table I is purely SMP counting). Recording is guarded by a
 // mutex so the concurrent distribution engine's workers may share one
-// transport; reading the fields directly is safe once the senders have been
-// joined (every distribution call returns only after its workers exit).
+// transport, and takes it once per SMP; a sender of many SMPs from one
+// goroutine — discovery — counts them in a Tally and adds that with one
+// acquisition instead. Reading the fields directly is safe once the senders
+// have been joined (every distribution call returns only after its workers
+// exit).
 type Counters struct {
 	mu        sync.Mutex
 	Sent      int
@@ -118,8 +121,8 @@ type Counters struct {
 	TotalHops int
 
 	// Mirrors into an attached telemetry registry (nil when detached).
-	// Handles are cached so the hot observe path takes no registry locks,
-	// and held where observe finds them without a map operation: a mode's
+	// Handles are cached so the hot Add path takes no registry locks, and
+	// held where Add finds them without a map operation: a mode's
 	// by its value, an attribute's in the list of those seen (a transport
 	// carries a handful of attributes).
 	reg     *telemetry.Registry
@@ -161,28 +164,86 @@ func (c *Counters) AttachRegistry(r *telemetry.Registry) {
 	c.mHops = r.Counter("smp.hops")
 }
 
+// observe counts one SMP: a tally of one, added.
 func (c *Counters) observe(p *SMP) {
+	var one Tally
+	one.count(p)
+	c.Add(&one)
+}
+
+// Tally counts SMPs for one goroutine, with no lock, until Counters.Add
+// merges it. It is the one counting rule: Counters observe an SMP as a tally
+// of one.
+type Tally struct {
+	Sent, Set, Get, Hops int
+	modes                [2]int       // indexed by Mode
+	attrs                [8]attrTally // the first nattr in the order first counted
+	nattr                int
+}
+
+type attrTally struct {
+	attr Attr
+	n    int
+}
+
+// count adds p to t. A tally holds at most len(t.attrs) attributes, more
+// than this package defines.
+func (t *Tally) count(p *SMP) {
+	t.Sent++
+	if p.IsSet {
+		t.Set++
+	} else {
+		t.Get++
+	}
+	t.Hops += p.Hops
+	t.modes[p.Mode]++
+	for i := range t.attrs[:t.nattr] {
+		if t.attrs[i].attr == p.Attr {
+			t.attrs[i].n++
+			return
+		}
+	}
+	if t.nattr == len(t.attrs) {
+		panic(fmt.Sprintf("smp: a tally counts at most %d attributes", len(t.attrs)))
+	}
+	t.attrs[t.nattr] = attrTally{attr: p.Attr, n: 1}
+	t.nattr++
+}
+
+// Add merges what t counted into c and its registry, under one lock: the
+// fields read as if each SMP had been observed on its own.
+func (c *Counters) Add(t *Tally) {
+	if t.Sent == 0 {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.Sent++
-	if p.IsSet {
-		c.Set++
-	} else {
-		c.Get++
+	c.Sent += t.Sent
+	c.Set += t.Set
+	c.Get += t.Get
+	c.TotalHops += t.Hops
+	for _, a := range t.attrs[:t.nattr] {
+		c.ByAttr[a.attr] += a.n
 	}
-	c.ByAttr[p.Attr]++
-	c.ByMode[p.Mode]++
-	c.TotalHops += p.Hops
-	if c.reg != nil {
-		c.mSent.Inc()
-		if p.IsSet {
-			c.mSet.Inc()
-		} else {
-			c.mGet.Inc()
+	for m, n := range t.modes {
+		if n > 0 {
+			c.ByMode[Mode(m)] += n
 		}
-		c.mHops.Add(int64(p.Hops))
-		c.attrCounter(p.Attr).Inc()
-		c.modeCounter(p.Mode).Inc()
+	}
+	if c.reg == nil {
+		return
+	}
+	c.mSent.Add(int64(t.Sent))
+	c.mSet.Add(int64(t.Set))
+	c.mGet.Add(int64(t.Get))
+	c.mHops.Add(int64(t.Hops))
+	for _, a := range t.attrs[:t.nattr] {
+		c.attrCounter(a.attr).Add(int64(a.n))
+	}
+	for m, n := range t.modes {
+		if n > 0 {
+			c.modeCounter(Mode(m)).Add(int64(n))
+		}
 	}
 }
 
@@ -241,11 +302,21 @@ func NewTransport(t *topology.Topology) *Transport {
 // SendDirected walks a directed-route SMP from src along p.Path, returning
 // the node it lands on.
 func (t *Transport) SendDirected(src topology.NodeID, p *SMP) (topology.NodeID, error) {
+	var one Tally
+	end, err := t.SendDirectedTally(src, p, &one)
+	t.Counters.Add(&one)
+	return end, err
+}
+
+// SendDirectedTally is SendDirected counted in tally, to be added to the
+// transport's Counters later: a sender of many SMPs from one goroutine takes
+// their lock once. The transport keeps nothing of p.
+func (t *Transport) SendDirectedTally(src topology.NodeID, p *SMP, tally *Tally) (topology.NodeID, error) {
 	p.Mode = DirectedRoute
 	end, err := t.pathEnd(src, p.Path)
 	if err == nil {
 		p.Hops = len(p.Path)
-		t.Counters.observe(p)
+		tally.count(p)
 	}
 	return end, err
 }
